@@ -154,6 +154,7 @@ class CSRKernels:
         # the flattened (row, node) product space; grown on demand.
         self._batch_dist: np.ndarray | None = None
         self._batch_touched: np.ndarray | None = None
+        self._batch_used = 0  # prefix of the buffer the last sweep ran in
 
     @property
     def num_nodes(self) -> int:
@@ -236,6 +237,8 @@ class CSRKernels:
         ks: Sequence[int],
         object_counts: np.ndarray,
         *,
+        versions: Sequence[int] | None = None,
+        patches: Sequence[tuple[int, int]] = (),
         group_size: int = 16,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Answer many top-k queries via shared multi-source sweeps.
@@ -250,10 +253,21 @@ class CSRKernels:
         ``(distance, object_id)`` sorting downstream reproduces the
         per-query answers exactly.
 
-        Execution: duplicate sources collapse to one search (served
-        with the largest requested ``k``); the distinct sources are
-        sorted (node-id order is the locality proxy on our generated
-        networks) and chunked into groups of up to ``group_size``.
+        Update transparency: distances do not depend on the object
+        set — only termination and which nodes bear objects do — so
+        queries separated by object updates can still share a sweep.
+        ``patches`` is the ordered list of ``(node, ±count)`` changes
+        the updates make to ``object_counts`` and ``versions[i]`` says
+        how many of them query ``i`` has seen: it is answered as if
+        ``object_counts`` carried the first ``versions[i]`` patches,
+        exactly what :meth:`topk_objects` returns on that materialised
+        vector.  ``object_counts`` itself is never copied or written.
+
+        Execution: queries with the same ``(source, version)`` collapse
+        to one search (served with the largest requested ``k``); the
+        distinct searches are sorted by source (node-id order is the
+        locality proxy on our generated networks) and chunked into
+        groups of up to ``group_size``.
         One group runs as a *single* delta-stepping sweep over the
         flattened ``(row, node)`` product space — every bucket relaxes
         the concatenated frontiers of all group members in the same
@@ -279,7 +293,21 @@ class CSRKernels:
             raise IndexError(
                 f"source out of range for graph with {self._num_nodes} nodes"
             )
-        unique, inverse = np.unique(src, return_inverse=True)
+        patch = np.asarray(patches, dtype=np.int64).reshape(-1, 2)
+        patch_nodes, patch_deltas = patch[:, 0], patch[:, 1]
+        if versions is None:
+            seen = np.zeros(src.shape, dtype=np.int64)
+        else:
+            seen = np.asarray(versions, dtype=np.int64)
+            if seen.shape != src.shape:
+                raise ValueError("versions must align with sources")
+            if seen.min() < 0 or seen.max() > len(patch_nodes):
+                raise ValueError(
+                    f"versions must lie in [0, {len(patch_nodes)}]"
+                )
+        # One search per distinct (source, version), source-major.
+        span = len(patch_nodes) + 1
+        unique, inverse = np.unique(src * span + seen, return_inverse=True)
         kmax = np.zeros(unique.shape, dtype=np.int64)
         np.maximum.at(kmax, inverse, kreq)
         per_unique: list[tuple[np.ndarray, np.ndarray]] = [
@@ -289,7 +317,8 @@ class CSRKernels:
         for start in range(0, len(wanted), group_size):
             chunk = wanted[start:start + group_size]
             answers = self._batch_topk(
-                unique[chunk], kmax[chunk], object_counts
+                unique[chunk] // span, kmax[chunk], object_counts,
+                unique[chunk] % span, patch_nodes, patch_deltas,
             )
             for position, unique_index in enumerate(chunk.tolist()):
                 per_unique[unique_index] = answers[position]
@@ -461,14 +490,18 @@ class CSRKernels:
         dist = self._batch_dist
         if dist is None or len(dist) < size:
             dist = self._batch_dist = np.full(size, np.inf, dtype=np.float64)
-            self._batch_touched = None
-            return dist
-        touched = self._batch_touched
-        if touched is None or len(touched) * 8 > len(dist):
-            dist.fill(np.inf)
         else:
-            dist[touched] = np.inf
+            # Only the prefix the previous sweep ran in can be dirty: a
+            # buffer grown by one wide batch must not cost every later,
+            # narrower one a full-length fill.
+            used = self._batch_used
+            touched = self._batch_touched
+            if touched is None or len(touched) * 8 > used:
+                dist[:used].fill(np.inf)
+            else:
+                dist[touched] = np.inf
         self._batch_touched = None
+        self._batch_used = size
         return dist
 
     def _batch_topk(
@@ -476,6 +509,9 @@ class CSRKernels:
         sources: np.ndarray,
         ks: np.ndarray,
         object_counts: np.ndarray,
+        versions: np.ndarray,
+        patch_nodes: np.ndarray,
+        patch_deltas: np.ndarray,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """One shared sweep answering ``len(sources)`` top-k queries.
 
@@ -488,9 +524,37 @@ class CSRKernels:
         more nodes than its solo run would have; settled distances are
         bit-identical regardless (the window fixpoint argument is
         per-row), which is all the top-k contract needs.
+
+        Row ``r`` reads ``object_counts`` with the first
+        ``versions[r]`` of the ``(patch_nodes, patch_deltas)`` changes
+        applied (see :meth:`knn_batch`).  Relaxation never looks at
+        counts, so rows at different versions still share every window.
         """
         n = self._num_nodes
         rows = len(sources)
+        patch_order = np.arange(len(patch_nodes), dtype=np.int64)
+        patched = _dedup(patch_nodes)
+        last = len(patched) - 1
+
+        def counts_seen(nodes: np.ndarray, seen: np.ndarray) -> np.ndarray:
+            """Object count of ``nodes[i]`` as of patch version ``seen[i]``.
+
+            The one place the sweep reads counts.  Few nodes are ever
+            patched, so the common case is the plain gather plus one
+            sorted-membership probe (``np.isin`` without its set-up
+            cost, which dominated at these sizes).
+            """
+            counts = object_counts[nodes]
+            if last >= 0:
+                slot = np.minimum(np.searchsorted(patched, nodes), last)
+                hit = np.nonzero(patched[slot] == nodes)[0]
+                if hit.size:
+                    applies = (patch_nodes == nodes[hit, None]) & (
+                        patch_order < seen[hit, None]
+                    )
+                    counts[hit] += applies @ patch_deltas
+            return counts
+
         dist = self._batch_reset(rows * n)
         flat_src = np.arange(rows, dtype=np.int64) * n + sources
         dist[flat_src] = 0.0
@@ -563,7 +627,9 @@ class CSRKernels:
             if window.size:
                 window_rows = window // n
                 window_nodes = window - window_rows * n
-                window_counts = object_counts[window_nodes]
+                window_counts = counts_seen(
+                    window_nodes, versions[window_rows]
+                )
                 bearing = window_counts > 0
                 if bearing.any():
                     bearing_rows = window_rows[bearing]
@@ -584,7 +650,10 @@ class CSRKernels:
                         row_objects[row] = [nodes]
                         dists = dist[row * n + nodes]
                         order = np.argsort(dists, kind="stable")
-                        cumulative = np.cumsum(object_counts[nodes][order])
+                        row_counts = counts_seen(
+                            nodes, np.full(nodes.shape, versions[row])
+                        )
+                        cumulative = np.cumsum(row_counts[order])
                         position = int(np.searchsorted(cumulative, ks[row]))
                         kth_bound[row] = float(dists[order][position])
                         row_dirty[row] = False

@@ -15,6 +15,7 @@ network-side index but holding only a given subset of objects.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -164,13 +165,87 @@ class KNNSolution(ABC):
         reordering.  This default *is* that loop; solutions with a
         vectorized substrate override it to answer the whole batch in
         shared kernel sweeps (see :class:`~repro.knn.dijkstra_knn.
-        DijkstraKNN` and :class:`~repro.knn.ier.IERKNN`), which the
-        executors exploit by handing workers whole query runs.
+        DijkstraKNN` and :class:`~repro.knn.ier.IERKNN`), which
+        :meth:`run_ops` and the threaded executor exploit by handing
+        them whole query runs.
         """
         return [
             self.query(location, k)
             for location, k in zip(locations, ks, strict=True)
         ]
+
+    # -- op batches -------------------------------------------------------
+    def run_ops(
+        self, ops: Sequence[tuple], op_timings: list[tuple] | None = None
+    ) -> list[tuple[int, list[Neighbor]]]:
+        """Execute one FCFS batch of worker ops; return the query partials.
+
+        ``ops`` is a w-core's slice of the task stream in arrival
+        order, in the executors' wire encoding: ``("query", query_id,
+        location, k)``, ``("insert", object_id, location)`` or
+        ``("delete", object_id)``.  The result is one ``(query_id,
+        answer)`` pair per query, in op order, and the contract is
+        serial equivalence: answers and final state are exactly those
+        of calling :meth:`query`/:meth:`insert`/:meth:`delete` once per
+        op, in order.  An op that raises leaves every earlier op
+        applied and no later one.
+
+        This default groups maximal runs of back-to-back queries into
+        one :meth:`query_batch` call — queries never mutate state, so a
+        run shares one object snapshot — while updates and singleton
+        queries take the per-op path.  Solutions whose search does not
+        depend on the object set can share work *across* updates too
+        (:class:`~repro.knn.dijkstra_knn.DijkstraKNN` answers the whole
+        batch in one kernel sweep).
+
+        When ``op_timings`` is a list, ``time.monotonic`` stamps are
+        appended for the executor's telemetry: ``("q", query_id, t0,
+        t1)`` for a query answered alone, ``("qb", (query_ids...), t0,
+        t1)`` for queries answered together, ``("u", t0, t1)`` per
+        update.  ``None`` skips every clock read.
+        """
+        monotonic = time.monotonic
+        partials: list[tuple[int, list[Neighbor]]] = []
+        index = 0
+        total = len(ops)
+        while index < total:
+            op = ops[index]
+            if op[0] != "query":
+                self._apply_update(op, op_timings)
+                index += 1
+                continue
+            end = index + 1
+            while end < total and ops[end][0] == "query":
+                end += 1
+            run = ops[index:end]
+            started = monotonic() if op_timings is not None else 0.0
+            if len(run) == 1:
+                _, query_id, location, k = run[0]
+                partials.append((query_id, self.query(location, k)))
+                if op_timings is not None:
+                    op_timings.append(("q", query_id, started, monotonic()))
+            else:
+                answers = self.query_batch(
+                    [op[2] for op in run], [op[3] for op in run]
+                )
+                for op, answer in zip(run, answers):
+                    partials.append((op[1], answer))
+                if op_timings is not None:
+                    op_timings.append(
+                        ("qb", tuple(op[1] for op in run), started, monotonic())
+                    )
+            index = end
+        return partials
+
+    def _apply_update(self, op: tuple, op_timings: list[tuple] | None) -> None:
+        """Apply one insert/delete op of :meth:`run_ops`, stamping it."""
+        started = time.monotonic() if op_timings is not None else 0.0
+        if op[0] == "insert":
+            self.insert(op[1], op[2])
+        else:
+            self.delete(op[1])
+        if op_timings is not None:
+            op_timings.append(("u", started, time.monotonic()))
 
     # -- paper-style aliases --------------------------------------------
     def Q(self, l: int, k: int) -> list[Neighbor]:  # noqa: N802 - paper naming

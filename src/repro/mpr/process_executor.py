@@ -87,57 +87,6 @@ from .resilience import (
 _STOP = ("stop",)
 
 
-def _run_ops(solution, ops, partials, op_timings, monotonic) -> None:
-    """Execute one batch's ops, grouping consecutive queries.
-
-    Maximal runs of back-to-back queries are answered by one
-    ``solution.query_batch`` call (shared kernel sweeps); updates and
-    singleton queries keep the per-op path.  Queries never mutate
-    state, so grouping a run preserves the batch's serial semantics —
-    updates still execute at exactly their FCFS position.
-
-    When ``op_timings`` is a list, timing entries are appended:
-    ``("q", query_id, t0, t1)`` for a singleton query, ``("qb",
-    (query_ids...), t0, t1)`` for a grouped run, ``("u", t0, t1)`` for
-    an update.  ``None`` skips all clock reads (telemetry disabled).
-    """
-    index = 0
-    total = len(ops)
-    while index < total:
-        op = ops[index]
-        if op[0] != "query":
-            started = monotonic() if op_timings is not None else 0.0
-            if op[0] == "insert":
-                solution.insert(op[1], op[2])
-            else:
-                solution.delete(op[1])
-            if op_timings is not None:
-                op_timings.append(("u", started, monotonic()))
-            index += 1
-            continue
-        end = index + 1
-        while end < total and ops[end][0] == "query":
-            end += 1
-        run = ops[index:end]
-        started = monotonic() if op_timings is not None else 0.0
-        if len(run) == 1:
-            _, query_id, location, k = run[0]
-            partials.append((query_id, solution.query(location, k)))
-            if op_timings is not None:
-                op_timings.append(("q", query_id, started, monotonic()))
-        else:
-            answers = solution.query_batch(
-                [op[2] for op in run], [op[3] for op in run]
-            )
-            for op, answer in zip(run, answers):
-                partials.append((op[1], answer))
-            if op_timings is not None:
-                op_timings.append(
-                    ("qb", tuple(op[1] for op in run), started, monotonic())
-                )
-        index = end
-
-
 def _worker_main(
     solution: KNNSolution, worker_id, inbox, results, stamp_timings: bool = False
 ) -> None:
@@ -146,22 +95,22 @@ def _worker_main(
     One ``("batch", seq, ops)`` message is acknowledged by one
     ``("done", worker_id, seq, partials)`` message carrying every query
     partial of the batch — the ack doubles as the result envelope, so
-    the return path is batch-amortized too.  Runs of consecutive
-    queries inside a batch execute as one ``query_batch`` call (see
-    :func:`_run_ops`).  ``results`` is this worker's private pipe end:
-    no lock is shared with sibling workers, so this process dying
-    mid-send cannot wedge anyone else.
+    the return path is batch-amortized too.  The batch executes as one
+    :meth:`~repro.knn.base.KNNSolution.run_ops` call, so how much work
+    its queries share is the solution's business.  ``results`` is this
+    worker's private pipe end: no lock is shared with sibling workers,
+    so this process dying mid-send cannot wedge anyone else.
 
     With ``stamp_timings`` (telemetry enabled in the parent) the ack
     grows a compact timing tuple — ``(t_recv, t_ack_send, per-op
     timings, kernel_delta)`` in the shared ``time.monotonic`` clock —
     from which the parent stitches ``queue_wait``/``execute``/``ack``
-    spans.  Per-op entries are ``("q", query_id, t0, t1)`` for
-    singleton queries, ``("qb", (query_ids...), t0, t1)`` for grouped
-    query runs, and ``("u", t0, t1)`` for updates; ``kernel_delta`` is
-    this batch's increment to the child's ``KERNEL_CALLS`` diagnostic
-    counters, which the parent folds into its own copy (fork gives each
-    child separate counter memory).
+    spans.  The per-op entries are ``run_ops``'s: ``("q", query_id, t0,
+    t1)`` for a query answered alone, ``("qb", (query_ids...), t0, t1)``
+    for queries answered together, and ``("u", t0, t1)`` for updates;
+    ``kernel_delta`` is this batch's increment to the child's
+    ``KERNEL_CALLS`` diagnostic counters, which the parent folds into
+    its own copy (fork gives each child separate counter memory).
     """
     monotonic = time.monotonic
     while True:
@@ -175,23 +124,19 @@ def _worker_main(
             results.send(("error", worker_id, -1, f"unknown message {kind!r}"))
             return
         _, seq, ops = message
-        partials = []
+        op_timings: list[tuple] | None = [] if stamp_timings else None
+        kernel_before = dict(KERNEL_CALLS) if stamp_timings else {}
         try:
-            if stamp_timings:
-                op_timings: list[tuple] = []
-                kernel_before = dict(KERNEL_CALLS)
-                _run_ops(solution, ops, partials, op_timings, monotonic)
-                kernel_delta = {
-                    name: count - kernel_before.get(name, 0)
-                    for name, count in KERNEL_CALLS.items()
-                    if count != kernel_before.get(name, 0)
-                }
-            else:
-                _run_ops(solution, ops, partials, None, monotonic)
+            partials = solution.run_ops(ops, op_timings)
         except Exception as exc:
             results.send(("error", worker_id, seq, repr(exc)))
             return
         if stamp_timings:
+            kernel_delta = {
+                name: count - kernel_before.get(name, 0)
+                for name, count in KERNEL_CALLS.items()
+                if count != kernel_before.get(name, 0)
+            }
             results.send((
                 "done", worker_id, seq, partials,
                 (received, monotonic(), op_timings, kernel_delta),

@@ -16,8 +16,10 @@ import signal
 import pytest
 
 from repro.graph import grid_network
+from repro.graph.kernels import KERNEL_CALLS
 from repro.knn import DijkstraKNN
 from repro.mpr import MPRConfig, build_executor, run_serial_reference
+from repro.objects.tasks import DeleteTask, InsertTask, QueryTask
 from repro.obs import Telemetry
 from repro.workload import generate_workload
 
@@ -94,3 +96,32 @@ def test_traces_survive_worker_respawn(network, workload) -> None:
     assert answers == oracle
     assert telemetry.counters["pool.respawns"] >= 1
     assert_traces_complete(telemetry, workload.num_queries)
+
+
+def test_interleaved_batch_is_one_stamped_sweep(network) -> None:
+    """A worker batch ``q u q u q`` runs as one kernel sweep and still
+    reports everything the parent stitches: one ``execute_batch`` span
+    covering the three queries, one ``update`` sample per update, and a
+    complete trace for every query."""
+    objects = {1: 5, 2: 40, 3: 77}
+    tasks = [
+        QueryTask(0.0, 0, 12, 2),
+        DeleteTask(0.1, 2),
+        QueryTask(0.2, 1, 12, 2),
+        InsertTask(0.3, 4, 13),
+        QueryTask(0.4, 2, 60, 2),
+    ]
+    oracle = run_serial_reference(DijkstraKNN(network), objects, tasks)
+    telemetry = Telemetry(max_traces=64)
+    with build_executor(
+        MPRConfig(1, 1, 1), DijkstraKNN(network), objects,
+        mode="process", batch_size=len(tasks), telemetry=telemetry,
+    ) as pool:
+        before = KERNEL_CALLS.copy()
+        assert pool.run(tasks) == oracle
+    assert KERNEL_CALLS - before == {"knn_batch": 1}  # no solo ``topk``
+    assert telemetry.histogram("execute_batch").count == 1
+    assert telemetry.counters["exec.batches"] == 1
+    assert telemetry.counters["exec.batch_queries"] == 3
+    assert telemetry.histogram("update").count == 2
+    assert_traces_complete(telemetry, 3)

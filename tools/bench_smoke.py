@@ -23,30 +23,51 @@ from repro.graph.kernels import KERNEL_CALLS
 from repro.graph.shortest_path import KERNEL_MIN_NODES, dijkstra, dijkstra_heapq
 from repro.knn import DijkstraKNN, IERKNN
 from repro.mpr import MPRConfig, build_executor
-from repro.objects.tasks import QueryTask
+from repro.objects.tasks import DeleteTask, InsertTask, QueryTask
 from repro.obs import Telemetry
 
 
 def check_batch_path(network, objects, rng) -> int:
-    """Assert the process pool serves query runs via ``knn_batch``.
+    """Assert the process pool serves *interleaved* batches via ``knn_batch``.
 
-    Workers increment their own (forked) copy of ``KERNEL_CALLS``; with
-    telemetry enabled each batch ack carries the child's counter delta
-    and the parent folds it back in, so the counter observed here
-    proves the batched kernel ran inside the worker processes.
+    The stream moves an object after every second query, so every
+    worker batch interleaves queries with updates: only the whole-batch
+    sweep (``DijkstraKNN.run_ops``) keeps the solo ``topk`` kernel out
+    of the workers.  Workers increment their own (forked) copy of
+    ``KERNEL_CALLS``; with telemetry enabled each batch ack carries the
+    child's counter delta and the parent folds it back in, so the
+    counters observed here prove which kernel ran inside the worker
+    processes.
     """
-    before = KERNEL_CALLS["knn_batch"]
-    tasks = [
-        QueryTask(float(i), i, rng.randrange(network.num_nodes), 5)
-        for i in range(48)
-    ]
+    before = KERNEL_CALLS.copy()
+    tasks: list = []
+    for i in range(48):
+        tasks.append(
+            QueryTask(float(i), i, rng.randrange(network.num_nodes), 5)
+        )
+        if i % 2:
+            mover = rng.choice(sorted(objects))
+            tasks.append(DeleteTask(i + 0.25, mover))
+            tasks.append(
+                InsertTask(i + 0.5, mover, rng.randrange(network.num_nodes))
+            )
+    telemetry = Telemetry()
     with build_executor(
         MPRConfig(1, 1, 1), DijkstraKNN(network), dict(objects),
-        mode="process", batch_size=16, telemetry=Telemetry(),
+        mode="process", batch_size=16, telemetry=telemetry,
     ) as pool:
         answers = pool.run(tasks)
-    assert len(answers) == len(tasks)
-    return KERNEL_CALLS["knn_batch"] - before
+    assert len(answers) == 48
+    batched = KERNEL_CALLS["knn_batch"] - before["knn_batch"]
+    solo = KERNEL_CALLS["topk"] - before["topk"]
+    assert solo == 0, (
+        f"{solo} worker queries fell back to solo topk searches on an "
+        "interleaved stream"
+    )
+    assert batched == telemetry.counters["exec.batches"] == len(tasks) // 16, (
+        "expected exactly one knn_batch sweep per dispatched batch"
+    )
+    return batched
 
 
 def main() -> None:
@@ -86,7 +107,7 @@ def main() -> None:
         "sssp": ("dijkstra free function",),
         "topk": ("DijkstraKNN.query",),
         "expander": ("IERKNN.query",),
-        "knn_batch": ("query_batch", "process-pool batched dispatch"),
+        "knn_batch": ("query_batch", "process-pool whole-batch sweeps"),
     }.items():
         taken = KERNEL_CALLS[counter] - before.get(counter, 0)
         assert taken > 0, (

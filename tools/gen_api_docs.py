@@ -261,18 +261,51 @@ them as read-only.  `benchmarks/results/batch_knn.txt` records the
 speedup (≥2x at batch ≥32 on the 102k-node grid), and
 `tools/bench_repo.py` snapshots per-op latency into `BENCH_knn.json`.
 
+`KNNSolution.run_ops(ops, op_timings=None)` is the op-batch entry
+point a w-core executes each dispatched batch through.  `ops` is the
+worker's FCFS slice of the stream in the wire encoding (`("query",
+query_id, location, k)` / `("insert", object_id, location)` /
+`("delete", object_id)`), the result is one `(query_id, answer)` pair
+per query, and the contract is serial equivalence with one
+`query`/`insert`/`delete` call per op — an op that raises leaves every
+earlier op applied and no later one.  The base-class default groups
+maximal runs of consecutive queries into one `query_batch` call and
+takes the per-op path for updates and singleton queries.
+`DijkstraKNN` overrides it with a **whole-batch sweep**: distances do
+not depend on the object set, so all of a batch's queries share *one*
+`CSRKernels.knn_batch` sweep whatever updates interleave them.
+`knn_batch` takes, besides the base `object_counts`, an ordered list
+of `patches` (`(node, ±count)`, one per update) and a per-query
+`versions` (how many patches the query has seen); row `r` of the sweep
+reads counts — the object-bearing test, the `found` tally and the
+k-th-distance refresh, all through one helper — as if the first
+`versions[r]` patches were applied, sources de-duplicate on `(source,
+version)`, and `object_counts` is never copied or written.  The
+solution scans the batch once to derive versions and patches (tracking
+in-batch moves of the same object), sweeps on the pre-batch counts,
+then walks the ops in order, applying each update for real and reading
+each query's answer off the object buckets at its own FCFS position;
+`query_batch` is the no-update case of the same code.  Batches with
+fewer than two queries, with an op that will raise, or with updates
+while routed to the CH engine take the inherited loop, so error
+behaviour is the per-op loop's by construction
+(`tests/test_run_ops.py` pins answers, final state and exceptions
+against a per-op twin on float- and integer-weight graphs).
+
 The executors feed this path end to end.  `RouteBatcher` (with
 `locality_group=True`, the default) sorts each maximal run of
 consecutive queries in a released batch by `(location, query_id)` —
 updates are reorder barriers, so per-worker serial equivalence is
-untouched.  Pool workers and threaded workers execute each consecutive
-query run with one `query_batch` call; with telemetry enabled the run
-records an `execute_batch` histogram span plus `exec.batches` /
-`exec.batch_queries` counters, and each query in the run gets an equal
-share of the run time as its `execute` span so `QueryTrace`s stay
-complete.  Worker processes also ship their `KERNEL_CALLS` delta back
-in each stamped ack, keeping the parent's counters truthful across
-`fork`.
+untouched.  Pool workers hand each batch to `run_ops`; threaded
+workers execute each consecutive query run with one `query_batch`
+call.  With telemetry enabled, queries answered together record one
+`execute_batch` histogram span plus `exec.batches` /
+`exec.batch_queries` counters — one per *batch* for `DijkstraKNN`, one
+per query run for the default — and each of those queries gets an
+equal share of the span as its `execute` span so `QueryTrace`s stay
+complete; every update still records its own `update` sample.  Worker
+processes also ship their `KERNEL_CALLS` delta back in each stamped
+ack, keeping the parent's counters truthful across `fork`.
 
 `repro.mpr.batching` closes the loop adaptively: `modeled_batch_rq`
 scores a batch size as fill-wait `(b-1)/(2λ)` + τ' + amortized
