@@ -249,7 +249,7 @@ class RouteBatcher:
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._locality_group = locality_group
         #: Optional :class:`repro.mpr.resilience.AdmissionController`
-        #: consulted by :meth:`offer`; :meth:`add` never sheds.
+        #: consulted by :meth:`offer`.
         self.admission = admission
         self._pending: dict[WorkerId, list[WorkerOp]] = {
             worker: [] for worker in router.all_workers()
@@ -304,26 +304,21 @@ class RouteBatcher:
     def add(
         self, task: Task
     ) -> tuple[QueryRoute | UpdateRoute, list[WorkerBatch]]:
-        """Route ``task``; return the route plus any now-full batches."""
-        route = self._router.route(task)
-        op = encode_op(task)
-        ready: list[WorkerBatch] = []
-        for worker_id in route.workers:
-            pending = self._pending[worker_id]
-            pending.append(op)
-            if len(pending) >= self._batch_size:
-                ready.append((worker_id, self._release(pending)))
-        if ready and self._telemetry.enabled:
-            self._telemetry.count("batcher.full_batches", len(ready))
+        """Route ``task``; return the route plus any now-full batches.
+
+        :meth:`offer` without the verdict, for batchers that have no
+        admission controller attached (nothing can be shed).
+        """
+        route, ready, _backlog = self.offer(task)
         return route, ready
 
     def offer(
         self, task: Task
     ) -> tuple[QueryRoute | UpdateRoute, list[WorkerBatch], int | None]:
-        """Admission-controlled :meth:`add`.
+        """Route ``task`` under admission control.
 
-        Routes ``task`` and consults the attached admission controller:
-        a query whose route would land on a worker already at the
+        Consults the attached admission controller, if any: a query
+        whose route would land on a worker already at the
         outstanding-work bound is *shed* — nothing is buffered or
         dispatched, and the triggering backlog is returned as the third
         element (``None`` means admitted).  Updates are never shed:

@@ -26,14 +26,20 @@ import queue
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..graph.kernels import KERNEL_CALLS
 from ..knn.base import KNNSolution, Neighbor, merge_partial_results
 from ..objects.tasks import Task, TaskKind
 from ..obs import NULL_TELEMETRY, Telemetry
 from .config import MPRConfig
-from .core_matrix import MPRRouter, QueryRoute, WorkerId, check_matrix_invariants
+from .core_matrix import (
+    MPRRouter,
+    QueryRoute,
+    WorkerId,
+    check_matrix_invariants,
+    encode_op,
+)
 from .resilience import (
     NULL_RESILIENCE,
     Overloaded,
@@ -107,25 +113,91 @@ class MPRExecutor(ABC):
         self.close()
 
 
-@dataclass
-class _QueryOp:
-    query_id: int
-    location: int
-    k: int
-    enqueued: float = 0.0
+def record_batch_stamps(
+    telemetry: Telemetry,
+    worker_id: WorkerId,
+    sent: float | None,
+    stamps: tuple,
+    skip: frozenset[int] | set[int] = frozenset(),
+) -> None:
+    """Stitch one worker batch's timing report into spans and histograms.
 
-
-@dataclass
-class _InsertOp:
-    object_id: int
-    location: int
-    enqueued: float = 0.0
-
-
-@dataclass
-class _DeleteOp:
-    object_id: int
-    enqueued: float = 0.0
+    ``stamps`` is the worker's ``(t_recv, t_ack_send, op_timings,
+    kernel_delta)`` — ``op_timings`` being what
+    :meth:`~repro.knn.base.KNNSolution.run_ops` appended — and ``sent``
+    the dispatcher's send stamp for the batch.  Together they yield one
+    ``queue_wait`` span for the batch (attributed to every query in
+    it), an ``execute`` span per query, an ``update`` histogram sample
+    per update op, and one ``ack`` span (transit back, measured at read
+    time).  A grouped ``("qb", ...)`` run additionally records an
+    ``execute_batch`` histogram span plus the ``exec.batches``/
+    ``exec.batch_queries`` counters, and each of its queries gets an
+    equal *share* of the run as its ``execute`` span — batched queries
+    cannot be timed individually, but their traces stay complete.
+    ``kernel_delta`` folds a child process's ``KERNEL_CALLS``
+    increments into this process's counters (threads share them and
+    report none).  Replayed batches restamp the same ``(stage,
+    worker)`` slots; last report wins inside the trace.  ``skip`` names
+    queries whose per-query spans must *not* be recorded — duplicate
+    answers of a hedged query, whose accepted answer already carries
+    the spans.
+    """
+    t_recv, t_ack_send, op_timings, kernel_delta = stamps
+    if kernel_delta:
+        KERNEL_CALLS.update(kernel_delta)
+    ack_wait = time.monotonic() - t_ack_send
+    queue_wait = max(t_recv - sent, 0.0) if sent is not None else None
+    query_ids: list[int] = []
+    for entry in op_timings:
+        if entry[0] == "q":
+            query_ids.append(entry[1])
+        elif entry[0] == "qb":
+            query_ids.extend(entry[1])
+    if skip:
+        query_ids = [qid for qid in query_ids if qid not in skip]
+    if queue_wait is not None:
+        if query_ids:
+            for query_id in query_ids:
+                telemetry.record(
+                    "queue_wait", queue_wait,
+                    start=sent, query_id=query_id, worker=worker_id,
+                )
+        else:  # pure-update batch: histogram only, once
+            telemetry.record("queue_wait", queue_wait, start=sent)
+    for entry in op_timings:
+        if entry[0] == "q":
+            _, query_id, t0, t1 = entry
+            if query_id in skip:
+                continue
+            telemetry.record(
+                "execute", t1 - t0,
+                start=t0, query_id=query_id, worker=worker_id,
+            )
+        elif entry[0] == "qb":
+            _, run_ids, t0, t1 = entry
+            telemetry.record("execute_batch", t1 - t0, start=t0)
+            telemetry.count("exec.batches")
+            telemetry.count("exec.batch_queries", len(run_ids))
+            share = (t1 - t0) / len(run_ids)
+            for position, query_id in enumerate(run_ids):
+                if query_id in skip:
+                    continue
+                span_start = t0 + position * share
+                telemetry.record(
+                    "execute", share,
+                    start=span_start, query_id=query_id, worker=worker_id,
+                )
+        else:
+            _, t0, t1 = entry
+            telemetry.record("update", t1 - t0, start=t0)
+    if query_ids:
+        for query_id in query_ids:
+            telemetry.record(
+                "ack", ack_wait,
+                start=t_ack_send, query_id=query_id, worker=worker_id,
+            )
+    else:
+        telemetry.record("ack", ack_wait, start=t_ack_send)
 
 
 class _Barrier:
@@ -143,11 +215,13 @@ class _Barrier:
 class _Worker:
     """One w-core: a thread draining a FCFS queue into a solution.
 
-    The parent quiesces by enqueueing a :class:`_Barrier` and waiting
-    on its event, so the loop itself carries no per-op accounting.
-    After the first error the loop keeps consuming without executing
-    (barriers still fire), and the stored exception surfaces on the
-    next ``drain()``.
+    Queue items are ``(enqueued, op)`` pairs, ``op`` in the wire
+    encoding of :func:`~repro.mpr.core_matrix.encode_op`.  The parent
+    quiesces by enqueueing a :class:`_Barrier` and waiting on its
+    event, so the loop itself carries no per-op accounting.  After the
+    first error the loop keeps consuming without executing (barriers
+    still fire), and the stored exception surfaces on the next
+    ``drain()``.
     """
 
     def __init__(
@@ -162,14 +236,6 @@ class _Worker:
         self.tasks: "queue.Queue[object]" = queue.Queue()
         self._results = results
         self._telemetry = telemetry
-        # Batch query runs only for solutions that override the default
-        # query_batch loop: the fallback *is* the per-query loop, so
-        # run collection would add queue probes and list building for
-        # zero kernel sharing (and the disabled-telemetry path is
-        # pinned to seed cost by test_telemetry_overhead.py).
-        self._batchable = (
-            type(solution).query_batch is not KNNSolution.query_batch
-        )
         self.thread = threading.Thread(
             target=self._loop, name=f"w-core-{worker_id}", daemon=True
         )
@@ -179,137 +245,54 @@ class _Worker:
         self.thread.start()
 
     def _loop(self) -> None:
-        """Drain the FCFS queue, batching runs of consecutive queries.
+        """Drain the FCFS queue, one ``run_ops`` call per backlog.
 
         Each blocking ``get()`` is followed by an opportunistic
-        non-blocking drain: every immediately-available consecutive
-        query joins the current run, which executes as one
-        ``query_batch`` call — under load a worker answers its whole
-        backlog in a handful of kernel sweeps instead of one search per
-        op.  A non-query op ends the run (it is carried over and
-        handled next), so the per-worker serial order updates rely on
-        is untouched; queries never mutate state, so grouping a run of
-        them is equivalence-preserving.
+        non-blocking drain: everything immediately available up to the
+        next barrier or sentinel — queries *and* the updates between
+        them — goes to the solution as one FCFS op batch, exactly what
+        a process-pool worker receives in one message.  How much work
+        the batch shares is the solution's business; serial equivalence
+        is :meth:`~repro.knn.base.KNNSolution.run_ops`'s contract.
         """
-        telemetry = self._telemetry
         tasks = self.tasks
-        batchable = self._batchable
-        carry: object = None
         while True:
-            if carry is not None:
-                op, carry = carry, None
-            else:
-                op = tasks.get()
-            if op is _SENTINEL:
+            item = tasks.get()
+            batch: list = []
+            # This thread is the queue's only consumer, so a non-empty
+            # probe guarantees the next get_nowait() succeeds.
+            while item is not _SENTINEL and type(item) is not _Barrier:
+                batch.append(item)
+                if tasks.empty():
+                    break
+                item = tasks.get_nowait()
+            if batch and self.error is None:
+                try:
+                    self._execute(batch)
+                except BaseException as exc:  # surfaced by drain()
+                    self.error = exc
+            if item is _SENTINEL:
                 return
-            if type(op) is _Barrier:
-                op.event.set()
-                continue
-            if self.error is not None:
-                continue  # drain without executing after a failure
-            try:
-                if isinstance(op, _QueryOp):
-                    if batchable:
-                        run = [op]
-                        # The empty() pre-check keeps the unloaded hot
-                        # path at one cheap lock probe instead of a
-                        # raised queue.Empty per op.
-                        while not tasks.empty():
-                            try:
-                                upcoming = tasks.get_nowait()
-                            except queue.Empty:
-                                break
-                            if isinstance(upcoming, _QueryOp):
-                                run.append(upcoming)
-                            else:
-                                carry = upcoming
-                                break
-                        self._execute_queries(run)
-                    elif telemetry.enabled:
-                        dequeued = time.monotonic()
-                        started = time.monotonic()
-                        partial = self.solution.query(op.location, op.k)
-                        finished = time.monotonic()
-                        self._results.put((
-                            "partial", op.query_id, self.worker_id, partial,
-                            (op.enqueued, dequeued, started, finished),
-                        ))
-                    else:
-                        partial = self.solution.query(op.location, op.k)
-                        self._results.put((
-                            "partial", op.query_id, self.worker_id,
-                            partial, None,
-                        ))
-                elif telemetry.enabled:
-                    dequeued = time.monotonic()
-                    started = time.monotonic()
-                    if isinstance(op, _InsertOp):
-                        self.solution.insert(op.object_id, op.location)
-                    else:
-                        self.solution.delete(op.object_id)
-                    finished = time.monotonic()
-                    self._results.put((
-                        "update", self.worker_id,
-                        (op.enqueued, dequeued, started, finished),
-                    ))
-                elif isinstance(op, _InsertOp):
-                    self.solution.insert(op.object_id, op.location)
-                else:
-                    self.solution.delete(op.object_id)
-            except BaseException as exc:  # surfaced by drain()
-                self.error = exc
+            if type(item) is _Barrier:
+                item.event.set()
 
-    def _execute_queries(self, run: list[_QueryOp]) -> None:
-        """Answer one run of consecutive queries (one batch call).
-
-        Singleton runs keep the exact per-query path and stamps.  For
-        real batches the worker records one ``execute_batch`` span plus
-        the queries-per-batch counters, and attributes each query an
-        equal share of the batch time so its trace stays complete.
-        """
-        telemetry = self._telemetry
-        solution = self.solution
-        results = self._results
-        if len(run) == 1:
-            op = run[0]
-            if telemetry.enabled:
-                dequeued = time.monotonic()
-                started = time.monotonic()
-                partial = solution.query(op.location, op.k)
-                finished = time.monotonic()
-                results.put((
-                    "partial", op.query_id, self.worker_id, partial,
-                    (op.enqueued, dequeued, started, finished),
-                ))
-            else:
-                partial = solution.query(op.location, op.k)
-                results.put(
-                    ("partial", op.query_id, self.worker_id, partial, None)
-                )
+    def _execute(self, batch: list) -> None:
+        """Run one op batch; report its partials (and stamps) once."""
+        ops = [item[1] for item in batch]
+        if not self._telemetry.enabled:
+            partials = self.solution.run_ops(ops)
+            if partials:
+                self._results.put((self.worker_id, partials, None, None))
             return
-        locations = [op.location for op in run]
-        ks = [op.k for op in run]
-        if telemetry.enabled:
-            dequeued = time.monotonic()
-            started = time.monotonic()
-            partials = solution.query_batch(locations, ks)
-            finished = time.monotonic()
-            telemetry.record("execute_batch", finished - started, start=started)
-            telemetry.count("exec.batches")
-            telemetry.count("exec.batch_queries", len(run))
-            share = (finished - started) / len(run)
-            for position, (op, partial) in enumerate(zip(run, partials)):
-                t0 = started + position * share
-                results.put((
-                    "partial", op.query_id, self.worker_id, partial,
-                    (op.enqueued, dequeued, t0, t0 + share),
-                ))
-        else:
-            partials = solution.query_batch(locations, ks)
-            for op, partial in zip(run, partials):
-                results.put(
-                    ("partial", op.query_id, self.worker_id, partial, None)
-                )
+        received = time.monotonic()
+        op_timings: list[tuple] = []
+        partials = self.solution.run_ops(ops, op_timings)
+        # The oldest op's enqueue stamp is the batch's: its queue_wait
+        # is the longest any op of the batch saw.
+        self._results.put((
+            self.worker_id, partials, batch[0][0],
+            (received, time.monotonic(), op_timings, None),
+        ))
 
 
 class ThreadedMPRExecutor(MPRExecutor):
@@ -438,17 +421,11 @@ class ThreadedMPRExecutor(MPRExecutor):
                 return
             self._expected[task.query_id] = len(route.workers)
             self._ks[task.query_id] = task.k
-            op = _QueryOp(task.query_id, task.location, task.k)
-        elif task.kind is TaskKind.INSERT:
-            op = _InsertOp(task.object_id, task.location)
-        else:
-            op = _DeleteOp(task.object_id)
-        if telemetry.enabled:
-            op.enqueued = time.monotonic()
-            if task.kind is TaskKind.QUERY:
+            if telemetry.enabled:
                 telemetry.begin_trace(task.query_id, route.workers)
+        item = (time.monotonic() if telemetry.enabled else 0.0, encode_op(task))
         for worker_id in route.workers:
-            self._workers[worker_id].tasks.put(op)
+            self._workers[worker_id].tasks.put(item)
         if telemetry.enabled:
             query_id = task.query_id if task.kind is TaskKind.QUERY else None
             telemetry.record(
@@ -470,10 +447,11 @@ class ThreadedMPRExecutor(MPRExecutor):
         """
         bound = self._resilience.config.max_outstanding
         if bound is not None:
-            backlog = max(
-                self._workers[worker_id].tasks.qsize()
-                for worker_id in route.workers
-            )
+            backlog = 0
+            for worker_id in route.workers:
+                depth = self._workers[worker_id].tasks.qsize()
+                if depth > backlog:
+                    backlog = depth
             if backlog >= bound:
                 self._shed[task.query_id] = Overloaded(
                     task.query_id, backlog, bound
@@ -510,23 +488,11 @@ class ThreadedMPRExecutor(MPRExecutor):
         telemetry = self._telemetry
         partials: dict[int, list[list[Neighbor]]] = {}
         while not self._results.empty():
-            message = self._results.get_nowait()
-            if message[0] == "partial":
-                _, query_id, worker_id, partial, stamps = message
+            worker_id, batch, sent, stamps = self._results.get_nowait()
+            for query_id, partial in batch:
                 partials.setdefault(query_id, []).append(partial)
-                if telemetry.enabled and stamps is not None:
-                    self._record_stamps(query_id, worker_id, stamps)
-            elif telemetry.enabled:  # ("update", worker_id, stamps)
-                _, worker_id, stamps = message
-                enqueued, dequeued, started, finished = stamps
-                telemetry.record(
-                    "queue_wait", dequeued - enqueued,
-                    start=enqueued, worker=worker_id,
-                )
-                telemetry.record(
-                    "update", finished - started,
-                    start=started, worker=worker_id,
-                )
+            if stamps is not None:
+                record_batch_stamps(telemetry, worker_id, sent, stamps)
 
         answers: dict[int, list[Neighbor]] = {}
         for query_id, parts in partials.items():
@@ -585,25 +551,6 @@ class ThreadedMPRExecutor(MPRExecutor):
         for query_id, overloaded in self._shed.items():
             answers[query_id] = overloaded
         self._shed.clear()
-
-    def _record_stamps(
-        self, query_id: int, worker_id: WorkerId, stamps: tuple
-    ) -> None:
-        """Stitch one worker's query timing tuple into the trace."""
-        telemetry = self._telemetry
-        enqueued, dequeued, started, finished = stamps
-        telemetry.record(
-            "queue_wait", dequeued - enqueued,
-            start=enqueued, query_id=query_id, worker=worker_id,
-        )
-        telemetry.record(
-            "execute", finished - started,
-            start=started, query_id=query_id, worker=worker_id,
-        )
-        telemetry.record(
-            "ack", time.monotonic() - finished,
-            start=finished, query_id=query_id, worker=worker_id,
-        )
 
     def run(self, tasks: Sequence[Task]) -> dict[int, list[Neighbor]]:
         """Execute the stream; return ``query_id -> aggregated kNN``."""

@@ -38,8 +38,16 @@ authoritative copy of each cell — its initial contents plus every
 sibling holds.  A respawned worker is ``solution.spawn``-ed from that
 cell and replays the unacknowledged batch suffix in FCFS order;
 because solutions are deterministic, the replayed partials equal the
-lost ones (duplicates from ack races are idempotent and deduplicated
-per ``(query, worker)``).
+lost ones.  The same argument makes any row of a column
+interchangeable: answers are accepted per ``(query, layer, column)``,
+first one wins, a replay from the same worker overwrites idempotently
+— which is the whole dedup rule, for replays and hedged reads alike.
+
+There is one data plane: ``submit`` → :meth:`_WorkerState.send` →
+pump → ack → settle.  What a pool does when something breaks is
+decided by its :class:`~repro.mpr.resilience.ResiliencePolicy` at the
+fault points (a worker died, a worker reported an error, a deadline is
+armed), not by a second copy of that path.
 
 Per-stage timings and counters stream into a
 :class:`repro.harness.PoolMetrics`, which the benchmarks and the DES
@@ -73,11 +81,11 @@ from .core_matrix import (
     RouteBatcher,
     WorkerBatch,
     WorkerId,
+    encode_op,
 )
-from .executor import MPRExecutor
+from .executor import MPRExecutor, record_batch_stamps
 from .reconfig import ReconfigEvent, ReconfigRejected
 from .resilience import (
-    NULL_RESILIENCE,
     CircuitBreaker,
     Overloaded,
     ResilienceConfig,
@@ -155,15 +163,15 @@ class _WorkerState:
         self.cell: dict[int, int] = dict(cell)
         #: Dispatched-but-unacknowledged batches, in seq order.
         self.unacked: dict[int, tuple] = {}
-        #: Monotonic send stamp per in-flight batch (telemetry or
-        #: resilience enabled; feeds traces and the stall watchdog).
+        #: Monotonic send stamp per in-flight batch (feeds traces and
+        #: the stall watchdog).
         self.sent_at: dict[int, float] = {}
         #: Batches parked while this worker's circuit breaker is open;
         #: moved back into ``unacked`` and replayed on the half-open
-        #: trial respawn (resilience only).
+        #: trial respawn.
         self.quarantined: dict[int, tuple] = {}
         #: Poison batches (the worker reported an execution error on
-        #: them) — never replayed, kept for inspection (resilience only).
+        #: them) — never replayed, kept for inspection.
         self.poisoned: dict[int, tuple] = {}
         #: True once a death has been processed (breaker fed, batches
         #: quarantined) so repeated health checks do not re-count it.
@@ -183,6 +191,26 @@ class _WorkerState:
         #: Parent-held read end of this worker's private result pipe.
         self.reader = None
 
+    def send(self, ops: tuple) -> None:
+        """Log ``ops`` as this worker's next batch and put it on the wire."""
+        seq = self.next_seq
+        self.next_seq += 1
+        self.unacked[seq] = ops
+        self._put(seq)
+
+    def replay(self) -> None:
+        """Re-send the whole unacknowledged log, in seq order, to a
+        freshly spawned process.  Replays restamp ``sent_at``, so a
+        stitched trace reflects the run that produced the surviving ack
+        and the stall watchdog times the new process, not the dead one.
+        """
+        for seq in sorted(self.unacked):
+            self._put(seq)
+
+    def _put(self, seq: int) -> None:
+        self.sent_at[seq] = time.monotonic()
+        self.inbox.put(("batch", seq, self.unacked[seq]))
+
     def acknowledge(self, seq: int) -> bool:
         """Apply an ack: advance the durable cell past batch ``seq``.
 
@@ -190,6 +218,7 @@ class _WorkerState:
         original ack survived the crash) — those are ignored.
         """
         ops = self.unacked.pop(seq, None)
+        self.sent_at.pop(seq, None)
         if ops is None:
             return False
         for op in ops:
@@ -222,9 +251,53 @@ class QuiesceTimeout(TimeoutError):
         super().__init__(message)
         #: Unacknowledged ``(worker_id, seq)`` batches at expiry.
         self.pending: tuple[tuple[WorkerId, int], ...] = tuple(pending)
-        #: Every query implicated in those batches (plus, with the
-        #: resilience layer on, queries still unresolved at expiry).
+        #: Every query implicated in those batches, plus queries still
+        #: unresolved at expiry.
         self.query_ids: tuple[int, ...] = tuple(query_ids)
+
+
+class _PendingQuery:
+    """Parent-side ledger for one admitted query, until the next drain.
+
+    ``accepted`` is the per-column answer ledger the whole data plane
+    runs on: ``(layer, column) -> (answering worker, partial)``, first
+    answer per column wins.  With no hedge in flight exactly one row
+    serves each column, so this is also the plain one-partial-per-
+    worker count.
+    """
+
+    __slots__ = (
+        "task", "columns", "row", "generation", "accepted", "attempted",
+        "missing",
+    )
+
+    def __init__(
+        self,
+        task: Task,
+        columns: tuple[tuple[int, int], ...],
+        row: int,
+        generation: int,
+    ) -> None:
+        self.task = task
+        #: Every ``(layer, column)`` cell the query fans out to.
+        self.columns = columns
+        #: The replica row the router picked.
+        self.row = row
+        #: Shape generation it was routed under — hedging never crosses
+        #: a cutover.
+        self.generation = generation
+        self.accepted: dict[
+            tuple[int, int], tuple[WorkerId, list[Neighbor]]
+        ] = {}
+        #: Rows tried per column; built on the first hedge decision.
+        self.attempted: dict[tuple[int, int], set[int]] | None = None
+        #: Columns given up on (degraded).
+        self.missing: set[tuple[int, int]] = set()
+
+    @property
+    def resolved(self) -> bool:
+        """Every column either answered or explicitly degraded."""
+        return len(self.accepted) + len(self.missing) == len(self.columns)
 
 
 class _Transition:
@@ -308,16 +381,24 @@ class ProcessPoolService(MPRExecutor):
         With ``resilience`` enabled the budget is superseded by the
         per-worker circuit breaker's exponential backoff.
     resilience:
-        A :class:`repro.mpr.resilience.ResilienceConfig` enabling the
-        resilience layer: per-query deadlines with hedged replica
-        reads, admission-controlled load shedding (typed
-        :class:`~repro.mpr.resilience.Overloaded` answers), per-worker
-        circuit breakers with quarantine, a stall watchdog, and
-        degraded :class:`~repro.knn.base.PartialResult` answers when a
-        partition column has no live replica.  ``None`` (the default)
-        disables all of it — the hot path then pays a single branch,
-        exactly like disabled telemetry.
-
+        The failure semantics, as a
+        :class:`repro.mpr.resilience.ResilienceConfig`.  The pool runs
+        the same submit → ack → drain → settle path either way; the
+        setting decides what happens at the fault points.  ``None``
+        (the default): a dead worker is respawned and its log replayed
+        until ``max_respawns`` is spent, then :class:`WorkerCrash`; a
+        worker-reported execution error raises :class:`WorkerCrash`; no
+        deadline is armed, nothing is shed, hedged or degraded, and a
+        silent worker is waited for.  With a config: a death feeds the
+        worker's circuit breaker (quarantine + exponential-backoff
+        respawn trials), an execution error poison-quarantines the
+        batch, queries past their deadline (task > config >
+        arrangement) are hedged to a sibling replica row, a query that
+        would land on a backlog at ``max_outstanding`` gets a typed
+        :class:`~repro.mpr.resilience.Overloaded` answer, the stall
+        watchdog SIGKILLs silent workers, and a column with no live
+        replica yields a degraded
+        :class:`~repro.knn.base.PartialResult`.
     telemetry:
         A :class:`repro.obs.Telemetry` handle.  When enabled, workers
         stamp monotonic timings into their acks and the parent stitches
@@ -356,19 +437,13 @@ class ProcessPoolService(MPRExecutor):
         self._solution = solution
         self._config = config
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._resilience = (
-            ResiliencePolicy(resilience)
-            if resilience is not None
-            else NULL_RESILIENCE
-        )
+        #: Owned, never shared: the admission ledger and breaker map
+        #: inside are fed on every path, whatever the setting.
+        self._resilience = ResiliencePolicy(resilience)
         self._router = MPRRouter(config, telemetry=self._telemetry)
         self._batcher = RouteBatcher(
             self._router, batch_size, telemetry=self._telemetry,
-            admission=(
-                self._resilience.admission
-                if self._resilience.enabled
-                else None
-            ),
+            admission=self._resilience.admission,
         )
         self._context = mp.get_context(start_method)
         self._share_graph = share_graph
@@ -392,11 +467,8 @@ class ProcessPoolService(MPRExecutor):
         #: after a cutover the retiring fleet shares worker ids with the
         #: current one, so messages route by pipe identity, never by id.
         self._reader_owners: dict = {}
-        #: Shape generation, bumped at every cutover.  Queries stamp the
-        #: generation they were routed under (resilience only, and only
-        #: once it is non-zero) so hedging never crosses a cutover.
+        #: Shape generation, bumped at every cutover.
         self._generation = 0
-        self._query_gen: dict[int, int] = {}
         self._transition: _Transition | None = None
         self._retiring: list[_WorkerState] = []
         self._retire_deadline = 0.0
@@ -411,38 +483,13 @@ class ProcessPoolService(MPRExecutor):
             breaker_failures=2, backoff_base=5.0, backoff_factor=2.0,
             backoff_max=60.0,
         ))
-        #: Pending query bookkeeping: expected partial count, requested
-        #: k, and received partials keyed by worker (dedup on replay).
-        self._expected: dict[int, int] = {}
-        self._ks: dict[int, int] = {}
-        self._partials: dict[int, dict[WorkerId, list[Neighbor]]] = {}
-        # Resilience-only per-query state (empty unless enabled).  The
-        # resilient paths dedup per *column* — a hedge targets a sibling
-        # row of the same column, first answer per column wins.
-        self._locations: dict[int, int] = {}
-        self._columns: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._accepted: dict[
-            int, dict[tuple[int, int], tuple[WorkerId, list[Neighbor]]]
-        ] = {}
-        #: Rows tried per (query, column) — seeded lazily from ``_rows``
-        #: on the first hedge decision, so the no-fault submit path pays
-        #: one int store instead of a dict-of-sets allocation.
-        self._attempted: dict[int, dict[tuple[int, int], set[int]]] = {}
-        self._rows: dict[int, int] = {}
-        self._missing: dict[int, set[tuple[int, int]]] = {}
+        #: Admitted queries since the last drain, by query id.
+        self._queries: dict[int, _PendingQuery] = {}
         self._shed: dict[int, Overloaded] = {}
-        self._slo: dict[int, float] = {}
         self._deadline_heap: list[tuple[float, int]] = []
         #: Per-layer ``((layer, col), ...)`` tuples — every query routed
         #: to a layer shares the same column set, so cache it.
         self._layer_columns: dict[int, tuple[tuple[int, int], ...]] = {}
-        #: Static part of the SLO resolution (policy > arrangement);
-        #: per query only ``task.deadline`` can override it.
-        self._fallback_slo = (
-            self._resilience.config.default_deadline
-            if self._resilience.config.default_deadline is not None
-            else config.default_deadline
-        ) if self._resilience.enabled else None
         self._started = False
         self._closed = False
 
@@ -552,7 +599,7 @@ class ProcessPoolService(MPRExecutor):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                readers = self._live_readers()
+                readers = list(self._reader_owners)
                 if not readers:
                     break
                 ready = mp_connection.wait(
@@ -604,95 +651,64 @@ class ProcessPoolService(MPRExecutor):
     def submit(self, task: Task) -> None:
         """Route one task; full batches are dispatched immediately.
 
-        With resilience enabled the submit is admission-controlled: a
-        query routed at a worker whose backlog is at the configured
-        bound is *shed* — it gets a typed :class:`Overloaded` answer
-        from the next :meth:`drain` instead of joining the queue — and
-        an admitted query arms its deadline (task SLO, else the
-        resilience default, else the arrangement default).
+        Submission is admission-controlled: a query routed at a worker
+        whose backlog is at the policy's bound is *shed* — it gets a
+        typed :class:`Overloaded` answer from the next :meth:`drain`
+        instead of joining the queue (no bound, the default, never
+        sheds) — and an admitted query arms the deadline the policy
+        resolves for it (none by default).
         """
         self.start()
         if self._transition is not None or self._retiring:
             self._advance_transition(time.monotonic())
-        if self._resilience.enabled:
-            self._submit_resilient(task)
-            return
-        self.metrics.tasks_submitted += 1
+        metrics = self.metrics
+        metrics.tasks_submitted += 1
         stamping = self._telemetry.enabled
         t0 = time.monotonic() if stamping else 0.0
-        with self.metrics.timed("dispatch", events=0):
-            route, ready = self._batcher.add(task)
-        if task.kind is TaskKind.QUERY:
-            assert isinstance(route, QueryRoute)
-            self.metrics.queries_submitted += 1
-            self._expected[task.query_id] = len(route.workers)
-            self._ks[task.query_id] = task.k
-            if stamping:
-                self._telemetry.begin_trace(task.query_id, route.workers)
-        else:
-            self.metrics.updates_submitted += 1
-            self._record_update(task)
-        self._send_batches(ready)
-        if stamping:
-            query_id = task.query_id if task.kind is TaskKind.QUERY else None
-            self._telemetry.record(
-                "dispatch", time.monotonic() - t0, start=t0, query_id=query_id
-            )
-        # Opportunistically drain acks so the result pipes stay short.
-        self._collect_ready()
-
-    def _submit_resilient(self, task: Task) -> None:
-        """The admission/deadline-aware variant of :meth:`submit`."""
-        self.metrics.tasks_submitted += 1
-        stamping = self._telemetry.enabled
-        t0 = time.monotonic() if stamping else 0.0
-        with self.metrics.timed("dispatch", events=0):
+        with metrics.timed("dispatch", events=0):
             route, ready, backlog = self._batcher.offer(task)
+        query_id = None
         if task.kind is TaskKind.QUERY:
             assert isinstance(route, QueryRoute)
-            self.metrics.queries_submitted += 1
+            metrics.queries_submitted += 1
             query_id = task.query_id
             if backlog is not None:
-                self.metrics.shed += 1
+                metrics.shed += 1
                 self._shed[query_id] = Overloaded(
                     query_id, backlog, self._resilience.config.max_outstanding
                 )
-                if stamping:
-                    self._telemetry.count("resilience.shed")
+                self._telemetry.count("resilience.shed")
             else:
-                self._ks[query_id] = task.k
-                self._locations[query_id] = task.location
                 layer = route.workers[0][0]
                 columns = self._layer_columns.get(layer)
                 if columns is None:
                     columns = self._layer_columns[layer] = tuple(
                         (worker[0], worker[2]) for worker in route.workers
                     )
-                self._columns[query_id] = columns
-                self._rows[query_id] = route.row
-                slo = (
-                    task.deadline if task.deadline is not None
-                    else self._fallback_slo
+                self._queries[query_id] = _PendingQuery(
+                    task, columns, route.row, self._generation
+                )
+                # Fault point: deadline arming (a disabled policy
+                # resolves every SLO to None).
+                slo = self._resilience.deadline_for(
+                    task.deadline, self._config.default_deadline
                 )
                 if slo is not None:
-                    self._slo[query_id] = slo
                     heapq.heappush(
                         self._deadline_heap,
                         (time.monotonic() + slo, query_id),
                     )
-                if self._generation:
-                    self._query_gen[query_id] = self._generation
                 if stamping:
                     self._telemetry.begin_trace(query_id, route.workers)
         else:
-            self.metrics.updates_submitted += 1
+            metrics.updates_submitted += 1
             self._record_update(task)
         self._send_batches(ready)
         if stamping:
-            query_id = task.query_id if task.kind is TaskKind.QUERY else None
             self._telemetry.record(
                 "dispatch", time.monotonic() - t0, start=t0, query_id=query_id
             )
+        # Opportunistically drain acks so the result pipes stay short.
         self._collect_ready()
 
     def _record_update(self, task: Task) -> None:
@@ -754,22 +770,15 @@ class ProcessPoolService(MPRExecutor):
         )
         if choice != self._batcher.batch_size:
             self.set_batch_size(choice)
-            if self._telemetry.enabled:
-                self._telemetry.count("pool.batch_retunes")
+            self._telemetry.count("pool.batch_retunes")
         return choice
 
     def _send_batches(self, batches: Sequence[WorkerBatch]) -> None:
-        stamping = self._telemetry.enabled or self._resilience.enabled
         for worker_id, ops in batches:
             state = self._workers[worker_id]
             self._ensure_alive(state)
-            seq = state.next_seq
-            state.next_seq += 1
-            state.unacked[seq] = ops
-            if stamping:
-                state.sent_at[seq] = time.monotonic()
             with self.metrics.timed("dispatch"):
-                state.inbox.put(("batch", seq, ops))
+                state.send(ops)
             self.metrics.batches_sent += 1
             self.metrics.messages_sent += 1
             self.metrics.ops_dispatched += len(ops)
@@ -785,42 +794,40 @@ class ProcessPoolService(MPRExecutor):
         (``None`` = wait as long as workers keep making progress); on
         expiry the raised :class:`TimeoutError` lists every outstanding
         ``(worker_id, seq)`` batch so the caller can see exactly which
-        cells never acknowledged.  Worker death during the wait
-        triggers respawn + replay; with resilience enabled, queries
-        past their deadline are hedged to a sibling replica row and
-        columns with no live replica resolve as degraded
-        :class:`~repro.knn.base.PartialResult` answers instead of
-        blocking forever.
+        cells never acknowledged.
+
+        Loops until every batch is acknowledged (or quarantined) *and*
+        every admitted query is resolved — answered on all its columns,
+        or explicitly degraded.  Worker death during the wait goes to
+        the policy (respawn + replay, or breaker + quarantine); queries
+        past an armed deadline are hedged to a sibling replica row.
+        Once nothing is in flight, any still-unresolved query is
+        force-resolved: hedged to an untried replica row when one
+        exists, degraded to a :class:`~repro.knn.base.PartialResult`
+        otherwise — the loop can therefore never hang on a dead column.
         """
         self.flush()
-        if self._resilience.enabled:
-            return self._drain_resilient(timeout)
-        deadline = None if timeout is None else time.monotonic() + timeout
+        wall = None if timeout is None else time.monotonic() + timeout
         while True:
+            now = time.monotonic()
             if self._transition is not None or self._retiring:
-                self._advance_transition(time.monotonic())
-            if not self._outstanding():
+                self._advance_transition(now)
+            self._enforce_deadlines(now)
+            outstanding = self._outstanding()
+            if not outstanding and not self._has_unresolved():
                 break
-            if deadline is not None and time.monotonic() >= deadline:
+            if wall is not None and now >= wall:
                 raise self._quiesce_failure(timeout)
-            with self.metrics.timed("wait", events=0):
-                readers = self._live_readers()
-                if readers:
-                    ready = mp_connection.wait(
-                        readers, timeout=self._health_check_interval
-                    )
-                else:  # every worker dead: wait out one interval
-                    time.sleep(self._health_check_interval)
-                    ready = []
-            handled = False
-            for reader in ready:
-                owner = self._reader_owners.get(reader)
-                message = self._receive(reader)
-                if message is not None:
-                    handled = True
-                    self._handle(message, owner)
-            if not handled:
-                self._check_health()
+            if not outstanding:
+                self._force_resolve(now)
+                continue
+            wait_for = self._health_check_interval
+            if self._deadline_heap:
+                wait_for = min(
+                    wait_for, max(self._deadline_heap[0][0] - now, 0.001)
+                )
+            if not self._pump(wait_for):
+                self._check_health(time.monotonic())
         if self._transition is not None or self._retiring:
             self._advance_transition(time.monotonic())
         return self._finish_answers()
@@ -841,20 +848,10 @@ class ProcessPoolService(MPRExecutor):
             for op in ops
             if op[0] == "query"
         }
-        if self._resilience.enabled:
-            query_ids.update(
-                query_id for query_id in self._columns
-                if not self._is_resolved(query_id)
-            )
-        else:
-            # Without resilience no answer is delivered on a timeout at
-            # all, but the *stuck* queries are the ones named: any query
-            # whose partials are incomplete is implicated.
-            query_ids.update(
-                query_id
-                for query_id, expected in self._expected.items()
-                if len(self._partials.get(query_id, ())) != expected
-            )
+        query_ids.update(
+            query_id for query_id, query in self._queries.items()
+            if not query.resolved
+        )
         affected = sorted(query_ids)
         return QuiesceTimeout(
             f"pool did not quiesce within {timeout} s; "
@@ -863,57 +860,6 @@ class ProcessPoolService(MPRExecutor):
             pending=pending,
             query_ids=affected,
         )
-
-    def _drain_resilient(
-        self, timeout: float | None
-    ) -> dict[int, list[Neighbor]]:
-        """Deadline/hedge/degrade-aware drain loop.
-
-        Loops until every batch is acknowledged (or quarantined) *and*
-        every submitted query is resolved — answered on all its
-        columns, or explicitly degraded.  Once nothing is in flight,
-        any still-unresolved query is force-resolved: hedged to an
-        untried replica row when one exists, degraded otherwise — the
-        loop can therefore never hang on a dead column.
-        """
-        wall = None if timeout is None else time.monotonic() + timeout
-        while True:
-            now = time.monotonic()
-            if self._transition is not None or self._retiring:
-                self._advance_transition(now)
-            self._enforce_deadlines(now)
-            outstanding = self._outstanding()
-            if not outstanding and not self._has_unresolved():
-                break
-            if wall is not None and now >= wall:
-                raise self._quiesce_failure(timeout)
-            if not outstanding:
-                self._force_resolve(now)
-                continue
-            wait_for = self._health_check_interval
-            if self._deadline_heap:
-                wait_for = min(
-                    wait_for, max(self._deadline_heap[0][0] - now, 0.001)
-                )
-            with self.metrics.timed("wait", events=0):
-                readers = self._live_readers()
-                if readers:
-                    ready = mp_connection.wait(readers, timeout=wait_for)
-                else:
-                    time.sleep(wait_for)
-                    ready = []
-            handled = False
-            for reader in ready:
-                owner = self._reader_owners.get(reader)
-                message = self._receive(reader)
-                if message is not None:
-                    handled = True
-                    self._handle(message, owner)
-            if not handled:
-                self._check_health()
-        if self._transition is not None or self._retiring:
-            self._advance_transition(time.monotonic())
-        return self._finish_answers_resilient()
 
     def run(self, tasks: Sequence[Task]) -> dict[int, list[Neighbor]]:
         """Submit a whole stream and drain it; workers stay alive."""
@@ -936,8 +882,34 @@ class ProcessPoolService(MPRExecutor):
             total += len(state.unacked)
         return total
 
-    def _live_readers(self) -> list:
-        return list(self._reader_owners)
+    def _pump(self, timeout: float) -> bool:
+        """One pump step: wait up to ``timeout`` seconds on every result
+        pipe, then read and handle one message from each ready one.
+
+        The only place the data plane blocks; a blocking step counts as
+        the ``wait`` stage, a poll (``timeout=0``) does not.  Returns
+        whether any message was handled — a step that handled nothing
+        is the supervisor's cue to check worker health.
+        """
+        blocking = timeout > 0
+        started = time.perf_counter() if blocking else 0.0
+        readers = list(self._reader_owners)
+        if readers:
+            ready = mp_connection.wait(readers, timeout=timeout)
+        else:  # every worker dead: wait out the interval
+            time.sleep(timeout)
+            ready = []
+        if blocking:
+            self.metrics.wait.add(time.perf_counter() - started, events=0)
+        handled = False
+        for reader in ready:
+            # Resolved *before* the read: an EOF pops the owner map.
+            owner = self._reader_owners.get(reader)
+            message = self._receive(reader)
+            if message is not None:
+                handled = True
+                self._handle(message, owner)
+        return handled
 
     def _receive(self, reader):
         """Read one message off a result pipe; retire it on EOF.
@@ -977,135 +949,98 @@ class ProcessPoolService(MPRExecutor):
         state.reader = None
 
     def _collect_ready(self) -> None:
-        while True:
-            readers = self._live_readers()
-            if not readers:
-                return
-            ready = mp_connection.wait(readers, timeout=0)
-            if not ready:
-                return
-            for reader in ready:
-                owner = self._reader_owners.get(reader)
-                message = self._receive(reader)
-                if message is not None:
-                    self._handle(message, owner)
+        while self._pump(0):
+            pass
 
-    def _handle(self, message: tuple, state: _WorkerState | None = None) -> None:
+    def _handle(self, message: tuple, state: _WorkerState) -> None:
         """Process one worker message.
 
-        ``state`` is the pipe's owning worker (resolved by the caller
-        *before* the read, since EOF pops the owner map).  Dispatching
-        on the state object rather than the wire worker id is what
-        keeps a post-cutover retiring fleet — whose ids collide with
-        the current one — unambiguous.
+        ``state`` is the pipe's owning worker.  Dispatching on the
+        state object rather than the wire worker id is what keeps a
+        post-cutover retiring fleet — whose ids collide with the
+        current one — unambiguous.
         """
         kind = message[0]
         if kind == "done":
-            if len(message) == 5:
-                _, worker_id, seq, partials, stamps = message
-            else:
-                _, worker_id, seq, partials = message
-                stamps = None
-            if state is None:
-                state = self._workers.get(worker_id)
-                if state is None:  # pragma: no cover - late stray ack
-                    return
+            seq, partials = message[2], message[3]
             if state.group == "transition":
                 # Probe or catch-up ack: no queries, no stamps recorded
                 # (dual-fed updates must not double-count histograms).
                 state.acknowledge(seq)
-                state.sent_at.pop(seq, None)
                 return
-            resilient = self._resilience.enabled
-            if not resilient:
-                if stamps is not None and self._telemetry.enabled:
-                    self._record_batch_stamps(state, seq, stamps)
-                state.acknowledge(seq)
-                state.sent_at.pop(seq, None)
-                for query_id, partial in partials:
-                    self.metrics.partials_received += 1
-                    self._partials.setdefault(query_id, {})[
-                        worker_id
-                    ] = partial
-                return
-            self._handle_done_resilient(state, seq, partials, stamps)
+            self._handle_done(
+                state, seq, partials, message[4] if len(message) == 5 else None
+            )
         elif kind == "error":
             _, worker_id, seq, detail = message
-            if state is None:
-                state = self._workers.get(worker_id)
-                if state is None:  # pragma: no cover - late stray error
-                    return
             if state.group == "transition":
                 if self._transition is not None and self._transition.fault is None:
                     self._transition.fault = (
                         f"worker {worker_id} failed while warming "
                         f"batch {seq}: {detail}"
                     )
-                return
-            if self._resilience.enabled:
+            elif self._resilience.enabled:
+                # Fault point: a worker-reported execution error.
                 self._handle_poison(state, seq, detail)
-                return
-            state.failed = detail
-            raise WorkerCrash(
-                f"worker {worker_id} failed on batch {seq}: {detail}"
-            )
+            else:
+                state.failed = detail
+                raise WorkerCrash(
+                    f"worker {worker_id} failed on batch {seq}: {detail}"
+                )
         elif kind == "stopped":  # graceful exit ack (retire or close)
             pass
         else:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unknown pool message {message!r}")
 
-    def _handle_done_resilient(
+    def _handle_done(
         self,
         state: _WorkerState,
         seq: int,
         partials: list,
         stamps: tuple | None,
     ) -> None:
-        """A resilient ack: per-column first-answer-wins dedup.
+        """An ack: per-column first-answer-wins dedup.
 
         A hedge means the same query may be answered by two rows of one
         column; the first partial per ``(layer, column)`` is accepted,
         later ones from a *different* worker are dropped as duplicates
         (their telemetry spans are skipped too, so a traced query keeps
         exactly one ``execute`` span).  Replays from the *same* worker
-        overwrite idempotently, as in the non-resilient path.
+        overwrite idempotently.
         """
         worker_id = state.worker_id
         column = (worker_id[0], worker_id[2])
-        telemetry_on = self._telemetry.enabled
-        stamping = stamps is not None and telemetry_on
+        stamping = stamps is not None and self._telemetry.enabled
         # Only needed as the span-skip set; None skips the allocation.
         duplicates: set[int] | None = set() if stamping else None
         metrics = self.metrics
-        accepted_map = self._accepted
-        pending = self._columns
+        queries = self._queries
         for query_id, partial in partials:
             metrics.partials_received += 1
-            if query_id not in pending:
+            query = queries.get(query_id)
+            if query is None:
                 # Query already finished (late ack after a prior drain)
                 # or was shed: nothing to attribute the spans to.
                 if duplicates is not None:
                     duplicates.add(query_id)
                 continue
-            accepted = accepted_map.get(query_id)
-            if accepted is None:
-                accepted = accepted_map[query_id] = {}
-            else:
-                prior = accepted.get(column)
-                if prior is not None and prior[0] != worker_id:
-                    metrics.duplicate_acks += 1
-                    if telemetry_on:
-                        self._telemetry.count("resilience.duplicate_acks")
-                    if duplicates is not None:
-                        duplicates.add(query_id)
-                    continue
+            accepted = query.accepted
+            prior = accepted.get(column)
+            if prior is not None and prior[0] != worker_id:
+                metrics.duplicate_acks += 1
+                self._telemetry.count("resilience.duplicate_acks")
+                if duplicates is not None:
+                    duplicates.add(query_id)
+                continue
             accepted[column] = (worker_id, partial)
             # A late answer beats a provisional degrade decision.
-            missing = self._missing.get(query_id)
-            if missing is not None:
-                missing.discard(column)
+            if query.missing:
+                query.missing.discard(column)
         if stamping:
-            self._record_batch_stamps(state, seq, stamps, skip=duplicates)
+            record_batch_stamps(
+                self._telemetry, worker_id, state.sent_at.get(seq), stamps,
+                skip=duplicates,
+            )
         ops = state.unacked.get(seq)
         if state.acknowledge(seq) and state.group == "current":
             # Retiring acks skip the ledgers: the cutover cleared the
@@ -1115,7 +1050,6 @@ class ProcessPoolService(MPRExecutor):
             breaker = self._resilience.breakers().get(worker_id)
             if breaker is not None:
                 breaker.record_success()
-        state.sent_at.pop(seq, None)
 
     def _handle_poison(
         self, state: _WorkerState, seq: int, detail: str
@@ -1136,263 +1070,137 @@ class ProcessPoolService(MPRExecutor):
             state.poisoned[seq] = ops
             self._resilience.admission.acked(state.worker_id, len(ops))
             self.metrics.batches_quarantined += 1
-            if self._telemetry.enabled:
-                self._telemetry.count("resilience.quarantined")
+            self._telemetry.count("resilience.quarantined")
         state.down = True  # exit is expected: skip the breaker
-        self._respawn_resilient(state)
-
-    def _record_batch_stamps(
-        self,
-        state: _WorkerState,
-        seq: int,
-        stamps: tuple,
-        skip: frozenset[int] | set[int] = frozenset(),
-    ) -> None:
-        """Stitch one stamped ack into spans and stage histograms.
-
-        ``stamps`` is the worker's ``(t_recv, t_ack_send, op_timings,
-        kernel_delta)``; combined with the parent's send stamp this
-        yields one ``queue_wait`` span for the batch (attributed to
-        every query in it), an ``execute`` span per query, an
-        ``update`` histogram sample per update op, and one ``ack`` span
-        (pipe transit, measured at read time).  A grouped ``("qb", ...)``
-        run additionally records an ``execute_batch`` histogram span
-        plus the ``exec.batches``/``exec.batch_queries`` counters, and
-        each of its queries gets an equal *share* of the run as its
-        ``execute`` span — batched queries cannot be timed individually,
-        but their traces stay complete.  ``kernel_delta`` folds the
-        child's ``KERNEL_CALLS`` increments into the parent's counters.
-        Replayed batches restamp the same ``(stage, worker)`` slots;
-        last report wins inside the trace.  ``skip`` names queries whose
-        per-query spans must *not* be recorded — duplicate answers of a
-        hedged query, whose accepted answer already carries the spans.
-        """
-        t_recv, t_ack_send, op_timings, kernel_delta = stamps
-        if kernel_delta:
-            KERNEL_CALLS.update(kernel_delta)
-        telemetry = self._telemetry
-        worker_id = state.worker_id
-        sent = state.sent_at.get(seq)
-        ack_wait = time.monotonic() - t_ack_send
-        queue_wait = max(t_recv - sent, 0.0) if sent is not None else None
-        query_ids: list[int] = []
-        for entry in op_timings:
-            if entry[0] == "q":
-                query_ids.append(entry[1])
-            elif entry[0] == "qb":
-                query_ids.extend(entry[1])
-        if skip:
-            query_ids = [qid for qid in query_ids if qid not in skip]
-        if queue_wait is not None:
-            if query_ids:
-                for query_id in query_ids:
-                    telemetry.record(
-                        "queue_wait", queue_wait,
-                        start=sent, query_id=query_id, worker=worker_id,
-                    )
-            else:  # pure-update batch: histogram only, once
-                telemetry.record("queue_wait", queue_wait, start=sent)
-        for entry in op_timings:
-            if entry[0] == "q":
-                _, query_id, t0, t1 = entry
-                if query_id in skip:
-                    continue
-                telemetry.record(
-                    "execute", t1 - t0,
-                    start=t0, query_id=query_id, worker=worker_id,
-                )
-            elif entry[0] == "qb":
-                _, run_ids, t0, t1 = entry
-                telemetry.record("execute_batch", t1 - t0, start=t0)
-                telemetry.count("exec.batches")
-                telemetry.count("exec.batch_queries", len(run_ids))
-                share = (t1 - t0) / len(run_ids)
-                for position, query_id in enumerate(run_ids):
-                    if query_id in skip:
-                        continue
-                    span_start = t0 + position * share
-                    telemetry.record(
-                        "execute", share,
-                        start=span_start, query_id=query_id, worker=worker_id,
-                    )
-            else:
-                _, t0, t1 = entry
-                telemetry.record("update", t1 - t0, start=t0)
-        if query_ids:
-            for query_id in query_ids:
-                telemetry.record(
-                    "ack", ack_wait,
-                    start=t_ack_send, query_id=query_id, worker=worker_id,
-                )
-        else:
-            telemetry.record("ack", ack_wait, start=t_ack_send)
+        self._respawn(state)
 
     def _finish_answers(self) -> dict[int, list[Neighbor]]:
-        stamping = self._telemetry.enabled
-        with self.metrics.timed("aggregate", events=len(self._expected)):
-            answers: dict[int, list[Neighbor]] = {}
-            for query_id, expected in self._expected.items():
-                parts = self._partials.get(query_id, {})
-                if len(parts) != expected:
-                    raise RuntimeError(
-                        f"query {query_id}: {len(parts)} partials, "
-                        f"expected {expected}"
-                    )
-                if stamping:
-                    with self._telemetry.span("merge", query_id=query_id):
-                        answers[query_id] = merge_partial_results(
-                            list(parts.values()), self._ks[query_id]
-                        )
-                else:
-                    answers[query_id] = merge_partial_results(
-                        list(parts.values()), self._ks[query_id]
-                    )
-        if stamping:
-            for query_id in self._expected:
-                trace = self._telemetry.trace(query_id)
-                if trace is not None and trace.spans:
-                    self._telemetry.record("response", trace.response_time)
-        self._expected.clear()
-        self._ks.clear()
-        self._partials.clear()
-        return answers
-
-    def _finish_answers_resilient(self) -> dict[int, list[Neighbor]]:
         """Merge accepted columns; flag degraded and shed queries.
 
-        A query whose columns all answered merges to a plain list,
-        bit-identical to the non-resilient path.  A query with degraded
-        columns merges the survivors into a
+        A query whose columns all answered merges to a plain list.  A
+        query with degraded columns merges the survivors into a
         :class:`~repro.knn.base.PartialResult` naming the missing
         ``(layer, column)`` cells; a shed query maps to its
         :class:`Overloaded` verdict.
         """
-        stamping = self._telemetry.enabled
-        events = len(self._columns) + len(self._shed)
+        telemetry = self._telemetry
+        stamping = telemetry.enabled
+        queries = self._queries
+        events = len(queries) + len(self._shed)
         with self.metrics.timed("aggregate", events=events):
             answers: dict[int, list[Neighbor]] = {}
-            for query_id, columns in self._columns.items():
-                accepted = self._accepted.get(query_id, {})
-                missing = sorted(
-                    column for column in columns if column not in accepted
-                )
+            for query_id, query in queries.items():
+                accepted = query.accepted
+                missing: Sequence[tuple[int, int]] = ()
+                if len(accepted) != len(query.columns):
+                    missing = sorted(
+                        column for column in query.columns
+                        if column not in accepted
+                    )
                 parts = [partial for _worker, partial in accepted.values()]
+                t0 = time.monotonic() if stamping else 0.0
+                answers[query_id] = merge_partial_results(
+                    parts, query.task.k, missing_columns=missing
+                )
                 if stamping:
-                    with self._telemetry.span("merge", query_id=query_id):
-                        answers[query_id] = merge_partial_results(
-                            parts, self._ks[query_id],
-                            missing_columns=missing,
-                        )
-                else:
-                    answers[query_id] = merge_partial_results(
-                        parts, self._ks[query_id], missing_columns=missing
+                    telemetry.record(
+                        "merge", time.monotonic() - t0,
+                        start=t0, query_id=query_id,
                     )
                 if missing:
                     self.metrics.degraded += 1
-                    if stamping:
-                        self._telemetry.count("resilience.degraded")
-            for query_id, overloaded in self._shed.items():
-                answers[query_id] = overloaded
+                    telemetry.count("resilience.degraded")
+            answers.update(self._shed)
         if stamping:
-            for query_id in self._columns:
-                trace = self._telemetry.trace(query_id)
+            for query_id in queries:
+                trace = telemetry.trace(query_id)
                 if trace is not None and trace.spans:
-                    self._telemetry.record("response", trace.response_time)
-        self._columns.clear()
-        self._locations.clear()
-        self._accepted.clear()
-        self._attempted.clear()
-        self._rows.clear()
-        self._missing.clear()
+                    telemetry.record("response", trace.response_time)
+        queries.clear()
         self._shed.clear()
-        self._slo.clear()
         self._deadline_heap.clear()
-        self._ks.clear()
-        self._query_gen.clear()
         return answers
 
     # ------------------------------------------------------------------
     # Fault handling
     # ------------------------------------------------------------------
-    def _check_health(self) -> None:
-        if self._resilience.enabled:
-            self._check_health_resilient(time.monotonic())
-            return
-        for state in self._workers.values():
-            if state.unacked:
-                self._ensure_alive(state)
-
-    def _check_health_resilient(self, now: float) -> None:
+    def _check_health(self, now: float) -> None:
         """Liveness sweep: stalls, deaths, and half-open breaker trials.
 
-        Unlike the plain sweep this also visits workers with *no*
-        unacked work — a quarantined (breaker-open) worker holds its
-        batches outside ``unacked``, and its half-open retry can only
-        fire from here.
+        Visits workers with *no* unacked work too — a quarantined
+        (breaker-open) worker holds its batches outside ``unacked``,
+        and its half-open retry can only fire from here.
         """
-        stall_timeout = self._resilience.config.stall_timeout
         for state in self._workers.values():
             process = state.process
-            alive = process is not None and process.is_alive()
-            if alive:
-                if (
-                    stall_timeout is not None
-                    and state.sent_at
-                    and now - min(state.sent_at.values()) > stall_timeout
-                ):
-                    # Live but silent past the watchdog (SIGSTOPped or
-                    # wedged in a syscall): SIGKILL converts the stall
-                    # into the well-understood crash/replay path.
-                    process.kill()
-                    process.join(timeout=1.0)
-                    self.metrics.stall_kills += 1
-                    if self._telemetry.enabled:
-                        self._telemetry.count("resilience.stall_kills")
-                    self._handle_death(state, now)
-                continue
-            if state.unacked or state.quarantined:
-                self._handle_death(state, now)
+            if process is not None and process.is_alive():
+                if self._stalled(state, now):
+                    self._kill_stalled(state)
+                    self._on_death(state, now)
+            elif state.unacked or state.quarantined:
+                self._on_death(state, now)
+
+    def _stalled(self, state: _WorkerState, now: float) -> bool:
+        """Live but silent past the policy's watchdog (SIGSTOPped or
+        wedged in a syscall)?  Never, when the policy has no watchdog."""
+        stall_timeout = self._resilience.config.stall_timeout
+        return (
+            stall_timeout is not None
+            and bool(state.sent_at)
+            and now - min(state.sent_at.values()) > stall_timeout
+        )
+
+    def _kill_stalled(self, state: _WorkerState) -> None:
+        """SIGKILL converts a stall into the well-understood
+        crash/replay path."""
+        state.process.kill()
+        state.process.join(timeout=1.0)
+        self.metrics.stall_kills += 1
+        self._telemetry.count("resilience.stall_kills")
 
     def _ensure_alive(self, state: _WorkerState) -> None:
         process = state.process
-        if process is not None and process.is_alive():
-            return
-        if self._resilience.enabled:
-            self._handle_death(state, time.monotonic())
-            return
-        if state.failed is not None:
-            raise WorkerCrash(
-                f"worker {state.worker_id} is failed: {state.failed}"
-            )
-        if state.respawns >= self._max_respawns:
-            raise WorkerCrash(
-                f"worker {state.worker_id} exceeded the respawn budget "
-                f"({self._max_respawns}); last batches: "
-                f"{sorted(state.unacked)}"
-            )
-        self._respawn(state)
+        if process is None or not process.is_alive():
+            self._on_death(state, time.monotonic())
 
-    def _handle_death(self, state: _WorkerState, now: float) -> None:
-        """Resilient death processing: feed the breaker, maybe respawn.
+    def _on_death(self, state: _WorkerState, now: float) -> None:
+        """Fault point: a serving worker's process is gone.
 
-        The first observation of a death records one breaker failure;
-        crossing the consecutive-failure threshold opens the breaker
-        and quarantines the in-flight batches.  A respawn happens only
-        when the breaker allows it (always while closed; one half-open
-        trial per backoff window while open) — so a crash-looping cell
-        costs an exponentially shrinking respawn rate instead of a
-        tight fork loop, and its queries hedge or degrade meanwhile.
+        Disabled policy: respawn from the replica cell and replay,
+        until the per-worker budget is spent — then (or once the worker
+        reported an execution error) :class:`WorkerCrash`.
+
+        Enabled policy: the first observation of a death records one
+        breaker failure; crossing the consecutive-failure threshold
+        opens the breaker and quarantines the in-flight batches.  A
+        respawn happens only when the breaker allows it (always while
+        closed; one half-open trial per backoff window while open) — so
+        a crash-looping cell costs an exponentially shrinking respawn
+        rate instead of a tight fork loop, and its queries hedge or
+        degrade meanwhile.
         """
+        if not self._resilience.enabled:
+            if state.failed is not None:
+                raise WorkerCrash(
+                    f"worker {state.worker_id} is failed: {state.failed}"
+                )
+            if state.respawns >= self._max_respawns:
+                raise WorkerCrash(
+                    f"worker {state.worker_id} exceeded the respawn budget "
+                    f"({self._max_respawns}); last batches: "
+                    f"{sorted(state.unacked)}"
+                )
+            self._respawn(state)
+            return
         breaker = self._resilience.breaker(state.worker_id)
         if not state.down:
             state.down = True
             if breaker.record_failure(now):
                 self.metrics.breaker_opens += 1
-                if self._telemetry.enabled:
-                    self._telemetry.count("resilience.breaker_open")
+                self._telemetry.count("resilience.breaker_open")
                 self._quarantine(state)
         if breaker.allow(now):
-            self._respawn_resilient(state)
+            self._respawn(state)
         else:
             # Batches dispatched while the breaker was already open
             # (the send path only learns of the death here) must not
@@ -1410,64 +1218,20 @@ class ProcessPoolService(MPRExecutor):
         if not state.unacked:
             return
         admission = self._resilience.admission
-        moved = 0
         for seq, ops in state.unacked.items():
             state.quarantined[seq] = ops
             admission.acked(state.worker_id, len(ops))
-            moved += 1
+        moved = len(state.unacked)
         state.unacked.clear()
         state.sent_at.clear()
         self.metrics.batches_quarantined += moved
-        if self._telemetry.enabled:
-            self._telemetry.count("resilience.quarantined", moved)
-
-    def _respawn_resilient(self, state: _WorkerState) -> None:
-        """Respawn with quarantine replay (the breaker-gated variant).
-
-        Differs from :meth:`_respawn` in two ways: quarantined batches
-        rejoin the unacked log (and re-enter the admission ledger)
-        before the replay, and the per-worker respawn budget does not
-        apply — the circuit breaker's exponential backoff is the
-        crash-loop bound instead.
-        """
-        if state.process is not None:
-            state.process.join(timeout=1.0)
-        self._collect_ready()
-        self._retire_reader(state)
-        if state.quarantined:
-            admission = self._resilience.admission
-            for seq, ops in state.quarantined.items():
-                state.unacked[seq] = ops
-                admission.dispatched((state.worker_id,), len(ops))
-            state.quarantined.clear()
-        state.respawns += 1
-        self.metrics.respawns += 1
-        self.metrics.batches_replayed += len(state.unacked)
-        if self._telemetry.enabled:
-            self._telemetry.count("pool.respawns")
-        self._spawn(state)
-        state.down = False
-        now = time.monotonic()
-        for seq in sorted(state.unacked):
-            state.sent_at[seq] = now
-            state.inbox.put(("batch", seq, state.unacked[seq]))
-            self.metrics.messages_sent += 1
+        self._telemetry.count("resilience.quarantined", moved)
 
     # ------------------------------------------------------------------
-    # Deadlines, hedges, and degraded answers (resilience only)
+    # Deadlines, hedges, and degraded answers
     # ------------------------------------------------------------------
-    def _is_resolved(self, query_id: int) -> bool:
-        accepted = self._accepted.get(query_id, ())
-        missing = self._missing.get(query_id, ())
-        return all(
-            column in accepted or column in missing
-            for column in self._columns[query_id]
-        )
-
     def _has_unresolved(self) -> bool:
-        return any(
-            not self._is_resolved(query_id) for query_id in self._columns
-        )
+        return any(not query.resolved for query in self._queries.values())
 
     def _enforce_deadlines(self, now: float) -> None:
         """Pop due deadlines; hedge (or degrade) the late queries.
@@ -1475,18 +1239,23 @@ class ProcessPoolService(MPRExecutor):
         A query still unresolved at its deadline counts one miss and
         re-arms for another SLO window, so a hedge that itself lands on
         a dying worker gets hedged again until the rows are exhausted.
+        An empty heap — no deadline was ever armed — is the whole cost
+        of a policy without deadlines.
         """
         heap = self._deadline_heap
         while heap and heap[0][0] <= now:
             _due, query_id = heapq.heappop(heap)
-            if query_id not in self._columns or self._is_resolved(query_id):
+            query = self._queries.get(query_id)
+            if query is None or query.resolved:
                 continue
             self.metrics.deadline_misses += 1
-            if self._telemetry.enabled:
-                self._telemetry.count("resilience.deadline_misses")
-            self._resolve_query(query_id, now, force=False)
-            if not self._is_resolved(query_id):
-                heapq.heappush(heap, (now + self._slo[query_id], query_id))
+            self._telemetry.count("resilience.deadline_misses")
+            self._resolve_query(query, now, force=False)
+            if not query.resolved:
+                slo = self._resilience.deadline_for(
+                    query.task.deadline, self._config.default_deadline
+                )
+                heapq.heappush(heap, (now + slo, query_id))
 
     def _force_resolve(self, now: float) -> None:
         """Nothing in flight: settle every still-unresolved query.
@@ -1497,17 +1266,17 @@ class ProcessPoolService(MPRExecutor):
         sets grow monotonically, so this terminates within ``y`` rounds
         per column.
         """
-        for query_id in self._columns:
-            if not self._is_resolved(query_id):
-                self._resolve_query(query_id, now, force=True)
+        for query in self._queries.values():
+            if not query.resolved:
+                self._resolve_query(query, now, force=True)
 
     def _resolve_query(
-        self, query_id: int, now: float, *, force: bool
+        self, query: _PendingQuery, now: float, *, force: bool
     ) -> None:
         """Hedge or degrade every unanswered column of one query."""
-        accepted = self._accepted.get(query_id, ())
-        missing = self._missing.get(query_id, set())
-        if self._query_gen.get(query_id, 0) != self._generation:
+        accepted = query.accepted
+        missing = query.missing
+        if query.generation != self._generation:
             # Routed under a shape that has since cut over: its replica
             # rows are retiring, and the current matrix holds different
             # cells, so a hedge would return the wrong column contents.
@@ -1515,23 +1284,25 @@ class ProcessPoolService(MPRExecutor):
             # death until drained); degrade only when forced — i.e.
             # when nothing is in flight that could still answer.
             if force:
-                for column in self._columns[query_id]:
-                    if column not in accepted and column not in missing:
-                        self._degrade(query_id, column)
+                missing.update(
+                    column for column in query.columns
+                    if column not in accepted
+                )
             return
         hedge_enabled = self._resilience.config.hedge
-        for column in self._columns[query_id]:
+        for column in query.columns:
             if column in accepted or column in missing:
                 continue
             row = (
-                self._pick_hedge_row(query_id, column, now)
+                self._pick_hedge_row(query, column, now)
                 if hedge_enabled
                 else None
             )
             if row is not None:
-                self._dispatch_hedge(query_id, column, row, now)
+                self._dispatch_hedge(query, column, row)
             elif force or not hedge_enabled or self._column_down(column):
-                self._degrade(query_id, column)
+                # Give up on this column: answer without it.
+                missing.add(column)
             # else: every row is attempted but some attempt is still in
             # flight (replay pending) — keep waiting for it.
 
@@ -1545,29 +1316,16 @@ class ProcessPoolService(MPRExecutor):
                 return False
         return True
 
-    def _attempted_rows(
-        self, query_id: int, column: tuple[int, int]
-    ) -> set[int]:
-        """Rows already tried for ``(query, column)``, seeded lazily.
-
-        The submit path records only the originally routed row (one int
-        store); the full per-column set materializes here, on the first
-        hedge decision for the query.
-        """
-        attempted = self._attempted.get(query_id)
-        if attempted is None:
-            row = self._rows[query_id]
-            attempted = self._attempted[query_id] = {
-                col: {row} for col in self._columns[query_id]
-            }
-        return attempted[column]
-
     def _pick_hedge_row(
-        self, query_id: int, column: tuple[int, int], now: float
+        self, query: _PendingQuery, column: tuple[int, int], now: float
     ) -> int | None:
         """Least-loaded untried replica row whose breaker permits work."""
         layer, col = column
-        attempted = self._attempted_rows(query_id, column)
+        if query.attempted is None:
+            # The submit path records only the routed row; the per-
+            # column sets materialize on the first hedge decision.
+            query.attempted = {col_: {query.row} for col_ in query.columns}
+        attempted = query.attempted[column]
         breakers = self._resilience.breakers()
         admission = self._resilience.admission
         best_row: int | None = None
@@ -1585,7 +1343,7 @@ class ProcessPoolService(MPRExecutor):
         return best_row
 
     def _dispatch_hedge(
-        self, query_id: int, column: tuple[int, int], row: int, now: float
+        self, query: _PendingQuery, column: tuple[int, int], row: int
     ) -> None:
         """Re-issue one query to a sibling replica row of ``column``.
 
@@ -1596,29 +1354,11 @@ class ProcessPoolService(MPRExecutor):
         """
         layer, col = column
         target: WorkerId = (layer, row, col)
-        state = self._workers[target]
-        self._ensure_alive(state)
-        ops = (
-            ("query", query_id, self._locations[query_id],
-             self._ks[query_id]),
-        )
-        seq = state.next_seq
-        state.next_seq += 1
-        state.unacked[seq] = ops
-        state.sent_at[seq] = now
-        state.inbox.put(("batch", seq, ops))
-        self._attempted_rows(query_id, column).add(row)
+        query.attempted[column].add(row)
         self._resilience.admission.dispatched((target,), 1)
         self.metrics.hedges += 1
-        self.metrics.batches_sent += 1
-        self.metrics.messages_sent += 1
-        self.metrics.ops_dispatched += 1
-        if self._telemetry.enabled:
-            self._telemetry.count("resilience.hedges")
-
-    def _degrade(self, query_id: int, column: tuple[int, int]) -> None:
-        """Give up on one column for one query: answer without it."""
-        self._missing.setdefault(query_id, set()).add(column)
+        self._telemetry.count("resilience.hedges")
+        self._send_batches([(target, (encode_op(query.task),))])
 
     # ------------------------------------------------------------------
     # Live reconfiguration (shape changes without downtime)
@@ -1692,16 +1432,11 @@ class ProcessPoolService(MPRExecutor):
             started=now,
         )
         self.reconfig_history.append(event)
-        if self._telemetry.enabled:
-            self._telemetry.count("reconfig.attempts")
+        self._telemetry.count("reconfig.attempts")
         try:
             for state in workers.values():
                 self._spawn(state)
-                seq = state.next_seq
-                state.next_seq += 1
-                state.unacked[seq] = ()
-                state.sent_at[seq] = time.monotonic()
-                state.inbox.put(("batch", seq, ()))
+                state.send(())  # the probe: seq 0, no ops
         except Exception as exc:  # pragma: no cover - spawn failure
             self._transition_failed(f"spawn failed: {exc!r}")
             raise
@@ -1746,18 +1481,7 @@ class ProcessPoolService(MPRExecutor):
                     f"{new_config.z}) did not settle within {timeout} s "
                     f"(outcome={event.outcome!r})"
                 )
-            readers = self._live_readers()
-            if readers:
-                ready = mp_connection.wait(
-                    readers, timeout=self._health_check_interval
-                )
-                for reader in ready:
-                    owner = self._reader_owners.get(reader)
-                    message = self._receive(reader)
-                    if message is not None:
-                        self._handle(message, owner)
-            else:  # pragma: no cover - every process dead
-                time.sleep(self._health_check_interval)
+            self._pump(self._health_check_interval)
         return event
 
     def transition_pids(self) -> dict[WorkerId, int]:
@@ -1784,8 +1508,7 @@ class ProcessPoolService(MPRExecutor):
             finished_at=wall,
         )
         self.reconfig_history.append(event)
-        if self._telemetry.enabled:
-            self._telemetry.count("reconfig.rejected")
+        self._telemetry.count("reconfig.rejected")
         raise ReconfigRejected(reason)
 
     def _feed_transition(self, task: Task) -> None:
@@ -1800,21 +1523,8 @@ class ProcessPoolService(MPRExecutor):
         transition = self._transition
         _route, ready = transition.batcher.add(task)
         transition.event.catchup_ops += 1
-        if ready:
-            self._send_transition_batches(transition.workers, ready)
-
-    def _send_transition_batches(
-        self,
-        workers: Mapping[WorkerId, _WorkerState],
-        batches: Sequence[WorkerBatch],
-    ) -> None:
-        for worker_id, ops in batches:
-            state = workers[worker_id]
-            seq = state.next_seq
-            state.next_seq += 1
-            state.unacked[seq] = ops
-            state.sent_at[seq] = time.monotonic()
-            state.inbox.put(("batch", seq, ops))
+        for worker_id, ops in ready:
+            transition.workers[worker_id].send(ops)
 
     def _advance_transition(self, now: float) -> None:
         """One supervision step of the transition state machine.
@@ -1866,9 +1576,8 @@ class ProcessPoolService(MPRExecutor):
         with self.metrics.timed("dispatch", events=0):
             old_ready = self._batcher.flush()
         self._send_batches(old_ready)
-        self._send_transition_batches(
-            transition.workers, transition.batcher.flush()
-        )
+        for worker_id, ops in transition.batcher.flush():
+            transition.workers[worker_id].send(ops)
         event.inflight_at_cutover = self._outstanding()
         old_states = list(self._workers.values())
         for state in old_states:
@@ -1890,20 +1599,14 @@ class ProcessPoolService(MPRExecutor):
         self._batcher = transition.batcher
         self._config = transition.new_config
         self._layer_columns.clear()
-        self._fallback_slo = (
-            self._resilience.config.default_deadline
-            if self._resilience.config.default_deadline is not None
-            else transition.new_config.default_deadline
-        ) if self._resilience.enabled else None
         self._generation += 1
-        if self._resilience.enabled:
-            # Worker ids are reused by the new shape: breaker state and
-            # admission debt earned by the old fleet must not bleed
-            # onto same-id successors.  Retiring acks skip both ledgers
-            # (gated by group), so clearing cannot go negative.
-            self._batcher.admission = self._resilience.admission
-            self._resilience.clear_breakers()
-            self._resilience.admission.outstanding.clear()
+        # Worker ids are reused by the new shape: breaker state and
+        # admission debt earned by the old fleet must not bleed onto
+        # same-id successors.  Retiring acks skip both ledgers (gated
+        # by group), so clearing cannot go negative.
+        self._batcher.admission = self._resilience.admission
+        self._resilience.clear_breakers()
+        self._resilience.admission.outstanding.clear()
         self._transition = None
         self._reconfig_breaker.record_success()
         event.outcome = "completed"
@@ -1911,16 +1614,13 @@ class ProcessPoolService(MPRExecutor):
         event.generation = self._generation
         event.phases["warm"] = now - transition.started
         self.metrics.reconfigurations += 1
-        if self._telemetry.enabled:
-            self._telemetry.count("reconfig.completed")
-            if event.catchup_ops:
-                self._telemetry.count(
-                    "reconfig.catchup_ops", event.catchup_ops
-                )
-            self._telemetry.record(
-                "reconfig.warm", now - transition.started,
-                start=transition.started,
-            )
+        self._telemetry.count("reconfig.completed")
+        if event.catchup_ops:
+            self._telemetry.count("reconfig.catchup_ops", event.catchup_ops)
+        self._telemetry.record(
+            "reconfig.warm", now - transition.started,
+            start=transition.started,
+        )
 
     def _transition_failed(
         self, reason: str, *, feed_breaker: bool = True
@@ -1950,13 +1650,11 @@ class ProcessPoolService(MPRExecutor):
         event.finished_at = time.time()
         event.phases["warm"] = time.monotonic() - transition.started
         self.metrics.reconfig_rollbacks += 1
-        if self._telemetry.enabled:
-            self._telemetry.count("reconfig.rollbacks")
+        self._telemetry.count("reconfig.rollbacks")
         if feed_breaker and self._reconfig_breaker.record_failure(
             time.monotonic()
         ):
-            if self._telemetry.enabled:
-                self._telemetry.count("reconfig.breaker_open")
+            self._telemetry.count("reconfig.breaker_open")
 
     def _check_retiring(self, now: float) -> None:
         """Progress the retiring fleet toward zero.
@@ -1970,29 +1668,19 @@ class ProcessPoolService(MPRExecutor):
         """
         if not self._retiring:
             return
-        stall_timeout = (
-            self._resilience.config.stall_timeout
-            if self._resilience.enabled
-            else None
-        )
         finished: list[_WorkerState] = []
         for state in self._retiring:
             process = state.process
             alive = process is not None and process.is_alive()
             if state.unacked:
+                # Breaker-free and budget-free by design: after the
+                # cutover the breaker and admission keys belong to the
+                # new shape's same-id workers.
                 if not alive:
-                    self._respawn_retiring(state)
-                elif (
-                    stall_timeout is not None
-                    and state.sent_at
-                    and now - min(state.sent_at.values()) > stall_timeout
-                ):
-                    process.kill()
-                    process.join(timeout=1.0)
-                    self.metrics.stall_kills += 1
-                    if self._telemetry.enabled:
-                        self._telemetry.count("resilience.stall_kills")
-                    self._respawn_retiring(state)
+                    self._respawn(state)
+                elif self._stalled(state, now):
+                    self._kill_stalled(state)
+                    self._respawn(state)
                 continue
             if alive:
                 if not state.stop_sent:
@@ -2017,39 +1705,10 @@ class ProcessPoolService(MPRExecutor):
                 if event is not None:
                     event.phases["retire"] = now - self._retire_started
                     self._retire_event = None
-                if self._telemetry.enabled:
-                    self._telemetry.record(
-                        "reconfig.retire", now - self._retire_started,
-                        start=self._retire_started,
-                    )
-
-    def _respawn_retiring(self, state: _WorkerState) -> None:
-        """Rebuild a dead retiring worker that still owes answers.
-
-        Breaker-free by design: after the cutover the breaker and
-        admission keys belong to the new shape's same-id workers, so a
-        retiring respawn must not touch them.  The replica-cell +
-        unacked-replay correctness argument is identical to
-        :meth:`_respawn`.
-        """
-        if state.process is not None:
-            state.process.join(timeout=1.0)
-        self._collect_ready()  # a death can race its last ack
-        self._retire_reader(state)
-        if not state.unacked:
-            return  # the racing acks just drained it: nothing to replay
-        state.respawns += 1
-        self.metrics.respawns += 1
-        self.metrics.batches_replayed += len(state.unacked)
-        if self._telemetry.enabled:
-            self._telemetry.count("pool.respawns")
-        self._spawn(state)
-        state.down = False
-        replay_stamp = time.monotonic()
-        for seq in sorted(state.unacked):
-            state.sent_at[seq] = replay_stamp
-            state.inbox.put(("batch", seq, state.unacked[seq]))
-            self.metrics.messages_sent += 1
+                self._telemetry.record(
+                    "reconfig.retire", now - self._retire_started,
+                    start=self._retire_started,
+                )
 
     def _spawn(self, state: _WorkerState) -> None:
         state.inbox = self._context.Queue()
@@ -2079,30 +1738,37 @@ class ProcessPoolService(MPRExecutor):
         A death can race with its last ack (the ack may be sitting in
         its result pipe), so pending acks are consumed first — replays
         of batches whose ack did survive are then skipped or, if
-        already re-sent, deduplicated downstream.
+        already re-sent, deduplicated downstream.  Batches quarantined
+        while the breaker was open rejoin the log (and the admission
+        ledger) before the replay.
         """
-        if state.process is not None:
+        process = state.process
+        if process is not None:
             # A cleanly-exited worker (poison task) flushes its error
-            # report on exit; joining first makes it visible below so
-            # poison surfaces as WorkerCrash instead of a replay loop.
-            state.process.join(timeout=1.0)
+            # report on exit; joining first makes it visible below, so
+            # poison reaches the error fault point instead of a replay
+            # loop.
+            process.join(timeout=1.0)
         self._collect_ready()
+        if state.process is not process:
+            return  # that error report was in the residue: respawned
         self._retire_reader(state)  # residual acks were drained above
+        if state.quarantined:
+            admission = self._resilience.admission
+            for seq, ops in state.quarantined.items():
+                state.unacked[seq] = ops
+                admission.dispatched((state.worker_id,), len(ops))
+            state.quarantined.clear()
+        if state.group == "retiring" and not state.unacked:
+            return  # the racing acks just drained it: nothing to replay
         state.respawns += 1
         self.metrics.respawns += 1
         self.metrics.batches_replayed += len(state.unacked)
-        if self._telemetry.enabled:
-            self._telemetry.count("pool.respawns")
+        self.metrics.messages_sent += len(state.unacked)
+        self._telemetry.count("pool.respawns")
         self._spawn(state)
-        stamping = self._telemetry.enabled
-        for seq in sorted(state.unacked):
-            if stamping:
-                # Replays restamp their queue_wait from the re-send, so
-                # the stitched trace reflects the run that produced the
-                # surviving ack.
-                state.sent_at[seq] = time.monotonic()
-            state.inbox.put(("batch", seq, state.unacked[seq]))
-            self.metrics.messages_sent += 1
+        state.down = False
+        state.replay()
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,17 @@ The degraded-answer counterpart, :class:`repro.knn.base.PartialResult`
 (re-exported here), flags a merged answer that is missing partition
 columns because no replica of those cells was live.
 
-Cost when disabled: executors hold :data:`NULL_RESILIENCE` and guard
-every touch point with a single ``if resilience.enabled`` branch,
-exactly like :data:`repro.obs.NULL_TELEMETRY` — the no-fault hot path
-is pinned within 5% by ``tests/test_resilience_overhead.py``.
+Disabled is a policy, not a second code path.  The process pool runs
+one submit → ack → drain → settle path whatever the setting and asks
+its :class:`ResiliencePolicy` only where a fault forces a decision: a
+worker died (respawn within a budget, or breaker + quarantine), a
+worker reported an execution error (raise, or poison-quarantine and
+hedge/degrade), a query is admitted (arm no deadline, or the resolved
+SLO).  A disabled policy has no admission bound, no stall watchdog, no
+hedging and arms nothing, so the ledgers it still feeds never trigger;
+``tests/test_resilience_overhead.py`` pins enabled-but-idle within 5%
+of disabled, and ``tests/test_executor_equivalence.py`` pins the two
+to identical answers and message counts.
 """
 
 from __future__ import annotations
@@ -267,12 +274,14 @@ class AdmissionController:
 
 
 class ResiliencePolicy:
-    """The runtime handle executors carry (mirror of ``Telemetry``).
+    """The runtime handle an executor owns.
 
     Bundles the static :class:`ResilienceConfig` with the mutable
     pieces — one :class:`CircuitBreaker` per worker (lazily created)
-    and one :class:`AdmissionController` — behind a single ``enabled``
-    flag, so the disabled path costs executors exactly one branch.
+    and one :class:`AdmissionController`.  ``enabled`` is what an
+    executor reads at a fault point to pick the failure semantics;
+    built from ``None`` the policy is disabled and its config is the
+    inert one: no bound, no hedge, no watchdog, no deadline.
     """
 
     __slots__ = ("enabled", "config", "admission", "_breakers")
@@ -281,7 +290,10 @@ class ResiliencePolicy:
         self, config: ResilienceConfig | None = None, *, enabled: bool = True
     ) -> None:
         self.enabled = enabled and config is not None
-        self.config = config if config is not None else ResilienceConfig()
+        self.config = (
+            config if config is not None
+            else ResilienceConfig(hedge=False, stall_timeout=None)
+        )
         self.admission = AdmissionController(
             self.config.max_outstanding if self.enabled else None
         )
@@ -309,7 +321,12 @@ class ResiliencePolicy:
     def deadline_for(
         self, task_deadline: float | None, config_deadline: float | None
     ) -> float | None:
-        """Resolve one query's SLO: task > policy > arrangement."""
+        """Resolve one query's SLO: task > policy > arrangement.
+
+        A disabled policy arms no deadline, whatever the task carries.
+        """
+        if not self.enabled:
+            return None
         if task_deadline is not None:
             return task_deadline
         if self.config.default_deadline is not None:
@@ -317,6 +334,7 @@ class ResiliencePolicy:
         return config_deadline
 
 
-#: Shared disabled handle: the default for every executor, so the
-#: no-resilience hot path is one attribute load and one branch.
+#: Shared disabled handle for executors that only *read* the policy
+#: (the threaded one).  The process pool feeds the admission ledger and
+#: breaker map on every path, so each pool owns a policy of its own.
 NULL_RESILIENCE = ResiliencePolicy(None, enabled=False)

@@ -22,6 +22,7 @@ from repro.knn import DijkstraKNN
 from repro.mpr import (
     MPRConfig,
     MPRExecutor,
+    ResilienceConfig,
     build_executor,
     run_serial_reference,
 )
@@ -35,6 +36,11 @@ CONFIGS = [
 ]
 
 SEEDS = [101, 202, 303]
+
+#: A policy that is switched on but can never act: no bound, no hedge,
+#: no watchdog, no deadline.  It must drive the pool exactly as the
+#: default (``resilience=None``) does.
+IDLE_POLICY = ResilienceConfig(hedge=False, stall_timeout=None)
 
 
 def make_workload(network, seed, mode=UpdateMode.RANDOM):
@@ -72,6 +78,29 @@ def test_process_pool_matches_oracle(small_grid, stream, oracle, config) -> None
         mode="process", batch_size=8,
     ) as pool:
         assert pool.run(stream.tasks) == oracle
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.x}x{c.y}x{c.z}")
+def test_idle_policy_drives_the_same_data_plane(
+    small_grid, stream, oracle, config
+) -> None:
+    """There is one data plane: the default pool and a pool under an
+    idle policy give the oracle's answers through the very same
+    messages — batch for batch, partial for partial."""
+    ledgers = []
+    for resilience in (None, IDLE_POLICY):
+        with build_executor(
+            config, DijkstraKNN(small_grid), stream.initial_objects,
+            mode="process", batch_size=8, resilience=resilience,
+        ) as pool:
+            assert pool.run(stream.tasks) == oracle
+            metrics = pool.metrics
+            ledgers.append((
+                metrics.batches_sent, metrics.messages_sent,
+                metrics.partials_received,
+            ))
+    assert ledgers[0] == ledgers[1]
 
 
 @pytest.mark.slow

@@ -199,10 +199,12 @@ def test_stall_watchdog_kills_sigstopped_worker(network, objects) -> None:
     try:
         with pool:
             pool.start()
-            for task in tasks:
-                pool.submit(task)
+            # Stop the victim *before* the first submit: stopped later,
+            # it can ack all 8 tiny queries first and never stall.
             victim_pid = next(iter(pool.worker_pids().values()))
             os.kill(victim_pid, signal.SIGSTOP)
+            for task in tasks:
+                pool.submit(task)
             pool.flush()
             answers = pool.drain(timeout=30.0)
             metrics = pool.metrics
@@ -215,6 +217,25 @@ def test_stall_watchdog_kills_sigstopped_worker(network, objects) -> None:
     assert answers == _oracle(network, objects, tasks)
     assert metrics.stall_kills >= 1
     assert metrics.respawns >= 1
+
+
+@pytest.mark.slow
+def test_default_policy_arms_no_deadline(network, objects) -> None:
+    """``resilience=None`` is the same data plane under a policy that
+    arms nothing: tasks carrying an unmeetable deadline are neither
+    hedged nor counted as misses, and answers stay plain lists."""
+    tasks = _queries(network, 8, deadline=0.001)
+    with build_executor(
+        MPRConfig(1, 2, 1), SlowKNN(DijkstraKNN(network), delay=0.01),
+        objects, mode="process", batch_size=2, health_check_interval=0.01,
+    ) as pool:
+        answers = pool.run(tasks)
+        metrics = pool.metrics
+    assert answers == _oracle(network, objects, tasks)
+    assert all(type(answer) is list for answer in answers.values())
+    assert metrics.hedges == 0
+    assert metrics.deadline_misses == 0
+    assert metrics.duplicate_acks == 0
 
 
 # ----------------------------------------------------------------------

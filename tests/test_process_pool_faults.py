@@ -21,10 +21,12 @@ from repro.graph import grid_network
 from repro.knn import DijkstraKNN
 from repro.mpr import (
     MPRConfig,
+    ResilienceConfig,
     WorkerCrash,
     build_executor,
     run_serial_reference,
 )
+from repro.objects.tasks import QueryTask
 from repro.workload import generate_workload
 
 pytestmark = pytest.mark.slow
@@ -48,6 +50,16 @@ class PoisonableKNN(DijkstraKNN):
 @pytest.fixture(scope="module")
 def network():
     return grid_network(10, 10, seed=3)
+
+
+@pytest.fixture(
+    params=[None, ResilienceConfig(hedge=False, stall_timeout=None)],
+    ids=["default", "idle-policy"],
+)
+def lifecycle_policy(request):
+    """The shutdown and drain-timeout cases never reach a fault point,
+    so they must behave identically under an idle policy."""
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +148,14 @@ def test_every_worker_killed_once(network, workload, oracle) -> None:
     assert answers == oracle
 
 
-def test_close_times_out_on_dead_worker_and_is_idempotent(network) -> None:
+def test_close_times_out_on_dead_worker_and_is_idempotent(
+    network, lifecycle_policy
+) -> None:
     """A worker that cannot ack the stop message (SIGKILLed) must not
     hang close(); a second close() is a no-op."""
     pool = build_executor(
         MPRConfig(1, 2, 1), DijkstraKNN(network), {1: 0},
-        mode="process", batch_size=2,
+        mode="process", batch_size=2, resilience=lifecycle_policy,
     )
     pool.start()
     victim_pid = next(iter(pool.worker_pids().values()))
@@ -155,25 +169,30 @@ def test_close_times_out_on_dead_worker_and_is_idempotent(network) -> None:
         pool.start()
 
 
-def test_close_before_start_and_empty_drain(network) -> None:
+def test_close_before_start_and_empty_drain(network, lifecycle_policy) -> None:
     pool = build_executor(
-        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0}, mode="process"
+        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0}, mode="process",
+        resilience=lifecycle_policy,
     )
     pool.close()  # never started: still safe
     with build_executor(
-        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0}, mode="process"
+        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0}, mode="process",
+        resilience=lifecycle_policy,
     ) as fresh:
         assert fresh.drain() == {}
         assert fresh.run([]) == {}
 
 
-def test_drain_timeout_lists_outstanding_batches(network, workload) -> None:
+def test_drain_timeout_lists_outstanding_batches(
+    network, workload, lifecycle_policy
+) -> None:
     """A bounded drain that cannot quiesce must raise a TimeoutError
     naming every outstanding (worker_id, seq) batch — the diagnostic a
     wedged production pool is debugged from."""
     pool = build_executor(
         MPRConfig(2, 1, 1), DijkstraKNN(network),
         workload.initial_objects, mode="process", batch_size=4,
+        resilience=lifecycle_policy,
     )
     victim_pid = None
     try:
@@ -198,7 +217,9 @@ def test_drain_timeout_lists_outstanding_batches(network, workload) -> None:
                 pass
 
 
-def test_close_escalates_on_wedged_worker_and_unlinks_shm(network) -> None:
+def test_close_escalates_on_wedged_worker_and_unlinks_shm(
+    network, lifecycle_policy
+) -> None:
     """A SIGSTOPped worker ignores the stop sentinel and SIGTERM alike;
     close() must escalate to SIGKILL within its timeout and still
     unlink the shared-memory graph segment."""
@@ -206,7 +227,7 @@ def test_close_escalates_on_wedged_worker_and_unlinks_shm(network) -> None:
 
     pool = build_executor(
         MPRConfig(1, 2, 1), DijkstraKNN(network), {1: 0},
-        mode="process", batch_size=2,
+        mode="process", batch_size=2, resilience=lifecycle_policy,
     )
     pool.start()
     shm_name = network._shared_meta.shm_name
@@ -228,8 +249,6 @@ def test_close_escalates_on_wedged_worker_and_unlinks_shm(network) -> None:
 def test_poison_task_raises_instead_of_respawn_loop(network, workload) -> None:
     """A batch that crashes the solution itself is not a process fault:
     it must surface as WorkerCrash, not burn the respawn budget."""
-    from repro.objects.tasks import QueryTask
-
     pool = build_executor(
         MPRConfig(1, 1, 1), PoisonableKNN(network),
         workload.initial_objects, mode="process", batch_size=1,
@@ -240,3 +259,36 @@ def test_poison_task_raises_instead_of_respawn_loop(network, workload) -> None:
         with pytest.raises(WorkerCrash):
             pool.drain()
         assert pool.metrics.respawns == 0
+
+
+def test_default_pools_share_no_policy_state(network, workload, oracle) -> None:
+    """Two default pools in one process each own their policy: a worker
+    killed in one leaves the other's respawn budget, admission ledger
+    and counters alone."""
+
+    def make_pool():
+        return build_executor(
+            MPRConfig(2, 1, 1), DijkstraKNN(network),
+            workload.initial_objects, mode="process", batch_size=8,
+            health_check_interval=0.02, max_respawns=1,
+        )
+
+    with make_pool() as struck, make_pool() as bystander:
+        assert struck._resilience is not bystander._resilience
+        for task in workload.tasks:
+            struck.submit(task)
+            bystander.submit(task)
+        struck.flush()
+        victim_id, victim_pid = next(iter(struck.worker_pids().items()))
+        os.kill(victim_pid, signal.SIGKILL)
+        assert struck.drain() == oracle
+        assert struck.metrics.respawns == 1
+        assert bystander.drain() == oracle
+        assert bystander.metrics.respawns == 0
+        assert bystander.metrics.batches_replayed == 0
+        assert bystander.metrics.messages_sent == bystander.metrics.batches_sent
+        # The bystander's budget of one respawn is still unspent.
+        os.kill(bystander.worker_pids()[victim_id], signal.SIGKILL)
+        bystander.submit(QueryTask(1e6, 10**6, 0, 3))
+        assert len(bystander.drain()) == 1
+        assert bystander.metrics.respawns == 1

@@ -21,7 +21,7 @@ records, per size:
   point of the comparison).
 
 Artifacts: ``benchmarks/results/graph_scale.{json,txt}``; run with
-``--smoke`` for the CI_SCALE-gated ~1M-node assertion run (build +
+``--smoke`` for the ~1M-node assertion run of ``tools/ci.sh scale`` (build +
 cache + attach flatness only, no engine sweep at the big sizes).
 
     PYTHONPATH=src python tools/bench_graph_scale.py [--smoke] [--sides 64 256]

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# The tier-1 CI gate, runnable locally or from .github/workflows/ci.yml:
+# The CI gate, one lane per argument — runnable locally or from
+# .github/workflows/ci.yml, whose matrix is exactly these lane names:
 #
-#   bash tools/ci.sh          # fast lane (slow markers excluded)
-#   CI_SLOW=1 bash tools/ci.sh  # include the slow lane (faults, pool)
-#   CI_CHAOS=1 bash tools/ci.sh # also run the chaos scenario sweep
-#   CI_VALIDATE=1 bash tools/ci.sh # also run the model-validation grid
-#   CI_SCALE=1 bash tools/ci.sh # also run the ~1M-node cache/attach smoke
-#                               # (incl. CH build+persist+attach at 262k/1M)
-#   CI_SERVE=1 bash tools/ci.sh # also run the serving-tier load smoke
-#   CI_RECONFIG=1 bash tools/ci.sh # also run the live-reconfiguration
-#                               # soak (>=2 automatic shape changes)
+#   bash tools/ci.sh              # fast: tier-1 tests, lint, API surface
+#   bash tools/ci.sh slow         # full suite (slow markers included), lint, API surface
+#   bash tools/ci.sh chaos        # chaos tests + the scenario sweep, twice
+#   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
+#   bash tools/ci.sh scale        # ~1M-node cache/attach smoke (incl. CH at 262k/1M)
+#   bash tools/ci.sh serve        # serving tier: protocol e2e + load smoke
+#   bash tools/ci.sh reconfig     # live-reconfiguration tests + soak
+#   bash tools/ci.sh bench        # mprbench's own tests + manifest validator
+#   bash tools/ci.sh slow chaos   # several lanes, in order
 #
 # Ruff is optional — environments without the binary skip the lint step
 # instead of failing, so the gate works in the minimal container too.
@@ -18,39 +19,59 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH=src
 
-if [ "${CI_SLOW:-0}" = "1" ]; then
-    python -m pytest -x -q -m "slow or not slow"
-else
-    python -m pytest -x -q
-fi
+lint_and_surface() {
+    if command -v ruff >/dev/null 2>&1; then
+        ruff check src tests tools benchmarks
+    else
+        echo "ruff not available; skipping lint"
+    fi
+    python tools/check_api_surface.py
+}
 
-if [ "${CI_CHAOS:-0}" = "1" ]; then
-    python tools/chaos_run.py
-fi
+run_lane() {
+    case "$1" in
+        fast)
+            python -m pytest -x -q
+            lint_and_surface
+            ;;
+        slow)
+            python -m pytest -x -q -m "slow or not slow"
+            lint_and_surface
+            ;;
+        chaos)
+            python -m pytest -x -q -m slow -k chaos
+            python tools/chaos_run.py --repeat 2
+            ;;
+        validate)
+            python -m pytest -x -q -m slow -k "validation or continuous"
+            python tools/validate_run.py --no-artifacts
+            ;;
+        scale)
+            python tools/bench_graph_scale.py --smoke
+            ;;
+        serve)
+            python -m pytest -x -q tests/test_serve.py -m "slow or not slow"
+            python tools/serve_loadtest.py --smoke --no-artifacts
+            ;;
+        reconfig)
+            python -m pytest -x -q -m slow -k reconfig
+            python tools/reconfig_soak.py
+            ;;
+        bench)
+            # Read-only use of bench/: its tests and the manifest check.
+            python -m pytest bench/tests -q
+            python3 bench/mprbench/validate.py
+            ;;
+        *)
+            echo "unknown lane '$1' (fast slow chaos validate scale serve reconfig bench)" >&2
+            exit 2
+            ;;
+    esac
+}
 
-if [ "${CI_VALIDATE:-0}" = "1" ]; then
-    python tools/validate_run.py --no-artifacts
-fi
-
-if [ "${CI_SCALE:-0}" = "1" ]; then
-    python tools/bench_graph_scale.py --smoke
-fi
-
-if [ "${CI_SERVE:-0}" = "1" ]; then
-    python tools/serve_loadtest.py --smoke --no-artifacts
-fi
-
-if [ "${CI_RECONFIG:-0}" = "1" ]; then
-    python -m pytest -q -m slow -k "reconfig"
-    python tools/reconfig_soak.py
-fi
-
-if command -v ruff >/dev/null 2>&1; then
-    ruff check src tests tools benchmarks
-else
-    echo "ruff not available; skipping lint"
-fi
-
-python tools/check_api_surface.py
+for lane in "${@:-fast}"; do
+    echo "== lane: $lane"
+    run_lane "$lane"
+done
 
 echo "ci OK"

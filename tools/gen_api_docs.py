@@ -297,8 +297,8 @@ The executors feed this path end to end.  `RouteBatcher` (with
 consecutive queries in a released batch by `(location, query_id)` —
 updates are reorder barriers, so per-worker serial equivalence is
 untouched.  Pool workers hand each batch to `run_ops`; threaded
-workers execute each consecutive query run with one `query_batch`
-call.  With telemetry enabled, queries answered together record one
+workers do the same with whatever is immediately queued up to the next
+drain barrier.  With telemetry enabled, queries answered together record one
 `execute_batch` histogram span plus `exec.batches` /
 `exec.batch_queries` counters — one per *batch* for `DijkstraKNN`, one
 per query run for the default — and each of those queries gets an
@@ -323,10 +323,21 @@ flushing buffered ops first so the switch is FCFS-transparent.
         """\
 `repro.mpr.resilience` turns the executors from fail-stop into
 fail-soft.  Pass a `ResilienceConfig` to `build_executor(...,
-resilience=...)` to enable it; the default is `NULL_RESILIENCE` and the
-hot path then pays one attribute load + one branch per touch point
-(`tests/test_resilience_overhead.py` pins the enabled no-fault pool
-within 5% of disabled).  Four mechanisms compose:
+resilience=...)` to choose the fail-soft semantics.  The process pool
+has one data plane either way — submit → ack → drain → settle on a
+per-`(layer, column)` answer ledger, first answer per column wins — and
+consults its `ResiliencePolicy` only at the fault points: a worker died
+(default: respawn + replay within `max_respawns`, then `WorkerCrash`;
+configured: breaker + quarantine), a worker reported an execution error
+(default: `WorkerCrash`; configured: poison-quarantine, then
+hedge/degrade), a query is admitted (default: no deadline is armed,
+whatever the task carries; configured: task > config > arrangement).
+The default policy has no admission bound, no hedging and no watchdog,
+so nothing is ever shed, hedged or degraded under it
+(`tests/test_resilience_overhead.py` pins the configured no-fault pool
+within 5% of the default; `tests/test_executor_equivalence.py` pins the
+two to the same answers through the same messages).  Four mechanisms
+compose:
 
 **Deadlines and hedged replica reads.**  Every query carries an SLO —
 `QueryTask.deadline` if set, else `ResilienceConfig.default_deadline`.
@@ -440,7 +451,7 @@ timings in `ReconfigEvent.phases`, and the full transition history via
 `pool.reconfig_history` / `MPRSystem.reconfig_history`, surfaced by
 `stats()`, `report()`, and `repro.cli stats`.  The standing gate is
 `repro.validation.run_reconfig_soak` / `tools/reconfig_soak.py`
-(`CI_RECONFIG=1 bash tools/ci.sh`): a non-stationary workload must
+(`bash tools/ci.sh reconfig`): a non-stationary workload must
 drive ≥2 automatic shape changes with zero dropped queries,
 oracle-exact answers, and complete traces; `tools/bench_repo.py`
 records the transition-latency percentiles as the `reconfig` row of
@@ -500,7 +511,7 @@ executor's resilience machinery (`resilience.deadline_misses` moves).
 ≥1000 concurrent clients with non-stationary arrivals and records
 qps/p50/p99, shed rate, and fairness spread into
 `benchmarks/results/serve.{json,txt}` and the `serve` row of
-`BENCH_knn.json` (`CI_SERVE=1 bash tools/ci.sh` runs the smoke-sized
+`BENCH_knn.json` (`bash tools/ci.sh serve` runs the smoke-sized
 version).
 
 **Migration (old → new).**
@@ -577,7 +588,7 @@ it also stamps a `model_validation` summary into `BENCH_knn.json`.
 `tests/test_validation.py` asserts the checked-in artifact covers at
 least a 3×3 `(λq, x·y·z)` grid per backend with every enforced cell
 in tolerance; CI re-runs the sweep as the `validate` job, and
-`CI_VALIDATE=1 bash tools/ci.sh` runs it locally.
+`bash tools/ci.sh validate` runs it locally.
 """,
     ),
 ]
