@@ -237,13 +237,17 @@ def _chaos(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     reports = []
-    for name in names:
-        reports.append(
-            run_scenario(
+    for round_index in range(args.repeat):
+        for name in names:
+            report = run_scenario(
                 name, num_queries=args.queries, deadline=args.deadline,
                 drain_timeout=args.drain_timeout,
             )
-        )
+            reports.append(report)
+            verdict = "ok" if report.ok else "FAIL"
+            print(f"[{round_index + 1}/{args.repeat}] {name:<12} {verdict}",
+                  flush=True)
+    print()
     rows = [
         [
             report.scenario,
@@ -269,7 +273,13 @@ def _chaos(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         print(f"reports written to {args.json}")
-    return 0 if all(report.ok for report in reports) else 1
+    failed = sum(1 for report in reports if not report.ok)
+    if failed:
+        print(f"chaos FAILED: {failed}/{len(reports)} scenario runs "
+              "violated invariants")
+        return 1
+    print(f"chaos OK: {len(reports)} scenario runs clean")
+    return 0
 
 
 def _pool(args: argparse.Namespace) -> int:
@@ -409,19 +419,22 @@ def _stats(args: argparse.Namespace) -> int:
             # Reconfigure live, with the first half of the stream still
             # in flight — the second half is routed by the new shape.
             half = len(workload.tasks) // 2
-            for task in workload.tasks[:half]:
-                system.submit(task)
+            in_flight = [
+                system.submit_async(task) for task in workload.tasks[:half]
+            ]
             system.reconfigure(target, trigger="cli")
-            for task in workload.tasks[half:]:
-                system.submit(task)
-            answers = system.drain()
+            results = system.run_results(workload.tasks[half:])
+            for future in in_flight:
+                result = future.result()
+                if result is not None:  # updates resolve to None
+                    results[result.query_id] = result
         else:
-            answers = system.run(workload.tasks)
+            results = system.run_results(workload.tasks)
     telemetry = system.telemetry
     print(
         f"{args.mode} executor "
         f"{system.config.describe()} answered "
-        f"{len(answers)} queries on grid {args.grid}x{args.grid}"
+        f"{len(results)} queries on grid {args.grid}x{args.grid}"
     )
     print()
     print(system.report())
@@ -477,12 +490,19 @@ def _stats(args: argparse.Namespace) -> int:
 def _validate(args: argparse.Namespace) -> int:
     import json
 
-    from .validation import run_validation
+    from .validation import run_validation, write_report
 
+    if args.no_sim and args.no_live:
+        print("nothing to run: both --no-sim and --no-live given",
+              file=sys.stderr)
+        return 2
     report = run_validation(
         include_sim=not args.no_sim, include_live=not args.no_live
     )
     print(report.format_table())
+    if not args.no_artifacts:
+        json_path, txt_path = write_report(report, "benchmarks/results")
+        print(f"artifacts: {json_path}, {txt_path}")
     anomalies = sum(c.anomalies for c in report.cells_for("live"))
     if anomalies:
         print(
@@ -494,6 +514,9 @@ def _validate(args: argparse.Namespace) -> int:
             json.dump(report.to_dict(), handle, indent=2)
             handle.write("\n")
         print(f"report written to {args.json}")
+    for check in (*report.cells, *report.throughput):
+        if not check.passed:
+            print(f"out of tolerance: {check.detail or check}")
     return 0 if report.ok else 1
 
 
@@ -729,6 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-query SLO in seconds")
     chaos.add_argument("--drain-timeout", type=float, default=60.0,
                        help="hard wall bound on the drain (hang detector)")
+    chaos.add_argument("--repeat", type=int, default=1,
+                       help="run each scenario this many times (soak)")
     chaos.add_argument("--json", help="also write reports to this JSON file")
     chaos.set_defaults(func=_chaos)
 
@@ -827,6 +852,11 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--no-live", action="store_true",
                           help="skip the live process-pool sweep")
     validate.add_argument("--json", help="write the report to this JSON file")
+    validate.add_argument(
+        "--no-artifacts", action="store_true",
+        help="do not write benchmarks/results/validation.{json,txt} "
+             "(relative to the working directory)",
+    )
     validate.set_defaults(func=_validate)
 
     serve = sub.add_parser(

@@ -48,7 +48,6 @@ from .core_matrix import (
 from .autotune import JointChoice, joint_tune
 from .batching import (
     DEFAULT_BATCH_CANDIDATES,
-    BatchSizeController,
     modeled_batch_rq,
     recommend_batch_size,
 )
@@ -59,14 +58,13 @@ from .balancing import (
     imbalance,
     round_robin_columns,
 )
-from .executor import MPRExecutor, ThreadedMPRExecutor, run_serial_reference
-from .process_executor import (
-    ProcessPoolService,
+from .executor import (
+    MPRExecutor,
     QuiesceTimeout,
-    SpeedupReport,
-    WorkerCrash,
-    run_batch_speedup,
+    ThreadedMPRExecutor,
+    run_serial_reference,
 )
+from .process_executor import ProcessPoolService, WorkerCrash
 from .reconfig import (
     RECONFIG_COUNTERS,
     ReconfigEvent,
@@ -147,9 +145,7 @@ __all__ = [
     "run_serial_reference",
     "ProcessPoolService",
     "QuiesceTimeout",
-    "SpeedupReport",
     "WorkerCrash",
-    "run_batch_speedup",
     "RECONFIG_COUNTERS",
     "ReconfigEvent",
     "ReconfigManager",
@@ -170,7 +166,6 @@ __all__ = [
     "JointChoice",
     "joint_tune",
     "DEFAULT_BATCH_CANDIDATES",
-    "BatchSizeController",
     "modeled_batch_rq",
     "recommend_batch_size",
     "balance_by_update_rate",

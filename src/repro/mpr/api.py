@@ -1,15 +1,13 @@
 """The unified executor API: one entry point for every MPR substrate.
 
-Historically each executor had its own constructor with its own
-argument order (solution-first) and its own lifecycle quirks; callers
-picked a class, not a configuration.  This module inverts that:
+Callers pick a configuration, not a class:
 
 * :func:`build_executor` — the one construction path.  Takes the
   arrangement first (``config`` is the decision MPR's optimizer makes;
   the substrate is an implementation detail), picks the substrate via
   ``mode``, and threads a :class:`repro.obs.Telemetry` through every
   layer it builds.  There is no other public way to construct an
-  executor — the PR-3-era per-class deprecation shims are gone.
+  executor.
 * :class:`MPRSystem` — a convenience wrapper owning an executor plus a
   default-enabled telemetry handle, for scripts and notebooks that
   want answers *and* a latency report without wiring either.
@@ -30,18 +28,17 @@ particular) never sits in a ``drain()`` barrier.
 
 from __future__ import annotations
 
-import inspect
 import queue as queue_module
 import threading
 from concurrent.futures import Future
 from typing import Any, Mapping, Sequence
 
-from ..knn.base import KNNSolution, Neighbor
+from ..knn.base import KNNSolution
 from ..objects.tasks import Task, TaskKind
 from ..obs import Telemetry
 from .config import MPRConfig
-from .executor import MPRExecutor, ThreadedMPRExecutor
-from .process_executor import QuiesceTimeout, WorkerCrash
+from .executor import MPRExecutor, QuiesceTimeout, ThreadedMPRExecutor
+from .process_executor import WorkerCrash
 from .reconfig import ReconfigEvent, ReconfigManager, ReconfigPolicy
 from .resilience import ResilienceConfig
 from .results import QueryResult, envelope_answers
@@ -198,9 +195,6 @@ class _CompletionPump:
         self._drain_timeout = drain_timeout
         self._queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
         self._stopping = threading.Event()
-        self._accepts_timeout = "timeout" in inspect.signature(
-            executor.drain
-        ).parameters
         self._thread = threading.Thread(
             target=self._loop, name="mpr-completion-pump", daemon=True
         )
@@ -232,11 +226,6 @@ class _CompletionPump:
         self._thread.join(timeout)
 
     # ------------------------------------------------------------------
-    def _drain(self) -> dict[int, Any]:
-        if self._accepts_timeout:
-            return self._executor.drain(timeout=self._drain_timeout)
-        return self._executor.drain()
-
     def _next_cycle(self) -> list[tuple[Task, Future]] | None:
         """Block for the first item, then sweep the queue (bounded)."""
         item = self._queue.get()
@@ -280,7 +269,7 @@ class _CompletionPump:
         if not submitted:
             return
         try:
-            answers = self._drain()
+            answers = self._executor.drain(timeout=self._drain_timeout)
         except QuiesceTimeout as exc:
             answers = self._recover_timeout(submitted, exc)
         except (WorkerCrash, RuntimeError) as exc:
@@ -326,10 +315,10 @@ class _CompletionPump:
     ) -> dict[int, Any]:
         """Fail the queries a drain timeout names; salvage the rest.
 
-        The :class:`QuiesceTimeout` carries the affected query ids
-        (the satellite fix this PR makes) precisely so we can fail the
-        right in-flight RPCs and give everyone else one more — short —
-        chance to surface answers that were already merged.
+        The :class:`QuiesceTimeout` carries the affected query ids so
+        we can fail exactly those in-flight RPCs and give everyone else
+        one more — short — chance to surface answers that were already
+        merged.
         """
         stuck = set(exc.query_ids)
         for task, future in submitted:
@@ -344,9 +333,7 @@ class _CompletionPump:
         ]
         submitted[:] = remaining
         try:
-            if self._accepts_timeout:
-                return self._executor.drain(timeout=1.0)
-            return self._executor.drain()
+            return self._executor.drain(timeout=1.0)
         except Exception:
             return {}
 
@@ -385,25 +372,22 @@ class MPRSystem:
     The two-line serving setup::
 
         with MPRSystem(config, solution, objects, mode="process") as system:
-            answers = system.run(tasks)
+            results = system.run_results(tasks)
             print(system.report())
 
     Accepts the same arguments as :func:`build_executor` but defaults
     ``telemetry`` to a fresh *enabled* handle — the wrapper exists to
-    make the traced path the easy path.  All executor lifecycle methods
-    delegate; :meth:`stats` and :meth:`report` expose the telemetry.
+    make the traced path the easy path.  :meth:`stats` and
+    :meth:`report` expose the telemetry.
 
-    Two surfaces share the executor, mutually exclusively:
-
-    * the **batch surface** — ``submit``/``flush``/``drain``/``run``,
-      the historical blocking cycle; and
-    * the **async surface** — :meth:`submit_async` returns a
-      :class:`concurrent.futures.Future` per task, resolving to a
-      :class:`~repro.mpr.results.QueryResult` envelope (``None`` for
-      updates).  First use starts the :class:`_CompletionPump`, which
-      then owns the executor: the batch surface raises until
-      :meth:`close`, because neither executor is thread-safe and
-      interleaving the two would corrupt the drain accounting.
+    Every outcome is a :class:`~repro.mpr.results.QueryResult`
+    envelope: :meth:`run_results` executes a whole task stream, and
+    :meth:`submit_async` returns a :class:`concurrent.futures.Future`
+    per task (``None`` for updates).  First use of ``submit_async``
+    starts the :class:`_CompletionPump`, which then owns the executor
+    until :meth:`close` — neither executor is thread-safe, so from then
+    on ``run_results`` goes through the pump too.  The raw blocking
+    ``submit``/``flush``/``drain`` cycle lives on :attr:`executor`.
     """
 
     def __init__(
@@ -447,32 +431,8 @@ class MPRSystem:
             self._pump = None
         self.executor.close()
 
-    def _guard_batch_surface(self, method: str) -> None:
-        if self._pump is not None:
-            raise RuntimeError(
-                f"MPRSystem.{method}() is unavailable while submit_async's "
-                "completion pump owns the executor; use submit_async/"
-                "run_results (or close() first)"
-            )
-
-    def submit(self, task: Task) -> None:
-        self._guard_batch_surface("submit")
-        self.executor.submit(task)
-
-    def flush(self) -> None:
-        self._guard_batch_surface("flush")
-        self.executor.flush()
-
-    def drain(self) -> dict[int, list[Neighbor]]:
-        self._guard_batch_surface("drain")
-        return self.executor.drain()
-
-    def run(self, tasks: Sequence[Task]) -> dict[int, list[Neighbor]]:
-        self._guard_batch_surface("run")
-        return self.executor.run(tasks)
-
     # ------------------------------------------------------------------
-    # The async surface (futures + QueryResult envelopes)
+    # Task execution (futures + QueryResult envelopes)
     # ------------------------------------------------------------------
     def submit_async(self, task: Task) -> "Future[QueryResult | None]":
         """Submit one task; get a future instead of joining a barrier.
@@ -483,8 +443,8 @@ class MPRSystem:
         ``OVERLOADED``, drain ``TIMEOUT``, crash ``ERROR`` — is a
         *result*, never an exception) and to ``None`` for updates once
         the drain that made them visible completes.  FCFS order across
-        calls is preserved.  First call starts the completion pump and
-        locks out the batch surface until :meth:`close`.
+        calls is preserved.  First call starts the completion pump,
+        which owns the executor until :meth:`close`.
         """
         if self._pump is None:
             self.executor.start()
@@ -496,10 +456,10 @@ class MPRSystem:
     ) -> dict[int, QueryResult]:
         """Execute a task stream; return enveloped per-query outcomes.
 
-        The envelope-typed counterpart of :meth:`run`: one
-        :class:`~repro.mpr.results.QueryResult` per query id, whatever
-        the outcome.  Goes through :meth:`submit_async` when the pump
-        is already running, else through one batch ``run()``.
+        One :class:`~repro.mpr.results.QueryResult` per query id,
+        whatever the outcome.  Goes through :meth:`submit_async` when
+        the pump is already running, else through one blocking
+        ``executor.run()``.
         """
         if self._pump is not None:
             futures = [(task, self.submit_async(task)) for task in tasks]
@@ -532,7 +492,7 @@ class MPRSystem:
     ) -> ReconfigEvent:
         """Change the serving ``(x, y, z)`` live, without downtime.
 
-        Process mode only.  On the batch surface this delegates to
+        Process mode only.  Before the pump starts this delegates to
         :meth:`ProcessPoolService.reconfigure
         <repro.mpr.process_executor.ProcessPoolService.reconfigure>`
         directly; once :meth:`submit_async` has started the completion
@@ -580,8 +540,8 @@ class MPRSystem:
         itself — call ``manager.poll()`` from your own loop (the soak
         harness drives synthetic time this way).  With an interval, a
         daemon thread polls continuously; that is only safe once the
-        async surface owns the executor, so the completion pump is
-        started as a side effect.  :meth:`close` stops the manager.
+        completion pump owns the executor, so the pump is started as a
+        side effect.  :meth:`close` stops the manager.
         """
         if self._manager is not None:
             return self._manager

@@ -21,22 +21,15 @@ very telemetry the executor records while serving.  Minimizing this
 over a candidate grid closes the loop: measure → model → retune
 (:meth:`ProcessPoolService.retune_batch_size
 <repro.mpr.process_executor.ProcessPoolService.retune_batch_size>`).
-
-:class:`BatchSizeController` adds hysteresis so a running system does
-not thrash between adjacent batch sizes whose modeled costs differ by
-noise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 from .analysis import MachineSpec
 
 __all__ = [
     "DEFAULT_BATCH_CANDIDATES",
-    "BatchSizeController",
     "modeled_batch_rq",
     "recommend_batch_size",
 ]
@@ -117,72 +110,3 @@ def recommend_batch_size(
             best_size, best_rq = size, rq
     assert best_size is not None  # candidates non-empty, rq finite at b=1
     return best_size
-
-
-@dataclass
-class BatchSizeController:
-    """Hysteretic wrapper around :func:`recommend_batch_size`.
-
-    A recommendation replaces the current batch size only when its
-    modeled Rq improves on the current size's by more than
-    ``improvement_threshold`` (relative) — re-batching is cheap but a
-    system retuned every drain on histogram noise would oscillate
-    between adjacent powers of two.
-
-    >>> controller = BatchSizeController(current=16)
-    >>> controller.propose(telemetry, arrival_rate=500.0)  # doctest: +SKIP
-    64
-    """
-
-    current: int = 16
-    improvement_threshold: float = 0.1
-    total_cores: int = 19
-    candidates: tuple[int, ...] = DEFAULT_BATCH_CANDIDATES
-    #: (arrival_rate, current, candidate, accepted) per propose() call.
-    history: list[tuple[float, int, int, bool]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.current < 1:
-            raise ValueError(f"current must be >= 1, got {self.current}")
-        if self.improvement_threshold < 0:
-            raise ValueError("improvement_threshold must be >= 0")
-
-    def propose(
-        self, telemetry, arrival_rate: float, *, fanout: int = 1
-    ) -> int:
-        """The batch size to use now (new recommendation or current)."""
-        candidate = recommend_batch_size(
-            telemetry, arrival_rate,
-            total_cores=self.total_cores,
-            candidates=self.candidates,
-            fanout=fanout,
-        )
-        accepted = False
-        if candidate != self.current:
-            from ..sim.measurement import machine_spec_from_telemetry
-
-            machine = machine_spec_from_telemetry(
-                telemetry, total_cores=self.total_cores
-            )
-            histogram = telemetry.histogram("execute")
-            execute = (
-                histogram.mean
-                if histogram is not None and histogram.count else 0.0
-            )
-            now = modeled_batch_rq(
-                self.current, arrival_rate, machine,
-                execute_seconds=execute, fanout=fanout,
-            )
-            new = modeled_batch_rq(
-                candidate, arrival_rate, machine,
-                execute_seconds=execute, fanout=fanout,
-            )
-            if new < now * (1.0 - self.improvement_threshold) or (
-                math.isinf(now) and new < now
-            ):
-                self.current = candidate
-                accepted = True
-        self.history.append(
-            (arrival_rate, self.current, candidate, accepted)
-        )
-        return self.current

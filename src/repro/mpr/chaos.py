@@ -33,8 +33,8 @@ hangs, every answer exact under whichever shape routed it).
 
 The solution wrappers (:class:`SlowKNN`, :class:`PoisonKNN`,
 :class:`ExitingKNN`) live at module level so worker pickles resolve them
-under any start method.  Use ``tools/chaos_run.py`` or ``repro-cli
-chaos`` to run scenarios from a shell.
+under any start method.  Use ``python -m repro.cli chaos`` to run
+scenarios from a shell.
 """
 
 from __future__ import annotations

@@ -50,6 +50,30 @@ from .resilience import (
 _SENTINEL = None
 
 
+class QuiesceTimeout(TimeoutError):
+    """``drain(timeout=)`` expired with work still outstanding.
+
+    Carries the stuck ``(worker_id, seq)`` batches *and* the affected
+    query ids, so a serving tier can fail exactly the in-flight RPCs
+    that will never get an answer instead of failing the connection.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        pending: Sequence[tuple[WorkerId, int]] = (),
+        query_ids: Sequence[int] = (),
+    ) -> None:
+        super().__init__(message)
+        #: Unacknowledged ``(worker_id, seq)`` batches at expiry (empty
+        #: from the threaded executor, which dispatches unbatched).
+        self.pending: tuple[tuple[WorkerId, int], ...] = tuple(pending)
+        #: Every query implicated in those batches, plus queries still
+        #: unresolved at expiry.
+        self.query_ids: tuple[int, ...] = tuple(query_ids)
+
+
 class MPRExecutor(ABC):
     """The contract every core-matrix executor satisfies.
 
@@ -96,8 +120,13 @@ class MPRExecutor(ABC):
         """Release any buffered dispatch (latency over amortization)."""
 
     @abstractmethod
-    def drain(self) -> dict[int, list[Neighbor]]:
-        """Quiesce and return answers of queries since the last drain."""
+    def drain(self, timeout: float | None = None) -> dict[int, list[Neighbor]]:
+        """Quiesce and return answers of queries since the last drain.
+
+        ``timeout`` bounds the wait in seconds (``None`` = unbounded);
+        on expiry :class:`QuiesceTimeout` names the stuck queries, and
+        everything submitted stays pending for a later drain.
+        """
 
     def run(self, tasks: Sequence[Task]) -> dict[int, list[Neighbor]]:
         """Execute a task stream; return ``query_id -> aggregated kNN``."""
@@ -359,9 +388,10 @@ class ThreadedMPRExecutor(MPRExecutor):
             )
             for worker_id, cell in contents.items()
         }
-        #: Pending query bookkeeping since the last drain.
+        #: Pending query bookkeeping since the last completed drain.
         self._expected: dict[int, int] = {}
         self._ks: dict[int, int] = {}
+        self._partials: dict[int, list[list[Neighbor]]] = {}
         self._started = False
         self._closed = False
         self._running = False  # fast flag for the per-submit start check
@@ -469,16 +499,25 @@ class ThreadedMPRExecutor(MPRExecutor):
     def flush(self) -> None:
         """No-op: the threaded path dispatches per task, unbuffered."""
 
-    def drain(self) -> dict[int, list[Neighbor]]:
-        """Wait for every queue to empty; merge and return the answers."""
+    def drain(self, timeout: float | None = None) -> dict[int, list[Neighbor]]:
+        """Wait for every queue to empty; merge and return the answers.
+
+        With a ``timeout``, workers still busy at expiry raise
+        :class:`QuiesceTimeout` naming the queries short of partials;
+        all bookkeeping carries over to the next drain.
+        """
         self.start()
-        barriers: list[_Barrier] = []
-        for worker in self._workers.values():
-            barrier = _Barrier()
-            worker.tasks.put(barrier)
-            barriers.append(barrier)
-        for barrier in barriers:
-            barrier.event.wait()
+        wall = None if timeout is None else time.monotonic() + timeout
+        barriers = {worker_id: _Barrier() for worker_id in self._workers}
+        for worker_id, barrier in barriers.items():
+            self._workers[worker_id].tasks.put(barrier)
+        stuck = [
+            worker_id
+            for worker_id, barrier in barriers.items()
+            if not barrier.event.wait(
+                None if wall is None else max(wall - time.monotonic(), 0.0)
+            )
+        ]
         for worker in self._workers.values():
             if worker.error is not None:
                 raise RuntimeError(
@@ -486,13 +525,23 @@ class ThreadedMPRExecutor(MPRExecutor):
                 ) from worker.error
 
         telemetry = self._telemetry
-        partials: dict[int, list[list[Neighbor]]] = {}
+        partials = self._partials
         while not self._results.empty():
             worker_id, batch, sent, stamps = self._results.get_nowait()
             for query_id, partial in batch:
                 partials.setdefault(query_id, []).append(partial)
             if stamps is not None:
                 record_batch_stamps(telemetry, worker_id, sent, stamps)
+        if stuck:
+            affected = sorted(
+                query_id for query_id, expected in self._expected.items()
+                if len(partials.get(query_id, ())) < expected
+            )
+            raise QuiesceTimeout(
+                f"executor did not quiesce within {timeout} s; workers "
+                f"still busy: {stuck}; affected query ids: {affected}",
+                query_ids=affected,
+            )
 
         answers: dict[int, list[Neighbor]] = {}
         for query_id, parts in partials.items():
@@ -519,6 +568,7 @@ class ThreadedMPRExecutor(MPRExecutor):
                 )
         self._expected.clear()
         self._ks.clear()
+        partials.clear()
         if self._resilience.enabled:
             self._settle_resilient(answers)
         return answers

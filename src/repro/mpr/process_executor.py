@@ -54,10 +54,8 @@ Per-stage timings and counters stream into a
 calibration (:func:`repro.sim.measurement.machine_spec_from_pool`)
 consume.
 
-Use :func:`run_batch_speedup` for the historical headline
-demonstration (1 vs N workers).  Construction goes through
-:func:`repro.mpr.api.build_executor` (``mode="process"``), the one
-public construction path.
+Construction goes through :func:`repro.mpr.api.build_executor`
+(``mode="process"``), the one public construction path.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ import heapq
 import multiprocessing as mp
 import time
 from multiprocessing import connection as mp_connection
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..graph.kernels import KERNEL_CALLS
@@ -83,7 +80,7 @@ from .core_matrix import (
     WorkerId,
     encode_op,
 )
-from .executor import MPRExecutor, record_batch_stamps
+from .executor import MPRExecutor, QuiesceTimeout, record_batch_stamps
 from .reconfig import ReconfigEvent, ReconfigRejected
 from .resilience import (
     CircuitBreaker,
@@ -231,29 +228,6 @@ class _WorkerState:
 
 class WorkerCrash(RuntimeError):
     """A worker died irrecoverably (poison task or respawn limit)."""
-
-
-class QuiesceTimeout(TimeoutError):
-    """``drain(timeout=)`` expired with batches still outstanding.
-
-    Carries the stuck ``(worker_id, seq)`` batches *and* the affected
-    query ids, so a serving tier can fail exactly the in-flight RPCs
-    that will never get an answer instead of failing the connection.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        pending: Sequence[tuple[WorkerId, int]] = (),
-        query_ids: Sequence[int] = (),
-    ) -> None:
-        super().__init__(message)
-        #: Unacknowledged ``(worker_id, seq)`` batches at expiry.
-        self.pending: tuple[tuple[WorkerId, int], ...] = tuple(pending)
-        #: Every query implicated in those batches, plus queries still
-        #: unresolved at expiry.
-        self.query_ids: tuple[int, ...] = tuple(query_ids)
 
 
 class _PendingQuery:
@@ -1068,7 +1042,10 @@ class ProcessPoolService(MPRExecutor):
         state.sent_at.pop(seq, None)
         if ops is not None:
             state.poisoned[seq] = ops
-            self._resilience.admission.acked(state.worker_id, len(ops))
+            if state.group == "current":
+                # As in _handle_done: after a cutover the ledger's keys
+                # belong to the new shape's same-id workers.
+                self._resilience.admission.acked(state.worker_id, len(ops))
             self.metrics.batches_quarantined += 1
             self._telemetry.count("resilience.quarantined")
         state.down = True  # exit is expected: skip the breaker
@@ -1769,65 +1746,3 @@ class ProcessPoolService(MPRExecutor):
         self._spawn(state)
         state.down = False
         state.replay()
-
-
-@dataclass(frozen=True)
-class SpeedupReport:
-    """Wall-clock comparison of 1-worker vs N-worker batch execution."""
-
-    num_queries: int
-    workers: int
-    serial_seconds: float
-    parallel_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        if self.parallel_seconds <= 0:
-            return float("inf")
-        return self.serial_seconds / self.parallel_seconds
-
-
-def run_batch_speedup(
-    solution: KNNSolution,
-    objects: Mapping[int, int],
-    query_locations: Sequence[int],
-    k: int = 10,
-    workers: int = 4,
-    start_method: str = "fork",
-    batch_size: int = 16,
-) -> SpeedupReport:
-    """Execute a query batch on 1 process vs ``workers`` processes.
-
-    Uses an F-Rep arrangement (x = 1, y = workers): each process holds
-    the full object set, queries round-robin across processes — the
-    configuration MPR picks for a pure-query load.  Demonstrates that
-    process-level replication achieves the speedup the GIL denies to
-    threads (bench_motivation's counterpart, with real parallelism).
-    """
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    from ..objects.tasks import QueryTask
-
-    tasks = [
-        QueryTask(float(position), position, location, k)
-        for position, location in enumerate(query_locations)
-    ]
-
-    def timed_run(num_workers: int) -> float:
-        config = MPRConfig(1, num_workers, 1)
-        with ProcessPoolService(
-            solution, config, dict(objects),
-            batch_size=batch_size, start_method=start_method,
-        ) as pool:
-            start = time.perf_counter()
-            pool.run(tasks)
-            return time.perf_counter() - start
-
-    serial = timed_run(1)
-    parallel = timed_run(workers)
-    return SpeedupReport(
-        num_queries=len(query_locations),
-        workers=workers,
-        serial_seconds=serial,
-        parallel_seconds=parallel,
-    )

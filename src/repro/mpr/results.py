@@ -1,20 +1,16 @@
 """The typed query-result envelope shared by library and wire protocol.
 
-Before this module, an executor answer was one of three shapes a caller
-had to ``isinstance``-sniff: a plain ``list[Neighbor]``, a degraded
-:class:`~repro.knn.base.PartialResult`, or a typed falsy
-:class:`~repro.mpr.resilience.Overloaded` verdict — and a drain timeout
-was a fourth shape (an exception).  :class:`QueryResult` collapses all
-of them into one envelope with an explicit :class:`ResultStatus`, used
-identically by the in-process API (:meth:`repro.mpr.api.MPRSystem.
-submit_async`, :meth:`~repro.mpr.api.MPRSystem.run_results`) and by the
+An executor's raw answer is one of three shapes — a plain
+``list[Neighbor]``, a degraded :class:`~repro.knn.base.PartialResult`,
+or a typed falsy :class:`~repro.mpr.resilience.Overloaded` verdict —
+and a drain timeout is a fourth (an exception).  :class:`QueryResult`
+collapses all of them into one envelope with an explicit
+:class:`ResultStatus`, used identically by the in-process API
+(:meth:`repro.mpr.api.MPRSystem.submit_async`,
+:meth:`~repro.mpr.api.MPRSystem.run_results`) and by the
 ``repro.serve`` wire protocol: :meth:`QueryResult.to_wire` is the
 payload a server frame carries, and ``from_wire(to_wire(r)) == r``
 round-trips byte-for-byte under the protocol's canonical JSON encoding.
-
-The raw answer shapes remain constructible from the envelope via
-:attr:`QueryResult.answer` — the thin compat accessor that keeps
-``run()``-era callers working on plain neighbor lists.
 """
 
 from __future__ import annotations
@@ -88,25 +84,6 @@ class QueryResult:
         """Whether resubmitting the same query verbatim is sensible."""
         return self.status in RETRYABLE_STATUSES
 
-    @property
-    def answer(self):
-        """The legacy answer shape (the thin ``run()`` compat accessor).
-
-        ``OK`` yields a plain ``list[Neighbor]``, ``PARTIAL`` a
-        :class:`~repro.knn.base.PartialResult`, ``OVERLOADED`` the
-        typed falsy :class:`~repro.mpr.resilience.Overloaded` verdict.
-        ``TIMEOUT``/``ERROR`` have no answer shape and yield ``None``.
-        """
-        if self.status is ResultStatus.OK:
-            return list(self.neighbors)
-        if self.status is ResultStatus.PARTIAL:
-            return PartialResult(self.neighbors, self.missing_columns)
-        if self.status is ResultStatus.OVERLOADED:
-            return Overloaded(
-                self.query_id, self.outstanding or 0, self.bound or 0
-            )
-        return None
-
     def with_retry_after(self, retry_after: float | None) -> "QueryResult":
         """A copy carrying a server-side backoff hint (no-op if None)."""
         if retry_after is None:
@@ -118,14 +95,14 @@ class QueryResult:
         )
 
     # ------------------------------------------------------------------
-    # Classification from the legacy shapes
+    # Classification from the raw executor shapes
     # ------------------------------------------------------------------
     @classmethod
     def from_answer(cls, query_id: int, answer: Any) -> "QueryResult":
         """Wrap one raw executor answer into the envelope.
 
         ``None`` (no answer produced — e.g. a drain timeout swallowed
-        the query) maps to ``TIMEOUT``; the three legacy shapes map to
+        the query) maps to ``TIMEOUT``; the three raw shapes map to
         their statuses.
         """
         if answer is None:

@@ -13,22 +13,10 @@ from .measurement import (
     synthetic_stream,
 )
 from .system import QueryOutcome, SimulatedMPRSystem, SystemStats
-from .trace import (
-    LatencyDigest,
-    bottleneck,
-    digest_latencies,
-    latency_histogram,
-    utilization_report,
-)
 
 __all__ = [
     "InLoopResult",
     "simulate_with_execution",
-    "LatencyDigest",
-    "bottleneck",
-    "digest_latencies",
-    "latency_histogram",
-    "utilization_report",
     "FCFSServer",
     "ServiceSampler",
     "Measurement",

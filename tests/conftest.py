@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
 from repro.graph import RoadNetwork, grid_network, ring_radial_network
+from repro.knn import DijkstraKNN
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +47,19 @@ def place_objects(network: RoadNetwork, count: int, seed: int = 7) -> dict[int, 
 @pytest.fixture()
 def grid_objects(small_grid: RoadNetwork) -> dict[int, int]:
     return place_objects(small_grid, 15)
+
+
+def gated_solution(network: RoadNetwork) -> tuple[DijkstraKNN, threading.Event]:
+    """A solution whose workers block every op batch until the returned
+    gate is set — a stuck worker thread on demand (thread mode only)."""
+    gate = threading.Event()
+
+    class GatedKNN(DijkstraKNN):
+        def spawn(self, objects):
+            return GatedKNN(self._network, objects)
+
+        def run_ops(self, ops, op_timings=None):
+            gate.wait(timeout=30)
+            return super().run_ops(ops, op_timings)
+
+    return GatedKNN(network), gate

@@ -1,13 +1,14 @@
 """The unified construction API: build_executor, MPRSystem.
 
-Pins the redesign's contract: one entry point builds every substrate,
-construction is warning-free everywhere (the PR-3-era deprecation
-shims are gone), telemetry threads through whichever substrate is
-chosen, and the async surface (submit_async/run_results) returns
-QueryResult envelopes while locking out the batch surface.
+Pins the API's contract: one entry point builds every substrate,
+construction is warning-free everywhere, telemetry threads through
+whichever substrate is chosen, and MPRSystem's task surface
+(submit_async/run_results) returns QueryResult envelopes.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -22,8 +23,10 @@ from repro.mpr import (
 )
 from repro.mpr import QueryResult, ResultStatus
 from repro.mpr.api import EXECUTOR_MODES
+from repro.objects.tasks import QueryTask
 from repro.obs import NULL_TELEMETRY, TRACE_STAGES, Telemetry
 from repro.workload import UpdateMode, generate_workload
+from tests.conftest import gated_solution
 
 CONFIG = MPRConfig(2, 2, 1)
 
@@ -153,8 +156,11 @@ def test_mpr_system_defaults_to_enabled_telemetry(small_grid) -> None:
     with MPRSystem(
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects
     ) as system:
-        answers = system.run(workload.tasks)
-    assert answers == oracle
+        results = system.run_results(workload.tasks)
+    assert {
+        query_id: list(result.neighbors)
+        for query_id, result in results.items()
+    } == oracle
     assert system.telemetry.enabled
     assert system.config == CONFIG
 
@@ -189,11 +195,12 @@ def test_mpr_system_streaming_lifecycle(small_grid) -> None:
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects
     )
     system.start()
-    answers = {}
-    for task in workload.tasks:
-        system.submit(task)
-    system.flush()
-    answers.update(system.drain())
+    futures = [(task, system.submit_async(task)) for task in workload.tasks]
+    answers = {
+        task.query_id: list(future.result(timeout=30).neighbors)
+        for task, future in futures
+        if task.kind.value == "query"
+    }
     system.close()
     assert answers == oracle
 
@@ -239,19 +246,15 @@ def test_submit_async_matches_oracle_and_locks_batch_surface(
             if task.kind.value == "query":
                 assert isinstance(outcome, QueryResult)
                 assert outcome.status is ResultStatus.OK
-                answers[task.query_id] = outcome.answer
+                answers[task.query_id] = list(outcome.neighbors)
             else:
                 assert outcome is None
         assert answers == oracle
-        # The pump owns the executor now: the batch surface is locked.
-        with pytest.raises(RuntimeError, match="completion pump"):
-            system.submit(workload.tasks[0])
-        with pytest.raises(RuntimeError, match="completion pump"):
-            system.flush()
-        with pytest.raises(RuntimeError, match="completion pump"):
-            system.drain()
-        with pytest.raises(RuntimeError, match="completion pump"):
-            system.run(workload.tasks)
+        # The pump owns the executor now, and nothing on the facade
+        # can reach around it: the blocking cycle lives on
+        # ``system.executor`` only.
+        for name in ("submit", "flush", "drain", "run"):
+            assert not hasattr(system, name)
     finally:
         system.close()
 
@@ -268,7 +271,27 @@ def test_run_results_envelopes_without_pump(small_grid) -> None:
     assert set(results) == set(oracle)
     for query_id, result in results.items():
         assert result.status is ResultStatus.OK
-        assert result.answer == oracle[query_id]
+        assert list(result.neighbors) == oracle[query_id]
+
+
+def test_thread_mode_pump_times_out_a_stuck_worker(small_grid) -> None:
+    """Both substrates honour ``drain(timeout=)``, so a worker thread
+    that never finishes costs its queries a ``TIMEOUT`` envelope after
+    the pump's drain timeout — not a hung future."""
+    solution, gate = gated_solution(small_grid)
+    system = MPRSystem(
+        MPRConfig(1, 1, 1), solution, {1: 0},
+        pump_drain_timeout=0.2,
+    )
+    try:
+        started = time.monotonic()
+        result = system.submit_async(QueryTask(0.0, 7, 3, 1)).result(timeout=10)
+        assert result.status is ResultStatus.TIMEOUT
+        assert "7" in result.detail
+        assert time.monotonic() - started < 5.0
+    finally:
+        gate.set()  # let the worker finish so close() can join it
+        system.close()
 
 
 def test_submit_async_after_close_raises(small_grid) -> None:

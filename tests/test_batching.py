@@ -1,4 +1,4 @@
-"""The adaptive batch-size model, recommender, and controller."""
+"""The adaptive batch-size model and recommender."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.knn import DijkstraKNN
 from repro.mpr import (
-    BatchSizeController,
     MPRConfig,
     build_executor,
     modeled_batch_rq,
@@ -77,38 +76,6 @@ class TestRecommendBatchSize:
         # A fresh handle calibrates to MachineSpec defaults: tiny
         # per-message cost, so even fast streams stay near b = 1.
         assert recommend_batch_size(Telemetry(), 10.0) == 1
-
-
-class TestBatchSizeController:
-    def test_accepts_clear_improvements(self) -> None:
-        controller = BatchSizeController(
-            current=1, improvement_threshold=0.1
-        )
-        chosen = controller.propose(ack_heavy_telemetry(), 1e5)
-        assert chosen > 1
-        assert controller.current == chosen
-        assert controller.history[-1][3] is True
-
-    def test_hysteresis_holds_on_marginal_gains(self) -> None:
-        controller = BatchSizeController(
-            current=8, improvement_threshold=10.0
-        )
-        assert controller.propose(ack_heavy_telemetry(), 1e5) == 8
-        assert controller.history[-1][3] is False
-
-    def test_escapes_infinite_current(self) -> None:
-        # current > 1 with no arrivals models as inf; any finite
-        # candidate must win regardless of the relative threshold.
-        controller = BatchSizeController(
-            current=16, improvement_threshold=1.0
-        )
-        assert controller.propose(ack_heavy_telemetry(), 0.0) == 1
-
-    def test_validation(self) -> None:
-        with pytest.raises(ValueError):
-            BatchSizeController(current=0)
-        with pytest.raises(ValueError):
-            BatchSizeController(improvement_threshold=-0.5)
 
 
 class TestPoolPlumbing:

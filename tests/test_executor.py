@@ -3,8 +3,15 @@
 import pytest
 
 from repro.knn import DijkstraKNN, GTreeKNN, ToainKNN, VTreeKNN
-from repro.mpr import MPRConfig, build_executor, run_serial_reference
+from repro.mpr import (
+    MPRConfig,
+    QuiesceTimeout,
+    build_executor,
+    run_serial_reference,
+)
+from repro.objects.tasks import QueryTask
 from repro.workload import UpdateMode, generate_workload
+from tests.conftest import gated_solution
 
 CONFIGS = [
     MPRConfig(1, 4, 1),   # F-Rep shape
@@ -116,3 +123,17 @@ def test_worker_error_is_propagated(medium_grid):
     worker.tasks.put(None)
     worker.thread.join()
     assert worker.error is not None
+
+
+def test_drain_timeout_names_stuck_queries_and_carries_over(small_grid):
+    solution, gate = gated_solution(small_grid)
+    tasks = [QueryTask(0.0, 7, 3, 1)]
+    with build_executor(MPRConfig(1, 1, 1), solution, {1: 0}) as executor:
+        executor.submit(tasks[0])
+        with pytest.raises(QuiesceTimeout) as info:
+            executor.drain(timeout=0.05)
+        assert info.value.query_ids == (7,)
+        gate.set()
+        assert executor.drain(timeout=10.0) == run_serial_reference(
+            DijkstraKNN(small_grid), {1: 0}, tasks
+        )

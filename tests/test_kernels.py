@@ -28,7 +28,7 @@ from repro.graph.shortest_path import (
     dijkstra_heapq,
     multi_source_dijkstra_heapq,
 )
-from repro.knn import DijkstraKNN
+from repro.knn import IERKNN, DijkstraKNN
 from tests.conftest import place_objects
 
 
@@ -252,6 +252,17 @@ class TestDelegation:
         before = KERNEL_CALLS["sssp"]
         dijkstra(small_grid, 0)
         assert KERNEL_CALLS["sssp"] == before
+
+    def test_knn_solutions_take_the_kernel_paths(self, small_grid) -> None:
+        objects = place_objects(small_grid, 12)
+        before = KERNEL_CALLS.copy()
+        answer = DijkstraKNN(small_grid, objects).query(7, 5)
+        assert KERNEL_CALLS["topk"] == before["topk"] + 1
+        ier_answer = IERKNN(small_grid, objects).query(7, 5)
+        assert KERNEL_CALLS["expander"] > before["expander"]
+        assert [n.object_id for n in ier_answer] == [
+            n.object_id for n in answer
+        ]
 
     def test_kernels_are_per_thread(self, small_grid) -> None:
         import threading

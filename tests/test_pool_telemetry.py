@@ -125,3 +125,30 @@ def test_interleaved_batch_is_one_stamped_sweep(network) -> None:
     assert telemetry.counters["exec.batch_queries"] == 3
     assert telemetry.histogram("update").count == 2
     assert_traces_complete(telemetry, 3)
+
+
+def test_one_kernel_sweep_per_dispatched_batch(network) -> None:
+    """An object moves after every second query, so every worker batch
+    interleaves queries with updates — and each is still exactly one
+    ``knn_batch`` sweep, never a solo ``topk`` search.  (Batch acks
+    carry the worker process's ``KERNEL_CALLS`` delta to the parent.)"""
+    objects = {i: (i * 7) % network.num_nodes for i in range(12)}
+    tasks: list = []
+    for i in range(24):
+        tasks.append(QueryTask(float(i), i, (i * 11) % network.num_nodes, 3))
+        if i % 2:
+            mover = i % len(objects)
+            tasks.append(DeleteTask(i + 0.25, mover))
+            tasks.append(
+                InsertTask(i + 0.5, mover, (i * 13) % network.num_nodes)
+            )
+    oracle = run_serial_reference(DijkstraKNN(network), objects, tasks)
+    telemetry = Telemetry()
+    with build_executor(
+        MPRConfig(1, 1, 1), DijkstraKNN(network), objects,
+        mode="process", batch_size=16, telemetry=telemetry,
+    ) as pool:
+        before = KERNEL_CALLS.copy()
+        assert pool.run(tasks) == oracle
+    assert KERNEL_CALLS - before == {"knn_batch": len(tasks) // 16}
+    assert telemetry.counters["exec.batches"] == len(tasks) // 16

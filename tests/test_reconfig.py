@@ -59,6 +59,29 @@ def make_tasks(network, count=24, k=4):
 
 
 # ----------------------------------------------------------------------
+# Cutover bookkeeping (fast: no process is spawned)
+# ----------------------------------------------------------------------
+def test_poison_from_retiring_worker_leaves_new_shape_admission_alone() -> None:
+    """After a cutover the admission ledger is keyed by the *new*
+    shape's workers; a poison report from a retiring worker with the
+    same id must not release load the new worker still carries."""
+    from repro.mpr.process_executor import _WorkerState
+
+    _, _, _, pool = make_pool(resilience=ResilienceConfig())
+    worker_id = (0, 0, 0)
+    admission = pool._resilience.admission
+    admission.dispatched((worker_id,), 3)  # in flight on the new shape
+    retiring = _WorkerState(worker_id, {})
+    retiring.group = "retiring"
+    retiring.unacked[0] = (("query", 1, 5, 2), ("query", 2, 9, 2))
+    pool._handle(("error", worker_id, 0, "boom"), retiring)
+    assert 0 in retiring.poisoned and not retiring.unacked
+    assert pool.metrics.batches_quarantined == 1
+    assert admission.load(worker_id) == 3
+    pool.close()
+
+
+# ----------------------------------------------------------------------
 # Decision layer (fast)
 # ----------------------------------------------------------------------
 def test_reconfig_event_serializes_shapes_as_lists() -> None:
@@ -314,7 +337,7 @@ def test_mpr_system_reconfigures_through_the_pump() -> None:
     assert all(result.status.value == "ok" for result in results)
     oracle = run_serial_reference(base, objects, tasks)
     for task, result in zip(tasks, results):
-        assert list(result.answer) == list(oracle[task.query_id])
+        assert list(result.neighbors) == list(oracle[task.query_id])
     history = system.reconfig_history
     assert [e.outcome for e in history] == ["completed"]
     stats = system.stats()
@@ -341,10 +364,10 @@ def test_enable_auto_reconfigure_manual_poll() -> None:
         )
         manager.poll(now=0.0)
         for task in make_tasks(network, count=300, k=2):
-            system.submit(task)
+            system.executor.submit(task)
         manager.poll(now=0.005)
         event = manager.poll(now=0.01)
-        system.drain()
+        system.executor.drain()
     assert event is not None and event.outcome == "completed"
     assert event.trigger == "auto"
     assert system.config != MPRConfig(2, 2, 1)

@@ -39,6 +39,30 @@ def _interleaved_best(run_base, run_resilient, repeats):
     return base_best, resilient_best
 
 
+def _assert_overhead_within(
+    run_base, run_resilient, *, repeats, factor, slack, what
+):
+    """Individual runs vary by ±30% under scheduler contention while
+    the true resilience cost is a few percent at most, so a single
+    min-of-N round can still flake.  Measure up to three independent
+    interleaved rounds and pass on the first clean one: noise clears
+    within a round or two, but a genuine regression fails all three."""
+    rounds = []
+    for _ in range(3):
+        base_best, resilient_best = _interleaved_best(
+            run_base, run_resilient, repeats
+        )
+        if resilient_best <= base_best * factor + slack:
+            return
+        rounds.append((base_best, resilient_best))
+    pytest.fail(
+        f"{what} exceeded {factor - 1:.0%} in all rounds: " + ", ".join(
+            f"{r * 1e3:.2f}ms vs {b * 1e3:.2f}ms ({(r / b - 1) * 100:+.1f}%)"
+            for b, r in rounds
+        )
+    )
+
+
 @pytest.mark.slow
 def test_idle_resilience_threaded_overhead_under_five_percent(
     small_grid,
@@ -62,19 +86,16 @@ def test_idle_resilience_threaded_overhead_under_five_percent(
         executor.close()
         return elapsed
 
-    base_best, resilient_best = _interleaved_best(
-        lambda: run_with(None), lambda: run_with(resilience), repeats=9
-    )
     # Enabled resilience does real per-query work on this substrate
     # (queue-depth reads for admission, a clock read to arm the SLO) —
     # a few µs per query, which the constant-time solution magnifies
     # to ~10% where any real kNN search would dwarf it.  This is a
     # regression tripwire, not the 5% acceptance bound; that bound is
     # the pool's, pinned below.
-    assert resilient_best <= base_best * 1.15 + 2e-3, (
-        f"idle-resilience threaded executor {resilient_best * 1e3:.2f}ms vs "
-        f"disabled {base_best * 1e3:.2f}ms "
-        f"({(resilient_best / base_best - 1) * 100:+.1f}%)"
+    _assert_overhead_within(
+        lambda: run_with(None), lambda: run_with(resilience),
+        repeats=9, factor=1.15, slack=2e-3,
+        what="idle-resilience threaded executor",
     )
 
 
@@ -114,22 +135,8 @@ def test_idle_resilience_pool_throughput_within_five_percent(
             assert pool.metrics.shed == 0
         return elapsed
 
-    # Individual pool runs vary by ±30% under scheduler contention
-    # while the true resilience cost is <1%, so a single min-of-N round
-    # can still flake.  Measure up to three independent rounds and pass
-    # on the first clean one: noise clears within a round or two, but a
-    # genuine >5% regression fails all three.
-    rounds = []
-    for _ in range(3):
-        base_best, resilient_best = _interleaved_best(
-            lambda: run_with(None), lambda: run_with(resilience), repeats=6
-        )
-        rounds.append((base_best, resilient_best))
-        if resilient_best <= base_best * 1.05 + 1e-2:
-            return
-    pytest.fail(
-        "idle-resilience pool exceeded 5% in all rounds: " + ", ".join(
-            f"{r * 1e3:.1f}ms vs {b * 1e3:.1f}ms ({(r / b - 1) * 100:+.1f}%)"
-            for b, r in rounds
-        )
+    _assert_overhead_within(
+        lambda: run_with(None), lambda: run_with(resilience),
+        repeats=6, factor=1.05, slack=1e-2,
+        what="idle-resilience pool",
     )

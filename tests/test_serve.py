@@ -74,19 +74,21 @@ def test_query_result_round_trips_every_status() -> None:
 
 
 def test_envelope_answer_compat_accessor() -> None:
+    """``from_answer`` classifies every raw executor answer shape."""
     from repro.knn.base import PartialResult
     from repro.mpr import Overloaded
 
     ok = QueryResult.from_answer(1, [Neighbor(1.0, 2)])
-    assert ok.answer == [Neighbor(1.0, 2)]
+    assert ok.ok and ok.neighbors == (Neighbor(1.0, 2),)
     partial = QueryResult.from_answer(
         2, PartialResult([Neighbor(1.0, 2)], missing_columns=[(0, 0)])
     )
-    assert isinstance(partial.answer, PartialResult)
-    assert partial.answer.missing_columns == ((0, 0),)
+    assert partial.status is ResultStatus.PARTIAL
+    assert partial.neighbors == (Neighbor(1.0, 2),)
+    assert partial.missing_columns == ((0, 0),)
     shed = QueryResult.from_answer(3, Overloaded(3, 10, 4))
-    assert isinstance(shed.answer, Overloaded)
-    assert not shed.answer  # the verdict stays falsy through the envelope
+    assert shed.status is ResultStatus.OVERLOADED
+    assert (shed.outstanding, shed.bound) == (10, 4)
     assert QueryResult.from_answer(4, None).status is ResultStatus.TIMEOUT
 
 

@@ -97,7 +97,7 @@ def test_report_roundtrip(tmp_path):
 def test_checked_in_validation_artifact_contract():
     assert ARTIFACT.exists(), (
         "benchmarks/results/validation.json missing — run "
-        "`PYTHONPATH=src python tools/validate_run.py` and commit the result"
+        "`PYTHONPATH=src python -m repro.cli validate` and commit the result"
     )
     payload = json.loads(ARTIFACT.read_text())
     assert payload["ok"] is True
@@ -125,19 +125,6 @@ def test_checked_in_validation_artifact_contract():
     assert payload["throughput"], "no throughput checks in the artifact"
     assert all(t["passed"] for t in payload["throughput"])
     assert payload["tolerances"]["sim_rq_factor"] >= 1.0
-
-
-def test_bench_entry_reflects_artifact():
-    bench_path = Path(__file__).parent.parent / "BENCH_knn.json"
-    bench = json.loads(bench_path.read_text())
-    assert "model_validation" in bench, (
-        "BENCH_knn.json lacks the model_validation entry — rerun "
-        "tools/validate_run.py"
-    )
-    entry = bench["model_validation"]
-    assert entry["ok"] is True
-    assert entry["failed_cells"] == 0
-    assert entry["enforced_cells"] >= 9
 
 
 # ----------------------------------------------------------------------

@@ -40,11 +40,11 @@ run_lane() {
             ;;
         chaos)
             python -m pytest -x -q -m slow -k chaos
-            python tools/chaos_run.py --repeat 2
+            python -m repro.cli chaos --repeat 2
             ;;
         validate)
             python -m pytest -x -q -m slow -k "validation or continuous"
-            python tools/validate_run.py --no-artifacts
+            python -m repro.cli validate --no-artifacts
             ;;
         scale)
             python tools/bench_graph_scale.py --smoke

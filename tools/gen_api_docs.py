@@ -66,8 +66,8 @@ Results are **bit-for-bit identical** to the `heapq` engines
 recorded in `benchmarks/results/knn_kernels.txt`.  The free functions
 `dijkstra`/`multi_source_dijkstra` delegate to the kernels automatically
 at `KERNEL_MIN_NODES` and above; `DijkstraKNN` and `IERKNN` always use
-them.  `KERNEL_CALLS` counts kernel entries so tests and
-`tools/bench_smoke.py` can assert the fast path is actually taken.
+them.  `KERNEL_CALLS` counts kernel entries so tests can assert the
+fast path is actually taken.
 
 **Buffer-reuse contract**: a `CSRKernels` instance preallocates its
 distance/owner buffers once and reuses them across calls, so an
@@ -258,8 +258,8 @@ flattened `(row, node)` product space.  Per-query results are
 bit-identical to `topk_objects` (`tests/test_knn_batch.py` pins ≥200
 randomized cases); duplicate sources may share result arrays, so treat
 them as read-only.  `benchmarks/results/batch_knn.txt` records the
-speedup (≥2x at batch ≥32 on the 102k-node grid), and
-`tools/bench_repo.py` snapshots per-op latency into `BENCH_knn.json`.
+speedup (≥2x at batch ≥32 on the 102k-node grid), and mprbench
+(`bench/`) tracks per-op latency as `knn.dijkstra_knn.query_batch_us`.
 
 `KNNSolution.run_ops(ops, op_timings=None)` is the op-batch entry
 point a w-core executes each dispatched batch through.  `ops` is the
@@ -311,8 +311,7 @@ ack, keeping the parent's counters truthful across `fork`.
 scores a batch size as fill-wait `(b-1)/(2λ)` + τ' + amortized
 dispatch + execute + fanout·merge, with stage costs calibrated from
 live telemetry via `machine_spec_from_telemetry`;
-`recommend_batch_size` minimizes it over a candidate grid, and
-`BatchSizeController` adds improvement-threshold hysteresis.
+`recommend_batch_size` minimizes it over a candidate grid.
 `ProcessPoolService.set_batch_size` / `retune_batch_size` (and
 `MPRSystem.retune_batch_size`) apply the choice to a running pool,
 flushing buffered ops first so the switch is FCFS-transparent.
@@ -388,8 +387,8 @@ universal slowness, a poison batch, dropped acks — see `SCENARIOS`),
 drains, and returns a `ChaosReport` asserting the invariants: the drain
 terminated, plain answers equal the serial oracle, degraded answers are
 internally consistent, traces are complete, and the deadline-miss rate
-is bounded.  `tools/chaos_run.py` (or `repro.cli chaos`) runs the sweep
-from the command line; CI runs it as the `chaos` job.
+is bounded.  `repro.cli chaos` runs the sweep from the command line
+(`--repeat N` for a soak); CI runs it as the `chaos` job.
 """,
     ),
     (
@@ -453,9 +452,7 @@ timings in `ReconfigEvent.phases`, and the full transition history via
 `repro.validation.run_reconfig_soak` / `tools/reconfig_soak.py`
 (`bash tools/ci.sh reconfig`): a non-stationary workload must
 drive ≥2 automatic shape changes with zero dropped queries,
-oracle-exact answers, and complete traces; `tools/bench_repo.py`
-records the transition-latency percentiles as the `reconfig` row of
-`BENCH_knn.json`.
+oracle-exact answers, and complete traces.
 """,
     ),
     (
@@ -475,18 +472,19 @@ queries are read-only, retrying is safe), and `error` (irrecoverable
 executor failure).  `RETRYABLE_STATUSES` is `(overloaded, timeout)`.
 `QueryResult.to_wire()` / `from_wire()` round-trip byte-for-byte under
 the protocol's canonical JSON, so the library and the wire share one
-result type; the `.answer` property reconstructs the legacy shape
-(`list[Neighbor]` / `PartialResult` / `Overloaded`) for `run()`-era
-callers.
+result type.
 
-**The async surface.**  `MPRSystem.submit_async(task)` returns a
+**The task surface.**  `MPRSystem.submit_async(task)` returns a
 `concurrent.futures.Future` resolving to a `QueryResult` (queries) or
 `None` (updates) — no `drain()` barrier.  First use starts a
-completion pump that owns the executor and locks out the batch surface
-(`submit`/`flush`/`drain`/`run` raise) until `close()`;
-`run_results(tasks)` is the batched envelope-returning equivalent on
-either surface.  A `drain(timeout=)` expiry raises `QuiesceTimeout`
-whose `query_ids` lists every affected query.
+completion pump that owns the executor until `close()`;
+`run_results(tasks)` executes a whole stream and returns the envelopes,
+through the pump once it is running.  The raw blocking
+`submit`/`flush`/`drain`/`run` cycle is the executor's
+(`system.executor`), not the facade's.  On either substrate a
+`drain(timeout=)` expiry raises `QuiesceTimeout` whose `query_ids`
+lists every affected query; the pump turns those into `timeout`
+envelopes.
 
 **Wire protocol.**  Frames are 4-byte big-endian length + canonical
 JSON (`sort_keys`, no spaces), capped at `MAX_FRAME_BYTES` (1 MiB).
@@ -510,23 +508,17 @@ executor's resilience machinery (`resilience.deadline_misses` moves).
 `repro.cli serve` starts a server; `tools/serve_loadtest.py` drives
 ≥1000 concurrent clients with non-stationary arrivals and records
 qps/p50/p99, shed rate, and fairness spread into
-`benchmarks/results/serve.{json,txt}` and the `serve` row of
-`BENCH_knn.json` (`bash tools/ci.sh serve` runs the smoke-sized
-version).
+`benchmarks/results/serve.{json,txt}` (`bash tools/ci.sh serve` runs
+the smoke-sized version).
 
-**Migration (old → new).**
+**Raw executor answers → envelope** (`QueryResult.from_answer`).
 
-| Before | After |
+| `executor.run()` / `drain()` gives | `MPRSystem` gives |
 | --- | --- |
-| `answers = system.run(tasks)` then `isinstance`-sniffing `list` / `PartialResult` / `Overloaded` | `system.run_results(tasks)` → `dict[int, QueryResult]`, branch on `result.status` |
-| `system.submit(t)`; `system.flush()`; `system.drain()` | `future = system.submit_async(t)`; `future.result()` |
-| `drain(timeout=...)` raising a bare `TimeoutError` | `QuiesceTimeout` with `.query_ids` naming the affected queries |
+| plain `list[Neighbor]` in the answers dict | `ResultStatus.OK` envelope (`neighbors`) |
 | shed query → falsy `Overloaded` in the answers dict | `ResultStatus.OVERLOADED` envelope (`retryable`, `retry_after`) |
 | degraded query → `PartialResult` in the answers dict | `ResultStatus.PARTIAL` envelope (`missing_columns`) |
-| n/a (no remote access) | `repro.serve.MPRServer` / `ServeClient` over the framed protocol |
-
-`result.answer` bridges the first two rows during migration: it yields
-exactly the old shape.
+| `drain(timeout=)` raising `QuiesceTimeout` | `ResultStatus.TIMEOUT` envelope for every query in its `.query_ids` |
 """,
     ),
     (
@@ -582,9 +574,8 @@ live comparison is *self-calibrating*: `profile_from_telemetry` and
 `machine_spec_from_telemetry` from the same run feed the model, so
 machine speed cancels out of the ratio.  `run_validation` returns a
 `ValidationReport`; `write_report` snapshots it into
-`benchmarks/results/validation.{json,txt}`, and
-`tools/validate_run.py` (or `repro.cli validate`) is the CLI face —
-it also stamps a `model_validation` summary into `BENCH_knn.json`.
+`benchmarks/results/validation.{json,txt}`, and `repro.cli validate`
+is the CLI face (it writes those artifacts unless `--no-artifacts`).
 `tests/test_validation.py` asserts the checked-in artifact covers at
 least a 3×3 `(λq, x·y·z)` grid per backend with every enforced cell
 in tolerance; CI re-runs the sweep as the `validate` job, and

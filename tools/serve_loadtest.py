@@ -15,8 +15,7 @@ serving layer promises:
   must move,
 * zero hangs: every RPC settles within its watchdog.
 
-Artifacts: ``benchmarks/results/serve.{json,txt}`` plus a ``serve``
-row merged into ``BENCH_knn.json``.
+Artifacts: ``benchmarks/results/serve.{json,txt}``.
 
     PYTHONPATH=src python tools/serve_loadtest.py             # 1000 clients
     PYTHONPATH=src python tools/serve_loadtest.py --smoke     # CI-sized
@@ -296,23 +295,6 @@ def format_text(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def update_bench_entry(result: dict, path: Path) -> None:
-    """Merge (never clobber) the serve row into BENCH_knn.json."""
-    bench = json.loads(path.read_text()) if path.exists() else {}
-    bench["serve"] = {
-        "clients": result["clients"],
-        "duration_s": result["duration_s"],
-        "qps": result["qps"],
-        "p50_ms": result["p50_ms"],
-        "p99_ms": result["p99_ms"],
-        "shed_rate": result["shed_rate"],
-        "fairness_spread": result["fairness_spread"],
-        "deadline_misses": result["deadline_misses"],
-        "hangs": result["hangs"],
-    }
-    path.write_text(json.dumps(bench, indent=2) + "\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="thousands-of-clients load test for repro.serve"
@@ -335,8 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run: 90 clients, 2s")
     parser.add_argument("--no-artifacts", action="store_true",
-                        help="do not touch benchmarks/results/ or "
-                        "BENCH_knn.json")
+                        help="do not touch benchmarks/results/")
     args = parser.parse_args(argv)
     if args.smoke:
         args.clients = min(args.clients, 90)
@@ -361,9 +342,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps(result, indent=2) + "\n"
         )
         (out / "serve.txt").write_text(text)
-        update_bench_entry(result, ROOT / "BENCH_knn.json")
-        print(f"artifacts: {out / 'serve.json'}, {out / 'serve.txt'}, "
-              "BENCH_knn.json")
+        print(f"artifacts: {out / 'serve.json'}, {out / 'serve.txt'}")
 
     problems = []
     if result["hangs"]:
