@@ -401,19 +401,15 @@ def _stats(args: argparse.Namespace) -> int:
     config = MPRConfig(args.x, args.y, args.z)
     target = None
     if args.reconfigure is not None:
-        if args.mode != "process":
-            print("--reconfigure requires --mode process", file=sys.stderr)
-            return 2
         try:
             x, y, z = (int(part) for part in args.reconfigure.split(","))
             target = MPRConfig(x, y, z)
         except ValueError as exc:
             print(f"bad --reconfigure shape: {exc}", file=sys.stderr)
             return 2
-    options = {"batch_size": args.batch_size} if args.mode == "process" else {}
     with MPRSystem(
         config, solution_cls(network), workload.initial_objects,
-        mode=args.mode, **options,
+        mode=args.mode, batch_size=args.batch_size,
     ) as system:
         if target is not None:
             # Reconfigure live, with the first half of the stream still
@@ -572,8 +568,7 @@ def _serve(args: argparse.Namespace) -> int:
         )
     system = MPRSystem(
         config, solution_cls(network, **solution_kwargs), objects,
-        mode=args.mode, resilience=resilience,
-        **({"batch_size": args.batch_size} if args.mode == "process" else {}),
+        mode=args.mode, resilience=resilience, batch_size=args.batch_size,
     )
     serve_config = ServeConfig(
         host=args.host, port=args.port,
@@ -837,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--reconfigure", metavar="X,Y,Z",
         help="reconfigure the pool to this shape live, halfway through "
-             "the stream (process mode only); the history prints after",
+             "the stream; the history prints after",
     )
     stats.add_argument("--cores", type=int, default=19,
                        help="core budget of the calibrated machine model")

@@ -13,8 +13,9 @@ hierarchy serving every query family":
   (:func:`_witness_block`, the same gather/scatter idiom as
   :class:`~repro.graph.kernels.CSRKernels`), and applies the
   contraction with array ops.  The dense endgame (last few thousand
-  nodes) falls back to the classic lazy-heap loop, which is also kept
-  whole as ``builder="lazy"`` — the measured seed baseline.  With
+  nodes) falls back to the classic lazy-heap loop
+  (:meth:`~ContractionHierarchy._contract_endgame`; with
+  ``endgame_nodes >= num_nodes`` it contracts the whole graph).  With
   ``workers=N`` the witness phase fans out across forked worker
   processes that re-attach the base CSR from the graph-cache memmap
   token (or inherit it copy-on-write) and maintain replica edge arrays
@@ -90,7 +91,7 @@ __all__ = [
 
 INFINITY = float("inf")
 
-#: Witness-search effort bound for the scalar (lazy/endgame) builder.
+#: Witness-search effort bound for the scalar endgame loop.
 #: Hitting the bound conservatively adds the shortcut, which preserves
 #: correctness.
 WITNESS_SETTLE_LIMIT = 60
@@ -113,9 +114,6 @@ WITNESS_LABEL_LIMIT = 256
 #: loop's per-node witness Dijkstras dominate the whole build if the
 #: hand-off happens while thousands of high-degree nodes remain.
 ENDGAME_NODES = 64
-
-#: Default builder for :class:`ContractionHierarchy`.
-DEFAULT_BUILDER = "batched"
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
@@ -581,14 +579,13 @@ class ContractionHierarchy:
         True when all edge weights are integral, i.e. CH sums are
         bit-identical to Dijkstra distances (see module docstring).
 
-    ``builder`` selects the construction pipeline: ``"batched"`` (the
-    default — vectorized independent-set rounds, see the module
-    docstring) or ``"lazy"`` (the original scalar heap loop, kept as
-    the reference/baseline).  ``workers=N`` parallelizes the batched
-    witness phase across N forked processes; platforms without fork
-    fall back to serial.  Both builders and both execution modes are
-    deterministic, and serial vs. pooled batched builds are
-    byte-identical.
+    Construction is vectorized independent-set rounds (see the module
+    docstring) down to ``endgame_nodes`` live nodes, then the scalar
+    lazy-heap loop.  ``workers=N`` parallelizes the batched witness
+    phase across N forked processes; platforms without fork fall back
+    to serial.  Both execution modes are deterministic, and serial vs.
+    pooled builds are byte-identical.  ``builder`` records provenance
+    (``"batched"`` for a fresh build, ``"cached"`` for adopted arrays).
 
     A hierarchy loaded from a graph cache
     (:func:`repro.graph.cache.load_cached_ch`) carries a
@@ -606,7 +603,6 @@ class ContractionHierarchy:
         network: "RoadNetwork",
         seed: int = 0,
         *,
-        builder: str = DEFAULT_BUILDER,
         workers: int | None = None,
         witness_hops: int = WITNESS_HOP_LIMIT,
         endgame_nodes: int = ENDGAME_NODES,
@@ -617,25 +613,18 @@ class ContractionHierarchy:
             len(weights) == 0
             or np.equal(np.floor(weights), weights).all()
         )
-        self.builder = builder
+        self.builder = "batched"
         KERNEL_CALLS["ch.build"] += 1
         self._static_labels: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        if builder == "lazy":
-            self._contract_lazy(indptr, indices, weights)
-        elif builder == "batched":
-            self._contract_batched(
-                indptr,
-                indices,
-                weights,
-                seed=seed,
-                workers=workers,
-                witness_hops=witness_hops,
-                endgame_nodes=endgame_nodes,
-            )
-        else:
-            raise ValueError(
-                f"unknown builder {builder!r}; expected 'batched' or 'lazy'"
-            )
+        self._contract_batched(
+            indptr,
+            indices,
+            weights,
+            seed=seed,
+            workers=workers,
+            witness_hops=witness_hops,
+            endgame_nodes=endgame_nodes,
+        )
         self._build_halves(indptr, indices, weights)
         self._init_runtime_state()
 
@@ -832,74 +821,7 @@ class ContractionHierarchy:
         return next_rank
 
     # ------------------------------------------------------------------
-    # Lazy (reference) construction
-    # ------------------------------------------------------------------
-    def _contract_lazy(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-    ) -> None:
-        """The original scalar builder: lazy edge-difference heap with
-        one multi-target witness Dijkstra per neighbor.  Kept whole as
-        the measured baseline (`builder="lazy"`) and as the endgame's
-        inner loop."""
-        n = self.network.num_nodes
-        starts = indptr.tolist()
-        targets = indices.tolist()
-        wts = weights.tolist()
-        adjacency: list[dict[int, float]] = [dict() for _ in range(n)]
-        for u in range(n):
-            row = adjacency[u]
-            for idx in range(starts[u], starts[u + 1]):
-                row[targets[idx]] = wts[idx]
-
-        rank = [0] * n
-        contracted = [False] * n
-        deleted_neighbors = [0] * n
-        sc_u: list[int] = []
-        sc_v: list[int] = []
-        sc_w: list[float] = []
-
-        def priority(v: int) -> float:
-            degree = len(adjacency[v])
-            needed = degree * (degree - 1) // 2
-            return needed - degree + 0.7 * deleted_neighbors[v]
-
-        heap: list[tuple[float, int]] = [(priority(v), v) for v in range(n)]
-        heap.sort()
-        next_rank = 0
-        while heap:
-            _, v = heappop(heap)
-            if contracted[v]:
-                continue
-            fresh = priority(v)
-            if heap and fresh > heap[0][0]:
-                heappush(heap, (fresh, v))
-                continue
-            rank[v] = next_rank
-            next_rank += 1
-            contracted[v] = True
-            for u, w, weight in self._shortcuts_for(adjacency, v):
-                prior = adjacency[u].get(w)
-                if prior is None or weight < prior:
-                    adjacency[u][w] = weight
-                    adjacency[w][u] = weight
-                sc_u.append(u)
-                sc_v.append(w)
-                sc_w.append(weight)
-            for u in adjacency[v]:
-                deleted_neighbors[u] += 1
-                adjacency[u].pop(v, None)
-            adjacency[v].clear()
-
-        self.rank = np.asarray(rank, dtype=np.int64)
-        self.shortcut_u = np.asarray(sc_u, dtype=np.int64)
-        self.shortcut_v = np.asarray(sc_v, dtype=np.int64)
-        self.shortcut_w = np.asarray(sc_w, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # Scalar construction helpers (lazy builder + endgame)
+    # Scalar construction helpers (endgame)
     # ------------------------------------------------------------------
     @staticmethod
     def _shortcuts_for(

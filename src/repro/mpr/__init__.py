@@ -61,7 +61,6 @@ from .balancing import (
 from .executor import (
     MPRExecutor,
     QuiesceTimeout,
-    ThreadedMPRExecutor,
     run_serial_reference,
 )
 from .process_executor import ProcessPoolService, WorkerCrash
@@ -79,7 +78,6 @@ from .results import (
     envelope_answers,
 )
 from .resilience import (
-    NULL_RESILIENCE,
     RESILIENCE_COUNTERS,
     AdmissionController,
     CircuitBreaker,
@@ -141,7 +139,6 @@ __all__ = [
     "check_matrix_invariants",
     "encode_op",
     "MPRExecutor",
-    "ThreadedMPRExecutor",
     "run_serial_reference",
     "ProcessPoolService",
     "QuiesceTimeout",
@@ -155,7 +152,6 @@ __all__ = [
     "QueryResult",
     "ResultStatus",
     "envelope_answers",
-    "NULL_RESILIENCE",
     "RESILIENCE_COUNTERS",
     "AdmissionController",
     "CircuitBreaker",

@@ -1,13 +1,13 @@
-"""The unified executor API: one entry point for every MPR substrate.
+"""The unified executor API: one entry point, one executor.
 
 Callers pick a configuration, not a class:
 
 * :func:`build_executor` — the one construction path.  Takes the
   arrangement first (``config`` is the decision MPR's optimizer makes;
-  the substrate is an implementation detail), picks the substrate via
-  ``mode``, and threads a :class:`repro.obs.Telemetry` through every
-  layer it builds.  There is no other public way to construct an
-  executor.
+  the worker kind is an implementation detail), picks process or
+  thread workers via ``mode``, and threads a
+  :class:`repro.obs.Telemetry` through every layer it builds.  There
+  is no other public way to construct an executor.
 * :class:`MPRSystem` — a convenience wrapper owning an executor plus a
   default-enabled telemetry handle, for scripts and notebooks that
   want answers *and* a latency report without wiring either.
@@ -15,7 +15,7 @@ Callers pick a configuration, not a class:
 Every executor built here satisfies the :class:`repro.mpr.executor.
 MPRExecutor` contract: ``start()``/``submit()``/``flush()``/
 ``drain()``/``run()``/``close()`` plus the context-manager form, with
-serial-equivalent answers across substrates.
+serial-equivalent answers across worker kinds.
 
 For serving, :meth:`MPRSystem.submit_async` returns a
 :class:`concurrent.futures.Future` resolving to a typed
@@ -37,15 +37,15 @@ from ..knn.base import KNNSolution
 from ..objects.tasks import Task, TaskKind
 from ..obs import Telemetry
 from .config import MPRConfig
-from .executor import MPRExecutor, QuiesceTimeout, ThreadedMPRExecutor
-from .process_executor import WorkerCrash
+from .executor import QuiesceTimeout
+from .process_executor import ProcessPoolService, WorkerCrash
 from .reconfig import ReconfigEvent, ReconfigManager, ReconfigPolicy
 from .resilience import ResilienceConfig
 from .results import QueryResult, envelope_answers
 
 __all__ = ["MPRSystem", "build_executor"]
 
-#: The substrates ``build_executor`` knows how to realize.
+#: The worker kinds ``build_executor`` knows how to realize.
 EXECUTOR_MODES = ("thread", "process")
 
 
@@ -64,8 +64,8 @@ def build_executor(
     max_respawns: int = 3,
     metrics: Any | None = None,
     resilience: ResilienceConfig | None = None,
-) -> MPRExecutor:
-    """Build an executor realizing ``config`` over the chosen substrate.
+) -> ProcessPoolService:
+    """Build an executor realizing ``config`` over the chosen worker kind.
 
     Parameters
     ----------
@@ -78,63 +78,62 @@ def build_executor(
         Initial object placements ``object_id -> node`` (default: start
         empty and build state through insert tasks).
     mode:
-        ``"thread"`` — in-process worker threads (functional semantics,
-        GIL-bound); ``"process"`` — the persistent fault-tolerant
-        process pool (real parallelism).
+        The worker kind behind the one data plane
+        (:class:`~repro.mpr.process_executor.ProcessPoolService`).
+        ``"process"`` — forked worker processes: real parallelism, and
+        every fault rung (SIGKILL respawn, stall watchdog).
+        ``"thread"`` — the same protocol over in-process worker
+        threads: no fork, shared memory, batching/hedging/degraded
+        answers/live reconfiguration all included, but GIL-bound
+        (correctness, not speed: ~0.75 ms/op on a 32×32 grid, ~3 on
+        96×96, ~50–60 μs/op of pure overhead — see the pool's module
+        docstring) and un-killable, so the stall watchdog and
+        ``close()``'s terminate/kill rungs do not apply.
     telemetry:
         A :class:`repro.obs.Telemetry` recorded into by every layer
         (router, batcher, workers).  Default: the shared disabled
         handle, which keeps the hot path a single branch.
     check_invariants:
-        Thread mode only: assert the Section IV-A partition/replication
-        invariants after every ``run()``.
-    batch_size, start_method, share_graph, health_check_interval, \
-max_respawns, metrics:
-        Process mode only: forwarded to the pool (see
+        Assert the Section IV-A partition/replication invariants on
+        the workers' acknowledged cells after every ``run()``.
+    batch_size, health_check_interval, max_respawns, metrics:
+        Forwarded to the pool (see
         :class:`repro.mpr.process_executor.ProcessPoolService`).
+    start_method, share_graph:
+        Process mode only (how workers are forked and whether the road
+        network is published to shared memory first); thread workers
+        share the caller's memory.
     resilience:
         A :class:`repro.mpr.resilience.ResilienceConfig` enabling the
-        resilience layer (``None`` disables it entirely).  Process mode
-        gets the full behaviour — deadlines with hedged replica reads,
-        admission-controlled shedding, circuit breakers with
-        quarantine, a stall watchdog, and degraded
-        :class:`~repro.knn.base.PartialResult` answers; thread mode
-        realizes the subset that is meaningful without process faults
-        (shedding and deadline-miss accounting).
+        resilience layer (``None`` disables it entirely): deadlines
+        with hedged replica reads, admission-controlled shedding,
+        circuit breakers with quarantine, degraded
+        :class:`~repro.knn.base.PartialResult` answers and — for
+        process workers only — the stall watchdog.
 
     Returns
     -------
-    MPRExecutor
+    ProcessPoolService
         Unstarted; call ``start()`` or use the context-manager form.
+        ``close()`` (or leaving the ``with`` block) is required in both
+        modes: a thread-worker pool dropped without it leaks a blocked
+        daemon thread and two pipe descriptors per worker.
     """
-    if objects is None:
-        objects = {}
-    if mode == "thread":
-        return ThreadedMPRExecutor(
-            solution, config, objects,
-            check_invariants=check_invariants, telemetry=telemetry,
-            resilience=resilience,
+    if mode not in EXECUTOR_MODES:
+        raise ValueError(
+            f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}"
         )
-    if mode == "process":
-        if check_invariants:
-            raise ValueError(
-                "check_invariants is only supported in thread mode"
-            )
-        from .process_executor import ProcessPoolService
-
-        return ProcessPoolService(
-            solution, config, objects,
-            batch_size=batch_size,
-            start_method=start_method,
-            share_graph=share_graph,
-            health_check_interval=health_check_interval,
-            max_respawns=max_respawns,
-            metrics=metrics,
-            telemetry=telemetry,
-            resilience=resilience,
-        )
-    raise ValueError(
-        f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}"
+    return ProcessPoolService(
+        solution, config, objects if objects is not None else {},
+        batch_size=batch_size,
+        start_method="thread" if mode == "thread" else start_method,
+        share_graph=share_graph,
+        health_check_interval=health_check_interval,
+        max_respawns=max_respawns,
+        metrics=metrics,
+        telemetry=telemetry,
+        resilience=resilience,
+        check_invariants=check_invariants,
     )
 
 
@@ -162,7 +161,7 @@ class _CompletionPump:
     """A thread turning the batch ``submit``/``drain`` cycle into futures.
 
     The executor contract is batch-synchronous: answers only exist
-    after a ``drain()`` barrier, and neither executor is thread-safe.
+    after a ``drain()`` barrier, and the executor is not thread-safe.
     The pump is the one thread that touches the executor once serving
     starts: it pulls ``(task, future)`` pairs from a queue in FCFS
     order, submits a micro-batch (everything queued, up to
@@ -185,7 +184,7 @@ class _CompletionPump:
 
     def __init__(
         self,
-        executor: MPRExecutor,
+        executor: ProcessPoolService,
         *,
         max_batch: int = 256,
         drain_timeout: float | None = 30.0,
@@ -295,17 +294,11 @@ class _CompletionPump:
                 future.set_result(None)
 
     def _run_reconfigure(self, request: _ReconfigureRequest) -> None:
-        reconfigure = getattr(self._executor, "reconfigure", None)
-        if reconfigure is None:
-            request.future.set_exception(
-                ValueError(
-                    "this executor does not support live reconfiguration"
-                )
-            )
-            return
         try:
             request.future.set_result(
-                reconfigure(request.new_config, **request.kwargs)
+                self._executor.reconfigure(
+                    request.new_config, **request.kwargs
+                )
             )
         except Exception as exc:  # rejected / timed out / crashed
             request.future.set_exception(exc)
@@ -318,7 +311,8 @@ class _CompletionPump:
         The :class:`QuiesceTimeout` carries the affected query ids so
         we can fail exactly those in-flight RPCs and give everyone else
         one more — short — chance to surface answers that were already
-        merged.
+        merged.  With nobody else in the cycle there is nothing to
+        salvage, and the pump goes straight back to its queue.
         """
         stuck = set(exc.query_ids)
         for task, future in submitted:
@@ -332,6 +326,8 @@ class _CompletionPump:
             if not (task.kind is TaskKind.QUERY and task.query_id in stuck)
         ]
         submitted[:] = remaining
+        if not remaining:
+            return {}
         try:
             return self._executor.drain(timeout=1.0)
         except Exception:
@@ -385,7 +381,7 @@ class MPRSystem:
     :meth:`submit_async` returns a :class:`concurrent.futures.Future`
     per task (``None`` for updates).  First use of ``submit_async``
     starts the :class:`_CompletionPump`, which then owns the executor
-    until :meth:`close` — neither executor is thread-safe, so from then
+    until :meth:`close` — the executor is not thread-safe, so from then
     on ``run_results`` goes through the pump too.  The raw blocking
     ``submit``/``flush``/``drain`` cycle lives on :attr:`executor`.
     """
@@ -410,7 +406,6 @@ class MPRSystem:
             config, solution, objects,
             mode=mode, telemetry=self.telemetry, **options,
         )
-        self.mode = mode
         self._pump: _CompletionPump | None = None
         self._manager: ReconfigManager | None = None
 
@@ -492,7 +487,7 @@ class MPRSystem:
     ) -> ReconfigEvent:
         """Change the serving ``(x, y, z)`` live, without downtime.
 
-        Process mode only.  Before the pump starts this delegates to
+        Before the pump starts this delegates to
         :meth:`ProcessPoolService.reconfigure
         <repro.mpr.process_executor.ProcessPoolService.reconfigure>`
         directly; once :meth:`submit_async` has started the completion
@@ -500,8 +495,7 @@ class MPRSystem:
         executes between two drain cycles (queries already queued ride
         through the cutover in flight).  Returns the terminal
         :class:`~repro.mpr.reconfig.ReconfigEvent`; raises
-        :class:`~repro.mpr.reconfig.ReconfigRejected` when refused and
-        ``ValueError`` in thread mode.
+        :class:`~repro.mpr.reconfig.ReconfigRejected` when refused.
         """
         kwargs = dict(
             trigger=trigger,
@@ -512,14 +506,7 @@ class MPRSystem:
         )
         if self._pump is not None:
             return self._pump.reconfigure(new_config, **kwargs).result()
-        reconfigure = getattr(self.executor, "reconfigure", None)
-        if reconfigure is None:
-            raise ValueError(
-                f"executor mode {self.mode!r} does not support live "
-                "reconfiguration; use mode='process'"
-            )
-        self.executor.start()
-        return reconfigure(new_config, **kwargs)
+        return self.executor.reconfigure(new_config, **kwargs)
 
     def enable_auto_reconfigure(
         self,
@@ -559,24 +546,18 @@ class MPRSystem:
 
     @property
     def reconfig_history(self) -> list[ReconfigEvent]:
-        """Audited shape changes, oldest first (empty in thread mode)."""
-        return list(getattr(self.executor, "reconfig_history", ()) or ())
+        """Audited shape changes, oldest first."""
+        return list(self.executor.reconfig_history)
 
     def retune_batch_size(self, arrival_rate: float) -> int:
         """Adapt the pool's dispatch batch size to measured timings.
 
-        Process mode only (the threaded path dispatches unbuffered):
-        delegates to :meth:`ProcessPoolService.retune_batch_size
+        Delegates to :meth:`ProcessPoolService.retune_batch_size
         <repro.mpr.process_executor.ProcessPoolService.retune_batch_size>`
         with this system's always-on telemetry, closing the
         measure → model → retune loop in one call.
         """
-        retune = getattr(self.executor, "retune_batch_size", None)
-        if retune is None:
-            raise ValueError(
-                f"executor mode {self.mode!r} has no batch size to tune"
-            )
-        return retune(arrival_rate)
+        return self.executor.retune_batch_size(arrival_rate)
 
     def stats(self) -> dict[str, Any]:
         """JSON-ready telemetry snapshot (stages, counters, traces).

@@ -273,20 +273,33 @@ RECONFIG_ROLLBACK_TARGET = MPRConfig(1, 2, 1)
 RECONFIG_LIVE_TARGET = MPRConfig(3, 1, 1)
 
 
+def kill_warming_worker(pool: ProcessPoolService) -> None:
+    """SIGKILL one warming worker and wait until it is waitable.
+
+    A supervision step reads a killed, not yet waitable child as alive
+    and would cut over on already-acked probes (then respawn the victim
+    as a serving worker: safe, but not a rollback).  Once the child is
+    waitable, the next step must see the death.
+    """
+    pids = pool.transition_pids()
+    victim = pids[sorted(pids)[0]]
+    os.kill(victim, signal.SIGKILL)
+    os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
+
+
 def _reconfig_kill_new_worker(pool: ProcessPoolService) -> None:
     """Begin a transition, then SIGKILL a warming worker.
 
-    The kill lands strictly before the cutover — cutover only ever
-    happens inside the supervision step driven by later submits/drains,
-    never inside ``begin_reconfigure`` — so the transition must roll
-    back and the untouched old shape must stay oracle-exact.
+    Cutover only ever happens inside the supervision step driven by
+    later submits/drains, never inside ``begin_reconfigure``, and the
+    victim is dead for certain before that step runs — so the
+    transition must roll back and the untouched old shape must stay
+    oracle-exact.
     """
     pool.begin_reconfigure(
         RECONFIG_ROLLBACK_TARGET, trigger="chaos", warm_timeout=5.0
     )
-    pids = pool.transition_pids()
-    victim = sorted(pids)[0]
-    os.kill(pids[victim], signal.SIGKILL)
+    kill_warming_worker(pool)
     return None
 
 

@@ -1,16 +1,18 @@
-"""A persistent, fault-tolerant multiprocessing executor.
+"""The MPR executor: one data plane, two worker kinds.
 
-The threaded executor (:mod:`repro.mpr.executor`) proves functional
-correctness but cannot show wall-clock speedup under CPython's GIL.
-:class:`ProcessPoolService` runs each w-core as an OS *process* — the
-literal "multi-processing" of the paper's title — and keeps it alive
-across calls, the way a serving system would:
+:class:`ProcessPoolService` realizes a core matrix over persistent
+w-cores and is the only executor there is.  A w-core is an OS *process*
+(``mode="process"`` — the literal "multi-processing" of the paper's
+title, and the only kind that shows wall-clock speedup under CPython's
+GIL) or a *thread* (``mode="thread"``); the parent decides the kind in
+``_spawn`` and nowhere else on the data path (worker-side,
+``_worker_main`` knows it in one spot: a stamped ack from a
+``_ThreadWorker`` carries no ``KERNEL_CALLS`` delta):
 
-* **persistent workers** — processes start once (``start()`` or the
+* **persistent workers** — workers start once (``start()`` or the
   context manager) and serve any number of ``run()``/``submit()``
-  calls; the road network and each worker's object partition are
-  pickled to the child once, mirroring MPR's one-time replica
-  construction;
+  calls; the road network and each worker's object partition reach the
+  worker once, mirroring MPR's one-time replica construction;
 * **batched dispatch** — one queue message carries up to
   ``batch_size`` tasks, amortizing the ~tens-of-μs per-message pickle
   and queue cost (the τ' the paper models, magnified ~1000× by
@@ -20,6 +22,21 @@ across calls, the way a serving system would:
   results; a dead worker (crash, SIGKILL) is respawned from its
   replica's object cell and the in-flight batches are replayed, so
   final answers are indistinguishable from a fault-free run.
+
+Thread workers run the same ``_worker_main`` over the same per-worker
+pipe, ack ledger, hedging, degraded answers and live reconfiguration;
+they share the parent's memory (no graph publication, no
+``KERNEL_CALLS`` delta to fold) and exist for **correctness, not
+speed**: tests and examples get the whole protocol without forking.
+What they cannot do: a thread cannot be SIGKILLed, so the stall
+watchdog never fires for them, ``close()``'s terminate/kill rungs and
+a rollback's kill are just another queued stop, and a wedged thread is
+abandoned (daemon) rather than reaped.  They are GIL-bound and pay the
+pipe's pickling without gaining a core: against the bare per-thread
+FCFS queues this mode replaced, a ``(2, 2, 1)`` DijkstraKNN 3,140-op
+mix on the 2-core build host moved 0.57–0.70 → 0.73–0.78 ms/op on a
+32×32 grid and 2.2–2.4 → 2.8–3.0 ms/op on 96×96 (10×10 is noise-bound,
+0.14–0.43 ms/op on both sides), a zero-cost solution 11 → 49–59 μs/op.
 
 Results travel over one dedicated ``Pipe`` per worker rather than a
 shared result ``Queue``.  A shared queue serializes every worker's acks
@@ -54,14 +71,16 @@ Per-stage timings and counters stream into a
 calibration (:func:`repro.sim.measurement.machine_spec_from_pool`)
 consume.
 
-Construction goes through :func:`repro.mpr.api.build_executor`
-(``mode="process"``), the one public construction path.
+Construction goes through :func:`repro.mpr.api.build_executor`, the
+one public construction path.
 """
 
 from __future__ import annotations
 
 import heapq
 import multiprocessing as mp
+import queue
+import threading
 import time
 from multiprocessing import connection as mp_connection
 from typing import Mapping, Sequence
@@ -78,6 +97,7 @@ from .core_matrix import (
     RouteBatcher,
     WorkerBatch,
     WorkerId,
+    check_matrix_invariants,
     encode_op,
 )
 from .executor import MPRExecutor, QuiesceTimeout, record_batch_stamps
@@ -137,7 +157,10 @@ def _worker_main(
             results.send(("error", worker_id, seq, repr(exc)))
             return
         if stamp_timings:
-            kernel_delta = {
+            # A thread worker bumps the parent's own counters: no delta.
+            kernel_delta = None if isinstance(
+                threading.current_thread(), _ThreadWorker
+            ) else {
                 name: count - kernel_before.get(name, 0)
                 for name, count in KERNEL_CALLS.items()
                 if count != kernel_before.get(name, 0)
@@ -148,6 +171,38 @@ def _worker_main(
             ))
         else:
             results.send(("done", worker_id, seq, partials))
+
+
+class _ThreadWorker(threading.Thread):
+    """A w-core as a thread, behind the process-handle surface the pool
+    supervises (``is_alive``/``join``/``terminate``/``kill``/``pid``).
+
+    Runs the same :func:`_worker_main` against the same private result
+    pipe; only the inbox is an in-memory queue.  A thread cannot be
+    signalled, so it is stopped by message — ``kill()`` queues the stop
+    behind whatever the worker is doing — and it closes its pipe end on
+    the way out, so the parent reads EOF exactly as for a dead process.
+    """
+
+    pid = None  # nothing to signal: worker_pids() lists no thread
+
+    def __init__(self, main_args: tuple) -> None:
+        _solution, worker_id, inbox, writer, _stamp_timings = main_args
+        super().__init__(name=f"w-core-{worker_id}", daemon=True)
+        self._main_args, self._inbox, self._writer = main_args, inbox, writer
+
+    def run(self) -> None:
+        try:
+            _worker_main(*self._main_args)
+        except BrokenPipeError:  # reader retired: nobody is listening
+            pass
+        finally:
+            self._writer.close()
+
+    def kill(self) -> None:
+        self._inbox.put(_STOP)
+
+    terminate = kill
 
 
 class _WorkerState:
@@ -183,7 +238,7 @@ class _WorkerState:
         self.next_seq = 0
         self.respawns = 0
         self.failed: str | None = None
-        self.process: mp.process.BaseProcess | None = None
+        self.process: mp.process.BaseProcess | _ThreadWorker | None = None
         self.inbox = None
         #: Parent-held read end of this worker's private result pipe.
         self.reader = None
@@ -331,10 +386,14 @@ class ProcessPoolService(MPRExecutor):
         sweep in ``benchmarks/bench_process_pool.py`` shows the
         trade-off.
     start_method:
-        ``multiprocessing`` start method.  Under ``fork`` workers
-        inherit the parent's memory copy-on-write; under ``spawn`` the
-        worker payload is pickled — which is why the pool publishes the
-        road network to shared memory first (see ``share_graph``).
+        The worker kind: a ``multiprocessing`` start method, or
+        ``"thread"`` (what ``build_executor(mode="thread")`` passes).
+        Under ``fork`` workers inherit the parent's memory
+        copy-on-write; under ``spawn`` the worker payload is pickled —
+        which is why the pool publishes the road network to shared
+        memory first (see ``share_graph``).  Thread workers run the
+        same protocol inside this process (see the module docstring for
+        what they cannot do).
     share_graph:
         When True (the default) and the solution exposes its
         :class:`~repro.graph.road_network.RoadNetwork`, ``start()``
@@ -345,7 +404,8 @@ class ProcessPoolService(MPRExecutor):
         zero-copy during unpickling; the graph itself is never pickled
         per worker.  ``close()`` unlinks the segment.  If the network
         was already published by an outer owner, the pool borrows that
-        segment and leaves its lifecycle alone.
+        segment and leaves its lifecycle alone.  Thread workers already
+        share the parent's memory, so nothing is published for them.
     health_check_interval:
         How long one result-pipe wait may block before the supervisor
         re-checks worker liveness (seconds).
@@ -379,14 +439,17 @@ class ProcessPoolService(MPRExecutor):
         per-query ``dispatch``/``queue_wait``/``execute``/``merge``/
         ``ack`` traces; when disabled (the default) the wire protocol
         and hot path are identical to the untraced pool.
+    check_invariants:
+        When True, the partition/replication invariants of Section IV-A
+        are asserted on :meth:`worker_contents` after every :meth:`run`.
 
     Lifecycle: ``start()`` → any number of ``submit()``/``flush()``/
     ``drain()``/``run()`` calls → ``close()``.  The context manager
     form does start/close automatically; ``close()`` is idempotent.
 
-    Construct via :func:`repro.mpr.api.build_executor`
-    (``mode="process"``), the one public construction path; the direct
-    constructor exists for the facade and for tests.
+    Construct via :func:`repro.mpr.api.build_executor`, the one public
+    construction path; the direct constructor exists for the facade and
+    for tests.
     """
 
     def __init__(
@@ -403,6 +466,7 @@ class ProcessPoolService(MPRExecutor):
         metrics: PoolMetrics | None = None,
         telemetry: Telemetry | None = None,
         resilience: ResilienceConfig | None = None,
+        check_invariants: bool = False,
     ) -> None:
         if health_check_interval <= 0:
             raise ValueError("health_check_interval must be positive")
@@ -419,8 +483,13 @@ class ProcessPoolService(MPRExecutor):
             self._router, batch_size, telemetry=self._telemetry,
             admission=self._resilience.admission,
         )
-        self._context = mp.get_context(start_method)
-        self._share_graph = share_graph
+        #: The worker kind, read by ``_spawn`` and the stall watchdog.
+        self._thread_workers = start_method == "thread"
+        self._context = mp.get_context(
+            None if self._thread_workers else start_method
+        )
+        self._share_graph = share_graph and not self._thread_workers
+        self._check_invariants = check_invariants
         self._shared_graph = None  # owning handle, set by start()
         self._health_check_interval = health_check_interval
         self._max_respawns = max_respawns
@@ -524,12 +593,6 @@ class ProcessPoolService(MPRExecutor):
 
         self._shared_graph = publish_shared_graph(network)
 
-    def __enter__(self) -> "ProcessPoolService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def close(self, timeout: float = 5.0) -> None:
         """Graceful shutdown: stop messages, bounded wait, then force.
 
@@ -537,7 +600,9 @@ class ProcessPoolService(MPRExecutor):
         exit cleanly; stragglers escalate join → ``terminate()``
         (SIGTERM) → ``kill()`` (SIGKILL).  The last rung matters: a
         worker wedged mid-``recv`` or SIGSTOPped leaves SIGTERM pending
-        forever, but SIGKILL cannot be blocked or deferred.  Reader
+        forever, but SIGKILL cannot be blocked or deferred.  (A thread
+        worker has no such rungs: both just queue another stop, and a
+        wedged daemon thread is abandoned at the deadline.)  Reader
         retirement and the shared-memory unlink run in a ``finally`` so
         the segment is never leaked, whatever state the workers are in.
         Safe to call twice and safe to call without ``start()``.
@@ -837,13 +902,22 @@ class ProcessPoolService(MPRExecutor):
 
     def run(self, tasks: Sequence[Task]) -> dict[int, list[Neighbor]]:
         """Submit a whole stream and drain it; workers stay alive."""
-        self.start()
-        for task in tasks:
-            self.submit(task)
-        return self.drain()
+        answers = super().run(tasks)
+        if self._check_invariants:
+            check_matrix_invariants(self.worker_contents(), self._config)
+        return answers
+
+    def worker_contents(self) -> dict[WorkerId, dict[int, int]]:
+        """Object placements per serving worker: the acknowledged cells
+        (each worker's exact state once a drain has returned)."""
+        return {
+            worker_id: dict(state.cell)
+            for worker_id, state in self._workers.items()
+        }
 
     def worker_pids(self) -> dict[WorkerId, int]:
-        """Live worker process ids (fault-injection hooks)."""
+        """Live worker process ids (fault-injection hooks; thread
+        workers have none)."""
         return {
             worker_id: state.process.pid
             for worker_id, state in self._workers.items()
@@ -1119,10 +1193,12 @@ class ProcessPoolService(MPRExecutor):
 
     def _stalled(self, state: _WorkerState, now: float) -> bool:
         """Live but silent past the policy's watchdog (SIGSTOPped or
-        wedged in a syscall)?  Never, when the policy has no watchdog."""
+        wedged in a syscall)?  Never, when the policy has no watchdog —
+        or the workers are threads, which no SIGKILL can clear."""
         stall_timeout = self._resilience.config.stall_timeout
         return (
             stall_timeout is not None
+            and not self._thread_workers
             and bool(state.sent_at)
             and now - min(state.sent_at.values()) > stall_timeout
         )
@@ -1364,8 +1440,9 @@ class ProcessPoolService(MPRExecutor):
 
         Raises :class:`ReconfigRejected` (recording a rejected event)
         when the target equals the current shape, a transition is
-        already in flight, the previous shape is still retiring, or the
-        reconfiguration circuit breaker is open.
+        already in flight, the previous shape still owes pre-cutover
+        answers (a drained one is stopped and reaped here first), or
+        the reconfiguration circuit breaker is open.
         """
         self.start()
         now = time.monotonic()
@@ -1377,6 +1454,8 @@ class ProcessPoolService(MPRExecutor):
             self._reject_reconfigure(
                 new_config, trigger, "a transition is already in flight"
             )
+        if self._retiring:
+            self._reap_retiring(now)
         if self._retiring:
             self._reject_reconfigure(
                 new_config, trigger, "the previous shape is still retiring"
@@ -1687,37 +1766,61 @@ class ProcessPoolService(MPRExecutor):
                     start=self._retire_started,
                 )
 
+    def _reap_retiring(self, now: float) -> None:
+        """Stop and reap a drained retiring fleet before a new transition.
+
+        Retirement otherwise progresses only from submit and drain, so
+        workers that owe nothing may not have been told to stop yet, or
+        not have exited (a thread worker needs the GIL to).  Workers
+        still owing pre-cutover answers are left alone.
+        """
+        self._check_retiring(now)  # stop the drained, reap the exited
+        for state in self._retiring:
+            if state.stop_sent and not state.unacked:
+                state.process.join(timeout=1.0)
+        self._check_retiring(now)
+
     def _spawn(self, state: _WorkerState) -> None:
-        state.inbox = self._context.Queue()
+        """Start ``state``'s worker — the one place its kind is decided."""
+        threaded = self._thread_workers
+        state.inbox = queue.SimpleQueue() if threaded else self._context.Queue()
         reader, writer = self._context.Pipe(duplex=False)
         state.reader = reader
         self._reader_owners[reader] = state
-        state.process = self._context.Process(
-            target=_worker_main,
-            args=(
-                self._solution.spawn(dict(state.cell)),
-                state.worker_id,
-                state.inbox,
-                writer,
-                self._telemetry.enabled,
-            ),
-            daemon=True,
+        main_args = (
+            self._solution.spawn(dict(state.cell)),
+            state.worker_id,
+            state.inbox,
+            writer,
+            self._telemetry.enabled,
         )
+        if threaded:
+            state.process = _ThreadWorker(main_args)
+        else:
+            state.process = self._context.Process(
+                target=_worker_main, args=main_args, daemon=True
+            )
         state.process.start()
-        # Drop the parent's writer copy *before* any later fork: the
-        # worker must be the pipe's only writer so its death raises EOF
-        # on our end (and no sibling inherits a stray write fd).
-        writer.close()
+        if not threaded:
+            # Drop the parent's writer copy *before* any later fork: the
+            # worker must be the pipe's only writer so its death raises
+            # EOF on our end (and no sibling inherits a stray write fd).
+            # A thread worker holds the only copy and closes it on exit.
+            writer.close()
 
     def _respawn(self, state: _WorkerState) -> None:
         """Rebuild a dead worker from its replica cell; replay its log.
 
         A death can race with its last ack (the ack may be sitting in
-        its result pipe), so pending acks are consumed first — replays
-        of batches whose ack did survive are then skipped or, if
-        already re-sent, deduplicated downstream.  Batches quarantined
-        while the breaker was open rejoin the log (and the admission
-        ledger) before the replay.
+        its result pipe), so its pending acks are consumed first —
+        replays of batches whose ack did survive are then skipped or,
+        if already re-sent, deduplicated downstream.  Only *its* pipe
+        is read: this runs inside a pump step when a worker reports
+        poison, and that step still holds siblings it found ready — a
+        message consumed from under it would leave it blocked in
+        ``recv`` on an empty pipe.  Batches quarantined while the
+        breaker was open rejoin the log (and the admission ledger)
+        before the replay.
         """
         process = state.process
         if process is not None:
@@ -1726,7 +1829,10 @@ class ProcessPoolService(MPRExecutor):
             # poison reaches the error fault point instead of a replay
             # loop.
             process.join(timeout=1.0)
-        self._collect_ready()
+        while state.reader is not None and state.reader.poll():
+            message = self._receive(state.reader)  # EOF retires the reader
+            if message is not None:
+                self._handle(message, state)
         if state.process is not process:
             return  # that error report was in the residue: respawned
         self._retire_reader(state)  # residual acks were drained above

@@ -63,8 +63,9 @@ class ReconfigRejected(RuntimeError):
     """A reconfiguration attempt was refused before any work started.
 
     Raised when a transition is already in flight, the previous shape is
-    still retiring, the target equals the current shape, or the
-    reconfiguration circuit breaker is open after repeated rollbacks.
+    still retiring (owes pre-cutover answers), the target equals the
+    current shape, or the reconfiguration circuit breaker is open after
+    repeated rollbacks.
     The pool's serving state is untouched.
     """
 

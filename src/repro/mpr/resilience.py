@@ -4,7 +4,7 @@ MPR's replication rows exist precisely so a query can be served when a
 cell is busy or dead (Section IV-A) — this module turns that static
 argument into runtime behaviour.  It is pure policy: no processes, no
 clocks of its own (every method takes ``now`` explicitly so tests drive
-time), shared by both executors:
+time):
 
 * :class:`ResilienceConfig` — the knobs: a default per-query deadline
   (SLO), the per-worker admission bound, breaker thresholds and
@@ -25,9 +25,8 @@ The degraded-answer counterpart, :class:`repro.knn.base.PartialResult`
 (re-exported here), flags a merged answer that is missing partition
 columns because no replica of those cells was live.
 
-Disabled is a policy, not a second code path.  The process pool runs
-one submit → ack → drain → settle path whatever the setting and asks
-its :class:`ResiliencePolicy` only where a fault forces a decision: a
+Disabled is a policy, not a second code path.  The pool runs one
+submit → ack → drain → settle path whatever the setting and asks its :class:`ResiliencePolicy` only where a fault forces a decision: a
 worker died (respawn within a budget, or breaker + quarantine), a
 worker reported an execution error (raise, or poison-quarantine and
 hedge/degrade), a query is admitted (arm no deadline, or the resolved
@@ -46,7 +45,6 @@ from typing import Iterable, Mapping, Sequence
 from ..knn.base import PartialResult
 
 __all__ = [
-    "NULL_RESILIENCE",
     "AdmissionController",
     "CircuitBreaker",
     "Overloaded",
@@ -286,10 +284,8 @@ class ResiliencePolicy:
 
     __slots__ = ("enabled", "config", "admission", "_breakers")
 
-    def __init__(
-        self, config: ResilienceConfig | None = None, *, enabled: bool = True
-    ) -> None:
-        self.enabled = enabled and config is not None
+    def __init__(self, config: ResilienceConfig | None = None) -> None:
+        self.enabled = config is not None
         self.config = (
             config if config is not None
             else ResilienceConfig(hedge=False, stall_timeout=None)
@@ -332,9 +328,3 @@ class ResiliencePolicy:
         if self.config.default_deadline is not None:
             return self.config.default_deadline
         return config_deadline
-
-
-#: Shared disabled handle for executors that only *read* the policy
-#: (the threaded one).  The process pool feeds the admission ledger and
-#: breaker map on every path, so each pool owns a policy of its own.
-NULL_RESILIENCE = ResiliencePolicy(None, enabled=False)

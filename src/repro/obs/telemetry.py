@@ -23,8 +23,8 @@ comparable without calibration.
 Cost when disabled: executors hold :data:`NULL_TELEMETRY` (or any
 ``Telemetry`` with ``enabled=False``) and guard every stamp with a
 single ``if telemetry.enabled`` branch; no span objects, no locks, no
-timestamps are taken on that path.  ``tests/test_telemetry_overhead.py``
-pins the overhead against a frozen copy of the pre-telemetry executor.
+timestamps are taken on that path.  mprbench's
+``bench.trace_overhead_ratio`` measures what enabling it costs.
 """
 
 from __future__ import annotations

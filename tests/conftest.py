@@ -34,6 +34,16 @@ def ring_network() -> RoadNetwork:
     return ring_radial_network(5, 12, seed=3)
 
 
+@pytest.fixture(params=[
+    pytest.param("thread", id="thread"),
+    pytest.param("process", id="process", marks=pytest.mark.slow),
+])
+def worker_kind(request) -> str:
+    """``build_executor``'s ``mode`` for the signal-free protocol tests:
+    thread workers run in tier-1, the process variant in the slow lane."""
+    return request.param
+
+
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(1234)

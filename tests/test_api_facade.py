@@ -1,8 +1,8 @@
 """The unified construction API: build_executor, MPRSystem.
 
-Pins the API's contract: one entry point builds every substrate,
-construction is warning-free everywhere, telemetry threads through
-whichever substrate is chosen, and MPRSystem's task surface
+Pins the API's contract: one entry point builds the one executor over
+either worker kind, construction is warning-free everywhere, telemetry
+threads through whichever kind is chosen, and MPRSystem's task surface
 (submit_async/run_results) returns QueryResult envelopes.
 """
 
@@ -17,7 +17,6 @@ from repro.mpr import (
     MPRConfig,
     MPRSystem,
     ProcessPoolService,
-    ThreadedMPRExecutor,
     build_executor,
     run_serial_reference,
 )
@@ -44,7 +43,8 @@ def make_workload(network, seed=11):
 @pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_facade_builds_thread_executor_without_warning(small_grid) -> None:
     executor = build_executor(CONFIG, DijkstraKNN(small_grid))
-    assert isinstance(executor, ThreadedMPRExecutor)
+    # Thread mode is the same class as process mode, not a second one.
+    assert type(executor) is ProcessPoolService
     assert executor.config == CONFIG
     assert executor.telemetry is NULL_TELEMETRY
     executor.close()
@@ -77,11 +77,21 @@ def test_facade_rejects_unknown_mode(small_grid) -> None:
 
 
 def test_facade_rejects_invariants_in_process_mode(small_grid) -> None:
-    with pytest.raises(ValueError, match="thread mode"):
-        build_executor(
-            CONFIG, DijkstraKNN(small_grid),
-            mode="process", check_invariants=True,
-        )
+    """Nothing to reject any more: the Section IV-A invariants are
+    checked against the acked cells, which process workers have too."""
+    workload = make_workload(small_grid)
+    oracle = run_serial_reference(
+        DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
+    )
+    with build_executor(
+        CONFIG, DijkstraKNN(small_grid), workload.initial_objects,
+        mode="process", check_invariants=True,
+    ) as pool:
+        assert pool.run(workload.tasks) == oracle
+        # The check reads real state: corrupt one replica's cell and it trips.
+        next(iter(pool._workers.values())).cell[10_000] = 0
+        with pytest.raises(AssertionError):
+            pool.run([])
 
 
 def test_thread_executor_via_facade_matches_oracle(small_grid) -> None:
@@ -114,7 +124,9 @@ def test_process_executor_via_facade_matches_oracle(small_grid) -> None:
 # ----------------------------------------------------------------------
 @pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_direct_constructors_no_longer_warn(small_grid) -> None:
-    executor = ThreadedMPRExecutor(DijkstraKNN(small_grid), CONFIG, {})
+    executor = ProcessPoolService(
+        DijkstraKNN(small_grid), CONFIG, {}, start_method="thread"
+    )
     executor.close()
     pool = ProcessPoolService(DijkstraKNN(small_grid), CONFIG, {})
     pool.close()  # never started
@@ -138,8 +150,9 @@ def test_direct_construction_behaves_like_the_facade_product(
     oracle = run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
     )
-    executor = ThreadedMPRExecutor(
-        DijkstraKNN(small_grid), CONFIG, workload.initial_objects
+    executor = ProcessPoolService(
+        DijkstraKNN(small_grid), CONFIG, workload.initial_objects,
+        start_method="thread",
     )
     with executor:
         assert executor.run(workload.tasks) == oracle
@@ -275,20 +288,33 @@ def test_run_results_envelopes_without_pump(small_grid) -> None:
 
 
 def test_thread_mode_pump_times_out_a_stuck_worker(small_grid) -> None:
-    """Both substrates honour ``drain(timeout=)``, so a worker thread
-    that never finishes costs its queries a ``TIMEOUT`` envelope after
-    the pump's drain timeout — not a hung future."""
+    """``drain(timeout=)`` is honoured, so a worker thread that never
+    finishes costs its queries a ``TIMEOUT`` envelope after the pump's
+    drain timeout — not a hung future — and, every item of the cycle
+    being stuck, the pump spends no follow-up drain on nobody."""
     solution, gate = gated_solution(small_grid)
     system = MPRSystem(
         MPRConfig(1, 1, 1), solution, {1: 0},
         pump_drain_timeout=0.2,
     )
+    drains = []
+    real_drain = system.executor.drain
+
+    def counting_drain(timeout=None):
+        drains.append(timeout)
+        return real_drain(timeout=timeout)
+
+    system.executor.drain = counting_drain
     try:
         started = time.monotonic()
         result = system.submit_async(QueryTask(0.0, 7, 3, 1)).result(timeout=10)
         assert result.status is ResultStatus.TIMEOUT
         assert "7" in result.detail
         assert time.monotonic() - started < 5.0
+        # The future resolves before the parent's 1 s salvage drain
+        # would have returned; give that drain time to be *called*.
+        time.sleep(0.05)
+        assert drains == [0.2]
     finally:
         gate.set()  # let the worker finish so close() can join it
         system.close()

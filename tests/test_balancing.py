@@ -128,7 +128,8 @@ class TestRouterIntegration:
         reference = run_serial_reference(
             prototype, workload.initial_objects, workload.tasks
         )
-        assert executor.run(workload.tasks) == reference
+        with executor:
+            assert executor.run(workload.tasks) == reference
 
 
 class TestImbalance:

@@ -108,9 +108,14 @@ class TestPoolPlumbing:
         from repro.mpr import MPRSystem
 
         solution = DijkstraKNN(small_grid, place_objects(small_grid, 5))
-        with pytest.raises(ValueError):
-            system = MPRSystem(MPRConfig(1, 1, 1), solution, mode="thread")
+        for mode in ("thread", "process"):  # one executor: both retune
+            system = MPRSystem(
+                MPRConfig(1, 1, 1), solution, mode=mode, batch_size=4,
+                telemetry=ack_heavy_telemetry(),
+            )
             try:
-                system.retune_batch_size(10.0)
+                choice = system.retune_batch_size(1e5)
+                assert choice == system.executor.batch_size > 1
+                assert system.telemetry.counters["pool.batch_retunes"] == 1
             finally:
-                system.close()
+                system.close()  # never started: no worker was forked

@@ -221,11 +221,15 @@ def test_calibrate_ch_cutoff_runs() -> None:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_and_lazy_builders_both_exact(seed: int) -> None:
-    """Contraction order is a degree of freedom: the two builders pick
-    different orders (and shortcut sets) but both must answer exactly."""
+    """Contraction order is a degree of freedom: the batched rounds and
+    the scalar lazy-heap loop (the endgame, here given the whole graph)
+    pick different orders (and shortcut sets) but both must answer
+    exactly."""
     network = int_network(90, seed)
-    batched = ContractionHierarchy(network, seed=seed, builder="batched")
-    lazy = ContractionHierarchy(network, seed=seed, builder="lazy")
+    batched = ContractionHierarchy(network, seed=seed)
+    lazy = ContractionHierarchy(
+        network, seed=seed, endgame_nodes=network.num_nodes
+    )
     assert batched.exact and lazy.exact
     kb, kl = batched.kernels, lazy.kernels
     rng = random.Random(seed + 50)
@@ -236,12 +240,6 @@ def test_batched_and_lazy_builders_both_exact(seed: int) -> None:
         assert kl.point_to_point(s, t) == expected
 
 
-def test_unknown_builder_rejected() -> None:
-    network = int_network(30, 0)
-    with pytest.raises(ValueError, match="unknown builder"):
-        ContractionHierarchy(network, builder="nope")
-
-
 @pytest.mark.slow
 def test_pooled_build_is_exact_and_deterministic() -> None:
     """workers=2 splits witness sweeps across processes.  Sweep merging
@@ -250,10 +248,10 @@ def test_pooled_build_is_exact_and_deterministic() -> None:
     must be deterministic run-to-run and answer bit-exactly."""
     network = int_network(400, 13)
     pooled = ContractionHierarchy(
-        network, seed=13, builder="batched", workers=2
+        network, seed=13, workers=2
     )
     again = ContractionHierarchy(
-        network, seed=13, builder="batched", workers=2
+        network, seed=13, workers=2
     )
     for attr in (
         "rank", "up_indptr", "up_indices", "up_weights",

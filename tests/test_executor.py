@@ -1,4 +1,5 @@
-"""Tests for the threaded executor: serial equivalence and invariants."""
+"""Tests for the executor over thread workers: serial equivalence and
+invariants."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro.knn import DijkstraKNN, GTreeKNN, ToainKNN, VTreeKNN
 from repro.mpr import (
     MPRConfig,
     QuiesceTimeout,
+    WorkerCrash,
     build_executor,
     run_serial_reference,
 )
@@ -51,10 +53,10 @@ def test_equivalent_to_serial_ru(medium_grid, workload, config, solution_cls):
     reference = run_serial_reference(
         prototype, workload.initial_objects, workload.tasks
     )
-    executor = build_executor(
+    with build_executor(
         config, prototype, workload.initial_objects, check_invariants=True
-    )
-    answers = executor.run(workload.tasks)
+    ) as executor:
+        answers = executor.run(workload.tasks)
     assert canonical(answers) == canonical(reference)
 
 
@@ -64,10 +66,10 @@ def test_equivalent_to_serial_indexed_solutions(medium_grid, workload, solution_
     reference = run_serial_reference(
         prototype, workload.initial_objects, workload.tasks
     )
-    executor = build_executor(
+    with build_executor(
         MPRConfig(2, 2, 2), prototype, workload.initial_objects
-    )
-    assert canonical(executor.run(workload.tasks)) == canonical(reference)
+    ) as executor:
+        assert canonical(executor.run(workload.tasks)) == canonical(reference)
 
 
 def test_equivalent_to_serial_th_mode(medium_grid, th_workload):
@@ -75,11 +77,12 @@ def test_equivalent_to_serial_th_mode(medium_grid, th_workload):
     reference = run_serial_reference(
         prototype, th_workload.initial_objects, th_workload.tasks
     )
-    executor = build_executor(
+    with build_executor(
         MPRConfig(3, 2, 1), prototype, th_workload.initial_objects,
         check_invariants=True,
-    )
-    assert canonical(executor.run(th_workload.tasks)) == canonical(reference)
+    ) as executor:
+        answers = executor.run(th_workload.tasks)
+    assert canonical(answers) == canonical(reference)
 
 
 def test_final_contents_union_matches_serial(medium_grid, workload):
@@ -90,11 +93,11 @@ def test_final_contents_union_matches_serial(medium_grid, workload):
             serial.insert(task.object_id, task.location)
         elif task.kind.value == "delete":
             serial.delete(task.object_id)
-    executor = build_executor(
+    with build_executor(
         MPRConfig(3, 2, 1), prototype, workload.initial_objects
-    )
-    executor.run(workload.tasks)
-    contents = executor.worker_contents()
+    ) as executor:
+        executor.run(workload.tasks)
+        contents = executor.worker_contents()
     union: dict[int, int] = {}
     for column in range(3):
         union.update(contents[(0, 0, column)])
@@ -102,27 +105,28 @@ def test_final_contents_union_matches_serial(medium_grid, workload):
 
 
 def test_empty_stream(medium_grid):
-    executor = build_executor(
+    with build_executor(
         MPRConfig(2, 2, 1), DijkstraKNN(medium_grid), {1: 0}
-    )
-    assert executor.run([]) == {}
+    ) as executor:
+        assert executor.run([]) == {}
 
 
 def test_worker_error_is_propagated(medium_grid):
-    from repro.objects import DeleteTask
+    """A solution that raises inside a worker thread surfaces from
+    ``run`` as the same ``WorkerCrash`` a process worker's would."""
 
-    executor = build_executor(
-        MPRConfig(1, 1, 1), DijkstraKNN(medium_grid), {1: 0}
-    )
-    # Force an inconsistent stream past the router by preloading the
-    # router hash but not the worker: delete twice at the worker level
-    # is impossible through the router, so drive the worker directly.
-    worker = next(iter(executor._workers.values()))
-    worker.start()
-    worker.tasks.put(object())  # unknown op type -> worker crashes
-    worker.tasks.put(None)
-    worker.thread.join()
-    assert worker.error is not None
+    class ExplodingKNN(DijkstraKNN):
+        def spawn(self, objects):
+            return ExplodingKNN(self._network, objects)
+
+        def run_ops(self, ops, op_timings=None):
+            raise RuntimeError("boom")
+
+    with build_executor(
+        MPRConfig(1, 1, 1), ExplodingKNN(medium_grid), {1: 0}
+    ) as executor:
+        with pytest.raises(WorkerCrash, match="boom"):
+            executor.run([QueryTask(0.0, 7, 3, 1)])
 
 
 def test_drain_timeout_names_stuck_queries_and_carries_over(small_grid):

@@ -51,7 +51,8 @@ def test_full_pipeline_functional_equivalence(instance):
         choice.config, prototype, instance.workload.initial_objects,
         check_invariants=True,
     )
-    answers = executor.run(instance.workload.tasks)
+    with executor:
+        answers = executor.run(instance.workload.tasks)
     assert answers.keys() == reference.keys()
     for query_id in reference:
         got = [(round(n.distance, 6), n.object_id) for n in answers[query_id]]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -29,7 +30,8 @@ from repro.mpr import (
 from repro.objects.tasks import QueryTask
 from repro.workload import generate_workload
 
-pytestmark = pytest.mark.slow
+# Everything that signals a worker is ``slow`` (and process-only); the two
+# signal-free cases also run on thread workers in tier-1 (``worker_kind``).
 
 POISON_LOCATION = -1
 
@@ -77,6 +79,7 @@ def oracle(network, workload):
     )
 
 
+@pytest.mark.slow
 def test_sigkill_between_drains_is_invisible(network, workload, oracle) -> None:
     """Kill a quiesced worker; the next dispatch notices and respawns
     it from the replica cell — final answers equal the oracle's."""
@@ -101,6 +104,7 @@ def test_sigkill_between_drains_is_invisible(network, workload, oracle) -> None:
     assert answers == oracle
 
 
+@pytest.mark.slow
 def test_sigkill_with_batches_in_flight_replays(network, workload, oracle) -> None:
     """Kill a worker *while its batches are outstanding*: the
     supervisor must replay the unacknowledged suffix and the answers
@@ -122,6 +126,7 @@ def test_sigkill_with_batches_in_flight_replays(network, workload, oracle) -> No
     assert answers == oracle
 
 
+@pytest.mark.slow
 def test_every_worker_killed_once(network, workload, oracle) -> None:
     """Serially kill *each* worker of a replicated matrix; every cell
     must be reconstructible (y-row replication has no single point of
@@ -148,6 +153,7 @@ def test_every_worker_killed_once(network, workload, oracle) -> None:
     assert answers == oracle
 
 
+@pytest.mark.slow
 def test_close_times_out_on_dead_worker_and_is_idempotent(
     network, lifecycle_policy
 ) -> None:
@@ -169,20 +175,23 @@ def test_close_times_out_on_dead_worker_and_is_idempotent(
         pool.start()
 
 
-def test_close_before_start_and_empty_drain(network, lifecycle_policy) -> None:
+def test_close_before_start_and_empty_drain(
+    network, lifecycle_policy, worker_kind
+) -> None:
     pool = build_executor(
-        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0}, mode="process",
+        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0}, mode=worker_kind,
         resilience=lifecycle_policy,
     )
     pool.close()  # never started: still safe
     with build_executor(
-        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0}, mode="process",
+        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0}, mode=worker_kind,
         resilience=lifecycle_policy,
     ) as fresh:
         assert fresh.drain() == {}
         assert fresh.run([]) == {}
 
 
+@pytest.mark.slow
 def test_drain_timeout_lists_outstanding_batches(
     network, workload, lifecycle_policy
 ) -> None:
@@ -217,6 +226,7 @@ def test_drain_timeout_lists_outstanding_batches(
                 pass
 
 
+@pytest.mark.slow
 def test_close_escalates_on_wedged_worker_and_unlinks_shm(
     network, lifecycle_policy
 ) -> None:
@@ -246,21 +256,75 @@ def test_close_escalates_on_wedged_worker_and_unlinks_shm(
         shared_memory.SharedMemory(name=shm_name)
 
 
-def test_poison_task_raises_instead_of_respawn_loop(network, workload) -> None:
-    """A batch that crashes the solution itself is not a process fault:
+def test_poison_task_raises_instead_of_respawn_loop(
+    network, workload, worker_kind
+) -> None:
+    """A batch that crashes the solution itself is not a worker fault:
     it must surface as WorkerCrash, not burn the respawn budget."""
     pool = build_executor(
         MPRConfig(1, 1, 1), PoisonableKNN(network),
-        workload.initial_objects, mode="process", batch_size=1,
+        workload.initial_objects, mode=worker_kind, batch_size=1,
         health_check_interval=0.02,
     )
     with pool:
-        pool.submit(QueryTask(0.0, 0, POISON_LOCATION, 3))
         with pytest.raises(WorkerCrash):
+            # A fast worker's report already surfaces from the acks
+            # submit() collects opportunistically.
+            pool.submit(QueryTask(0.0, 0, POISON_LOCATION, 3))
             pool.drain()
         assert pool.metrics.respawns == 0
 
 
+class PoisonCellKNN(DijkstraKNN):
+    """Crashes on every batch in the replicas whose cell holds object 0
+    — one column's poison, its sibling column's clean answer."""
+
+    def run_ops(self, ops, op_timings=None):
+        if 0 in self.object_locations():
+            raise RuntimeError("poisoned cell")
+        return super().run_ops(ops, op_timings)
+
+    def spawn(self, objects):
+        return PoisonCellKNN(self._network, objects)
+
+
+def test_poison_report_and_sibling_ack_in_one_pump_step(
+    network, worker_kind
+) -> None:
+    """One pump step finds column 0's error report *and* column 1's ack
+    ready.  Handling the report respawns the worker, which collects the
+    dead worker's residual acks — only its own: were that a full pump,
+    it would consume the sibling's ack, and the outer step's blocking
+    ``recv`` on the sibling's now-empty pipe would hang the drain."""
+    objects = {i: (i * 11 + 5) % network.num_nodes for i in range(10)}
+    pool = build_executor(
+        MPRConfig(2, 1, 1), PoisonCellKNN(network), objects,
+        mode=worker_kind, batch_size=64,
+        resilience=ResilienceConfig(hedge=False),
+    )
+    with pool:
+        pool.start()
+        # Column 0 is spawned (and so polled) first: the order that hangs.
+        assert 0 in pool.worker_contents()[(0, 0, 0)]
+        pool.submit(QueryTask(0.0, 7, 3, 4))
+        pool.flush()  # sends both batches, reads nothing
+        for state in pool._workers.values():
+            assert state.reader.poll(10.0)  # both answers are waiting
+        done: list[dict] = []
+        drainer = threading.Thread(
+            target=lambda: done.append(pool.drain(timeout=10.0)), daemon=True
+        )
+        drainer.start()
+        drainer.join(timeout=20.0)
+        assert not drainer.is_alive(), "drain hung on a consumed ack"
+        (answers,) = done
+    survivor = DijkstraKNN(network, pool.worker_contents()[(0, 0, 1)])
+    assert answers[7].missing_columns == ((0, 0),)
+    assert list(answers[7]) == survivor.query(3, 4)
+    assert pool.metrics.batches_quarantined == 1
+
+
+@pytest.mark.slow
 def test_default_pools_share_no_policy_state(network, workload, oracle) -> None:
     """Two default pools in one process each own their policy: a worker
     killed in one leaves the other's respawn budget, admission ledger

@@ -1,16 +1,17 @@
-"""Live zero-downtime reconfiguration of the process pool.
+"""Live zero-downtime reconfiguration of the pool.
 
 Fast tests cover the decision layer (:mod:`repro.mpr.reconfig`) against
-a fake system; the ``slow``-marked tests drive real pools through shape
-changes — including the acceptance criterion: a telemetry-triggered
-transition under load with zero dropped or incorrect answers, and a
-mid-transition SIGKILL that rolls back without a serving gap.
+a fake system and drive real thread-worker pools through shape changes
+— including the acceptance criterion: a telemetry-triggered transition
+under load with zero dropped or incorrect answers.  Their process-worker
+variants, and the mid-transition SIGKILL that rolls back without a
+serving gap, are ``slow``-marked.
 """
 
 from __future__ import annotations
 
-import os
-import signal
+import functools
+import threading
 import time
 
 import pytest
@@ -29,8 +30,10 @@ from repro.mpr import (
     ReconfigPolicy,
     ReconfigRejected,
     ResilienceConfig,
+    build_executor,
     run_serial_reference,
 )
+from repro.mpr.chaos import kill_warming_worker
 from repro.mpr.process_executor import ProcessPoolService
 from repro.objects.tasks import InsertTask, QueryTask
 from repro.obs import Telemetry
@@ -39,12 +42,15 @@ PROFILE = paper_profile("V-tree", "BJ")
 MACHINE = MachineSpec(total_cores=5)
 
 
-def make_pool(telemetry=None, resilience=None, config=MPRConfig(2, 2, 1)):
+def make_pool(
+    telemetry=None, resilience=None, config=MPRConfig(2, 2, 1),
+    mode="process",
+):
     network = grid_network(8, 8, seed=1)
     base = DijkstraKNN(network)
     objects = {i: (i * 7 + 3) % network.num_nodes for i in range(20)}
-    pool = ProcessPoolService(
-        base, config, objects, batch_size=4,
+    pool = build_executor(
+        config, base, objects, mode=mode, batch_size=4,
         telemetry=telemetry if telemetry is not None else Telemetry(),
         resilience=resilience,
     )
@@ -189,11 +195,10 @@ def test_manager_keeps_shape_on_steady_rates() -> None:
 
 
 # ----------------------------------------------------------------------
-# Live pool (slow)
+# Live pool (thread workers fast, process workers slow)
 # ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_manual_reconfigure_under_load_is_oracle_exact() -> None:
-    network, base, objects, pool = make_pool()
+def test_manual_reconfigure_under_load_is_oracle_exact(worker_kind) -> None:
+    network, base, objects, pool = make_pool(mode=worker_kind)
     tasks = make_tasks(network)
     with pool:
         for task in tasks[: len(tasks) // 2]:
@@ -213,11 +218,10 @@ def test_manual_reconfigure_under_load_is_oracle_exact() -> None:
     assert "warm" in history[0].phases
 
 
-@pytest.mark.slow
-def test_updates_survive_the_cutover() -> None:
+def test_updates_survive_the_cutover(worker_kind) -> None:
     """Catch-up feed: updates submitted mid-transition must be visible
     to queries answered by the new shape."""
-    network, base, objects, pool = make_pool()
+    network, base, objects, pool = make_pool(mode=worker_kind)
     tasks = [InsertTask(0.0, 900 + i, (i * 11) % network.num_nodes)
              for i in range(6)]
     tasks += make_tasks(network, count=18)
@@ -247,9 +251,7 @@ def test_kill_warming_worker_rolls_back_without_serving_gap() -> None:
         event = pool.begin_reconfigure(
             MPRConfig(1, 2, 1), trigger="test", warm_timeout=10.0
         )
-        pids = pool.transition_pids()
-        assert pids
-        os.kill(pids[sorted(pids)[0]], signal.SIGKILL)
+        kill_warming_worker(pool)
         # The old shape keeps serving while the rollback lands.
         for task in tasks[10:]:
             pool.submit(task)
@@ -280,8 +282,7 @@ def test_repeated_rollbacks_trip_the_reconfig_breaker() -> None:
             event = pool.begin_reconfigure(
                 MPRConfig(1, 2, 1), trigger="test", warm_timeout=10.0
             )
-            pids = pool.transition_pids()
-            os.kill(pids[sorted(pids)[0]], signal.SIGKILL)
+            kill_warming_worker(pool)
             deadline = time.monotonic() + 10.0
             while event.outcome == "pending":
                 assert time.monotonic() < deadline
@@ -293,9 +294,41 @@ def test_repeated_rollbacks_trip_the_reconfig_breaker() -> None:
     assert outcomes == ["rolled_back", "rolled_back", "rejected"]
 
 
-@pytest.mark.slow
-def test_same_shape_is_rejected_before_any_work() -> None:
-    network, base, objects, pool = make_pool()
+def test_rolled_back_thread_transition_leaves_no_worker_thread() -> None:
+    """A thread cannot be killed, only told to stop: a rollback must
+    still leave no warming ``w-core`` thread behind, and ``close()``
+    none at all."""
+    def w_cores():
+        return {
+            thread for thread in threading.enumerate()
+            if thread.name.startswith("w-core")
+        }
+
+    before = w_cores()  # other tests' unclosed executors, if any
+    network, base, objects, pool = make_pool(mode="thread")
+    with pool:
+        pool.start()
+        serving = w_cores() - before
+        assert len(serving) == 4
+        # No pump runs between begin and the submit's supervision step,
+        # so no probe is acked and a zero warm budget has expired.
+        event = pool.begin_reconfigure(
+            MPRConfig(1, 2, 1), trigger="test", warm_timeout=0.0
+        )
+        assert len(w_cores() - before) == 6
+        pool.submit(QueryTask(0.0, 1, 0, 1))
+        assert event.outcome == "rolled_back"
+        assert "timed out" in event.reason
+        assert w_cores() - before == serving
+        assert pool.drain() == run_serial_reference(
+            base, objects, [QueryTask(0.0, 1, 0, 1)]
+        )
+    assert w_cores() - before == set()
+    assert pool.worker_pids() == {}  # nothing to signal
+
+
+def test_same_shape_is_rejected_before_any_work(worker_kind) -> None:
+    network, base, objects, pool = make_pool(mode=worker_kind)
     with pool:
         pool.start()
         with pytest.raises(ReconfigRejected):
@@ -304,12 +337,74 @@ def test_same_shape_is_rejected_before_any_work() -> None:
     assert pool.generation == 0
 
 
-@pytest.mark.slow
-def test_telemetry_triggered_change_under_load_acceptance() -> None:
+def test_back_to_back_transitions_reap_the_drained_fleet(worker_kind) -> None:
+    """Nothing pumps between the two calls, so the first cutover's old
+    workers owe no answers but were never told to stop: the second
+    transition stops and reaps them instead of refusing."""
+    network, base, objects, pool = make_pool(mode=worker_kind)
+    tasks = make_tasks(network, count=12)
+    with pool:
+        for task in tasks:
+            pool.submit(task)
+        answers = pool.drain()
+        first = pool.reconfigure(MPRConfig(1, 2, 1), trigger="test")
+        second = pool.reconfigure(MPRConfig(2, 1, 1), trigger="test")
+        assert pool.generation == 2
+        assert "retire" in first.phases
+    assert [first.outcome, second.outcome] == ["completed", "completed"]
+    assert answers == run_serial_reference(base, objects, tasks)
+
+
+def test_fleet_owing_answers_still_refuses_the_next_transition() -> None:
+    """The reaping stops at workers with pre-cutover work in flight."""
+    network = grid_network(8, 8, seed=1)
+    gate = threading.Event()
+
+    class GatedKNN(DijkstraKNN):
+        def spawn(self, objects):
+            return GatedKNN(self._network, objects)
+
+        def run_ops(self, ops, op_timings=None):
+            if ops:  # probes (no ops) pass, so the new shape warms
+                gate.wait(timeout=30)
+            return super().run_ops(ops, op_timings)
+
+    objects = {i: (i * 7 + 3) % network.num_nodes for i in range(20)}
+    tasks = make_tasks(network, count=8)
+    pool = build_executor(
+        MPRConfig(2, 2, 1), GatedKNN(network), objects,
+        mode="thread", batch_size=1,
+    )
+    with pool:
+        try:
+            for task in tasks:
+                pool.submit(task)
+            pool.reconfigure(MPRConfig(1, 2, 1), trigger="test")
+            with pytest.raises(ReconfigRejected, match="still retiring"):
+                pool.reconfigure(MPRConfig(2, 1, 1), trigger="test")
+        finally:
+            gate.set()
+        answers = pool.drain()
+        third = pool.reconfigure(MPRConfig(2, 1, 1), trigger="test")
+    assert third.outcome == "completed"
+    assert answers == run_serial_reference(
+        DijkstraKNN(network), objects, tasks
+    )
+
+
+def test_telemetry_triggered_change_under_load_acceptance(
+    worker_kind, monkeypatch
+) -> None:
     """Acceptance: the manager watches live counters and reshapes the
     pool mid-stream; every answer stays oracle-exact, none dropped."""
-    from repro.validation import run_reconfig_soak
+    from repro.validation import reconfig_soak, run_reconfig_soak
 
+    if worker_kind == "thread":
+        # The soak builds its own (process) pool; same pool, other kind.
+        monkeypatch.setattr(
+            reconfig_soak, "ProcessPoolService",
+            functools.partial(ProcessPoolService, start_method="thread"),
+        )
     report = run_reconfig_soak(
         phases=(("query-heavy", 200, 1), ("update-heavy", 10, 150)),
         min_auto_changes=1,
@@ -320,14 +415,13 @@ def test_telemetry_triggered_change_under_load_acceptance() -> None:
     assert all(t["outcome"] == "completed" for t in report.transitions)
 
 
-@pytest.mark.slow
-def test_mpr_system_reconfigures_through_the_pump() -> None:
+def test_mpr_system_reconfigures_through_the_pump(worker_kind) -> None:
     network = grid_network(8, 8, seed=1)
     base = DijkstraKNN(network)
     objects = {i: (i * 7 + 3) % network.num_nodes for i in range(20)}
     tasks = make_tasks(network, count=16)
     with MPRSystem(
-        MPRConfig(2, 2, 1), base, objects, mode="process", batch_size=4,
+        MPRConfig(2, 2, 1), base, objects, mode=worker_kind, batch_size=4,
     ) as system:
         futures = [system.submit_async(task) for task in tasks[:8]]
         event = system.reconfigure(MPRConfig(3, 1, 1), trigger="test")
@@ -345,13 +439,12 @@ def test_mpr_system_reconfigures_through_the_pump() -> None:
     assert "reconfigurations:" in system.report()
 
 
-@pytest.mark.slow
-def test_enable_auto_reconfigure_manual_poll() -> None:
+def test_enable_auto_reconfigure_manual_poll(worker_kind) -> None:
     network = grid_network(8, 8, seed=1)
     base = DijkstraKNN(network)
     objects = {i: (i * 7 + 3) % network.num_nodes for i in range(20)}
     with MPRSystem(
-        MPRConfig(2, 2, 1), base, objects, mode="process", batch_size=4,
+        MPRConfig(2, 2, 1), base, objects, mode=worker_kind, batch_size=4,
     ) as system:
         system.start()
         manager = system.enable_auto_reconfigure(

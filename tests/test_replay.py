@@ -96,5 +96,6 @@ class TestReplay:
             MPRConfig(2, 2, 1), prototype, workload.initial_objects,
             check_invariants=True,
         )
-        answers = executor.run(workload.tasks)
+        with executor:
+            answers = executor.run(workload.tasks)
         assert answers == reference

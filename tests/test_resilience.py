@@ -15,7 +15,6 @@ from repro.knn.base import Neighbor, PartialResult, merge_partial_results
 from repro.mpr import MPRConfig
 from repro.mpr.core_matrix import MPRRouter, RouteBatcher
 from repro.mpr.resilience import (
-    NULL_RESILIENCE,
     RESILIENCE_COUNTERS,
     AdmissionController,
     CircuitBreaker,
@@ -169,9 +168,14 @@ def test_admission_unbounded_never_sheds() -> None:
 # ResiliencePolicy handle
 # ----------------------------------------------------------------------
 def test_null_resilience_is_disabled_and_shared() -> None:
-    assert not NULL_RESILIENCE.enabled
-    assert NULL_RESILIENCE.admission.max_outstanding is None
-    assert ResiliencePolicy(None).enabled is False
+    """A policy built from ``None`` is disabled and inert — and there is
+    no shared module-level instance: every pool owns its ledgers."""
+    disabled = ResiliencePolicy(None)
+    assert disabled.enabled is False
+    assert disabled.admission.max_outstanding is None
+    assert disabled.config.hedge is False
+    assert disabled.config.stall_timeout is None
+    assert disabled.admission is not ResiliencePolicy(None).admission
     assert ResiliencePolicy(ResilienceConfig()).enabled is True
 
 

@@ -1,31 +1,52 @@
-"""Disabled resilience must be free; enabled-but-idle must be cheap.
+"""Enabled-but-idle resilience must be cheap.
 
-Two claims pinned here, mirroring ``tests/test_telemetry_overhead.py``:
+With ``resilience=None`` the pool owns a disabled policy that arms
+nothing, so the disabled run *is* the baseline.  With resilience
+enabled and **no faults injected**, throughput must stay within 5% of
+that run (plus a small absolute slack for scheduler jitter) — deadlines
+armed, admission counted, breakers untouched — per the acceptance
+criterion.  (The matching promise for disabled telemetry is measured
+by mprbench's ``bench.trace_overhead_ratio``.)
 
-* With ``resilience=None`` the executors hold :data:`NULL_RESILIENCE`
-  and every touch point is one attribute load + one branch, so the hot
-  path must match the pre-resilience executor to within noise.  That
-  is already covered transitively by the telemetry-overhead seed race
-  (the seed predates both layers); here we pin the *enabled* cost.
-* With resilience enabled and **no faults injected**, the pool's
-  throughput must stay within 5% of the disabled run (plus a small
-  absolute slack for scheduler jitter) — deadlines armed, admission
-  counted, breakers untouched — per the acceptance criterion.
-
-A constant-time solution keeps the measurement about executor
-machinery, and interleaved min-of-N keeps both sides under the same
-machine conditions.
+A constant-time solution keeps the thread-worker tripwire about
+executor machinery, and interleaved min-of-N keeps both sides under
+the same machine conditions.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Mapping
 
 import pytest
 
+from repro.knn.base import KNNSolution, Neighbor
 from repro.mpr import MPRConfig, ResilienceConfig, build_executor
 from repro.workload import generate_workload
-from test_telemetry_overhead import ConstantTimeKNN
+
+
+class ConstantTimeKNN(KNNSolution):
+    """O(1) operations: all measured time is executor machinery."""
+
+    name = "constant"
+
+    def __init__(self, objects: Mapping[int, int] | None = None):
+        self._objects = dict(objects or {})
+
+    def query(self, location: int, k: int) -> list[Neighbor]:
+        return [Neighbor(float(location % 7), location % 13)]
+
+    def insert(self, object_id: int, location: int) -> None:
+        self._objects[object_id] = location
+
+    def delete(self, object_id: int) -> None:
+        self._objects.pop(object_id, None)
+
+    def spawn(self, objects: Mapping[int, int]) -> "ConstantTimeKNN":
+        return ConstantTimeKNN(objects)
+
+    def object_locations(self) -> dict[int, int]:
+        return dict(self._objects)
 
 
 def _interleaved_best(run_base, run_resilient, repeats):
@@ -86,16 +107,16 @@ def test_idle_resilience_threaded_overhead_under_five_percent(
         executor.close()
         return elapsed
 
-    # Enabled resilience does real per-query work on this substrate
-    # (queue-depth reads for admission, a clock read to arm the SLO) —
-    # a few µs per query, which the constant-time solution magnifies
-    # to ~10% where any real kNN search would dwarf it.  This is a
-    # regression tripwire, not the 5% acceptance bound; that bound is
-    # the pool's, pinned below.
+    # Enabled resilience does real per-query work (the admission
+    # ledger, a clock read and a heap push to arm the SLO) — a few µs
+    # per query, which the constant-time solution magnifies where any
+    # real kNN search would dwarf it.  This is a regression tripwire
+    # on thread workers, not the 5% acceptance bound; that bound is
+    # the process pool's, pinned below.
     _assert_overhead_within(
         lambda: run_with(None), lambda: run_with(resilience),
         repeats=9, factor=1.15, slack=2e-3,
-        what="idle-resilience threaded executor",
+        what="idle-resilience thread-worker pool",
     )
 
 
@@ -110,7 +131,7 @@ def test_idle_resilience_pool_throughput_within_five_percent(
     Measured with real Dijkstra kNN work — the criterion is about
     serving throughput, and the per-query ledger cost (~µs) must be
     judged against real queries, not against the constant-time
-    magnifier used by the threaded tripwire above.
+    magnifier used by the thread-worker tripwire above.
     """
     from repro.knn import DijkstraKNN
 

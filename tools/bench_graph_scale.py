@@ -8,10 +8,10 @@ records, per size:
 * ``attach_ms`` — ``open_cache`` memmap attach (median of 5).  The
   headline claim is that this column is *flat*: attach cost is
   independent of graph size because only the manifest is read eagerly;
-* ``ch_build_s`` / ``ch_lazy_build_s`` — the batched contraction
-  pipeline vs the seed lazy-heap builder it replaced (the measured
-  ``ch_build_speedup`` is the tentpole claim), plus ``ch_save_s`` and
-  ``ch_attach_ms`` for the persisted hierarchy (``save_ch_cache`` /
+* ``ch_build_s`` — the batched contraction pipeline (the checked-in
+  artifact's ``ch_build`` row, 24x over the seed lazy-heap builder at
+  262k nodes, is historical: that builder is gone), plus ``ch_save_s``
+  and ``ch_attach_ms`` for the persisted hierarchy (``save_ch_cache`` /
   ``load_cached_ch`` — attach is an O(1) memmap like the graph's);
 * long-range kNN latency (few objects, so a plain expansion settles a
   large region) for three engines — the vectorized ``CSRKernels`` top-k,
@@ -58,7 +58,6 @@ FULL_SIDES = (64, 128, 256, 512, 1024)
 SMOKE_SIDES = (64, 512, 1024)
 CH_MAX_SIDE = 256     # hub-label warm/query comparison: labels are RAM-heavy
 CH_BUILD_MAX_SIDE = 1024  # batched builder: measured up to ~1M nodes
-LAZY_MAX_SIDE = 512   # the seed lazy-heap builder: ~13min at 262k, capped
 SMOKE_CH_MIN_SIDE = 512   # smoke builds+persists+attaches CH from here up
 HEAPQ_MAX_SIDE = 256  # the baseline the kernels replaced; slow by design
 NUM_OBJECTS = 32      # sparse objects => long-range queries
@@ -127,7 +126,7 @@ def time_queries(run, sources) -> list[float]:
 
 
 def bench_side(
-    side: int, *, engines: bool, ch_build: bool, lazy_baseline: bool
+    side: int, *, engines: bool, ch_build: bool
 ) -> dict:
     perf = time.perf_counter
     t0 = perf()
@@ -173,14 +172,6 @@ def bench_side(
             entry["ch_attach_ms"] = round(
                 statistics.median(ch_attach_samples) * 1e3, 2
             )
-        if lazy_baseline:
-            t0 = perf()
-            ContractionHierarchy(network, builder="lazy")
-            entry["ch_lazy_build_s"] = round(perf() - t0, 2)
-            if ch_build:
-                entry["ch_build_speedup"] = round(
-                    entry["ch_lazy_build_s"] / entry["ch_build_s"], 1
-                )
         if not engines:
             return entry
 
@@ -253,7 +244,7 @@ def format_txt(report: dict) -> str:
         f"{NUM_OBJECTS} objects, k={K})",
         "",
         f"{'nodes':>10} {'arcs':>10} {'build_s':>8} {'save_s':>8} "
-        f"{'attach_ms':>10} {'ch_build_s':>10} {'ch_lazy_s':>10} "
+        f"{'attach_ms':>10} {'ch_build_s':>10} "
         f"{'ch_att_ms':>9} {'kernel_us':>10} {'ch_us':>8} {'heapq_us':>9}",
     ]
     for entry in report["sizes"]:
@@ -262,7 +253,6 @@ def format_txt(report: dict) -> str:
             f"{entry['build_s']:>8.3f} {entry['save_s']:>8.3f} "
             f"{entry['attach_ms']:>10.2f} "
             f"{entry.get('ch_build_s', ''):>10} "
-            f"{entry.get('ch_lazy_build_s', ''):>10} "
             f"{entry.get('ch_attach_ms', ''):>9} "
             f"{entry.get('kernel_knn_p50_us', float('nan')):>10} "
             f"{entry.get('ch_knn_p50_us', ''):>8} "
@@ -274,15 +264,6 @@ def format_txt(report: dict) -> str:
         f"across {report['sizes'][0]['nodes']:,}"
         f"-{report['sizes'][-1]['nodes']:,} nodes"
     )
-    if "ch_build" in report:
-        row = report["ch_build"]
-        lines.append(
-            f"ch_build at {row['nodes']:,} nodes: batched "
-            f"{row['build_s']:.1f}s vs lazy-heap seed "
-            f"{row['lazy_build_s']:.1f}s "
-            f"({row['speedup_vs_seed']:.1f}x); persisted hierarchy "
-            f"re-attaches in {row['attach_ms']:.2f}ms (O(1) memmap)"
-        )
     if "ch_speedup_vs_kernel" in report:
         lines.append(
             "long-range kNN at "
@@ -309,10 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sides", type=int, nargs="*",
         help="override the grid side lengths to sweep",
     )
-    parser.add_argument(
-        "--skip-lazy", action="store_true",
-        help="skip the lazy-heap builder baseline (slow: ~13min at 262k)",
-    )
     args = parser.parse_args(argv)
 
     sides = tuple(args.sides) if args.sides else (
@@ -323,14 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     for side in sides:
         if args.smoke:
             ch_build = side >= SMOKE_CH_MIN_SIDE
-            lazy_baseline = False
         else:
             ch_build = side <= CH_BUILD_MAX_SIDE
-            lazy_baseline = side <= LAZY_MAX_SIDE and not args.skip_lazy
-        entry = bench_side(
-            side, engines=not args.smoke,
-            ch_build=ch_build, lazy_baseline=lazy_baseline,
-        )
+        entry = bench_side(side, engines=not args.smoke, ch_build=ch_build)
         report["sizes"].append(entry)
         print(
             f"side {side:>5} ({entry['nodes']:>9,} nodes): "
@@ -339,10 +311,6 @@ def main(argv: list[str] | None = None) -> int:
             + (
                 f" ch_build {entry['ch_build_s']:.1f}s"
                 if "ch_build_s" in entry else ""
-            )
-            + (
-                f" ch_lazy {entry['ch_lazy_build_s']:.1f}s"
-                if "ch_lazy_build_s" in entry else ""
             )
             + (
                 f" ch_attach {entry['ch_attach_ms']:.2f}ms"
@@ -364,19 +332,6 @@ def main(argv: list[str] | None = None) -> int:
 
     attaches = [entry["attach_ms"] for entry in report["sizes"]]
     report["attach_flatness"] = round(max(attaches) / min(attaches), 2)
-
-    # The headline ch_build row: the largest size where both builders
-    # ran (the batched-vs-seed speedup is measured, not extrapolated).
-    compared = [e for e in report["sizes"] if "ch_build_speedup" in e]
-    if compared:
-        best = compared[-1]
-        report["ch_build"] = {
-            "nodes": best["nodes"],
-            "build_s": best["ch_build_s"],
-            "lazy_build_s": best["ch_lazy_build_s"],
-            "speedup_vs_seed": best["ch_build_speedup"],
-            "attach_ms": best["ch_attach_ms"],
-        }
 
     ch_entries = [e for e in report["sizes"] if "ch_knn_p50_us" in e]
     if ch_entries:

@@ -145,15 +145,16 @@ routing decision and caches it; pass an explicit number to skip the
 probe.  On float-weight networks `ch.exact` is False and auto-routing
 stays off (last-ulp sums differ).
 
-**Construction** is the batched vectorized pipeline (the default
-`builder="batched"`): independent-set batches scored by edge
-difference, witness searches run as bounded multi-source array sweeps
-(merged per source, shrinking per-search bounds), and a tiny scalar
-endgame for the last dense core.  It is ~14x faster than the
-lazy-heap builder it replaced at 262k nodes (`ch_build` row in
-`benchmarks/results/graph_scale.json`) with the same bit-exactness
-story — contraction *order* is a free variable, so the two builders'
-shortcut sets may differ while every answer stays identical.  Pass
+**Construction** is one batched vectorized pipeline: independent-set
+batches scored by edge difference, witness searches run as bounded
+multi-source array sweeps (merged per source, shrinking per-search
+bounds), and a tiny scalar lazy-heap endgame for the last dense core
+(`endgame_nodes`).  It measured 24x faster at 262k nodes than the
+whole-graph lazy-heap builder it replaced (the historical `ch_build`
+row in `benchmarks/results/graph_scale.json`; that builder is gone)
+with the same bit-exactness story — contraction *order* is a free
+variable, so shortcut sets may differ while every answer stays
+identical.  Pass
 `workers=N` to fan witness sweeps out across forked processes sharing
 the CSR via the cache/shm tokens (useful on multi-core hosts;
 deterministic run-to-run).
@@ -210,35 +211,38 @@ and the parent stitches them — `CLOCK_MONOTONIC` is system-wide, so the
 clocks are directly comparable.  Histogram-only stages (`update`,
 `response`) and counters (`router.*`, `batcher.*`, `pool.respawns`)
 ride along.  Disabled telemetry (the default `NULL_TELEMETRY`) costs
-one branch per call site; `tests/test_telemetry_overhead.py` pins the
-executor's disabled-path overhead against a frozen copy of the
-pre-telemetry hot path.
+one branch per call site; mprbench's `bench.trace_overhead_ratio`
+measures what enabling it costs on the served path.
 
-Executors are constructed through **one entry point**,
-`repro.mpr.api.build_executor(config, solution, objects, ...)` — the
-arrangement first, the substrate chosen by `mode`, telemetry threaded
-through every layer.  All executors share one lifecycle (`start()` /
-`submit()` / `flush()` / `drain()` / `run()` / `close()`, plus the
-context-manager form) and serial-equivalent answers.  `MPRSystem`
-wraps an executor with a default-*enabled* telemetry handle and
+There is **one executor**, `ProcessPoolService`, built through **one
+entry point**, `repro.mpr.api.build_executor(config, solution, objects,
+...)` — the arrangement first, the worker kind chosen by `mode`,
+telemetry threaded through every layer.  `mode="process"` forks
+worker processes (real parallelism, every fault rung);
+`mode="thread"` runs the same data plane — batching, acks, hedged
+reads, `PartialResult`, live `reconfigure()` — over in-process worker
+threads, for tests and examples that want the protocol without
+forking.  What thread workers cannot do: they cannot be SIGKILLed, so
+the stall watchdog never fires for them and `close()`'s terminate/kill
+rungs only queue another stop; they are GIL-bound and pay the result
+pipe's pickling without gaining a core (against the bare per-thread
+queues this mode replaced, a `(2,2,1)` DijkstraKNN mix moved 0.57–0.70
+→ 0.73–0.78 ms/op on a 32×32 grid, 2.2–2.4 → 2.8–3.0 on 96×96, and a
+zero-cost solution 11 → 49–59 µs/op) — correctness, not speed.  Both kinds share one lifecycle
+(`start()` / `submit()` / `flush()` / `drain()` / `run()` / `close()`,
+plus the context-manager form) and serial-equivalent answers;
+`check_invariants=True` asserts the Section IV-A partition/replication
+invariants on the acknowledged cells after every `run()` in either
+mode.  `MPRSystem` wraps an executor with a default-*enabled* telemetry handle and
 `stats()`/`report()` accessors; `repro.cli stats` is the command-line
 face of the same loop, and `machine_spec_from_telemetry` /
 `profile_from_telemetry` feed measured `(tq, tu, τ)` back into the
 optimizer.
 
-The transitional `DeprecationWarning` shims are **gone**: direct
-construction (`ThreadedMPRExecutor(solution, config, objects)` /
-`ProcessPoolService(solution, config, objects)`) is warning-free and
-builds exactly what the facade builds, and the one-shot
-`ProcessMPRExecutor` wrapper has been removed outright.
-
-| Removed form | Use instead |
-| --- | --- |
-| legacy keyword shims on the direct constructors | the canonical signatures (solution, config, objects) — now warning-free |
-| `ProcessMPRExecutor(solution, config, objects, start_method="fork")` | `build_executor(config, solution, objects, mode="process", batch_size=1, start_method="fork")` |
-
-Note the argument-order flip: the direct constructors take the solution
-first; `build_executor` takes the `MPRConfig` first.
+Direct construction (`ProcessPoolService(solution, config, objects)`,
+`start_method="thread"` for thread workers) builds exactly what the
+facade builds.  Note the argument-order flip: the direct constructor
+takes the solution first; `build_executor` takes the `MPRConfig` first.
 """,
     ),
     (
@@ -296,9 +300,8 @@ The executors feed this path end to end.  `RouteBatcher` (with
 `locality_group=True`, the default) sorts each maximal run of
 consecutive queries in a released batch by `(location, query_id)` —
 updates are reorder barriers, so per-worker serial equivalence is
-untouched.  Pool workers hand each batch to `run_ops`; threaded
-workers do the same with whatever is immediately queued up to the next
-drain barrier.  With telemetry enabled, queries answered together record one
+untouched.  Workers of either kind hand each batch to `run_ops`.  With
+telemetry enabled, queries answered together record one
 `execute_batch` histogram span plus `exec.batches` /
 `exec.batch_queries` counters — one per *batch* for `DijkstraKNN`, one
 per query run for the default — and each of those queries gets an
@@ -346,15 +349,13 @@ replica row of the same partition column that has not yet been tried
 (the y-replication of the MPR matrix is the hedging substrate).  First
 answer per column wins; the loser's ack is dropped as a duplicate and
 its telemetry stamps are skipped, so each `QueryTrace` keeps exactly
-one `execute` span per column.  Deadlines are advisory on the threaded
-substrate (misses are counted, answers still complete).
+one `execute` span per column.
 
 **Admission control.**  `AdmissionController` tracks outstanding ops
 per worker; when the max backlog reaches
 `ResilienceConfig.max_outstanding`, new *queries* are shed at submit
 with a typed, falsy `Overloaded` verdict (updates are never shed — they
-would diverge the replicas).  The threaded executor sheds on live
-worker queue depth instead.
+would diverge the replicas).
 
 **Crash handling: breakers, quarantine, degraded answers.**  Worker
 death normally respawns-and-replays (see the pool section).  A
@@ -370,7 +371,8 @@ unavailable, the merge stops waiting: affected queries resolve as
 `missing_columns` names the dead ones and whose `complete` is False —
 instead of blocking the drain.  A stall watchdog
 (`ResilienceConfig.stall_timeout`) converts a live-but-silent worker
-(e.g. SIGSTOP) into the crash path.
+process (e.g. SIGSTOP) into the crash path; thread workers, which no
+signal can clear, are exempt from it.
 
 Observability: eight counters (`RESILIENCE_COUNTERS`:
 `resilience.hedges`, `.shed`, `.degraded`, `.breaker_open`,
@@ -420,12 +422,15 @@ state machine:
 3. **Retire** — old workers finish their outstanding batches, receive a
    stop sentinel, and are reaped; a retiring worker that dies or stalls
    with batches still unacked is respawned once to replay them (answers
-   are never dropped).
+   are never dropped).  A new transition requested meanwhile stops and
+   reaps a fleet that owes nothing; it is rejected (`still retiring`)
+   only while old workers still owe pre-cutover answers.
 
 **Failure safety.**  A warming worker that dies, errors, or misses the
 `warm_timeout` triggers **rollback**: the transition's workers are
 killed, the old shape keeps serving uninterrupted (it never stopped),
-and the event records `outcome="rolled_back"` with the reason.  Every
+(thread workers: told to stop), and the event records
+`outcome="rolled_back"` with the reason.  Every
 phase is timeout-bounded.  Repeated rollbacks trip a dedicated
 reconfiguration circuit breaker — further attempts raise
 `ReconfigRejected` until its backoff expires.  The chaos scenarios
