@@ -5,9 +5,10 @@ w-cores and is the only executor there is.  A w-core is an OS *process*
 (``mode="process"`` — the literal "multi-processing" of the paper's
 title, and the only kind that shows wall-clock speedup under CPython's
 GIL) or a *thread* (``mode="thread"``); the parent decides the kind in
-``_spawn`` and nowhere else on the data path (worker-side,
-``_worker_main`` knows it in one spot: a stamped ack from a
-``_ThreadWorker`` carries no ``KERNEL_CALLS`` delta):
+``_spawn`` and nowhere else on the data path (``_retire_pipes`` closes
+a pipe inbox if there is one; worker-side, ``_worker_main`` picks the
+inbox's read call and knows that a stamped ack from a ``_ThreadWorker``
+carries no ``KERNEL_CALLS`` delta):
 
 * **persistent workers** — workers start once (``start()`` or the
   context manager) and serve any number of ``run()``/``submit()``
@@ -38,14 +39,27 @@ mix on the 2-core build host moved 0.57–0.70 → 0.73–0.78 ms/op on a
 32×32 grid and 2.2–2.4 → 2.8–3.0 ms/op on 96×96 (10×10 is noise-bound,
 0.14–0.43 ms/op on both sides), a zero-cost solution 11 → 49–59 μs/op.
 
-Results travel over one dedicated ``Pipe`` per worker rather than a
-shared result ``Queue``.  A shared queue serializes every worker's acks
-through one cross-process write lock, and a worker SIGKILLed inside
-that critical section leaks the semaphore forever — deadlocking every
-*surviving* worker's acks (observed deterministically in the respawn
-tests).  With one pipe per worker there is exactly one writer per
-channel, no lock to leak, and a crash can only corrupt the dead
-worker's own pipe, which the respawn replaces wholesale.
+Both directions are single-writer pipes, one pair per process worker,
+rather than shared ``Queue`` objects.  A shared result queue serializes
+every worker's acks through one cross-process write lock, and a worker
+SIGKILLed inside that critical section leaks the semaphore forever —
+deadlocking every *surviving* worker's acks (observed deterministically
+in the respawn tests).  With one pipe per worker there is exactly one
+writer per channel, no lock to leak, and a crash can only corrupt the
+dead worker's own pipes, which the respawn replaces wholesale.  The
+inbox (:class:`_PipeInbox`) is written inline by the thread that calls
+``send`` — no ``mp.Queue``, so no feeder thread competing for the
+parent's GIL before a batch may leave, and no read lock in the worker.
+Its write end never blocks: what the 64 KiB pipe will not take waits
+parent-side in FCFS byte order and is flushed by the pump, whose wait
+set holds that write end exactly while it is clogged.  Blocking instead
+would deadlock a long run against one worker — parent stuck writing the
+inbox, worker stuck writing acks nobody reads, both pipes full.  The
+backlog holds only bytes of batches still in ``unacked`` (or a stop),
+so death, respawn/replay, quarantine and the stall watchdog — which
+keeps running because the parent never blocks — need no new case; a
+write to a dead worker (``EPIPE``) is dropped and the death is found at
+the usual fault points.  Thread workers keep an in-memory queue.
 
 Fault-tolerance argument, in MPR's own terms: every ``(layer, column)``
 cell is replicated across the ``y`` rows (Section IV-A), so a worker's
@@ -79,10 +93,13 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing as mp
+import os
+import pickle
 import queue
+import selectors
+import struct
 import threading
 import time
-from multiprocessing import connection as mp_connection
 from typing import Mapping, Sequence
 
 from ..graph.kernels import KERNEL_CALLS
@@ -115,7 +132,9 @@ _STOP = ("stop",)
 def _worker_main(
     solution: KNNSolution, worker_id, inbox, results, stamp_timings: bool = False
 ) -> None:
-    """Child process: serve batches until told to stop.
+    """A w-core's main loop: serve batches from ``inbox`` (the read end
+    of a bare pipe in a child process, a queue in a thread) until told
+    to stop.
 
     One ``("batch", seq, ops)`` message is acknowledged by one
     ``("done", worker_id, seq, partials)`` message carrying every query
@@ -138,8 +157,9 @@ def _worker_main(
     its own copy (fork gives each child separate counter memory).
     """
     monotonic = time.monotonic
+    receive = inbox.recv if hasattr(inbox, "recv") else inbox.get
     while True:
-        message = inbox.get()
+        message = receive()
         received = monotonic() if stamp_timings else 0.0
         kind = message[0]
         if kind == "stop":
@@ -205,8 +225,62 @@ class _ThreadWorker(threading.Thread):
     terminate = kill
 
 
+class _PipeInbox:
+    """Parent end of a process worker's inbox: a bare pipe whose writer
+    never blocks (see the module docstring for why it must not).
+
+    Messages are framed as ``Connection.send`` frames them (``!i``
+    length + pickle), so the child's plain ``Connection.recv()`` reads
+    them and a partial ``os.write`` loses no boundary.  What the pipe
+    will not take stays in ``backlog``, and the write end is registered
+    with the pump's ``selector`` exactly while ``backlog`` is non-empty.
+    """
+
+    def __init__(self, writer, selector) -> None:
+        os.set_blocking(writer.fileno(), False)
+        self._writer, self._selector = writer, selector
+        self.backlog = bytearray()
+        self._watched = False  # write end registered with the selector
+
+    def put(self, message: tuple) -> None:
+        if self._writer.closed:
+            return  # retired with its dead worker
+        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        clogged = bool(self.backlog)
+        self.backlog += struct.pack("!i", len(payload))
+        self.backlog += payload
+        if not clogged:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write what the pipe takes now; never wait for the rest."""
+        backlog = self.backlog
+        try:
+            while backlog:
+                del backlog[:os.write(self._writer.fileno(), backlog)]
+        except BlockingIOError:
+            pass
+        except BrokenPipeError:  # worker died: the respawn replays its log
+            backlog.clear()
+        if bool(backlog) != self._watched:
+            self._watched = not self._watched
+            if self._watched:
+                self._selector.register(
+                    self._writer, selectors.EVENT_WRITE, self
+                )
+            else:
+                self._selector.unregister(self._writer)
+
+    def close(self) -> None:
+        if not self._writer.closed:
+            self.backlog.clear()
+            self.flush()  # nothing left to write: leaves the selector
+            self._writer.close()
+
+
 class _WorkerState:
-    """Parent-side ledger for one w-core: process + replica cell + log."""
+    """Parent-side ledger for one w-core: process + replica cell + log,
+    and the parent's ends of its two channels (``inbox``, ``reader``)."""
 
     def __init__(self, worker_id: WorkerId, cell: Mapping[int, int]) -> None:
         self.worker_id = worker_id
@@ -239,6 +313,7 @@ class _WorkerState:
         self.respawns = 0
         self.failed: str | None = None
         self.process: mp.process.BaseProcess | _ThreadWorker | None = None
+        #: Where batches go: a ``_PipeInbox`` or a thread's SimpleQueue.
         self.inbox = None
         #: Parent-held read end of this worker's private result pipe.
         self.reader = None
@@ -505,11 +580,14 @@ class ProcessPoolService(MPRExecutor):
         #: ordered, so this — not a merge of the cells — is the exact
         #: snapshot a reconfiguration hands to the new shape.
         self._objects: dict[int, int] = dict(objects)
-        #: Result-pipe reader -> owning worker state, across *all*
-        #: groups (current, transition, retiring).  The dispatch key:
-        #: after a cutover the retiring fleet shares worker ids with the
+        #: The pump's wait set, kept for the pool's lifetime: every
+        #: result-pipe reader across *all* groups (current, transition,
+        #: retiring), plus the inbox write end of any worker whose pipe
+        #: is clogged (its key's ``data`` is the inbox).  A reader key's
+        #: ``data`` is the owning worker state — the dispatch key: after
+        #: a cutover the retiring fleet shares worker ids with the
         #: current one, so messages route by pipe identity, never by id.
-        self._reader_owners: dict = {}
+        self._selector = selectors.DefaultSelector()
         #: Shape generation, bumped at every cutover.
         self._generation = 0
         self._transition: _Transition | None = None
@@ -611,6 +689,7 @@ class ProcessPoolService(MPRExecutor):
             return
         self._closed = True
         if not self._started:
+            self._selector.close()
             self._unpublish_graph()
             return
         if self._transition is not None:
@@ -628,36 +707,27 @@ class ProcessPoolService(MPRExecutor):
             for state in live:
                 if state.stop_sent:
                     continue
-                try:
-                    state.inbox.put(_STOP)
-                except (OSError, ValueError):  # pragma: no cover - queue gone
-                    pass
+                state.inbox.put(_STOP)
             deadline = time.monotonic() + timeout
             pending = set(live)
             while pending:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if remaining <= 0 or not self._selector.get_map():
                     break
-                readers = list(self._reader_owners)
-                if not readers:
-                    break
-                ready = mp_connection.wait(
-                    readers, timeout=min(remaining, 0.1)
-                )
+                ready = self._selector.select(min(remaining, 0.1))
                 if not ready:
                     pending = {
                         state for state in pending
                         if state.process.is_alive()
                     }
                     continue
-                for reader in ready:
-                    owner = self._reader_owners.get(reader)
-                    message = self._receive(reader)
-                    if (
-                        message is not None
-                        and message[0] == "stopped"
-                        and owner is not None
-                    ):
+                for key, events in ready:
+                    owner = key.data
+                    if events & selectors.EVENT_WRITE:
+                        owner.flush()  # the stop may be behind a backlog
+                        continue
+                    message = self._receive(owner)
+                    if message is not None and message[0] == "stopped":
                         pending.discard(owner)
             for state in targets:
                 process = state.process
@@ -672,9 +742,9 @@ class ProcessPoolService(MPRExecutor):
                     process.join(timeout=1.0)
         finally:
             for state in targets:
-                self._retire_reader(state)
+                self._retire_pipes(state)
             self._retiring.clear()
-            self._reader_owners.clear()
+            self._selector.close()
             # Only after every worker is down: no process can still be
             # mid-attach, so unlinking the segment cannot race a respawn.
             self._unpublish_graph()
@@ -932,35 +1002,36 @@ class ProcessPoolService(MPRExecutor):
 
     def _pump(self, timeout: float) -> bool:
         """One pump step: wait up to ``timeout`` seconds on every result
-        pipe, then read and handle one message from each ready one.
+        pipe (and every clogged inbox), then read and handle one message
+        from each ready result pipe and flush each inbox that has room.
 
         The only place the data plane blocks; a blocking step counts as
         the ``wait`` stage, a poll (``timeout=0``) does not.  Returns
         whether any message was handled — a step that handled nothing
-        is the supervisor's cue to check worker health.
+        is the supervisor's cue to check worker health.  (With every
+        worker dead the wait set is empty and the step waits out the
+        interval.)
         """
         blocking = timeout > 0
         started = time.perf_counter() if blocking else 0.0
-        readers = list(self._reader_owners)
-        if readers:
-            ready = mp_connection.wait(readers, timeout=timeout)
-        else:  # every worker dead: wait out the interval
-            time.sleep(timeout)
-            ready = []
+        ready = self._selector.select(timeout)
         if blocking:
             self.metrics.wait.add(time.perf_counter() - started, events=0)
         handled = False
-        for reader in ready:
-            # Resolved *before* the read: an EOF pops the owner map.
-            owner = self._reader_owners.get(reader)
-            message = self._receive(reader)
+        for key, events in ready:
+            owner = key.data
+            if events & selectors.EVENT_WRITE:
+                owner.flush()  # a clogged inbox: the worker made room
+                continue
+            message = self._receive(owner)
             if message is not None:
                 handled = True
                 self._handle(message, owner)
         return handled
 
-    def _receive(self, reader):
-        """Read one message off a result pipe; retire it on EOF.
+    def _receive(self, state: _WorkerState):
+        """Read one message off ``state``'s result pipe; retire its
+        pipes on EOF.
 
         EOF means the writing worker is gone (its buffered messages
         stay readable until then, so no surviving ack is lost); the
@@ -970,31 +1041,31 @@ class ProcessPoolService(MPRExecutor):
         Returns the message, or None for a retired reader.
         """
         try:
-            return reader.recv()
+            return state.reader.recv()
         except (EOFError, OSError):
-            state = self._reader_owners.get(reader)
-            if state is not None:
-                self._retire_reader(state)
-                if (
-                    state.group == "transition"
-                    and self._transition is not None
-                    and self._transition.fault is None
-                ):
-                    self._transition.fault = (
-                        f"worker {state.worker_id} died while warming"
-                    )
+            self._retire_pipes(state)
+            if (
+                state.group == "transition"
+                and self._transition is not None
+                and self._transition.fault is None
+            ):
+                self._transition.fault = (
+                    f"worker {state.worker_id} died while warming"
+                )
             return None
 
-    def _retire_reader(self, state: _WorkerState) -> None:
+    def _retire_pipes(self, state: _WorkerState) -> None:
+        """Close the parent's ends of a gone worker's pipes: the result
+        reader (out of the wait set first) and a pipe inbox's write end
+        (what it had not taken is still in ``unacked``)."""
         reader = state.reader
         if reader is None:
             return
-        self._reader_owners.pop(reader, None)
-        try:
-            reader.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        self._selector.unregister(reader)
+        reader.close()
         state.reader = None
+        if isinstance(state.inbox, _PipeInbox):
+            state.inbox.close()
 
     def _collect_ready(self) -> None:
         while self._pump(0):
@@ -1699,7 +1770,7 @@ class ProcessPoolService(MPRExecutor):
         for state in transition.workers.values():
             if state.process is not None:
                 state.process.join(timeout=1.0)
-            self._retire_reader(state)
+            self._retire_pipes(state)
         event = transition.event
         event.outcome = "rolled_back"
         event.reason = reason
@@ -1740,10 +1811,7 @@ class ProcessPoolService(MPRExecutor):
                 continue
             if alive:
                 if not state.stop_sent:
-                    try:
-                        state.inbox.put(_STOP)
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
+                    state.inbox.put(_STOP)
                     state.stop_sent = True
                 elif now >= self._retire_deadline:
                     process.kill()
@@ -1751,7 +1819,7 @@ class ProcessPoolService(MPRExecutor):
             else:
                 if process is not None:
                     process.join(timeout=1.0)
-                self._retire_reader(state)
+                self._retire_pipes(state)
                 finished.append(state)
         if finished:
             for state in finished:
@@ -1783,14 +1851,18 @@ class ProcessPoolService(MPRExecutor):
     def _spawn(self, state: _WorkerState) -> None:
         """Start ``state``'s worker — the one place its kind is decided."""
         threaded = self._thread_workers
-        state.inbox = queue.SimpleQueue() if threaded else self._context.Queue()
+        if threaded:
+            inbox = state.inbox = queue.SimpleQueue()
+        else:
+            inbox, inbox_writer = self._context.Pipe(duplex=False)
+            state.inbox = _PipeInbox(inbox_writer, self._selector)
         reader, writer = self._context.Pipe(duplex=False)
         state.reader = reader
-        self._reader_owners[reader] = state
+        self._selector.register(reader, selectors.EVENT_READ, state)
         main_args = (
             self._solution.spawn(dict(state.cell)),
             state.worker_id,
-            state.inbox,
+            inbox,
             writer,
             self._telemetry.enabled,
         )
@@ -1802,11 +1874,14 @@ class ProcessPoolService(MPRExecutor):
             )
         state.process.start()
         if not threaded:
-            # Drop the parent's writer copy *before* any later fork: the
-            # worker must be the pipe's only writer so its death raises
-            # EOF on our end (and no sibling inherits a stray write fd).
-            # A thread worker holds the only copy and closes it on exit.
+            # Drop the parent's copies of the worker's ends *before* any
+            # later fork: the worker must be the result pipe's only
+            # writer so its death raises EOF on our end, and the inbox's
+            # only reader so a write after its death raises EPIPE (and
+            # no sibling inherits a stray fd).  A thread worker holds
+            # the only copy of its writer and closes it on exit.
             writer.close()
+            inbox.close()
 
     def _respawn(self, state: _WorkerState) -> None:
         """Rebuild a dead worker from its replica cell; replay its log.
@@ -1830,12 +1905,12 @@ class ProcessPoolService(MPRExecutor):
             # loop.
             process.join(timeout=1.0)
         while state.reader is not None and state.reader.poll():
-            message = self._receive(state.reader)  # EOF retires the reader
+            message = self._receive(state)  # EOF retires the reader
             if message is not None:
                 self._handle(message, state)
         if state.process is not process:
             return  # that error report was in the residue: respawned
-        self._retire_reader(state)  # residual acks were drained above
+        self._retire_pipes(state)  # residual acks were drained above
         if state.quarantined:
             admission = self._resilience.admission
             for seq, ops in state.quarantined.items():

@@ -13,7 +13,12 @@ in-flight bound.  The pieces:
   unbounded frame backlog for a slow or flooding client, and a slow
   *reader* only throttles itself: completions release the global
   in-flight token **before** writing the response, so a client that
-  stops reading responses cannot pin executor capacity.
+  stops reading responses cannot pin executor capacity.  The pump
+  thread parks outcomes and wakes the loop once per burst; one flush
+  answers them all with one socket write per connection, and a
+  connection's ops leave its window at once — unless its transport is
+  above the high-water mark, in which case they leave after one
+  ``drain()``, so a reader that has stopped reading is not read further.
 * **deadline propagation** — a frame's ``deadline`` (seconds) becomes
   ``QueryTask.deadline`` verbatim, arming the resilience layer's
   hedged reads and deadline-miss accounting for exactly the SLO the
@@ -27,7 +32,10 @@ in-flight bound.  The pieces:
 * **fairness** — tenants are declared in the ``hello`` frame; the WFQ
   keeps a hog tenant's backlog behind its own virtual clock while
   light tenants' ops jump ahead (weights respected over any busy
-  interval).
+  interval).  Weights bind only while dispatch tokens are the
+  contended resource: with more tokens than the connections' windows
+  can fill, the queue never holds a backlog and a tenant's share is
+  its window.
 * **subscriptions** — a ``subscribe`` op registers a standing query;
   after any update completes, standing queries re-evaluate through the
   same scheduler and changed answers are pushed (pushes bypass the
@@ -42,9 +50,11 @@ then do connections see ``bye``.
 from __future__ import annotations
 
 import asyncio
+import collections
 import functools
 import itertools
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any
 
@@ -72,7 +82,11 @@ class ServeConfig:
     window: int = 32
     #: Hard cap on the window a ``hello`` frame may request.
     max_window: int = 1024
-    #: Global bound on ops concurrently inside the completion pump.
+    #: Global bound on ops concurrently inside the completion pump
+    #: (the dispatch tokens).  Tenant weights only take effect while
+    #: these are exhausted: saturating tenants weighted 4:2:1 complete
+    #: 4:2:1 at 4 tokens and 1:1:1 at the default, where no backlog
+    #: ever forms in the fair queue.
     max_inflight: int = 512
     #: Base of the ``retry_after`` hint; scaled by relative queue depth.
     retry_after_base: float = 0.05
@@ -104,7 +118,7 @@ class _Subscription:
 
 
 class _Connection:
-    """Per-connection state: identity, window, write lock, subs."""
+    """Per-connection state: identity, window, drain lock, subs."""
 
     _ids = itertools.count(1)
 
@@ -133,19 +147,27 @@ class _Connection:
         if self.inflight >= self.window:
             self.below_window.clear()
 
-    def op_finished(self) -> None:
-        self.inflight -= 1
+    def op_finished(self, ops: int = 1) -> None:
+        self.inflight -= ops
         if self.inflight < self.window:
             self.below_window.set()
 
     async def send(self, payload: dict[str, Any]) -> None:
-        """Write one frame; drops silently once the peer is gone."""
+        """Write one frame; drops silently once the peer is gone.
+
+        The write itself is synchronous, so frames leave a connection
+        in the order they were produced, whoever produced them.
+        """
         if self.closed:
             return
-        frame = encode_frame(payload)
+        self.writer.write(encode_frame(payload))
+        await self.drained()
+
+    async def drained(self) -> None:
+        """Wait for the transport to fall below its low-water mark
+        (one waiter at a time: the lock)."""
         try:
             async with self.write_lock:
-                self.writer.write(frame)
                 await self.writer.drain()
         except (ConnectionError, RuntimeError):
             self.closed = True
@@ -204,7 +226,14 @@ class MPRServer:
         self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
         self._connections: set[_Connection] = set()
-        self._completions: set[asyncio.Task] = set()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: Outcomes parked by the pump thread for the next flush.
+        self._done: collections.deque[tuple[_Job, Future]] = (
+            collections.deque()
+        )
+        self._flush_scheduled = False
+        #: Above-high-water window releases still waiting on a drain.
+        self._drains: set[asyncio.Task] = set()
         self._query_ids = itertools.count(1)
         self._reeval_scheduled = False
 
@@ -213,6 +242,7 @@ class MPRServer:
     # ------------------------------------------------------------------
     async def start(self) -> "MPRServer":
         self._tokens = asyncio.Semaphore(self.config.max_inflight)
+        self._loop = asyncio.get_running_loop()
         self.system.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -258,7 +288,7 @@ class MPRServer:
         # Fail everything still queued behind the fairness scheduler —
         # retryable, because the query never reached the executor.
         for _tenant, job in self._wfq.drain():
-            await self._fail_job(
+            self._fail_job(
                 job,
                 QueryResult.timed_out(
                     getattr(job.task, "query_id", -1), "server shutting down"
@@ -276,7 +306,8 @@ class MPRServer:
             )
         except asyncio.TimeoutError:
             pass
-        for task in list(self._completions):
+        self._flush_done()  # whatever the pump parked meanwhile
+        for task in list(self._drains):
             task.cancel()
         for connection in list(self._connections):
             await connection.send({"op": "bye"})
@@ -474,60 +505,86 @@ class MPRServer:
             except Exception as exc:
                 self._tokens.release()
                 self._op_done()
-                await self._fail_job(
+                self._fail_job(
                     job,
                     QueryResult.failed(
                         getattr(job.task, "query_id", -1), str(exc)
                     ),
                 )
                 continue
-            completion = asyncio.create_task(
-                self._complete(job, asyncio.wrap_future(future))
-            )
-            self._completions.add(completion)
-            completion.add_done_callback(self._completions.discard)
+            future.add_done_callback(functools.partial(self._park_done, job))
 
     def _op_done(self) -> None:
         self._dispatched -= 1
         if self._dispatched == 0:
             self._idle.set()
 
-    async def _complete(self, job: _Job, outcome: asyncio.Future) -> None:
-        assert self._tokens is not None
-        try:
-            result = await outcome
-        except asyncio.CancelledError:
+    def _park_done(self, job: _Job, future: Future) -> None:
+        """Pump thread: park one outcome; wake the loop once per burst.
+
+        The flag is cleared at the top of the flush, before the deque
+        is emptied, so an outcome parked behind a scheduled flush is
+        either seen by it or schedules the next one.
+        """
+        self._done.append((job, future))
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            try:
+                self._loop.call_soon_threadsafe(self._flush_done)
+            except RuntimeError:  # loop closed: the server is gone
+                pass
+
+    def _flush_done(self) -> None:
+        """Loop thread: answer every parked outcome, one socket write
+        per connection."""
+        self._flush_scheduled = False
+        bursts: dict[_Connection, list] = {}
+        while self._done:
+            job, future = self._done.popleft()
+            # Release executor capacity BEFORE talking to the client: a
+            # slow reader must only throttle itself, never the pump.
             self._tokens.release()
             self._op_done()
-            raise
-        except Exception as exc:
-            result = (
-                QueryResult.failed(job.task.query_id, str(exc))
-                if job.task.kind is TaskKind.QUERY else None
-            )
-        # Release executor capacity BEFORE talking to the client: a
-        # slow reader must only throttle itself, never the pump.
-        self._tokens.release()
-        self._op_done()
-        if job.subscription is not None:
-            await self._push_subscription(job, result)
-            return
-        try:
-            if job.task.kind is TaskKind.QUERY:
-                await self._send_query_result(job, result)
-            else:
-                await job.connection.send({
-                    "op": "result", "id": job.request_id,
-                    "result": {"ok": True},
-                })
-                if not self._closing:
-                    self._schedule_reevaluation()
-        finally:
-            job.connection.op_finished()
+            try:
+                result = future.result()
+            except Exception as exc:
+                result = (
+                    QueryResult.failed(job.task.query_id, str(exc))
+                    if job.task.kind is TaskKind.QUERY else None
+                )
+            burst = bursts.setdefault(job.connection, [[], 0])
+            frame = self._encode_outcome(job, result)
+            if frame is not None:
+                burst[0].append(frame)
+            if job.subscription is None:
+                burst[1] += 1
+        for connection, (frames, ops) in bursts.items():
+            self._write_burst(connection, frames, ops)
 
-    async def _send_query_result(
-        self, job: _Job, result: QueryResult
-    ) -> None:
+    def _encode_outcome(
+        self, job: _Job, result: QueryResult | None
+    ) -> bytes | None:
+        """Account one outcome and encode its frame: a ``push`` (None
+        when the standing answer is unchanged), a query's ``result`` or
+        retryable ``error``, or an update's ack."""
+        sub = job.subscription
+        if sub is not None:
+            if not sub.active or job.connection.closed:
+                return None
+            key = (result.status.value, result.neighbors)
+            if key == sub.last_key:
+                return None  # unchanged answer: no push
+            sub.last_key = key
+            self.counters["pushes"] += 1
+            return encode_frame({
+                "op": "push", "sub": sub.sub_id, "result": result.to_wire(),
+            })
+        if job.task.kind is not TaskKind.QUERY:
+            if not self._closing:
+                self._schedule_reevaluation()
+            return encode_frame({
+                "op": "result", "id": job.request_id, "result": {"ok": True},
+            })
         self.tenant_completed[job.tenant] = (
             self.tenant_completed.get(job.tenant, 0) + 1
         )
@@ -536,7 +593,7 @@ class MPRServer:
                 self.counters["shed"] += 1
             self.counters["retryable_errors"] += 1
             hinted = result.with_retry_after(self._retry_after_hint())
-            await job.connection.send({
+            return encode_frame({
                 "op": "error", "id": job.request_id,
                 "code": hinted.status.value,
                 "message": hinted.detail or "retryable; see retry_after",
@@ -544,11 +601,39 @@ class MPRServer:
                 "retry_after": hinted.retry_after,
                 "result": hinted.to_wire(),
             })
-            return
         self.counters["results"] += 1
-        await job.connection.send({
+        return encode_frame({
             "op": "result", "id": job.request_id, "result": result.to_wire(),
         })
+
+    def _write_burst(
+        self, connection: _Connection, frames: list[bytes], ops: int
+    ) -> None:
+        """One socket write for ``frames``; ``ops`` requests then leave
+        the connection's window — at once, or, with the transport above
+        its high-water mark, after one ``drain()``: a reader that has
+        stopped reading keeps its window full and is not read further.
+        """
+        if frames and not connection.closed:
+            connection.writer.write(b"".join(frames))
+        transport = connection.writer.transport
+        if (
+            connection.closed
+            or transport.get_write_buffer_size()
+            <= transport.get_write_buffer_limits()[1]
+        ):
+            connection.op_finished(ops)
+            return
+        task = asyncio.create_task(self._release_after_drain(connection, ops))
+        self._drains.add(task)
+        task.add_done_callback(self._drains.discard)
+
+    @staticmethod
+    async def _release_after_drain(connection: _Connection, ops: int) -> None:
+        try:
+            await connection.drained()
+        finally:
+            connection.op_finished(ops)
 
     def _retry_after_hint(self) -> float:
         """Backoff scaled by how far behind the scheduler is."""
@@ -557,20 +642,19 @@ class MPRServer:
             1.0 + depth / max(1, self.config.max_inflight)
         )
 
-    async def _fail_job(self, job: _Job, result: QueryResult) -> None:
+    def _fail_job(self, job: _Job, result: QueryResult) -> None:
         if job.subscription is not None:
             return  # standing queries just miss one re-evaluation
         if job.task.kind is TaskKind.QUERY:
-            await self._send_query_result(job, result)
-            job.connection.op_finished()
+            frame = self._encode_outcome(job, result)
         else:
-            await job.connection.send({
+            frame = encode_frame({
                 "op": "error", "id": job.request_id, "code": "timeout",
                 "message": result.detail or "server shutting down",
                 "retryable": True,
                 "retry_after": self.config.retry_after_base,
             })
-            job.connection.op_finished()
+        self._write_burst(job.connection, [frame], 1)
 
     # ------------------------------------------------------------------
     # Subscriptions
@@ -605,22 +689,6 @@ class MPRServer:
         self._admit(
             _Job(connection, None, task, connection.tenant, subscription=sub)
         )
-
-    async def _push_subscription(
-        self, job: _Job, result: QueryResult
-    ) -> None:
-        sub = job.subscription
-        assert sub is not None
-        if not sub.active or job.connection.closed:
-            return
-        key = (result.status.value, result.neighbors)
-        if key == sub.last_key:
-            return  # unchanged answer: no push
-        sub.last_key = key
-        self.counters["pushes"] += 1
-        await job.connection.send({
-            "op": "push", "sub": sub.sub_id, "result": result.to_wire(),
-        })
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:

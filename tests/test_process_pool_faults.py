@@ -11,7 +11,9 @@ respawn loop).
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import selectors
 import signal
 import threading
 import time
@@ -27,6 +29,7 @@ from repro.mpr import (
     build_executor,
     run_serial_reference,
 )
+from repro.mpr.process_executor import _PipeInbox
 from repro.objects.tasks import QueryTask
 from repro.workload import generate_workload
 
@@ -356,3 +359,131 @@ def test_default_pools_share_no_policy_state(network, workload, oracle) -> None:
         bystander.submit(QueryTask(1e6, 10**6, 0, 3))
         assert len(bystander.drain()) == 1
         assert bystander.metrics.respawns == 1
+
+
+# ----------------------------------------------------------------------
+# The bare-pipe inbox: a clogged or dead pipe never blocks the parent
+# ----------------------------------------------------------------------
+def test_pipe_inbox_write_to_dead_reader_is_dropped() -> None:
+    """EPIPE (the worker died) and a retired inbox both swallow the
+    write: the batch is in ``unacked`` and replays after the respawn."""
+    reader, writer = mp.Pipe(duplex=False)
+    selector = selectors.DefaultSelector()
+    inbox = _PipeInbox(writer, selector)
+    try:
+        reader.close()
+        inbox.put(("batch", 0, (("query", 1, 0, 1),)))
+        assert not inbox.backlog and not selector.get_map()
+        inbox.close()
+        inbox.put(("stop",))  # retired: a no-op, not an OSError
+        assert not inbox.backlog
+    finally:
+        selector.close()
+
+
+def _flood(network, count):
+    return [
+        QueryTask(i * 1e-4, i, (i * 13 + 1) % network.num_nodes, 4)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.slow
+def test_stalled_worker_with_clogged_inbox_is_still_killed(network) -> None:
+    """SIGSTOP a worker and submit more than a pipe's worth of batches:
+    ``submit`` must return (the overflow waits parent-side), the
+    watchdog — which only runs because the parent never blocked — kills
+    and respawns the worker, and the drain is oracle-exact."""
+    objects = {i: (i * 11 + 5) % network.num_nodes for i in range(10)}
+    tasks = _flood(network, 6000)  # ~90 KiB of batches > a 64 KiB pipe
+    pool = build_executor(
+        MPRConfig(1, 1, 1), DijkstraKNN(network), objects,
+        mode="process", batch_size=16, health_check_interval=0.01,
+        resilience=ResilienceConfig(hedge=False, stall_timeout=0.3),
+    )
+    victim_pid = None
+    try:
+        with pool:
+            pool.start()
+            (state,) = pool._workers.values()
+            victim_pid = state.process.pid
+            os.kill(victim_pid, signal.SIGSTOP)
+            for task in tasks:
+                pool.submit(task)
+            pool.flush()
+            assert state.inbox.backlog, "the pipe took everything"
+            answers = pool.drain(timeout=60.0)
+            assert pool.metrics.stall_kills >= 1
+            assert pool.metrics.respawns >= 1
+    finally:
+        try:
+            os.kill(victim_pid, signal.SIGCONT)
+        except ProcessLookupError:
+            pass
+    assert answers == run_serial_reference(
+        DijkstraKNN(network), objects, tasks
+    )
+
+
+@pytest.mark.slow
+def test_close_escalates_when_the_stop_cannot_be_flushed(network) -> None:
+    """The stop message queues behind a clogged inbox of a SIGSTOPped
+    worker: ``close()`` must not wait for it beyond its deadline."""
+    pool = build_executor(
+        MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 0},
+        mode="process", batch_size=16,
+    )
+    pool.start()
+    (state,) = pool._workers.values()
+    victim_pid = state.process.pid
+    os.kill(victim_pid, signal.SIGSTOP)
+    for task in _flood(network, 6000):
+        pool.submit(task)
+    pool.flush()
+    assert state.inbox.backlog
+    start = time.monotonic()
+    pool.close(timeout=1.0)
+    assert time.monotonic() - start < 10.0
+    with pytest.raises(ProcessLookupError):
+        os.kill(victim_pid, signal.SIGCONT)
+
+
+@pytest.mark.slow
+def test_respawns_and_rollback_leak_no_fd_and_lose_no_batch(
+    network, workload, oracle
+) -> None:
+    """20 SIGKILL → respawn rounds, each with a submit racing the kill,
+    then one rolled-back ``reconfigure()``: the parent's fd table ends
+    where it started and every answer matches the oracle."""
+
+    def open_fds() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    rounds = 20
+    chunk = len(workload.tasks) // rounds
+    bounds = [index * chunk for index in range(rounds)] + [None]
+    pool = build_executor(
+        MPRConfig(2, 1, 1), DijkstraKNN(network),
+        workload.initial_objects, mode="process", batch_size=4,
+        health_check_interval=0.02, max_respawns=rounds,
+    )
+    answers = {}
+    with pool:
+        pool.start()
+        before = open_fds()
+        for index in range(rounds):
+            victim_pid = pool.worker_pids()[(0, 0, index % 2)]
+            os.kill(victim_pid, signal.SIGKILL)
+            # No wait: the first writes race the worker's death.
+            for task in workload.tasks[bounds[index]:bounds[index + 1]]:
+                pool.submit(task)
+            answers.update(pool.drain(timeout=30.0))
+        assert pool.metrics.respawns == rounds
+        event = pool.begin_reconfigure(
+            MPRConfig(1, 2, 1), trigger="test", warm_timeout=0.0
+        )
+        pool.submit(QueryTask(1e6, 10**6, 0, 1))
+        assert event.outcome == "rolled_back"
+        assert len(pool.drain(timeout=30.0)) == 1
+        assert open_fds() == before
+    assert answers == oracle

@@ -10,7 +10,9 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import socket
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.serve import (
     read_frame,
 )
 from repro.serve.client import RetryableServeError, ServeError
+from tests.conftest import place_objects
 
 CONFIG = MPRConfig(2, 1, 1)
 
@@ -390,9 +393,9 @@ def test_serve_fairness_hog_cannot_starve_light_tenant(
 def test_serve_clean_shutdown_answers_or_fails_in_flight(
     small_grid, grid_objects
 ) -> None:
-    async def scenario():
+    async def scenario(**overrides):
         system = make_system(small_grid, grid_objects)
-        server = await start_server(system, max_inflight=2)
+        server = await start_server(system, **overrides)
         host, port = server.address
         client = await ServeClient.connect(host, port, window=256)
         futures = [
@@ -424,7 +427,269 @@ def test_serve_clean_shutdown_answers_or_fails_in_flight(
         await client.aclose()
         system.close()
 
+    # Queued behind two tokens (most of the 30 fail retryable), and with
+    # the default 512 (all 30 dispatched: stop() must answer whatever
+    # the pump has parked for the next flush before it says bye).
+    asyncio.run(scenario(max_inflight=2))
     asyncio.run(scenario())
+
+
+class _ManualSystem:
+    """Stands in for MPRSystem: ``submit_async`` hands out futures the
+    test resolves itself, so the order and grouping of outcomes — what
+    one flush of the front door sees — is under the test's control."""
+
+    reconfig_history: list = []
+
+    def __init__(self) -> None:
+        self.submitted: list[tuple] = []
+
+    def start(self) -> None:
+        pass
+
+    def submit_async(self, task):
+        future: Future = Future()
+        self.submitted.append((task, future))
+        return future
+
+    async def futures(self, count: int) -> list[tuple]:
+        for _ in range(500):
+            if len(self.submitted) >= count:
+                return self.submitted
+            await asyncio.sleep(0.01)
+        raise AssertionError(f"only {len(self.submitted)} ops dispatched")
+
+
+def _ok(task, object_id: int) -> QueryResult:
+    return QueryResult(
+        task.query_id, ResultStatus.OK, neighbors=(Neighbor(1.0, object_id),)
+    )
+
+
+def test_serve_frames_leave_in_outcome_order_one_write_per_burst() -> None:
+    """Results, retryable errors, pushes, update acks and control
+    replies reach a connection in the order their outcomes were
+    produced (not the order of the requests), and everything one flush
+    answers for a connection leaves in a single socket write."""
+
+    async def scenario():
+        system = _ManualSystem()
+        # The insert re-evaluates the subscription; that op is never
+        # resolved, so stop() is not to wait for it.
+        server = await start_server(system, shutdown_grace=0.2)
+        reader, writer = await asyncio.open_connection(*server.address)
+
+        async def roundtrip(payload):
+            writer.write(encode_frame(payload))
+            return await asyncio.wait_for(read_frame(reader), timeout=10)
+
+        try:
+            welcome = await roundtrip({"op": "hello", "tenant": "t"})
+            assert welcome["op"] == "welcome"
+            subscribed = await roundtrip(
+                {"op": "subscribe", "id": 1, "location": 5, "k": 1}
+            )
+            assert subscribed["result"] == {"sub": 1}
+            for frame in (
+                {"op": "query", "id": 2, "location": 5, "k": 1},
+                {"op": "query", "id": 3, "location": 6, "k": 1},
+                {"op": "insert", "id": 4, "object": 99, "location": 5},
+            ):
+                writer.write(encode_frame(frame))
+            (seed, f_seed), (q2, f2), (q3, f3), (_, f4) = (
+                await system.futures(4)
+            )
+            (connection,) = server._connections
+            writes: list[bytes] = []
+            transport_write = connection.writer.write
+            connection.writer.write = lambda data: (
+                writes.append(data), transport_write(data)
+            )
+            # One burst, produced in an order unlike the request order.
+            f4.set_result(None)
+            f3.set_result(QueryResult(
+                q3.query_id, ResultStatus.OVERLOADED, outstanding=9, bound=4,
+            ))
+            f_seed.set_result(_ok(seed, 7))
+            f2.set_result(_ok(q2, 8))
+            writer.write(encode_frame({"op": "stats", "id": 5}))
+            frames = [
+                await asyncio.wait_for(read_frame(reader), timeout=10)
+                for _ in range(5)
+            ]
+            assert [(f["op"], f.get("id", f.get("sub"))) for f in frames] == [
+                ("result", 4), ("error", 3), ("push", 1), ("result", 2),
+                ("result", 5),
+            ]
+            assert frames[1]["retryable"] and frames[1]["code"] == "overloaded"
+            assert frames[2]["result"] == _ok(seed, 7).to_wire()
+            assert len(writes) == 2  # the burst of four, then the stats
+            assert writes[0] == b"".join(
+                encode_frame(frame) for frame in frames[:4]
+            )
+            assert connection.inflight == 0
+        finally:
+            writer.close()
+            await server.stop()
+
+    asyncio.run(scenario())
+
+
+def test_serve_closed_connection_does_not_stop_the_rest_of_a_flush() -> None:
+    async def scenario():
+        system = _ManualSystem()
+        server = await start_server(system)
+        gone_reader, gone_writer = await asyncio.open_connection(
+            *server.address
+        )
+        reader, writer = await asyncio.open_connection(*server.address)
+        try:
+            gone_writer.write(encode_frame(
+                {"op": "query", "id": 1, "location": 5, "k": 1}
+            ))
+            await system.futures(1)
+            writer.write(encode_frame(
+                {"op": "query", "id": 2, "location": 5, "k": 1}
+            ))
+            (q1, f1), (q2, f2) = await system.futures(2)
+            gone_writer.close()
+            for _ in range(500):
+                if len(server._connections) == 1:
+                    break
+                await asyncio.sleep(0.01)
+            assert len(server._connections) == 1
+            f1.set_result(_ok(q1, 7))  # same flush, closed peer first
+            f2.set_result(_ok(q2, 8))
+            frame = await asyncio.wait_for(read_frame(reader), timeout=10)
+            assert frame["id"] == 2
+            assert frame["result"] == _ok(q2, 8).to_wire()
+            assert server.stats()["dispatched"] == 0
+        finally:
+            writer.close()
+            await server.stop()
+
+    asyncio.run(scenario())
+
+
+def test_serve_slow_reader_of_large_answers_is_bounded_by_its_window(
+    small_grid,
+) -> None:
+    """A client that asks for large answers and never reads them fills
+    the transport past its high-water mark: its ops then stay in its
+    window until a ``drain()`` that never comes, so the server stops
+    reading it — its write buffer is bounded by the mark plus one
+    burst — while tokens were released and other clients stay fast."""
+    objects = place_objects(small_grid, 400)
+    high_water = 16 * 1024
+
+    async def scenario():
+        system = MPRSystem(CONFIG, DijkstraKNN(small_grid), objects)
+        server = await start_server(system, window=4)
+        host, port = server.address
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, (host, port))
+        _reader, writer = await asyncio.open_connection(sock=sock)
+        good = None
+        try:
+            for _ in range(500):
+                if server._connections:
+                    break
+                await asyncio.sleep(0.01)
+            (connection,) = server._connections
+            transport = connection.writer.transport
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            transport.set_write_buffer_limits(high=high_water)
+            for i in range(60):  # ~12 KiB an answer, never read
+                writer.write(encode_frame(
+                    {"op": "query", "id": i, "location": 5, "k": 400}
+                ))
+            # The kernel's buffers swallow the first bursts; wait until
+            # the server has stopped reading this connection for good.
+            read_so_far = -1
+            for _ in range(50):
+                if (
+                    server.counters["queries"] == read_so_far
+                    and server.stats()["dispatched"] == 0
+                ):
+                    break
+                read_so_far = server.counters["queries"]
+                await asyncio.sleep(0.3)
+            assert server._drains, "the high-water mark was never reached"
+            assert connection.inflight == connection.window == 4
+            assert server.counters["queries"] == read_so_far < 60
+            burst = 4 * 16 * 1024
+            assert transport.get_write_buffer_size() <= high_water + burst
+            assert server.stats()["dispatched"] == 0  # tokens are back
+
+            good = await ServeClient.connect(host, port, tenant="good")
+            started = time.monotonic()
+            result = await asyncio.wait_for(good.query(5, 3), timeout=10)
+            assert result.status is ResultStatus.OK
+            assert time.monotonic() - started < 5.0
+        finally:
+            if good is not None:
+                await good.aclose()
+            writer.close()
+            await server.stop()
+            system.close()
+
+    asyncio.run(scenario())
+
+
+def test_serve_weights_hold_when_tokens_are_contended(
+    small_grid, grid_objects
+) -> None:
+    """Tenant weights bind while dispatch tokens are the contended
+    resource: with ``max_inflight=4`` three saturating tenants weighted
+    4:2:1 complete in that ratio.  (At the default 512 the token pool is
+    never exhausted, the fair queue never holds a backlog, and each
+    tenant's share is simply its window — ROADMAP 5B(b).)"""
+    weights = {"gold": 4.0, "silver": 2.0, "bronze": 1.0}
+
+    async def saturate(client, stop):
+        async def one_slot():
+            while not stop.is_set():
+                await client.query(5, 3)
+
+        await asyncio.gather(*(one_slot() for _ in range(16)))
+
+    async def scenario():
+        system = make_system(small_grid, grid_objects)
+        server = await start_server(system, max_inflight=4)
+        host, port = server.address
+        clients = [
+            await ServeClient.connect(
+                host, port, tenant=tenant, weight=weight, window=16
+            )
+            for tenant, weight in weights.items()
+        ]
+        stop = asyncio.Event()
+        try:
+            load = asyncio.gather(*(saturate(c, stop) for c in clients))
+            await asyncio.sleep(0.3)  # every tenant's window is full
+            before = dict(server.tenant_completed)
+            await asyncio.sleep(1.5)
+            after = dict(server.tenant_completed)
+            stop.set()
+            await asyncio.wait_for(load, timeout=30)
+        finally:
+            for client in clients:
+                await client.aclose()
+            await server.stop()
+            system.close()
+        return {t: after[t] - before.get(t, 0) for t in weights}
+
+    completed = asyncio.run(scenario())
+    assert min(completed.values()) >= 50, completed
+    unit = sum(completed.values()) / sum(weights.values())
+    for tenant, weight in weights.items():
+        assert completed[tenant] == pytest.approx(weight * unit, rel=0.2), (
+            completed
+        )
 
 
 def test_serve_rejects_malformed_frames_without_dying(

@@ -228,7 +228,15 @@ rungs only queue another stop; they are GIL-bound and pay the result
 pipe's pickling without gaining a core (against the bare per-thread
 queues this mode replaced, a `(2,2,1)` DijkstraKNN mix moved 0.57–0.70
 → 0.73–0.78 ms/op on a 32×32 grid, 2.2–2.4 → 2.8–3.0 on 96×96, and a
-zero-cost solution 11 → 49–59 µs/op) — correctness, not speed.  Both kinds share one lifecycle
+zero-cost solution 11 → 49–59 µs/op) — correctness, not speed.  A
+process worker talks to the parent over two single-writer pipes and
+nothing else: batches are pickled and written inline by the caller of
+`submit`/`flush` (no `multiprocessing.Queue`, no feeder thread, no
+cross-process lock), the write end never blocks — what the pipe will
+not take waits parent-side, always a suffix of the unacknowledged log,
+and is flushed by the pump — so a long run against one worker cannot
+deadlock on two full pipes, and the stall watchdog keeps running behind
+a clogged inbox.  Both kinds share one lifecycle
 (`start()` / `submit()` / `flush()` / `drain()` / `run()` / `close()`,
 plus the context-manager form) and serial-equivalent answers;
 `check_invariants=True` asserts the Section IV-A partition/replication
@@ -503,10 +511,18 @@ two-layer: a per-connection window (the server stops *reading* a
 connection at its window, letting TCP push back on floods) and a
 global `max_inflight` semaphore whose tokens are released before
 response writes, so a slow reader can never pin executor capacity.
-Scheduling between tenants is start-time fair queueing
+Completions are coalesced: the pump thread parks outcomes and wakes
+the event loop once per burst, and one flush answers them all with one
+socket write per connection (no task, wrapped future or wake-up per
+op); a connection's ops leave its window at once unless its transport
+is above the high-water mark, in which case they leave after one
+`drain()`.  Scheduling between tenants is start-time fair queueing
 (`WeightedFairQueue`): service under contention is proportional to the
 `hello`-declared weight, so a flooding tenant cannot starve a light
-one.  Client deadlines propagate into `QueryTask.deadline` and the
+one — "under contention" meaning while the `max_inflight` tokens are
+exhausted: three saturating tenants weighted 4:2:1 complete 4:2:1 with
+4 tokens and 1:1:1 at the default 512, where the fair queue never
+holds a backlog and a tenant's share is its window.  Client deadlines propagate into `QueryTask.deadline` and the
 executor's resilience machinery (`resilience.deadline_misses` moves).
 `ServeClient` is the asyncio client: `query(..., retries=n)` honors
 `retry_after` backoff hints and returns the final envelope either way.
