@@ -58,11 +58,7 @@ from .balancing import (
     imbalance,
     round_robin_columns,
 )
-from .executor import (
-    MPRExecutor,
-    QuiesceTimeout,
-    run_serial_reference,
-)
+from .executor import QuiesceTimeout, run_serial_reference
 from .process_executor import ProcessPoolService, WorkerCrash
 from .reconfig import (
     RECONFIG_COUNTERS,
@@ -138,7 +134,6 @@ __all__ = [
     "WorkerId",
     "check_matrix_invariants",
     "encode_op",
-    "MPRExecutor",
     "run_serial_reference",
     "ProcessPoolService",
     "QuiesceTimeout",

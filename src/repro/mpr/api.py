@@ -12,10 +12,10 @@ Callers pick a configuration, not a class:
   default-enabled telemetry handle, for scripts and notebooks that
   want answers *and* a latency report without wiring either.
 
-Every executor built here satisfies the :class:`repro.mpr.executor.
-MPRExecutor` contract: ``start()``/``submit()``/``flush()``/
-``drain()``/``run()``/``close()`` plus the context-manager form, with
-serial-equivalent answers across worker kinds.
+Every executor built here is a :class:`repro.mpr.process_executor.
+ProcessPoolService` and keeps its contract: ``start()``/``submit()``/
+``flush()``/``drain()``/``run()``/``close()`` plus the context-manager
+form, with serial-equivalent answers across worker kinds.
 
 For serving, :meth:`MPRSystem.submit_async` returns a
 :class:`concurrent.futures.Future` resolving to a typed
@@ -39,7 +39,16 @@ from ..obs import Telemetry
 from .config import MPRConfig
 from .executor import QuiesceTimeout
 from .process_executor import ProcessPoolService, WorkerCrash
-from .reconfig import ReconfigEvent, ReconfigManager, ReconfigPolicy
+from .reconfig import (
+    DEFAULT_RETIRE_TIMEOUT,
+    DEFAULT_SETTLE_TIMEOUT,
+    DEFAULT_TRIGGER,
+    DEFAULT_WAIT_RETIRE,
+    DEFAULT_WARM_TIMEOUT,
+    ReconfigEvent,
+    ReconfigManager,
+    ReconfigPolicy,
+)
 from .resilience import ResilienceConfig
 from .results import QueryResult, envelope_answers
 
@@ -84,11 +93,9 @@ def build_executor(
         every fault rung (SIGKILL respawn, stall watchdog).
         ``"thread"`` — the same protocol over in-process worker
         threads: no fork, shared memory, batching/hedging/degraded
-        answers/live reconfiguration all included, but GIL-bound
-        (correctness, not speed: ~0.75 ms/op on a 32×32 grid, ~3 on
-        96×96, ~50–60 μs/op of pure overhead — see the pool's module
-        docstring) and un-killable, so the stall watchdog and
-        ``close()``'s terminate/kill rungs do not apply.
+        answers/live reconfiguration all included, but GIL-bound and
+        un-killable — correctness, not speed (measured in
+        :mod:`repro.mpr.transport`, which is where the two kinds live).
     telemetry:
         A :class:`repro.obs.Telemetry` recorded into by every layer
         (router, batcher, workers).  Default: the shared disabled
@@ -114,10 +121,8 @@ def build_executor(
     Returns
     -------
     ProcessPoolService
-        Unstarted; call ``start()`` or use the context-manager form.
-        ``close()`` (or leaving the ``with`` block) is required in both
-        modes: a thread-worker pool dropped without it leaks a blocked
-        daemon thread and two pipe descriptors per worker.
+        Unstarted; call ``start()`` or use the context-manager form,
+        and ``close()`` it (or leave the ``with`` block) in both modes.
     """
     if mode not in EXECUTOR_MODES:
         raise ValueError(
@@ -479,11 +484,11 @@ class MPRSystem:
         self,
         new_config: MPRConfig,
         *,
-        trigger: str = "manual",
-        warm_timeout: float = 10.0,
-        retire_timeout: float = 10.0,
-        wait_retire: bool = False,
-        timeout: float = 30.0,
+        trigger: str = DEFAULT_TRIGGER,
+        warm_timeout: float = DEFAULT_WARM_TIMEOUT,
+        retire_timeout: float = DEFAULT_RETIRE_TIMEOUT,
+        wait_retire: bool = DEFAULT_WAIT_RETIRE,
+        timeout: float = DEFAULT_SETTLE_TIMEOUT,
     ) -> ReconfigEvent:
         """Change the serving ``(x, y, z)`` live, without downtime.
 
@@ -564,7 +569,10 @@ class MPRSystem:
 
         When the executor has reconfigured, a ``"reconfigurations"``
         list (one :meth:`~repro.mpr.reconfig.ReconfigEvent.to_dict`
-        entry per attempt, oldest first) rides along.
+        entry per attempt, oldest first) rides along; with an
+        auto-reconfigure manager attached, so does
+        ``"auto_reconfigure"`` — its background loop's failed polls
+        (also the ``reconfig.poll_errors`` counter) and the last error.
         """
         stats = self.telemetry.summary()
         history = self.reconfig_history
@@ -572,6 +580,15 @@ class MPRSystem:
             stats["reconfigurations"] = [
                 event.to_dict() for event in history
             ]
+        manager = self._manager
+        if manager is not None:
+            stats["auto_reconfigure"] = {
+                "poll_errors": manager.poll_errors,
+                "last_error": (
+                    None if manager.last_error is None
+                    else repr(manager.last_error)
+                ),
+            }
         return stats
 
     def report(self) -> str:

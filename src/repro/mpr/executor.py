@@ -1,26 +1,24 @@
-"""The executor contract, and what every realization of it shares.
+"""What sits beside the executor: its timeout, its span stitcher, its
+oracle.
 
-:class:`MPRExecutor` is the lifecycle and serial-equivalence contract
-of a core-matrix executor; :class:`QuiesceTimeout` is how a bounded
-``drain`` reports what is stuck; :func:`record_batch_stamps` stitches a
-worker batch's timing report into spans; :func:`run_serial_reference`
-is the single-threaded oracle every test compares against.  The one
-realization is :class:`repro.mpr.process_executor.ProcessPoolService`
-(over process or thread workers), built by
-:func:`repro.mpr.api.build_executor`.
+:class:`QuiesceTimeout` is how a bounded ``drain`` reports what is
+stuck; :func:`record_batch_stamps` stitches a worker batch's timing
+report into spans; :func:`run_serial_reference` is the single-threaded
+oracle every test compares against.  The executor itself is
+:class:`repro.mpr.process_executor.ProcessPoolService` (over process or
+thread workers), built by :func:`repro.mpr.api.build_executor`; its
+docstring states the lifecycle and serial-equivalence contract.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from typing import Mapping, Sequence
 
 from ..graph.kernels import KERNEL_CALLS
 from ..knn.base import KNNSolution, Neighbor
 from ..objects.tasks import Task, TaskKind
 from ..obs import Telemetry
-from .config import MPRConfig
 from .core_matrix import WorkerId
 
 
@@ -46,74 +44,30 @@ class QuiesceTimeout(TimeoutError):
         #: unresolved at expiry.
         self.query_ids: tuple[int, ...] = tuple(query_ids)
 
-
-class MPRExecutor(ABC):
-    """The contract every core-matrix executor satisfies.
-
-    An executor realizes one MPR arrangement over some worker substrate
-    (threads, processes) and runs task streams through it.  The
-    contract — realized by
-    :class:`repro.mpr.process_executor.ProcessPoolService` over either
-    worker kind, and pinned by ``tests/test_executor_equivalence.py`` —
-    has two halves:
-
-    * *serial equivalence*: ``run(tasks)`` returns exactly the answers
-      of a single-threaded execution in arrival order (Section III), so
-      executors are interchangeable wherever one is accepted;
-    * *one lifecycle*: ``start()`` → any number of ``submit()`` /
-      ``flush()`` / ``drain()`` / ``run()`` calls → ``close()``, with
-      the context-manager form doing start/close automatically and
-      ``close()`` idempotent.  ``telemetry`` exposes the
-      :class:`repro.obs.Telemetry` handle the executor records into.
-    """
-
-    @property
-    @abstractmethod
-    def config(self) -> MPRConfig:
-        """The realized core-matrix arrangement."""
-
-    @property
-    @abstractmethod
-    def telemetry(self) -> Telemetry:
-        """The telemetry handle (``NULL_TELEMETRY`` when disabled)."""
-
-    @abstractmethod
-    def start(self) -> "MPRExecutor":
-        """Bring workers up (idempotent); return ``self``."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Tear workers down; idempotent and safe without ``start()``."""
-
-    @abstractmethod
-    def submit(self, task: Task) -> None:
-        """Route one task into the matrix (starts workers on demand)."""
-
-    @abstractmethod
-    def flush(self) -> None:
-        """Release any buffered dispatch (latency over amortization)."""
-
-    @abstractmethod
-    def drain(self, timeout: float | None = None) -> dict[int, list[Neighbor]]:
-        """Quiesce and return answers of queries since the last drain.
-
-        ``timeout`` bounds the wait in seconds (``None`` = unbounded);
-        on expiry :class:`QuiesceTimeout` names the stuck queries, and
-        everything submitted stays pending for a later drain.
-        """
-
-    def run(self, tasks: Sequence[Task]) -> dict[int, list[Neighbor]]:
-        """Execute a task stream; return ``query_id -> aggregated kNN``."""
-        self.start()
-        for task in tasks:
-            self.submit(task)
-        return self.drain()
-
-    def __enter__(self) -> "MPRExecutor":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    @classmethod
+    def naming(cls, timeout, states, unresolved) -> "QuiesceTimeout":
+        """The diagnostic for a drain that timed out: name every
+        unacked batch of the worker ledgers ``states`` and every query
+        id those batches (or the ``unresolved`` ids) strand."""
+        states = list(states)
+        pending = sorted(
+            (state.worker_id, seq) for state in states for seq in state.unacked
+        )
+        query_ids = {
+            op[1]
+            for state in states
+            for ops in state.unacked.values()
+            for op in ops
+            if op[0] == "query"
+        }
+        affected = sorted(query_ids.union(unresolved))
+        return cls(
+            f"pool did not quiesce within {timeout} s; "
+            f"{len(pending)} batches outstanding (worker, seq): {pending}; "
+            f"affected query ids: {affected}",
+            pending=pending,
+            query_ids=affected,
+        )
 
 
 def record_batch_stamps(

@@ -1,15 +1,20 @@
-"""Live pool reconfiguration: the control plane for shape changes.
+"""Live pool reconfiguration: shape changes, decided and carried out.
 
-This module holds the *decision* layer of online reconfiguration — the
-mechanism (spawning, warming, cutover, rollback) lives inside
-:class:`repro.mpr.process_executor.ProcessPoolService`, which this
-module deliberately does not import: the executor imports
-:class:`ReconfigEvent` / :class:`ReconfigRejected` from here, and the
-manager drives any system object exposing ``telemetry`` / ``config`` /
-``reconfigure()`` duck-typed.
+Two halves, one module.  The *decision* half — :class:`ReconfigPolicy`,
+:class:`ReconfigManager` — watches telemetry and asks for a new
+``(x, y, z)``; it drives any system object exposing ``telemetry`` /
+``config`` / ``reconfigure()`` duck-typed.  The *mechanism* half —
+:class:`_Fleet` (one shape's router, batcher and worker ledgers) and
+:class:`_Reconfigurer` (warm → cutover → retire, or roll back) — is
+what :class:`repro.mpr.process_executor.ProcessPoolService` delegates
+``begin_reconfigure`` to.  This module deliberately does not import the
+executor: the pool constructs the mechanism with the transport, its
+serving fleet, its submit-time object ledger and the few supervisor
+operations a shape change needs (spawn, send, respawn, flush, reap a
+stalled worker), and imports everything here.
 
-The transition state machine (implemented by the executor, audited via
-the :class:`ReconfigEvent` records and ``reconfig.*`` counters):
+The transition state machine (audited via the :class:`ReconfigEvent`
+records and ``reconfig.*`` counters):
 
 ``WARMING``
     New workers for the target ``(x, y, z)`` spawn and attach to the
@@ -18,9 +23,9 @@ the :class:`ReconfigEvent` records and ``reconfig.*`` counters):
     The old shape keeps serving; updates are dual-fed to the warming
     cells.  Bounded by ``warm_timeout``.
 ``CUTOVER``
-    Once every warming worker has acked its probe, the router/batcher
-    pair is swapped under a generation counter in one supervisor step —
-    no query is ever routed to a retiring cell.
+    Once every warming worker has acked its probe, the fleets rotate —
+    retiring ← serving ← warming — under a generation counter in one
+    supervisor step: no query is ever routed to a retiring cell.
 ``RETIRING``
     Old workers finish their in-flight batches, then receive ``stop``;
     stragglers are killed after ``retire_timeout``.  Queries already in
@@ -36,16 +41,38 @@ the :class:`ReconfigEvent` records and ``reconfig.*`` counters):
 
 from __future__ import annotations
 
+import enum
 import threading
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator, Mapping
 
 from ..knn.calibration import AlgorithmProfile
+from ..obs import NULL_TELEMETRY, Telemetry
 from .analysis import MachineSpec
 from .config import MPRConfig
 from .controller import AdaptiveController, RateEstimator
+from .core_matrix import MPRRouter, RouteBatcher, WorkerId
+from .resilience import CircuitBreaker, ResilienceConfig
 from .schemes import DEFAULT_MAX_LAYERS, Objective
+from .transport import _STOP
+
+__all__ = [
+    "RECONFIG_COUNTERS",
+    "ReconfigEvent",
+    "ReconfigManager",
+    "ReconfigPolicy",
+    "ReconfigRejected",
+]
+
+#: ``reconfigure()``'s keyword defaults: the one definition the pool,
+#: the :class:`~repro.mpr.api.MPRSystem` facade and
+#: :class:`ReconfigPolicy` all take theirs from.
+DEFAULT_TRIGGER = "manual"
+DEFAULT_WARM_TIMEOUT = 10.0
+DEFAULT_RETIRE_TIMEOUT = 10.0
+DEFAULT_WAIT_RETIRE = False
+DEFAULT_SETTLE_TIMEOUT = 30.0
 
 #: Counters the executor's transition machinery may bump; mirrored in
 #: docs/API.md ("Live reconfiguration") and asserted by tests.
@@ -56,6 +83,7 @@ RECONFIG_COUNTERS = (
     "reconfig.rejected",
     "reconfig.breaker_open",
     "reconfig.catchup_ops",
+    "reconfig.poll_errors",
 )
 
 
@@ -83,7 +111,7 @@ class ReconfigEvent:
     started_at: float
     old_config: MPRConfig
     new_config: MPRConfig
-    trigger: str = "manual"
+    trigger: str = DEFAULT_TRIGGER
     outcome: str = "pending"
     reason: str | None = None
     finished_at: float | None = None
@@ -130,8 +158,8 @@ class ReconfigPolicy:
     improvement_threshold: float = 0.15
     cooldown: float = 5.0
     recalibrate: bool = True
-    warm_timeout: float = 10.0
-    retire_timeout: float = 10.0
+    warm_timeout: float = DEFAULT_WARM_TIMEOUT
+    retire_timeout: float = DEFAULT_RETIRE_TIMEOUT
     pressure_counters: tuple[str, ...] = (
         "resilience.shed",
         "resilience.deadline_misses",
@@ -180,6 +208,12 @@ class ReconfigManager:
         self._pressure_seen = dict.fromkeys(policy.pressure_counters, 0)
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
+        #: The background loop's failed polls: how many, and the last
+        #: exception (traceback attached).  Also counted as
+        #: ``reconfig.poll_errors``; a :class:`ReconfigRejected` is a
+        #: normal "kept the shape" outcome, not an error.
+        self.poll_errors = 0
+        self.last_error: Exception | None = None
 
     # ------------------------------------------------------------------
     # One control step
@@ -256,8 +290,10 @@ class ReconfigManager:
             while not self._stop.wait(interval):
                 try:
                     self.poll()
-                except Exception:  # noqa: BLE001 - control loop survives
-                    pass
+                except Exception as exc:  # noqa: BLE001 - loop survives
+                    self.poll_errors += 1
+                    self.last_error = exc
+                    self.system.telemetry.count("reconfig.poll_errors")
 
         self._thread = threading.Thread(
             target=loop, name="reconfig-manager", daemon=True
@@ -275,3 +311,423 @@ class ReconfigManager:
     def history(self) -> list:
         """The controller's decision history (proposed switches)."""
         return self.controller.history
+
+
+# ----------------------------------------------------------------------
+# The mechanism half: fleets, and the machine that rotates them
+# ----------------------------------------------------------------------
+class _Role(enum.Enum):
+    """The slot a fleet occupies; cutover rotates them."""
+
+    WARMING = "warming"
+    SERVING = "serving"
+    RETIRING = "retiring"
+
+
+class _WorkerState:
+    """Parent-side ledger for one w-core: replica cell + batch log, and
+    the transport handle of the w-core currently realizing it."""
+
+    def __init__(
+        self, worker_id: WorkerId, cell: Mapping[int, int], fleet: "_Fleet"
+    ) -> None:
+        self.worker_id = worker_id
+        #: The fleet this worker belongs to — its role says whether
+        #: the worker is warming, serving, or draining pre-cutover work.
+        self.fleet = fleet
+        #: The replica's object cell: initial contents plus every
+        #: acknowledged update — the state a respawn restarts from.
+        self.cell: dict[int, int] = dict(cell)
+        #: Dispatched-but-unacknowledged batches, in seq order.
+        self.unacked: dict[int, tuple] = {}
+        #: Transport-clock send stamp per in-flight batch (feeds traces
+        #: and the stall watchdog).
+        self.sent_at: dict[int, float] = {}
+        #: Batches parked while this worker's circuit breaker is open;
+        #: moved back into ``unacked`` and replayed on the half-open
+        #: trial respawn.
+        self.quarantined: dict[int, tuple] = {}
+        #: Poison batches (the worker reported an execution error on
+        #: them) — never replayed, kept for inspection.
+        self.poisoned: dict[int, tuple] = {}
+        #: True once a death has been processed (breaker fed, batches
+        #: quarantined) so repeated health checks do not re-count it.
+        self.down = False
+        #: True once a graceful stop message has been queued (retiring
+        #: workers are stopped exactly once).
+        self.stop_sent = False
+        self.next_seq = 0
+        self.respawns = 0
+        self.failed: str | None = None
+        #: The transport's handle (None until first spawned); it stays
+        #: after the w-core is gone, retired, until a respawn replaces it.
+        self.handle = None
+
+    def alive(self, transport) -> bool:
+        return self.handle is not None and transport.alive(self.handle)
+
+    def acknowledge(self, seq: int) -> bool:
+        """Apply an ack: advance the durable cell past batch ``seq``.
+
+        Returns False for a duplicate ack (a replayed batch whose
+        original ack survived the crash) — those are ignored.
+        """
+        ops = self.unacked.pop(seq, None)
+        self.sent_at.pop(seq, None)
+        if ops is None:
+            return False
+        for op in ops:
+            if op[0] == "insert":
+                self.cell[op[1]] = op[2]
+            elif op[0] == "delete":
+                self.cell.pop(op[1], None)
+        return True
+
+
+class _Fleet:
+    """One shape, realized: its config, router, batcher and worker
+    ledgers, and which slot it occupies.
+
+    A warming fleet routes against ``NULL_TELEMETRY`` (dual-fed updates
+    must not double-count) and adopts the live handle at cutover.  The
+    last four fields are the in-flight shape change's bookkeeping, read
+    while the fleet is warming (``deadline`` bounds the warm phase,
+    ``fault`` is the first warming fault seen — a worker death or error
+    report, turned into a rollback by the next ``advance``) or retiring
+    (``deadline`` is when drained stragglers are killed); ``since`` is
+    when that phase began and ``event`` the audit record it reports to.
+    """
+
+    __slots__ = (
+        "config", "router", "batcher", "workers", "role", "generation",
+        "layer_columns", "event", "since", "deadline", "fault",
+    )
+
+    def __init__(
+        self,
+        config: MPRConfig,
+        objects: Mapping[int, int],
+        batch_size: int,
+        role: _Role,
+        *,
+        telemetry: Telemetry,
+        admission=None,
+    ) -> None:
+        self.config = config
+        self.router = MPRRouter(config, telemetry=telemetry)
+        self.batcher = RouteBatcher(
+            self.router, batch_size, telemetry=telemetry, admission=admission
+        )
+        self.workers: dict[WorkerId, _WorkerState] = {
+            worker_id: _WorkerState(worker_id, cell, self)
+            for worker_id, cell in self.router.preload_objects(objects).items()
+        }
+        self.role = role
+        #: Shape generation: 0 at start, +1 per cutover.
+        self.generation = 0
+        #: Per-layer ``((layer, col), ...)`` tuples — every query routed
+        #: to a layer shares the same column set, so cache it.
+        self.layer_columns: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.event: ReconfigEvent | None = None
+        self.since = self.deadline = 0.0
+        self.fault: str | None = None
+
+
+class _Reconfigurer:
+    """The warm → cutover → retire machine over the pool's fleets.
+
+    Holds the three slots — ``current`` (serving), ``warming`` (the
+    half-built replacement of one in-flight shape change) and
+    ``retiring`` (the previous shape, finishing its in-flight work) —
+    and is the only code that moves a fleet between them.  The old
+    shape's state is never touched while warming, so rollback is a pure
+    discard of the warming fleet.  ``spawn(state)``, ``send(state,
+    ops)``, ``respawn(state)``, ``flush()`` and ``reap_stalled(state,
+    now) -> bool`` are the pool's supervisor operations; ``objects`` is
+    its submit-time ledger, read when a new shape is cut from it.
+    """
+
+    def __init__(
+        self, transport, fleet: _Fleet, objects: Mapping[int, int], *,
+        spawn, send, respawn, flush, reap_stalled,
+        resilience, metrics, telemetry: Telemetry,
+    ) -> None:
+        self._transport, self._objects = transport, objects
+        self._spawn, self._send, self._respawn = spawn, send, respawn
+        self._flush, self._reap_stalled = flush, reap_stalled
+        self._resilience, self._metrics = resilience, metrics
+        self._telemetry = telemetry
+        self.current = fleet
+        self.warming: _Fleet | None = None
+        self.retiring: _Fleet | None = None
+        self._retire_timeout = 0.0
+        #: Audit log of every reconfiguration attempt (completed,
+        #: rolled back, and rejected alike), oldest first.
+        self.history: list[ReconfigEvent] = []
+        #: Trips after repeated rolled-back transitions; while open,
+        #: ``begin`` rejects instead of churning workers.
+        self._breaker = CircuitBreaker(ResilienceConfig(
+            breaker_failures=2, backoff_base=5.0, backoff_factor=2.0,
+            backoff_max=60.0,
+        ))
+
+    def owing(self) -> Iterator[_WorkerState]:
+        """Every worker that may still owe an answer: the serving
+        fleet's, then the retiring fleet's."""
+        yield from self.current.workers.values()
+        if self.retiring is not None:
+            yield from self.retiring.workers.values()
+
+    def begin(
+        self,
+        new_config: MPRConfig,
+        trigger: str,
+        warm_timeout: float,
+        retire_timeout: float,
+    ) -> ReconfigEvent:
+        """Start warming ``new_config`` (see
+        ``ProcessPoolService.begin_reconfigure``, the public face)."""
+        now = self._transport.now()
+        if new_config == self.current.config:
+            self._reject(new_config, trigger, "target equals the current shape")
+        if self.warming is not None:
+            self._reject(
+                new_config, trigger, "a transition is already in flight"
+            )
+        if self.retiring is not None:
+            self._reap_retiring(now)
+        if self.retiring is not None:
+            self._reject(
+                new_config, trigger, "the previous shape is still retiring"
+            )
+        if not self._breaker.allow(now):
+            self._reject(
+                new_config, trigger,
+                "reconfiguration breaker open after repeated rollbacks",
+            )
+        event = ReconfigEvent(
+            started_at=_time.time(),
+            old_config=self.current.config,
+            new_config=new_config,
+            trigger=trigger,
+        )
+        warming = self.warming = _Fleet(
+            new_config, dict(self._objects),
+            self.current.batcher.batch_size, _Role.WARMING,
+            telemetry=NULL_TELEMETRY,
+        )
+        warming.event, warming.since = event, now
+        warming.deadline = now + warm_timeout
+        self._retire_timeout = retire_timeout
+        self.history.append(event)
+        self._telemetry.count("reconfig.attempts")
+        try:
+            for state in warming.workers.values():
+                self._spawn(state)
+                self._send(state, ())  # the probe: seq 0, no ops
+        except Exception as exc:  # pragma: no cover - spawn failure
+            self.rollback(f"spawn failed: {exc!r}")
+            raise
+        return event
+
+    def _reject(self, new_config: MPRConfig, trigger: str, reason: str) -> None:
+        wall = _time.time()
+        self.history.append(ReconfigEvent(
+            started_at=wall,
+            old_config=self.current.config,
+            new_config=new_config,
+            trigger=trigger,
+            outcome="rejected",
+            reason=reason,
+            finished_at=wall,
+        ))
+        self._telemetry.count("reconfig.rejected")
+        raise ReconfigRejected(reason)
+
+    def feed(self, task) -> None:
+        """Dual-feed one update to the warming shape's cells.
+
+        The warming batcher buffers like the serving one; full batches
+        dispatch immediately, partial ones are flushed at cutover.
+        Because each worker inbox is FCFS, every catch-up batch is
+        applied before any post-cutover batch reaches the same worker —
+        the new cells are exactly the ledger state at cutover.
+        """
+        warming = self.warming
+        _route, ready = warming.batcher.add(task)
+        warming.event.catchup_ops += 1
+        for worker_id, ops in ready:
+            self._send(warming.workers[worker_id], ops)
+
+    def advance(self, now: float) -> None:
+        """One supervision step of the state machine.
+
+        Called from the submit and drain paths whenever a warming or a
+        retiring fleet exists (one branch otherwise): detects warming
+        faults (→ rollback), performs the cutover once every probe is
+        acked, enforces the warm deadline, and progresses retirement.
+        """
+        warming = self.warming
+        if warming is not None:
+            if warming.fault is None:
+                for state in warming.workers.values():
+                    if not state.alive(self._transport):
+                        warming.fault = (
+                            f"worker {state.worker_id} died while warming"
+                        )
+                        break
+            if warming.fault is not None:
+                self.rollback(warming.fault)
+            elif all(
+                0 not in state.unacked for state in warming.workers.values()
+            ):
+                # Every probe acked: spawn + graph attach + cell load
+                # proven end to end.  Catch-up batches may still be in
+                # flight — per-worker FCFS guarantees they apply before
+                # anything the new shape is sent after the swap.
+                self._cutover(now)
+            elif now >= warming.deadline:
+                self.rollback(
+                    "warm phase timed out before every probe was acked"
+                )
+        if self.retiring is not None:
+            self._check_retiring(now)
+
+    def _cutover(self, now: float) -> None:
+        """Rotate the fleets — atomic from the router's perspective.
+
+        Both batchers are flushed first so every buffered op is
+        dispatched under the shape that routed it; then the slots
+        rotate in one supervisor step (no query can be routed to a
+        retiring cell afterwards), the generation counter bumps, and
+        the old fleet finishes its in-flight work as ``retiring``.
+        """
+        old, new = self.current, self.warming
+        event = new.event
+        self._flush()
+        for worker_id, ops in new.batcher.flush():
+            self._send(new.workers[worker_id], ops)
+        for state in old.workers.values():
+            if state.quarantined:
+                # Quarantined batches die with the shape: their queries
+                # resolve via the stale-generation degrade path, their
+                # updates are already in the ledger the new cells
+                # loaded.  So does whatever was dispatched to the
+                # breaker-open worker since: replayed alone, against a
+                # cell the quarantined updates never reached, it would
+                # answer from a state no serial order produces.
+                state.quarantined.clear()
+                state.unacked.clear()
+                state.sent_at.clear()
+        event.inflight_at_cutover = sum(
+            len(state.unacked) for state in old.workers.values()
+        )
+        old.role, old.event, old.since = _Role.RETIRING, event, now
+        old.deadline = now + self._retire_timeout
+        new.role, new.generation = _Role.SERVING, old.generation + 1
+        new.router.adopt_telemetry(self._telemetry)
+        new.batcher.adopt_telemetry(self._telemetry)
+        # Worker ids are reused by the new shape: breaker state and
+        # admission debt earned by the old fleet must not bleed onto
+        # same-id successors.  Retiring acks skip both ledgers (gated
+        # by role), so clearing cannot go negative.
+        new.batcher.admission = self._resilience.admission
+        self._resilience.clear_breakers()
+        self._resilience.admission.outstanding.clear()
+        self.retiring, self.current, self.warming = old, new, None
+        self._breaker.record_success()
+        event.outcome = "completed"
+        event.finished_at = _time.time()
+        event.generation = new.generation
+        event.phases["warm"] = now - new.since
+        self._metrics.reconfigurations += 1
+        self._telemetry.count("reconfig.completed")
+        if event.catchup_ops:
+            self._telemetry.count("reconfig.catchup_ops", event.catchup_ops)
+        self._telemetry.record("reconfig.warm", now - new.since, start=new.since)
+
+    def rollback(self, reason: str, *, feed_breaker: bool = True) -> None:
+        """Discard the half-built shape, keep the old one.
+
+        The serving shape was never touched — no slot rotated, no old
+        worker was stopped — so rollback is a pure discard of the
+        warming fleet.  Feeds the reconfiguration circuit breaker
+        (unless the rollback is administrative, e.g. pool close).
+        No-op without a warming fleet.
+        """
+        warming, transport = self.warming, self._transport
+        if warming is None:
+            return
+        self.warming = None
+        started = [
+            state.handle for state in warming.workers.values()
+            if state.handle is not None
+        ]
+        for handle in started:
+            if transport.alive(handle):
+                transport.kill(handle)
+        for handle in started:
+            transport.join(handle, 1.0)
+            transport.retire(handle)
+        now = transport.now()
+        event = warming.event
+        event.outcome = "rolled_back"
+        event.reason = reason
+        event.finished_at = _time.time()
+        event.phases["warm"] = now - warming.since
+        self._metrics.reconfig_rollbacks += 1
+        self._telemetry.count("reconfig.rollbacks")
+        if feed_breaker and self._breaker.record_failure(now):
+            self._telemetry.count("reconfig.breaker_open")
+
+    def _check_retiring(self, now: float) -> None:
+        """Progress the retiring fleet toward zero.
+
+        A retiring worker that still owes pre-cutover answers is kept
+        (and respawned breaker-free if it dies, stall-killed if it goes
+        silent) until its unacked log drains; a drained worker gets one
+        graceful stop, then a kill past the retire deadline.  When the
+        last one exits, the retire phase duration is recorded on the
+        owning event.
+        """
+        retiring, transport = self.retiring, self._transport
+        for state in list(retiring.workers.values()):
+            alive = state.alive(transport)
+            if state.unacked:
+                # Breaker-free and budget-free by design: after the
+                # cutover the breaker and admission keys belong to the
+                # new shape's same-id workers.
+                if not alive or self._reap_stalled(state, now):
+                    self._respawn(state)
+            elif not alive:
+                if state.handle is not None:
+                    transport.join(state.handle, 1.0)
+                    transport.retire(state.handle)
+                del retiring.workers[state.worker_id]
+            elif not state.stop_sent:
+                transport.send(state.handle, _STOP)
+                state.stop_sent = True
+            elif now >= retiring.deadline:
+                transport.kill(state.handle)
+                transport.join(state.handle, 1.0)
+        if not retiring.workers:
+            self.retiring = None
+            retiring.event.phases["retire"] = now - retiring.since
+            self._telemetry.record(
+                "reconfig.retire", now - retiring.since, start=retiring.since
+            )
+
+    def _reap_retiring(self, now: float) -> None:
+        """Stop and reap a drained retiring fleet before a new transition.
+
+        Retirement otherwise progresses only from submit and drain, so
+        workers that owe nothing may not have been told to stop yet, or
+        not have exited (a thread worker needs the GIL to).  Workers
+        still owing pre-cutover answers are left alone.
+        """
+        self._check_retiring(now)  # stop the drained, reap the exited
+        if self.retiring is not None:
+            for state in self.retiring.workers.values():
+                if state.stop_sent and not state.unacked:
+                    self._transport.join(state.handle, 1.0)
+            self._check_retiring(now)

@@ -133,7 +133,7 @@ def replay_fleet(
 def replay_timed(executor, tasks: Sequence[Task], speed: float = 1.0):
     """Replay a stream against an executor at its real arrival times.
 
-    ``MPRExecutor.run`` submits as fast as the loop spins, so the pool
+    ``ProcessPoolService.run`` submits as fast as the loop spins, so the pool
     never experiences the stream's λq/λu — fine for equivalence tests,
     wrong for measuring queueing behaviour.  This helper paces
     submission on the wall clock: task ``t`` is submitted no earlier

@@ -6,9 +6,20 @@ import random
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.graph import RoadNetwork, grid_network, ring_radial_network
 from repro.knn import DijkstraKNN
+
+
+# Hypothesis budgets.  ``default`` is derandomized, so tier-1 is
+# reproducible and the stateful protocol suite (tests/test_pool_protocol.py,
+# which sizes itself from ``max_examples``) stays a few seconds;
+# ``tools/ci.sh chaos`` runs it ten times deeper, freshly seeded, with
+# ``--hypothesis-profile=thorough`` (the plugin loads that after this).
+settings.register_profile("default", max_examples=100, derandomize=True)
+settings.register_profile("thorough", max_examples=1000)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

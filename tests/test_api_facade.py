@@ -89,7 +89,7 @@ def test_facade_rejects_invariants_in_process_mode(small_grid) -> None:
     ) as pool:
         assert pool.run(workload.tasks) == oracle
         # The check reads real state: corrupt one replica's cell and it trips.
-        next(iter(pool._workers.values())).cell[10_000] = 0
+        next(iter(pool._shapes.current.workers.values())).cell[10_000] = 0
         with pytest.raises(AssertionError):
             pool.run([])
 

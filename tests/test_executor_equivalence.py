@@ -2,7 +2,7 @@
 
 Section III's correctness requirement — every scheme's execution is
 "equivalent to a serial execution in the tasks' arrival order" — is
-the contract of :class:`repro.mpr.MPRExecutor`.  This suite pins it
+the contract of :class:`repro.mpr.ProcessPoolService`.  This suite pins it
 across every executor substrate at once: randomized seeded task
 streams (queries + inserts + deletes) must produce *identical* answers
 from the single-threaded oracle, the threaded executor, and the
@@ -21,7 +21,7 @@ import pytest
 from repro.knn import DijkstraKNN
 from repro.mpr import (
     MPRConfig,
-    MPRExecutor,
+    ProcessPoolService,
     ResilienceConfig,
     build_executor,
     run_serial_reference,
@@ -64,7 +64,7 @@ def oracle(small_grid, stream):
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.x}x{c.y}x{c.z}")
 def test_threaded_matches_oracle(small_grid, stream, oracle, config) -> None:
-    executor: MPRExecutor = build_executor(
+    executor: ProcessPoolService = build_executor(
         config, DijkstraKNN(small_grid), stream.initial_objects
     )
     assert executor.run(stream.tasks) == oracle

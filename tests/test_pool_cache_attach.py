@@ -66,7 +66,7 @@ def _run_pool(cached, workload, start_method: str, **kwargs):
 
 def test_fork_workers_attach_without_shm(cached, workload, oracle) -> None:
     with _run_pool(cached, workload, "fork") as pool:
-        assert pool._shared_graph is None  # no segment was published
+        assert pool._transport._shared_graph is None  # no segment was published
         answers = pool.run(workload.tasks)
     assert answers == oracle
     # The parent's network is still guarded and cache-backed.
@@ -77,7 +77,7 @@ def test_fork_workers_attach_without_shm(cached, workload, oracle) -> None:
 @pytest.mark.slow
 def test_spawn_workers_attach_without_shm(cached, workload, oracle) -> None:
     with _run_pool(cached, workload, "spawn") as pool:
-        assert pool._shared_graph is None
+        assert pool._transport._shared_graph is None
         answers = pool.run(workload.tasks)
     assert answers == oracle
 
@@ -160,7 +160,7 @@ def test_fork_workers_attach_ch_from_cache(
     ch_solution, ch_workload, ch_oracle
 ) -> None:
     with _run_ch_pool(ch_solution, ch_workload, "fork") as pool:
-        assert pool._shared_graph is None
+        assert pool._transport._shared_graph is None
         answers = pool.run(ch_workload.tasks)
     assert answers == ch_oracle
 
@@ -173,7 +173,7 @@ def test_spawn_workers_attach_ch_from_cache(
     # can only come from the attach token (rebuilding would need the
     # network object that the token equally reconstructs by memmap).
     with _run_ch_pool(ch_solution, ch_workload, "spawn") as pool:
-        assert pool._shared_graph is None
+        assert pool._transport._shared_graph is None
         answers = pool.run(ch_workload.tasks)
     assert answers == ch_oracle
 

@@ -16,7 +16,7 @@ from repro.mpr import (
     build_executor,
     run_serial_reference,
 )
-from repro.mpr.process_executor import _PipeInbox
+from repro.mpr.transport import _PipeInbox
 from repro.objects.tasks import QueryTask
 from repro.workload import generate_workload
 
@@ -72,9 +72,10 @@ def test_empty_stream(small_grid) -> None:
 def shrink_pipes(pool, size: int = 4096) -> None:
     """Make every worker's two pipes one page, so a few KiB of batches
     (or acks) fill them — the state a long run reaches on 64 KiB pipes."""
-    for state in pool._workers.values():
-        fcntl.fcntl(state.inbox._writer.fileno(), fcntl.F_SETPIPE_SZ, size)
-        fcntl.fcntl(state.reader.fileno(), fcntl.F_SETPIPE_SZ, size)
+    for state in pool._shapes.current.workers.values():
+        handle = state.handle
+        fcntl.fcntl(handle.inbox._writer.fileno(), fcntl.F_SETPIPE_SZ, size)
+        fcntl.fcntl(handle.reader.fileno(), fcntl.F_SETPIPE_SZ, size)
 
 
 def watch_backlog(monkeypatch) -> list[int]:

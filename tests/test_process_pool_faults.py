@@ -29,7 +29,7 @@ from repro.mpr import (
     build_executor,
     run_serial_reference,
 )
-from repro.mpr.process_executor import _PipeInbox
+from repro.mpr.transport import _PipeInbox
 from repro.objects.tasks import QueryTask
 from repro.workload import generate_workload
 
@@ -311,8 +311,8 @@ def test_poison_report_and_sibling_ack_in_one_pump_step(
         assert 0 in pool.worker_contents()[(0, 0, 0)]
         pool.submit(QueryTask(0.0, 7, 3, 4))
         pool.flush()  # sends both batches, reads nothing
-        for state in pool._workers.values():
-            assert state.reader.poll(10.0)  # both answers are waiting
+        for state in pool._shapes.current.workers.values():
+            assert state.handle.reader.poll(10.0)  # both answers are waiting
         done: list[dict] = []
         drainer = threading.Thread(
             target=lambda: done.append(pool.drain(timeout=10.0)), daemon=True
@@ -405,13 +405,13 @@ def test_stalled_worker_with_clogged_inbox_is_still_killed(network) -> None:
     try:
         with pool:
             pool.start()
-            (state,) = pool._workers.values()
-            victim_pid = state.process.pid
+            (state,) = pool._shapes.current.workers.values()
+            victim_pid = state.handle.process.pid
             os.kill(victim_pid, signal.SIGSTOP)
             for task in tasks:
                 pool.submit(task)
             pool.flush()
-            assert state.inbox.backlog, "the pipe took everything"
+            assert state.handle.inbox.backlog, "the pipe took everything"
             answers = pool.drain(timeout=60.0)
             assert pool.metrics.stall_kills >= 1
             assert pool.metrics.respawns >= 1
@@ -434,13 +434,13 @@ def test_close_escalates_when_the_stop_cannot_be_flushed(network) -> None:
         mode="process", batch_size=16,
     )
     pool.start()
-    (state,) = pool._workers.values()
-    victim_pid = state.process.pid
+    (state,) = pool._shapes.current.workers.values()
+    victim_pid = state.handle.process.pid
     os.kill(victim_pid, signal.SIGSTOP)
     for task in _flood(network, 6000):
         pool.submit(task)
     pool.flush()
-    assert state.inbox.backlog
+    assert state.handle.inbox.backlog
     start = time.monotonic()
     pool.close(timeout=1.0)
     assert time.monotonic() - start < 10.0

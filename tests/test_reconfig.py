@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,29 +66,6 @@ def make_tasks(network, count=24, k=4):
 
 
 # ----------------------------------------------------------------------
-# Cutover bookkeeping (fast: no process is spawned)
-# ----------------------------------------------------------------------
-def test_poison_from_retiring_worker_leaves_new_shape_admission_alone() -> None:
-    """After a cutover the admission ledger is keyed by the *new*
-    shape's workers; a poison report from a retiring worker with the
-    same id must not release load the new worker still carries."""
-    from repro.mpr.process_executor import _WorkerState
-
-    _, _, _, pool = make_pool(resilience=ResilienceConfig())
-    worker_id = (0, 0, 0)
-    admission = pool._resilience.admission
-    admission.dispatched((worker_id,), 3)  # in flight on the new shape
-    retiring = _WorkerState(worker_id, {})
-    retiring.group = "retiring"
-    retiring.unacked[0] = (("query", 1, 5, 2), ("query", 2, 9, 2))
-    pool._handle(("error", worker_id, 0, "boom"), retiring)
-    assert 0 in retiring.poisoned and not retiring.unacked
-    assert pool.metrics.batches_quarantined == 1
-    assert admission.load(worker_id) == 3
-    pool.close()
-
-
-# ----------------------------------------------------------------------
 # Decision layer (fast)
 # ----------------------------------------------------------------------
 def test_reconfig_event_serializes_shapes_as_lists() -> None:
@@ -112,7 +90,7 @@ def test_reconfig_counters_registry() -> None:
     assert set(RECONFIG_COUNTERS) == {
         "reconfig.attempts", "reconfig.completed", "reconfig.rollbacks",
         "reconfig.rejected", "reconfig.breaker_open",
-        "reconfig.catchup_ops",
+        "reconfig.catchup_ops", "reconfig.poll_errors",
     }
 
 
@@ -180,6 +158,76 @@ def test_manager_swallows_rejection() -> None:
     manager.poll(now=0.0)
     system.telemetry.count("router.queries", 30_000)
     assert manager.poll(now=1.0) is None  # rejected -> kept shape
+
+
+def _wait_until(done, budget=10.0) -> None:
+    deadline = time.monotonic() + budget
+    while not done() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert done(), "the background loop never got there"
+
+
+def _deciding_manager(system):
+    """A manager whose controller proposes a switch on every poll."""
+    manager = _manager(system)
+    manager.controller.maybe_reconfigure = lambda now: SimpleNamespace(
+        new_config=MPRConfig(1, 4, 1)
+    )
+    return manager
+
+
+def test_manager_loop_counts_and_survives_a_failing_reconfigure() -> None:
+    """The loop used to ``except Exception: pass``: an auto-reconfigure
+    that died on every poll was invisible."""
+
+    class Broken(_FakeSystem):
+        def reconfigure(self, new_config, **kwargs):
+            raise RuntimeError("boom")
+
+    system = Broken()
+    manager = _deciding_manager(system)
+    manager.start(interval=0.002)
+    try:
+        _wait_until(lambda: manager.poll_errors >= 2)
+        assert manager._thread.is_alive()  # the loop survived both
+        assert isinstance(manager.last_error, RuntimeError)
+        assert manager.last_error.__traceback__ is not None
+    finally:
+        manager.stop()
+    assert system.telemetry.counters["reconfig.poll_errors"] == manager.poll_errors
+
+
+def test_manager_loop_does_not_count_a_rejection_as_an_error() -> None:
+    attempts: list[MPRConfig] = []
+
+    class Rejecting(_FakeSystem):
+        def reconfigure(self, new_config, **kwargs):
+            attempts.append(new_config)
+            raise ReconfigRejected("breaker open")
+
+    system = Rejecting()
+    manager = _deciding_manager(system)
+    manager.start(interval=0.002)
+    try:
+        _wait_until(lambda: len(attempts) >= 2)
+    finally:
+        manager.stop()
+    assert manager.poll_errors == 0 and manager.last_error is None
+    assert "reconfig.poll_errors" not in system.telemetry.counters
+
+
+def test_system_stats_surface_the_manager_loops_errors() -> None:
+    base = DijkstraKNN(grid_network(8, 8, seed=1))
+    with MPRSystem(MPRConfig(2, 2, 1), base, {1: 3}, mode="thread") as system:
+        assert "auto_reconfigure" not in system.stats()
+        manager = system.enable_auto_reconfigure(PROFILE, MACHINE)
+        assert system.stats()["auto_reconfigure"] == {
+            "poll_errors": 0, "last_error": None,
+        }
+        manager.poll_errors, manager.last_error = 3, RuntimeError("boom")
+        assert system.stats()["auto_reconfigure"] == {
+            "poll_errors": 3, "last_error": "RuntimeError('boom')",
+        }
 
 
 def test_manager_keeps_shape_on_steady_rates() -> None:

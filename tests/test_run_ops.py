@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.graph import ContractionHierarchy, RoadNetwork, grid_network
 from repro.graph.kernels import KERNEL_CALLS
 from repro.knn import SOLUTIONS, DijkstraKNN, KNNSolution
-from repro.mpr.process_executor import _worker_main
+from repro.mpr.transport import _worker_main
 from tests.test_ch import int_network
 from tests.test_knn_batch import canonical, random_network
 

@@ -126,7 +126,7 @@ class TestWorkerPayloadBound:
             mode="process",
         )
         try:
-            pool._publish_graph()
+            pool._transport._publish_graph(solution)
             worker_payload = pickle.dumps(
                 solution.spawn(workload.initial_objects)
             )
@@ -145,8 +145,8 @@ class TestWorkerPayloadBound:
             mode="process", share_graph=False,
         )
         try:
-            pool._publish_graph  # attribute exists but is never invoked
-            assert pool._shared_graph is None
+            pool._transport._publish_graph  # attribute exists but is never invoked
+            assert pool._transport._shared_graph is None
             payload = pickle.dumps(solution.spawn(workload.initial_objects))
             assert payload and len(payload) > 4096  # graph rides along
         finally:
@@ -165,9 +165,9 @@ def test_pool_equivalence_with_shared_graph(
         MPRConfig(2, 2, 1), DijkstraKNN(network), workload.initial_objects,
         mode="process", batch_size=8, start_method=start_method,
     ) as pool:
-        assert pool._shared_graph is not None  # pool owns the segment
+        assert pool._transport._shared_graph is not None  # pool owns the segment
         assert pool.run(workload.tasks) == oracle
-    assert pool._shared_graph is None  # close() unlinked it
+    assert pool._transport._shared_graph is None  # close() unlinked it
 
 
 @pytest.mark.slow
@@ -197,7 +197,7 @@ def test_respawned_worker_reattaches_shared_graph(
         assert pool.metrics.respawns >= 1
         assert pool.worker_pids()[victim_id] != victim_pid
         # The graph segment survived the death of an attached worker.
-        assert pool._shared_graph is not None
+        assert pool._transport._shared_graph is not None
         assert network._shared_meta is not None
     assert answers == oracle
 
@@ -212,7 +212,7 @@ def test_borrowed_segment_left_alone(network, workload, oracle) -> None:
             MPRConfig(1, 2, 1), DijkstraKNN(network),
             workload.initial_objects, mode="process", batch_size=8,
         ) as pool:
-            assert pool._shared_graph is None  # borrowed, not owned
+            assert pool._transport._shared_graph is None  # borrowed, not owned
             assert pool.run(workload.tasks) == oracle
         assert network._shared_meta is not None  # still published
         attach_shared_graph(handle.meta)  # still attachable

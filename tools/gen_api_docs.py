@@ -236,7 +236,19 @@ cross-process lock), the write end never blocks — what the pipe will
 not take waits parent-side, always a suffix of the unacknowledged log,
 and is flushed by the pump — so a long run against one worker cannot
 deadlock on two full pipes, and the stall watchdog keeps running behind
-a clogged inbox.  Both kinds share one lifecycle
+a clogged inbox.  All of that — the worker kind, its pipes, the
+one lifetime selector, liveness and the clock — lives behind one
+private seam, `repro.mpr.transport.Transport` (start a w-core, `send`
+without blocking, `poll`, read one handle's residue, kill/join/pid,
+`retire`, `close`, `now`); the pool reads the worker kind nowhere.
+`tests/fake_transport.py` is a third, in-memory transport on virtual
+time: `tests/test_pool_protocol.py` runs the whole ack / hedge /
+respawn / reconfigure protocol on it in tier-1 — named cases plus a
+`hypothesis` stateful machine — with no process, thread or sleep, and
+`tests/test_transport_contract.py` holds all three transports to one
+contract.  A thread-mode pool dropped without `close()` no longer
+leaks: the transport's finalizer queues the stops and closes its
+descriptors.  Both kinds share one lifecycle
 (`start()` / `submit()` / `flush()` / `drain()` / `run()` / `close()`,
 plus the context-manager form) and serial-equivalent answers;
 `check_invariants=True` asserts the Section IV-A partition/replication
@@ -248,8 +260,9 @@ face of the same loop, and `machine_spec_from_telemetry` /
 optimizer.
 
 Direct construction (`ProcessPoolService(solution, config, objects)`,
-`start_method="thread"` for thread workers) builds exactly what the
-facade builds.  Note the argument-order flip: the direct constructor
+`start_method="thread"` for thread workers — or a ready `Transport`
+instance, which is how the tests substitute the fake) builds exactly
+what the facade builds.  Note the argument-order flip: the direct constructor
 takes the solution first; `build_executor` takes the `MPRConfig` first.
 """,
     ),
@@ -405,7 +418,11 @@ is bounded.  `repro.cli chaos` runs the sweep from the command line
         "Live reconfiguration",
         """\
 `repro.mpr.reconfig` changes a running pool's `(x, y, z)` shape with
-zero downtime.  `ProcessPoolService.reconfigure(new_config)` (or
+zero downtime, and holds both halves of doing so: the decisions
+(`ReconfigPolicy`, `ReconfigManager`) and the mechanism the pool
+delegates to (private: a shape is one `_Fleet` — config, router,
+batcher, worker ledgers, role — and `_Reconfigurer` rotates fleets,
+retiring ← serving ← warming).  `ProcessPoolService.reconfigure(new_config)` (or
 `MPRSystem.reconfigure`, which serializes the transition through the
 completion pump so async futures keep resolving) runs a supervised
 state machine:
@@ -421,9 +438,12 @@ state machine:
    `ReconfigEvent.catchup_ops`) — so the new cells are current the
    moment they take over.
 2. **Cutover** — atomic, inside the supervisor: once every probe is
-   acked, the pool flushes both batchers, swaps router/batcher/worker
-   maps, bumps the generation counter, and re-points resilience state
-   (breakers cleared, admission ledger reset) at the new shape.
+   acked, the pool flushes both batchers, rotates the fleets, bumps
+   the generation counter, and re-points resilience state (breakers
+   cleared, admission ledger reset) at the new shape.  A breaker-open
+   old worker's whole log — quarantined batches and anything sent
+   since — dies with the shape (its queries degrade, naming the
+   column; its updates are already in the new cells).
    `ReconfigEvent.inflight_at_cutover` records how many queries were
    genuinely in flight across the swap; their answers still drain from
    the old workers and are merged normally.
@@ -457,9 +477,14 @@ counters (shed/degraded/breaker-open deltas) escalate the trigger to
 `"auto+pressure"`.  `MPRSystem.enable_auto_reconfigure(profile,
 machine)` wires this up in one call.
 
+The background loop survives a failing poll and says so: each one
+bumps `reconfig.poll_errors`, `ReconfigManager.last_error` keeps the
+exception, and `MPRSystem.stats()["auto_reconfigure"]` shows both
+(a `ReconfigRejected` is a kept shape, not an error).
+
 Observability: `RECONFIG_COUNTERS` (`reconfig.attempts`, `.completed`,
-`.rollbacks`, `.rejected`, `.breaker_open`, `.catchup_ops`), phase
-timings in `ReconfigEvent.phases`, and the full transition history via
+`.rollbacks`, `.rejected`, `.breaker_open`, `.catchup_ops`,
+`.poll_errors`), phase timings in `ReconfigEvent.phases`, and the full transition history via
 `pool.reconfig_history` / `MPRSystem.reconfig_history`, surfaced by
 `stats()`, `report()`, and `repro.cli stats`.  The standing gate is
 `repro.validation.run_reconfig_soak` / `tools/reconfig_soak.py`
