@@ -344,6 +344,7 @@ def _pool(args: argparse.Namespace) -> int:
          f"{by_status[ResultStatus.OVERLOADED]})"],
         ["batches sent", str(metrics.batches_sent)],
         ["mean batch size", f"{metrics.mean_batch_size:.1f}"],
+        ["queries per sweep", f"{metrics.queries_per_sweep:.1f}"],
         ["messages per task", f"{metrics.messages_per_task:.3f}"],
         ["worker respawns", str(metrics.respawns)],
         ["wall clock", format_duration(wall)],
@@ -432,6 +433,9 @@ def _stats(args: argparse.Namespace) -> int:
         f"{system.config.describe()} answered "
         f"{len(results)} queries on grid {args.grid}x{args.grid}"
     )
+    metrics = system.executor.metrics
+    print(f"mean batch size {metrics.mean_batch_size:.1f} ops, "
+          f"{metrics.queries_per_sweep:.1f} queries per sweep")
     print()
     print(system.report())
     history = system.reconfig_history
@@ -712,6 +716,8 @@ def _graph_cache(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .graph.kernels import QUERIES_PER_SWEEP
+
     parser = argparse.ArgumentParser(
         prog="repro", description="MPR reproduction command line"
     )
@@ -793,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool.add_argument("--x", type=int, default=2)
     pool.add_argument("--y", type=int, default=2)
     pool.add_argument("--z", type=int, default=1)
-    pool.add_argument("--batch-size", type=int, default=16)
+    pool.add_argument("--batch-size", type=int, default=QUERIES_PER_SWEEP)
     pool.add_argument("--objects", type=int, default=30)
     pool.add_argument("--lambda-q", type=float, default=200.0)
     pool.add_argument("--lambda-u", type=float, default=100.0)
@@ -823,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--x", type=int, default=2)
     stats.add_argument("--y", type=int, default=2)
     stats.add_argument("--z", type=int, default=1)
-    stats.add_argument("--batch-size", type=int, default=16)
+    stats.add_argument("--batch-size", type=int, default=QUERIES_PER_SWEEP)
     stats.add_argument("--objects", type=int, default=30)
     stats.add_argument("--lambda-q", type=float, default=200.0)
     stats.add_argument("--lambda-u", type=float, default=100.0)
@@ -867,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--x", type=int, default=2)
     serve.add_argument("--y", type=int, default=1)
     serve.add_argument("--z", type=int, default=1)
-    serve.add_argument("--batch-size", type=int, default=16)
+    serve.add_argument("--batch-size", type=int, default=QUERIES_PER_SWEEP)
     serve.add_argument("--objects", type=int, default=100)
     serve.add_argument("--window", type=int, default=32,
                        help="default per-connection backpressure window")

@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .kernels import KERNEL_CALLS, CSRKernels, dial_delta
+from .kernels import KERNEL_CALLS, QUERIES_PER_SWEEP, CSRKernels, dial_delta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .road_network import RoadNetwork
@@ -1340,7 +1340,7 @@ class CHKernels:
         ks: Sequence[int],
         object_counts: np.ndarray,
         *,
-        group_size: int = 16,
+        group_size: int = QUERIES_PER_SWEEP,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Batched :meth:`topk_objects`, aligned with the inputs.
 

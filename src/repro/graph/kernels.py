@@ -47,7 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["KERNEL_CALLS", "CSRKernels", "IncrementalSSSP", "dial_delta"]
+__all__ = ["KERNEL_CALLS", "QUERIES_PER_SWEEP", "CSRKernels",
+           "IncrementalSSSP", "dial_delta"]
 
 INFINITY = math.inf
 
@@ -55,6 +56,13 @@ INFINITY = math.inf
 #: bench-smoke tool and the delegation tests assert against these to
 #: prove the vectorized path is actually being exercised.
 KERNEL_CALLS: Counter = Counter()
+
+#: How many searches share one batched sweep: per-query cost falls
+#: steeply up to about this width (EXPERIMENTS.md, "Rows per sweep").
+#: The one definition — :meth:`CSRKernels.knn_batch`'s ``group_size``
+#: default *and* the pool's ``batch_size`` default (queries per worker
+#: message), so by default a message is exactly one sweep.
+QUERIES_PER_SWEEP = 16
 
 #: Sentinel owner for nodes whose distance just improved and whose
 #: owning source is about to be recomputed.
@@ -239,7 +247,7 @@ class CSRKernels:
         *,
         versions: Sequence[int] | None = None,
         patches: Sequence[tuple[int, int]] = (),
-        group_size: int = 16,
+        group_size: int = QUERIES_PER_SWEEP,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Answer many top-k queries via shared multi-source sweeps.
 
@@ -266,8 +274,9 @@ class CSRKernels:
         Execution: queries with the same ``(source, version)`` collapse
         to one search (served with the largest requested ``k``); the
         distinct searches are sorted by source (node-id order is the
-        locality proxy on our generated networks) and chunked into
-        groups of up to ``group_size``.
+        locality proxy on our generated networks) and cut into
+        ``ceil(n / group_size)`` *balanced* groups (17 → 9 + 8, never
+        16 + a solo search).
         One group runs as a *single* delta-stepping sweep over the
         flattened ``(row, node)`` product space — every bucket relaxes
         the concatenated frontiers of all group members in the same
@@ -314,8 +323,8 @@ class CSRKernels:
             (_EMPTY_I8, _EMPTY_F8)
         ] * len(unique)
         wanted = np.nonzero(kmax > 0)[0]
-        for start in range(0, len(wanted), group_size):
-            chunk = wanted[start:start + group_size]
+        groups = -(-len(wanted) // group_size)
+        for chunk in np.array_split(wanted, groups) if groups else ():
             answers = self._batch_topk(
                 unique[chunk] // span, kmax[chunk], object_counts,
                 unique[chunk] % span, patch_nodes, patch_deltas,

@@ -61,6 +61,7 @@ class PoolMetrics:
     ops_dispatched: int = 0
     messages_sent: int = 0
     partials_received: int = 0
+    sweeps_acked: int = 0  # acks carrying query partials: one sweep each
     respawns: int = 0
     batches_replayed: int = 0
     hedges: int = 0
@@ -91,7 +92,7 @@ class PoolMetrics:
     @property
     def messages_per_task(self) -> float:
         """Queue messages per dispatched op — 1.0 without batching,
-        ``1 / batch_size`` with full batches."""
+        the reciprocal of :attr:`mean_batch_size` with it."""
         if self.ops_dispatched == 0:
             return 0.0
         return self.messages_sent / self.ops_dispatched
@@ -101,6 +102,14 @@ class PoolMetrics:
         if self.batches_sent == 0:
             return 0.0
         return self.ops_dispatched / self.batches_sent
+
+    @property
+    def queries_per_sweep(self) -> float:
+        """Sweep fill: per-worker query executions per message that
+        carried any — what the kernel's per-sweep cost is shared over."""
+        if self.sweeps_acked == 0:
+            return 0.0
+        return self.partials_received / self.sweeps_acked
 
     @property
     def dispatch_seconds_per_task(self) -> float:
@@ -131,6 +140,7 @@ class PoolMetrics:
             "duplicate_acks": self.duplicate_acks,
             "messages_per_task": self.messages_per_task,
             "mean_batch_size": self.mean_batch_size,
+            "queries_per_sweep": self.queries_per_sweep,
             "dispatch_seconds": self.dispatch.seconds,
             "wait_seconds": self.wait.seconds,
             "aggregate_seconds": self.aggregate.seconds,

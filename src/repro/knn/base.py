@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 
@@ -34,6 +35,11 @@ class Neighbor:
     object_id: int
 
 
+#: Sort key equal to :class:`Neighbor`'s own order, evaluated in C:
+#: no Python-level ``__lt__`` per comparison.
+_rank = attrgetter("distance", "object_id")
+
+
 def canonical_knn(candidates: Mapping[int, float] | Sequence[Neighbor], k: int) -> list[Neighbor]:
     """Best ``k`` of a candidate pool in canonical order.
 
@@ -47,7 +53,7 @@ def canonical_knn(candidates: Mapping[int, float] | Sequence[Neighbor], k: int) 
         pool = [Neighbor(distance, object_id) for object_id, distance in candidates.items()]
     else:
         pool = list(candidates)
-    pool.sort()
+    pool.sort(key=_rank)
     return pool[:k]
 
 
@@ -104,14 +110,16 @@ def merge_partial_results(
     gracefully, returning a :class:`PartialResult` flagged with those
     cells instead of a plain list — the answer is the true top-k of
     the *surviving* partitions only.
+
+    The kept entries are the partials' own :class:`Neighbor` objects.
     """
-    best: dict[int, float] = {}
+    best: dict[int, Neighbor] = {}
     for partial in partials:
         for neighbor in partial:
             prior = best.get(neighbor.object_id)
-            if prior is None or neighbor.distance < prior:
-                best[neighbor.object_id] = neighbor.distance
-    merged = canonical_knn(best, k)
+            if prior is None or neighbor.distance < prior.distance:
+                best[neighbor.object_id] = neighbor
+    merged = canonical_knn(best.values(), k)
     if missing_columns:
         return PartialResult(merged, missing_columns)
     return merged

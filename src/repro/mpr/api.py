@@ -33,6 +33,7 @@ import threading
 from concurrent.futures import Future
 from typing import Any, Mapping, Sequence
 
+from ..graph.kernels import QUERIES_PER_SWEEP
 from ..knn.base import KNNSolution
 from ..objects.tasks import Task, TaskKind
 from ..obs import Telemetry
@@ -66,7 +67,7 @@ def build_executor(
     mode: str = "thread",
     telemetry: Telemetry | None = None,
     check_invariants: bool = False,
-    batch_size: int = 16,
+    batch_size: int = QUERIES_PER_SWEEP,
     start_method: str = "fork",
     share_graph: bool = True,
     health_check_interval: float = 0.05,
@@ -103,7 +104,10 @@ def build_executor(
     check_invariants:
         Assert the Section IV-A partition/replication invariants on
         the workers' acknowledged cells after every ``run()``.
-    batch_size, health_check_interval, max_respawns, metrics:
+    batch_size:
+        Queries per worker message — one kernel sweep's worth; updates
+        ride along; ``batch_size=1`` is per-query dispatch.
+    health_check_interval, max_respawns, metrics:
         Forwarded to the pool (see
         :class:`repro.mpr.process_executor.ProcessPoolService`).
     start_method, share_graph:
@@ -557,6 +561,8 @@ class MPRSystem:
     def retune_batch_size(self, arrival_rate: float) -> int:
         """Adapt the pool's dispatch batch size to measured timings.
 
+        Both in the batcher's unit: ``arrival_rate`` is queries per
+        worker per second, the size picked is queries per message.
         Delegates to :meth:`ProcessPoolService.retune_batch_size
         <repro.mpr.process_executor.ProcessPoolService.retune_batch_size>`
         with this system's always-on telemetry, closing the

@@ -1,26 +1,33 @@
 """Adaptive batch sizing from measured per-stage timings.
 
-The pool's ``batch_size`` trades two costs the paper's Section IV-C
-model already names: a *larger* batch amortizes the per-message
-dispatch overhead (the τ' round-trip, magnified ~1000× by
-``multiprocessing``) over more ops, while a *smaller* batch fills
-faster — under a Poisson-ish arrival stream a query waits on average
-``(b - 1) / (2 λ)`` seconds for its batch's remaining arrivals before
-anything is even sent.  The modeled per-query response contribution is
+In the batcher's unit: ``batch_size`` (``b``) is *queries per worker
+message* — one kernel sweep's worth, updates ride along
+(:class:`~repro.mpr.core_matrix.RouteBatcher`) — and λ is the
+per-worker *query* arrival rate.  A *larger* batch amortizes the
+per-message dispatch overhead (the τ' round-trip, magnified ~1000× by
+``multiprocessing``) over more queries, while a *smaller* batch fills
+faster — on a Poisson-ish query stream that nothing flushes, a query
+waits on average ``(b - 1) / (2 λ)`` seconds for its sweep's remaining
+queries.  That wait is an upper bound: ``drain()`` and every pump cycle
+flush, so a caller that drains per cycle never waits past its own
+cycle.  The modeled per-query response contribution is
 
-    Rq(b) = (b - 1) / (2 λ)            batch-fill wait
+    Rq(b) = (b - 1) / (2 λ)            sweep-fill wait (unflushed stream)
           + queue_write_time           routing + enqueue per task (τ')
           + dispatch_time / b          per-message transit, amortized
-          + execute_seconds            service time (b-independent)
+          + execute_seconds            service time (taken b-independent)
           + fanout * merge_time        one merge per partial (x partials)
 
 with every stage constant taken from a measured
 :class:`~repro.mpr.analysis.MachineSpec` — in practice calibrated live
-via :func:`repro.sim.measurement.machine_spec_from_telemetry` from the
-very telemetry the executor records while serving.  Minimizing this
-over a candidate grid closes the loop: measure → model → retune
-(:meth:`ProcessPoolService.retune_batch_size
-<repro.mpr.process_executor.ProcessPoolService.retune_batch_size>`).
+via :func:`repro.sim.measurement.machine_spec_from_telemetry`.
+Minimizing this over a candidate grid is the measure → model → retune
+loop of :meth:`ProcessPoolService.retune_batch_size
+<repro.mpr.process_executor.ProcessPoolService.retune_batch_size>`,
+which nothing in the package calls on its own.  The model does not know
+that the kernel's per-query cost itself falls with ``b``
+(EXPERIMENTS.md, "Rows per sweep"), so it under-recommends on
+kernel-bound workloads.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ __all__ = [
     "recommend_batch_size",
 ]
 
-#: Power-of-two grid the recommender searches; 1 = per-task dispatch.
+#: Power-of-two grid the recommender searches; 1 = per-query dispatch.
 DEFAULT_BATCH_CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
@@ -48,11 +55,11 @@ def modeled_batch_rq(
 ) -> float:
     """Modeled per-query response contribution at one batch size.
 
-    ``arrival_rate`` is the per-worker task arrival rate λ (tasks per
-    second).  A non-positive λ means the stream never fills a batch on
-    its own, so every ``batch_size > 1`` models as ``inf`` — only
-    per-task dispatch (b = 1) avoids waiting forever on arrivals that
-    are not coming.
+    ``batch_size`` is queries per message, ``arrival_rate`` the
+    per-worker query rate λ (queries per second).  A non-positive λ
+    never fills a sweep on its own, so every ``batch_size > 1`` models
+    as ``inf`` — only per-query dispatch (b = 1) avoids waiting forever
+    on arrivals that are not coming.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

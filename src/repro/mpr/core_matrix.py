@@ -209,17 +209,26 @@ def encode_op(task: Task) -> WorkerOp:
     return ("delete", task.object_id)
 
 
+#: Updates ride along with a worker's queries free, up to this many ops
+#: per query slot — the cap that bounds a message's bytes.
+MAX_OPS_PER_QUERY_SLOT = 16
+
+
 class RouteBatcher:
     """Group routed tasks into per-worker batches (pure logic, no queues).
 
-    One queue message normally carries one task; at ~tens of μs per
-    ``multiprocessing`` message that round-trip dwarfs the paper's τ'.
-    The batcher accumulates each worker's consecutive ops and releases
-    them as one message of up to ``batch_size`` ops, preserving the
-    per-worker FCFS order the serial-equivalence argument rests on
-    (updates keep their arrival position; batches are released in
-    order).  Latency-sensitive callers use :meth:`flush` to release
-    partial batches immediately.
+    A worker executes one message as one ``run_ops`` call whose queries
+    share one kernel sweep, and that sweep — not the message's pickle
+    and pipe transit — is the dominant cost, strongly sub-additive in
+    queries per sweep.  So a worker's consecutive ops are released when
+    they hold ``batch_size`` *queries* (one sweep's worth) or at
+    :meth:`flush`; updates ride along, up to ``MAX_OPS_PER_QUERY_SLOT *
+    batch_size`` ops per message.  A cycle whose per-worker share is at
+    most one sweep is thus one message, one sweep and one ack per
+    worker, and a query-dense stream still releases sweep by sweep.
+    Per-worker FCFS order, which the serial-equivalence argument rests
+    on, is preserved (updates keep their arrival position; batches are
+    released in order).  ``batch_size=1`` is per-query dispatch.
 
     With ``locality_group`` (the default), each *maximal run of
     consecutive queries* in a released batch is sorted by ``(location,
@@ -254,6 +263,8 @@ class RouteBatcher:
         self._pending: dict[WorkerId, list[WorkerOp]] = {
             worker: [] for worker in router.all_workers()
         }
+        #: Queries among each worker's pending ops; zeroed on release.
+        self._queries: dict[WorkerId, int] = dict.fromkeys(self._pending, 0)
 
     @property
     def batch_size(self) -> int:
@@ -266,8 +277,8 @@ class RouteBatcher:
     def set_batch_size(self, batch_size: int) -> None:
         """Retarget the release threshold (takes effect immediately).
 
-        Shrinking below a worker's current backlog does not release it
-        — the next :meth:`add` to that worker or :meth:`flush` does.
+        Shrinking below a worker's pending queries does not release
+        them — the next :meth:`add` to that worker or :meth:`flush` does.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -278,8 +289,10 @@ class RouteBatcher:
         """Ops routed but not yet released in a batch."""
         return sum(len(ops) for ops in self._pending.values())
 
-    def _release(self, pending: list[WorkerOp]) -> tuple[WorkerOp, ...]:
+    def _release(self, worker_id: WorkerId) -> WorkerBatch:
         """Seal one batch, locality-sorting each consecutive query run."""
+        pending = self._pending[worker_id]
+        self._queries[worker_id] = 0
         if self._locality_group and len(pending) > 1:
             index = 0
             total = len(pending)
@@ -299,7 +312,7 @@ class RouteBatcher:
                 index = end
         batch = tuple(pending)
         pending.clear()
-        return batch
+        return worker_id, batch
 
     def add(
         self, task: Task
@@ -334,11 +347,16 @@ class RouteBatcher:
                 return route, [], backlog
         op = encode_op(task)
         ready: list[WorkerBatch] = []
+        queries, batch_size = self._queries, self._batch_size
+        cap = MAX_OPS_PER_QUERY_SLOT * batch_size
+        is_query = task.kind is TaskKind.QUERY
         for worker_id in route.workers:
             pending = self._pending[worker_id]
             pending.append(op)
-            if len(pending) >= self._batch_size:
-                ready.append((worker_id, self._release(pending)))
+            if is_query:
+                queries[worker_id] += 1
+            if queries[worker_id] >= batch_size or len(pending) >= cap:
+                ready.append(self._release(worker_id))
         if admission is not None:
             admission.dispatched(route.workers)
         if ready and self._telemetry.enabled:
@@ -349,9 +367,8 @@ class RouteBatcher:
         """Release every partial batch (deterministic worker order)."""
         ready: list[WorkerBatch] = []
         for worker_id in sorted(self._pending):
-            pending = self._pending[worker_id]
-            if pending:
-                ready.append((worker_id, self._release(pending)))
+            if self._pending[worker_id]:
+                ready.append(self._release(worker_id))
         if ready and self._telemetry.enabled:
             self._telemetry.count("batcher.partial_batches", len(ready))
         return ready

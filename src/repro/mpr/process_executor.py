@@ -13,9 +13,10 @@ about:
   calls; the road network and each worker's object partition reach the
   worker once, mirroring MPR's one-time replica construction;
 * **batched dispatch** — one transport message carries up to
-  ``batch_size`` tasks, amortizing the per-message pickle and pipe
-  cost (the τ' the paper models, magnified ~1000× by a process
-  boundary) over the batch; ``flush()`` releases partial batches for
+  ``batch_size`` *queries* (one kernel sweep's worth) plus the updates
+  that ride along, amortizing the kernel's per-sweep cost — the
+  dominant term — and with it the per-message pickle and pipe cost
+  (the τ' the paper models); ``flush()`` releases partial batches for
   latency-sensitive streams;
 * **supervision** — the parent polls worker liveness while waiting on
   results; a dead worker (crash, SIGKILL) is respawned from its
@@ -59,6 +60,7 @@ import heapq
 from time import perf_counter
 from typing import Mapping, Sequence
 
+from ..graph.kernels import QUERIES_PER_SWEEP
 from ..harness.metrics import PoolMetrics
 from ..knn.base import KNNSolution, Neighbor, merge_partial_results
 from ..objects.tasks import Task, TaskKind
@@ -217,6 +219,8 @@ class _QueryLedger:
         duplicates: set[int] | None = set() if stamping else None
         metrics = self._metrics
         queries = self.queries
+        if partials:
+            metrics.sweeps_acked += 1
         for query_id, partial in partials:
             metrics.partials_received += 1
             query = queries.get(query_id)
@@ -263,11 +267,16 @@ class _QueryLedger:
                         column for column in query.columns
                         if column not in accepted
                     )
-                parts = [partial for _worker, partial in accepted.values()]
                 t0 = self._now() if stamping else 0.0
-                answers[query_id] = merge_partial_results(
-                    parts, query.task.k, missing_columns=missing
-                )
+                if len(accepted) == 1 and not missing:
+                    # One column, answered (every x = 1 shape): its
+                    # partial already is the canonical top-k.
+                    ((_worker, answers[query_id]),) = accepted.values()
+                else:
+                    answers[query_id] = merge_partial_results(
+                        [partial for _worker, partial in accepted.values()],
+                        query.task.k, missing_columns=missing,
+                    )
                 if stamping:
                     telemetry.record(
                         "merge", self._now() - t0,
@@ -441,9 +450,11 @@ class ProcessPoolService:
     objects:
         Initial object placements (partitioned round-robin by column).
     batch_size:
-        Tasks per transport message.  1 reproduces per-task dispatch;
-        mprbench's ``mpr.process_executor.mean_batch_size`` /
-        ``messages_per_op`` show the trade-off on the live workloads.
+        Queries per transport message — one kernel sweep's worth;
+        updates ride along (:class:`~repro.mpr.core_matrix.RouteBatcher`).
+        1 is per-query dispatch; mprbench's ``mean_batch_size`` /
+        ``messages_per_op`` / ``graph.kernels.calls_per_query`` show the
+        trade-off on the live workloads.
     start_method, share_graph:
         The worker kind — a ``multiprocessing`` start method, or
         ``"thread"`` (what ``build_executor(mode="thread")`` passes) —
@@ -505,7 +516,7 @@ class ProcessPoolService:
         config: MPRConfig,
         objects: Mapping[int, int],
         *,
-        batch_size: int = 16,
+        batch_size: int = QUERIES_PER_SWEEP,
         start_method: str | Transport = "fork",
         share_graph: bool = True,
         health_check_interval: float = 0.05,
@@ -633,7 +644,7 @@ class ProcessPoolService:
     # Dispatch
     # ------------------------------------------------------------------
     def submit(self, task: Task) -> None:
-        """Route one task; full batches are dispatched immediately.
+        """Route one task; full sweeps are dispatched immediately.
 
         Submission is admission-controlled: a query routed at a worker
         whose backlog is at the policy's bound is *shed* — it gets a
@@ -696,7 +707,7 @@ class ProcessPoolService:
         return self._shapes.current.batcher.batch_size
 
     def set_batch_size(self, batch_size: int) -> None:
-        """Change the dispatch batch size for subsequent submits.
+        """Change the queries-per-message width for subsequent submits.
 
         Already-buffered ops are flushed first so no op waits on the
         *old* threshold while the new one is in force — the switch is
@@ -713,8 +724,8 @@ class ProcessPoolService:
         Calibrates the stage-cost model from this pool's own telemetry
         (:func:`repro.sim.measurement.machine_spec_from_telemetry`) and
         picks the candidate minimizing modeled Rq at ``arrival_rate``
-        (per-worker tasks/second) with fanout ``x`` — one merge per
-        partial (see :mod:`repro.mpr.batching`).  With telemetry
+        (queries per worker per second) with fanout ``x`` — one merge
+        per partial (see :mod:`repro.mpr.batching`).  With telemetry
         disabled the model falls back to :class:`MachineSpec` defaults,
         which still yields a sane size.  No-op if the choice matches
         the current size.

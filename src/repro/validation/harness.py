@@ -477,8 +477,8 @@ def validate_live(
     """Sweep the grid on the live process pool.
 
     Per cell: generate the cell's stream, pace it through a fresh pool
-    (``batch_size=1`` so no batcher fill latency pollutes the stage
-    timings), calibrate profile + machine from the run's own telemetry,
+    (``batch_size=1``, per-query dispatch, so no sweep-fill latency
+    pollutes the stage timings), calibrate profile + machine from the run's own telemetry,
     and compare the stage-assembled mean response against Eq. 5 at the
     realized rates.
     """

@@ -160,11 +160,76 @@ class TestRouteBatcher:
         batcher = self.make(MPRConfig(x=1, y=1, z=1), batch_size=2)
         batcher.add(InsertTask(0.0, 5, 1))
         _, ready = batcher.add(query(0))
+        assert ready == []  # one query of two: the update does not count
+        batcher.add(DeleteTask(1.0, 5))
+        _, ready = batcher.add(query(1))
         (_, ops), = ready
-        assert [op[0] for op in ops] == ["insert", "query"]
-        batcher.add(DeleteTask(2.0, 5))
+        assert [op[:2] for op in ops] == [
+            ("insert", 5), ("query", 0), ("delete", 5), ("query", 1),
+        ]
+        batcher.add(InsertTask(2.0, 5, 1))
         (_, ops2), = batcher.flush()
-        assert ops2 == (("delete", 5),)
+        assert ops2 == (("insert", 5, 1),)
+
+    def test_query_dense_stream_releases_sweep_by_sweep(self) -> None:
+        batcher = self.make(MPRConfig(x=1, y=1, z=1), batch_size=4)
+        released = []
+        for i in range(10):
+            _, ready = batcher.add(query(i))
+            released += [(i, ops) for _, ops in ready]
+        assert [i for i, _ in released] == [3, 7]  # at exactly 4 queries
+        assert [[op[1] for op in ops] for _, ops in released] == [
+            [0, 1, 2, 3], [4, 5, 6, 7],
+        ]
+        assert batcher.pending_ops == 2
+
+    def test_update_only_stream_releases_at_the_ops_cap(self) -> None:
+        from repro.mpr.core_matrix import MAX_OPS_PER_QUERY_SLOT
+
+        batcher = self.make(MPRConfig(x=1, y=1, z=1), batch_size=2)
+        cap = MAX_OPS_PER_QUERY_SLOT * 2
+        released = []
+        for i in range(cap + 3):
+            _, ready = batcher.add(InsertTask(float(i), i, 0))
+            released += [(i, ops) for _, ops in ready]
+        ((at, ops),) = released
+        assert at == cap - 1 and [op[1] for op in ops] == list(range(cap))
+        assert batcher.pending_ops == 3
+
+    def test_updates_ride_along_without_filling_the_sweep(self) -> None:
+        """Updates do not count toward the release, keep their place
+        among the queries, and go only to their own column."""
+        batcher = self.make(MPRConfig(x=2, y=1, z=1), batch_size=3)
+        stream = [
+            query(0), InsertTask(0.1, 100, 0), InsertTask(0.2, 101, 0),
+            query(1), DeleteTask(1.1, 100), InsertTask(1.2, 102, 0),
+        ]
+        for task in stream:
+            _, ready = batcher.add(task)
+            assert ready == []
+        _, ready = batcher.add(query(2))
+        released = {worker: [op[:2] for op in ops] for worker, ops in ready}
+        assert released == {
+            (0, 0, 0): [
+                ("query", 0), ("insert", 100), ("query", 1),
+                ("delete", 100), ("insert", 102), ("query", 2),
+            ],
+            (0, 0, 1): [
+                ("query", 0), ("insert", 101), ("query", 1), ("query", 2),
+            ],
+        }
+
+    def test_flush_resets_the_query_count(self) -> None:
+        batcher = self.make(MPRConfig(x=1, y=1, z=1), batch_size=3)
+        batcher.add(query(0))
+        batcher.add(query(1))
+        assert len(batcher.flush()) == 1
+        for i in (2, 3):  # a stale count of 2 would release at the first
+            _, ready = batcher.add(query(i))
+            assert ready == []
+        _, ready = batcher.add(query(4))
+        ((_, ops),) = ready
+        assert [op[1] for op in ops] == [2, 3, 4]
 
     def test_batch_size_one_is_per_task_dispatch(self) -> None:
         batcher = self.make(MPRConfig(x=2, y=1, z=1), batch_size=1)

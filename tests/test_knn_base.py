@@ -80,6 +80,43 @@ class TestMergePartials:
         with pytest.raises(ValueError):
             canonical_knn({1: 1.0}, -2)
 
+    def test_keeps_the_partials_own_neighbors(self) -> None:
+        """Ranking is by ``(distance, object_id)`` keys: the merge sorts
+        without ``Neighbor.__lt__`` and builds no ``Neighbor``."""
+        a = [Neighbor(1.0, 1), Neighbor(4.0, 4)]
+        b = [Neighbor(2.0, 2), Neighbor(3.0, 3)]
+        merged = merge_partial_results([a, b], 3)
+        assert type(merged) is list
+        assert [id(n) for n in merged] == [id(a[0]), id(b[0]), id(b[1])]
+
+    def test_single_partial_is_still_canonicalized(self) -> None:
+        """One partial gets no shortcut here: unsorted, over-long or
+        with a repeated object, it is ranked like any other pool.  (The
+        pool's ledger skips the merge for a *worker's* single complete
+        partial, which is canonical by the ``query`` contract.)"""
+        messy = [Neighbor(3.0, 7), Neighbor(1.0, 2), Neighbor(2.0, 7)]
+        assert merge_partial_results([messy], 5) == [
+            Neighbor(1.0, 2), Neighbor(2.0, 7),
+        ]
+        assert merge_partial_results([messy], 1) == [Neighbor(1.0, 2)]
+        canonical = [Neighbor(1.0, 2), Neighbor(2.0, 7)]
+        merged = merge_partial_results([canonical], 2)
+        assert merged == canonical and merged is not canonical
+
+    def test_degraded_merge_is_a_partial_result(self) -> None:
+        from repro.knn.base import PartialResult
+
+        a = [Neighbor(2.0, 2), Neighbor(5.0, 5)]
+        for partials in ([a], [a, [Neighbor(1.0, 1)]], []):
+            merged = merge_partial_results(
+                partials, 2, missing_columns=[(0, 1)]
+            )
+            assert isinstance(merged, PartialResult)
+            assert merged.missing_columns == ((0, 1),)
+            assert merged == merge_partial_results(partials, 2)
+        with pytest.raises(ValueError):
+            merge_partial_results([a], -1, missing_columns=[(0, 1)])
+
     @given(
         partials=st.lists(
             st.lists(

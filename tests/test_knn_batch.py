@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import RoadNetwork, grid_network
-from repro.graph.kernels import KERNEL_CALLS
+from repro.graph.kernels import KERNEL_CALLS, QUERIES_PER_SWEEP
 from repro.knn import DijkstraKNN, IERKNN
 from repro.mpr import MPRConfig, build_executor, run_serial_reference
 from repro.objects.tasks import DeleteTask, InsertTask, QueryTask
@@ -126,6 +126,79 @@ class TestKernelBatchEquivalence:
         second = net.kernels.knn_batch(sources, ks, counts, group_size=4)
         for (n1, d1), (n2, d2) in zip(first, second):
             assert np.array_equal(n1, n2) and np.array_equal(d1, d2)
+
+
+class TestBalancedGroups:
+    """More searches than one sweep holds are cut into ``ceil(n / g)``
+    groups whose sizes differ by at most one — never a full group plus
+    a solo search — and stay bit-identical to per-query ``topk_objects``
+    on the count vector each query is defined to see."""
+
+    @pytest.mark.parametrize("group_size", [4, QUERIES_PER_SWEEP])
+    @pytest.mark.parametrize(
+        "full, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["g-1", "g", "g+1", "2g+1"],
+    )
+    def test_group_boundaries(
+        self, group_size, full, extra, monkeypatch
+    ) -> None:
+        n = full * group_size + extra
+        net = grid_network(12, 12, seed=9)
+        rng = random.Random(n)
+        counts = np.zeros(net.num_nodes, dtype=np.int32)
+        for _ in range(40):
+            counts[rng.randrange(net.num_nodes)] += 1
+        current = counts.copy()
+        seen_by_version = [current.copy()]
+        patches = []
+        for _ in range(6):
+            node = rng.randrange(net.num_nodes)
+            delta = -1 if current[node] > 0 and rng.random() < 0.5 else 1
+            current[node] += delta
+            patches.append((node, delta))
+            seen_by_version.append(current.copy())
+        sources = rng.sample(range(net.num_nodes), n)  # n distinct searches
+        ks = [rng.randint(1, 6) for _ in range(n)]
+        versions = [rng.randint(0, len(patches)) for _ in range(n)]
+        kernels = net.kernels
+        sizes: list[int] = []
+        batch_topk = kernels._batch_topk
+
+        def recording(sources_, *rest):
+            sizes.append(len(sources_))
+            return batch_topk(sources_, *rest)
+
+        monkeypatch.setattr(kernels, "_batch_topk", recording)
+        batched = kernels.knn_batch(
+            sources, ks, counts,
+            versions=versions, patches=patches, group_size=group_size,
+        )
+        groups = -(-n // group_size)
+        assert len(sizes) == groups and sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+        for source, k, version, (nodes, dists) in zip(
+            sources, ks, versions, batched
+        ):
+            seen = seen_by_version[version]
+            solo = kernels.topk_objects(source, seen, k)
+            assert canonical(nodes, dists, seen, k) == canonical(
+                *solo, seen, k
+            )
+
+    def test_seventeen_is_nine_plus_eight(self, monkeypatch) -> None:
+        net = grid_network(12, 12, seed=9)
+        counts = np.ones(net.num_nodes, dtype=np.int32)
+        kernels = net.kernels
+        sizes: list[int] = []
+        batch_topk = kernels._batch_topk
+        monkeypatch.setattr(
+            kernels, "_batch_topk",
+            lambda sources_, *rest: (
+                sizes.append(len(sources_)) or batch_topk(sources_, *rest)
+            ),
+        )
+        kernels.knn_batch(list(range(17)), [3] * 17, counts)
+        assert sizes == [9, 8]
 
 
 SOLUTIONS = [DijkstraKNN, IERKNN]

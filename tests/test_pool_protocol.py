@@ -271,6 +271,7 @@ def test_death_with_the_ack_lost_replays_the_batch() -> None:
     rig = Rig((1, 1, 1), batch_size=1)
     rig.query()
     rig.insert()
+    rig.pool.flush()  # else the update rides along with the next query
     rig.query()
     (worker,) = rig.handles()
     assert len(worker.inbox) == 3  # sent, none executed
@@ -293,6 +294,7 @@ def test_death_with_the_ack_surviving_is_deduplicated_after_replay() -> None:
     rig = Rig((1, 1, 1), batch_size=1, resilience=policy)
     first = rig.query(location=5)
     rig.insert(node=5)
+    rig.pool.flush()  # the update as a message of its own
     (worker,) = rig.handles()
     rig.fake.run(worker, None)  # both executed: both acks are in the pipe
     rig.crash(worker)
@@ -542,6 +544,7 @@ def test_clogged_inbox_on_a_dying_worker_replays_exactly_its_unacked_suffix() ->
     rig.fake.clog(worker)
     rig.query()
     rig.insert()
+    rig.pool.flush()  # the update as a message of its own
     assert [m[1] for m in worker.backlog] == [1, 2]
     rig.check_step()
     rig.settle(worker)  # seq 0 executed and acked; 1 and 2 still clogged
@@ -571,7 +574,8 @@ def test_cutover_does_not_replay_past_a_quarantined_hole() -> None:
     rig.crash(rig.handles()[0])
     rig.drain()  # second failure: the breaker opens, the query degrades
     gone = 2
-    rig.delete(gone)  # unacked on the dead worker ...
+    rig.delete(gone)
+    rig.pool.flush()  # its own message: unacked on the dead worker ...
     stale = rig.query(location=OBJECTS[gone], k=1)  # ... quarantined by this send
     (state,) = rig.pool._shapes.current.workers.values()
     assert list(state.quarantined) == [0, 1] and list(state.unacked) == [2]

@@ -150,5 +150,7 @@ def test_one_kernel_sweep_per_dispatched_batch(network) -> None:
     ) as pool:
         before = KERNEL_CALLS.copy()
         assert pool.run(tasks) == oracle
-    assert KERNEL_CALLS - before == {"knn_batch": len(tasks) // 16}
-    assert telemetry.counters["exec.batches"] == len(tasks) // 16
+        batches = pool.metrics.batches_sent
+    assert batches == 2  # 24 queries: a full sweep of 16, and the flush
+    assert KERNEL_CALLS - before == {"knn_batch": batches}
+    assert telemetry.counters["exec.batches"] == batches

@@ -152,7 +152,9 @@ def test_partial_writes_keep_message_framing(small_grid, monkeypatch) -> None:
     depths = watch_backlog(monkeypatch)
     with build_executor(
         MPRConfig(1, 1, 1), prototype, workload.initial_objects,
-        mode="process", batch_size=512,  # ~10 KiB a batch > one 4 KiB pipe
+        # 200 queries and the ~310 updates riding along: ~6 KiB a
+        # batch > one 4 KiB pipe, three of them back to back.
+        mode="process", batch_size=200,
     ) as pool:
         pool.start()
         shrink_pipes(pool)

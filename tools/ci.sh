@@ -4,7 +4,7 @@
 #
 #   bash tools/ci.sh              # fast: tier-1 tests, lint, API surface
 #   bash tools/ci.sh slow         # full suite (slow markers included), lint, API surface
-#   bash tools/ci.sh chaos        # chaos tests, the protocol machine x10, the sweep twice
+#   bash tools/ci.sh chaos        # chaos tests, the protocol machine x10 + sweep counts, the sweep twice
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
 #   bash tools/ci.sh scale        # ~1M-node cache/attach smoke (incl. CH at 262k/1M)
 #   bash tools/ci.sh serve        # serving tier: protocol e2e + load smoke
@@ -41,7 +41,7 @@ run_lane() {
         chaos)
             python -m pytest -x -q -m slow -k chaos
             python -m pytest -x -q tests/test_pool_protocol.py \
-                --hypothesis-profile=thorough
+                tests/test_sweep_dispatch.py --hypothesis-profile=thorough
             python -m repro.cli chaos --repeat 2
             ;;
         validate)

@@ -331,11 +331,21 @@ complete; every update still records its own `update` sample.  Worker
 processes also ship their `KERNEL_CALLS` delta back in each stamped
 ack, keeping the parent's counters truthful across `fork`.
 
-`repro.mpr.batching` closes the loop adaptively: `modeled_batch_rq`
-scores a batch size as fill-wait `(b-1)/(2λ)` + τ' + amortized
-dispatch + execute + fanout·merge, with stage costs calibrated from
-live telemetry via `machine_spec_from_telemetry`;
-`recommend_batch_size` minimizes it over a candidate grid.
+`batch_size` is *queries per message*; updates ride along (up to
+`16 × batch_size` ops a message); `batch_size=1` is per-query
+dispatch.  Its default is the kernel's own sweep width,
+`repro.graph.kernels.QUERIES_PER_SWEEP` (also `knn_batch`'s
+`group_size` default), so by default a message is exactly one sweep —
+one `run_ops`, one sweep, one ack per worker per cycle — and
+`knn_batch` cuts more searches than that into balanced groups
+(17 → 9 + 8).  `PoolMetrics.queries_per_sweep` reports the fill.
+
+`repro.mpr.batching` models the same unit: `modeled_batch_rq` scores a
+batch size `b` (queries per message) at a per-worker query rate λ as
+sweep-fill wait `(b-1)/(2λ)` + τ' + amortized dispatch + execute +
+fanout·merge, with stage costs calibrated from live telemetry via
+`machine_spec_from_telemetry`; `recommend_batch_size` minimizes it
+over a candidate grid.
 `ProcessPoolService.set_batch_size` / `retune_batch_size` (and
 `MPRSystem.retune_batch_size`) apply the choice to a running pool,
 flushing buffered ops first so the switch is FCFS-transparent.
