@@ -2,11 +2,13 @@
 
 The paper configures MPR once per workload; deployed services see the
 workload drift (Section I's peak hours).  This bench runs a six-phase
-"day" through the adaptive controller and compares three policies on
-the simulated 19-core machine:
+"day" through the control loop that reshapes the live pool
+(:class:`repro.mpr.ReconfigManager`, polled once per estimator window
+over a stand-in system) and compares three policies on the simulated
+19-core machine:
 
-* **adaptive MPR** — the controller re-optimizes per phase (with
-  hysteresis);
+* **adaptive MPR** — the loop re-optimizes as the estimate moves (with
+  hysteresis), starting from the night optimum;
 * **static morning config** — MPR configured once for the first phase
   and never changed (what a one-shot deployment would do);
 * **F-Rep** — the fixed replication baseline.
@@ -17,24 +19,27 @@ drift and stays finite everywhere.
 """
 
 import math
+import random
 
 from common import PAPER_MACHINE, SIM_DURATION, publish
 
 from repro.harness import format_microseconds, format_table
 from repro.knn import paper_profile
 from repro.mpr import (
-    AdaptiveController,
     RateEstimator,
+    ReconfigManager,
+    ReconfigPolicy,
     Scheme,
     Workload,
     configure_scheme,
     full_replication_config,
 )
+from repro.obs import Telemetry
 from repro.sim import measure_response_time
 
 PROFILE = paper_profile("TOAIN", "BJ")
 
-#: A day in six phases: (name, λq, λu).
+#: A day in six phases: (name, λq, λu), one simulated second each.
 DAY = (
     ("night", 1_000.0, 2_000.0),
     ("morning commute", 12_000.0, 30_000.0),
@@ -44,43 +49,59 @@ DAY = (
     ("wind down", 3_000.0, 3_000.0),
 )
 
+#: Estimator window, and the loop's poll period.
+WINDOW = 0.25
+
+
+class Deployment:
+    """What the loop drives, without workers: router counters the day's
+    arrivals are counted into, the serving shape, and a ``reconfigure``
+    that adopts a proposal on the spot."""
+
+    def __init__(self, config) -> None:
+        self.telemetry = Telemetry(max_traces=0)
+        self.config = config
+        self.reconfigurations = 0
+
+    def reconfigure(self, new_config, **_timeouts) -> None:
+        self.config = new_config
+        self.reconfigurations += 1
+
 
 def run_day():
-    controller = AdaptiveController(
-        profile=PROFILE, machine=PAPER_MACHINE,
-        estimator=RateEstimator(window=0.25, alpha=0.7),
-    )
     static = configure_scheme(
         Scheme.MPR, Workload(DAY[0][1], DAY[0][2]), PROFILE, PAPER_MACHINE
     ).config
     frep = full_replication_config(PAPER_MACHINE.total_cores)
+    system = Deployment(static)
+    manager = ReconfigManager(
+        system, PROFILE, PAPER_MACHINE,
+        policy=ReconfigPolicy(cooldown=0.0, recalibrate=False),
+        estimator=RateEstimator(window=WINDOW, alpha=0.7),
+    )
 
     results = []
     clock = 0.0
-    import random
-
     rng = random.Random(11)
+    windows = round(1.0 / WINDOW)
     for name, lambda_q, lambda_u in DAY:
-        # Stream one simulated second of arrivals into the estimator.
-        events = []
-        t = clock
-        while t < clock + 1.0:
-            t += rng.expovariate(lambda_q)
-            if t < clock + 1.0:
-                events.append((t, "q"))
-        t = clock
-        while t < clock + 1.0:
-            t += rng.expovariate(lambda_u)
-            if t < clock + 1.0:
-                events.append((t, "u"))
-        for time, kind in sorted(events):
-            if kind == "q":
-                controller.observe_query(time)
-            else:
-                controller.observe_update(time)
+        # One simulated second of Poisson arrivals, counted per window.
+        arrivals = {"router.queries": [0] * windows,
+                    "router.updates": [0] * windows}
+        for counter, rate in (("router.queries", lambda_q),
+                              ("router.updates", lambda_u)):
+            t = clock
+            while True:
+                t += rng.expovariate(rate)
+                if t >= clock + 1.0:
+                    break
+                arrivals[counter][int((t - clock) / WINDOW)] += 1
+        for index in range(windows):
+            for counter, counts in arrivals.items():
+                system.telemetry.count(counter, counts[index])
+            manager.poll(now=clock + index * WINDOW)
         clock += 1.0
-        controller.maybe_reconfigure(clock)
-        adaptive_config = controller.config
+        adaptive_config = system.config
 
         row = {"phase": name}
         for label, config in (
@@ -100,7 +121,7 @@ def run_day():
             f"({adaptive_config.x},{adaptive_config.y},{adaptive_config.z})"
         )
         results.append(row)
-    return results, len(controller.history)
+    return results, system.reconfigurations
 
 
 def test_adaptive_controller_day(benchmark) -> None:

@@ -8,10 +8,10 @@ Gives the headline experiments and utilities a no-pytest entry point:
 * ``networks``        — Table I replica sizes + realism metrics
 * ``profile``         — measure (tq, Vq, tu, Vu) of a solution on a replica
 * ``plan``            — pick an MPR configuration for a given workload
-* ``pool``            — run a workload through the real process pool
 * ``serve``           — serve an MPRSystem over TCP (repro.serve)
-* ``stats``           — run a workload with telemetry and report
-                        per-stage p50/p95/p99 from real traces
+* ``stats``           — run a workload through the real pool with
+                        telemetry: status tally, per-stage p50/p95/p99
+                        from real traces, the calibrated machine model
 * ``validate``        — sweep the model-validation grid (Eq. 5/7 vs
                         simulator and live pool) and report verdicts
 * ``graph-cache``     — build or inspect an on-disk memmap graph cache
@@ -282,107 +282,19 @@ def _chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pool(args: argparse.Namespace) -> int:
-    import time
-
-    from .graph import grid_network
-    from .harness import format_duration
-    from .mpr import (
-        MPRConfig,
-        ResilienceConfig,
-        ResultStatus,
-        build_executor,
-        envelope_answers,
-    )
-    from .sim import machine_spec_from_pool, measured_tau_prime
-    from .workload import generate_workload
-
-    try:
-        solution_cls = SOLUTIONS[args.solution]
-    except KeyError:
-        known = ", ".join(sorted(SOLUTIONS))
-        print(f"unknown solution {args.solution!r}; known: {known}",
-              file=sys.stderr)
-        return 2
-    network = grid_network(args.grid, args.grid, seed=args.seed)
-    workload = generate_workload(
-        network, num_objects=args.objects, lambda_q=args.lambda_q,
-        lambda_u=args.lambda_u, duration=args.duration, seed=args.seed,
-        k=args.k,
-    )
-    config = MPRConfig(args.x, args.y, args.z)
-    prototype = solution_cls(network)
-    resilience = None
-    if args.deadline is not None or args.max_outstanding is not None:
-        resilience = ResilienceConfig(
-            default_deadline=args.deadline,
-            max_outstanding=args.max_outstanding,
-        )
-    start = time.perf_counter()
-    with build_executor(
-        config, prototype, workload.initial_objects,
-        mode="process", batch_size=args.batch_size,
-        resilience=resilience,
-    ) as pool:
-        answers = pool.run(workload.tasks)
-        wall = time.perf_counter() - start
-        metrics = pool.metrics
-    results = envelope_answers(answers)
-    by_status = {
-        status: sum(
-            1 for result in results.values() if result.status is status
-        )
-        for status in ResultStatus
-    }
-    rows = [
-        ["tasks (queries/updates)",
-         f"{metrics.tasks_submitted} ({metrics.queries_submitted}/"
-         f"{metrics.updates_submitted})"],
-        ["answers (ok/partial/overloaded)",
-         f"{len(results)} ({by_status[ResultStatus.OK]}/"
-         f"{by_status[ResultStatus.PARTIAL]}/"
-         f"{by_status[ResultStatus.OVERLOADED]})"],
-        ["batches sent", str(metrics.batches_sent)],
-        ["mean batch size", f"{metrics.mean_batch_size:.1f}"],
-        ["queries per sweep", f"{metrics.queries_per_sweep:.1f}"],
-        ["messages per task", f"{metrics.messages_per_task:.3f}"],
-        ["worker respawns", str(metrics.respawns)],
-        ["wall clock", format_duration(wall)],
-        ["dispatch time", format_duration(metrics.dispatch.seconds)],
-        ["result wait", format_duration(metrics.wait.seconds)],
-        ["aggregation", format_duration(metrics.aggregate.seconds)],
-        ["measured τ' per task", format_duration(measured_tau_prime(metrics))],
-    ]
-    if resilience is not None:
-        rows += [
-            ["hedged queries", str(metrics.hedges)],
-            ["shed queries", str(metrics.shed)],
-            ["degraded answers", str(metrics.degraded)],
-            ["breaker opens", str(metrics.breaker_opens)],
-            ["deadline misses", str(metrics.deadline_misses)],
-        ]
-    print(
-        format_table(
-            ["metric", "value"], rows,
-            title=(
-                f"Process pool {config.describe()} batch_size="
-                f"{args.batch_size} on grid {args.grid}x{args.grid}"
-            ),
-        )
-    )
-    spec = machine_spec_from_pool(metrics, total_cores=args.cores)
-    print(
-        f"calibrated machine model: τ'={spec.queue_write_time*1e6:.1f} us, "
-        f"merge={spec.merge_time*1e6:.1f} us, "
-        f"dispatch={spec.dispatch_time*1e6:.1f} us"
-    )
-    return 0
-
-
 def _stats(args: argparse.Namespace) -> int:
+    from collections import Counter
+
     from .graph import grid_network
     from .knn import profile_from_telemetry
-    from .mpr import MPRConfig, MPRSystem, Workload, response_time
+    from .mpr import (
+        MPRConfig,
+        MPRSystem,
+        ResilienceConfig,
+        ResultStatus,
+        Workload,
+        response_time,
+    )
     from .sim import machine_spec_from_telemetry
     from .workload import generate_workload
 
@@ -408,9 +320,15 @@ def _stats(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad --reconfigure shape: {exc}", file=sys.stderr)
             return 2
+    resilience = None
+    if args.deadline is not None or args.max_outstanding is not None:
+        resilience = ResilienceConfig(
+            default_deadline=args.deadline,
+            max_outstanding=args.max_outstanding,
+        )
     with MPRSystem(
         config, solution_cls(network), workload.initial_objects,
-        mode=args.mode, batch_size=args.batch_size,
+        mode=args.mode, batch_size=args.batch_size, resilience=resilience,
     ) as system:
         if target is not None:
             # Reconfigure live, with the first half of the stream still
@@ -428,10 +346,14 @@ def _stats(args: argparse.Namespace) -> int:
         else:
             results = system.run_results(workload.tasks)
     telemetry = system.telemetry
+    by_status = Counter(result.status for result in results.values())
     print(
         f"{args.mode} executor "
         f"{system.config.describe()} answered "
-        f"{len(results)} queries on grid {args.grid}x{args.grid}"
+        f"{len(results)} queries on grid {args.grid}x{args.grid} "
+        f"(ok/partial/overloaded {by_status[ResultStatus.OK]}/"
+        f"{by_status[ResultStatus.PARTIAL]}/"
+        f"{by_status[ResultStatus.OVERLOADED]})"
     )
     metrics = system.executor.metrics
     print(f"mean batch size {metrics.mean_batch_size:.1f} ops, "
@@ -790,34 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.set_defaults(func=_plan)
 
-    pool = sub.add_parser(
-        "pool", help="run a generated workload on the real process pool"
-    )
-    pool.add_argument("--solution", default="Dijkstra")
-    pool.add_argument("--grid", type=int, default=12,
-                      help="grid network side length")
-    pool.add_argument("--x", type=int, default=2)
-    pool.add_argument("--y", type=int, default=2)
-    pool.add_argument("--z", type=int, default=1)
-    pool.add_argument("--batch-size", type=int, default=QUERIES_PER_SWEEP)
-    pool.add_argument("--objects", type=int, default=30)
-    pool.add_argument("--lambda-q", type=float, default=200.0)
-    pool.add_argument("--lambda-u", type=float, default=100.0)
-    pool.add_argument("--duration", type=float, default=1.0)
-    pool.add_argument("--k", type=int, default=5)
-    pool.add_argument("--cores", type=int, default=19,
-                      help="core budget of the calibrated machine model")
-    pool.add_argument("--seed", type=int, default=0)
-    pool.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-query SLO in seconds (enables the resilience layer)",
-    )
-    pool.add_argument(
-        "--max-outstanding", type=int, default=None,
-        help="admission bound per worker (enables the resilience layer)",
-    )
-    pool.set_defaults(func=_pool)
-
     stats = sub.add_parser(
         "stats", help="per-stage latency percentiles from a traced run"
     )
@@ -843,6 +737,14 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--cores", type=int, default=19,
                        help="core budget of the calibrated machine model")
     stats.add_argument("--seed", type=int, default=0)
+    stats.add_argument(
+        "--deadline", type=float, default=None,
+        help="per-query SLO in seconds (enables the resilience layer)",
+    )
+    stats.add_argument(
+        "--max-outstanding", type=int, default=None,
+        help="admission bound per worker (enables the resilience layer)",
+    )
     stats.set_defaults(func=_stats)
 
     validate = sub.add_parser(

@@ -3,11 +3,8 @@
 from .metrics import PoolMetrics, StageTimer
 from .records import (
     ExperimentRecord,
-    PoolRunRecord,
     filter_records,
-    load_pool_records,
     load_records,
-    save_pool_records,
     save_records,
 )
 from .report import (
@@ -24,11 +21,8 @@ __all__ = [
     "PoolMetrics",
     "StageTimer",
     "ExperimentRecord",
-    "PoolRunRecord",
     "filter_records",
-    "load_pool_records",
     "load_records",
-    "save_pool_records",
     "save_records",
     "ascii_bar_chart",
     "format_duration",

@@ -4,9 +4,10 @@ The analytical model (Eq. 5) and the DES both consume per-stage
 overheads — the s-core's queue-write time τ', the a-core's merge time,
 the d-core's dispatch time.  The process-pool service measures those
 stages on the real machine; this module is the ledger it writes into,
-kept in ``repro.harness`` so benchmarks, the CLI and the DES
-calibration (:func:`repro.sim.measurement.machine_spec_from_pool`) can
-all consume measured overheads through one type.
+kept in ``repro.harness`` so mprbench and the CLI consume measured
+overheads through one type.  (The model itself is fitted from the
+telemetry handle, :func:`repro.sim.measurement.machine_spec_from_telemetry`,
+not from this ledger.)
 
 Stages (mirroring the paper's control cores):
 

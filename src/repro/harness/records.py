@@ -87,74 +87,6 @@ class ExperimentRecord:
         return math.isinf(self.value)
 
 
-@dataclass(frozen=True)
-class PoolRunRecord:
-    """One measured :class:`repro.mpr.ProcessPoolService` run.
-
-    The process-pool counterpart of :class:`ExperimentRecord`: captures
-    the knobs (arrangement, batch size) and the measured outcome
-    (wall-clock plus the :class:`repro.harness.PoolMetrics` snapshot)
-    of a real multi-process execution, so the batching benchmark and
-    the DES calibration can consume pool measurements as artifacts.
-    """
-
-    scenario: str                 # e.g. "grid10x10-1k-queries"
-    solution: str                 # e.g. "Dijkstra"
-    config: MPRConfig
-    batch_size: int
-    num_tasks: int
-    wall_seconds: float
-    metrics: dict[str, Any]       # PoolMetrics.to_dict() snapshot
-
-    @property
-    def tasks_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return math.inf
-        return self.num_tasks / self.wall_seconds
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "solution": self.solution,
-            "config": {"x": self.config.x, "y": self.config.y, "z": self.config.z},
-            "batch_size": self.batch_size,
-            "num_tasks": self.num_tasks,
-            "wall_seconds": self.wall_seconds,
-            "tasks_per_second": self.tasks_per_second,
-            "metrics": dict(self.metrics),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "PoolRunRecord":
-        from ..mpr.config import MPRConfig
-
-        config = payload["config"]
-        return cls(
-            scenario=payload["scenario"],
-            solution=payload["solution"],
-            config=MPRConfig(config["x"], config["y"], config["z"]),
-            batch_size=int(payload["batch_size"]),
-            num_tasks=int(payload["num_tasks"]),
-            wall_seconds=float(payload["wall_seconds"]),
-            metrics=dict(payload["metrics"]),
-        )
-
-
-def save_pool_records(records: list[PoolRunRecord], path: str | Path) -> None:
-    """Write pool-run records as a JSON array (stable key order)."""
-    path = Path(path)
-    payload = [record.to_dict() for record in records]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_pool_records(path: str | Path) -> list[PoolRunRecord]:
-    """Read records written by :func:`save_pool_records`."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, list):
-        raise ValueError(f"{path}: expected a JSON array of records")
-    return [PoolRunRecord.from_dict(item) for item in payload]
-
-
 def save_records(records: list[ExperimentRecord], path: str | Path) -> None:
     """Write records as a JSON array (stable key order)."""
     path = Path(path)

@@ -34,7 +34,6 @@ from .config import (
     full_replication_config,
     max_replicas,
 )
-from .controller import AdaptiveController, RateEstimator, Reconfiguration
 from .core_matrix import (
     LayerScheduler,
     MPRRouter,
@@ -46,11 +45,6 @@ from .core_matrix import (
     encode_op,
 )
 from .autotune import JointChoice, joint_tune
-from .batching import (
-    DEFAULT_BATCH_CANDIDATES,
-    modeled_batch_rq,
-    recommend_batch_size,
-)
 from .balancing import (
     balance_by_update_rate,
     column_loads,
@@ -62,6 +56,7 @@ from .executor import QuiesceTimeout, run_serial_reference
 from .process_executor import ProcessPoolService, WorkerCrash
 from .reconfig import (
     RECONFIG_COUNTERS,
+    RateEstimator,
     ReconfigEvent,
     ReconfigManager,
     ReconfigPolicy,
@@ -123,9 +118,7 @@ __all__ = [
     "full_partitioning_config",
     "full_replication_config",
     "max_replicas",
-    "AdaptiveController",
     "RateEstimator",
-    "Reconfiguration",
     "LayerScheduler",
     "MPRRouter",
     "QueryRoute",
@@ -156,9 +149,6 @@ __all__ = [
     "ResiliencePolicy",
     "JointChoice",
     "joint_tune",
-    "DEFAULT_BATCH_CANDIDATES",
-    "modeled_batch_rq",
-    "recommend_batch_size",
     "balance_by_update_rate",
     "column_loads",
     "hashed_columns",

@@ -558,18 +558,6 @@ class MPRSystem:
         """Audited shape changes, oldest first."""
         return list(self.executor.reconfig_history)
 
-    def retune_batch_size(self, arrival_rate: float) -> int:
-        """Adapt the pool's dispatch batch size to measured timings.
-
-        Both in the batcher's unit: ``arrival_rate`` is queries per
-        worker per second, the size picked is queries per message.
-        Delegates to :meth:`ProcessPoolService.retune_batch_size
-        <repro.mpr.process_executor.ProcessPoolService.retune_batch_size>`
-        with this system's always-on telemetry, closing the
-        measure → model → retune loop in one call.
-        """
-        return self.executor.retune_batch_size(arrival_rate)
-
     def stats(self) -> dict[str, Any]:
         """JSON-ready telemetry snapshot (stages, counters, traces).
 

@@ -22,14 +22,9 @@ from typing import Mapping, Sequence
 from ..graph.road_network import RoadNetwork
 from ..knn.calibration import AlgorithmProfile, measure_profile
 from ..knn.toain import DEFAULT_FAMILY, ContractionHierarchy, ToainIndex, ToainKNN
-from .analysis import (
-    MachineSpec,
-    Workload,
-    optimize_response_time,
-    optimize_throughput,
-)
+from .analysis import MachineSpec, Workload
 from .config import MPRConfig
-from .schemes import Objective
+from .schemes import DEFAULT_MAX_LAYERS, Objective, Scheme, configure_scheme
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,7 @@ def joint_tune(
     k: int = 10,
     samples: int = 20,
     ch: ContractionHierarchy | None = None,
-    max_layers: int = 5,
+    max_layers: int = DEFAULT_MAX_LAYERS,
 ) -> JointChoice:
     """Jointly pick TOAIN's SCOB member and MPR's core arrangement.
 
@@ -74,11 +69,6 @@ def joint_tune(
     shared_ch = ch or ContractionHierarchy(network)
     family_results: dict[float, tuple[AlgorithmProfile, MPRConfig, float]] = {}
 
-    best_rho = family[0]
-    best_value: float | None = None
-    best_config: MPRConfig | None = None
-    best_profile: AlgorithmProfile | None = None
-
     for rho in family:
         index = ToainIndex(network, core_fraction=rho, ch=shared_ch)
         solution = ToainKNN(network, dict(objects), index=index)
@@ -86,28 +76,17 @@ def joint_tune(
             solution, k=k, num_queries=samples, num_updates=samples,
             num_nodes=network.num_nodes,
         )
-        if objective is Objective.RESPONSE_TIME:
-            result = optimize_response_time(
-                workload, profile, machine, max_layers=max_layers
-            )
-            value = result.objective_value
-            better = best_value is None or value < best_value
-        else:
-            result = optimize_throughput(
-                workload.lambda_u, profile, machine,
-                rq_bound=rq_bound, max_layers=max_layers,
-            )
-            value = result.objective_value
-            better = best_value is None or value > best_value
-        family_results[rho] = (profile, result.config, value)
-        if better:
-            best_rho = rho
-            best_value = value
-            best_config = result.config
-            best_profile = profile
+        choice = configure_scheme(
+            Scheme.MPR, workload, profile, machine,
+            objective=objective, rq_bound=rq_bound, max_layers=max_layers,
+        )
+        family_results[rho] = (profile, choice.config, choice.predicted_value)
 
-    assert best_config is not None and best_profile is not None
-    assert best_value is not None
+    # Ties keep the earlier family member.
+    best_rho = min(
+        family, key=lambda rho: objective.cost(family_results[rho][2])
+    )
+    best_profile, best_config, best_value = family_results[best_rho]
     return JointChoice(
         core_fraction=best_rho,
         config=best_config,

@@ -47,8 +47,8 @@ a second copy of that path; what it does when its shape changes is
 
 Per-stage timings and counters stream into a
 :class:`repro.harness.PoolMetrics`, which mprbench's per-layer metrics
-and the DES calibration
-(:func:`repro.sim.measurement.machine_spec_from_pool`) consume.
+consume; the model is calibrated from the telemetry handle instead
+(:func:`repro.sim.measurement.machine_spec_from_telemetry`).
 
 Construction goes through :func:`repro.mpr.api.build_executor`, the
 one public construction path.
@@ -715,35 +715,6 @@ class ProcessPoolService:
         """
         self.flush()
         self._shapes.current.batcher.set_batch_size(batch_size)
-
-    def retune_batch_size(
-        self, arrival_rate: float, *, candidates: tuple[int, ...] | None = None
-    ) -> int:
-        """Adapt ``batch_size`` to measured timings; return the choice.
-
-        Calibrates the stage-cost model from this pool's own telemetry
-        (:func:`repro.sim.measurement.machine_spec_from_telemetry`) and
-        picks the candidate minimizing modeled Rq at ``arrival_rate``
-        (queries per worker per second) with fanout ``x`` — one merge
-        per partial (see :mod:`repro.mpr.batching`).  With telemetry
-        disabled the model falls back to :class:`MachineSpec` defaults,
-        which still yields a sane size.  No-op if the choice matches
-        the current size.
-        """
-        from .batching import DEFAULT_BATCH_CANDIDATES, recommend_batch_size
-
-        choice = recommend_batch_size(
-            self._telemetry, arrival_rate,
-            candidates=(
-                candidates if candidates is not None
-                else DEFAULT_BATCH_CANDIDATES
-            ),
-            fanout=self.config.x,
-        )
-        if choice != self.batch_size:
-            self.set_batch_size(choice)
-            self._telemetry.count("pool.batch_retunes")
-        return choice
 
     def _send_batches(self, batches: Sequence[WorkerBatch]) -> None:
         workers, transport = self._shapes.current.workers, self._transport

@@ -1,9 +1,11 @@
 """Live pool reconfiguration: shape changes, decided and carried out.
 
 Two halves, one module.  The *decision* half — :class:`ReconfigPolicy`,
-:class:`ReconfigManager` — watches telemetry and asks for a new
-``(x, y, z)``; it drives any system object exposing ``telemetry`` /
-``config`` / ``reconfigure()`` duck-typed.  The *mechanism* half —
+:class:`RateEstimator`, :class:`ReconfigManager` — is the one control
+loop: it estimates ``(λq, λu)`` from telemetry, re-solves the Section
+IV-B/C optimization and asks for a new ``(x, y, z)`` with hysteresis;
+it drives any system object exposing ``telemetry`` / ``config`` /
+``reconfigure()`` duck-typed.  The *mechanism* half —
 :class:`_Fleet` (one shape's router, batcher and worker ledgers) and
 :class:`_Reconfigurer` (warm → cutover → retire, or roll back) — is
 what :class:`repro.mpr.process_executor.ProcessPoolService` delegates
@@ -42,6 +44,7 @@ records and ``reconfig.*`` counters):
 from __future__ import annotations
 
 import enum
+import math
 import threading
 import time as _time
 from dataclasses import dataclass, field
@@ -49,12 +52,17 @@ from typing import Any, Iterator, Mapping
 
 from ..knn.calibration import AlgorithmProfile
 from ..obs import NULL_TELEMETRY, Telemetry
-from .analysis import MachineSpec
+from .analysis import MachineSpec, Workload
 from .config import MPRConfig
-from .controller import AdaptiveController, RateEstimator
 from .core_matrix import MPRRouter, RouteBatcher, WorkerId
 from .resilience import CircuitBreaker, ResilienceConfig
-from .schemes import DEFAULT_MAX_LAYERS, Objective
+from .schemes import (
+    DEFAULT_MAX_LAYERS,
+    Objective,
+    Scheme,
+    configure_scheme,
+    predicted_value,
+)
 from .transport import _STOP
 
 __all__ = [
@@ -145,8 +153,13 @@ class ReconfigEvent:
 class ReconfigPolicy:
     """Knobs for the automatic control loop.
 
-    ``improvement_threshold`` and ``cooldown`` are the hysteresis pair
-    (forwarded to :class:`AdaptiveController`); ``recalibrate`` re-fits
+    ``improvement_threshold`` and ``cooldown`` are the hysteresis pair:
+    the loop reconfigures only when the optimum's predicted measure
+    beats the serving shape's by that relative margin (0.15 = must be
+    15% better), and at most once per ``cooldown`` seconds — because a
+    reconfiguration forces data repartitioning (each w-core's object
+    partition changes, costing roughly one index rebuild).  Switching
+    out of an overloaded shape bypasses both.  ``recalibrate`` re-fits
     the algorithm profile and machine spec from live telemetry before
     each decision once enough samples exist; ``pressure_counters`` name
     resilience counters whose growth tags the decision's trigger so the
@@ -166,17 +179,108 @@ class ReconfigPolicy:
     )
     max_layers: int = DEFAULT_MAX_LAYERS
 
+    def __post_init__(self) -> None:
+        if self.improvement_threshold < 0:
+            raise ValueError("improvement_threshold must be non-negative")
+        if self.cooldown < 0:
+            raise ValueError("cooldown must be non-negative")
+
+
+class RateEstimator:
+    """EWMA arrival-rate estimator over fixed-width windows.
+
+    Counts arrivals per ``window`` seconds and folds each completed
+    window into an exponentially weighted average with smoothing
+    ``alpha`` (higher = more reactive).  Queries and updates are
+    tracked independently.
+    """
+
+    def __init__(self, window: float = 1.0, alpha: float = 0.3) -> None:
+        if window <= 0:
+            raise ValueError("window must be positive")
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        self._window = window
+        self._alpha = alpha
+        self._window_start = 0.0
+        self._counts = {"query": 0, "update": 0}
+        self._rates = {"query": 0.0, "update": 0.0}
+        self._windows_seen = 0
+
+    def observe_query(self, time: float) -> None:
+        self._advance(time)
+        self._counts["query"] += 1
+
+    def observe_update(self, time: float) -> None:
+        self._advance(time)
+        self._counts["update"] += 1
+
+    def observe_counts(
+        self, time: float, queries: int = 0, updates: int = 0
+    ) -> None:
+        """Fold a batch of arrivals in at once (counter-delta feeding).
+
+        The live reconfiguration loop reads cumulative router counters
+        and feeds the per-poll delta here instead of one call per task.
+        """
+        self._advance(time)
+        self._counts["query"] += queries
+        self._counts["update"] += updates
+
+    def _advance(self, time: float) -> None:
+        if time < self._window_start:
+            raise ValueError("time moved backwards")
+        while time >= self._window_start + self._window:
+            for kind in ("query", "update"):
+                sample = self._counts[kind] / self._window
+                if self._windows_seen == 0:
+                    self._rates[kind] = sample
+                else:
+                    self._rates[kind] = (
+                        self._alpha * sample
+                        + (1.0 - self._alpha) * self._rates[kind]
+                    )
+                self._counts[kind] = 0
+            self._windows_seen += 1
+            self._window_start += self._window
+
+    @property
+    def lambda_q(self) -> float:
+        return self._rates["query"]
+
+    @property
+    def lambda_u(self) -> float:
+        return self._rates["update"]
+
+    @property
+    def ready(self) -> bool:
+        """True once at least one full window has elapsed."""
+        return self._windows_seen > 0
+
+    def workload(self) -> Workload:
+        return Workload(self.lambda_q, self.lambda_u)
+
 
 class ReconfigManager:
-    """Watches live telemetry and drives ``system.reconfigure()``.
+    """The control loop: estimated workload → ``(x, y, z)``, live.
+
+    The paper presents MPR's self-configuration as a one-shot
+    optimization for a given ``(λq, λu)``.  A deployed system (the
+    taxi-peak / game-evening scenarios of Section I) sees those rates
+    *drift*, so the loop is closed here: estimate the current rates,
+    re-solve the optimization, and switch shapes when — and only when —
+    the switch pays for itself (:class:`ReconfigPolicy`'s hysteresis).
 
     ``system`` is duck-typed: anything with a ``telemetry`` attribute
-    (``repro.obs.Telemetry``), a ``config`` property returning the
-    shape currently serving, and a
+    (an *enabled* ``repro.obs.Telemetry``), a ``config`` property
+    returning the shape currently serving, and a
     ``reconfigure(new_config, *, trigger=...)`` method.  Arrival rates
     are derived from the router's cumulative ``router.queries`` /
     ``router.updates`` counters by delta, so the manager needs no hook
-    on the submit path.
+    on the submit path.  ``system.config`` is the only notion of the
+    current shape (a proposal may have been rejected or rolled back, an
+    operator may have reconfigured by hand) and the system's
+    ``reconfig_history`` the only record of what was applied.
 
     Call :meth:`poll` from your own loop (tests and the soak harness
     pass a synthetic ``now``), or :meth:`start` a daemon thread.
@@ -191,21 +295,24 @@ class ReconfigManager:
         policy: ReconfigPolicy | None = None,
         estimator: RateEstimator | None = None,
     ) -> None:
+        if not system.telemetry.enabled:
+            raise ValueError(
+                "ReconfigManager reads arrival rates from the system's "
+                "router counters, and its telemetry is disabled "
+                "(NULL_TELEMETRY is build_executor's default): the loop "
+                "would estimate a rate of zero forever and never act; "
+                "pass telemetry=Telemetry() when building the system"
+            )
         self.system = system
-        self.policy = policy = policy or ReconfigPolicy()
-        self.controller = AdaptiveController(
-            profile=profile,
-            machine=machine,
-            objective=policy.objective,
-            rq_bound=policy.rq_bound,
-            improvement_threshold=policy.improvement_threshold,
-            cooldown=policy.cooldown,
-            max_layers=policy.max_layers,
-            estimator=estimator or RateEstimator(),
-        )
+        self.policy = policy or ReconfigPolicy()
+        self.profile, self.machine = profile, machine
+        self.estimator = estimator or RateEstimator()
         self._origin: float | None = None
         self._seen = {"router.queries": 0, "router.updates": 0}
-        self._pressure_seen = dict.fromkeys(policy.pressure_counters, 0)
+        self._pressure_seen = dict.fromkeys(self.policy.pressure_counters, 0)
+        #: When a proposal was last handed to ``reconfigure()`` (whatever
+        #: came of it); the cooldown counts from here.
+        self._last_proposal: float | None = None
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         #: The background loop's failed polls: how many, and the last
@@ -229,7 +336,7 @@ class ReconfigManager:
         counters = self.system.telemetry.counters
         queries = counters.get("router.queries", 0)
         updates = counters.get("router.updates", 0)
-        self.controller.estimator.observe_counts(
+        self.estimator.observe_counts(
             now,
             queries=queries - self._seen["router.queries"],
             updates=updates - self._seen["router.updates"],
@@ -247,20 +354,58 @@ class ReconfigManager:
         if self.policy.recalibrate:
             self._recalibrate()
 
-        self.controller.sync_config(self.system.config)
-        decision = self.controller.maybe_reconfigure(now)
-        if decision is None:
+        target = self._decide(now)
+        if target is None:
             return None
-        trigger = "auto+pressure" if pressure else "auto"
+        self._last_proposal = now
         try:
             return self.system.reconfigure(
-                decision.new_config,
-                trigger=trigger,
+                target,
+                trigger="auto+pressure" if pressure else "auto",
                 warm_timeout=self.policy.warm_timeout,
                 retire_timeout=self.policy.retire_timeout,
             )
         except ReconfigRejected:
             return None
+
+    def _decide(self, now: float) -> MPRConfig | None:
+        """Re-solve the optimization; the shape to switch to if that
+        clearly pays, else ``None`` (keep the shape serving, or not
+        enough observation yet)."""
+        if not self.estimator.ready:
+            return None
+        policy, workload = self.policy, self.estimator.workload()
+        model = dict(
+            profile=self.profile, machine=self.machine,
+            objective=policy.objective, rq_bound=policy.rq_bound,
+        )
+        best = configure_scheme(
+            Scheme.MPR, workload, max_layers=policy.max_layers, **model
+        )
+        serving = self.system.config
+        if best.config == serving:
+            return None
+        # As costs, lower is better under either objective.
+        cost = policy.objective.cost
+        current = cost(predicted_value(serving, workload, **model))
+        proposed = cost(best.predicted_value)
+        if math.isinf(current) and math.isfinite(proposed):
+            return best.config  # escape overload unconditionally
+        if math.isinf(proposed):
+            return None
+        improvement = (current - proposed) / max(abs(current), 1e-12)
+        if improvement <= 0:
+            # Cost tie (or regression) between distinct shapes: keep the
+            # incumbent deterministically rather than flapping.
+            return None
+        if improvement < policy.improvement_threshold:
+            return None
+        if (
+            self._last_proposal is not None
+            and now - self._last_proposal < policy.cooldown
+        ):
+            return None
+        return best.config
 
     def _recalibrate(self) -> None:
         from ..knn.calibration import profile_from_telemetry
@@ -268,21 +413,31 @@ class ReconfigManager:
 
         telemetry = self.system.telemetry
         try:
-            self.controller.profile = profile_from_telemetry(
-                telemetry, name=self.controller.profile.name
+            self.profile = profile_from_telemetry(
+                telemetry, name=self.profile.name
             )
         except ValueError:
             pass  # no execute samples yet; keep the prior profile
-        self.controller.machine = machine_spec_from_telemetry(
-            telemetry, total_cores=self.controller.machine.total_cores
+        self.machine = machine_spec_from_telemetry(
+            telemetry, total_cores=self.machine.total_cores
         )
 
     # ------------------------------------------------------------------
     # Background loop
     # ------------------------------------------------------------------
     def start(self, interval: float = 0.5) -> None:
-        """Poll every ``interval`` seconds from a daemon thread."""
-        if self._thread is not None:
+        """Poll every ``interval`` seconds from a daemon thread.
+
+        No-op while a loop is running; refuses while one that
+        :meth:`stop` gave up waiting for is still inside its poll
+        (clearing the stop flag would revive it beside the new one).
+        """
+        if self._thread is not None and self._thread.is_alive():
+            if self._stop.is_set():
+                raise RuntimeError(
+                    "the stopped reconfig-manager loop has not ended yet; "
+                    "stop() again once its poll has returned"
+                )
             return
         self._stop.clear()
 
@@ -301,16 +456,18 @@ class ReconfigManager:
         self._thread.start()
 
     def stop(self) -> None:
+        """Ask the loop to end and wait (up to 5 s) for it.
+
+        A poll may legitimately sit in ``reconfigure()`` for a warm
+        timeout plus the settle; the handle is kept until the thread
+        has really ended, so a later :meth:`start` cannot run two loops.
+        """
         if self._thread is None:
             return
         self._stop.set()
         self._thread.join(timeout=5.0)
-        self._thread = None
-
-    @property
-    def history(self) -> list:
-        """The controller's decision history (proposed switches)."""
-        return self.controller.history
+        if not self._thread.is_alive():
+            self._thread = None
 
 
 # ----------------------------------------------------------------------

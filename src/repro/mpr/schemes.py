@@ -26,8 +26,10 @@ from .analysis import (
     MachineSpec,
     OptimizationResult,
     Workload,
+    max_throughput_closed_form,
     optimize_response_time,
     optimize_throughput,
+    response_time,
 )
 from .config import (
     MPRConfig,
@@ -45,6 +47,11 @@ class Objective(Enum):
 
     RESPONSE_TIME = "response-time"
     THROUGHPUT = "throughput"
+
+    def cost(self, value: float) -> float:
+        """A predicted measure as a cost (lower is better): Eq. 5's
+        ``Rq`` as is, Eq. 7's throughput bound negated."""
+        return -value if self is Objective.THROUGHPUT else value
 
 
 class Scheme(Enum):
@@ -64,6 +71,24 @@ class SchemeChoice:
     predicted_value: float
 
 
+def predicted_value(
+    config: MPRConfig,
+    workload: Workload,
+    profile: AlgorithmProfile,
+    machine: MachineSpec,
+    objective: Objective = Objective.RESPONSE_TIME,
+    rq_bound: float = 0.1,
+) -> float:
+    """What the model predicts for ``config`` under ``objective``:
+    Eq. 5's ``Rq`` (``inf`` when a core overloads), or Eq. 7's largest
+    λq within ``rq_bound`` (0 when none is)."""
+    if objective is Objective.RESPONSE_TIME:
+        return response_time(config, workload, profile, machine)
+    return max_throughput_closed_form(
+        config, workload.lambda_u, profile, machine, rq_bound
+    )
+
+
 def configure_scheme(
     scheme: Scheme,
     workload: Workload,
@@ -80,19 +105,14 @@ def configure_scheme(
     benches can show the predicted overload).  For 1MPR / MPR the
     configuration is the optimizer's pick for ``objective``.
     """
-    from .analysis import max_throughput_closed_form, response_time
-
     if scheme is Scheme.F_REP or scheme is Scheme.F_PART:
         if scheme is Scheme.F_REP:
             config = full_replication_config(machine.total_cores)
         else:
             config = full_partitioning_config(machine.total_cores)
-        if objective is Objective.RESPONSE_TIME:
-            value = response_time(config, workload, profile, machine)
-        else:
-            value = max_throughput_closed_form(
-                config, workload.lambda_u, profile, machine, rq_bound
-            )
+        value = predicted_value(
+            config, workload, profile, machine, objective, rq_bound
+        )
         return SchemeChoice(scheme, config, objective, value)
 
     fixed_layers = 1 if scheme is Scheme.ONE_MPR else None

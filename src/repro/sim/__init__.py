@@ -5,10 +5,8 @@ from .inloop import InLoopResult, simulate_with_execution
 from .measurement import (
     Measurement,
     find_max_throughput,
-    machine_spec_from_pool,
     machine_spec_from_telemetry,
     measure_response_time,
-    measured_tau_prime,
     summarize,
     synthetic_stream,
 )
@@ -21,10 +19,8 @@ __all__ = [
     "ServiceSampler",
     "Measurement",
     "find_max_throughput",
-    "machine_spec_from_pool",
     "machine_spec_from_telemetry",
     "measure_response_time",
-    "measured_tau_prime",
     "summarize",
     "synthetic_stream",
     "QueryOutcome",

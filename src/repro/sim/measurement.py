@@ -21,7 +21,6 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from ..harness.metrics import PoolMetrics
 from ..knn.calibration import AlgorithmProfile
 from ..mpr.analysis import MachineSpec
 from ..mpr.config import MPRConfig
@@ -125,60 +124,16 @@ def synthetic_stream(
     return tasks
 
 
-def measured_tau_prime(metrics: PoolMetrics) -> float:
-    """The batch-amortized per-task dispatch overhead τ' of a pool run.
-
-    Section IV-C's τ' is one s-core w-queue write.  In the process
-    pool the analogous cost is the parent's per-message routing +
-    pickle + queue put, amortized over the ops a batch carries; this
-    is the number the batching benchmark shows shrinking as the batch
-    grows.  Returns 0.0 for a pool that dispatched nothing.
-    """
-    return metrics.dispatch_seconds_per_task
-
-
-def machine_spec_from_pool(
-    metrics: PoolMetrics, total_cores: int = 19
-) -> MachineSpec:
-    """Calibrate a :class:`MachineSpec` from measured pool overheads.
-
-    Feeds the process pool's observed per-stage costs back into the
-    analytical/DES machine model (DESIGN.md substitution #1 run in
-    reverse): the measured per-task dispatch overhead becomes τ'
-    (``queue_write_time``), the per-answer aggregation cost becomes
-    ``merge_time``, and the raw per-message cost becomes
-    ``dispatch_time``.  Stages the run never exercised keep the
-    defaults, so a fresh ``PoolMetrics`` reproduces ``MachineSpec()``.
-    """
-    defaults = MachineSpec(total_cores=total_cores)
-    queue_write = (
-        metrics.dispatch_seconds_per_task
-        if metrics.ops_dispatched else defaults.queue_write_time
-    )
-    merge = (
-        metrics.aggregate.seconds / metrics.partials_received
-        if metrics.partials_received else defaults.merge_time
-    )
-    dispatch = (
-        metrics.dispatch.seconds / metrics.messages_sent
-        if metrics.messages_sent else defaults.dispatch_time
-    )
-    return MachineSpec(
-        total_cores=total_cores,
-        queue_write_time=queue_write,
-        merge_time=merge,
-        dispatch_time=dispatch,
-    )
-
-
 def machine_spec_from_telemetry(
     telemetry, total_cores: int = 19
 ) -> MachineSpec:
     """Calibrate a :class:`MachineSpec` from recorded stage histograms.
 
-    The telemetry counterpart of :func:`machine_spec_from_pool`, usable
-    with any executor (thread, process, or measured-in-the-loop sim)
-    that recorded through a :class:`repro.obs.Telemetry`:
+    Feeds a run's observed per-stage costs back into the
+    analytical/DES machine model (DESIGN.md substitution #1 run in
+    reverse); usable with any executor (thread, process, or
+    measured-in-the-loop sim) that recorded through a
+    :class:`repro.obs.Telemetry`:
 
     * ``queue_write_time`` (the paper's τ') ← mean of the ``dispatch``
       stage — the parent-side routing + enqueue cost per task;

@@ -16,9 +16,9 @@ its own.  The run passes only when
 * every query retained a complete telemetry trace.
 
 Synthetic time makes the workload drift deterministic: each phase's
-arrivals are folded into the manager's :class:`~repro.mpr.controller.
+arrivals are folded into the manager's :class:`~repro.mpr.reconfig.
 RateEstimator` as one counter delta over a fixed-width window, so the
-estimated rates — and therefore the controller's decisions — do not
+estimated rates — and therefore the loop's decisions — do not
 depend on wall-clock scheduling.  The transitions themselves still run
 against real processes with real queries in flight.
 """
@@ -33,9 +33,8 @@ from ..knn.calibration import paper_profile
 from ..knn.dijkstra_knn import DijkstraKNN
 from ..mpr.analysis import MachineSpec
 from ..mpr.config import MPRConfig
-from ..mpr.controller import RateEstimator
 from ..mpr.process_executor import ProcessPoolService
-from ..mpr.reconfig import ReconfigManager, ReconfigPolicy
+from ..mpr.reconfig import RateEstimator, ReconfigManager, ReconfigPolicy
 from ..mpr.executor import run_serial_reference
 from ..objects.tasks import DeleteTask, InsertTask, QueryTask, Task
 from ..obs import Telemetry

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 
 import pytest
 from hypothesis import settings
 
 from repro.graph import RoadNetwork, grid_network, ring_radial_network
 from repro.knn import DijkstraKNN
+from repro.mpr import MPRConfig, ReconfigEvent, ReconfigRejected
+from repro.obs import Telemetry
 
 
 # Hypothesis budgets.  ``default`` is derandomized, so tier-1 is
@@ -20,6 +23,33 @@ from repro.knn import DijkstraKNN
 settings.register_profile("default", max_examples=100, derandomize=True)
 settings.register_profile("thorough", max_examples=1000)
 settings.load_profile("default")
+
+
+#: Threads the package starts; every one has an owner whose ``close()`` /
+#: ``stop()`` ends it.
+_OWNED_THREADS = ("w-core", "mpr-completion-pump", "reconfig-manager")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail the test that leaves one of the package's threads running.
+
+    An unclosed thread-mode pool is otherwise reaped by a later GC
+    *inside some other test* (the transport's ``weakref.finalize``),
+    where the exiting ``w-core`` threads show up as that test's flake.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 0.5
+    while True:
+        leaked = sorted(
+            thread.name for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith(_OWNED_THREADS)
+        )
+        if not leaked or time.monotonic() >= deadline:
+            break
+        time.sleep(0.01)
+    assert not leaked, f"test left threads running: {leaked}"
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +114,35 @@ def gated_solution(network: RoadNetwork) -> tuple[DijkstraKNN, threading.Event]:
             return super().run_ops(ops, op_timings)
 
     return GatedKNN(network), gate
+
+
+class FakeSystem:
+    """The duck-typed seam :class:`repro.mpr.ReconfigManager` drives,
+    without workers: an enabled telemetry (tests bump its router
+    counters), the serving shape, and a ``reconfigure()`` that adopts
+    the proposal — after going through ``outcomes`` first, one entry per
+    call: ``"rejected"`` raises, ``"rolled_back"`` keeps the shape."""
+
+    def __init__(self, config=MPRConfig(2, 2, 1), outcomes=()):
+        self.telemetry = Telemetry()
+        self.config = config
+        self.outcomes = list(outcomes)
+        #: ``(proposed shape, trigger)`` of every proposal adopted.
+        self.calls: list[tuple[MPRConfig, str]] = []
+        #: The shape serving when each proposal arrived, adopted or not.
+        self.proposed_from: list[MPRConfig] = []
+
+    def reconfigure(self, new_config, *, trigger, warm_timeout,
+                    retire_timeout):
+        self.proposed_from.append(self.config)
+        outcome = self.outcomes.pop(0) if self.outcomes else "completed"
+        if outcome == "rejected":
+            raise ReconfigRejected("breaker open")
+        event = ReconfigEvent(
+            started_at=0.0, old_config=self.config, new_config=new_config,
+            trigger=trigger, outcome=outcome,
+        )
+        if outcome == "completed":
+            self.calls.append((new_config, trigger))
+            self.config = new_config
+        return event

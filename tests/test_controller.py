@@ -1,18 +1,29 @@
-"""Tests for online rate estimation and adaptive reconfiguration."""
+"""Tests for online rate estimation and the adaptive control loop.
+
+The loop is :class:`repro.mpr.ReconfigManager`; ``TestAdaptiveController``
+drives it through its duck-typed ``system`` seam in synthetic time — one
+estimator window of arrivals per phase, ``alpha = 1`` so the estimate
+*is* the phase's rates — and pins the hysteresis semantics one by one.
+"""
 
 import math
-import random
 
 import pytest
 
 from repro.knn import paper_profile
 from repro.mpr import (
-    AdaptiveController,
     MachineSpec,
+    MPRConfig,
     Objective,
     RateEstimator,
+    ReconfigManager,
+    ReconfigPolicy,
+    Scheme,
     Workload,
+    configure_scheme,
 )
+from repro.mpr.schemes import predicted_value
+from tests.conftest import FakeSystem
 
 
 class TestRateEstimator:
@@ -84,237 +95,189 @@ class TestRateEstimator:
         assert estimator.lambda_u == pytest.approx(500.0)
 
 
-def feed(controller: AdaptiveController, lambda_q: float, lambda_u: float,
-         start: float, duration: float, seed: int = 0) -> float:
-    """Feed Poisson-ish arrivals into the controller; returns end time."""
-    rng = random.Random(seed)
-    clock = start
-    end = start + duration
-    events = []
-    t = start
-    while t < end and lambda_q > 0:
-        t += rng.expovariate(lambda_q)
-        events.append((t, "q"))
-    t = start
-    while t < end and lambda_u > 0:
-        t += rng.expovariate(lambda_u)
-        events.append((t, "u"))
-    for time, kind in sorted(events):
-        if time >= end:
-            break
-        if kind == "q":
-            controller.observe_query(time)
-        else:
-            controller.observe_update(time)
-        clock = time
-    return max(clock, end)
+MACHINE = MachineSpec(total_cores=19)
+TOAIN = paper_profile("TOAIN", "BJ")
+VTREE = paper_profile("V-tree", "BJ")
+
+
+def optimum(profile, lambda_q, lambda_u, **model) -> MPRConfig:
+    return configure_scheme(
+        Scheme.MPR, Workload(lambda_q, lambda_u), profile, MACHINE, **model
+    ).config
+
+
+class Loop:
+    """A manager over a :class:`FakeSystem`, and the synthetic clock."""
+
+    def __init__(self, profile, config: MPRConfig, outcomes=(), **policy):
+        policy.setdefault("cooldown", 0.0)
+        self.system = FakeSystem(config, outcomes)
+        self.manager = ReconfigManager(
+            self.system, profile, MACHINE,
+            policy=ReconfigPolicy(recalibrate=False, **policy),
+            estimator=RateEstimator(window=1.0, alpha=1.0),
+        )
+        self.clock = 0.0
+        self.manager.poll(now=0.0)  # baseline the counter deltas
+
+    def phase(self, lambda_q: float, lambda_u: float):
+        """One window of arrivals at these rates, captured mid-window
+        (that poll still sees the previous window's rates), then the
+        poll that folds it and decides on it; returns that poll's event."""
+        telemetry = self.system.telemetry
+        telemetry.count("router.queries", int(lambda_q))
+        telemetry.count("router.updates", int(lambda_u))
+        self.manager.poll(now=self.clock + 0.5)
+        self.clock += 1.0
+        return self.manager.poll(now=self.clock)
+
+    def predicted(self, config: MPRConfig) -> float:
+        policy = self.manager.policy
+        return predicted_value(
+            config, self.manager.estimator.workload(), self.manager.profile,
+            MACHINE, policy.objective, policy.rq_bound,
+        )
 
 
 class TestAdaptiveController:
-    @pytest.fixture()
-    def controller(self) -> AdaptiveController:
-        return AdaptiveController(
-            profile=paper_profile("TOAIN", "BJ"),
-            machine=MachineSpec(total_cores=19),
-            estimator=RateEstimator(window=0.5, alpha=0.6),
-        )
-
-    def test_first_decision_sets_config(self, controller) -> None:
-        end = feed(controller, 15_000.0, 50_000.0, 0.0, 2.0)
-        assert controller.maybe_reconfigure(end) is None  # initial set
-        assert controller.config is not None
-        assert controller.config.x == 1  # the case-study shape
-
     def test_reconfigures_on_drift(self) -> None:
         # V-tree's expensive updates make phase 1 partition-heavy and
         # the drift to a query flood overloads that arrangement.
-        controller = AdaptiveController(
-            profile=paper_profile("V-tree", "BJ"),
-            machine=MachineSpec(total_cores=19),
-            estimator=RateEstimator(window=0.5, alpha=0.6),
-        )
-        # Phase 1: update-heavy -> many partitions.
-        end = feed(controller, 1_000.0, 20_000.0, 0.0, 2.0, seed=1)
-        controller.maybe_reconfigure(end)
-        first = controller.config
+        first = optimum(VTREE, 1_000.0, 20_000.0)
         assert first.x > 1
-        # Phase 2: strongly query-heavy -> replication.
-        end = feed(controller, 30_000.0, 100.0, end, 4.0, seed=2)
-        event = controller.maybe_reconfigure(end)
-        assert event is not None
-        assert controller.config != first
-        assert controller.config.y > controller.config.x
-        assert event.new_config == controller.config
-        assert controller.history == [event]
+        loop = Loop(VTREE, first, improvement_threshold=0.15)
+        assert loop.phase(1_000.0, 20_000.0) is None  # already the optimum
+        event = loop.phase(30_000.0, 100.0)
+        assert event is not None and event.trigger == "auto"
+        serving = loop.system.config
+        assert serving != first and serving.y > serving.x
+        assert event.old_config == first and event.new_config == serving
+        assert loop.system.calls == [(serving, "auto")]
 
-    def test_small_drift_keeps_config(self, controller) -> None:
+    def test_small_drift_keeps_config(self) -> None:
         """An 8%-better alternative is below the 15% hysteresis bar."""
-        end = feed(controller, 2_000.0, 50_000.0, 0.0, 2.0, seed=1)
-        controller.maybe_reconfigure(end)
-        first = controller.config
-        end = feed(controller, 30_000.0, 500.0, end, 4.0, seed=2)
-        assert controller.maybe_reconfigure(end) is None
-        assert controller.config == first
+        first = optimum(TOAIN, 2_000.0, 50_000.0)
+        loop = Loop(TOAIN, first, improvement_threshold=0.15)
+        loop.phase(2_000.0, 50_000.0)
+        assert loop.phase(30_000.0, 500.0) is None
+        better = optimum(TOAIN, 30_000.0, 500.0)
+        assert 0.0 < 1.0 - loop.predicted(better) / loop.predicted(first) < 0.15
+        assert loop.system.config == first and loop.system.calls == []
 
     def test_hysteresis_prevents_flapping(self) -> None:
-        controller = AdaptiveController(
-            profile=paper_profile("TOAIN", "BJ"),
-            machine=MachineSpec(total_cores=19),
-            improvement_threshold=10.0,  # essentially never switch
-            estimator=RateEstimator(window=0.5, alpha=0.6),
-        )
-        end = feed(controller, 2_000.0, 50_000.0, 0.0, 2.0, seed=3)
-        controller.maybe_reconfigure(end)
-        first = controller.config
-        end = feed(controller, 30_000.0, 500.0, end, 4.0, seed=4)
-        event = controller.maybe_reconfigure(end)
-        # Improvement exists but is below the (absurd) threshold...
-        # unless the old config is outright overloaded, which escapes
-        # hysteresis by design.
-        workload = controller.estimator.workload()
-        if math.isfinite(controller.evaluate(first, workload)):
-            assert event is None
-            assert controller.config == first
+        first = optimum(TOAIN, 2_000.0, 50_000.0)
+        loop = Loop(TOAIN, first, improvement_threshold=10.0)  # never switch
+        for _ in range(3):
+            assert loop.phase(2_000.0, 50_000.0) is None
+            assert loop.phase(30_000.0, 500.0) is None
+        # An improvement existed every other phase — finite, so below
+        # the (absurd) threshold; only overload escapes hysteresis.
+        assert math.isfinite(loop.predicted(first))
+        assert optimum(TOAIN, 30_000.0, 500.0) != first
+        assert loop.system.proposed_from == []
 
     def test_escapes_overload_regardless_of_threshold(self) -> None:
-        controller = AdaptiveController(
-            profile=paper_profile("TOAIN", "BJ"),
-            machine=MachineSpec(total_cores=19),
-            improvement_threshold=100.0,
-            estimator=RateEstimator(window=0.5, alpha=1.0),
-        )
-        # Light load -> some small config would do; force an extreme
-        # drift that overloads the old config.
-        end = feed(controller, 500.0, 500.0, 0.0, 1.5, seed=5)
-        controller.maybe_reconfigure(end)
-        first = controller.config
-        end = feed(controller, 15_000.0, 50_000.0, end, 3.0, seed=6)
-        workload = controller.estimator.workload()
-        if math.isinf(controller.evaluate(first, workload)):
-            event = controller.maybe_reconfigure(end)
-            assert event is not None
-            assert math.isfinite(
-                controller.evaluate(controller.config, workload)
-            )
+        first = optimum(TOAIN, 500.0, 500.0)
+        loop = Loop(TOAIN, first, improvement_threshold=100.0)
+        assert loop.phase(500.0, 500.0) is None
+        event = loop.phase(15_000.0, 50_000.0)
+        assert math.isinf(loop.predicted(first))  # the old shape drowned
+        assert event is not None
+        assert math.isfinite(loop.predicted(loop.system.config))
 
-    def test_no_decision_before_ready(self, controller) -> None:
-        assert controller.maybe_reconfigure(0.1) is None
-        assert controller.config is None
+    def test_no_decision_before_ready(self) -> None:
+        loop = Loop(VTREE, optimum(VTREE, 1_000.0, 20_000.0))
+        loop.system.telemetry.count("router.queries", 30_000)
+        assert loop.manager.poll(now=0.1) is None
+        assert not loop.manager.estimator.ready
+        assert loop.system.proposed_from == []
 
     def test_throughput_objective(self) -> None:
-        controller = AdaptiveController(
-            profile=paper_profile("TOAIN", "BJ"),
-            machine=MachineSpec(total_cores=19),
-            objective=Objective.THROUGHPUT,
-            estimator=RateEstimator(window=0.5, alpha=1.0),
-        )
-        end = feed(controller, 1_000.0, 50_000.0, 0.0, 2.0, seed=7)
-        controller.maybe_reconfigure(end)
-        assert controller.config is not None
-        value = controller.evaluate(
-            controller.config, Workload(0.0, 50_000.0)
-        )
-        assert value < 0  # negated throughput
+        model = dict(objective=Objective.THROUGHPUT, rq_bound=0.1)
+        start = MPRConfig(1, 1, 1)
+        loop = Loop(TOAIN, start, **model)
+        event = loop.phase(1_000.0, 50_000.0)
+        assert event is not None
+        # The Eq. 7 optimum depends on λu alone, and its bound is the
+        # higher one: throughput is maximized, not minimized.
+        assert loop.system.config == optimum(TOAIN, 0.0, 50_000.0, **model)
+        assert loop.predicted(loop.system.config) > loop.predicted(start) > 0
 
     def test_invalid_threshold(self) -> None:
         with pytest.raises(ValueError):
-            AdaptiveController(
-                profile=paper_profile("TOAIN", "BJ"),
-                machine=MachineSpec(total_cores=19),
-                improvement_threshold=-1.0,
-            )
+            ReconfigPolicy(improvement_threshold=-1.0)
         with pytest.raises(ValueError):
-            AdaptiveController(
-                profile=paper_profile("TOAIN", "BJ"),
-                machine=MachineSpec(total_cores=19),
-                cooldown=-1.0,
-            )
+            ReconfigPolicy(cooldown=-1.0)
 
     def test_cooldown_suppresses_back_to_back_switches(self) -> None:
-        controller = AdaptiveController(
-            profile=paper_profile("V-tree", "BJ"),
-            machine=MachineSpec(total_cores=19),
-            improvement_threshold=0.01,
-            cooldown=100.0,
-            estimator=RateEstimator(window=0.5, alpha=1.0),
-        )
-        end = feed(controller, 1_000.0, 20_000.0, 0.0, 2.0, seed=11)
-        controller.maybe_reconfigure(end)
-        first = controller.config
-        # Drift hard the other way: a clear improvement exists, and the
-        # first switch toward it is allowed (no prior switch to cool
-        # down from)...
-        end = feed(controller, 30_000.0, 100.0, end, 2.0, seed=12)
-        event = controller.maybe_reconfigure(end)
-        assert event is not None and controller.config != first
-        switched = controller.config
-        # ...then drift back: the same-size improvement is now inside
-        # the cooldown window and must be suppressed.
-        end = feed(controller, 1_000.0, 20_000.0, end, 2.0, seed=13)
-        workload = controller.estimator.workload()
-        if math.isfinite(controller.evaluate(switched, workload)):
-            assert controller.maybe_reconfigure(end) is None
-            assert controller.config == switched
-            # Past the cooldown the suppressed switch goes through.
-            assert controller.maybe_reconfigure(end + 200.0) is not None
-            assert controller.config == first
+        calm, busy = (500.0, 500.0), (500.0, 3_000.0)
+        first = optimum(VTREE, *calm)
+        loop = Loop(VTREE, first, improvement_threshold=0.01, cooldown=3.0)
+        loop.phase(*calm)
+        # A clear improvement exists, and the first switch toward it is
+        # allowed (no prior proposal to cool down from)...
+        event = loop.phase(*busy)
+        assert event is not None
+        switched = loop.system.config
+        assert switched != first
+        # ...then drift back: the way back pays too, and is finite (an
+        # escape from overload would bypass the cooldown), but sits
+        # inside the cooldown window and must be suppressed...
+        assert loop.phase(*calm) is None
+        assert 0.01 < 1.0 - loop.predicted(first) / loop.predicted(switched) < 1
+        assert loop.phase(*calm) is None
+        assert loop.system.config == switched
+        # ...until the cooldown has passed since the last proposal.
+        assert loop.phase(*calm) is not None
+        assert loop.system.config == first
 
     def test_overload_escape_bypasses_cooldown(self) -> None:
-        controller = AdaptiveController(
-            profile=paper_profile("TOAIN", "BJ"),
-            machine=MachineSpec(total_cores=19),
-            improvement_threshold=0.01,
-            cooldown=1e9,
-            estimator=RateEstimator(window=0.5, alpha=1.0),
-        )
-        end = feed(controller, 500.0, 500.0, 0.0, 1.5, seed=14)
-        controller.maybe_reconfigure(end)
-        # Force one switch to arm _last_switch, then overload the
-        # current shape: infinite improvement ignores the cooldown.
-        end = feed(controller, 15_000.0, 50_000.0, end, 3.0, seed=15)
-        workload = controller.estimator.workload()
-        first = controller.config
-        if math.isinf(controller.evaluate(first, workload)):
-            event = controller.maybe_reconfigure(end)
-            assert event is not None
+        first = optimum(VTREE, 500.0, 500.0)
+        loop = Loop(VTREE, first, improvement_threshold=0.01, cooldown=1e9)
+        loop.phase(500.0, 500.0)
+        assert loop.phase(500.0, 3_000.0) is not None  # arms the cooldown
+        switched = loop.system.config
+        # Overload the new shape: an infinite improvement ignores the
+        # cooldown a finite one would wait out.
+        event = loop.phase(100_000.0, 100.0)
+        assert math.isinf(loop.predicted(switched))
+        assert event is not None and event.old_config == switched
+        assert math.isfinite(loop.predicted(loop.system.config))
 
     def test_cost_tie_keeps_incumbent_deterministically(self) -> None:
         """When the optimizer's best shape is no cheaper than the one
-        serving, the controller must hold still — repeated decisions on
+        serving, the loop must hold still — repeated decisions on
         identical rates never flap."""
-        controller = AdaptiveController(
-            profile=paper_profile("V-tree", "BJ"),
-            machine=MachineSpec(total_cores=19),
-            improvement_threshold=0.0,  # hysteresis off: ties must hold
-            estimator=RateEstimator(window=0.5, alpha=1.0),
-        )
-        end = feed(controller, 5_000.0, 5_000.0, 0.0, 2.0, seed=16)
-        controller.maybe_reconfigure(end)
-        incumbent = controller.config
-        for step in range(1, 6):
-            end = feed(controller, 5_000.0, 5_000.0, end, 1.0, seed=16)
-            controller.maybe_reconfigure(end + step)
-            assert controller.config == incumbent
-        assert len(controller.history) <= 1
+        # Without queries Rq does not depend on y, so every replica
+        # count ties and the optimizer's pick is a tie-break.
+        incumbent = MPRConfig(1, 4, 1)
+        loop = Loop(VTREE, incumbent, improvement_threshold=0.0)  # ties must hold
+        for _ in range(5):
+            assert loop.phase(0.0, 100.0) is None
+        best = optimum(VTREE, 0.0, 100.0)
+        assert best != incumbent
+        assert loop.predicted(best) == loop.predicted(incumbent)
+        assert loop.system.proposed_from == []
 
-    def test_sync_config_pins_the_live_shape(self) -> None:
-        from repro.mpr import MPRConfig
-
-        controller = AdaptiveController(
-            profile=paper_profile("V-tree", "BJ"),
-            machine=MachineSpec(total_cores=19),
+    def test_rejected_proposal_next_poll_decides_from_the_live_shape(
+        self,
+    ) -> None:
+        """The system's ``config`` is the only notion of the current
+        shape: after a rejected or rolled-back proposal the next poll
+        decides from the shape still serving, and nothing but the
+        system's ``reconfig_history`` records an applied switch."""
+        live = MPRConfig(1, 1, 1)  # overloaded at these rates: always escape
+        loop = Loop(
+            VTREE, live, outcomes=["rejected", "rolled_back"],
             improvement_threshold=1e9,
-            estimator=RateEstimator(window=0.5, alpha=1.0),
         )
-        end = feed(controller, 1_000.0, 20_000.0, 0.0, 2.0, seed=17)
-        controller.maybe_reconfigure(end)
-        # A rollback (or operator action) leaves the pool on a shape
-        # the controller did not pick; sync keeps decisions honest:
-        # the next decision is judged against the synced shape —
-        # (1, 1, 1) is overloaded at these rates, so even the absurd
-        # threshold is bypassed and old_config names the live shape.
-        controller.sync_config(MPRConfig(1, 1, 1))
-        assert controller.config == MPRConfig(1, 1, 1)
-        event = controller.maybe_reconfigure(end + 1.0)
-        assert event is not None
-        assert event.old_config == MPRConfig(1, 1, 1)
+        assert loop.phase(1_000.0, 20_000.0) is None  # rejected: swallowed
+        event = loop.manager.poll(now=1.25)  # same estimate, next poll
+        assert event.outcome == "rolled_back" and loop.system.config == live
+        event = loop.manager.poll(now=1.5)
+        assert event.outcome == "completed" and event.old_config == live
+        assert loop.system.proposed_from == [live, live, live]
+        assert loop.system.config == optimum(VTREE, 1_000.0, 20_000.0)
+        assert loop.phase(1_000.0, 20_000.0) is None  # now at the optimum
+        assert not hasattr(loop.manager, "history")
+        assert not hasattr(loop.manager, "config")

@@ -67,7 +67,8 @@ def test_threaded_matches_oracle(small_grid, stream, oracle, config) -> None:
     executor: ProcessPoolService = build_executor(
         config, DijkstraKNN(small_grid), stream.initial_objects
     )
-    assert executor.run(stream.tasks) == oracle
+    with executor:
+        assert executor.run(stream.tasks) == oracle
 
 
 @pytest.mark.slow

@@ -13,13 +13,12 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
 from repro.graph import grid_network
 from repro.knn import DijkstraKNN
-from repro.knn.calibration import paper_profile
+from repro.knn.calibration import AlgorithmProfile, paper_profile
 from repro.mpr import (
     RECONFIG_COUNTERS,
     MachineSpec,
@@ -38,6 +37,7 @@ from repro.mpr.chaos import kill_warming_worker
 from repro.mpr.process_executor import ProcessPoolService
 from repro.objects.tasks import InsertTask, QueryTask
 from repro.obs import Telemetry
+from tests.conftest import FakeSystem
 
 PROFILE = paper_profile("V-tree", "BJ")
 MACHINE = MachineSpec(total_cores=5)
@@ -94,28 +94,6 @@ def test_reconfig_counters_registry() -> None:
     }
 
 
-class _FakeSystem:
-    """Duck-typed system for exercising the manager without processes."""
-
-    def __init__(self, config=MPRConfig(2, 2, 1), reject=False):
-        self.telemetry = Telemetry()
-        self.config = config
-        self.reject = reject
-        self.calls: list[tuple[MPRConfig, str]] = []
-
-    def reconfigure(self, new_config, *, trigger, warm_timeout,
-                    retire_timeout):
-        if self.reject:
-            raise ReconfigRejected("breaker open")
-        self.calls.append((new_config, trigger))
-        old = self.config
-        self.config = new_config
-        return ReconfigEvent(
-            started_at=0.0, old_config=old, new_config=new_config,
-            trigger=trigger, outcome="completed",
-        )
-
-
 def _manager(system, **policy_overrides):
     policy = ReconfigPolicy(
         improvement_threshold=0.05, cooldown=0.0, recalibrate=False,
@@ -128,7 +106,7 @@ def _manager(system, **policy_overrides):
 
 
 def test_manager_triggers_on_rate_drift() -> None:
-    system = _FakeSystem()
+    system = FakeSystem()
     manager = _manager(system)
     assert manager.poll(now=0.0) is None  # baseline, nothing folded
     system.telemetry.count("router.queries", 30_000)
@@ -142,7 +120,7 @@ def test_manager_triggers_on_rate_drift() -> None:
 
 
 def test_manager_tags_pressure_trigger() -> None:
-    system = _FakeSystem()
+    system = FakeSystem()
     manager = _manager(system)
     manager.poll(now=0.0)
     system.telemetry.count("router.queries", 30_000)
@@ -153,7 +131,7 @@ def test_manager_tags_pressure_trigger() -> None:
 
 
 def test_manager_swallows_rejection() -> None:
-    system = _FakeSystem(reject=True)
+    system = FakeSystem(outcomes=["rejected"])
     manager = _manager(system)
     manager.poll(now=0.0)
     system.telemetry.count("router.queries", 30_000)
@@ -168,19 +146,27 @@ def _wait_until(done, budget=10.0) -> None:
 
 
 def _deciding_manager(system):
-    """A manager whose controller proposes a switch on every poll."""
-    manager = _manager(system)
-    manager.controller.maybe_reconfigure = lambda now: SimpleNamespace(
-        new_config=MPRConfig(1, 4, 1)
+    """A manager that proposes a switch on every poll once its first
+    (1 ms) window has closed, whatever the rates: with a near-zero
+    ``tq`` the serving (2, 2, 1)'s two partitions of scheduling and
+    merging are most of Rq, so an x = 1 optimum always clears the
+    threshold — and the systems below never adopt it."""
+    return ReconfigManager(
+        system,
+        AlgorithmProfile("instant", tq=1e-9, vq=0.0, tu=1e-9, vu=0.0),
+        MACHINE,
+        policy=ReconfigPolicy(
+            improvement_threshold=0.05, cooldown=0.0, recalibrate=False,
+        ),
+        estimator=RateEstimator(window=1e-3, alpha=1.0),
     )
-    return manager
 
 
 def test_manager_loop_counts_and_survives_a_failing_reconfigure() -> None:
     """The loop used to ``except Exception: pass``: an auto-reconfigure
     that died on every poll was invisible."""
 
-    class Broken(_FakeSystem):
+    class Broken(FakeSystem):
         def reconfigure(self, new_config, **kwargs):
             raise RuntimeError("boom")
 
@@ -200,7 +186,7 @@ def test_manager_loop_counts_and_survives_a_failing_reconfigure() -> None:
 def test_manager_loop_does_not_count_a_rejection_as_an_error() -> None:
     attempts: list[MPRConfig] = []
 
-    class Rejecting(_FakeSystem):
+    class Rejecting(FakeSystem):
         def reconfigure(self, new_config, **kwargs):
             attempts.append(new_config)
             raise ReconfigRejected("breaker open")
@@ -214,6 +200,53 @@ def test_manager_loop_does_not_count_a_rejection_as_an_error() -> None:
         manager.stop()
     assert manager.poll_errors == 0 and manager.last_error is None
     assert "reconfig.poll_errors" not in system.telemetry.counters
+
+
+def test_manager_refuses_a_system_whose_telemetry_is_disabled() -> None:
+    """A bare ``build_executor`` holds ``NULL_TELEMETRY``: its router
+    counters read 0 forever, so the loop used to estimate λq = λu = 0
+    and silently never act."""
+    base = DijkstraKNN(grid_network(8, 8, seed=1))
+    pool = build_executor(MPRConfig(2, 2, 1), base, {1: 3}, mode="thread")
+    with pytest.raises(ValueError, match="telemetry is disabled"):
+        ReconfigManager(pool, PROFILE, MACHINE)
+    pool.close()
+
+
+def test_manager_stop_keeps_a_loop_that_has_not_ended(monkeypatch) -> None:
+    """``stop()`` used to forget the thread after its join timed out (a
+    ``reconfigure()`` may block for the warm timeout plus the settle);
+    the next ``start()`` cleared the stop flag, reviving the old loop
+    beside a second one."""
+    entered, release = threading.Event(), threading.Event()
+
+    class Blocking(FakeSystem):
+        def reconfigure(self, new_config, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            raise ReconfigRejected("breaker open")
+
+    manager = _deciding_manager(Blocking())
+    manager.start(interval=0.002)
+    loop = manager._thread
+    try:
+        assert entered.wait(timeout=10)
+        # stop()'s join times out (here: at once) with the poll still
+        # inside reconfigure().
+        monkeypatch.setattr(loop, "join", lambda timeout=None: None)
+        manager.stop()
+        assert manager._thread is loop and loop.is_alive()
+        with pytest.raises(RuntimeError, match="has not ended"):
+            manager.start(interval=0.002)
+    finally:
+        release.set()
+    _wait_until(lambda: not loop.is_alive())  # the stop flag held
+    manager.stop()
+    assert manager._thread is None
+    manager.start(interval=0.002)  # a fresh loop may start now
+    assert manager._thread is not loop
+    manager.stop()
+    assert manager._thread is None
 
 
 def test_system_stats_surface_the_manager_loops_errors() -> None:
@@ -231,7 +264,7 @@ def test_system_stats_surface_the_manager_loops_errors() -> None:
 
 
 def test_manager_keeps_shape_on_steady_rates() -> None:
-    system = _FakeSystem(config=MPRConfig(1, 4, 1))
+    system = FakeSystem(config=MPRConfig(1, 4, 1))
     manager = _manager(system)
     manager.poll(now=0.0)
     for step in range(1, 4):

@@ -2,7 +2,7 @@
 # The CI gate, one lane per argument — runnable locally or from
 # .github/workflows/ci.yml, whose matrix is exactly these lane names:
 #
-#   bash tools/ci.sh              # fast: tier-1 tests, lint, API surface
+#   bash tools/ci.sh              # fast: tier-1 tests, figure-script imports, lint, API surface
 #   bash tools/ci.sh slow         # full suite (slow markers included), lint, API surface
 #   bash tools/ci.sh chaos        # chaos tests, the protocol machine x10 + sweep counts, the sweep twice
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
@@ -32,6 +32,9 @@ run_lane() {
     case "$1" in
         fast)
             python -m pytest -x -q
+            # No lane runs the figure scripts; importing them all (~3 s)
+            # catches a public name deleted from under one.
+            python -m pytest benchmarks --collect-only -q
             lint_and_surface
             ;;
         slow)

@@ -255,9 +255,14 @@ plus the context-manager form) and serial-equivalent answers;
 invariants on the acknowledged cells after every `run()` in either
 mode.  `MPRSystem` wraps an executor with a default-*enabled* telemetry handle and
 `stats()`/`report()` accessors; `repro.cli stats` is the command-line
-face of the same loop, and `machine_spec_from_telemetry` /
-`profile_from_telemetry` feed measured `(tq, tu, τ)` back into the
-optimizer.
+face of the same loop (`--deadline` / `--max-outstanding` switch the
+resilience layer on and the ok/partial/overloaded tally shows what it
+did), and `machine_spec_from_telemetry` / `profile_from_telemetry` feed
+measured `(tq, tu, τ)` back into the optimizer.  Telemetry is the one
+ledger the model is fitted from — the reconfiguration loop,
+`repro.validation` and the CLI all calibrate through those two
+functions; `PoolMetrics` is mprbench's per-layer ledger and nothing
+fits a model from it.
 
 Direct construction (`ProcessPoolService(solution, config, objects)`,
 `start_method="thread"` for thread workers — or a ready `Transport`
@@ -340,15 +345,14 @@ one `run_ops`, one sweep, one ack per worker per cycle — and
 `knn_batch` cuts more searches than that into balanced groups
 (17 → 9 + 8).  `PoolMetrics.queries_per_sweep` reports the fill.
 
-`repro.mpr.batching` models the same unit: `modeled_batch_rq` scores a
-batch size `b` (queries per message) at a per-worker query rate λ as
-sweep-fill wait `(b-1)/(2λ)` + τ' + amortized dispatch + execute +
-fanout·merge, with stage costs calibrated from live telemetry via
-`machine_spec_from_telemetry`; `recommend_batch_size` minimizes it
-over a candidate grid.
-`ProcessPoolService.set_batch_size` / `retune_batch_size` (and
-`MPRSystem.retune_batch_size`) apply the choice to a running pool,
-flushing buffered ops first so the switch is FCFS-transparent.
+`ProcessPoolService.set_batch_size` changes the width of a running
+pool, flushing buffered ops first so the switch is FCFS-transparent.
+Nothing retunes it on its own: a model that traded a batch's fill wait
+`(b-1)/(2λ)` against its per-message cost was measured to minimise the
+wrong thing (every `drain()` and pump cycle flushes, so the wait is
+bounded by the caller's own cycle, while the kernel's per-query cost
+falls steeply to ~16 rows a sweep — EXPERIMENTS.md, "Rows per sweep"),
+so the default width is the sweep width and stays there.
 """,
     ),
     (
@@ -478,11 +482,18 @@ pin these invariants.
 
 **Automatic triggering.**  `ReconfigManager` closes the loop from
 telemetry to shape: `poll()` (or `start(interval)` for a daemon thread)
-reads the router's query/update counters as deltas, feeds them to a
-`RateEstimator`, asks the `AdaptiveController` (the Eq. 5/7 response
-time model, with hysteresis via `improvement_threshold` and a `cooldown`
-between switches) for a better shape, and calls `system.reconfigure`
-when one clears the bar.  `ReconfigPolicy` bundles the knobs; pressure
+reads the router's query/update counters as deltas, feeds them to its
+`RateEstimator`, re-fits the profile and machine model from telemetry,
+asks `configure_scheme(Scheme.MPR, ...)` for the Eq. 5/7 optimum, and
+calls `system.reconfigure` when it beats the shape in `system.config`
+by the relative margin `improvement_threshold` — a cost tie keeps the
+incumbent, an escape from an overloaded shape bypasses threshold and
+`cooldown`, and the cooldown counts from the last proposal handed to
+`reconfigure()` whatever became of it.  `system.config` is the loop's
+only notion of the current shape and `reconfig_history` the only record
+of what was applied; the system's telemetry must be enabled (the
+constructor refuses `NULL_TELEMETRY`, whose counters read 0 forever).
+`ReconfigPolicy` bundles the knobs and validates them; pressure
 counters (shed/degraded/breaker-open deltas) escalate the trigger to
 `"auto+pressure"`.  `MPRSystem.enable_auto_reconfigure(profile,
 machine)` wires this up in one call.
