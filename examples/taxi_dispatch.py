@@ -56,9 +56,9 @@ def dispatch_demo() -> None:
     )[Scheme.MPR].config
     with build_executor(config, fleet, workload.initial_objects) as executor:
         dispatches = executor.run(workload.tasks)
-    served = sum(1 for result in dispatches.values() if result)
+    served = sum(1 for result in dispatches.values() if result.neighbors)
     sample_id = next(iter(sorted(dispatches)))
-    sample = dispatches[sample_id]
+    sample = dispatches[sample_id].neighbors
     print(
         f"dispatched {served}/{len(dispatches)} requests; e.g. request "
         f"#{sample_id} got taxis {[n.object_id for n in sample]} "

@@ -3,7 +3,6 @@
 from .base import (
     KNNSolution,
     Neighbor,
-    PartialResult,
     canonical_knn,
     merge_partial_results,
 )
@@ -40,7 +39,6 @@ SOLUTIONS = {
 __all__ = [
     "KNNSolution",
     "Neighbor",
-    "PartialResult",
     "canonical_knn",
     "merge_partial_results",
     "AlgorithmProfile",

@@ -57,59 +57,14 @@ def canonical_knn(candidates: Mapping[int, float] | Sequence[Neighbor], k: int) 
     return pool[:k]
 
 
-class PartialResult(list):
-    """A degraded kNN answer: the top-k over the *surviving* columns.
-
-    When every replica of some partition columns is down (crash loop,
-    circuit breaker open), the resilience layer answers with the merge
-    of the columns that did respond instead of blocking forever.  The
-    result behaves exactly like a ``list[Neighbor]`` — comparisons,
-    iteration, and slicing all work — but carries the ``(layer,
-    column)`` cells whose objects it could not see, so callers can tell
-    a degraded answer from a complete one.
-    """
-
-    __slots__ = ("missing_columns",)
-
-    def __init__(
-        self,
-        neighbors: Sequence[Neighbor] = (),
-        missing_columns: Sequence[tuple[int, int]] = (),
-    ) -> None:
-        super().__init__(neighbors)
-        #: The ``(layer, column)`` cells with no live replica.
-        self.missing_columns: tuple[tuple[int, int], ...] = tuple(
-            missing_columns
-        )
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing_columns
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (
-            f"PartialResult({list(self)!r}, "
-            f"missing_columns={self.missing_columns!r})"
-        )
-
-
 def merge_partial_results(
-    partials: Sequence[Sequence[Neighbor]],
-    k: int,
-    *,
-    missing_columns: Sequence[tuple[int, int]] = (),
+    partials: Sequence[Sequence[Neighbor]], k: int
 ) -> list[Neighbor]:
     """Aggregate per-partition kNN answers into the global top-k.
 
     This is the a-core's merge (Algorithm 3): each worker of a row
     returns at most ``k`` neighbors over its partition; their union
     contains the true top-k because partitions cover ``M`` disjointly.
-
-    ``missing_columns`` names ``(layer, column)`` cells that could not
-    contribute (no live replica); when non-empty the merge degrades
-    gracefully, returning a :class:`PartialResult` flagged with those
-    cells instead of a plain list — the answer is the true top-k of
-    the *surviving* partitions only.
 
     The kept entries are the partials' own :class:`Neighbor` objects.
     """
@@ -119,10 +74,7 @@ def merge_partial_results(
             prior = best.get(neighbor.object_id)
             if prior is None or neighbor.distance < prior.distance:
                 best[neighbor.object_id] = neighbor
-    merged = canonical_knn(best.values(), k)
-    if missing_columns:
-        return PartialResult(merged, missing_columns)
-    return merged
+    return canonical_knn(best.values(), k)
 
 
 class KNNSolution(ABC):

@@ -66,14 +66,11 @@ from .results import (
     RETRYABLE_STATUSES,
     QueryResult,
     ResultStatus,
-    envelope_answers,
 )
 from .resilience import (
     RESILIENCE_COUNTERS,
     AdmissionController,
     CircuitBreaker,
-    Overloaded,
-    PartialResult,
     ResilienceConfig,
     ResiliencePolicy,
 )
@@ -139,12 +136,9 @@ __all__ = [
     "RETRYABLE_STATUSES",
     "QueryResult",
     "ResultStatus",
-    "envelope_answers",
     "RESILIENCE_COUNTERS",
     "AdmissionController",
     "CircuitBreaker",
-    "Overloaded",
-    "PartialResult",
     "ResilienceConfig",
     "ResiliencePolicy",
     "JointChoice",

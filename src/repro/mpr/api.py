@@ -51,12 +51,15 @@ from .reconfig import (
     ReconfigPolicy,
 )
 from .resilience import ResilienceConfig
-from .results import QueryResult, envelope_answers
+from .results import QueryResult
 
 __all__ = ["MPRSystem", "build_executor"]
 
 #: The worker kinds ``build_executor`` knows how to realize.
 EXECUTOR_MODES = ("thread", "process")
+
+#: Most tasks one completion-pump cycle submits before it drains.
+_PUMP_MAX_BATCH = 256
 
 
 def build_executor(
@@ -72,7 +75,6 @@ def build_executor(
     share_graph: bool = True,
     health_check_interval: float = 0.05,
     max_respawns: int = 3,
-    metrics: Any | None = None,
     resilience: ResilienceConfig | None = None,
 ) -> ProcessPoolService:
     """Build an executor realizing ``config`` over the chosen worker kind.
@@ -107,7 +109,7 @@ def build_executor(
     batch_size:
         Queries per worker message — one kernel sweep's worth; updates
         ride along; ``batch_size=1`` is per-query dispatch.
-    health_check_interval, max_respawns, metrics:
+    health_check_interval, max_respawns:
         Forwarded to the pool (see
         :class:`repro.mpr.process_executor.ProcessPoolService`).
     start_method, share_graph:
@@ -118,9 +120,8 @@ def build_executor(
         A :class:`repro.mpr.resilience.ResilienceConfig` enabling the
         resilience layer (``None`` disables it entirely): deadlines
         with hedged replica reads, admission-controlled shedding,
-        circuit breakers with quarantine, degraded
-        :class:`~repro.knn.base.PartialResult` answers and — for
-        process workers only — the stall watchdog.
+        circuit breakers with quarantine, degraded (``PARTIAL``)
+        answers and — for process workers only — the stall watchdog.
 
     Returns
     -------
@@ -139,7 +140,6 @@ def build_executor(
         share_graph=share_graph,
         health_check_interval=health_check_interval,
         max_respawns=max_respawns,
-        metrics=metrics,
         telemetry=telemetry,
         resilience=resilience,
         check_invariants=check_invariants,
@@ -174,11 +174,11 @@ class _CompletionPump:
     The pump is the one thread that touches the executor once serving
     starts: it pulls ``(task, future)`` pairs from a queue in FCFS
     order, submits a micro-batch (everything queued, up to
-    ``max_batch``), drains, and resolves each query's future with a
-    :class:`QueryResult` envelope (update futures resolve to ``None``
-    after the drain that made them visible).  Callers — the asyncio
-    server above all — therefore get per-task completion without ever
-    blocking in the barrier themselves.
+    ``_PUMP_MAX_BATCH``), drains, and resolves each query's future with
+    the :class:`QueryResult` the drain returned for it (update futures
+    resolve to ``None`` after the drain that made them visible).
+    Callers — the asyncio server above all — therefore get per-task
+    completion without ever blocking in the barrier themselves.
 
     Failure mapping, so a sick pool cannot hang an RPC forever:
 
@@ -192,14 +192,9 @@ class _CompletionPump:
     """
 
     def __init__(
-        self,
-        executor: ProcessPoolService,
-        *,
-        max_batch: int = 256,
-        drain_timeout: float | None = 30.0,
+        self, executor: ProcessPoolService, drain_timeout: float | None
     ) -> None:
         self._executor = executor
-        self._max_batch = max_batch
         self._drain_timeout = drain_timeout
         self._queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
         self._stopping = threading.Event()
@@ -242,7 +237,7 @@ class _CompletionPump:
         cycle = [item]
         if isinstance(item, _ReconfigureRequest):
             return cycle
-        while len(cycle) < self._max_batch:
+        while len(cycle) < _PUMP_MAX_BATCH:
             try:
                 item = self._queue.get_nowait()
             except queue_module.Empty:
@@ -277,9 +272,9 @@ class _CompletionPump:
         if not submitted:
             return
         try:
-            answers = self._executor.drain(timeout=self._drain_timeout)
+            results = self._executor.drain(timeout=self._drain_timeout)
         except QuiesceTimeout as exc:
-            answers = self._recover_timeout(submitted, exc)
+            results = self._recover_timeout(submitted, exc)
         except (WorkerCrash, RuntimeError) as exc:
             for task, future in submitted:
                 if task.kind is TaskKind.QUERY:
@@ -289,7 +284,6 @@ class _CompletionPump:
                 else:
                     future.set_exception(exc)
             return
-        results = envelope_answers(answers)
         for task, future in submitted:
             if task.kind is TaskKind.QUERY:
                 result = results.get(task.query_id)
@@ -314,7 +308,7 @@ class _CompletionPump:
 
     def _recover_timeout(
         self, submitted: list[tuple[Task, Future]], exc: QuiesceTimeout
-    ) -> dict[int, Any]:
+    ) -> dict[int, QueryResult]:
         """Fail the queries a drain timeout names; salvage the rest.
 
         The :class:`QuiesceTimeout` carries the affected query ids so
@@ -391,8 +385,9 @@ class MPRSystem:
     per task (``None`` for updates).  First use of ``submit_async``
     starts the :class:`_CompletionPump`, which then owns the executor
     until :meth:`close` — the executor is not thread-safe, so from then
-    on ``run_results`` goes through the pump too.  The raw blocking
-    ``submit``/``flush``/``drain`` cycle lives on :attr:`executor`.
+    on ``run_results`` goes through the pump too.  The blocking
+    ``submit``/``flush``/``drain`` cycle lives on :attr:`executor`
+    (and answers in the same envelopes).
     """
 
     def __init__(
@@ -406,11 +401,7 @@ class MPRSystem:
         **options: Any,
     ) -> None:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._pump_options = {
-            key[len("pump_"):]: options.pop(key)
-            for key in ("pump_max_batch", "pump_drain_timeout")
-            if key in options
-        }
+        self._pump_drain_timeout = options.pop("pump_drain_timeout", 30.0)
         self.executor = build_executor(
             config, solution, objects,
             mode=mode, telemetry=self.telemetry, **options,
@@ -450,20 +441,28 @@ class MPRSystem:
         calls is preserved.  First call starts the completion pump,
         which owns the executor until :meth:`close`.
         """
+        return self._ensure_pump().submit(task)
+
+    def _ensure_pump(self) -> _CompletionPump:
         if self._pump is None:
             self.executor.start()
-            self._pump = _CompletionPump(self.executor, **self._pump_options)
-        return self._pump.submit(task)
+            self._pump = _CompletionPump(
+                self.executor, self._pump_drain_timeout
+            )
+        return self._pump
 
     def run_results(
         self, tasks: Sequence[Task]
     ) -> dict[int, QueryResult]:
         """Execute a task stream; return enveloped per-query outcomes.
 
-        One :class:`~repro.mpr.results.QueryResult` per query id,
-        whatever the outcome.  Goes through :meth:`submit_async` when
-        the pump is already running, else through one blocking
-        ``executor.run()``.
+        One :class:`~repro.mpr.results.QueryResult` per query id.  Goes
+        through :meth:`submit_async` when the pump is already running,
+        else it *is* one blocking ``executor.run()``.  The envelopes are
+        the same either way; what differs is a pool that fails under
+        the drain: the un-pumped path raises
+        :class:`~repro.mpr.process_executor.WorkerCrash` where the
+        pumped one answers ``ERROR``.
         """
         if self._pump is not None:
             futures = [(task, self.submit_async(task)) for task in tasks]
@@ -472,8 +471,7 @@ class MPRSystem:
                 for task, future in futures
                 if task.kind is TaskKind.QUERY
             }
-        self.start()
-        return envelope_answers(self.executor.run(tasks))
+        return self.executor.run(tasks)
 
     def __enter__(self) -> "MPRSystem":
         return self.start()
@@ -545,11 +543,7 @@ class MPRSystem:
             self, profile, machine, policy=policy, estimator=estimator
         )
         if interval is not None:
-            if self._pump is None:
-                self.executor.start()
-                self._pump = _CompletionPump(
-                    self.executor, **self._pump_options
-                )
+            self._ensure_pump()
             self._manager.start(interval)
         return self._manager
 

@@ -8,11 +8,11 @@ particular timing:
 
 * **no hang** — ``drain`` returns within a generous wall bound, whatever
   was killed, stopped, or wedged;
-* **no wrong answer** — every answer returned as a plain list equals the
-  serial oracle bit-for-bit; degraded answers are structurally valid
-  :class:`~repro.knn.base.PartialResult` objects naming real columns;
-* **traces account for every answered column** — with telemetry on, a
-  plain answer's trace carries an ``execute`` span for each partition
+* **no wrong answer** — every ``OK`` answer equals the serial oracle
+  bit-for-bit; degraded answers are structurally valid ``PARTIAL``
+  envelopes naming real columns;
+* **traces account for every answered column** — with telemetry on, an
+  ``OK`` answer's trace carries an ``execute`` span for each partition
   column (hedges swap the row, never drop the column);
 * **deadline misses stay bounded** — the per-scenario miss-rate ceiling
   holds.
@@ -56,7 +56,7 @@ from .config import MPRConfig
 from .executor import run_serial_reference
 from .process_executor import ProcessPoolService
 from .resilience import ResilienceConfig
-from .results import ResultStatus, envelope_answers
+from .results import QueryResult, ResultStatus
 
 __all__ = [
     "ChaosReport",
@@ -487,7 +487,7 @@ def run_scenario(
         stall_timeout=0.5,
     )
     violations: list[str] = []
-    answers: dict[int, list[Neighbor]] = {}
+    answers: dict[int, QueryResult] = {}
     drain_seconds = float("nan")
     cleanup: Callable[[], None] | None = None
     with build_executor(
@@ -549,14 +549,14 @@ def run_scenario(
 
 def _check_answers(
     report: ChaosReport,
-    answers: Mapping[int, Sequence[Neighbor]],
+    answers: Mapping[int, QueryResult],
     oracle: Mapping[int, Sequence[Neighbor]],
     config: MPRConfig,
     telemetry: Telemetry,
     *,
     alt_configs: Sequence[MPRConfig] = (),
 ) -> None:
-    """Classify every answer via the envelope; append violations.
+    """Tally every answer by status; append violations.
 
     ``alt_configs`` lists additional shapes whose full column sets are
     acceptable execute-span coverage: a reconfiguration scenario's
@@ -572,7 +572,7 @@ def _check_answers(
         for shape in (config, *alt_configs)
     ]
     valid_columns = set().union(*column_sets)
-    for query_id, result in sorted(envelope_answers(answers).items()):
+    for query_id, result in sorted(answers.items()):
         if result.status is ResultStatus.OVERLOADED:
             report.shed += 1
             continue

@@ -14,32 +14,20 @@ that matches its count — see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
 class MPRConfig:
-    """A core-matrix arrangement: x partitions, y replicas, z layers.
-
-    ``default_deadline`` is the arrangement-level query SLO in seconds
-    (the target the resilience layer enforces per query when neither
-    the task nor the :class:`~repro.mpr.resilience.ResilienceConfig`
-    names one).  It is execution policy, not geometry: it never
-    participates in ordering, equality, or core accounting.
-    """
+    """A core-matrix arrangement: x partitions, y replicas, z layers."""
 
     x: int
     y: int
     z: int
-    default_deadline: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.x < 1 or self.y < 1 or self.z < 1:
             raise ValueError(f"x, y, z must all be >= 1, got {self}")
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ValueError(
-                f"default_deadline must be positive, got {self.default_deadline}"
-            )
 
     # ------------------------------------------------------------------
     # Core accounting (Section V-B)

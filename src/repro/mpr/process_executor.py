@@ -86,15 +86,12 @@ from .reconfig import (
     _Role,
     _WorkerState,
 )
-from .resilience import (
-    CircuitBreaker,
-    Overloaded,
-    ResilienceConfig,
-    ResiliencePolicy,
-)
+from .resilience import CircuitBreaker, ResilienceConfig, ResiliencePolicy
+from .results import QueryResult, ResultStatus
 from .transport import _STOP, EOF, Transport, make_transport
 
 _SERVING, _WARMING, _RETIRING = _Role.SERVING, _Role.WARMING, _Role.RETIRING
+_PARTIAL, _OVERLOADED = ResultStatus.PARTIAL, ResultStatus.OVERLOADED
 
 
 class WorkerCrash(RuntimeError):
@@ -153,9 +150,10 @@ class _QueryLedger:
     past its deadline, or stranded with nothing in flight, has each
     unanswered column hedged to a sibling replica row or degraded
     (:meth:`enforce_deadlines`, :meth:`force_resolve`); :meth:`finish`
-    merges what was accepted.  Deciding a hedge is this ledger's; putting
-    it on the wire is the pool's (``send_batches``), through the same
-    seq/unacked machinery as every other batch.
+    merges what was accepted and names each outcome, once, as a
+    :class:`~repro.mpr.results.QueryResult`.  Deciding a hedge is this
+    ledger's; putting it on the wire is the pool's (``send_batches``),
+    through the same seq/unacked machinery as every other batch.
     """
 
     def __init__(
@@ -166,7 +164,7 @@ class _QueryLedger:
         self._now, self._send_batches = now, send_batches
         #: Admitted queries since the last drain, by query id.
         self.queries: dict[int, _PendingQuery] = {}
-        self.shed: dict[int, Overloaded] = {}
+        self.shed: dict[int, QueryResult] = {}
         #: ``(due, query_id)`` heap of armed deadlines.
         self.deadlines: list[tuple[float, int]] = []
 
@@ -185,19 +183,20 @@ class _QueryLedger:
         )
         # Fault point: deadline arming (a disabled policy resolves
         # every SLO to None).
-        slo = self._resilience.deadline_for(
-            task.deadline, fleet.config.default_deadline
-        )
+        slo = self._resilience.deadline_for(task.deadline)
         if slo is not None:
             heapq.heappush(self.deadlines, (self._now() + slo, query_id))
         if stamping:
             self._telemetry.begin_trace(query_id, route.workers)
 
     def refuse(self, query_id: int, backlog: int) -> None:
-        """Shed a query routed at a backlog at the policy's bound."""
+        """Shed a query routed at a backlog at the policy's bound:
+        rejected with the numbers that rejected it, not silently
+        dropped."""
         self._metrics.shed += 1
-        self.shed[query_id] = Overloaded(
-            query_id, backlog, self._resilience.config.max_outstanding
+        self.shed[query_id] = QueryResult(
+            query_id, _OVERLOADED, outstanding=backlog,
+            bound=self._resilience.config.max_outstanding,
         )
         self._telemetry.count("resilience.shed")
 
@@ -244,38 +243,38 @@ class _QueryLedger:
                 query.missing.discard(column)
         return duplicates
 
-    def finish(self) -> dict[int, list[Neighbor]]:
-        """Merge accepted columns; flag degraded and shed queries.
+    def finish(self) -> dict[int, QueryResult]:
+        """Merge accepted columns; name every outcome.
 
-        A query whose columns all answered merges to a plain list.  A
-        query with degraded columns merges the survivors into a
-        :class:`~repro.knn.base.PartialResult` naming the missing
-        ``(layer, column)`` cells; a shed query maps to its
-        :class:`Overloaded` verdict.
+        A query whose columns all answered is ``OK`` with the merged
+        canonical top-k.  A query with degraded columns is ``PARTIAL``:
+        the survivors' top-k plus the missing ``(layer, column)``
+        cells; a shed query is the ``OVERLOADED`` verdict
+        :meth:`refuse` recorded.
         """
         telemetry = self._telemetry
         stamping = telemetry.enabled
         queries = self.queries
         events = len(queries) + len(self.shed)
         with self._metrics.timed("aggregate", events=events):
-            answers: dict[int, list[Neighbor]] = {}
+            results: dict[int, QueryResult] = {}
             for query_id, query in queries.items():
                 accepted = query.accepted
-                missing: Sequence[tuple[int, int]] = ()
+                missing: tuple[tuple[int, int], ...] = ()
                 if len(accepted) != len(query.columns):
-                    missing = sorted(
+                    missing = tuple(sorted(
                         column for column in query.columns
                         if column not in accepted
-                    )
+                    ))
                 t0 = self._now() if stamping else 0.0
                 if len(accepted) == 1 and not missing:
                     # One column, answered (every x = 1 shape): its
                     # partial already is the canonical top-k.
-                    ((_worker, answers[query_id]),) = accepted.values()
+                    ((_worker, neighbors),) = accepted.values()
                 else:
-                    answers[query_id] = merge_partial_results(
+                    neighbors = merge_partial_results(
                         [partial for _worker, partial in accepted.values()],
-                        query.task.k, missing_columns=missing,
+                        query.task.k,
                     )
                 if stamping:
                     telemetry.record(
@@ -285,7 +284,14 @@ class _QueryLedger:
                 if missing:
                     self._metrics.degraded += 1
                     telemetry.count("resilience.degraded")
-            answers.update(self.shed)
+                    results[query_id] = QueryResult(
+                        query_id, _PARTIAL, tuple(neighbors), missing
+                    )
+                else:
+                    results[query_id] = QueryResult.from_answer(
+                        query_id, neighbors
+                    )
+            results.update(self.shed)
         if stamping:
             for query_id in queries:
                 trace = telemetry.trace(query_id)
@@ -294,7 +300,7 @@ class _QueryLedger:
         queries.clear()
         self.shed.clear()
         self.deadlines.clear()
-        return answers
+        return results
 
     # -- deadlines, hedges, and degraded answers -----------------------
     def unresolved(self) -> list[int]:
@@ -323,9 +329,7 @@ class _QueryLedger:
             self._telemetry.count("resilience.deadline_misses")
             self._resolve_query(query, now, force=False)
             if not query.resolved:
-                slo = self._resilience.deadline_for(
-                    query.task.deadline, self._shapes.current.config.default_deadline
-                )
+                slo = self._resilience.deadline_for(query.task.deadline)
                 heapq.heappush(heap, (now + slo, query_id))
 
     def force_resolve(self, now: float) -> None:
@@ -438,7 +442,8 @@ class ProcessPoolService:
     The contract, pinned by ``tests/test_executor_equivalence.py`` for
     both worker kinds, has two halves: *serial equivalence* —
     ``run(tasks)`` returns exactly the answers of a single-threaded
-    execution in arrival order (Section III) — and *one lifecycle*,
+    execution in arrival order (Section III), each as an ``OK``
+    :class:`~repro.mpr.results.QueryResult` — and *one lifecycle*,
     below.
 
     Parameters
@@ -484,13 +489,11 @@ class ProcessPoolService:
         silent worker is waited for.  With a config: a death feeds the
         worker's circuit breaker (quarantine + exponential-backoff
         respawn trials), an execution error poison-quarantines the
-        batch, queries past their deadline (task > config >
-        arrangement) are hedged to a sibling replica row, a query that
-        would land on a backlog at ``max_outstanding`` gets a typed
-        :class:`~repro.mpr.resilience.Overloaded` answer, the stall
+        batch, queries past their deadline (task > config) are hedged
+        to a sibling replica row, a query that would land on a backlog
+        at ``max_outstanding`` is answered ``OVERLOADED``, the stall
         watchdog SIGKILLs silent workers, and a column with no live
-        replica yields a degraded
-        :class:`~repro.knn.base.PartialResult`.
+        replica yields a degraded ``PARTIAL`` answer.
     telemetry:
         A :class:`repro.obs.Telemetry` handle.  When enabled, workers
         stamp monotonic timings into their acks and the parent stitches
@@ -521,7 +524,6 @@ class ProcessPoolService:
         share_graph: bool = True,
         health_check_interval: float = 0.05,
         max_respawns: int = 3,
-        metrics: PoolMetrics | None = None,
         telemetry: Telemetry | None = None,
         resilience: ResilienceConfig | None = None,
         check_invariants: bool = False,
@@ -544,7 +546,7 @@ class ProcessPoolService:
         self._check_invariants = check_invariants
         self._health_check_interval = health_check_interval
         self._max_respawns = max_respawns
-        self.metrics = metrics if metrics is not None else PoolMetrics()
+        self.metrics = PoolMetrics()
         #: Submit-time object ledger: the authoritative ``object ->
         #: node`` map in FCFS submit order.  Per-worker acked cells lag
         #: behind dispatch, and per-worker seqs are not globally
@@ -647,11 +649,11 @@ class ProcessPoolService:
         """Route one task; full sweeps are dispatched immediately.
 
         Submission is admission-controlled: a query routed at a worker
-        whose backlog is at the policy's bound is *shed* — it gets a
-        typed :class:`Overloaded` answer from the next :meth:`drain`
-        instead of joining the queue (no bound, the default, never
-        sheds) — and an admitted query arms the deadline the policy
-        resolves for it (none by default).
+        whose backlog is at the policy's bound is *shed* — the next
+        :meth:`drain` answers it ``OVERLOADED`` instead of it joining
+        the queue (no bound, the default, never sheds) — and an
+        admitted query arms the deadline the policy resolves for it
+        (none by default).
         """
         self.start()
         now, shapes = self._now, self._shapes
@@ -739,11 +741,14 @@ class ProcessPoolService:
     # ------------------------------------------------------------------
     # Collection and supervision
     # ------------------------------------------------------------------
-    def drain(self, timeout: float | None = None) -> dict[int, list[Neighbor]]:
+    def drain(self, timeout: float | None = None) -> dict[int, QueryResult]:
         """Flush, wait until the pool quiesces, return finished answers.
 
-        Returns the aggregated top-k for every query submitted since
-        the previous drain.  ``timeout`` bounds the total wait
+        Returns one :class:`~repro.mpr.results.QueryResult` for every
+        query submitted since the previous drain: ``OK`` with the
+        aggregated top-k, ``PARTIAL`` with the surviving columns' top-k
+        and the missing cells, or ``OVERLOADED`` for a shed one.
+        ``timeout`` bounds the total wait
         (``None`` = wait as long as workers keep making progress); on
         expiry the raised :class:`TimeoutError` lists every outstanding
         ``(worker_id, seq)`` batch so the caller can see exactly which
@@ -756,8 +761,8 @@ class ProcessPoolService:
         past an armed deadline are hedged to a sibling replica row.
         Once nothing is in flight, any still-unresolved query is
         force-resolved: hedged to an untried replica row when one
-        exists, degraded to a :class:`~repro.knn.base.PartialResult`
-        otherwise — the loop can therefore never hang on a dead column.
+        exists, degraded (``PARTIAL``) otherwise — the loop can
+        therefore never hang on a dead column.
         """
         self.flush()
         shapes, ledger = self._shapes, self._ledger
@@ -788,9 +793,9 @@ class ProcessPoolService:
             shapes.advance(self._now())
         return ledger.finish()
 
-    def run(self, tasks: Sequence[Task]) -> dict[int, list[Neighbor]]:
-        """Execute a task stream; return ``query_id -> aggregated kNN``.
-        Workers stay alive for the next one."""
+    def run(self, tasks: Sequence[Task]) -> dict[int, QueryResult]:
+        """Execute a task stream; return ``query_id -> QueryResult`` (as
+        :meth:`drain`).  Workers stay alive for the next one."""
         self.start()
         for task in tasks:
             self.submit(task)

@@ -11,19 +11,17 @@ time):
   exponential backoff, the stall watchdog.
 * :class:`AdmissionController` — tracks outstanding work per worker
   (fed by dispatch/ack events) and decides when a query should be
-  *shed* with a typed :class:`Overloaded` result instead of joining a
-  hopeless backlog — the paper's "Overload" verdict enforced at
-  runtime rather than only in the analytical model.
+  *shed* — answered ``OVERLOADED`` — instead of joining a hopeless
+  backlog — the paper's "Overload" verdict enforced at runtime rather
+  than only in the analytical model.
 * :class:`CircuitBreaker` — per-worker crash-loop detector: after
   ``breaker_failures`` consecutive crashes the worker is declared down
   (state ``open``), its batches are quarantined, and respawn attempts
   are retried only on an exponential-backoff schedule (``half_open``
   trials) until one sticks (``closed``).
-* :class:`Overloaded` — the typed answer a shed query receives.
 
-The degraded-answer counterpart, :class:`repro.knn.base.PartialResult`
-(re-exported here), flags a merged answer that is missing partition
-columns because no replica of those cells was live.
+What a shed or degraded query *answers* is the pool's query ledger's to
+say (:class:`~repro.mpr.results.QueryResult`: ``OVERLOADED``, ``PARTIAL``).
 
 Disabled is a policy, not a second code path.  The pool runs one
 submit → ack → drain → settle path whatever the setting and asks its :class:`ResiliencePolicy` only where a fault forces a decision: a
@@ -42,13 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..knn.base import PartialResult
-
 __all__ = [
     "AdmissionController",
     "CircuitBreaker",
-    "Overloaded",
-    "PartialResult",
     "ResilienceConfig",
     "ResiliencePolicy",
     "RESILIENCE_COUNTERS",
@@ -73,16 +67,15 @@ class ResilienceConfig:
 
     ``default_deadline`` is the per-query SLO in seconds, measured from
     ``submit()``; a :class:`~repro.objects.tasks.QueryTask` carrying its
-    own ``deadline`` overrides it, and the arrangement's
-    :attr:`~repro.mpr.config.MPRConfig.default_deadline` is the
-    fallback when this is ``None``.  A query past its deadline is
+    own ``deadline`` overrides it.  A query past its deadline is
     *hedged*: re-dispatched to a different replica row of the same
     column, first answer wins.
 
     ``max_outstanding`` bounds the per-worker backlog (ops dispatched
     but not acknowledged, plus ops buffered in the batcher).  A query
     whose route would push any target worker past the bound is shed
-    with an :class:`Overloaded` result.  ``None`` never sheds.
+    (answered ``OVERLOADED``, carrying the backlog and this bound).
+    ``None`` never sheds.
 
     ``breaker_failures``/``backoff_*`` drive the per-worker
     :class:`CircuitBreaker`; ``stall_timeout`` is the watchdog that
@@ -114,25 +107,6 @@ class ResilienceConfig:
             raise ValueError("backoff_factor must be >= 1.0")
         if self.stall_timeout is not None and self.stall_timeout <= 0:
             raise ValueError("stall_timeout must be positive")
-
-
-@dataclass(frozen=True)
-class Overloaded:
-    """Typed result of a shed query: rejected, not silently dropped.
-
-    ``outstanding`` is the backlog of the most loaded target worker at
-    the moment the admission controller rejected the query; ``bound``
-    is the configured :attr:`ResilienceConfig.max_outstanding`.
-    """
-
-    query_id: int
-    outstanding: int
-    bound: int
-
-    def __bool__(self) -> bool:
-        # An Overloaded result is never a usable answer; callers doing
-        # ``if answers[qid]:`` treat it like an empty result list.
-        return False
 
 
 class CircuitBreaker:
@@ -314,10 +288,8 @@ class ResiliencePolicy:
         """
         self._breakers.clear()
 
-    def deadline_for(
-        self, task_deadline: float | None, config_deadline: float | None
-    ) -> float | None:
-        """Resolve one query's SLO: task > policy > arrangement.
+    def deadline_for(self, task_deadline: float | None) -> float | None:
+        """Resolve one query's SLO: task > policy.
 
         A disabled policy arms no deadline, whatever the task carries.
         """
@@ -325,6 +297,4 @@ class ResiliencePolicy:
             return None
         if task_deadline is not None:
             return task_deadline
-        if self.config.default_deadline is not None:
-            return self.config.default_deadline
-        return config_deadline
+        return self.config.default_deadline

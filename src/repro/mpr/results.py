@@ -1,15 +1,13 @@
 """The typed query-result envelope shared by library and wire protocol.
 
-An executor's raw answer is one of three shapes — a plain
-``list[Neighbor]``, a degraded :class:`~repro.knn.base.PartialResult`,
-or a typed falsy :class:`~repro.mpr.resilience.Overloaded` verdict —
-and a drain timeout is a fourth (an exception).  :class:`QueryResult`
-collapses all of them into one envelope with an explicit
-:class:`ResultStatus`, used identically by the in-process API
-(:meth:`repro.mpr.api.MPRSystem.submit_async`,
-:meth:`~repro.mpr.api.MPRSystem.run_results`) and by the
-``repro.serve`` wire protocol: :meth:`QueryResult.to_wire` is the
-payload a server frame carries, and ``from_wire(to_wire(r)) == r``
+Every query outcome is a :class:`QueryResult` with an explicit
+:class:`ResultStatus`, and it is named once, where it is decided: the
+pool's query ledger builds ``OK`` / ``PARTIAL`` / ``OVERLOADED``
+(:meth:`repro.mpr.process_executor.ProcessPoolService.drain`), the
+completion pump adds ``TIMEOUT`` / ``ERROR`` for the drains that raised
+(:meth:`repro.mpr.api.MPRSystem.submit_async`).  The ``repro.serve``
+wire protocol carries the same envelope: :meth:`QueryResult.to_wire` is
+the payload a server frame carries, and ``from_wire(to_wire(r)) == r``
 round-trips byte-for-byte under the protocol's canonical JSON encoding.
 """
 
@@ -17,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from ..knn.base import Neighbor, PartialResult
-from .resilience import Overloaded
+from ..knn.base import Neighbor
 
-__all__ = ["QueryResult", "ResultStatus", "envelope_answers"]
+__all__ = ["QueryResult", "ResultStatus"]
 
 
 class ResultStatus(Enum):
@@ -30,10 +27,12 @@ class ResultStatus(Enum):
     values, stable by contract — see docs/API.md "Serving").
 
     * ``OK`` — complete top-k over every partition column.
-    * ``PARTIAL`` — degraded: the top-k over the *surviving* columns
-      only; ``missing_columns`` names the dead ``(layer, column)``
-      cells.  Not retryable through the same replica set, but still a
-      usable (lower-bound) answer.
+    * ``PARTIAL`` — degraded: every replica of some partition columns
+      was down (crash loop, breaker open), so instead of blocking
+      forever the pool answered with the top-k over the *surviving*
+      columns only; ``missing_columns`` names the dead ``(layer,
+      column)`` cells.  Not retryable through the same replica set, but
+      still a usable (lower-bound) answer.
     * ``OVERLOADED`` — shed by admission control before execution;
       retryable after ``retry_after`` seconds.
     * ``TIMEOUT`` — the query was in flight when its drain deadline
@@ -61,9 +60,12 @@ class QueryResult:
     ``neighbors`` is the (possibly partial, possibly empty) canonical
     top-k.  ``missing_columns`` is non-empty exactly for ``PARTIAL``;
     ``outstanding``/``bound`` carry the admission verdict for
-    ``OVERLOADED``; ``retry_after`` is the backoff hint a server
-    attaches to retryable statuses; ``detail`` is a human-readable
-    failure note for ``TIMEOUT``/``ERROR``.
+    ``OVERLOADED`` — the backlog of the most loaded target worker at
+    the moment the query was refused, and the configured
+    :attr:`~repro.mpr.resilience.ResilienceConfig.max_outstanding`;
+    ``retry_after`` is the backoff hint a server attaches to retryable
+    statuses; ``detail`` is a human-readable failure note for
+    ``TIMEOUT``/``ERROR``.
     """
 
     query_id: int
@@ -94,34 +96,12 @@ class QueryResult:
             retry_after, self.detail,
         )
 
-    # ------------------------------------------------------------------
-    # Classification from the raw executor shapes
-    # ------------------------------------------------------------------
     @classmethod
-    def from_answer(cls, query_id: int, answer: Any) -> "QueryResult":
-        """Wrap one raw executor answer into the envelope.
-
-        ``None`` (no answer produced — e.g. a drain timeout swallowed
-        the query) maps to ``TIMEOUT``; the three raw shapes map to
-        their statuses.
-        """
-        if answer is None:
-            return cls(
-                query_id, ResultStatus.TIMEOUT,
-                detail="no answer before the drain deadline",
-            )
-        if isinstance(answer, Overloaded):
-            return cls(
-                query_id, ResultStatus.OVERLOADED,
-                outstanding=answer.outstanding, bound=answer.bound,
-            )
-        if isinstance(answer, PartialResult) and not answer.complete:
-            return cls(
-                query_id, ResultStatus.PARTIAL,
-                neighbors=tuple(answer),
-                missing_columns=tuple(answer.missing_columns),
-            )
-        return cls(query_id, ResultStatus.OK, neighbors=tuple(answer))
+    def from_answer(
+        cls, query_id: int, neighbors: Sequence[Neighbor]
+    ) -> "QueryResult":
+        """The ``OK`` envelope of a complete canonical top-k."""
+        return cls(query_id, ResultStatus.OK, tuple(neighbors))
 
     @classmethod
     def timed_out(cls, query_id: int, detail: str) -> "QueryResult":
@@ -165,29 +145,45 @@ class QueryResult:
 
     @classmethod
     def from_wire(cls, payload: Mapping[str, Any]) -> "QueryResult":
-        """Inverse of :meth:`to_wire` (raises ``KeyError``/``ValueError``
-        on malformed payloads, which servers map to protocol errors)."""
-        return cls(
-            query_id=int(payload["query_id"]),
-            status=ResultStatus(payload["status"]),
-            neighbors=tuple(
-                Neighbor(float(distance), int(object_id))
-                for distance, object_id in payload.get("neighbors", ())
-            ),
-            missing_columns=tuple(
-                (int(layer), int(column))
-                for layer, column in payload.get("missing_columns", ())
-            ),
-            outstanding=payload.get("outstanding"),
-            bound=payload.get("bound"),
-            retry_after=payload.get("retry_after"),
-            detail=payload.get("detail"),
-        )
+        """Inverse of :meth:`to_wire`.
 
-
-def envelope_answers(answers: Mapping[int, Any]) -> dict[int, QueryResult]:
-    """Wrap a ``drain()``/``run()`` answers dict into envelopes."""
-    return {
-        query_id: QueryResult.from_answer(query_id, answer)
-        for query_id, answer in answers.items()
-    }
+        The payload is outside input: anything malformed — not a
+        mapping, a missing key, an unknown status, a neighbour or
+        column that is not a pair, a non-numeric ``outstanding`` /
+        ``bound`` / ``retry_after``, a non-string ``detail`` — raises
+        ``ValueError``, which both ends map to a protocol error.
+        Optional fields are checked, not coerced, so the round trip
+        stays byte-identical.
+        """
+        try:
+            outstanding = payload.get("outstanding")
+            bound = payload.get("bound")
+            retry_after = payload.get("retry_after")
+            detail = payload.get("detail")
+            for count in (outstanding, bound):
+                if count is not None and type(count) is not int:
+                    raise ValueError(f"not an integer: {count!r}")
+            if retry_after is not None and type(retry_after) not in (int, float):
+                raise ValueError(f"retry_after is not a number: {retry_after!r}")
+            if detail is not None and not isinstance(detail, str):
+                raise ValueError(f"detail is not a string: {detail!r}")
+            return cls(
+                query_id=int(payload["query_id"]),
+                status=ResultStatus(payload["status"]),
+                neighbors=tuple(
+                    Neighbor(float(distance), int(object_id))
+                    for distance, object_id in payload.get("neighbors", ())
+                ),
+                missing_columns=tuple(
+                    (int(layer), int(column))
+                    for layer, column in payload.get("missing_columns", ())
+                ),
+                outstanding=outstanding,
+                bound=bound,
+                retry_after=retry_after,
+                detail=detail,
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed result payload: {exc!r}"
+            ) from exc

@@ -9,7 +9,9 @@ returns — a shed query is a retryable ``error`` frame on the wire, but
 envelope carrying the server's ``retry_after`` hint (and can retry
 internally with that backoff via ``retries=``).  Only *protocol*
 failures — malformed frames, unknown ops, a dead connection — raise
-:class:`ServeError`.
+:class:`ServeError`; an envelope ``QueryResult.from_wire`` rejects
+fails its one request with ``code="protocol"`` (a push is dropped and
+counted in ``ServeClient.malformed_pushes``), never the connection.
 """
 
 from __future__ import annotations
@@ -52,6 +54,15 @@ class RetryableServeError(ServeError):
     """A retryable verdict (``overloaded``/``timeout``) with a backoff
     hint; ``result`` carries the enveloped verdict when the query got
     as far as admission control."""
+
+
+def _envelope(payload: Any) -> QueryResult:
+    """Parse a server's result payload; what :meth:`QueryResult.from_wire`
+    rejects is a protocol failure of that one frame."""
+    try:
+        return QueryResult.from_wire(payload)
+    except ValueError as exc:
+        raise ServeError(str(exc), code="protocol") from exc
 
 
 class Subscription:
@@ -100,6 +111,8 @@ class ServeClient:
         self._closed = False
         self.welcome: dict[str, Any] = {}
         self._reader_task: asyncio.Task | None = None
+        #: Push frames dropped because their envelope did not parse.
+        self.malformed_pushes = 0
 
     @classmethod
     async def connect(
@@ -149,9 +162,10 @@ class ServeClient:
                 elif op == "push":
                     sub = self._subscriptions.get(frame.get("sub"))
                     if sub is not None:
-                        sub.pushes.put_nowait(
-                            QueryResult.from_wire(frame["result"])
-                        )
+                        try:
+                            sub.pushes.put_nowait(_envelope(frame.get("result")))
+                        except ServeError:
+                            self.malformed_pushes += 1
                 elif op == "bye":
                     break
         except (FrameError, ConnectionError, asyncio.CancelledError) as exc:
@@ -174,15 +188,19 @@ class ServeClient:
         if future is None or future.done():
             return
         result = frame.get("result")
+        if result is not None:
+            try:
+                result = _envelope(result)
+            except ServeError as exc:
+                future.set_exception(exc)
+                return
         cls = RetryableServeError if frame.get("retryable") else ServeError
         future.set_exception(cls(
             frame.get("message", "server error"),
             code=frame.get("code", "error"),
             retryable=bool(frame.get("retryable")),
             retry_after=frame.get("retry_after"),
-            result=(
-                QueryResult.from_wire(result) if result is not None else None
-            ),
+            result=result,
         ))
 
     async def _request(self, payload: dict[str, Any]) -> Any:
@@ -222,8 +240,7 @@ class ServeClient:
         attempt = 0
         while True:
             try:
-                wire = await self._request(payload)
-                return QueryResult.from_wire(wire)
+                return _envelope(await self._request(payload))
             except RetryableServeError as exc:
                 if attempt >= retries:
                     if exc.result is not None:

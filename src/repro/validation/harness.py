@@ -58,7 +58,6 @@ from ..mpr.analysis import (
 )
 from ..mpr.api import build_executor
 from ..mpr.config import MPRConfig
-from ..mpr.results import envelope_answers
 from ..obs import Telemetry
 from ..sim.measurement import (
     find_max_throughput,
@@ -507,12 +506,11 @@ def validate_live(
                     mode="process", telemetry=telemetry, batch_size=1,
                 )
                 try:
-                    answers = replay_timed(executor, workload.tasks)
+                    results = replay_timed(executor, workload.tasks)
                 finally:
                     executor.close()
                 anomalies = sum(
-                    1 for result in envelope_answers(answers).values()
-                    if not result.ok
+                    1 for result in results.values() if not result.ok
                 )
 
                 profile = profile_from_telemetry(telemetry, "live-dijkstra")

@@ -35,6 +35,7 @@ from ..mpr.analysis import MachineSpec
 from ..mpr.config import MPRConfig
 from ..mpr.process_executor import ProcessPoolService
 from ..mpr.reconfig import RateEstimator, ReconfigManager, ReconfigPolicy
+from ..mpr.results import QueryResult
 from ..mpr.executor import run_serial_reference
 from ..objects.tasks import DeleteTask, InsertTask, QueryTask, Task
 from ..obs import Telemetry
@@ -140,7 +141,7 @@ def run_reconfig_soak(
     )
 
     tasks: list[Task] = []
-    answers: dict[int, Any] = {}
+    answers: dict[int, QueryResult] = {}
     phase_rows: list[dict[str, Any]] = []
     clock = 0.0
     query_id = 0
@@ -214,7 +215,8 @@ def run_reconfig_soak(
     mismatches = sum(
         1
         for qid, expected in oracle.items()
-        if qid in answers and list(answers[qid]) != list(expected)
+        if qid in answers
+        and answers[qid] != QueryResult.from_answer(qid, expected)
     )
     incomplete_traces = 0
     for qid in oracle:

@@ -142,7 +142,7 @@ def replay_timed(executor, tasks: Sequence[Task], speed: float = 1.0):
     flushed before every sleep so pacing gaps never add batcher fill
     latency to the measurement.
 
-    Returns the executor's drained ``query_id -> answer`` map.
+    Returns the executor's drained ``query_id -> QueryResult`` map.
     """
     if speed <= 0:
         raise ValueError("speed must be positive")

@@ -11,7 +11,7 @@ from hypothesis import settings
 
 from repro.graph import RoadNetwork, grid_network, ring_radial_network
 from repro.knn import DijkstraKNN
-from repro.mpr import MPRConfig, ReconfigEvent, ReconfigRejected
+from repro.mpr import MPRConfig, QueryResult, ReconfigEvent, ReconfigRejected
 from repro.obs import Telemetry
 
 
@@ -98,6 +98,17 @@ def place_objects(network: RoadNetwork, count: int, seed: int = 7) -> dict[int, 
 @pytest.fixture()
 def grid_objects(small_grid: RoadNetwork) -> dict[int, int]:
     return place_objects(small_grid, 15)
+
+
+def ok_results(reference) -> dict[int, QueryResult]:
+    """A serial reference (``query_id -> list[Neighbor]``) as the
+    envelopes a pool must answer it with: the same canonical top-k *and*
+    ``status is OK`` — so ``pool.run(tasks) == ok_results(oracle)`` is
+    the house oracle rule."""
+    return {
+        query_id: QueryResult.from_answer(query_id, neighbors)
+        for query_id, neighbors in reference.items()
+    }
 
 
 def gated_solution(network: RoadNetwork) -> tuple[DijkstraKNN, threading.Event]:

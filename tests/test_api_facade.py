@@ -25,7 +25,7 @@ from repro.mpr.api import EXECUTOR_MODES
 from repro.objects.tasks import QueryTask
 from repro.obs import NULL_TELEMETRY, TRACE_STAGES, Telemetry
 from repro.workload import UpdateMode, generate_workload
-from tests.conftest import gated_solution
+from tests.conftest import gated_solution, ok_results
 
 CONFIG = MPRConfig(2, 2, 1)
 
@@ -80,9 +80,9 @@ def test_facade_rejects_invariants_in_process_mode(small_grid) -> None:
     """Nothing to reject any more: the Section IV-A invariants are
     checked against the acked cells, which process workers have too."""
     workload = make_workload(small_grid)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     with build_executor(
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects,
         mode="process", check_invariants=True,
@@ -96,9 +96,9 @@ def test_facade_rejects_invariants_in_process_mode(small_grid) -> None:
 
 def test_thread_executor_via_facade_matches_oracle(small_grid) -> None:
     workload = make_workload(small_grid)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     with build_executor(
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects,
         check_invariants=True,
@@ -109,9 +109,9 @@ def test_thread_executor_via_facade_matches_oracle(small_grid) -> None:
 @pytest.mark.slow
 def test_process_executor_via_facade_matches_oracle(small_grid) -> None:
     workload = make_workload(small_grid)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     with build_executor(
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects,
         mode="process", batch_size=4,
@@ -147,9 +147,9 @@ def test_direct_construction_behaves_like_the_facade_product(
     """Direct construction builds the same object the facade does —
     just without the facade's defaulting conveniences."""
     workload = make_workload(small_grid, seed=23)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     executor = ProcessPoolService(
         DijkstraKNN(small_grid), CONFIG, workload.initial_objects,
         start_method="thread",
@@ -163,17 +163,14 @@ def test_direct_construction_behaves_like_the_facade_product(
 # ----------------------------------------------------------------------
 def test_mpr_system_defaults_to_enabled_telemetry(small_grid) -> None:
     workload = make_workload(small_grid)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     with MPRSystem(
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects
     ) as system:
         results = system.run_results(workload.tasks)
-    assert {
-        query_id: list(result.neighbors)
-        for query_id, result in results.items()
-    } == oracle
+    assert results == oracle
     assert system.telemetry.enabled
     assert system.config == CONFIG
 
@@ -201,16 +198,16 @@ def test_mpr_system_accepts_external_telemetry(small_grid) -> None:
 
 def test_mpr_system_streaming_lifecycle(small_grid) -> None:
     workload = make_workload(small_grid, seed=31)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     system = MPRSystem(
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects
     )
     system.start()
     futures = [(task, system.submit_async(task)) for task in workload.tasks]
     answers = {
-        task.query_id: list(future.result(timeout=30).neighbors)
+        task.query_id: future.result(timeout=30)
         for task, future in futures
         if task.kind.value == "query"
     }
@@ -243,9 +240,9 @@ def test_submit_async_matches_oracle_and_locks_batch_surface(
     small_grid,
 ) -> None:
     workload = make_workload(small_grid, seed=41)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     system = MPRSystem(
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects
     )
@@ -259,7 +256,7 @@ def test_submit_async_matches_oracle_and_locks_batch_surface(
             if task.kind.value == "query":
                 assert isinstance(outcome, QueryResult)
                 assert outcome.status is ResultStatus.OK
-                answers[task.query_id] = list(outcome.neighbors)
+                answers[task.query_id] = outcome
             else:
                 assert outcome is None
         assert answers == oracle
@@ -273,18 +270,27 @@ def test_submit_async_matches_oracle_and_locks_batch_surface(
 
 
 def test_run_results_envelopes_without_pump(small_grid) -> None:
+    """Un-pumped, ``run_results`` *is* ``executor.run``; once the pump
+    owns the executor it goes through the futures — the same envelopes
+    either way."""
     workload = make_workload(small_grid, seed=43)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     with MPRSystem(
         CONFIG, DijkstraKNN(small_grid), workload.initial_objects
     ) as system:
         results = system.run_results(workload.tasks)
-    assert set(results) == set(oracle)
-    for query_id, result in results.items():
-        assert result.status is ResultStatus.OK
-        assert list(result.neighbors) == oracle[query_id]
+    assert results == oracle
+    first, rest = workload.tasks[0], workload.tasks[1:]
+    with MPRSystem(
+        CONFIG, DijkstraKNN(small_grid), workload.initial_objects
+    ) as system:
+        head = system.submit_async(first).result(timeout=30)  # starts the pump
+        pumped = system.run_results(rest)
+    if head is not None:
+        pumped[first.query_id] = head
+    assert pumped == results
 
 
 def test_thread_mode_pump_times_out_a_stuck_worker(small_grid) -> None:

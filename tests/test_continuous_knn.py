@@ -29,6 +29,7 @@ from repro.workload import (
     generate_continuous_workload,
     generate_workload,
 )
+from tests.conftest import ok_results
 
 
 @pytest.fixture()
@@ -100,7 +101,7 @@ def test_threaded_executor_oracle_exact_with_complete_traces(
     )
     with executor:
         answers = executor.run(tasks)
-    assert answers == oracle
+    assert answers == ok_results(oracle)
     traces = telemetry.traces()
     assert len(traces) == len(answers)
     assert all(trace.is_complete() for trace in traces)
@@ -121,7 +122,7 @@ def test_threaded_executor_oracle_exact_on_nonstationary_stream(small_grid):
         workload.initial_objects, mode="thread",
     )
     with executor:
-        assert executor.run(workload.tasks) == oracle
+        assert executor.run(workload.tasks) == ok_results(oracle)
 
 
 @pytest.mark.slow
@@ -137,7 +138,7 @@ def test_process_executor_oracle_exact_on_continuous_stream(
         continuous.initial_objects, mode="process", batch_size=4,
     )
     with executor:
-        assert executor.run(tasks) == oracle
+        assert executor.run(tasks) == ok_results(oracle)
 
 
 def test_monitor_rejects_inconsistent_updates(small_grid):

@@ -27,6 +27,7 @@ from repro.mpr import (
     run_serial_reference,
 )
 from repro.workload import UpdateMode, generate_workload
+from tests.conftest import ok_results
 
 CONFIGS = [
     MPRConfig(1, 3, 1),   # F-Rep shape
@@ -57,9 +58,9 @@ def stream(request, small_grid):
 
 @pytest.fixture(scope="module")
 def oracle(small_grid, stream):
-    return run_serial_reference(
+    return ok_results(run_serial_reference(
         DijkstraKNN(small_grid), stream.initial_objects, stream.tasks
-    )
+    ))
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.x}x{c.y}x{c.z}")
@@ -124,9 +125,9 @@ def test_persistent_pool_serves_many_runs(small_grid) -> None:
     """One pool, many run() calls: workers persist, state carries over,
     and the concatenation equals one oracle pass over the full stream."""
     workload = make_workload(small_grid, 77)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     third = len(workload.tasks) // 3
     chunks = [
         workload.tasks[:third],
@@ -148,9 +149,9 @@ def test_persistent_pool_serves_many_runs(small_grid) -> None:
 @pytest.mark.slow
 def test_process_pool_taxi_hailing_mode(small_grid) -> None:
     workload = make_workload(small_grid, 55, mode=UpdateMode.TAXI_HAILING)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     with build_executor(
         MPRConfig(2, 2, 1), DijkstraKNN(small_grid),
         workload.initial_objects, mode="process", batch_size=6,
@@ -163,9 +164,9 @@ def test_flush_mid_stream_preserves_answers(small_grid) -> None:
     """A latency-motivated flush() between submits must not change
     results — only the batch boundaries."""
     workload = make_workload(small_grid, 42)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(small_grid), workload.initial_objects, workload.tasks
-    )
+    ))
     with build_executor(
         MPRConfig(2, 1, 1), DijkstraKNN(small_grid),
         workload.initial_objects, mode="process", batch_size=50,

@@ -55,7 +55,11 @@ def test_full_pipeline_functional_equivalence(instance):
         answers = executor.run(instance.workload.tasks)
     assert answers.keys() == reference.keys()
     for query_id in reference:
-        got = [(round(n.distance, 6), n.object_id) for n in answers[query_id]]
+        assert answers[query_id].ok
+        got = [
+            (round(n.distance, 6), n.object_id)
+            for n in answers[query_id].neighbors
+        ]
         expect = [
             (round(n.distance, 6), n.object_id) for n in reference[query_id]
         ]

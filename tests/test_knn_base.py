@@ -103,20 +103,6 @@ class TestMergePartials:
         merged = merge_partial_results([canonical], 2)
         assert merged == canonical and merged is not canonical
 
-    def test_degraded_merge_is_a_partial_result(self) -> None:
-        from repro.knn.base import PartialResult
-
-        a = [Neighbor(2.0, 2), Neighbor(5.0, 5)]
-        for partials in ([a], [a, [Neighbor(1.0, 1)]], []):
-            merged = merge_partial_results(
-                partials, 2, missing_columns=[(0, 1)]
-            )
-            assert isinstance(merged, PartialResult)
-            assert merged.missing_columns == ((0, 1),)
-            assert merged == merge_partial_results(partials, 2)
-        with pytest.raises(ValueError):
-            merge_partial_results([a], -1, missing_columns=[(0, 1)])
-
     @given(
         partials=st.lists(
             st.lists(

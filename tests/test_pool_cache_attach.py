@@ -28,6 +28,7 @@ from repro.mpr import MPRConfig, build_executor, run_serial_reference
 from repro.workload import generate_workload
 
 from test_ch import int_network
+from tests.conftest import ok_results
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +46,9 @@ def workload(network):
 
 @pytest.fixture(scope="module")
 def oracle(network, workload):
-    return run_serial_reference(
+    return ok_results(run_serial_reference(
         DijkstraKNN(network), workload.initial_objects, workload.tasks
-    )
+    ))
 
 
 @pytest.fixture()
@@ -126,10 +127,10 @@ def ch_workload(ch_network):
 
 @pytest.fixture(scope="module")
 def ch_oracle(ch_network, ch_workload):
-    return run_serial_reference(
+    return ok_results(run_serial_reference(
         DijkstraKNN(ch_network), ch_workload.initial_objects,
         ch_workload.tasks,
-    )
+    ))
 
 
 @pytest.fixture()

@@ -11,11 +11,12 @@ poison, clogged inboxes, time and shape changes freely).
 
 Invariants, checked by :meth:`Rig.drain` after every drain and by
 :meth:`Rig.check_step` after every step: answers equal
-``run_serial_reference`` (a degraded answer only for a column the
-schedule really hit, and then consistent with the oracle's ranking; a
-*hedged* answer may instead reflect a later point of the same serial
-order — see :meth:`Rig.drain`), every query resolved exactly once per
-drain, no ``_PendingQuery`` or
+``run_serial_reference`` *and say* ``OK`` (a degraded answer only for a
+column the schedule really hit, and then consistent with the oracle's
+ranking; a *hedged* answer may instead reflect a later point of the same
+serial order — see :meth:`Rig.drain`), every drained value is one
+well-formed ``QueryResult`` (:meth:`Rig.check_shape`), every query
+resolved exactly once per drain, no ``_PendingQuery`` or
 deadline left behind, admission ledger at zero, inbox backlog ⊆
 ``unacked``, ``check_matrix_invariants`` at quiescence, and no live
 handle after ``close()``.
@@ -37,12 +38,13 @@ from hypothesis.stateful import (
 from fake_transport import FakeHandle, FakeTransport
 from repro.graph import grid_network
 from repro.knn import DijkstraKNN
-from repro.knn.base import PartialResult
 from repro.mpr import (
     MPRConfig,
     ProcessPoolService,
+    QueryResult,
     ReconfigRejected,
     ResilienceConfig,
+    ResultStatus,
     check_matrix_invariants,
     run_serial_reference,
 )
@@ -194,19 +196,21 @@ class Rig:
         oracle = run_serial_reference(DijkstraKNN(GRID), self.initial, self.tasks)
         for query_id, answer in answers.items():
             task = self.open[query_id]
+            self.check_shape(query_id, answer)
             if query_id in self.poison:
-                assert isinstance(answer, PartialResult)
-                assert answer.missing_columns
-            elif isinstance(answer, PartialResult):
+                assert answer.status is ResultStatus.PARTIAL
+            elif answer.status is ResultStatus.PARTIAL:
                 self.note("degraded answer")
                 assert set(answer.missing_columns) <= self.faulted, (
                     answer.missing_columns, self.faulted
                 )
-                self.check_consistent(task, answer)
-            elif answer != oracle[query_id]:
-                assert query_id in self.hedged, (task, answer)
+                self.check_consistent(task, list(answer.neighbors))
+            elif answer.status is ResultStatus.OVERLOADED:
+                self.note("shed answer")
+            elif answer != QueryResult.from_answer(query_id, oracle[query_id]):
+                assert answer.ok and query_id in self.hedged, (task, answer)
                 self.note("hedged answer from a later serial point")
-                self.check_consistent(task, answer)
+                self.check_consistent(task, list(answer.neighbors))
         self.open.clear()
         self.check_step()
         states = pool._shapes.current.workers.values()
@@ -228,6 +232,24 @@ class Rig:
                     assert merged == self.objects
             self.note("matrix invariants checked at quiescence")
         return answers
+
+    def check_shape(self, query_id: int, result) -> None:
+        """One result shape: whatever happened to the query — answered,
+        hedged, replayed, degraded, shed, carried over a cutover — the
+        drain names it with exactly one well-formed envelope."""
+        assert type(result) is QueryResult and result.query_id == query_id
+        assert result.status in (
+            ResultStatus.OK, ResultStatus.PARTIAL, ResultStatus.OVERLOADED
+        )
+        assert bool(result.missing_columns) == (
+            result.status is ResultStatus.PARTIAL
+        )
+        shed = result.status is ResultStatus.OVERLOADED
+        bound = self.pool._resilience.config.max_outstanding
+        assert (result.outstanding is not None) == shed
+        assert result.bound == (bound if shed else None)
+        assert not (shed and result.neighbors)
+        assert result.retry_after is None and result.detail is None
 
     def check_consistent(self, task: QueryTask, answer: list) -> None:
         """An answer that is not the oracle's — degraded, or hedged —
@@ -302,7 +324,7 @@ def test_death_with_the_ack_surviving_is_deduplicated_after_replay() -> None:
     assert rig.pool.metrics.breaker_opens == 1
     assert rig.pool.metrics.batches_quarantined == 2  # the new one: next sweep
     answers = rig.drain()
-    assert not isinstance(answers[first.query_id], PartialResult)  # survived
+    assert answers[first.query_id].status is ResultStatus.OK  # survived
     assert answers[second.query_id].missing_columns == ((0, 0),)  # column down
     assert rig.pool.worker_contents()[(0, 0, 0)] == OBJECTS  # not advanced
     rig.fake.advance(0.6)  # backoff over: the next send is the trial
@@ -310,7 +332,7 @@ def test_death_with_the_ack_surviving_is_deduplicated_after_replay() -> None:
     assert rig.pool.metrics.respawns == 1
     assert rig.pool.metrics.batches_replayed == 3
     answers = rig.drain()
-    assert answers[third.query_id][0].distance == 0.0  # saw the insert, once
+    assert answers[third.query_id].neighbors[0].distance == 0.0  # the insert, once
     rig.close()
 
 
@@ -340,7 +362,27 @@ def test_poison_batch_is_quarantined_and_its_query_degrades() -> None:
     assert rig.pool.metrics.batches_quarantined == 2  # one per column
     assert sorted(answers[poison.query_id].missing_columns) == [(0, 0), (0, 1)]
     for task in (before, after):
-        assert not isinstance(answers[task.query_id], PartialResult)
+        assert answers[task.query_id].status is ResultStatus.OK
+    rig.close()
+
+
+def test_shed_query_drains_as_overloaded_with_backlog_and_bound() -> None:
+    """The ledger names the outcome where it is decided: a query routed
+    at a backlog at the bound is refused at submit and drains as the
+    ``OVERLOADED`` envelope carrying both numbers — beside, and in the
+    same shape as, the ``OK`` answers of the queries that were admitted."""
+    policy = ResilienceConfig(max_outstanding=2, hedge=False, stall_timeout=None)
+    rig = Rig((1, 1, 1), batch_size=1, resilience=policy)
+    admitted = [rig.query(location=i) for i in range(2)]  # loads 0 and 1
+    shed = rig.query(location=2)  # finds a backlog of 2: at the bound
+    assert rig.pool.metrics.shed == 1
+    answers = rig.drain()
+    assert answers[shed.query_id] == QueryResult(
+        shed.query_id, ResultStatus.OVERLOADED, outstanding=2, bound=2
+    )
+    assert all(answers[task.query_id].ok for task in admitted)
+    readmitted = rig.query(location=2)  # the backlog drained with the acks
+    assert rig.drain()[readmitted.query_id].ok and rig.pool.metrics.shed == 1
     rig.close()
 
 
@@ -361,7 +403,7 @@ def test_breaker_opens_half_opens_and_closes_on_virtual_time() -> None:
     assert breaker.state == "half_open" and rig.pool.metrics.respawns == 1
     answers = rig.drain()
     assert breaker.state == "closed"
-    assert not isinstance(answers[task.query_id], PartialResult)
+    assert answers[task.query_id].status is ResultStatus.OK
     rig.close()
 
 
@@ -372,7 +414,7 @@ def test_stalled_worker_is_killed_by_the_watchdog_and_replayed() -> None:
     task = rig.query(deadline=100.0)
     answers = rig.drain()
     assert rig.pool.metrics.stall_kills == 1 and rig.pool.metrics.respawns == 1
-    assert not isinstance(answers[task.query_id], PartialResult)
+    assert answers[task.query_id].status is ResultStatus.OK
     rig.close()
 
 
@@ -415,7 +457,7 @@ def test_cutover_with_queries_in_flight_answers_them_from_the_old_shape() -> Non
     assert change.outcome == "completed" and change.inflight_at_cutover == 9
     assert change.catchup_ops == 1 and rig.pool.generation == 1
     answers = rig.drain()
-    assert answers[late.query_id][0].distance == 0.0
+    assert answers[late.query_id].neighbors[0].distance == 0.0
     assert all(task.query_id in answers for task in early)
     rig.close()
 
@@ -430,7 +472,7 @@ def test_retiring_worker_dying_while_it_owes_answers_is_respawned() -> None:
     assert retiring.owner.unacked
     rig.crash(retiring)
     answers = rig.drain()
-    assert not isinstance(answers[owed.query_id], PartialResult)
+    assert answers[owed.query_id].status is ResultStatus.OK
     assert rig.pool.metrics.respawns == 1
     assert not rig.pool._resilience.breakers()  # breaker-free by design
     rig.close()
@@ -476,7 +518,7 @@ def test_poison_from_retiring_worker_leaves_new_shape_admission_alone() -> None:
     assert rig.pool.metrics.batches_quarantined == 1
     assert {w: admission.load(w) for w in load} == load
     answers = rig.drain()
-    assert isinstance(answers[poison.query_id], PartialResult)
+    assert answers[poison.query_id].status is ResultStatus.PARTIAL
     assert all(t.query_id in answers for t in carried)
     rig.close()
 
@@ -502,7 +544,13 @@ def test_poison_report_and_sibling_ack_in_one_pump_step() -> None:
     assert rig.pool.metrics.batches_quarantined == 1
     assert sibling.owner.unacked == {}  # its ack was handled, by that step
     answers = rig.pool.drain(timeout=60.0)
-    assert answers[task.query_id].missing_columns == ((0, 0),)
+    # PARTIAL names exactly the dead cell and carries the survivor's
+    # canonical top-k: what column 1's cell alone would answer.
+    survivor = DijkstraKNN(GRID, rig.pool.worker_contents()[(0, 0, 1)])
+    assert answers[task.query_id] == QueryResult(
+        task.query_id, ResultStatus.PARTIAL,
+        tuple(survivor.query(3, 4)), ((0, 0),),
+    )
     rig.close()
 
 
@@ -584,7 +632,7 @@ def test_cutover_does_not_replay_past_a_quarantined_hole() -> None:
     assert rig.pool.config == MPRConfig(2, 1, 1)
     assert answers[stale.query_id].missing_columns == ((0, 0),)
     fresh = rig.query(location=OBJECTS[gone], k=1)
-    assert rig.drain()[fresh.query_id][0].object_id != gone
+    assert rig.drain()[fresh.query_id].neighbors[0].object_id != gone
     rig.close()
 
 

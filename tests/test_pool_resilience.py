@@ -18,17 +18,18 @@ import pytest
 
 from repro.graph import grid_network
 from repro.knn import DijkstraKNN
-from repro.knn.base import PartialResult
 from repro.mpr import (
     MPRConfig,
-    Overloaded,
+    QueryResult,
     ResilienceConfig,
+    ResultStatus,
     build_executor,
     run_serial_reference,
 )
 from repro.mpr.chaos import SlowKNN
 from repro.objects.tasks import QueryTask
 from repro.obs import Telemetry
+from tests.conftest import ok_results
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,9 @@ def _queries(network, count, k=4, deadline=None):
 
 
 def _oracle(network, objects, tasks):
-    return run_serial_reference(DijkstraKNN(network), dict(objects), tasks)
+    return ok_results(
+        run_serial_reference(DijkstraKNN(network), dict(objects), tasks)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -93,8 +96,7 @@ def test_hedged_queries_race_first_answer_wins(
     ) as pool:
         answers = pool.run(tasks)
         metrics = pool.metrics
-    assert answers == _oracle(network, objects, tasks)
-    assert not any(isinstance(a, PartialResult) for a in answers.values())
+    assert answers == _oracle(network, objects, tasks)  # every one OK
     assert metrics.hedges >= 1
     assert metrics.deadline_misses >= 1
     # Both rows answered at least one hedged query: the loser is dropped.
@@ -114,7 +116,7 @@ def test_hedged_queries_race_first_answer_wins(
 def test_dead_column_degrades_instead_of_hanging(network, objects) -> None:
     """SIGKILL the only replica of one column while its batches are
     buffered: the breaker opens, the batches are quarantined, and the
-    drain returns PartialResults flagging the dead column — quickly."""
+    drain answers PARTIAL, flagging the dead column — quickly."""
     config = MPRConfig(2, 1, 1)
     tasks = _queries(network, 10)
     with build_executor(
@@ -150,10 +152,10 @@ def test_dead_column_degrades_instead_of_hanging(network, objects) -> None:
         ),
     )
     for task in tasks:
-        answer = answers[task.query_id]
-        assert isinstance(answer, PartialResult)
-        assert answer.missing_columns == (dead_column,)
-        assert list(answer) == survivor.query(task.location, task.k)
+        assert answers[task.query_id] == QueryResult(
+            task.query_id, ResultStatus.PARTIAL,
+            tuple(survivor.query(task.location, task.k)), (dead_column,),
+        )
 
 
 def test_admission_sheds_with_typed_overloaded_answers(
@@ -170,16 +172,22 @@ def test_admission_sheds_with_typed_overloaded_answers(
     ) as pool:
         answers = pool.run(tasks)
         metrics = pool.metrics
-    shed = {qid for qid, a in answers.items() if isinstance(a, Overloaded)}
+    shed = {
+        qid for qid, a in answers.items()
+        if a.status is ResultStatus.OVERLOADED
+    }
     assert len(shed) == 6  # 4 admitted (loads 1..4), the rest rejected
     assert metrics.shed == 6
     assert telemetry.counters["resilience.shed"] == 6
     oracle = _oracle(network, objects, tasks)
     for task in tasks:
         if task.query_id in shed:
-            verdict = answers[task.query_id]
-            assert verdict.bound == 4 and verdict.outstanding >= 4
-            assert not verdict  # falsy: never a usable answer
+            # The verdict carries the backlog that shed it and the
+            # bound — and nothing that could pass for an answer.
+            assert answers[task.query_id] == QueryResult(
+                task.query_id, ResultStatus.OVERLOADED,
+                outstanding=4, bound=4,
+            )
         else:
             assert answers[task.query_id] == oracle[task.query_id]
 
@@ -223,7 +231,7 @@ def test_default_policy_arms_no_deadline(
 ) -> None:
     """``resilience=None`` is the same data plane under a policy that
     arms nothing: tasks carrying an unmeetable deadline are neither
-    hedged nor counted as misses, and answers stay plain lists."""
+    hedged nor counted as misses, and every answer is plain ``OK``."""
     tasks = _queries(network, 8, deadline=0.001)
     with build_executor(
         MPRConfig(1, 2, 1), SlowKNN(DijkstraKNN(network), delay=0.01),
@@ -232,7 +240,7 @@ def test_default_policy_arms_no_deadline(
         answers = pool.run(tasks)
         metrics = pool.metrics
     assert answers == _oracle(network, objects, tasks)
-    assert all(type(answer) is list for answer in answers.values())
+    assert all(type(answer) is QueryResult for answer in answers.values())
     assert metrics.hedges == 0
     assert metrics.deadline_misses == 0
     assert metrics.duplicate_acks == 0
@@ -250,7 +258,10 @@ def test_threaded_executor_sheds_on_queue_depth(network, objects) -> None:
         resilience=ResilienceConfig(max_outstanding=1),
     ) as executor:
         answers = executor.run(tasks)
-    shed = {qid for qid, a in answers.items() if isinstance(a, Overloaded)}
+    shed = {
+        qid for qid, a in answers.items()
+        if a.status is ResultStatus.OVERLOADED
+    }
     assert len(answers) == len(tasks)  # every query got *a* verdict
     assert shed  # the burst outran a bound of one queued op
     assert telemetry.counters["resilience.shed"] == len(shed)
@@ -288,4 +299,4 @@ def test_threaded_executor_disabled_resilience_has_no_verdicts(
         assert executor.metrics.deadline_misses == 0
         assert executor.metrics.shed == 0
     assert answers == _oracle(network, objects, tasks)
-    assert all(type(answer) is list for answer in answers.values())
+    assert all(type(answer) is QueryResult for answer in answers.values())

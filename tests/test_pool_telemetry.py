@@ -22,6 +22,7 @@ from repro.mpr import MPRConfig, build_executor, run_serial_reference
 from repro.objects.tasks import DeleteTask, InsertTask, QueryTask
 from repro.obs import Telemetry
 from repro.workload import generate_workload
+from tests.conftest import ok_results
 
 pytestmark = pytest.mark.slow
 
@@ -55,9 +56,9 @@ def assert_traces_complete(telemetry: Telemetry, num_queries: int) -> None:
 
 def test_pool_traces_are_complete(network, workload) -> None:
     telemetry = Telemetry(max_traces=4096)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(network), workload.initial_objects, workload.tasks
-    )
+    ))
     with build_executor(
         MPRConfig(2, 2, 1), DijkstraKNN(network), workload.initial_objects,
         mode="process", batch_size=4, telemetry=telemetry,
@@ -77,9 +78,9 @@ def test_traces_survive_worker_respawn(network, workload) -> None:
     complete and duplicate-free — and the answers still match the
     fault-free oracle."""
     telemetry = Telemetry(max_traces=4096)
-    oracle = run_serial_reference(
+    oracle = ok_results(run_serial_reference(
         DijkstraKNN(network), workload.initial_objects, workload.tasks
-    )
+    ))
     pool = build_executor(
         MPRConfig(2, 1, 1), DijkstraKNN(network), workload.initial_objects,
         mode="process", batch_size=8, health_check_interval=0.02,
@@ -111,7 +112,9 @@ def test_interleaved_batch_is_one_stamped_sweep(network) -> None:
         InsertTask(0.3, 4, 13),
         QueryTask(0.4, 2, 60, 2),
     ]
-    oracle = run_serial_reference(DijkstraKNN(network), objects, tasks)
+    oracle = ok_results(
+        run_serial_reference(DijkstraKNN(network), objects, tasks)
+    )
     telemetry = Telemetry(max_traces=64)
     with build_executor(
         MPRConfig(1, 1, 1), DijkstraKNN(network), objects,
@@ -142,7 +145,9 @@ def test_one_kernel_sweep_per_dispatched_batch(network) -> None:
             tasks.append(
                 InsertTask(i + 0.5, mover, (i * 13) % network.num_nodes)
             )
-    oracle = run_serial_reference(DijkstraKNN(network), objects, tasks)
+    oracle = ok_results(
+        run_serial_reference(DijkstraKNN(network), objects, tasks)
+    )
     telemetry = Telemetry()
     with build_executor(
         MPRConfig(1, 1, 1), DijkstraKNN(network), objects,

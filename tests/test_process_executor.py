@@ -13,12 +13,14 @@ from repro.knn import DijkstraKNN, GTreeKNN
 from repro.mpr import (
     MPRConfig,
     MPRSystem,
+    QueryResult,
     build_executor,
     run_serial_reference,
 )
 from repro.mpr.transport import _PipeInbox
 from repro.objects.tasks import QueryTask
 from repro.workload import generate_workload
+from tests.conftest import ok_results
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +45,7 @@ def test_process_executor_matches_serial(small_grid, workload, config) -> None:
         config, prototype, workload.initial_objects,
         mode="process", batch_size=1,
     ) as executor:
-        assert executor.run(workload.tasks) == reference
+        assert executor.run(workload.tasks) == ok_results(reference)
 
 
 def test_process_executor_with_indexed_solution(small_grid, workload) -> None:
@@ -55,7 +57,7 @@ def test_process_executor_with_indexed_solution(small_grid, workload) -> None:
         MPRConfig(2, 1, 1), prototype, workload.initial_objects,
         mode="process", batch_size=1,
     ) as executor:
-        assert executor.run(workload.tasks) == reference
+        assert executor.run(workload.tasks) == ok_results(reference)
 
 
 def test_empty_stream(small_grid) -> None:
@@ -132,8 +134,8 @@ def test_large_run_against_one_worker_does_not_deadlock(
     assert len(answers) == len(tasks)
     oracle = DijkstraKNN(small_grid, objects)
     for task in tasks[::97]:
-        assert list(answers[task.query_id].neighbors) == oracle.query(
-            task.location, task.k
+        assert answers[task.query_id] == QueryResult.from_answer(
+            task.query_id, oracle.query(task.location, task.k)
         )
 
 
@@ -158,5 +160,5 @@ def test_partial_writes_keep_message_framing(small_grid, monkeypatch) -> None:
     ) as pool:
         pool.start()
         shrink_pipes(pool)
-        assert pool.run(workload.tasks) == reference
+        assert pool.run(workload.tasks) == ok_results(reference)
     assert max(depths) > 4096  # a batch was cut mid-frame at least once

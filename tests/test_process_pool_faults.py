@@ -24,7 +24,9 @@ from repro.graph import grid_network
 from repro.knn import DijkstraKNN
 from repro.mpr import (
     MPRConfig,
+    QueryResult,
     ResilienceConfig,
+    ResultStatus,
     WorkerCrash,
     build_executor,
     run_serial_reference,
@@ -32,6 +34,7 @@ from repro.mpr import (
 from repro.mpr.transport import _PipeInbox
 from repro.objects.tasks import QueryTask
 from repro.workload import generate_workload
+from tests.conftest import ok_results
 
 # Everything that signals a worker is ``slow`` (and process-only); the two
 # signal-free cases also run on thread workers in tier-1 (``worker_kind``).
@@ -77,9 +80,9 @@ def workload(network):
 
 @pytest.fixture(scope="module")
 def oracle(network, workload):
-    return run_serial_reference(
+    return ok_results(run_serial_reference(
         DijkstraKNN(network), workload.initial_objects, workload.tasks
-    )
+    ))
 
 
 @pytest.mark.slow
@@ -322,8 +325,9 @@ def test_poison_report_and_sibling_ack_in_one_pump_step(
         assert not drainer.is_alive(), "drain hung on a consumed ack"
         (answers,) = done
     survivor = DijkstraKNN(network, pool.worker_contents()[(0, 0, 1)])
-    assert answers[7].missing_columns == ((0, 0),)
-    assert list(answers[7]) == survivor.query(3, 4)
+    assert answers[7] == QueryResult(
+        7, ResultStatus.PARTIAL, tuple(survivor.query(3, 4)), ((0, 0),)
+    )
     assert pool.metrics.batches_quarantined == 1
 
 
@@ -420,9 +424,9 @@ def test_stalled_worker_with_clogged_inbox_is_still_killed(network) -> None:
             os.kill(victim_pid, signal.SIGCONT)
         except ProcessLookupError:
             pass
-    assert answers == run_serial_reference(
+    assert answers == ok_results(run_serial_reference(
         DijkstraKNN(network), objects, tasks
-    )
+    ))
 
 
 @pytest.mark.slow

@@ -37,7 +37,7 @@ from repro.mpr.chaos import kill_warming_worker
 from repro.mpr.process_executor import ProcessPoolService
 from repro.objects.tasks import InsertTask, QueryTask
 from repro.obs import Telemetry
-from tests.conftest import FakeSystem
+from tests.conftest import FakeSystem, ok_results
 
 PROFILE = paper_profile("V-tree", "BJ")
 MACHINE = MachineSpec(total_cores=5)
@@ -292,7 +292,7 @@ def test_manual_reconfigure_under_load_is_oracle_exact(worker_kind) -> None:
         for task in tasks[len(tasks) // 2:]:
             pool.submit(task)
         answers = pool.drain()
-    oracle = run_serial_reference(base, objects, tasks)
+    oracle = ok_results(run_serial_reference(base, objects, tasks))
     assert answers == oracle
     history = pool.reconfig_history
     assert [e.outcome for e in history] == ["completed"]
@@ -314,7 +314,7 @@ def test_updates_survive_the_cutover(worker_kind) -> None:
         for task in tasks[3:]:
             pool.submit(task)
         answers = pool.drain()
-    assert answers == run_serial_reference(base, objects, tasks)
+    assert answers == ok_results(run_serial_reference(base, objects, tasks))
 
 
 @pytest.mark.slow
@@ -347,7 +347,7 @@ def test_kill_warming_worker_rolls_back_without_serving_gap() -> None:
     assert "died" in (event.reason or "")
     assert pool.generation == 0
     assert pool.config == MPRConfig(2, 2, 1)
-    oracle = run_serial_reference(base, objects, tasks)
+    oracle = ok_results(run_serial_reference(base, objects, tasks))
     assert {qid: answers[qid] for qid in oracle} == oracle
     assert telemetry.counters.get("reconfig.rollbacks", 0) == 1
 
@@ -401,9 +401,9 @@ def test_rolled_back_thread_transition_leaves_no_worker_thread() -> None:
         assert event.outcome == "rolled_back"
         assert "timed out" in event.reason
         assert w_cores() - before == serving
-        assert pool.drain() == run_serial_reference(
+        assert pool.drain() == ok_results(run_serial_reference(
             base, objects, [QueryTask(0.0, 1, 0, 1)]
-        )
+        ))
     assert w_cores() - before == set()
     assert pool.worker_pids() == {}  # nothing to signal
 
@@ -433,7 +433,7 @@ def test_back_to_back_transitions_reap_the_drained_fleet(worker_kind) -> None:
         assert pool.generation == 2
         assert "retire" in first.phases
     assert [first.outcome, second.outcome] == ["completed", "completed"]
-    assert answers == run_serial_reference(base, objects, tasks)
+    assert answers == ok_results(run_serial_reference(base, objects, tasks))
 
 
 def test_fleet_owing_answers_still_refuses_the_next_transition() -> None:
@@ -468,9 +468,9 @@ def test_fleet_owing_answers_still_refuses_the_next_transition() -> None:
         answers = pool.drain()
         third = pool.reconfigure(MPRConfig(2, 1, 1), trigger="test")
     assert third.outcome == "completed"
-    assert answers == run_serial_reference(
+    assert answers == ok_results(run_serial_reference(
         DijkstraKNN(network), objects, tasks
-    )
+    ))
 
 
 def test_telemetry_triggered_change_under_load_acceptance(
@@ -509,10 +509,8 @@ def test_mpr_system_reconfigures_through_the_pump(worker_kind) -> None:
         assert event.outcome == "completed"
         futures += [system.submit_async(task) for task in tasks[8:]]
         results = [future.result(timeout=30.0) for future in futures]
-    assert all(result.status.value == "ok" for result in results)
-    oracle = run_serial_reference(base, objects, tasks)
-    for task, result in zip(tasks, results):
-        assert list(result.neighbors) == list(oracle[task.query_id])
+    oracle = ok_results(run_serial_reference(base, objects, tasks))
+    assert {result.query_id: result for result in results} == oracle
     history = system.reconfig_history
     assert [e.outcome for e in history] == ["completed"]
     stats = system.stats()

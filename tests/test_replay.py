@@ -4,6 +4,7 @@ import pytest
 
 from repro.objects import TaskKind, seed_stream_with_objects
 from repro.workload import FleetSpec, fleet_update_rate, replay_fleet
+from tests.conftest import ok_results
 
 
 class TestFleetSpec:
@@ -98,4 +99,4 @@ class TestReplay:
         )
         with executor:
             answers = executor.run(workload.tasks)
-        assert answers == reference
+        assert answers == ok_results(reference)

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.knn.base import Neighbor, PartialResult, merge_partial_results
 from repro.mpr import MPRConfig
 from repro.mpr.core_matrix import MPRRouter, RouteBatcher
 from repro.mpr.resilience import (
     RESILIENCE_COUNTERS,
     AdmissionController,
     CircuitBreaker,
-    Overloaded,
     ResilienceConfig,
     ResiliencePolicy,
 )
@@ -51,28 +49,6 @@ def test_config_defaults_are_valid() -> None:
 def test_config_rejects_bad_knobs(kwargs) -> None:
     with pytest.raises(ValueError):
         ResilienceConfig(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Overloaded / PartialResult answer types
-# ----------------------------------------------------------------------
-def test_overloaded_is_falsy_and_typed() -> None:
-    verdict = Overloaded(query_id=7, outstanding=12, bound=8)
-    assert not verdict
-    assert verdict.query_id == 7 and verdict.bound == 8
-
-
-def test_merge_partial_results_flags_missing_columns() -> None:
-    partials = [[Neighbor(1.0, 10)], [Neighbor(2.0, 20)]]
-    full = merge_partial_results(partials, k=2)
-    assert not isinstance(full, PartialResult)
-
-    degraded = merge_partial_results(partials, k=2, missing_columns=[(0, 1)])
-    assert isinstance(degraded, PartialResult)
-    assert degraded.missing_columns == ((0, 1),)
-    assert not degraded.complete
-    # Still a real (sorted, truncated) neighbor list.
-    assert list(degraded) == [Neighbor(1.0, 10), Neighbor(2.0, 20)]
 
 
 # ----------------------------------------------------------------------
@@ -190,11 +166,9 @@ def test_policy_breakers_are_lazy_and_per_worker() -> None:
 
 def test_deadline_resolution_order() -> None:
     policy = ResiliencePolicy(ResilienceConfig(default_deadline=0.5))
-    assert policy.deadline_for(0.1, 2.0) == 0.1  # task wins
-    assert policy.deadline_for(None, 2.0) == 0.5  # then the policy
-    bare = ResiliencePolicy(ResilienceConfig())
-    assert bare.deadline_for(None, 2.0) == 2.0  # then the arrangement
-    assert bare.deadline_for(None, None) is None
+    assert policy.deadline_for(0.1) == 0.1  # task wins
+    assert policy.deadline_for(None) == 0.5  # then the policy
+    assert ResiliencePolicy(ResilienceConfig()).deadline_for(None) is None
 
 
 def test_counter_names_are_stable() -> None:

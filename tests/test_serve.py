@@ -76,23 +76,40 @@ def test_query_result_round_trips_every_status() -> None:
         )
 
 
-def test_envelope_answer_compat_accessor() -> None:
-    """``from_answer`` classifies every raw executor answer shape."""
-    from repro.knn.base import PartialResult
-    from repro.mpr import Overloaded
+def test_from_answer_is_the_ok_envelope() -> None:
+    """``from_answer`` is the plain OK constructor (the ledger's, and
+    mprbench's): a complete neighbour list in, ``OK`` out, no ladder."""
+    ok = QueryResult.from_answer(7, [Neighbor(1.0, 2)])
+    assert ok == QueryResult(7, ResultStatus.OK, (Neighbor(1.0, 2),))
+    assert ok.ok and not ok.retryable
+    assert QueryResult.from_answer(8, []).status is ResultStatus.OK
 
-    ok = QueryResult.from_answer(1, [Neighbor(1.0, 2)])
-    assert ok.ok and ok.neighbors == (Neighbor(1.0, 2),)
-    partial = QueryResult.from_answer(
-        2, PartialResult([Neighbor(1.0, 2)], missing_columns=[(0, 0)])
-    )
-    assert partial.status is ResultStatus.PARTIAL
-    assert partial.neighbors == (Neighbor(1.0, 2),)
-    assert partial.missing_columns == ((0, 0),)
-    shed = QueryResult.from_answer(3, Overloaded(3, 10, 4))
-    assert shed.status is ResultStatus.OVERLOADED
-    assert (shed.outstanding, shed.bound) == (10, 4)
-    assert QueryResult.from_answer(4, None).status is ResultStatus.TIMEOUT
+
+@pytest.mark.parametrize("payload", [
+    None,
+    [],
+    "ok",
+    {"status": "ok"},  # no query_id
+    {"query_id": 1},  # no status
+    {"query_id": "x", "status": "ok"},
+    {"query_id": 1, "status": "fine"},
+    {"query_id": 1, "status": "ok", "neighbors": [[1.0]]},
+    {"query_id": 1, "status": "ok", "neighbors": [[1.0, 2, 3]]},
+    {"query_id": 1, "status": "ok", "neighbors": [["far", 2]]},
+    {"query_id": 1, "status": "ok", "neighbors": 5},
+    {"query_id": 1, "status": "partial", "missing_columns": [[0]]},
+    {"query_id": 1, "status": "partial", "missing_columns": [0, 1]},
+    {"query_id": 1, "status": "overloaded", "outstanding": "9", "bound": 4},
+    {"query_id": 1, "status": "overloaded", "outstanding": 9, "bound": [4]},
+    {"query_id": 1, "status": "overloaded", "outstanding": True, "bound": 4},
+    {"query_id": 1, "status": "overloaded", "retry_after": "soon"},
+    {"query_id": 1, "status": "error", "detail": 5},
+])
+def test_from_wire_rejects_every_malformed_field(payload) -> None:
+    """The payload is outside input: whatever is wrong with it, the one
+    exception callers have to handle is ``ValueError``."""
+    with pytest.raises(ValueError, match="malformed result payload"):
+        QueryResult.from_wire(payload)
 
 
 # ----------------------------------------------------------------------
@@ -728,6 +745,107 @@ def test_serve_rejects_malformed_frames_without_dying(
             system.close()
 
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# The client against a server that sends malformed envelopes
+# ----------------------------------------------------------------------
+async def stub_client(respond):
+    """A client connected to a stub server that says ``welcome`` and
+    then answers each request frame with the frames ``respond(frame)``
+    returns — whatever they are."""
+
+    async def handle(reader, writer):
+        await read_frame(reader)  # hello
+        writer.write(encode_frame({"op": "welcome", "protocol": 1}))
+        while (frame := await read_frame(reader)) is not None:
+            if frame["op"] == "bye":
+                break
+            for reply in respond(frame):
+                writer.write(encode_frame(reply))
+            await writer.drain()
+        writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    return server, await ServeClient.connect("127.0.0.1", port)
+
+
+GOOD = QueryResult(0, ResultStatus.OK, (Neighbor(1.0, 2),)).to_wire()
+NO_STATUS = {key: GOOD[key] for key in GOOD if key != "status"}
+
+
+@pytest.mark.parametrize("bad_reply", [
+    pytest.param(
+        lambda frame: {"op": "result", "id": frame["id"], "result": NO_STATUS},
+        id="result-without-status",
+    ),
+    pytest.param(
+        lambda frame: {"op": "result", "id": frame["id"]}, id="result-missing",
+    ),
+    pytest.param(
+        lambda frame: {
+            "op": "error", "id": frame["id"], "code": "overloaded",
+            "retryable": True, "message": "shed", "result": NO_STATUS,
+        },
+        id="error-with-malformed-result",
+    ),
+])
+def test_client_maps_a_malformed_envelope_to_one_protocol_error(
+    bad_reply,
+) -> None:
+    """The request whose envelope does not parse fails as
+    ``ServeError(code="protocol")`` — not a bare ``KeyError`` — and the
+    connection, the next request and ``aclose()`` all keep working."""
+
+    def respond(frame):
+        if frame["location"] == 13:
+            return [bad_reply(frame)]
+        return [{"op": "result", "id": frame["id"], "result": GOOD}]
+
+    async def scenario():
+        server, client = await stub_client(respond)
+        async with server:
+            with pytest.raises(ServeError) as info:
+                await client.query(13, 1)
+            assert info.value.code == "protocol"
+            assert not isinstance(info.value, RetryableServeError)
+            assert (await client.query(5, 1)).ok  # same connection
+            await asyncio.wait_for(client.aclose(), timeout=5.0)
+            assert client._writer.is_closing()
+
+    # Bounded: at the bug these scenarios hang, they do not raise.
+    asyncio.run(asyncio.wait_for(scenario(), timeout=20.0))
+
+
+def test_client_drops_and_counts_a_malformed_push() -> None:
+    """A push without a parseable ``result`` used to kill the reader
+    task (and ``aclose()`` re-raised its ``KeyError`` before closing
+    the socket); now that one push is dropped and counted."""
+
+    def respond(frame):
+        if frame["op"] == "subscribe":
+            return [{"op": "result", "id": frame["id"], "result": {"sub": 1}}]
+        return [
+            {"op": "push", "sub": 1},
+            {"op": "push", "sub": 1, "result": NO_STATUS},
+            {"op": "push", "sub": 1, "result": GOOD},
+            {"op": "result", "id": frame["id"], "result": GOOD},
+        ]
+
+    async def scenario():
+        server, client = await stub_client(respond)
+        async with server:
+            subscription = await client.subscribe(5, 1)
+            assert (await client.query(5, 1)).ok  # the pushes ride ahead of it
+            assert client.malformed_pushes == 2
+            assert (await subscription.next_push(timeout=5.0)).ok
+            assert (await client.query(5, 1)).ok  # the reader is alive
+            await asyncio.wait_for(client.aclose(), timeout=5.0)
+            assert client._writer.is_closing()
+
+    # Bounded: at the bug these scenarios hang, they do not raise.
+    asyncio.run(asyncio.wait_for(scenario(), timeout=20.0))
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.graph.shortest_path import dijkstra_heapq
 from repro.knn import DijkstraKNN
 from repro.mpr import MPRConfig, build_executor, run_serial_reference
 from repro.workload import generate_workload
+from tests.conftest import ok_results
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +49,9 @@ def workload(network):
 
 @pytest.fixture(scope="module")
 def oracle(network, workload):
-    return run_serial_reference(
+    return ok_results(run_serial_reference(
         DijkstraKNN(network), workload.initial_objects, workload.tasks
-    )
+    ))
 
 
 # ----------------------------------------------------------------------

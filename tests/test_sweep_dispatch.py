@@ -27,6 +27,7 @@ from repro.mpr import (
 )
 from repro.mpr.reconfig import _Role
 from repro.objects.tasks import InsertTask, QueryTask
+from tests.conftest import ok_results
 
 NODES = protocol.GRID.num_nodes
 
@@ -72,7 +73,7 @@ def test_one_cycle_is_one_message_and_one_sweep_per_worker(
         fake.run(worker)  # its one message
     assert KERNEL_CALLS["knn_batch"] - calls["knn_batch"] == len(workers)
     assert KERNEL_CALLS["topk"] == calls["topk"]  # nobody searched alone
-    assert pool.drain(timeout=60.0) == expected
+    assert pool.drain(timeout=60.0) == ok_results(expected)
     assert metrics.messages_sent == metrics.sweeps_acked == len(workers)
     assert metrics.queries_per_sweep == queries * shape[0] / len(workers)
     pool.close()
@@ -89,7 +90,7 @@ def test_one_cycle_on_thread_workers(shape, queries, updates) -> None:
     ) as pool:
         pool.start()
         calls = Counter(KERNEL_CALLS)
-        assert pool.run(tasks) == expected
+        assert pool.run(tasks) == ok_results(expected)
         assert pool.metrics.messages_sent == workers
         assert KERNEL_CALLS["knn_batch"] - calls["knn_batch"] == workers
         assert KERNEL_CALLS["topk"] == calls["topk"]

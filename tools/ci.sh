@@ -3,7 +3,7 @@
 # .github/workflows/ci.yml, whose matrix is exactly these lane names:
 #
 #   bash tools/ci.sh              # fast: tier-1 tests, figure-script imports, lint, API surface
-#   bash tools/ci.sh slow         # full suite (slow markers included), lint, API surface
+#   bash tools/ci.sh slow         # full suite (slow markers included), figure-script imports, lint, API surface
 #   bash tools/ci.sh chaos        # chaos tests, the protocol machine x10 + sweep counts, the sweep twice
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
 #   bash tools/ci.sh scale        # ~1M-node cache/attach smoke (incl. CH at 262k/1M)
@@ -19,7 +19,11 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH=src
 
-lint_and_surface() {
+static_checks() {
+    # No lane runs the figure scripts; importing them all (~3 s) catches
+    # a public name deleted from under one.  Here, not in `fast`: the
+    # hosted matrix runs `slow`, never `fast`.
+    python -m pytest benchmarks --collect-only -q
     if command -v ruff >/dev/null 2>&1; then
         ruff check src tests tools benchmarks
     else
@@ -32,14 +36,11 @@ run_lane() {
     case "$1" in
         fast)
             python -m pytest -x -q
-            # No lane runs the figure scripts; importing them all (~3 s)
-            # catches a public name deleted from under one.
-            python -m pytest benchmarks --collect-only -q
-            lint_and_surface
+            static_checks
             ;;
         slow)
             python -m pytest -x -q -m "slow or not slow"
-            lint_and_surface
+            static_checks
             ;;
         chaos)
             python -m pytest -x -q -m slow -k chaos

@@ -220,7 +220,7 @@ entry point**, `repro.mpr.api.build_executor(config, solution, objects,
 telemetry threaded through every layer.  `mode="process"` forks
 worker processes (real parallelism, every fault rung);
 `mode="thread"` runs the same data plane — batching, acks, hedged
-reads, `PartialResult`, live `reconfigure()` — over in-process worker
+reads, `PARTIAL` answers, live `reconfigure()` — over in-process worker
 threads, for tests and examples that want the protocol without
 forking.  What thread workers cannot do: they cannot be SIGKILLed, so
 the stall watchdog never fires for them and `close()`'s terminate/kill
@@ -368,7 +368,7 @@ consults its `ResiliencePolicy` only at the fault points: a worker died
 configured: breaker + quarantine), a worker reported an execution error
 (default: `WorkerCrash`; configured: poison-quarantine, then
 hedge/degrade), a query is admitted (default: no deadline is armed,
-whatever the task carries; configured: task > config > arrangement).
+whatever the task carries; configured: task > config).
 The default policy has no admission bound, no hedging and no watchdog,
 so nothing is ever shed, hedged or degraded under it
 (`tests/test_resilience_overhead.py` pins the configured no-fault pool
@@ -388,9 +388,10 @@ one `execute` span per column.
 
 **Admission control.**  `AdmissionController` tracks outstanding ops
 per worker; when the max backlog reaches
-`ResilienceConfig.max_outstanding`, new *queries* are shed at submit
-with a typed, falsy `Overloaded` verdict (updates are never shed — they
-would diverge the replicas).
+`ResilienceConfig.max_outstanding`, new *queries* are shed at submit:
+the next `drain()` answers each with a `ResultStatus.OVERLOADED`
+envelope carrying the backlog that shed it (`outstanding`) and the
+`bound` (updates are never shed — they would diverge the replicas).
 
 **Crash handling: breakers, quarantine, degraded answers.**  Worker
 death normally respawns-and-replays (see the pool section).  A
@@ -402,9 +403,9 @@ trial readmits it (successfully replayed quarantined batches re-enter).
 A batch that crashes the worker twice is poisoned and surfaced, never
 replayed again.  When *every* cell of a partition column is
 unavailable, the merge stops waiting: affected queries resolve as
-`PartialResult` — a tuple of the surviving columns' kNN answers whose
-`missing_columns` names the dead ones and whose `complete` is False —
-instead of blocking the drain.  A stall watchdog
+`ResultStatus.PARTIAL` — `neighbors` is the canonical top-k over the
+surviving columns and `missing_columns` names the dead `(layer,
+column)` cells — instead of blocking the drain.  A stall watchdog
 (`ResilienceConfig.stall_timeout`) converts a live-but-silent worker
 process (e.g. SIGSTOP) into the crash path; thread workers, which no
 signal can clear, are exempt from it.
@@ -422,7 +423,7 @@ this: `run_scenario(name)` builds a pool, injects a scripted fault
 (SIGKILL one worker or a full column, a crash loop, SIGSTOP stalls,
 universal slowness, a poison batch, dropped acks — see `SCENARIOS`),
 drains, and returns a `ChaosReport` asserting the invariants: the drain
-terminated, plain answers equal the serial oracle, degraded answers are
+terminated, `OK` answers equal the serial oracle, `PARTIAL` answers are
 internally consistent, traces are complete, and the deadline-miss rate
 is bounded.  `repro.cli chaos` runs the sweep from the command line
 (`--repeat N` for a soak); CI runs it as the `chaos` job.
@@ -529,21 +530,28 @@ columns, `missing_columns` naming the dead `(layer, column)` cells),
 `retry_after`), `timeout` (in flight when the drain deadline expired —
 queries are read-only, retrying is safe), and `error` (irrecoverable
 executor failure).  `RETRYABLE_STATUSES` is `(overloaded, timeout)`.
+An outcome is named once, where it is decided: the pool's query ledger
+builds `ok` / `partial` / `overloaded`, so `executor.run()` and
+`drain()` already return `dict[int, QueryResult]`; the completion pump
+adds `timeout` / `error` for the drains that raised.
 `QueryResult.to_wire()` / `from_wire()` round-trip byte-for-byte under
 the protocol's canonical JSON, so the library and the wire share one
-result type.
+result type; `from_wire` is where outside input is checked (anything
+malformed is a `ValueError`, which `ServeClient` turns into
+`ServeError(code="protocol")` for that one request).
 
 **The task surface.**  `MPRSystem.submit_async(task)` returns a
 `concurrent.futures.Future` resolving to a `QueryResult` (queries) or
 `None` (updates) — no `drain()` barrier.  First use starts a
 completion pump that owns the executor until `close()`;
-`run_results(tasks)` executes a whole stream and returns the envelopes,
-through the pump once it is running.  The raw blocking
-`submit`/`flush`/`drain`/`run` cycle is the executor's
+`run_results(tasks)` executes a whole stream and returns the envelopes
+— through the pump once it is running, else it *is* `executor.run()`.
+The blocking `submit`/`flush`/`drain`/`run` cycle is the executor's
 (`system.executor`), not the facade's.  On either substrate a
 `drain(timeout=)` expiry raises `QuiesceTimeout` whose `query_ids`
-lists every affected query; the pump turns those into `timeout`
-envelopes.
+lists every affected query, and a pool that fails irrecoverably raises
+`WorkerCrash`; the pump turns those into `timeout` and `error`
+envelopes, the blocking cycle lets them propagate.
 
 **Wire protocol.**  Frames are 4-byte big-endian length + canonical
 JSON (`sort_keys`, no spaces), capped at `MAX_FRAME_BYTES` (1 MiB).
@@ -577,15 +585,6 @@ executor's resilience machinery (`resilience.deadline_misses` moves).
 qps/p50/p99, shed rate, and fairness spread into
 `benchmarks/results/serve.{json,txt}` (`bash tools/ci.sh serve` runs
 the smoke-sized version).
-
-**Raw executor answers → envelope** (`QueryResult.from_answer`).
-
-| `executor.run()` / `drain()` gives | `MPRSystem` gives |
-| --- | --- |
-| plain `list[Neighbor]` in the answers dict | `ResultStatus.OK` envelope (`neighbors`) |
-| shed query → falsy `Overloaded` in the answers dict | `ResultStatus.OVERLOADED` envelope (`retryable`, `retry_after`) |
-| degraded query → `PartialResult` in the answers dict | `ResultStatus.PARTIAL` envelope (`missing_columns`) |
-| `drain(timeout=)` raising `QuiesceTimeout` | `ResultStatus.TIMEOUT` envelope for every query in its `.query_ids` |
 """,
     ),
     (

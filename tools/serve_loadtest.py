@@ -7,7 +7,7 @@ flash-crowd spike train for the bulk tier — and measures what the
 serving layer promises:
 
 * throughput (qps) and client-observed latency (p50/p99),
-* shed rate: Overloaded verdicts arriving as *retryable* protocol
+* shed rate: ``OVERLOADED`` verdicts arriving as *retryable* protocol
   errors with backoff hints rather than hangs or connection drops,
 * per-tenant weighted fairness (completed work per unit weight),
 * deadline propagation: a slice of queries carries a tight client
