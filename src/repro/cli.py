@@ -360,27 +360,6 @@ def _stats(args: argparse.Namespace) -> int:
           f"{metrics.queries_per_sweep:.1f} queries per sweep")
     print()
     print(system.report())
-    history = system.reconfig_history
-    if history:
-        import datetime
-
-        print()
-        print("reconfiguration history:")
-        for event in history:
-            stamp = datetime.datetime.fromtimestamp(
-                event.started_at
-            ).strftime("%H:%M:%S")
-            old, new = event.old_config, event.new_config
-            line = (
-                f"  {stamp}  [{event.trigger}] "
-                f"({old.x},{old.y},{old.z}) -> ({new.x},{new.y},{new.z})"
-                f"  {event.outcome}"
-            )
-            if event.phases.get("warm") is not None:
-                line += f"  warm={event.phases['warm'] * 1e3:.1f} ms"
-            if event.reason:
-                line += f"  ({event.reason})"
-            print(line)
     spec = machine_spec_from_telemetry(telemetry, total_cores=args.cores)
     print()
     print(

@@ -231,9 +231,8 @@ def multi_source_dijkstra(
     """Distances from the *nearest* of several sources.
 
     Returns ``(dist, owner)`` where ``owner[node]`` is the source that
-    realizes ``dist[node]`` (smallest source id on ties).  Used by the
-    partitioner's boundary growing and by V-tree's border list
-    maintenance.
+    realizes ``dist[node]`` (smallest source id on ties): a
+    Voronoi-style partition of the network around ``sources``.
     """
     if network.num_nodes >= KERNEL_MIN_NODES:
         nodes, dists, owners = network.kernels.sssp_multi(

@@ -72,7 +72,6 @@ def build_executor(
     check_invariants: bool = False,
     batch_size: int = QUERIES_PER_SWEEP,
     start_method: str = "fork",
-    share_graph: bool = True,
     health_check_interval: float = 0.05,
     max_respawns: int = 3,
     resilience: ResilienceConfig | None = None,
@@ -112,10 +111,11 @@ def build_executor(
     health_check_interval, max_respawns:
         Forwarded to the pool (see
         :class:`repro.mpr.process_executor.ProcessPoolService`).
-    start_method, share_graph:
-        Process mode only (how workers are forked and whether the road
-        network is published to shared memory first); thread workers
-        share the caller's memory.
+    start_method:
+        Process mode only: the ``multiprocessing`` start method; under
+        ``spawn``/``forkserver`` the road network is published to shared
+        memory first (see :class:`~repro.mpr.transport.ProcessTransport`).
+        Thread workers share the caller's memory.
     resilience:
         A :class:`repro.mpr.resilience.ResilienceConfig` enabling the
         resilience layer (``None`` disables it entirely): deadlines
@@ -137,7 +137,6 @@ def build_executor(
         solution, config, objects if objects is not None else {},
         batch_size=batch_size,
         start_method="thread" if mode == "thread" else start_method,
-        share_graph=share_graph,
         health_check_interval=health_check_interval,
         max_respawns=max_respawns,
         telemetry=telemetry,
@@ -594,6 +593,8 @@ class MPRSystem:
                     f"({old.x},{old.y},{old.z}) -> ({new.x},{new.y},{new.z})"
                     f"  {event.outcome}"
                 )
+                if event.phases.get("warm") is not None:
+                    line += f"  warm={event.phases['warm'] * 1e3:.1f} ms"
                 if event.reason:
                     line += f"  ({event.reason})"
                 if event.generation is not None:

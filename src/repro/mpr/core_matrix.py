@@ -3,7 +3,7 @@
 This module contains no threads and no timing — only the deterministic
 decisions the s-cores and d-core make: which row serves a query, which
 column holds an object, which w-queues receive which task.  Both the
-real threaded executor (:mod:`repro.mpr.executor`) and the discrete-
+live worker pool (:mod:`repro.mpr.process_executor`) and the discrete-
 event simulator (:mod:`repro.sim.system`) drive this logic, so their
 behaviours coincide by construction.
 
@@ -230,12 +230,12 @@ class RouteBatcher:
     on, is preserved (updates keep their arrival position; batches are
     released in order).  ``batch_size=1`` is per-query dispatch.
 
-    With ``locality_group`` (the default), each *maximal run of
-    consecutive queries* in a released batch is sorted by ``(location,
-    query_id)``.  Queries never mutate worker state, so reordering a
-    query run is equivalence-preserving — answers are keyed by query id
-    and re-associated by the parent — while nearby sources land
-    adjacent, which is exactly the grouping the batched kNN kernel
+    Each *maximal run of consecutive queries* in a released batch is
+    sorted by ``(location, query_id)``.  Queries never mutate worker
+    state, so reordering a query run is equivalence-preserving —
+    answers are keyed by query id and re-associated by the parent —
+    while nearby sources land adjacent, which is exactly the grouping
+    the batched kNN kernel
     (:meth:`repro.graph.kernels.CSRKernels.knn_batch`) exploits:
     duplicate and near sources share one delta-stepping sweep.
     Updates are barriers for the reorder; their relative order, and
@@ -248,7 +248,6 @@ class RouteBatcher:
         batch_size: int,
         *,
         telemetry: Telemetry | None = None,
-        locality_group: bool = True,
         admission=None,
     ) -> None:
         if batch_size < 1:
@@ -256,7 +255,6 @@ class RouteBatcher:
         self._router = router
         self._batch_size = batch_size
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._locality_group = locality_group
         #: Optional :class:`repro.mpr.resilience.AdmissionController`
         #: consulted by :meth:`offer`.
         self.admission = admission
@@ -274,16 +272,6 @@ class RouteBatcher:
         """Swap the telemetry handle (see :meth:`MPRRouter.adopt_telemetry`)."""
         self._telemetry = telemetry
 
-    def set_batch_size(self, batch_size: int) -> None:
-        """Retarget the release threshold (takes effect immediately).
-
-        Shrinking below a worker's pending queries does not release
-        them — the next :meth:`add` to that worker or :meth:`flush` does.
-        """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self._batch_size = batch_size
-
     @property
     def pending_ops(self) -> int:
         """Ops routed but not yet released in a batch."""
@@ -293,7 +281,7 @@ class RouteBatcher:
         """Seal one batch, locality-sorting each consecutive query run."""
         pending = self._pending[worker_id]
         self._queries[worker_id] = 0
-        if self._locality_group and len(pending) > 1:
+        if len(pending) > 1:
             index = 0
             total = len(pending)
             while index < total:

@@ -460,13 +460,13 @@ class ProcessPoolService:
         1 is per-query dispatch; mprbench's ``mean_batch_size`` /
         ``messages_per_op`` / ``graph.kernels.calls_per_query`` show the
         trade-off on the live workloads.
-    start_method, share_graph:
+    start_method:
         The worker kind — a ``multiprocessing`` start method, or
-        ``"thread"`` (what ``build_executor(mode="thread")`` passes) —
-        and whether process workers attach the road network from shared
-        memory; :func:`repro.mpr.transport.make_transport` resolves
-        both (see :class:`~repro.mpr.transport.ProcessTransport`).  A
-        ready :class:`~repro.mpr.transport.Transport` instance in
+        ``"thread"`` (what ``build_executor(mode="thread")`` passes);
+        :func:`repro.mpr.transport.make_transport` resolves it (see
+        :class:`~repro.mpr.transport.ProcessTransport` for when the road
+        network goes to shared memory).  A ready
+        :class:`~repro.mpr.transport.Transport` instance in
         ``start_method``'s place is used as is: how the tests run the
         whole protocol on a fake.
     health_check_interval:
@@ -521,7 +521,6 @@ class ProcessPoolService:
         *,
         batch_size: int = QUERIES_PER_SWEEP,
         start_method: str | Transport = "fork",
-        share_graph: bool = True,
         health_check_interval: float = 0.05,
         max_respawns: int = 3,
         telemetry: Telemetry | None = None,
@@ -539,7 +538,7 @@ class ProcessPoolService:
         self._resilience = ResiliencePolicy(resilience)
         #: Carries every w-core of every fleet, and is the pool's clock.
         self._transport = (
-            make_transport(start_method, share_graph)
+            make_transport(start_method)
             if isinstance(start_method, str) else start_method
         )
         self._now = self._transport.now
@@ -707,16 +706,6 @@ class ProcessPoolService:
     @property
     def batch_size(self) -> int:
         return self._shapes.current.batcher.batch_size
-
-    def set_batch_size(self, batch_size: int) -> None:
-        """Change the queries-per-message width for subsequent submits.
-
-        Already-buffered ops are flushed first so no op waits on the
-        *old* threshold while the new one is in force — the switch is
-        FCFS-transparent.
-        """
-        self.flush()
-        self._shapes.current.batcher.set_batch_size(batch_size)
 
     def _send_batches(self, batches: Sequence[WorkerBatch]) -> None:
         workers, transport = self._shapes.current.workers, self._transport

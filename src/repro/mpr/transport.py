@@ -369,16 +369,21 @@ class Transport:
         escalated: join → ``terminate()`` (SIGTERM) → ``kill()``
         (SIGKILL).  The last rung matters: a worker wedged mid-``recv``
         or SIGSTOPped leaves SIGTERM pending forever, but SIGKILL
-        cannot be blocked or deferred.  Idempotent, and safe before any
-        ``start``.
+        cannot be blocked or deferred.  A w-core that hung up is not yet
+        gone (its pipe end closes before its thread or process ends), so
+        the ones retired here are joined too.  Idempotent, and safe
+        before any ``start``.
         """
         deadline = self.now() + timeout
+        held = list(self._handles)
         try:
             while self._handles and self.now() < deadline:
                 for _ in self.poll(min(deadline - self.now(), 0.1)):
                     pass
-            for handle in list(self._handles):
+            for handle in held:
                 process = handle.process
+                if process is None:
+                    continue  # reaped at its EOF
                 process.join(timeout=max(deadline - self.now(), 0.1))
                 if process.is_alive():
                     process.terminate()
@@ -386,6 +391,8 @@ class Transport:
                 if process.is_alive():
                     process.kill()
                     process.join(timeout=1.0)
+                if handle.reader is None:
+                    self.retire(handle)  # let go of the reaped w-core
         finally:
             self._finalizer()
 
@@ -407,18 +414,20 @@ class ThreadTransport(Transport):
 class ProcessTransport(Transport):
     """w-cores as child processes under a ``multiprocessing`` start
     method.  Under ``fork`` workers inherit the parent's memory
-    copy-on-write; under ``spawn`` the worker payload is pickled —
-    which is why, with ``share_graph`` and a solution that exposes its
+    copy-on-write and nothing is pickled, so nothing is published.
+    Under ``spawn``/``forkserver`` the worker payload is pickled —
+    which is why, for a solution that exposes its
     :class:`~repro.graph.road_network.RoadNetwork`, the first ``start``
     publishes the network's CSR arrays to a
     ``multiprocessing.shared_memory`` segment.  Workers — respawned
     ones included — then attach it zero-copy while unpickling;
     ``close()`` unlinks it."""
 
-    def __init__(self, start_method: str, share_graph: bool) -> None:
+    def __init__(self, start_method: str) -> None:
         super().__init__()
         self._context = mp.get_context(start_method)
-        self._share_graph = share_graph
+        #: Whether a worker payload is pickled, so worth a segment.
+        self._share_graph = start_method != "fork"
         self._shared_graph = None  # owning handle, set by the first start
 
     def _launch(self, handle, solution, worker_id, writer, stamp_timings):
@@ -477,9 +486,9 @@ class ProcessTransport(Transport):
                 self._shared_graph = None
 
 
-def make_transport(kind: str, share_graph: bool = True) -> Transport:
+def make_transport(kind: str) -> Transport:
     """The real transport for worker kind ``kind``: ``"thread"``, or a
     ``multiprocessing`` start method."""
     if kind == "thread":
         return ThreadTransport()
-    return ProcessTransport(kind, share_graph)
+    return ProcessTransport(kind)

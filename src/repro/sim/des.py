@@ -30,7 +30,7 @@ class FCFSServer:
     """
 
     __slots__ = ("name", "ready_at", "busy_time", "served", "total_wait",
-                 "_last_arrival", "max_backlog")
+                 "_last_arrival")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -38,7 +38,6 @@ class FCFSServer:
         self.busy_time = 0.0
         self.served = 0
         self.total_wait = 0.0
-        self.max_backlog = 0.0
         self._last_arrival = 0.0
 
     def serve(self, arrival: float, service: float) -> float:
@@ -55,8 +54,6 @@ class FCFSServer:
         self.busy_time += service
         self.served += 1
         self.total_wait += wait
-        if wait > self.max_backlog:
-            self.max_backlog = wait
         return done
 
     def utilization(self, horizon: float) -> float:

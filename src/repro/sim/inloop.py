@@ -1,20 +1,14 @@
 """Measured-in-the-loop simulation: real execution, simulated cores.
 
-The profile-driven simulator (:mod:`repro.sim.system`) samples service
-times from a fitted distribution.  This module closes the remaining
-gap for *measured mode*: it actually executes every query and update
-on real per-worker solution instances — so answers are real and each
-operation's **measured wall time** becomes its service time in the
-queueing model.  The Lindley recurrence then yields the response times
-the same stream would see on a machine whose cores run exactly our
-Python implementations.
-
-This is the closest meaningful approximation to "run the paper's
-experiment on this hardware" that a GIL-bound runtime permits
-(DESIGN.md substitution #1): work is executed serially, but the
-queueing arithmetic accounts for it as if each w-core were a real
-core.  Correctness is inherited from the router (identical to the
-threaded executor); tests pin both the answers and the accounting.
+Measured mode is the simulator (:mod:`repro.sim.system`) with one
+source swapped: instead of sampling a profile it executes every query
+and update on real per-worker solution instances, so answers are real
+and each op's **measured wall time** is its w-core service in the same
+walk of the core-matrix network.  This is the closest meaningful
+approximation to "run the paper's experiment on this hardware" that a
+GIL-bound runtime permits (DESIGN.md substitution #1): work runs
+serially, but the queueing arithmetic accounts for it as if each w-core
+were a real core.
 """
 
 from __future__ import annotations
@@ -26,10 +20,9 @@ from typing import Mapping, Sequence
 from ..knn.base import KNNSolution, Neighbor, merge_partial_results
 from ..mpr.analysis import MachineSpec
 from ..mpr.config import MPRConfig
-from ..mpr.core_matrix import MPRRouter, QueryRoute, WorkerId
+from ..mpr.core_matrix import MPRRouter, WorkerId
 from ..objects.tasks import Task, TaskKind
-from ..obs import Telemetry
-from .des import FCFSServer
+from .system import SimulatedMPRSystem
 
 
 @dataclass
@@ -60,146 +53,49 @@ def simulate_with_execution(
     objects: Mapping[int, int],
     tasks: Sequence[Task],
     horizon: float,
-    telemetry: Telemetry | None = None,
 ) -> InLoopResult:
     """Execute a stream on real solution instances with simulated cores.
 
     Every worker holds ``solution.spawn(partition)``.  Tasks route
-    through the real :class:`MPRRouter`; each operation is executed and
-    wall-timed, and the measured duration is fed into that worker's
-    Lindley server at the task's (simulated) arrival time.  Query
-    completion follows the same dataflow as the profile-driven
-    simulator (scheduler writes, worker max, aggregator merges).
-
-    With ``telemetry``, the run records the same stage histograms the
-    real executors do — ``dispatch``/``queue_wait``/``merge`` carry the
-    *simulated* machine costs and waits, ``execute``/``update`` the
-    *measured* wall times of the real operations — so the same
-    calibration helpers (:func:`repro.sim.measurement.
-    machine_spec_from_telemetry`, :func:`repro.knn.calibration.
-    profile_from_telemetry`) work on simulated and real runs alike.
-    Span ``start`` stamps for simulated stages live on the simulated
-    clock, not ``time.monotonic``.
+    through the real :class:`MPRRouter` and walk the simulator's
+    network; each w-core service is the measured wall time of executing
+    the op on that worker's instance.  A query's partial answers are
+    merged as the live pool's a-core would.
     """
-    stamping = telemetry is not None and telemetry.enabled
-    router = MPRRouter(config, telemetry=telemetry)
-    contents = router.preload_objects(objects)
-    workers: dict[WorkerId, KNNSolution] = {
-        worker_id: solution.spawn(cell) for worker_id, cell in contents.items()
+    router = MPRRouter(config)
+    instances = {
+        worker_id: solution.spawn(cell)
+        for worker_id, cell in router.preload_objects(objects).items()
     }
-    servers: dict[WorkerId, FCFSServer] = {
-        worker_id: FCFSServer(f"w{worker_id}") for worker_id in workers
-    }
-    schedulers = [FCFSServer(f"s[{layer}]") for layer in range(config.z)]
-    aggregators = [FCFSServer(f"a[{layer}]") for layer in range(config.z)]
-    dispatcher = FCFSServer("d")
-
     answers: dict[int, list[Neighbor]] = {}
-    response_times: dict[int, float] = {}
-    pending: list[list[tuple[float, int, int]]] = [[] for _ in range(config.z)]
-    query_meta: list[tuple[int, float, float]] = []  # (id, arrival, worker max)
-    seq = 0
 
-    for task in tasks:
-        t = task.arrival_time
-        route = router.route(task)
-        if config.z > 1:
-            t = dispatcher.serve(t, machine.dispatch_time)
+    def executed(
+        task: Task, workers: Sequence[WorkerId], _time: float
+    ) -> list[float]:
+        services: list[float] = []
+        partials: list[list[Neighbor]] = []
+        for worker_id in workers:
+            instance = instances[worker_id]
+            start = time.perf_counter()
+            if task.kind is TaskKind.QUERY:
+                partials.append(instance.query(task.location, task.k))
+            elif task.kind is TaskKind.INSERT:
+                instance.insert(task.object_id, task.location)
+            else:
+                instance.delete(task.object_id)
+            services.append(time.perf_counter() - start)
         if task.kind is TaskKind.QUERY:
-            assert isinstance(route, QueryRoute)
-            t_sched = schedulers[route.layer].serve(
-                t, machine.queue_write_time * config.x
-            )
-            if stamping:
-                telemetry.begin_trace(task.query_id, route.workers)
-                telemetry.record(
-                    "dispatch", t_sched - task.arrival_time,
-                    start=task.arrival_time, query_id=task.query_id,
-                )
-            partials: list[list[Neighbor]] = []
-            worker_done_max = 0.0
-            query_index = len(query_meta)
-            for worker_id in route.workers:
-                start = time.perf_counter()
-                partial = workers[worker_id].query(task.location, task.k)
-                service = time.perf_counter() - start
-                done = servers[worker_id].serve(t_sched, service)
-                if stamping:
-                    telemetry.record(
-                        "queue_wait", max(done - service - t_sched, 0.0),
-                        start=t_sched, query_id=task.query_id,
-                        worker=worker_id,
-                    )
-                    telemetry.record(
-                        "execute", service,
-                        start=done - service, query_id=task.query_id,
-                        worker=worker_id,
-                    )
-                partials.append(partial)
-                if config.x > 1:
-                    pending[route.layer].append((done, seq, query_index))
-                    seq += 1
-                if done > worker_done_max:
-                    worker_done_max = done
             answers[task.query_id] = merge_partial_results(partials, task.k)
-            query_meta.append((task.query_id, task.arrival_time, worker_done_max))
-        else:
-            for layer in range(config.z):
-                t_sched = schedulers[layer].serve(
-                    t, machine.queue_write_time * config.y
-                )
-                column = route.columns[layer]
-                for row in range(config.y):
-                    worker_id = (layer, row, column)
-                    start = time.perf_counter()
-                    if task.kind is TaskKind.INSERT:
-                        workers[worker_id].insert(task.object_id, task.location)
-                    else:
-                        workers[worker_id].delete(task.object_id)
-                    service = time.perf_counter() - start
-                    servers[worker_id].serve(t_sched, service)
-                    if stamping:
-                        telemetry.record(
-                            "update", service,
-                            start=t_sched, worker=worker_id,
-                        )
+        return services
 
-    # Aggregator post-pass (FCFS in partial-arrival order per layer).
-    completion = {
-        query_id: worker_done
-        for query_id, _, worker_done in query_meta
-    }
-    if config.x > 1:
-        remaining = {query_id: config.x for query_id, _, _ in query_meta}
-        for layer in range(config.z):
-            server = aggregators[layer]
-            for arrival, _seq, query_index in sorted(pending[layer]):
-                done = server.serve(arrival, machine.merge_time)
-                query_id = query_meta[query_index][0]
-                remaining[query_id] -= 1
-                if remaining[query_id] == 0:
-                    completion[query_id] = done
-                    if stamping:
-                        telemetry.record(
-                            "merge", done - arrival,
-                            start=arrival, query_id=query_id,
-                        )
-    elif stamping:
-        for query_id, _, worker_done in query_meta:
-            telemetry.record(
-                "merge", 0.0, start=worker_done, query_id=query_id
-            )
-    for query_id, arrival, _ in query_meta:
-        response_times[query_id] = completion[query_id] - arrival
-        if stamping:
-            telemetry.record("response", response_times[query_id])
-
+    system = SimulatedMPRSystem._with_service(config, machine, router, executed)
+    stats = system.run(tasks, horizon)
     return InLoopResult(
         answers=answers,
-        response_times=response_times,
+        response_times={o.query_id: o.response_time for o in stats.outcomes},
         horizon=horizon,
         worker_busy={
             worker_id: server.busy_time
-            for worker_id, server in servers.items()
+            for worker_id, server in system._workers.items()
         },
     )

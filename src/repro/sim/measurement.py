@@ -131,8 +131,7 @@ def machine_spec_from_telemetry(
 
     Feeds a run's observed per-stage costs back into the
     analytical/DES machine model (DESIGN.md substitution #1 run in
-    reverse); usable with any executor (thread, process, or
-    measured-in-the-loop sim) that recorded through a
+    reverse); usable with any pool run that recorded through a
     :class:`repro.obs.Telemetry`:
 
     * ``queue_write_time`` (the paper's τ') ← mean of the ``dispatch``

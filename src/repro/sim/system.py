@@ -2,9 +2,9 @@
 
 Wires :class:`~repro.sim.des.FCFSServer` instances into the core-matrix
 topology and pushes a task stream through them, using the *same*
-:class:`~repro.mpr.core_matrix.MPRRouter` logic as the real threaded
-executor — the simulation and the implementation cannot diverge on
-scheduling decisions.
+:class:`~repro.mpr.core_matrix.MPRRouter` logic as the live worker pool
+— the simulation and the implementation cannot diverge on scheduling
+decisions.
 
 Pipeline per query (z > 1 adds the d-core hop):
 
@@ -14,22 +14,29 @@ Pipeline per query (z > 1 adds the d-core hop):
 Pipeline per update: the d-core hands it to *every* layer's s-core
 (y·τ_w each), which fans it to the y w-cores of one column (~U each).
 
-Service times at w-cores are drawn from an
-:class:`~repro.knn.calibration.AlgorithmProfile` via gamma sampling;
-control-plane costs come from :class:`~repro.mpr.analysis.MachineSpec`.
+This is the repo's one walk of that network.  Control-plane costs come
+from :class:`~repro.mpr.analysis.MachineSpec`; w-core service times from
+a source asked once per query and once per update and layer.  The
+default draws them from an :class:`~repro.knn.calibration.
+AlgorithmProfile` via gamma sampling; measured mode
+(:mod:`repro.sim.inloop`) executes each op and returns its wall time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from ..knn.calibration import AlgorithmProfile
 from ..mpr.analysis import MachineSpec
 from ..mpr.config import MPRConfig
-from ..mpr.core_matrix import MPRRouter, QueryRoute
+from ..mpr.core_matrix import MPRRouter, QueryRoute, WorkerId
 from ..objects.tasks import Task, TaskKind
 from .des import FCFSServer, ServiceSampler
+
+#: ``(task, workers, time) -> service seconds per worker``, in order.
+_ServiceSource = Callable[[Task, Sequence[WorkerId], float], list[float]]
 
 
 @dataclass
@@ -95,9 +102,6 @@ class SimulatedMPRSystem:
                 f"configuration needs {config.total_cores} cores, machine "
                 f"has {machine.total_cores}"
             )
-        self._config = config
-        self._machine = machine
-        self._router = MPRRouter(config)
         rng = random.Random(seed)
         self._query_sampler = ServiceSampler(profile.tq, profile.vq, rng)
         self._update_sampler = ServiceSampler(profile.tu, profile.vu, rng)
@@ -112,7 +116,27 @@ class SimulatedMPRSystem:
             if end < start:
                 raise ValueError("straggler window must not be inverted")
         self._straggler = straggler
+        self._wire(config, machine, MPRRouter(config), self._sampled)
 
+    @classmethod
+    def _with_service(
+        cls, config: MPRConfig, machine: MachineSpec, router: MPRRouter,
+        service: _ServiceSource,
+    ) -> SimulatedMPRSystem:
+        """This network with w-core services taken from ``service``
+        instead of the profile (measured mode; no core-count check)."""
+        system = cls.__new__(cls)
+        system._wire(config, machine, router, service)
+        return system
+
+    def _wire(
+        self, config: MPRConfig, machine: MachineSpec, router: MPRRouter,
+        service: _ServiceSource,
+    ) -> None:
+        self._config = config
+        self._machine = machine
+        self._router = router
+        self._service = service
         self._dispatcher = FCFSServer("d-core")
         self._schedulers = [FCFSServer(f"s-core[{l}]") for l in range(config.z)]
         self._aggregators = [FCFSServer(f"a-core[{l}]") for l in range(config.z)]
@@ -120,12 +144,6 @@ class SimulatedMPRSystem:
             worker_id: FCFSServer(f"w-core{worker_id}")
             for worker_id in self._router.all_workers()
         }
-        # Per-layer partial results awaiting the a-core post-pass:
-        # (arrival_at_acore, seq, query_index).
-        self._pending_partials: list[list[tuple[float, int, int]]] = [
-            [] for _ in range(config.z)
-        ]
-        self._seq = 0
 
     @property
     def config(self) -> MPRConfig:
@@ -146,9 +164,8 @@ class SimulatedMPRSystem:
         config = self._config
         machine = self._machine
         outcomes: list[QueryOutcome] = []
-        # Query bookkeeping for the aggregator post-pass.
-        query_meta: list[QueryOutcome] = []
-        expected: list[int] = []
+        # Per layer, partials awaiting the a-core: (arrival, query_index).
+        pending: list[list[tuple[float, int]]] = [[] for _ in range(config.z)]
 
         for task in tasks:
             t = task.arrival_time
@@ -161,27 +178,18 @@ class SimulatedMPRSystem:
                     t, machine.queue_write_time * config.x
                 )
                 worker_done_max = 0.0
-                service_max = 0.0
-                query_index = len(query_meta)
-                for worker_id in route.workers:
-                    service = self._perturbed(
-                        worker_id, self._query_sampler.sample(), t_sched
-                    )
+                query_index = len(outcomes)
+                services = self._service(task, route.workers, t_sched)
+                for worker_id, service in zip(route.workers, services):
                     done = self._workers[worker_id].serve(t_sched, service)
                     if config.x > 1:
-                        self._pending_partials[route.layer].append(
-                            (done, self._seq, query_index)
-                        )
-                        self._seq += 1
+                        pending[route.layer].append((done, query_index))
                     if done > worker_done_max:
                         worker_done_max = done
-                    if service > service_max:
-                        service_max = service
-                outcome = QueryOutcome(
-                    task.query_id, task.arrival_time, worker_done_max, service_max
-                )
-                query_meta.append(outcome)
-                expected.append(len(route.workers))
+                outcomes.append(QueryOutcome(
+                    task.query_id, task.arrival_time, worker_done_max,
+                    max(services),
+                ))
             else:
                 # Updates reach every layer; each layer's s-core writes
                 # y queues, then the column's workers apply the update.
@@ -190,28 +198,23 @@ class SimulatedMPRSystem:
                         t, machine.queue_write_time * config.y
                     )
                     column = route.columns[layer]
-                    for row in range(config.y):
-                        worker_id = (layer, row, column)
-                        service = self._perturbed(
-                            worker_id, self._update_sampler.sample(), t_sched
-                        )
+                    workers = [(layer, row, column) for row in range(config.y)]
+                    services = self._service(task, workers, t_sched)
+                    for worker_id, service in zip(workers, services):
                         self._workers[worker_id].serve(t_sched, service)
 
         # Aggregator post-pass: merge partials in FCFS (arrival) order.
         if config.x > 1:
-            remaining = expected[:]
+            remaining = [config.x] * len(outcomes)
             for layer in range(config.z):
-                partials = sorted(self._pending_partials[layer])
                 server = self._aggregators[layer]
-                for arrival, _seq, query_index in partials:
+                for arrival, query_index in sorted(pending[layer]):
                     done = server.serve(arrival, machine.merge_time)
                     remaining[query_index] -= 1
                     if remaining[query_index] == 0:
                         # FCFS merge completions are monotone in arrival
                         # order, so the last partial's merge is the max.
-                        query_meta[query_index].completion = done
-                self._pending_partials[layer] = []
-        outcomes = query_meta
+                        outcomes[query_index].completion = done
 
         backlogs: dict[str, float] = {}
         for server in self._all_servers():
@@ -240,19 +243,24 @@ class SimulatedMPRSystem:
             end_backlogs=backlogs,
         )
 
-    def _perturbed(
-        self, worker_id: tuple[int, int, int], base: float, time: float
-    ) -> float:
-        """Apply speed factors and the straggler window to a service."""
-        service = base
-        speed = self._speed_factors.get(worker_id)
-        if speed is not None:
-            service /= speed
-        if self._straggler is not None:
-            victim, start, end, slowdown = self._straggler
-            if victim == worker_id and start <= time < end:
-                service *= slowdown
-        return service
+    def _sampled(
+        self, task: Task, workers: Sequence[WorkerId], time: float
+    ) -> list[float]:
+        """The profile source: a gamma draw per w-core, scaled by its
+        speed factor and, inside the window, the straggler's slowdown."""
+        if task.kind is TaskKind.QUERY:
+            sampler = self._query_sampler
+        else:
+            sampler = self._update_sampler
+        services = []
+        for worker_id in workers:
+            service = sampler.sample() / self._speed_factors.get(worker_id, 1.0)
+            if self._straggler is not None:
+                victim, start, end, slowdown = self._straggler
+                if victim == worker_id and start <= time < end:
+                    service *= slowdown
+            services.append(service)
+        return services
 
     def _all_servers(self) -> list[FCFSServer]:
         servers: list[FCFSServer] = []

@@ -99,6 +99,16 @@ class TestCommands:
         assert "Feasibility frontier" in out
         assert "max λu" in out
 
+    def test_stats_prints_a_live_reconfiguration_once(self, capsys) -> None:
+        code = main([
+            "stats", "--mode", "thread", "--grid", "8", "--duration", "0.3",
+            "--reconfigure", "1,2,1",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("(2,2,1) -> (1,2,1)") == 1
+        assert "warm=" in out
+
 
 class TestGraphCache:
     def test_build_then_inspect(self, capsys, tmp_path) -> None:

@@ -238,12 +238,13 @@ def test_close_escalates_on_wedged_worker_and_unlinks_shm(
 ) -> None:
     """A SIGSTOPped worker ignores the stop sentinel and SIGTERM alike;
     close() must escalate to SIGKILL within its timeout and still
-    unlink the shared-memory graph segment."""
+    unlink the shared-memory graph segment (published under spawn)."""
     from multiprocessing import shared_memory
 
     pool = build_executor(
         MPRConfig(1, 2, 1), DijkstraKNN(network), {1: 0},
         mode="process", batch_size=2, resilience=lifecycle_policy,
+        start_method="spawn",
     )
     pool.start()
     shm_name = network._shared_meta.shm_name

@@ -110,11 +110,6 @@ class TestOrderingDeterminism:
             ("query", 4, 2, 4),
         )
 
-    def test_locality_group_off_preserves_arrival_order(self) -> None:
-        batcher = make(MPRConfig(1, 1, 1), 7, locality_group=False)
-        (_, ops), = self._drive(batcher, flush_at=set())
-        assert [op[1] for op in ops if op[0] == "query"] == [0, 1, 2, 3, 4]
-
     def test_duplicate_locations_tie_break_on_query_id(self) -> None:
         batcher = make(MPRConfig(1, 1, 1), 4)
         for query_id in (3, 1, 2, 0):
@@ -123,20 +118,8 @@ class TestOrderingDeterminism:
         assert [op[1] for op in ops] == [0, 1, 2, 3]
 
 
-class TestSetBatchSize:
-    def test_takes_effect_on_next_add(self) -> None:
-        batcher = make(MPRConfig(1, 1, 1), 10)
-        batcher.add(query(0))
-        batcher.add(query(1))
-        batcher.set_batch_size(2)
-        assert batcher.batch_size == 2
-        # Shrinking below the backlog does not release by itself...
-        assert batcher.pending_ops == 2
-        # ...the next add to that worker does.
-        _, ready = batcher.add(query(2))
-        assert len(ready) == 1 and len(ready[0][1]) == 3
-
+class TestBatchSize:
     def test_rejects_invalid(self) -> None:
-        batcher = make(MPRConfig(1, 1, 1), 4)
+        """The width is fixed at construction, and checked there."""
         with pytest.raises(ValueError):
-            batcher.set_batch_size(0)
+            make(MPRConfig(1, 1, 1), 0)

@@ -8,9 +8,11 @@ Three contracts from the zero-copy graph layer:
 * **No full-graph pickling** (the ``spawn`` start-method regression):
   the payload a worker receives at startup must stay within a small
   byte bound that could not possibly contain the CSR arrays.
-* **Equivalence** — the cross-executor answer guarantee holds with the
-  shared-memory graph under both ``fork`` and ``spawn``, including a
-  SIGKILL-respawned worker re-attaching the segment mid-stream.
+* **Equivalence** — the cross-executor answer guarantee holds under
+  both ``fork`` and ``spawn``, including a SIGKILL-respawned worker.
+  Only ``spawn`` pickles the worker payload, so only a ``spawn`` pool
+  publishes (and its respawn re-attaches) a segment; a ``fork`` pool
+  creates none and starts no ``multiprocessing`` resource tracker.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -139,20 +143,6 @@ class TestWorkerPayloadBound:
         finally:
             pool.close()
 
-    def test_share_graph_false_pickles_by_value(self, network, workload) -> None:
-        solution = DijkstraKNN(network, workload.initial_objects)
-        pool = build_executor(
-            MPRConfig(1, 1, 1), solution, workload.initial_objects,
-            mode="process", share_graph=False,
-        )
-        try:
-            pool._transport._publish_graph  # attribute exists but is never invoked
-            assert pool._transport._shared_graph is None
-            payload = pickle.dumps(solution.spawn(workload.initial_objects))
-            assert payload and len(payload) > 4096  # graph rides along
-        finally:
-            pool.close()
-
 
 # ----------------------------------------------------------------------
 # Cross-executor equivalence with the shared graph (slow lane)
@@ -162,13 +152,17 @@ class TestWorkerPayloadBound:
 def test_pool_equivalence_with_shared_graph(
     network, workload, oracle, start_method
 ) -> None:
+    published = start_method != "fork"  # only spawn pickles the payload
     with build_executor(
         MPRConfig(2, 2, 1), DijkstraKNN(network), workload.initial_objects,
         mode="process", batch_size=8, start_method=start_method,
     ) as pool:
-        assert pool._transport._shared_graph is not None  # pool owns the segment
+        # The pool owns the segment under spawn; fork creates none.
+        assert (pool._transport._shared_graph is not None) == published
+        assert (network._shared_meta is not None) == published
         assert pool.run(workload.tasks) == oracle
     assert pool._transport._shared_graph is None  # close() unlinked it
+    assert network._shared_meta is None
 
 
 @pytest.mark.slow
@@ -176,9 +170,10 @@ def test_pool_equivalence_with_shared_graph(
 def test_respawned_worker_reattaches_shared_graph(
     network, workload, oracle, start_method
 ) -> None:
-    """SIGKILL a worker mid-stream: the respawn pickles the solution
-    again, which must re-attach the shared segment (not re-ship the
-    graph) and still produce oracle-identical answers."""
+    """SIGKILL a worker mid-stream: under ``spawn`` the respawn pickles
+    the solution again, which must re-attach the shared segment (not
+    re-ship the graph); under ``fork`` it inherits the parent's graph
+    and no segment exists.  Either way the answers are the oracle's."""
     half = len(workload.tasks) // 2
     pool = build_executor(
         MPRConfig(2, 1, 1), DijkstraKNN(network), workload.initial_objects,
@@ -197,10 +192,37 @@ def test_respawned_worker_reattaches_shared_graph(
         answers.update(pool.drain())
         assert pool.metrics.respawns >= 1
         assert pool.worker_pids()[victim_id] != victim_pid
-        # The graph segment survived the death of an attached worker.
-        assert pool._transport._shared_graph is not None
-        assert network._shared_meta is not None
+        # Under spawn the segment survived the death of an attached worker.
+        published = start_method != "fork"
+        assert (pool._transport._shared_graph is not None) == published
+        assert (network._shared_meta is not None) == published
     assert answers == oracle
+
+
+@pytest.mark.slow
+def test_fork_pool_starts_no_resource_tracker() -> None:
+    """The segment was the only thing that started ``multiprocessing``'s
+    resource-tracker process; a fork pool publishes none, so a fresh
+    interpreter running one must end with no tracker started."""
+    script = (
+        "from multiprocessing import resource_tracker\n"
+        "from repro.graph import grid_network\n"
+        "from repro.knn import DijkstraKNN\n"
+        "from repro.mpr import MPRConfig, build_executor\n"
+        "from repro.objects.tasks import QueryTask\n"
+        "network = grid_network(12, 12, seed=1)\n"
+        "with build_executor(MPRConfig(2, 1, 1), DijkstraKNN(network),\n"
+        "                    {1: 3, 2: 40}, mode='process') as pool:\n"
+        "    assert pool.run([QueryTask(0.0, 0, 5, 2)])\n"
+        "    assert network._shared_meta is None\n"
+        "print(resource_tracker._resource_tracker._pid)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "None"
 
 
 @pytest.mark.slow

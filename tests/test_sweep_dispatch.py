@@ -110,23 +110,12 @@ def test_query_dense_stream_is_acked_sweep_by_sweep() -> None:
     rig.close()
 
 
-def test_set_batch_size_without_start() -> None:
-    pool = build_executor(
-        MPRConfig(1, 1, 1), DijkstraKNN(protocol.GRID, protocol.OBJECTS),
-        mode="process", batch_size=4,
-    )
-    assert pool.batch_size == 4
-    pool.set_batch_size(9)
-    assert pool.batch_size == 9
-    pool.close()
-
-
-def test_set_batch_size_resets_the_query_count() -> None:
+def test_flush_resets_the_query_count() -> None:
     rig = protocol.Rig((1, 1, 1), batch_size=3)
     (worker,) = rig.handles()
     rig.query()
     rig.query()
-    rig.pool.set_batch_size(3)  # flushes: the two leave, the count is zero
+    rig.pool.flush()  # the two leave, the count is zero
     assert [len(message[2]) for message in worker.inbox] == [2]
     rig.query()
     rig.query()  # a stale count of two would have released at the first

@@ -15,6 +15,7 @@ import pytest
 from fake_transport import FakeTransport
 from repro.knn import DijkstraKNN
 from repro.mpr import MPRConfig, build_executor
+from repro.mpr import transport as transport_module
 from repro.mpr.transport import _STOP, EOF, make_transport
 from repro.objects.tasks import QueryTask
 
@@ -33,7 +34,7 @@ def kind(request) -> str:
 def make(kind: str):
     if kind == "fake":
         return FakeTransport(seed=7)
-    return make_transport(kind, share_graph=False)
+    return make_transport(kind)
 
 
 def batch(seq: int) -> tuple:
@@ -204,6 +205,41 @@ def test_real_transports_return_every_descriptor_and_thread(
     assert settle(*one_worker) == one_worker
     transport.close()
     assert settle(*baseline) == baseline
+
+
+@pytest.mark.parametrize("carrier", [
+    pytest.param("fork", id="process", marks=pytest.mark.slow),
+    pytest.param("thread", id="thread"),
+])
+def test_close_waits_for_wcores_that_hung_up_but_still_run(
+    small_grid, carrier, monkeypatch
+) -> None:
+    """A w-core closes its result pipe before its thread or process
+    ends, so ``close()`` reads EOF and retires the handle while the
+    w-core still runs.  ``close()`` must still wait for it: once it
+    returns no ``w-core`` thread is alive and every process is reaped."""
+    serve = transport_module._worker_main
+
+    def lingering(solution, worker_id, inbox, results, stamp_timings=False):
+        serve(solution, worker_id, inbox, results, stamp_timings)
+        results.close()  # the parent reads EOF here ...
+        time.sleep(0.5)  # ... while the w-core has not returned yet
+
+    monkeypatch.setattr(transport_module, "_worker_main", lingering)
+    transport = make_transport(carrier)
+    prototype = DijkstraKNN(small_grid)
+    handles = [
+        transport.start(prototype.spawn(OBJECTS), (0, row, 0), False)
+        for row in range(2)
+    ]
+    workers = [handle.process for handle in handles]
+    for handle in handles:
+        transport.send(handle, _STOP)
+    transport.close(timeout=10.0)
+    if carrier == "thread":
+        assert not any(worker.is_alive() for worker in workers)
+    else:
+        assert all(worker.exitcode is not None for worker in workers)
 
 
 def test_thread_pool_dropped_without_close_leaks_nothing(small_grid) -> None:

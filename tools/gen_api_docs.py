@@ -87,11 +87,15 @@ holding it) ships the ~100-byte token instead of the arrays.
 worker processes — maps the segment read-only and wraps it via
 `RoadNetwork.from_csr_arrays` with zero copies.
 
-`ProcessPoolService` owns the lifecycle by default (`share_graph=True`):
-`start()` publishes, every worker (initial, `fork`, `spawn`, and
-SIGKILL-respawned alike) attaches, and `close()` unlinks only after all
-workers are down.  A network already published by an outer owner is
-borrowed, not re-published, and its segment is left alone.  The owning
+A `ProcessPoolService` whose start method pickles the worker payload
+(`spawn`, `forkserver`) owns the lifecycle: its first worker start
+publishes, every worker (initial and SIGKILL-respawned alike) attaches
+while unpickling, and `close()` unlinks only after all workers are
+down.  Under `fork` — the default — nothing is pickled: workers inherit
+the parent's arrays copy-on-write, so the pool publishes no segment and
+starts no `multiprocessing` resource tracker.  A network already
+published by an outer owner is borrowed, not re-published, and its
+segment is left alone.  The owning
 `SharedGraph` handle unlinks exactly once; a `weakref.finalize` guard
 prevents leaked `/dev/shm` segments if the owner crashes.
 """,
@@ -322,9 +326,8 @@ behaviour is the per-op loop's by construction
 (`tests/test_run_ops.py` pins answers, final state and exceptions
 against a per-op twin on float- and integer-weight graphs).
 
-The executors feed this path end to end.  `RouteBatcher` (with
-`locality_group=True`, the default) sorts each maximal run of
-consecutive queries in a released batch by `(location, query_id)` —
+The executors feed this path end to end.  `RouteBatcher` sorts each
+maximal run of consecutive queries in a released batch by `(location, query_id)` —
 updates are reorder barriers, so per-worker serial equivalence is
 untouched.  Workers of either kind hand each batch to `run_ops`.  With
 telemetry enabled, queries answered together record one
@@ -345,9 +348,8 @@ one `run_ops`, one sweep, one ack per worker per cycle — and
 `knn_batch` cuts more searches than that into balanced groups
 (17 → 9 + 8).  `PoolMetrics.queries_per_sweep` reports the fill.
 
-`ProcessPoolService.set_batch_size` changes the width of a running
-pool, flushing buffered ops first so the switch is FCFS-transparent.
-Nothing retunes it on its own: a model that traded a batch's fill wait
+The width is fixed when the pool is built, and nothing retunes it: a
+model that traded a batch's fill wait
 `(b-1)/(2λ)` against its per-message cost was measured to minimise the
 wrong thing (every `drain()` and pump cycle flushes, so the wait is
 bounded by the caller's own cycle, while the kernel's per-query cost
@@ -416,7 +418,7 @@ Observability: eight counters (`RESILIENCE_COUNTERS`:
 plus matching `pool.metrics` fields.  `drain(timeout=...)` raises a
 `TimeoutError` listing every outstanding `(worker, seq)` batch, and
 `close(timeout=...)` escalates join → SIGTERM → SIGKILL while always
-unlinking the shared-memory graph segment.
+unlinking the shared-memory graph segment, if the pool published one.
 
 `repro.mpr.chaos` is the fault-injection harness that proves all of
 this: `run_scenario(name)` builds a pool, injects a scripted fault
@@ -646,6 +648,28 @@ is the CLI face (it writes those artifacts unless `--no-artifacts`).
 least a 3×3 `(λq, x·y·z)` grid per backend with every enforced cell
 in tolerance; CI re-runs the sweep as the `validate` job, and
 `bash tools/ci.sh validate` runs it locally.
+""",
+    ),
+    (
+        "The simulator: one queueing network",
+        """\
+`repro.sim` evaluates the network Eq. 5/7 model — d-core → s-core →
+w-cores → a-core — by discrete-event simulation.  Every station is an
+`FCFSServer` advanced by the Lindley recurrence, and
+`SimulatedMPRSystem.run` is the one walk of that network: each task is
+routed by the same `MPRRouter` the live pool uses, and the walk charges
+the d-core `dispatch_time` (z > 1), the s-core `x·queue_write_time` per
+query and `y·queue_write_time` per update and layer, each w-core its
+service time, and the a-core `merge_time` per partial (x > 1).  W-core
+service times come from a private *service source*, asked once per
+query and once per update and layer.  The default source draws them
+from an `AlgorithmProfile` (gamma, mean `tq`/`tu`, variance `vq`/`vu`),
+scaled by `speed_factors` and the `straggler` window.  Measured mode,
+`simulate_with_execution`, is the same walk over the other source: each
+op runs on a real per-worker solution instance and its wall time is its
+service, so the answers are real (`InLoopResult.answers`) and the
+queueing arithmetic treats every w-core as a real core.
+`tests/test_sim_golden.py` pins the simulator's numbers exactly.
 """,
     ),
 ]
