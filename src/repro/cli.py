@@ -616,6 +616,30 @@ def _graph_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(kind: type, low: float, exclusive: bool = True):
+    """An argparse ``type``: ``kind(text)``, refused (one ``error:``
+    line, exit 2) unless above ``low`` (or at it, if not ``exclusive``)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__}, got {text!r}"
+            ) from None
+        if not (value > low if exclusive else value >= low):  # NaN too
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if exclusive else '>='} {low}, got {text}"
+            )
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _at_least(int, 0)
+_POSITIVE_FLOAT = _at_least(float, 0.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .graph.kernels import QUERIES_PER_SWEEP
 
@@ -697,17 +721,19 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--mode", choices=("thread", "process"),
                        default="process")
     stats.add_argument("--solution", default="Dijkstra")
-    stats.add_argument("--grid", type=int, default=12,
+    stats.add_argument("--grid", type=_POSITIVE_INT, default=12,
                        help="grid network side length")
-    stats.add_argument("--x", type=int, default=2)
-    stats.add_argument("--y", type=int, default=2)
-    stats.add_argument("--z", type=int, default=1)
-    stats.add_argument("--batch-size", type=int, default=QUERIES_PER_SWEEP)
-    stats.add_argument("--objects", type=int, default=30)
+    stats.add_argument("--x", type=_POSITIVE_INT, default=2)
+    stats.add_argument("--y", type=_POSITIVE_INT, default=2)
+    stats.add_argument("--z", type=_POSITIVE_INT, default=1)
+    stats.add_argument("--batch-size", type=_POSITIVE_INT,
+                       default=QUERIES_PER_SWEEP)
+    stats.add_argument("--objects", type=_POSITIVE_INT, default=30)
     stats.add_argument("--lambda-q", type=float, default=200.0)
     stats.add_argument("--lambda-u", type=float, default=100.0)
-    stats.add_argument("--duration", type=float, default=1.0)
-    stats.add_argument("--k", type=int, default=5)
+    stats.add_argument("--duration", type=_POSITIVE_FLOAT, default=1.0)
+    stats.add_argument("--k", type=_at_least(int, 0, exclusive=False),
+                       default=5)
     stats.add_argument(
         "--reconfigure", metavar="X,Y,Z",
         help="reconfigure the pool to this shape live, halfway through "
@@ -721,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query SLO in seconds (enables the resilience layer)",
     )
     stats.add_argument(
-        "--max-outstanding", type=int, default=None,
+        "--max-outstanding", type=_POSITIVE_INT, default=None,
         help="admission bound per worker (enables the resilience layer)",
     )
     stats.set_defaults(func=_stats)
@@ -749,23 +775,24 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mode", choices=("thread", "process"),
                        default="thread")
     serve.add_argument("--solution", default="Dijkstra")
-    serve.add_argument("--grid", type=int, default=24,
+    serve.add_argument("--grid", type=_POSITIVE_INT, default=24,
                        help="grid network side length")
-    serve.add_argument("--x", type=int, default=2)
-    serve.add_argument("--y", type=int, default=1)
-    serve.add_argument("--z", type=int, default=1)
-    serve.add_argument("--batch-size", type=int, default=QUERIES_PER_SWEEP)
-    serve.add_argument("--objects", type=int, default=100)
-    serve.add_argument("--window", type=int, default=32,
+    serve.add_argument("--x", type=_POSITIVE_INT, default=2)
+    serve.add_argument("--y", type=_POSITIVE_INT, default=1)
+    serve.add_argument("--z", type=_POSITIVE_INT, default=1)
+    serve.add_argument("--batch-size", type=_POSITIVE_INT,
+                       default=QUERIES_PER_SWEEP)
+    serve.add_argument("--objects", type=_POSITIVE_INT, default=100)
+    serve.add_argument("--window", type=_POSITIVE_INT, default=32,
                        help="default per-connection backpressure window")
-    serve.add_argument("--max-inflight", type=int, default=512,
+    serve.add_argument("--max-inflight", type=_POSITIVE_INT, default=512,
                        help="global bound on ops inside the executor")
     serve.add_argument(
         "--deadline", type=float, default=None,
         help="default per-query SLO in seconds (enables resilience)",
     )
     serve.add_argument(
-        "--max-outstanding", type=int, default=None,
+        "--max-outstanding", type=_POSITIVE_INT, default=None,
         help="admission bound per worker (enables resilience)",
     )
     serve.add_argument(

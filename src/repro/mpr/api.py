@@ -173,8 +173,11 @@ class _CompletionPump:
     The pump is the one thread that touches the executor once serving
     starts: it pulls ``(task, future)`` pairs from a queue in FCFS
     order, submits a micro-batch (everything queued, up to
-    ``_PUMP_MAX_BATCH``), drains, and resolves each query's future with
-    the :class:`QueryResult` the drain returned for it (update futures
+    ``_PUMP_MAX_BATCH``) as one planned cycle — a small one fills a
+    kernel sweep on one replica row before it spreads over rows
+    (:meth:`ProcessPoolService.plan`) — drains, and resolves each
+    query's future with the :class:`QueryResult` the drain returned for
+    it (update futures
     resolve to ``None`` after the drain that made them visible).
     Callers — the asyncio server above all — therefore get per-task
     completion without ever blocking in the barrier themselves.
@@ -249,9 +252,14 @@ class _CompletionPump:
         return cycle
 
     def _resolve(self, cycle: list[Any]) -> None:
-        """Run one submit→drain cycle and settle every future in it."""
+        """Run one planned submit→drain cycle and settle every future
+        in it (the drain's flush closes the plan)."""
         request: _ReconfigureRequest | None = None
         submitted: list[tuple[Task, Future]] = []
+        self._executor.plan([
+            item[0] for item in cycle
+            if not isinstance(item, _ReconfigureRequest)
+        ])
         for item in cycle:
             if isinstance(item, _ReconfigureRequest):
                 request = item
@@ -411,6 +419,12 @@ class MPRSystem:
     @property
     def config(self) -> MPRConfig:
         return self.executor.config
+
+    @property
+    def num_nodes(self) -> int | None:
+        """Nodes of the served road network (see
+        :attr:`ProcessPoolService.num_nodes`)."""
+        return self.executor.num_nodes
 
     def start(self) -> "MPRSystem":
         self.executor.start()

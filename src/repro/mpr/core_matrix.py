@@ -9,6 +9,16 @@ behaviours coincide by construction.
 
 Coordinates: a worker is addressed ``(layer, row, column)`` with
 ``0 <= layer < z``, ``0 <= row < y``, ``0 <= column < x``.
+
+Replica rows are interchangeable, so a caller that holds a whole cycle
+before routing it may *plan* it (:meth:`MPRRouter.plan`): a layer whose
+share of the cycle is ``q_l`` queries spreads them round-robin over only
+``rows_l = min(y, ceil(q_l / batch_size))`` consecutive rows from its
+current row — a cycle fills a kernel sweep before it spreads over rows —
+and the flush that closes the cycle (:meth:`RouteBatcher.flush`)
+advances the current row by ``rows_l``.  A layer with ``rows_l = y`` and
+a caller that never plans get Algorithm 1's per-query round robin
+unchanged.
 """
 
 from __future__ import annotations
@@ -49,10 +59,34 @@ class LayerScheduler:
         self._next_row = 0
         self._next_column = 0
         self._column_of: dict[int, int] = {}
+        #: Rows the open planned cycle spreads its queries over, or
+        #: None: per-query round robin (Algorithm 1).
+        self._span: int | None = None
+        #: Queries the open planned cycle has routed so far.
+        self._routed = 0
+
+    def plan(self, rows: int) -> None:
+        """Open a cycle over ``rows`` rows from the current one (a
+        plan of ``y`` or more rows, or of none, is no plan)."""
+        self.end_cycle()
+        if 0 < rows < self._config.y:
+            self._span = rows
+            self._routed = 0
+
+    def end_cycle(self) -> None:
+        """Close the open planned cycle: the next starts past its rows."""
+        if self._span is not None:
+            self._next_row = (self._next_row + self._span) % self._config.y
+            self._span = None
 
     def route_query(self, task: QueryTask) -> QueryRoute:
-        row = self._next_row
-        self._next_row = (self._next_row + 1) % self._config.y
+        y = self._config.y
+        if self._span is None:
+            row = self._next_row
+            self._next_row = (row + 1) % y
+        else:
+            row = (self._next_row + self._routed % self._span) % y
+            self._routed += 1
         workers = tuple(
             (self._layer, row, column) for column in range(self._config.x)
         )
@@ -180,6 +214,29 @@ class MPRRouter:
         if self._telemetry.enabled:
             self._telemetry.count("router.updates")
         return UpdateRoute(tuple(columns), tuple(workers))
+
+    def plan(self, queries: int, batch_size: int) -> None:
+        """Plan a cycle of ``queries`` queries (see the module docstring).
+
+        The d-core's round robin decides each layer's share ``q_l``;
+        the layer's s-core then uses ``ceil(q_l / batch_size)`` rows,
+        at most ``y``.
+        """
+        z = self._config.z
+        narrowed = 0
+        for offset in range(z):
+            share = (queries - offset + z - 1) // z  # i < queries, i ≡ offset
+            rows = -(-share // batch_size)
+            self._schedulers[(self._next_layer + offset) % z].plan(rows)
+            narrowed += 0 < rows < self._config.y
+        if self._telemetry.enabled:
+            self._telemetry.count("router.planned_layers", z)
+            self._telemetry.count("router.narrowed_layers", narrowed)
+
+    def end_cycle(self) -> None:
+        """Close the planned cycle on every layer (no-op unplanned)."""
+        for scheduler in self._schedulers:
+            scheduler.end_cycle()
 
     def all_workers(self) -> list[WorkerId]:
         return [
@@ -352,7 +409,9 @@ class RouteBatcher:
         return route, ready, None
 
     def flush(self) -> list[WorkerBatch]:
-        """Release every partial batch (deterministic worker order)."""
+        """Release every partial batch (deterministic worker order) and
+        close the planned cycle, if any."""
+        self._router.end_cycle()
         ready: list[WorkerBatch] = []
         for worker_id in sorted(self._pending):
             if self._pending[worker_id]:

@@ -88,7 +88,7 @@ from .reconfig import (
 )
 from .resilience import CircuitBreaker, ResilienceConfig, ResiliencePolicy
 from .results import QueryResult, ResultStatus
-from .transport import _STOP, EOF, Transport, make_transport
+from .transport import _STOP, EOF, Transport, _network_of, make_transport
 
 _SERVING, _WARMING, _RETIRING = _Role.SERVING, _Role.WARMING, _Role.RETIRING
 _PARTIAL, _OVERLOADED = ResultStatus.PARTIAL, ResultStatus.OVERLOADED
@@ -600,6 +600,13 @@ class ProcessPoolService:
     def running(self) -> bool:
         return self._started and not self._closed
 
+    @property
+    def num_nodes(self) -> int | None:
+        """Nodes of the served road network — a valid location is in
+        ``range(num_nodes)`` — or None if the solution hides its network."""
+        network = _network_of(self._solution)
+        return None if network is None else network.num_nodes
+
     def start(self) -> "ProcessPoolService":
         """Bring every worker up (no-op if already running)."""
         if self._closed:
@@ -782,10 +789,27 @@ class ProcessPoolService:
             shapes.advance(self._now())
         return ledger.finish()
 
+    def plan(self, tasks: Sequence[Task]) -> None:
+        """Declare the cycle the next :meth:`flush` closes: ``tasks``.
+
+        Replica rows are interchangeable, so a cycle whose layer share
+        fits in fewer sweeps than there are rows is routed to that many
+        rows only — one full kernel sweep instead of several part-empty
+        ones (:meth:`repro.mpr.core_matrix.MPRRouter.plan`).  Without a
+        plan every query advances the row (Algorithm 1).
+        """
+        fleet = self._shapes.current
+        fleet.router.plan(
+            sum(task.kind is TaskKind.QUERY for task in tasks),
+            fleet.batcher.batch_size,
+        )
+
     def run(self, tasks: Sequence[Task]) -> dict[int, QueryResult]:
-        """Execute a task stream; return ``query_id -> QueryResult`` (as
-        :meth:`drain`).  Workers stay alive for the next one."""
+        """Execute a task stream as one planned cycle (:meth:`plan`);
+        return ``query_id -> QueryResult`` (as :meth:`drain`).  Workers
+        stay alive for the next one."""
         self.start()
+        self.plan(tasks)
         for task in tasks:
             self.submit(task)
         answers = self.drain()

@@ -75,6 +75,14 @@ _STOP = ("stop",)
 EOF = ("eof",)
 
 
+def _network_of(solution: KNNSolution):
+    """The road network ``solution`` serves, where it exposes one."""
+    network = getattr(solution, "network", None)
+    if network is None:
+        network = getattr(solution, "_network", None)
+    return network
+
+
 def _worker_main(
     solution: KNNSolution, worker_id, inbox, results, stamp_timings: bool = False
 ) -> None:
@@ -462,9 +470,7 @@ class ProcessTransport(Transport):
         attach token, and each worker maps the same files in O(1), so
         shared-memory publication is skipped for them.
         """
-        network = getattr(solution, "network", None)
-        if network is None:
-            network = getattr(solution, "_network", None)
+        network = _network_of(solution)
         if (
             network is None
             or getattr(network, "_shared_meta", None) is not None

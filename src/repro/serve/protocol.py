@@ -19,6 +19,11 @@ Client → server
                     window.
     ``query``       ``{op, id, location, k, deadline?}`` — ``deadline``
                     in seconds propagates into ``QueryTask.deadline``.
+                    ``location`` (here, in ``insert`` and in
+                    ``subscribe``) must be an integer node of the
+                    served graph, ``0 <= location < num_nodes``, and
+                    ``k >= 0``; anything else is a ``bad-frame`` error
+                    for that request.
     ``insert``      ``{op, id, object, location}``
     ``delete``      ``{op, id, object}``
     ``subscribe``   ``{op, id, location, k}`` — continuous kNN; the
@@ -40,7 +45,12 @@ Server → client
                 Retryable errors (``code`` ``"overloaded"``/
                 ``"timeout"``) carry a ``retry_after`` backoff hint in
                 seconds and, when the query got as far as admission,
-                the enveloped ``result``.
+                the enveloped ``result``.  Non-retryable codes:
+                ``"bad-frame"``, ``"bad-op"``, ``"rejected"`` (an
+                ``insert`` of a live object or a ``delete`` of an
+                unknown one — nothing applied; ``message`` names the
+                cause) and ``"error"`` (the pool failed under an
+                update).  The connection outlives each of them.
     ``push``    ``{op, sub, result}`` — subscription re-evaluation.
     ``bye``     ``{op}`` — server is closing the connection.
 """

@@ -236,6 +236,9 @@ class MPRServer:
         self._drains: set[asyncio.Task] = set()
         self._query_ids = itertools.count(1)
         self._reeval_scheduled = False
+        #: Valid locations are ``range(_num_nodes)`` (None: unknown, so
+        #: only a negative location is refused).
+        self._num_nodes = system.num_nodes
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -405,6 +408,30 @@ class MPRServer:
             "tenant": connection.tenant, "window": connection.window,
         })
 
+    def _location(self, frame: dict[str, Any]) -> int:
+        """A frame's ``location``, checked: an integer node of the
+        served graph.  Past the last node a worker's kernel raises (and
+        the worker exits); a negative one aliases a node from the end."""
+        location = frame["location"]
+        if (
+            isinstance(location, bool)
+            or not isinstance(location, int)
+            or location < 0
+            or (self._num_nodes is not None and location >= self._num_nodes)
+        ):
+            raise ValueError(
+                f"location {location!r} is not a node of the served graph "
+                f"(0 <= location < {self._num_nodes})"
+            )
+        return location
+
+    @staticmethod
+    def _k(frame: dict[str, Any]) -> int:
+        k = int(frame["k"])
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        return k
+
     def _enqueue_query(
         self, connection: _Connection, frame: dict[str, Any]
     ) -> None:
@@ -412,8 +439,8 @@ class MPRServer:
         task = QueryTask(
             arrival_time=time.monotonic(),
             query_id=next(self._query_ids),
-            location=int(frame["location"]),
-            k=int(frame["k"]),
+            location=self._location(frame),
+            k=self._k(frame),
             deadline=(
                 float(deadline) if deadline is not None
                 else self.config.default_deadline
@@ -430,8 +457,7 @@ class MPRServer:
     ) -> None:
         if op == "insert":
             task: Task = InsertTask(
-                time.monotonic(), int(frame["object"]),
-                int(frame["location"]),
+                time.monotonic(), int(frame["object"]), self._location(frame)
             )
         else:
             task = DeleteTask(time.monotonic(), int(frame["object"]))
@@ -446,8 +472,8 @@ class MPRServer:
         deadline = frame.get("deadline")
         sub = _Subscription(
             sub_id=next(connection._sub_ids),
-            location=int(frame["location"]),
-            k=int(frame["k"]),
+            location=self._location(frame),
+            k=self._k(frame),
             deadline=float(deadline) if deadline is not None else None,
         )
         connection.subscriptions[sub.sub_id] = sub
@@ -545,15 +571,16 @@ class MPRServer:
             # slow reader must only throttle itself, never the pump.
             self._tokens.release()
             self._op_done()
+            error: Exception | None = None
             try:
                 result = future.result()
             except Exception as exc:
-                result = (
-                    QueryResult.failed(job.task.query_id, str(exc))
-                    if job.task.kind is TaskKind.QUERY else None
-                )
+                if job.task.kind is TaskKind.QUERY:
+                    result = QueryResult.failed(job.task.query_id, str(exc))
+                else:
+                    result, error = None, exc
             burst = bursts.setdefault(job.connection, [[], 0])
-            frame = self._encode_outcome(job, result)
+            frame = self._encode_outcome(job, result, error)
             if frame is not None:
                 burst[0].append(frame)
             if job.subscription is None:
@@ -562,11 +589,19 @@ class MPRServer:
             self._write_burst(connection, frames, ops)
 
     def _encode_outcome(
-        self, job: _Job, result: QueryResult | None
+        self,
+        job: _Job,
+        result: QueryResult | None,
+        error: Exception | None = None,
     ) -> bytes | None:
         """Account one outcome and encode its frame: a ``push`` (None
         when the standing answer is unchanged), a query's ``result`` or
-        retryable ``error``, or an update's ack."""
+        retryable ``error``, or an update's ack — or, for an update the
+        pool raised ``error`` on, a non-retryable ``error``: ``rejected``
+        when the router refused it (a ``KeyError``: insert of a live
+        object, delete of an unknown one), ``error`` when the pool
+        failed under it.  Only an applied update re-evaluates the
+        subscriptions."""
         sub = job.subscription
         if sub is not None:
             if not sub.active or job.connection.closed:
@@ -580,6 +615,15 @@ class MPRServer:
                 "op": "push", "sub": sub.sub_id, "result": result.to_wire(),
             })
         if job.task.kind is not TaskKind.QUERY:
+            if error is not None:
+                rejected = isinstance(error, KeyError)
+                # A KeyError's str() is its message's repr, quotes included.
+                cause = error.args[0] if rejected and error.args else error
+                return encode_frame({
+                    "op": "error", "id": job.request_id,
+                    "code": "rejected" if rejected else "error",
+                    "message": str(cause), "retryable": False,
+                })
             if not self._closing:
                 self._schedule_reevaluation()
             return encode_frame({

@@ -22,6 +22,37 @@ class TestParser:
             )
             assert args.command == command
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--mode", "thread", "--batch-size", "0"],
+        ["stats", "--grid", "-3"],
+        ["stats", "--x", "0"],
+        ["stats", "--y", "two"],
+        ["stats", "--z", "0"],
+        ["stats", "--objects", "0"],
+        ["stats", "--duration", "0"],
+        ["stats", "--duration", "nan"],
+        ["stats", "--k", "-1"],
+        ["stats", "--max-outstanding", "0"],
+        ["serve", "--window", "0"],
+        ["serve", "--max-inflight", "-1"],
+        ["serve", "--batch-size", "0"],
+        ["serve", "--max-outstanding", "0"],
+    ])
+    def test_non_positive_sizes_are_one_error_line(self, argv, capsys) -> None:
+        """Refused by the parser — exit 2, one ``error:`` line — before a
+        pool (and a raw ``ValueError`` traceback) exists."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1 and argv[-2] in errors[0], errors
+
+    def test_k_zero_is_a_size(self) -> None:
+        assert build_parser().parse_args(["stats", "--k", "0"]).k == 0
+
 
 class TestCommands:
     def test_configs(self, capsys) -> None:

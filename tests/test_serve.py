@@ -16,6 +16,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.graph import grid_network
 from repro.knn import DijkstraKNN
 from repro.mpr import (
     MPRConfig,
@@ -457,6 +458,7 @@ class _ManualSystem:
     one flush of the front door sees — is under the test's control."""
 
     reconfig_history: list = []
+    num_nodes = None
 
     def __init__(self) -> None:
         self.submitted: list[tuple] = []
@@ -745,6 +747,104 @@ def test_serve_rejects_malformed_frames_without_dying(
             system.close()
 
     asyncio.run(scenario())
+
+
+def test_serve_refuses_updates_the_pool_rejected() -> None:
+    """A delete of an unknown object and an insert of a live one are
+    refused as non-retryable ``rejected`` errors naming the cause — not
+    acknowledged — schedule no subscription re-evaluation, and leave the
+    connection answering oracle-exact."""
+    network = grid_network(8, 8, seed=1)
+
+    async def scenario():
+        system = MPRSystem(MPRConfig(1, 1, 1), DijkstraKNN(network), {1: 3})
+        server = await start_server(system)
+        try:
+            client = await ServeClient.connect(*server.address)
+            subscription = await client.subscribe(5, 1)
+            await subscription.next_push(timeout=10)  # the one seed query
+            for call, cause in (
+                (client.delete(999), "delete of unknown object 999"),
+                (client.insert(1, 5), "insert of live object 1"),
+            ):
+                with pytest.raises(ServeError) as info:
+                    await call
+                assert info.value.code == "rejected", info.value.code
+                assert not info.value.retryable
+                assert cause in str(info.value)
+            result = await client.query(5, 1)
+            assert result == QueryResult.from_answer(
+                result.query_id, DijkstraKNN(network, {1: 3}).query(5, 1)
+            )
+            # The seed and the query; a re-evaluation would be a third.
+            assert system.executor.metrics.queries_submitted == 2
+            await client.aclose()
+        finally:
+            await server.stop()
+            system.close()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+
+
+def test_serve_refuses_a_location_outside_the_graph(
+    small_grid, grid_objects
+) -> None:
+    """A location that is not a node of the served graph (or a negative
+    ``k``) fails its one request as ``bad-frame``: it reaches no worker,
+    so no worker dies of an index past the end and no negative index
+    aliases a node from the end; both connections keep answering
+    oracle-exact."""
+    bad_frames = [
+        {"op": "query", "location": 10**6, "k": 2},
+        {"op": "query", "location": -5, "k": 3},
+        {"op": "query", "location": small_grid.num_nodes, "k": 1},
+        {"op": "query", "location": 2.5, "k": 1},
+        {"op": "query", "location": 5, "k": -1},
+        {"op": "insert", "object": 500, "location": -1},
+        {"op": "insert", "object": 501, "location": 10**6},
+        {"op": "subscribe", "location": -1, "k": 1},
+    ]
+    oracle = DijkstraKNN(small_grid, grid_objects)
+    last = small_grid.num_nodes - 1
+
+    async def scenario():
+        system = MPRSystem(
+            MPRConfig(1, 2, 1), DijkstraKNN(small_grid), grid_objects,
+            mode="thread",
+        )
+        server = await start_server(system)
+        reader, writer = await asyncio.open_connection(*server.address)
+        other = await ServeClient.connect(*server.address)
+
+        async def roundtrip(payload):
+            writer.write(encode_frame(payload))
+            return await asyncio.wait_for(read_frame(reader), timeout=10)
+
+        try:
+            for request_id, frame in enumerate(bad_frames, start=1):
+                reply = await roundtrip(dict(frame, id=request_id))
+                assert reply["op"] == "error", (frame, reply)
+                assert reply["code"] == "bad-frame" and reply["id"] == request_id
+                assert reply["retryable"] is False
+                reply = await roundtrip(
+                    {"op": "query", "id": -request_id, "location": last, "k": 3}
+                )
+                assert reply["op"] == "result", (frame, reply)
+                result = QueryResult.from_wire(reply["result"])
+                assert result == QueryResult.from_answer(
+                    result.query_id, oracle.query(last, 3)
+                ), frame
+                result = await other.query(last, 3)
+                assert result == QueryResult.from_answer(
+                    result.query_id, oracle.query(last, 3)
+                ), frame
+            await other.aclose()
+        finally:
+            writer.close()
+            await server.stop()
+            system.close()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
 
 
 # ----------------------------------------------------------------------

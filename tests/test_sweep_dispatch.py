@@ -7,10 +7,15 @@ exact counts — messages on the fake transport's wire, ``KERNEL_CALLS``
 deltas — not timings, on the fake transport (and the rig of
 ``tests/test_pool_protocol.py``, whose every drain also checks the
 answers against the serial oracle) and on real thread workers.
+
+A planned cycle (``run()`` and the completion pump) also fills a sweep
+before it spreads over replica rows: a layer's share of ``q`` queries
+uses ``ceil(q / batch_size)`` rows, at most ``y`` — the last section.
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 
 import pytest
@@ -21,13 +26,16 @@ from repro.graph.kernels import KERNEL_CALLS
 from repro.knn import DijkstraKNN
 from repro.mpr import (
     MPRConfig,
+    MPRRouter,
+    MPRSystem,
     ProcessPoolService,
     build_executor,
     run_serial_reference,
 )
+from repro.mpr.core_matrix import QueryRoute
 from repro.mpr.reconfig import _Role
-from repro.objects.tasks import InsertTask, QueryTask
-from tests.conftest import ok_results
+from repro.objects.tasks import InsertTask, QueryTask, TaskKind
+from tests.conftest import gated_solution, ok_results
 
 NODES = protocol.GRID.num_nodes
 
@@ -36,12 +44,13 @@ NODES = protocol.GRID.num_nodes
 BURSTS = [((2, 1, 1), 7, 25), ((1, 2, 1), 27, 5)]
 
 
-def burst(queries: int, updates: int) -> list:
-    """``queries + updates`` tasks, the rarer kind spread evenly."""
+def burst(queries: int, updates: int, first: int = 0) -> list:
+    """``queries + updates`` tasks, the rarer kind spread evenly; ids
+    (query ids, inserted object ids) from ``first`` on."""
     total = queries + updates
     tasks, sent = [], 0
-    for index in range(total):
-        if (index + 1) * queries // total > sent:
+    for index in range(first, first + total):
+        if (index - first + 1) * queries // total > sent:
             sent += 1
             tasks.append(QueryTask(index * 1e-3, index, index * 5 % NODES, 3))
         else:
@@ -124,6 +133,172 @@ def test_flush_resets_the_query_count() -> None:
     assert [len(message[2]) for message in worker.inbox] == [2, 3]
     assert len(rig.drain()) == 5
     rig.close()
+
+
+# ----------------------------------------------------------------------
+# A cycle fills a sweep before it spreads over rows
+# ----------------------------------------------------------------------
+def make_pool(kind: str, shape, solution=None) -> ProcessPoolService:
+    """A started pool of ``shape`` on the fake transport or on threads."""
+    solution = solution or DijkstraKNN(protocol.GRID)
+    if kind == "fake":
+        return ProcessPoolService(
+            solution, MPRConfig(*shape), protocol.OBJECTS,
+            start_method=FakeTransport(),
+        ).start()
+    return build_executor(
+        MPRConfig(*shape), solution, protocol.OBJECTS, mode="thread"
+    ).start()
+
+
+def record_sends(pool: ProcessPoolService) -> list:
+    """Every batch the pool puts on the wire, as ``(worker_id, ops)``."""
+    sent = []
+    send = pool._send
+
+    def spy(state, ops):
+        sent.append((state.worker_id, ops))
+        send(state, ops)
+
+    pool._send = spy
+    return sent
+
+
+def query_rows(sent) -> dict[int, tuple[int, int]]:
+    """``query_id -> (layer, row)`` of the worker each query went to."""
+    return {
+        op[1]: worker[:2]
+        for worker, ops in sent for op in ops if op[0] == "query"
+    }
+
+
+def unplanned_rows(shape, tasks) -> dict[int, tuple[int, int]]:
+    """Algorithm 1's rows: the router routing one query at a time."""
+    router = MPRRouter(MPRConfig(*shape))
+    router.preload_objects(protocol.OBJECTS)
+    routes = [(task, router.route(task)) for task in tasks]
+    return {
+        task.query_id: (route.layer, route.row)
+        for task, route in routes if isinstance(route, QueryRoute)
+    }
+
+
+def answers_of(expected, tasks) -> dict:
+    return ok_results({
+        task.query_id: expected[task.query_id]
+        for task in tasks if task.kind is TaskKind.QUERY
+    })
+
+
+@pytest.mark.parametrize("kind", ["fake", "thread"])
+def test_a_small_cycle_is_one_sweep_on_one_row(kind) -> None:
+    """(1,2,1), 10 queries + 5 updates: one row takes every query in one
+    sweep, the other row's message holds only the updates — and the
+    next such cycle lands on the other row."""
+    cycles = [burst(10, 5), burst(10, 5, first=100)]
+    solution = DijkstraKNN(protocol.GRID)
+    expected = run_serial_reference(
+        solution, protocol.OBJECTS, cycles[0] + cycles[1]
+    )
+    pool = make_pool(kind, (1, 2, 1), solution)
+    try:
+        for row, tasks in enumerate(cycles):
+            sent = record_sends(pool)
+            calls = Counter(KERNEL_CALLS)
+            assert pool.run(tasks) == answers_of(expected, tasks)
+            assert KERNEL_CALLS["knn_batch"] - calls["knn_batch"] == 1
+            assert KERNEL_CALLS["topk"] == calls["topk"]
+            assert set(query_rows(sent).values()) == {(0, row)}
+            kinds = {
+                worker: Counter(op[0] for op in ops) for worker, ops in sent
+            }
+            assert kinds == {
+                (0, row, 0): Counter(query=10, insert=5),
+                (0, 1 - row, 0): Counter(insert=5),
+            }
+    finally:
+        pool.close()
+
+
+@pytest.mark.parametrize("shape, queries, updates", BURSTS)
+def test_a_cycle_of_more_sweeps_than_rows_routes_as_algorithm_1(
+    shape, queries, updates
+) -> None:
+    """mprbench's pool cycles in small — 27 queries over two rows, and
+    any cycle over one row — need every row, so the plan changes
+    nothing: each query lands on the row the unplanned router picks."""
+    tasks = burst(queries, updates)
+    solution = DijkstraKNN(protocol.GRID)
+    pool = make_pool("fake", shape, solution)
+    sent = record_sends(pool)
+    assert pool.run(tasks) == ok_results(
+        run_serial_reference(solution, protocol.OBJECTS, tasks)
+    )
+    assert query_rows(sent) == unplanned_rows(shape, tasks)
+    pool.close()
+
+
+def test_each_layer_is_planned_on_its_own_share() -> None:
+    """(1,2,2), 33 queries: the d-core sends 17 to layer 0 — two sweeps,
+    so both rows, as Algorithm 1 — and 16 to layer 1, one sweep on one
+    row.  The next cycle starts layer 1 past that row."""
+    cycles = [burst(33, 3), burst(33, 3, first=100)]
+    solution = DijkstraKNN(protocol.GRID)
+    expected = run_serial_reference(
+        solution, protocol.OBJECTS, cycles[0] + cycles[1]
+    )
+    pool = make_pool("fake", (1, 2, 2), solution)
+    sent = record_sends(pool)
+    assert pool.run(cycles[0]) == answers_of(expected, cycles[0])
+    rows = query_rows(sent)
+    unplanned = unplanned_rows((1, 2, 2), cycles[0])
+    layer0 = {qid: rows[qid] for qid in rows if rows[qid][0] == 0}
+    assert len(layer0) == 17
+    assert layer0 == {qid: unplanned[qid] for qid in layer0}
+    assert sorted(set(rows.values()) - set(layer0.values())) == [(1, 0)]
+    # Cycle two: the d-core starts at layer 1 (33 is odd), so layer 1
+    # gets 17 over both rows and layer 0's 16 take its next row — 1,
+    # where layer 0's per-query round robin left off.
+    sent.clear()
+    assert pool.run(cycles[1]) == answers_of(expected, cycles[1])
+    rows = query_rows(sent)
+    assert sorted(set(row for row in rows.values() if row[0] == 0)) == [(0, 1)]
+    assert sum(row[0] == 1 for row in rows.values()) == 17
+    assert {row for row in rows.values() if row[0] == 1} == {(1, 0), (1, 1)}
+    pool.close()
+
+
+def test_a_pump_cycle_is_planned_like_run() -> None:
+    """Through ``MPRSystem.submit_async``: a one-query cycle takes row 0;
+    the 10-query + 5-update cycle queued behind it takes row 1 whole,
+    and row 0's message holds only its updates."""
+    solution, gate = gated_solution(protocol.GRID)
+    tasks = burst(10, 5, first=1)
+    lone = QueryTask(0.0, 0, 7, 3)
+    expected = run_serial_reference(solution, protocol.OBJECTS, [lone, *tasks])
+    with MPRSystem(
+        MPRConfig(1, 2, 1), solution, protocol.OBJECTS, mode="thread"
+    ) as system:
+        sent = record_sends(system.executor)
+        first = system.submit_async(lone)
+        for _ in range(1000):  # until the pump is in the lone cycle's drain
+            if sent:
+                break
+            time.sleep(0.005)
+        futures = [(task, system.submit_async(task)) for task in tasks]
+        gate.set()
+        assert first.result(timeout=30) == answers_of(expected, [lone])[0]
+        results = {
+            task.query_id: future.result(timeout=30)
+            for task, future in futures if task.kind is TaskKind.QUERY
+        }
+        assert results == answers_of(expected, tasks)
+    rows = query_rows(sent)
+    assert rows.pop(0) == (0, 0)
+    assert set(rows.values()) == {(0, 1)}
+    assert [
+        (worker, Counter(op[0] for op in ops)) for worker, ops in sent[1:]
+    ] == [((0, 0, 0), Counter(insert=5)), ((0, 1, 0), Counter(query=10, insert=5))]
 
 
 def test_cutover_starts_the_new_shape_at_a_zero_count() -> None:

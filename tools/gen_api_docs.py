@@ -348,6 +348,16 @@ one `run_ops`, one sweep, one ack per worker per cycle — and
 `knn_batch` cuts more searches than that into balanced groups
 (17 → 9 + 8).  `PoolMetrics.queries_per_sweep` reports the fill.
 
+A cycle fills a sweep before it spreads over replica rows.  A caller
+that holds a whole cycle declares it with `pool.plan(tasks)` before
+submitting it — `run()` and the completion pump do — and a layer whose
+share is `q` queries then uses only `ceil(q / batch_size)` of its `y`
+rows, round-robin among them; the next flush advances the row by that
+many.  A 10-query cycle on (1,2,1) is one full sweep on one row instead
+of two half-empty ones, and the next cycle takes the other row.  A
+cycle of `y` sweeps or more, and bare `submit`…`drain` code that never
+plans, route exactly as Algorithm 1's per-query round robin.
+
 The width is fixed when the pool is built, and nothing retunes it: a
 model that traded a batch's fill wait
 `(b-1)/(2λ)` against its per-message cost was measured to minimise the
@@ -562,7 +572,16 @@ Client ops: `hello` (tenant, SFQ weight, window), `query`, `insert`,
 fresh `result` whenever updates change the answer), `stats`, `bye`.
 Server frames: `welcome`, `result` (a `QueryResult` wire payload),
 `error` (`code`, `retryable`, `retry_after`, and — for shed/timeout
-queries — the embedded `result` envelope), `push`.  Backpressure is
+queries — the embedded `result` envelope), `push`.  The non-retryable
+`error` codes fail one request and leave the connection usable:
+`bad-frame` (a malformed request, including a `location` that is not
+an integer node of the served graph — `0 <= location <
+MPRSystem.num_nodes` — or a negative `k`, refused at the front door so
+it never reaches a worker), `bad-op`, `rejected` (an `insert` of a live
+object or a `delete` of an unknown one: the router refused it, nothing
+was applied, the message names the cause) and `error` (the pool failed
+under an update).  Only an applied update re-evaluates the
+subscriptions.  Backpressure is
 two-layer: a per-connection window (the server stops *reading* a
 connection at its window, letting TCP push back on floods) and a
 global `max_inflight` semaphore whose tokens are released before
