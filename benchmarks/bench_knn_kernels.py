@@ -1,23 +1,39 @@
-"""Kernel-vs-heapq sweep: the array kernels' speedup on a large graph.
+"""The kNN engines measured: kernel vs heapq, and the heap/sweep crossover.
 
-The acceptance bar for the vectorized CSR kernels
-(:mod:`repro.graph.kernels`): on a >=100k-node generated network, the
-kernel-backed Dijkstra-kNN query must run at least 3x faster than the
-classic per-edge ``heapq`` expansion while returning identical answers.
-The sweep varies object density (sparse objects force deep expansions,
-where batching pays; dense objects terminate after a handful of
-buckets) and includes the full single-source search as the
-no-early-termination extreme.  Results land in
-``benchmarks/results/knn_kernels.{json,txt}``.
+Two tables, both in ``benchmarks/results/knn_kernels.{json,txt}``:
+
+1. **Kernel vs heapq.**  The acceptance bar for the vectorized CSR
+   kernels (:mod:`repro.graph.kernels`): on a >=100k-node generated
+   network, the kernel-backed Dijkstra-kNN query must run at least 3x
+   faster than the classic per-edge ``heapq`` expansion while returning
+   identical answers.  The sweep varies object density (sparse objects
+   force deep expansions, where batching pays; dense objects terminate
+   after a handful of buckets) and includes the full single-source
+   search as the no-early-termination extreme.
+2. **Heap vs sweep by rows.**  The evidence for the work model's
+   constant (``repro.graph.kernels._HEAP_WORK``): per-query time of the
+   heap expansion against the shared numpy sweep at 1-16 searches per
+   group, in three cells — mprbench's ``serve_open`` w-core (also
+   ``pool_update_heavy``'s: 1,000 objects on the 128² grid),
+   ``pool_longrange``'s (64 objects on the 256² grid), and a middle
+   density whose ``k * n / m`` is ~650.  The model sends a group to the
+   heap when ``rows * k * n / m <= _HEAP_WORK``; the table's ``work``
+   column is that product, so the crossover reads straight off it.
+
+Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_knn_kernels.py
+--benchmark-only -s`` (~1 min).
 """
 
 import json
 import random
+import statistics
 import time
 
+import numpy as np
 from common import RESULTS_DIR, publish
 
 from repro.graph import grid_network
+from repro.graph.kernels import _HEAP_WORK, _view
 from repro.graph.shortest_path import dijkstra_expansion, dijkstra_heapq
 from repro.harness import format_table
 from repro.knn import DijkstraKNN
@@ -32,6 +48,17 @@ K = 10
 #: Object-set sizes of the sweep; the paper's workloads put m well
 #: below n, where expansions settle a large fraction of the network.
 OBJECT_COUNTS = [50, 200, 1000]
+
+#: ``(cell, grid side, objects)`` of the crossover table.  The grids
+#: are mprbench's (``grid_network(side, side, seed=7)``).
+CELLS = [
+    ("serve_open w-core", 128, 1000),
+    ("middle density", 128, 250),
+    ("pool_longrange w-core", 256, 64),
+]
+ROWS = [1, 2, 3, 4, 5, 6, 8, 16]
+#: Searches timed per (cell, rows, engine); fewer where each is slow.
+SEARCHES = {128: 96, 256: 16}
 
 
 def heapq_knn_query(obj_at, location, k):
@@ -56,58 +83,115 @@ def timed(fn, args_list):
     return (time.perf_counter() - start) / len(args_list), results
 
 
-def test_kernel_vs_heapq_sweep(benchmark) -> None:
+def kernel_vs_heapq() -> list[dict]:
     queries = [RNG.randrange(NETWORK.num_nodes) for _ in range(NUM_QUERIES)]
+    rows = []
+    for num_objects in OBJECT_COUNTS:
+        objects = {
+            i: RNG.randrange(NETWORK.num_nodes) for i in range(num_objects)
+        }
+        obj_at: dict[int, list[int]] = {}
+        for object_id, node in objects.items():
+            obj_at.setdefault(node, []).append(object_id)
+        solution = DijkstraKNN(NETWORK, dict(objects))
+        solution.query(queries[0], K)  # warm the kernel buffers
 
-    def run():
-        rows = []
-        for num_objects in OBJECT_COUNTS:
-            objects = {
-                i: RNG.randrange(NETWORK.num_nodes)
-                for i in range(num_objects)
-            }
-            obj_at: dict[int, list[int]] = {}
-            for object_id, node in objects.items():
-                obj_at.setdefault(node, []).append(object_id)
-            solution = DijkstraKNN(NETWORK, dict(objects))
-            solution.query(queries[0], K)  # warm the kernel buffers
-
-            t_heapq, reference = timed(
-                lambda q: heapq_knn_query(obj_at, q, K),
-                [(q,) for q in queries],
-            )
-            t_kernel, answers = timed(
-                lambda q: solution.query(q, K), [(q,) for q in queries]
-            )
-            for answer, expected in zip(answers, reference):
-                assert [
-                    (n.distance, n.object_id) for n in answer
-                ] == expected
-            rows.append({
-                "workload": f"kNN m={num_objects} k={K}",
-                "heapq_ms": t_heapq * 1e3,
-                "kernel_ms": t_kernel * 1e3,
-                "speedup": t_heapq / t_kernel,
-            })
-
-        # The no-early-termination extreme: settle the whole network.
-        t_heapq, (ref, _) = timed(
-            lambda s: dijkstra_heapq(NETWORK, s), [(0,), (1,)]
+        t_heapq, reference = timed(
+            lambda q: heapq_knn_query(obj_at, q, K), [(q,) for q in queries]
         )
-        kernels = NETWORK.kernels
-        t_kernel, (got, _) = timed(lambda s: kernels.sssp(s), [(0,), (1,)])
-        assert dict(zip(got[0].tolist(), got[1].tolist())) == ref
+        t_kernel, answers = timed(
+            lambda q: solution.query(q, K), [(q,) for q in queries]
+        )
+        for answer, expected in zip(answers, reference):
+            assert [(n.distance, n.object_id) for n in answer] == expected
         rows.append({
-            "workload": "full SSSP",
+            "workload": f"kNN m={num_objects} k={K}",
             "heapq_ms": t_heapq * 1e3,
             "kernel_ms": t_kernel * 1e3,
             "speedup": t_heapq / t_kernel,
         })
-        return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    # The no-early-termination extreme: settle the whole network.
+    t_heapq, (ref, _) = timed(lambda s: dijkstra_heapq(NETWORK, s), [(0,), (1,)])
+    kernels = NETWORK.kernels
+    t_kernel, (got, _) = timed(lambda s: kernels.sssp(s), [(0,), (1,)])
+    assert dict(zip(got[0].tolist(), got[1].tolist())) == ref
+    rows.append({
+        "workload": "full SSSP",
+        "heapq_ms": t_heapq * 1e3,
+        "kernel_ms": t_kernel * 1e3,
+        "speedup": t_heapq / t_kernel,
+    })
+    return rows
 
-    table = format_table(
+
+def canonical(nodes, dists, counts):
+    pairs = []
+    for node, distance in zip(nodes.tolist(), dists.tolist()):
+        pairs.extend([(distance, node)] * int(counts[node]))
+    return sorted(pairs)[:K]
+
+
+def heap_vs_sweep() -> list[dict]:
+    """Per-query µs of each engine, by cell and searches per group."""
+    table = []
+    for cell, side, num_objects in CELLS:
+        network = grid_network(side, side, seed=7)
+        rng = random.Random(side * 1000 + num_objects)
+        counts = np.zeros(network.num_nodes, dtype=np.int32)
+        for _ in range(num_objects):
+            counts[rng.randrange(network.num_nodes)] += 1
+        kernels, view = network.kernels, _view(counts)
+        settled = K * network.num_nodes / num_objects
+        kernels.knn_batch([0, 1], [K, K], counts)  # size the sweep buffer
+        for rows in ROWS:
+            groups = max(SEARCHES[side] // rows, 2)
+            heap_s, sweep_s = [], []
+            for _ in range(groups):
+                sources = rng.sample(range(network.num_nodes), rows)
+                started = time.perf_counter()
+                heap = [kernels._heap_topk(s, K, view, None) for s in sources]
+                heap_s.append(time.perf_counter() - started)
+                started = time.perf_counter()
+                sweep = kernels.knn_batch(sources, [K] * rows, counts)
+                sweep_s.append(time.perf_counter() - started)
+                for one, other in zip(heap, sweep):
+                    assert canonical(*one, counts) == canonical(*other, counts)
+            heap_us = statistics.median(heap_s) / rows * 1e6
+            sweep_us = statistics.median(sweep_s) / rows * 1e6
+            table.append({
+                "cell": cell,
+                "nodes": network.num_nodes,
+                "objects": num_objects,
+                "rows": rows,
+                "work": rows * settled,
+                "heap_us": heap_us,
+                "sweep_us": sweep_us,
+                "faster": "heap" if heap_us < sweep_us else "sweep",
+                "model": "heap" if rows * settled <= _HEAP_WORK else "sweep",
+            })
+    return table
+
+
+def crossover(table: list[dict]) -> dict[str, list[float]]:
+    """Per cell: the largest work the heap won at and the smallest the
+    sweep won at (``None`` where one engine won every row count)."""
+    bounds = {}
+    for cell, *_ in CELLS:
+        entries = [row for row in table if row["cell"] == cell]
+        heap = [row["work"] for row in entries if row["faster"] == "heap"]
+        sweep = [row["work"] for row in entries if row["faster"] == "sweep"]
+        bounds[cell] = [max(heap, default=None), min(sweep, default=None)]
+    return bounds
+
+
+def test_kernel_vs_heapq_sweep(benchmark) -> None:
+    rows, table = benchmark.pedantic(
+        lambda: (kernel_vs_heapq(), heap_vs_sweep()), rounds=1, iterations=1
+    )
+    bounds = crossover(table)
+
+    kernel_table = format_table(
         ["Workload", "heapq (ms)", "kernel (ms)", "speedup"],
         [
             [
@@ -124,7 +208,29 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
             f"{NUM_QUERIES} queries)"
         ),
     )
-    publish("knn_kernels", table)
+    crossover_table = format_table(
+        ["Cell", "rows", "work", "heap (us/q)", "sweep (us/q)", "faster",
+         "model"],
+        [
+            [
+                row["cell"], row["rows"], f"{row['work']:.0f}",
+                f"{row['heap_us']:.0f}", f"{row['sweep_us']:.0f}",
+                row["faster"], row["model"],
+            ]
+            for row in table
+        ],
+        title=(
+            f"Heap expansion vs shared sweep, k={K}; work = rows * k*n/m; "
+            f"the model takes the heap at work <= {_HEAP_WORK}"
+        ),
+    )
+    bound_lines = "\n".join(
+        f"{cell}: heap won up to work {_fmt(heap)}, sweep from {_fmt(sweep)}"
+        for cell, (heap, sweep) in bounds.items()
+    )
+    publish("knn_kernels", "\n\n".join([
+        kernel_table, crossover_table, bound_lines
+    ]))
     (RESULTS_DIR / "knn_kernels.json").write_text(
         json.dumps(
             {
@@ -136,6 +242,9 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
                 "k": K,
                 "num_queries": NUM_QUERIES,
                 "rows": rows,
+                "heap_work_limit": _HEAP_WORK,
+                "crossover": table,
+                "crossover_bounds": bounds,
             },
             indent=2,
         )
@@ -147,3 +256,14 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
     by_name = {row["workload"]: row for row in rows}
     assert by_name[f"kNN m={OBJECT_COUNTS[0]} k={K}"]["speedup"] >= 3.0
     assert by_name["full SSSP"]["speedup"] >= 3.0
+    # The model's routing of the two mprbench cells (work, not timing):
+    # a lone serve_open search takes the heap, pool_longrange never does.
+    model = {(row["cell"], row["rows"]): row["model"] for row in table}
+    assert model[("serve_open w-core", 1)] == "heap"
+    assert {model[("pool_longrange w-core", rows)] for rows in ROWS} == {
+        "sweep"
+    }
+
+
+def _fmt(work) -> str:
+    return "-" if work is None else f"{work:.0f}"

@@ -1307,11 +1307,19 @@ class CHKernels:
         return self._obj_nodes[reached], dist[reached]
 
     def topk_objects(
-        self, source: int, object_counts: np.ndarray, k: int
+        self,
+        source: int,
+        object_counts: np.ndarray,
+        k: int,
+        *,
+        objects: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """CH-backed top-k: same contract as ``CSRKernels.topk_objects``
         — every object node at distance <= the k-th object distance,
-        with exact distances (bit-identical on integral weights)."""
+        with exact distances (bit-identical on integral weights).
+        ``objects`` is accepted for interface parity and unused: a
+        search routed here is a large one by construction."""
+        del objects
         if k <= 0:
             return _EMPTY_I8, _EMPTY_F8
         if not self._ensure_buckets(object_counts):
@@ -1341,16 +1349,17 @@ class CHKernels:
         object_counts: np.ndarray,
         *,
         group_size: int = QUERIES_PER_SWEEP,
+        objects: int | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Batched :meth:`topk_objects`, aligned with the inputs.
 
-        ``group_size`` is accepted for interface parity with
-        ``CSRKernels.knn_batch`` but unused — each distinct source is
-        already a single sweep + join here.  Duplicate sources collapse
+        ``group_size`` and ``objects`` are accepted for interface parity
+        with ``CSRKernels.knn_batch`` but unused — each distinct source
+        is already a single sweep + join here.  Duplicate sources collapse
         to one computation (served with the largest requested ``k``)
         and may share result arrays; treat results as read-only.
         """
-        del group_size
+        del group_size, objects
         src = np.asarray(sources, dtype=np.int64)
         kreq = np.asarray(ks, dtype=np.int64)
         if src.shape != kreq.shape or src.ndim != 1:

@@ -11,6 +11,23 @@ networks — bounded degree, weights in a narrow band — this turns the
 per-edge cost into a per-window cost and yields order-of-magnitude
 speedups on large graphs (see ``benchmarks/bench_knn_kernels.py``).
 
+Two top-k engines, one work model
+---------------------------------
+A window costs ~40 numpy calls whether it holds ten nodes or ten
+thousand, so a *small* search — dense objects, a few hundred nodes
+inside the k-th distance — is cheaper as a plain heap expansion that
+pays per settled node.  :meth:`CSRKernels.topk_objects` and each group
+of :meth:`CSRKernels.knn_batch` therefore pick their engine with one
+O(1) rule (:meth:`CSRKernels._heap_pays`): a group of ``rows``
+searches is expected to settle ``rows * k * n / objects`` nodes, and
+runs as heap expansions when that is at most :data:`_HEAP_WORK`, else
+as the shared sweep.  The constant is measured, not chosen:
+``benchmarks/bench_knn_kernels.py`` times both engines by rows per
+group on mprbench's w-core cells, and the heap won up to ~650 expected
+settled nodes per group and lost from ~820 on (results in
+``benchmarks/results/knn_kernels.txt``).  Callers that do not pass the
+object count (``objects=None``) always get the sweep.
+
 Exactness: within a window the kernel iterates relaxation to a
 fixpoint before declaring the window settled, so results are
 *bit-for-bit identical* to the ``heapq`` engines — every settled
@@ -41,6 +58,7 @@ on the float-weight networks our generators produce.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from typing import Sequence
@@ -52,10 +70,16 @@ __all__ = ["KERNEL_CALLS", "QUERIES_PER_SWEEP", "CSRKernels",
 
 INFINITY = math.inf
 
-#: Diagnostic call counters, keyed by kernel entry point.  The
-#: bench-smoke tool and the delegation tests assert against these to
-#: prove the vectorized path is actually being exercised.
+#: Diagnostic call counters, keyed by the engine that ran: ``"topk"``
+#: one solo top-k sweep, ``"knn_batch"`` one batch call that ran shared
+#: sweeps, ``"heap"`` one heap expansion, and one per call of the other
+#: entry points.  Tests assert against these to prove which path ran.
 KERNEL_CALLS: Counter = Counter()
+
+#: The heap/sweep crossover, in expected settled nodes per group (see
+#: :meth:`CSRKernels._heap_pays`), measured by
+#: ``benchmarks/bench_knn_kernels.py`` (module docstring).
+_HEAP_WORK = 700
 
 #: How many searches share one batched sweep: per-query cost falls
 #: steeply up to about this width (EXPERIMENTS.md, "Rows per sweep").
@@ -87,6 +111,23 @@ def _dedup(ids: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
+
+
+def _view(array: np.ndarray) -> memoryview:
+    """A zero-copy memoryview of ``array`` (copying only a
+    non-contiguous one): per-element reads return plain Python numbers,
+    which is what the heap search's inner loop indexes."""
+    return memoryview(np.ascontiguousarray(array))
+
+
+def _patch_map(pairs: Sequence[tuple[int, int]]) -> dict[int, int] | None:
+    """Net count delta per node of ``(node, ±count)`` patches."""
+    if not pairs:
+        return None
+    net: dict[int, int] = {}
+    for node, delta in pairs:
+        net[node] = net.get(node, 0) + delta
+    return net
 
 
 def dial_delta(weights: np.ndarray) -> float | None:
@@ -163,6 +204,8 @@ class CSRKernels:
         self._batch_dist: np.ndarray | None = None
         self._batch_touched: np.ndarray | None = None
         self._batch_used = 0  # prefix of the buffer the last sweep ran in
+        # The CSR arrays as memoryviews for the heap search; on first use.
+        self._views: tuple[memoryview, memoryview, memoryview] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -217,7 +260,12 @@ class CSRKernels:
         return nodes, dists
 
     def topk_objects(
-        self, source: int, object_counts: np.ndarray, k: int
+        self,
+        source: int,
+        object_counts: np.ndarray,
+        k: int,
+        *,
+        objects: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Early-terminating top-k expansion over per-node object counts.
 
@@ -229,10 +277,22 @@ class CSRKernels:
         distance <= the k-th distance, so downstream canonical
         ``(distance, object_id)`` sorting reproduces the ``heapq``
         expansion's answers exactly, ties included.
+
+        ``objects`` is the number of objects ``object_counts`` holds,
+        when the caller knows it: the work model (:meth:`_heap_pays`)
+        then runs a search expected to settle few nodes as a heap
+        expansion.  ``None`` always runs the bucketed sweep.
         """
-        KERNEL_CALLS["topk"] += 1
+        if not 0 <= source < self._num_nodes:
+            raise IndexError(
+                f"node {source} out of range for graph with "
+                f"{self._num_nodes} nodes"
+            )
         if k <= 0:
             return _EMPTY_I8, _EMPTY_F8
+        if self._heap_pays(k, objects):
+            return self._heap_topk(source, k, _view(object_counts), None)
+        KERNEL_CALLS["topk"] += 1
         nodes, dists, _ = self._search(
             [source], object_counts=object_counts, k=k
         )
@@ -248,6 +308,7 @@ class CSRKernels:
         versions: Sequence[int] | None = None,
         patches: Sequence[tuple[int, int]] = (),
         group_size: int = QUERIES_PER_SWEEP,
+        objects: int | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Answer many top-k queries via shared multi-source sweeps.
 
@@ -284,12 +345,14 @@ class CSRKernels:
         interpreter cost that dominates small per-query searches.
         Each row keeps its own early-termination bound, so a finished
         member stops contributing frontier work while its neighbours
-        keep expanding.
+        keep expanding.  With ``objects`` (as in :meth:`topk_objects`),
+        a group the work model prices below the sweep runs its members
+        as heap expansions instead; ``KERNEL_CALLS["knn_batch"]`` counts
+        the calls that swept.
 
         Queries sharing a source may receive the *same* array objects;
         treat results as read-only.
         """
-        KERNEL_CALLS["knn_batch"] += 1
         if group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {group_size}")
         src = np.asarray(sources, dtype=np.int64)
@@ -324,19 +387,114 @@ class CSRKernels:
         ] * len(unique)
         wanted = np.nonzero(kmax > 0)[0]
         groups = -(-len(wanted) // group_size)
+        swept = False
         for chunk in np.array_split(wanted, groups) if groups else ():
-            answers = self._batch_topk(
-                unique[chunk] // span, kmax[chunk], object_counts,
-                unique[chunk] % span, patch_nodes, patch_deltas,
-            )
+            if self._heap_pays(int(kmax[chunk].sum()), objects):
+                counts = _view(object_counts)
+                patch_pairs = list(zip(patch_nodes.tolist(),
+                                       patch_deltas.tolist()))
+                answers = [
+                    self._heap_topk(
+                        key // span, k, counts,
+                        _patch_map(patch_pairs[:key % span]),
+                    )
+                    for key, k in zip(unique[chunk].tolist(),
+                                      kmax[chunk].tolist())
+                ]
+            else:
+                swept = True
+                answers = self._batch_topk(
+                    unique[chunk] // span, kmax[chunk], object_counts,
+                    unique[chunk] % span, patch_nodes, patch_deltas,
+                )
             for position, unique_index in enumerate(chunk.tolist()):
                 per_unique[unique_index] = answers[position]
+        if swept:
+            KERNEL_CALLS["knn_batch"] += 1
         return [per_unique[index] for index in inverse.tolist()]
 
     def expander(self, source: int) -> "IncrementalSSSP":
         """An incremental single-source search (IER's verification tool)."""
         KERNEL_CALLS["expander"] += 1
         return IncrementalSSSP(self, source)
+
+    # ------------------------------------------------------------------
+    # Heap expansion (small searches) and the work model that picks it
+    # ------------------------------------------------------------------
+    def _heap_pays(self, total_k: int, objects: int | None) -> bool:
+        """The work model: does a group of searches with ``total_k``
+        requested neighbours over ``objects`` objects run cheaper as
+        heap expansions than as one shared sweep?
+
+        Uniform objects put ``k * n / objects`` nodes inside a search's
+        k-th distance, so the group is expected to settle ``total_k * n /
+        objects`` nodes; the heap wins at or below :data:`_HEAP_WORK`.
+        Unknown (``None``) or zero objects — a search that may settle
+        the whole graph — keep the sweep.  O(1): no count is read.
+        """
+        if not objects:
+            return False
+        return total_k * self._num_nodes <= _HEAP_WORK * objects
+
+    def _heap_topk(
+        self,
+        source: int,
+        k: int,
+        counts: memoryview,
+        patch: dict[int, int] | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One top-k search as a classic ``heapq`` Dijkstra expansion.
+
+        The same contract as :meth:`topk_objects`, over ``counts`` (a
+        :func:`_view` of the count vector) plus ``patch``'s per-node
+        deltas: returns every object-bearing node at distance <= the
+        k-th object distance.  Distances are bit-identical to the sweep
+        — both compute the same minimum over the same candidate sums —
+        and the search pays per settled node instead of per numpy
+        window, which is what a search settling a few hundred nodes
+        costs.  Reads the CSR arrays through zero-copy memoryviews, so
+        int32 memmap and shared-memory graphs cost no per-worker copy.
+        """
+        KERNEL_CALLS["heap"] += 1
+        views = self._views
+        if views is None:
+            views = self._views = (
+                _view(self._indptr), _view(self._indices),
+                _view(self._weights),
+            )
+        indptr, indices, weights = views
+        pop, push = heapq.heappop, heapq.heappush
+        dist = {source: 0.0}
+        heap = [(0.0, source)]
+        nodes: list[int] = []
+        dists: list[float] = []
+        found = 0
+        kth = INFINITY
+        while heap:
+            d, u = pop(heap)
+            if d > kth:
+                break
+            if d > dist[u]:
+                continue  # stale entry: u settled at a smaller distance
+            count = counts[u]
+            if patch and u in patch:
+                count += patch[u]
+            if count > 0:
+                nodes.append(u)
+                dists.append(d)
+                found += count
+                if found >= k and kth == INFINITY:
+                    kth = d  # nodes settle in distance order: ties follow
+            for edge in range(indptr[u], indptr[u + 1]):
+                v = indices[edge]
+                candidate = d + weights[edge]
+                if candidate < dist.get(v, INFINITY):
+                    dist[v] = candidate
+                    push(heap, (candidate, v))
+        return (
+            np.array(nodes, dtype=np.int64),
+            np.array(dists, dtype=np.float64),
+        )
 
     # ------------------------------------------------------------------
     # Core bucketed search

@@ -7,11 +7,23 @@ object update costs." (Section II)
 
 The only bookkeeping is the per-node object bucket, so inserts and
 deletes are O(1); queries pay an incremental Dijkstra expansion —
-executed by the early-terminating top-k kernel
-(:meth:`repro.graph.kernels.CSRKernels.topk_objects`), which settles
-distance buckets with vectorized relaxation instead of popping a heap
-node at a time and returns exactly the answers the classic expansion
-produced (``tests/test_kernels.py`` pins the equivalence).
+executed by the early-terminating top-k kernels
+(:meth:`repro.graph.kernels.CSRKernels.topk_objects` /
+:meth:`~repro.graph.kernels.CSRKernels.knn_batch`), which return
+exactly the answers the classic expansion produced
+(``tests/test_kernels.py`` pins the equivalence).
+
+Routing: every search is expected to settle about ``k * n / m`` nodes
+(``n`` nodes, ``m`` objects), and that one estimate picks the engine.
+On an integral-weight network with a contraction hierarchy, a search
+past the CH cutoff takes the hub-label path first.  Otherwise the
+solution hands the kernels its object count and their work model
+decides per group of searches that would share a sweep: ``rows * k *
+n / m`` at most the measured heap limit runs each search as a heap
+expansion paying per settled node (a lone query on dense objects),
+anything larger runs the shared numpy sweep paying per distance window
+(full worker messages, sparse objects).  Answers are bit-identical on
+every route.
 
 Being index-free also makes the search *update-transparent*: distances
 never depend on the object set, only termination and which nodes bear
@@ -132,7 +144,7 @@ class DijkstraKNN(KNNSolution):
         if k <= 0:
             return []
         nodes, dists = self._route_kernels(k).topk_objects(
-            location, self._object_counts(), k
+            location, self._object_counts(), k, objects=len(self._objects)
         )
         return self._nearest(nodes, dists, k)
 
@@ -253,12 +265,16 @@ class DijkstraKNN(KNNSolution):
         if locations:
             kernels = self._route_kernels(max(ks))
             counts = self._object_counts()
+            objects = len(self._objects)
             if patches:
                 batched = kernels.knn_batch(
-                    locations, ks, counts, versions=versions, patches=patches
+                    locations, ks, counts, versions=versions,
+                    patches=patches, objects=objects,
                 )
             else:
-                batched = kernels.knn_batch(locations, ks, counts)
+                batched = kernels.knn_batch(
+                    locations, ks, counts, objects=objects
+                )
         settled = iter(batched)
         for op in ops:
             if op[0] == "query":
@@ -275,6 +291,11 @@ class DijkstraKNN(KNNSolution):
         return partials
 
     def insert(self, object_id: int, location: int) -> None:
+        if not 0 <= location < self._network.num_nodes:
+            raise ValueError(
+                f"location {location} is not a node of the network "
+                f"(0 <= location < {self._network.num_nodes})"
+            )
         self._objects.insert(object_id, location)
         if self._counts is not None:
             self._counts[location] += 1

@@ -532,6 +532,10 @@ class ProcessPoolService:
         if max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
         self._solution = solution
+        network = _network_of(solution)
+        #: Valid locations are ``range(_num_nodes)`` (None: unknown, so
+        #: only a negative location is refused).
+        self._num_nodes = None if network is None else network.num_nodes
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Owned, never shared: the admission ledger and breaker map
         #: inside are fed on every path, whatever the setting.
@@ -604,8 +608,7 @@ class ProcessPoolService:
     def num_nodes(self) -> int | None:
         """Nodes of the served road network — a valid location is in
         ``range(num_nodes)`` — or None if the solution hides its network."""
-        network = _network_of(self._solution)
-        return None if network is None else network.num_nodes
+        return self._num_nodes
 
     def start(self) -> "ProcessPoolService":
         """Bring every worker up (no-op if already running)."""
@@ -659,8 +662,11 @@ class ProcessPoolService:
         :meth:`drain` answers it ``OVERLOADED`` instead of it joining
         the queue (no bound, the default, never sheds) — and an
         admitted query arms the deadline the policy resolves for it
-        (none by default).
+        (none by default).  A query or insert whose location is not a
+        node of the served network raises :class:`ValueError` before it
+        is routed, so no worker ever sees it.
         """
+        self._check_location(task)
         self.start()
         now, shapes = self._now, self._shapes
         if shapes.warming is not None or shapes.retiring is not None:
@@ -690,6 +696,16 @@ class ProcessPoolService:
             )
         # Opportunistically drain acks so the result channels stay short.
         self._collect_ready()
+
+    def _check_location(self, task: Task) -> None:
+        if task.kind is TaskKind.DELETE:
+            return
+        location, nodes = task.location, self._num_nodes
+        if location < 0 or (nodes is not None and location >= nodes):
+            raise ValueError(
+                f"{task.kind.value} location {location} is not a node of "
+                f"the served network (0 <= location < {nodes})"
+            )
 
     def _record_update(self, task: Task) -> None:
         """Advance the submit-time object ledger; dual-feed a warming
@@ -807,7 +823,10 @@ class ProcessPoolService:
     def run(self, tasks: Sequence[Task]) -> dict[int, QueryResult]:
         """Execute a task stream as one planned cycle (:meth:`plan`);
         return ``query_id -> QueryResult`` (as :meth:`drain`).  Workers
-        stay alive for the next one."""
+        stay alive for the next one.  A bad location anywhere in
+        ``tasks`` raises before any of them is submitted."""
+        for task in tasks:
+            self._check_location(task)
         self.start()
         self.plan(tasks)
         for task in tasks:

@@ -22,7 +22,11 @@ from repro.obs import Telemetry
 # ``--hypothesis-profile=thorough`` (the plugin loads that after this).
 settings.register_profile("default", max_examples=100, derandomize=True)
 settings.register_profile("thorough", max_examples=1000)
-settings.load_profile("default")
+# Test modules import this file a second time (``from tests.conftest
+# import ...``); that import must not undo a profile the command line
+# chose.
+if settings.get_current_profile_name() == "default":
+    settings.load_profile("default")
 
 
 #: Threads the package starts; every one has an owner whose ``close()`` /

@@ -13,13 +13,15 @@ expander.
 from __future__ import annotations
 
 import random
+import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import RoadNetwork
+from repro.graph import RoadNetwork, grid_network
 from repro.graph.kernels import KERNEL_CALLS, CSRKernels, dial_delta
 from repro.graph.shortest_path import (
     KERNEL_MIN_NODES,
@@ -30,6 +32,7 @@ from repro.graph.shortest_path import (
 )
 from repro.knn import IERKNN, DijkstraKNN
 from tests.conftest import place_objects
+from tests.test_knn_batch import canonical
 
 
 def random_network(seed: int, tie_heavy: bool = False) -> RoadNetwork:
@@ -195,6 +198,173 @@ class TestTopKEquivalence:
             assert [(n.distance, n.object_id) for n in answer] == found[:5]
 
 
+def oracle_topk(net: RoadNetwork, source: int, counts, k: int) -> list:
+    """The k best ``(distance, node)`` with object multiplicity, from a
+    full ``dijkstra_heapq`` run — no early termination to get wrong."""
+    pairs = []
+    for node, distance in dijkstra_heapq(net, source).items():
+        pairs.extend([(distance, node)] * int(counts[node]))
+    return sorted(pairs)[:k]
+
+
+#: Objects enough that the work model takes the heap for any group of
+#: these tiny graphs (``objects=None`` always sweeps).
+EVERY_GROUP_ON_THE_HEAP = 10**9
+
+
+@st.composite
+def engine_case(draw):
+    """A possibly disconnected graph (integer weights breed ties), a
+    count vector, its ordered ``(node, ±1)`` patches, and searches at
+    any version — duplicate ``(source, version)`` pairs with different
+    ``k``, ``k = 0``, and ``k`` at or past the object count included."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    net = random_network(seed, tie_heavy=draw(st.booleans()))
+    n = net.num_nodes
+    rng = random.Random(seed + 1)
+    counts = np.zeros(n, dtype=np.int32)
+    for _ in range(rng.randint(0, 2 * n)):
+        counts[rng.randrange(n)] += 1
+    current = counts.copy()
+    seen_by_version = [current.copy()]
+    patches = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        node = rng.randrange(n)
+        delta = -1 if current[node] > 0 and rng.random() < 0.5 else 1
+        current[node] += delta
+        patches.append((node, delta))
+        seen_by_version.append(current.copy())
+    most = int(max(view.sum() for view in seen_by_version))
+    searches = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=len(patches)),
+            st.integers(min_value=0, max_value=most + 2),
+        ),
+        min_size=1, max_size=8,
+    ))
+    repeats = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(searches) - 1),
+            st.integers(min_value=0, max_value=most + 2),
+        ),
+        max_size=3,
+    ))
+    searches += [searches[index][:2] + (k,) for index, k in repeats]
+    return net, counts, patches, seen_by_version, searches
+
+
+class TestHeapEngine:
+    """The heap expansion, the shared sweep and a full ``dijkstra_heapq``
+    oracle give the same top-k, distances bit-identical."""
+
+    @settings(deadline=None)  # max_examples from the profile
+    @given(engine_case(), st.booleans())
+    def test_heap_equals_sweep_equals_oracle(self, case, cached) -> None:
+        net, counts, patches, seen_by_version, searches = case
+        if cached:  # int32 CSR arrays memmapped from disk
+            with tempfile.TemporaryDirectory() as directory:
+                net.save_cache(directory)
+                self._check(
+                    RoadNetwork.open_cache(directory), net, counts,
+                    patches, seen_by_version, searches,
+                )
+        else:
+            self._check(net, net, counts, patches, seen_by_version, searches)
+
+    @staticmethod
+    def _check(net, reference, counts, patches, seen_by_version, searches):
+        sources, versions, ks = (list(column) for column in zip(*searches))
+        kernels = net.kernels
+        before = KERNEL_CALLS.copy()
+        heap = kernels.knn_batch(
+            sources, ks, counts, versions=versions, patches=patches,
+            objects=EVERY_GROUP_ON_THE_HEAP,
+        )
+        assert KERNEL_CALLS["knn_batch"] == before["knn_batch"]
+        sweep = kernels.knn_batch(
+            sources, ks, counts, versions=versions, patches=patches
+        )
+        for source, version, k, one, other in zip(
+            sources, versions, ks, heap, sweep
+        ):
+            seen = seen_by_version[version]
+            expected = oracle_topk(reference, source, seen, k)
+            assert canonical(*one, seen, k) == expected
+            assert canonical(*other, seen, k) == expected
+            # The solo entry point, on the materialised vector.
+            solo = kernels.topk_objects(
+                source, seen, k, objects=EVERY_GROUP_ON_THE_HEAP
+            )
+            assert canonical(*solo, seen, k) == expected
+
+    def test_heap_returns_exactly_the_kth_distance_ball(self) -> None:
+        """Every bearing node within the k-th distance (ties too), and
+        nothing past it."""
+        net = RoadNetwork(5, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 2.0),
+                              (3, 4, 1.0)])
+        counts = np.array([0, 1, 1, 1, 1], dtype=np.int32)
+        nodes, dists = net.kernels.topk_objects(
+            0, counts, 1, objects=EVERY_GROUP_ON_THE_HEAP
+        )
+        assert as_dict(nodes, dists) == {1: 1.0, 2: 1.0}
+
+
+class TestWorkModel:
+    """The engine each search runs on is the work model's pick: a group
+    expected to settle at most ``_HEAP_WORK`` nodes (``rows * k * n /
+    objects``) runs on the heap, any other on the shared sweep."""
+
+    @staticmethod
+    def engines(run) -> Counter:
+        before = KERNEL_CALLS.copy()
+        run()
+        return Counter({
+            name: KERNEL_CALLS[name] - before[name]
+            for name in ("heap", "topk", "knn_batch")
+            if KERNEL_CALLS[name] != before[name]
+        })
+
+    def test_dense_objects_take_the_heap_up_to_four_rows(self) -> None:
+        # serve_open's w-core: 1,000 objects on the 128² grid, k = 10.
+        net = grid_network(128, 128, seed=7)
+        solution = DijkstraKNN(net, place_objects(net, 1000, seed=3))
+        assert self.engines(lambda: solution.query(5, 10)) == {"heap": 1}
+        for rows in (2, 3, 4):
+            sources = list(range(0, 97 * rows, 97))
+            assert self.engines(
+                lambda: solution.query_batch(sources, [10] * rows)
+            ) == {"heap": rows}
+        sources = list(range(0, 97 * 16, 97))
+        assert self.engines(
+            lambda: solution.query_batch(sources, [10] * 16)
+        ) == {"knn_batch": 1}
+
+    def test_longrange_density_never_takes_the_heap(self) -> None:
+        # pool_longrange's w-core: 64 objects on the 256² grid, k = 10.
+        net = grid_network(256, 256, seed=7)
+        solution = DijkstraKNN(net, place_objects(net, 64, seed=3))
+        assert self.engines(lambda: solution.query(5, 10)) == {"topk": 1}
+        for rows in (2, 4):
+            sources = list(range(0, 997 * rows, 997))
+            assert self.engines(
+                lambda: solution.query_batch(sources, [10] * rows)
+            ) == {"knn_batch": 1}
+
+    def test_unknown_or_zero_objects_keep_the_sweep(self) -> None:
+        net = random_network(11)
+        counts = np.ones(net.num_nodes, dtype=np.int32)
+        kernels = net.kernels
+        for objects in (None, 0):
+            assert self.engines(
+                lambda: kernels.topk_objects(0, counts, 2, objects=objects)
+            ) == {"topk": 1}
+            assert self.engines(
+                lambda: kernels.knn_batch([0, 1], [2, 2], counts,
+                                          objects=objects)
+            ) == {"knn_batch": 1}
+
+
 class TestDialMode:
     def test_dial_delta_detection(self) -> None:
         assert dial_delta(np.array([2.0, 3.0, 5.0])) == 2.0
@@ -257,7 +427,7 @@ class TestDelegation:
         objects = place_objects(small_grid, 12)
         before = KERNEL_CALLS.copy()
         answer = DijkstraKNN(small_grid, objects).query(7, 5)
-        assert KERNEL_CALLS["topk"] == before["topk"] + 1
+        assert KERNEL_CALLS["heap"] == before["heap"] + 1  # 27 nodes: small
         ier_answer = IERKNN(small_grid, objects).query(7, 5)
         assert KERNEL_CALLS["expander"] > before["expander"]
         assert [n.object_id for n in ier_answer] == [

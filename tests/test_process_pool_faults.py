@@ -39,7 +39,9 @@ from tests.conftest import ok_results
 # Everything that signals a worker is ``slow`` (and process-only); the two
 # signal-free cases also run on thread workers in tier-1 (``worker_kind``).
 
-POISON_LOCATION = -1
+#: A node of the graph: an off-graph location would be refused by
+#: ``submit`` before any worker could crash on it.
+POISON_LOCATION = 0
 
 
 class PoisonableKNN(DijkstraKNN):

@@ -260,14 +260,21 @@ class TestDijkstraRunOps:
         )
 
     def test_interleaved_batch_is_one_sweep(self) -> None:
-        solution, _ = twins("Dijkstra", "float", {1: 3, 2: 9, 3: 14})
+        """Sparse objects: the batch's three searches share one sweep.
+        Dense ones: three heap searches.  Never a solo ``topk``."""
         ops = [
             ("query", 0, 0, 2), ("delete", 2), ("query", 1, 0, 2),
             ("insert", 2, 4), ("query", 2, 7, 2),
         ]
+        objects = {1: 3, 2: 9, 3: 14}
+        sparse = DijkstraKNN(grid_network(40, 40, seed=2), objects)
         before = KERNEL_CALLS.copy()
-        solution.run_ops(ops)
-        assert KERNEL_CALLS - before == {"knn_batch": 1}  # no solo ``topk``
+        sparse.run_ops(ops)
+        assert KERNEL_CALLS - before == {"knn_batch": 1}
+        dense, _ = twins("Dijkstra", "float", objects)
+        before = KERNEL_CALLS.copy()
+        dense.run_ops(ops)
+        assert KERNEL_CALLS - before == {"heap": 3}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ch_routed_batches_keep_exact_answers(self, seed) -> None:

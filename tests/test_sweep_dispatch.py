@@ -11,6 +11,12 @@ answers against the serial oracle) and on real thread workers.
 A planned cycle (``run()`` and the completion pump) also fills a sweep
 before it spreads over replica rows: a layer's share of ``q`` queries
 uses ``ceil(q / batch_size)`` rows, at most ``y`` — the last section.
+
+The tests that count sweeps run in a sparse-object regime
+(:data:`SPARSE_GRID`): there every group costs more than the kernels'
+work model gives the heap search, so a message's queries are one
+shared sweep.  With dense objects the same message runs heap searches
+(``tests/test_kernels.py::TestWorkModel``).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import pytest
 
 import test_pool_protocol as protocol
 from fake_transport import FakeTransport
+from repro.graph import grid_network
 from repro.graph.kernels import KERNEL_CALLS
 from repro.knn import DijkstraKNN
 from repro.mpr import (
@@ -43,18 +50,27 @@ NODES = protocol.GRID.num_nodes
 #: a 32-op 1:4 burst over two columns, a query-heavy one over two rows.
 BURSTS = [((2, 1, 1), 7, 25), ((1, 2, 1), 27, 5)]
 
+#: Few objects on a larger grid: a search expects to settle ``k * n /
+#: objects`` >= 3 * 1,600 / 11 nodes even after two bursts' inserts,
+#: far past what the work model sends to the heap for >= 7 rows.
+SPARSE_GRID = grid_network(40, 40, seed=1)
+SPARSE_OBJECTS = {i: (i * 397 + 3) % SPARSE_GRID.num_nodes for i in range(6)}
 
-def burst(queries: int, updates: int, first: int = 0) -> list:
-    """``queries + updates`` tasks, the rarer kind spread evenly; ids
-    (query ids, inserted object ids) from ``first`` on."""
+
+def burst(
+    queries: int, updates: int, first: int = 0, nodes: int = NODES
+) -> list:
+    """``queries + updates`` tasks over ``range(nodes)``, the rarer kind
+    spread evenly; ids (query ids, inserted object ids) from ``first``
+    on."""
     total = queries + updates
     tasks, sent = [], 0
     for index in range(first, first + total):
         if (index - first + 1) * queries // total > sent:
             sent += 1
-            tasks.append(QueryTask(index * 1e-3, index, index * 5 % NODES, 3))
+            tasks.append(QueryTask(index * 1e-3, index, index * 5 % nodes, 3))
         else:
-            tasks.append(InsertTask(index * 1e-3, 5000 + index, index * 3 % NODES))
+            tasks.append(InsertTask(index * 1e-3, 5000 + index, index * 3 % nodes))
     assert sent == queries
     return tasks
 
@@ -63,12 +79,12 @@ def burst(queries: int, updates: int, first: int = 0) -> list:
 def test_one_cycle_is_one_message_and_one_sweep_per_worker(
     shape, queries, updates
 ) -> None:
-    tasks = burst(queries, updates)
-    solution = DijkstraKNN(protocol.GRID)
-    expected = run_serial_reference(solution, protocol.OBJECTS, tasks)
+    tasks = burst(queries, updates, nodes=SPARSE_GRID.num_nodes)
+    solution = DijkstraKNN(SPARSE_GRID)
+    expected = run_serial_reference(solution, SPARSE_OBJECTS, tasks)
     fake = FakeTransport()
     pool = ProcessPoolService(  # the default batch_size: one kernel sweep
-        solution, MPRConfig(*shape), protocol.OBJECTS, start_method=fake
+        solution, MPRConfig(*shape), SPARSE_OBJECTS, start_method=fake
     ).start()
     workers, metrics = list(fake.handles), pool.metrics
     for task in tasks:
@@ -90,12 +106,12 @@ def test_one_cycle_is_one_message_and_one_sweep_per_worker(
 
 @pytest.mark.parametrize("shape, queries, updates", BURSTS)
 def test_one_cycle_on_thread_workers(shape, queries, updates) -> None:
-    tasks = burst(queries, updates)
-    solution = DijkstraKNN(protocol.GRID)
-    expected = run_serial_reference(solution, protocol.OBJECTS, tasks)
+    tasks = burst(queries, updates, nodes=SPARSE_GRID.num_nodes)
+    solution = DijkstraKNN(SPARSE_GRID)
+    expected = run_serial_reference(solution, SPARSE_OBJECTS, tasks)
     workers = MPRConfig(*shape).worker_cores
     with build_executor(
-        MPRConfig(*shape), solution, protocol.OBJECTS, mode="thread"
+        MPRConfig(*shape), solution, SPARSE_OBJECTS, mode="thread"
     ) as pool:
         pool.start()
         calls = Counter(KERNEL_CALLS)
@@ -138,16 +154,19 @@ def test_flush_resets_the_query_count() -> None:
 # ----------------------------------------------------------------------
 # A cycle fills a sweep before it spreads over rows
 # ----------------------------------------------------------------------
-def make_pool(kind: str, shape, solution=None) -> ProcessPoolService:
+def make_pool(
+    kind: str, shape, solution=None, objects=protocol.OBJECTS
+) -> ProcessPoolService:
     """A started pool of ``shape`` on the fake transport or on threads."""
-    solution = solution or DijkstraKNN(protocol.GRID)
+    if solution is None:
+        solution = DijkstraKNN(protocol.GRID)
     if kind == "fake":
         return ProcessPoolService(
-            solution, MPRConfig(*shape), protocol.OBJECTS,
+            solution, MPRConfig(*shape), objects,
             start_method=FakeTransport(),
         ).start()
     return build_executor(
-        MPRConfig(*shape), solution, protocol.OBJECTS, mode="thread"
+        MPRConfig(*shape), solution, objects, mode="thread"
     ).start()
 
 
@@ -195,12 +214,13 @@ def test_a_small_cycle_is_one_sweep_on_one_row(kind) -> None:
     """(1,2,1), 10 queries + 5 updates: one row takes every query in one
     sweep, the other row's message holds only the updates — and the
     next such cycle lands on the other row."""
-    cycles = [burst(10, 5), burst(10, 5, first=100)]
-    solution = DijkstraKNN(protocol.GRID)
+    nodes = SPARSE_GRID.num_nodes
+    cycles = [burst(10, 5, nodes=nodes), burst(10, 5, first=100, nodes=nodes)]
+    solution = DijkstraKNN(SPARSE_GRID)
     expected = run_serial_reference(
-        solution, protocol.OBJECTS, cycles[0] + cycles[1]
+        solution, SPARSE_OBJECTS, cycles[0] + cycles[1]
     )
-    pool = make_pool(kind, (1, 2, 1), solution)
+    pool = make_pool(kind, (1, 2, 1), solution, SPARSE_OBJECTS)
     try:
         for row, tasks in enumerate(cycles):
             sent = record_sends(pool)

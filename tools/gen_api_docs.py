@@ -60,14 +60,20 @@ kernels traverse, what shared memory publishes, and what
 `repro.graph.kernels` holds the bucketed (delta-stepping) Dijkstra
 kernels over those arrays: single-source (`sssp`), bounded, multi-source
 with owner tie-breaking (`sssp_multi`), early-terminating top-k
-(`topk_objects`), and the resumable `IncrementalSSSP` expander IER uses.
+(`topk_objects`, batched as `knn_batch`), and the resumable
+`IncrementalSSSP` expander IER uses.  Top-k has a second engine, a
+heap expansion over zero-copy memoryviews of the same arrays: given the
+object count (`objects=`), an O(1) work model sends a group of searches
+expected to settle few nodes (`rows * k*n/m` at most a measured limit)
+to the heap and everything else to the shared sweep.
 Results are **bit-for-bit identical** to the `heapq` engines
 (`tests/test_kernels.py` pins this property); large-graph speedups are
 recorded in `benchmarks/results/knn_kernels.txt`.  The free functions
 `dijkstra`/`multi_source_dijkstra` delegate to the kernels automatically
 at `KERNEL_MIN_NODES` and above; `DijkstraKNN` and `IERKNN` always use
-them.  `KERNEL_CALLS` counts kernel entries so tests can assert the
-fast path is actually taken.
+them.  `KERNEL_CALLS` counts the engine runs (`"heap"`, `"topk"` for
+a solo sweep, `"knn_batch"` for a batch call that swept, and the other
+entry points) so tests can assert which path is taken.
 
 **Buffer-reuse contract**: a `CSRKernels` instance preallocates its
 distance/owner buffers once and reuses them across calls, so an
