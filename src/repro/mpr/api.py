@@ -20,16 +20,28 @@ form, with serial-equivalent answers across worker kinds.
 For serving, :meth:`MPRSystem.submit_async` returns a
 :class:`concurrent.futures.Future` resolving to a typed
 :class:`~repro.mpr.results.QueryResult` envelope.  Underneath it a
-:class:`_CompletionPump` thread takes exclusive ownership of the
-executor and turns the batch-oriented ``submit``/``drain`` cycle into
-per-task completions, so a caller (the ``repro.serve`` event loop in
-particular) never sits in a ``drain()`` barrier.
+:class:`_CompletionPump` takes exclusive ownership of the executor and
+turns the batch-oriented ``submit``/``drain`` cycle into per-task
+completions, so no caller sits in a ``drain()`` barrier.  The pump is
+a steppable cycle machine with no thread of its own; an event loop
+drives it, and that loop's thread is the only one that touches the
+executor.  Who drives it: the ``repro.serve`` server's own loop
+(:meth:`MPRSystem.attach_loop`, which ``MPRServer.start()`` calls), so
+socket → fair queue → cycle → pipe → ack → response runs on one
+thread; otherwise a private loop thread the system starts on first
+use (scripts, ``run_results`` once the pump runs, a background
+:class:`~repro.mpr.reconfig.ReconfigManager`), which callers on other
+threads reach through ``call_soon_threadsafe``.  What can block the
+driving loop is bounded and confined to fault and reconfigure paths:
+a dead or stalled worker's one-second ``join`` before its respawn, and
+the forks of a shape change's new workers.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
+import asyncio
 import threading
+from collections import deque
 from concurrent.futures import Future
 from typing import Any, Mapping, Sequence
 
@@ -38,7 +50,6 @@ from ..knn.base import KNNSolution
 from ..objects.tasks import Task, TaskKind
 from ..obs import Telemetry
 from .config import MPRConfig
-from .executor import QuiesceTimeout
 from .process_executor import ProcessPoolService, WorkerCrash
 from .reconfig import (
     DEFAULT_RETIRE_TIMEOUT,
@@ -146,16 +157,17 @@ def build_executor(
 
 
 class _ReconfigureRequest:
-    """A pump control item: reconfigure between two drain cycles.
+    """A pump control item: reconfigure between two cycles.
 
-    The pump thread owns the executor once serving starts, so a live
-    shape change must go through its queue like everything else — it
-    acts as a cycle boundary: tasks queued before it are submitted (and
-    ride through the cutover in flight), the reconfiguration runs, and
-    tasks queued after it are routed by the new shape.
+    The pump owns the executor once serving starts, so a live shape
+    change goes through its queue like everything else — it acts as a
+    cycle boundary: tasks queued before it are submitted (and ride
+    through the cutover in flight), the shape change is begun and
+    stepped to a terminal event, and tasks queued after it are routed
+    by the new shape.
     """
 
-    __slots__ = ("new_config", "kwargs", "future")
+    __slots__ = ("new_config", "kwargs", "future", "event", "due")
 
     def __init__(
         self, new_config: MPRConfig, kwargs: dict[str, Any], future: Future
@@ -163,34 +175,79 @@ class _ReconfigureRequest:
         self.new_config = new_config
         self.kwargs = kwargs
         self.future = future
+        self.event: ReconfigEvent | None = None
+        self.due = 0.0  # when waiting for the event gives up
+
+    def settled(self) -> bool:
+        """The event is terminal (and, with ``wait_retire``, a completed
+        change has retired its old shape)."""
+        event = self.event
+        return event.outcome != "pending" and not (
+            self.kwargs["wait_retire"] and event.outcome == "completed"
+            and "retire" not in event.phases
+        )
+
+
+def _shutting_down(item: Any) -> None:
+    """Fail one queued pump item: it will never reach the executor."""
+    if isinstance(item, _ReconfigureRequest):
+        item.future.set_exception(RuntimeError("shutting down"))
+        return
+    task, future = item
+    if task.kind is TaskKind.QUERY:
+        future.set_result(QueryResult.timed_out(task.query_id, "shutting down"))
+    else:
+        future.set_exception(RuntimeError("shutting down"))
+
+
+def _call_into(result: Future, fn: Any, args: tuple) -> None:
+    try:
+        result.set_result(fn(*args))
+    except Exception as exc:  # handed to the waiting caller
+        result.set_exception(exc)
 
 
 class _CompletionPump:
-    """A thread turning the batch ``submit``/``drain`` cycle into futures.
+    """A cycle machine turning the batch ``submit``/``drain`` cycle into
+    futures; it has no thread of its own.
 
-    The executor contract is batch-synchronous: answers only exist
-    after a ``drain()`` barrier, and the executor is not thread-safe.
-    The pump is the one thread that touches the executor once serving
-    starts: it pulls ``(task, future)`` pairs from a queue in FCFS
-    order, submits a micro-batch (everything queued, up to
-    ``_PUMP_MAX_BATCH``) as one planned cycle — a small one fills a
-    kernel sweep on one replica row before it spreads over rows
-    (:meth:`ProcessPoolService.plan`) — drains, and resolves each
-    query's future with the :class:`QueryResult` the drain returned for
-    it (update futures
-    resolve to ``None`` after the drain that made them visible).
-    Callers — the asyncio server above all — therefore get per-task
-    completion without ever blocking in the barrier themselves.
+    The executor contract is batch-synchronous and the executor is not
+    thread-safe, so the pump is the one owner of the executor once
+    serving starts, and whoever drives the pump is the one thread that
+    touches it.  :meth:`submit` and :meth:`reconfigure` queue FCFS on
+    the driving loop's thread (from any other thread they are handed over
+    with ``call_soon_threadsafe``); :meth:`step` advances the machine
+    and never blocks on the transport.  One cycle is in flight at a
+    time: everything queued (up to ``_PUMP_MAX_BATCH``, or up to a
+    reconfigure request) is planned — a small cycle fills a kernel
+    sweep on one replica row before it spreads over rows
+    (:meth:`ProcessPoolService.plan`) — submitted and flushed; each
+    step then resolves the futures of the queries
+    :meth:`ProcessPoolService.step` returned, in place, and once the
+    pool is quiescent the update futures resolve to ``None`` and the
+    next cycle starts.
+
+    Driven by an event loop (:meth:`attach`), the loop watches the
+    pool's whole wait set with one ``add_reader`` and steps when it is
+    readable, when a cycle's worth of work has been queued, and when
+    the one timer — armed only while a cycle is in flight — comes due:
+    the health-check interval, the nearest armed deadline, or the
+    cycle's drain timeout.  Steps that can block the loop are the
+    fault and reconfigure paths only, and bounded: a dead or stalled
+    worker's ``join(handle, 1.0)`` before its respawn, and the forks of
+    a shape change's new workers in ``begin_reconfigure``.
 
     Failure mapping, so a sick pool cannot hang an RPC forever:
 
-    * :class:`QuiesceTimeout` — the queries it names resolve as
-      ``TIMEOUT``; the rest of the cycle gets one short follow-up
-      drain, then times out too.
+    * drain timeout (the cycle not settled ``drain_timeout`` seconds
+      after it started) — every query still owed resolves as
+      ``TIMEOUT`` with the pool's diagnostic, which names it
+      (:meth:`ProcessPoolService.timeout_error`); its updates resolve.
     * :class:`WorkerCrash`/``RuntimeError`` — every future of the
-      cycle resolves as ``ERROR`` with the crash detail.
-    * ``stop()`` — queued-but-unsubmitted tasks resolve as ``TIMEOUT``
-      ("shutting down"); the in-flight cycle finishes first.
+      cycle still owed resolves as ``ERROR`` with the crash detail.
+    * :meth:`stop` — queued-but-unsubmitted tasks resolve as
+      ``TIMEOUT`` ("shutting down"); the in-flight cycle finishes
+      first.
     """
 
     def __init__(
@@ -198,178 +255,288 @@ class _CompletionPump:
     ) -> None:
         self._executor = executor
         self._drain_timeout = drain_timeout
-        self._queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        self._stopping = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="mpr-completion-pump", daemon=True
-        )
-        self._thread.start()
+        #: The pool's clock — virtual on a fake transport.
+        self._now = executor._now
+        self._queue: deque = deque()
+        #: The in-flight cycle: query futures still owed, by query id;
+        #: its update futures; its reconfigure request; when it times
+        #: out (None: never, or not before the request settles).
+        self._busy = False
+        self._queries: dict[int, Future] = {}
+        self._updates: list[Future] = []
+        self._request: _ReconfigureRequest | None = None
+        self._wall: float | None = None
+        self._stopping = False
+        #: Set when the pump is stopped and its last cycle has ended.
+        self.stopped = threading.Event()
+        #: The driving loop and its thread (None: stepped by hand).
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self._thread_id: int | None = None
+        self._timer: asyncio.TimerHandle | None = None
+        self._kicked = False
 
+    # -- the caller's side ---------------------------------------------
     def submit(self, task: Task) -> "Future[QueryResult | None]":
-        """Enqueue one task; the future resolves when its drain lands."""
-        if self._stopping.is_set():
-            raise RuntimeError("completion pump is stopped")
+        """Queue one task; its future resolves once its cycle settles
+        it."""
         future: Future = Future()
-        self._queue.put((task, future))
+        self._enqueue([(task, future)])
         return future
+
+    def submit_all(
+        self, tasks: Sequence[Task]
+    ) -> "list[Future[QueryResult | None]]":
+        """:meth:`submit` for many tasks, handed over at once."""
+        items = [(task, Future()) for task in tasks]
+        self._enqueue(items)
+        return [future for _task, future in items]
 
     def reconfigure(
         self, new_config: MPRConfig, **kwargs: Any
     ) -> "Future[ReconfigEvent]":
-        """Enqueue a live shape change; FCFS with the task stream."""
-        if self._stopping.is_set():
+        """Queue a live shape change; FCFS with the task stream."""
+        request = _ReconfigureRequest(new_config, kwargs, Future())
+        self._enqueue([request])
+        return request.future
+
+    def on_loop_thread(self) -> bool:
+        return threading.get_ident() == self._thread_id
+
+    def _enqueue(self, items: list) -> None:
+        if self._stopping:
             raise RuntimeError("completion pump is stopped")
-        future: Future = Future()
-        self._queue.put(_ReconfigureRequest(new_config, kwargs, future))
-        return future
+        if self.loop is not None and not self.on_loop_thread():
+            self.loop.call_soon_threadsafe(self._hand_over, items)
+        else:
+            self._enqueue_here(items)
 
-    def stop(self, timeout: float | None = None) -> None:
-        """Finish the in-flight cycle, fail the queue, join the thread."""
-        if not self._stopping.is_set():
-            self._stopping.set()
-            self._queue.put(None)
-        self._thread.join(timeout)
+    def _enqueue_here(self, items: list) -> None:
+        self._queue.extend(items)
+        if not self._busy and not self._kicked and self.loop is not None:
+            # Start the cycle once this loop iteration has queued all it
+            # will: the server's dispatcher releases a burst in one go.
+            self._kicked = True
+            self.loop.call_soon(self.step)
 
-    # ------------------------------------------------------------------
-    def _next_cycle(self) -> list[tuple[Task, Future]] | None:
-        """Block for the first item, then sweep the queue (bounded)."""
-        item = self._queue.get()
-        if item is None:
-            return None
-        cycle = [item]
-        if isinstance(item, _ReconfigureRequest):
-            return cycle
-        while len(cycle) < _PUMP_MAX_BATCH:
-            try:
-                item = self._queue.get_nowait()
-            except queue_module.Empty:
-                break
-            if item is None:
-                return cycle  # drain this cycle, then exit the loop
-            cycle.append(item)
-            if isinstance(item, _ReconfigureRequest):
+    def _hand_over(self, items: list) -> None:
+        """Items from another thread, now on the loop's: one
+        hand-over is one burst, so an idle pump starts it at once."""
+        if self._stopping:  # stopped while the hand-over was queued
+            for item in items:
+                _shutting_down(item)
+            return
+        self._queue.extend(items)
+        if not self._busy:
+            self.step()
+
+    def stop(self) -> None:
+        """Fail the queue; the in-flight cycle finishes first (set
+        :attr:`stopped` then).  On the driving loop's thread."""
+        self._stopping = True
+        while self._queue:
+            _shutting_down(self._queue.popleft())
+        if not self._busy:
+            self.stopped.set()
+
+    @property
+    def idle(self) -> bool:
+        return not self._busy and not self._queue
+
+    # -- the driving loop's side --------------------------------------
+    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Be driven by ``loop``; call on its thread."""
+        self.loop, self._thread_id = loop, threading.get_ident()
+        loop.add_reader(self._executor.fileno(), self.step)
+        if not self.idle:
+            self._kicked = True
+            loop.call_soon(self.step)
+
+    def detach(self) -> None:
+        """Stop being driven (the machine keeps its state); call on the
+        driving loop's thread, or once that loop no longer runs."""
+        loop, self.loop, self._thread_id = self.loop, None, None
+        if loop is None:
+            return
+        loop.remove_reader(self._executor.fileno())
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._kicked = False
+
+    def step(self) -> None:
+        """Advance the machine: settle what the pool has for the cycle
+        in flight; start the next cycle once it has settled."""
+        self._kicked = False
+        try:
+            results = self._executor.step()
+        except (WorkerCrash, RuntimeError) as exc:
+            self._fail_cycle(exc)
+            results = {}
+        if self._busy:
+            self._settle(results)
+        while not self._busy and self._queue:
+            self._start_cycle()
+        self._arm()
+
+    def _settle(self, results: dict[int, QueryResult]) -> None:
+        queries = self._queries
+        for query_id, result in results.items():
+            future = queries.pop(query_id, None)
+            if future is not None:  # else: a cycle that timed out
+                future.set_result(result)
+        now = self._now()
+        request = self._request
+        if request is not None:
+            if request.settled():
+                request.future.set_result(request.event)
+            elif now >= request.due:
+                config = request.new_config
+                request.future.set_exception(TimeoutError(
+                    f"reconfiguration to ({config.x}, {config.y}, "
+                    f"{config.z}) did not settle within "
+                    f"{request.kwargs['timeout']} s "
+                    f"(outcome={request.event.outcome!r})"
+                ))
+            else:
+                return  # no cycle settles before its shape change
+            self._request = None
+            self._arm_wall(now)
+        if not queries and (not self._updates or self._executor.quiescent):
+            self._end_cycle()
+        elif self._wall is not None and now >= self._wall:
+            self._time_out()
+
+    def _arm_wall(self, now: float) -> None:
+        """The drain timeout runs from here (a cycle's start, or the
+        end of its shape change)."""
+        self._wall = (
+            None if self._drain_timeout is None else now + self._drain_timeout
+        )
+
+    def _start_cycle(self) -> None:
+        executor, queue = self._executor, self._queue
+        cycle: list[tuple[Task, Future]] = []
+        while queue and len(cycle) < _PUMP_MAX_BATCH:
+            if isinstance(queue[0], _ReconfigureRequest):
+                self._request = queue.popleft()
                 break  # cycle boundary: later tasks ride the new shape
-        return cycle
-
-    def _resolve(self, cycle: list[Any]) -> None:
-        """Run one planned submit→drain cycle and settle every future
-        in it (the drain's flush closes the plan)."""
-        request: _ReconfigureRequest | None = None
-        submitted: list[tuple[Task, Future]] = []
-        self._executor.plan([
-            item[0] for item in cycle
-            if not isinstance(item, _ReconfigureRequest)
-        ])
-        for item in cycle:
-            if isinstance(item, _ReconfigureRequest):
-                request = item
-                continue
-            task, future = item
+            cycle.append(queue.popleft())
+        self._busy = True
+        queries, updates = self._queries, self._updates
+        sent = executor.metrics.batches_sent
+        executor.plan([task for task, _future in cycle])
+        for task, future in cycle:
             try:
-                self._executor.submit(task)
-            except Exception as exc:  # routing/admission blew up
+                executor.submit(task)
+            except Exception as exc:  # refused, or routing blew up
                 future.set_exception(exc)
                 continue
-            submitted.append((task, future))
-        if request is not None:
-            # Reconfigure with this cycle's queries in flight: the wait
-            # loop keeps collecting their acks, the drain below settles
-            # them — under the old shape on rollback, the new on cutover.
-            self._run_reconfigure(request)
-        if not submitted:
-            return
+            if task.kind is TaskKind.QUERY:
+                queries[task.query_id] = future
+            else:
+                updates.append(future)
+        # A submit that sent a full sweep read the acks waiting then.
+        collected = executor.metrics.batches_sent != sent
         try:
-            results = self._executor.drain(timeout=self._drain_timeout)
-        except QuiesceTimeout as exc:
-            results = self._recover_timeout(submitted, exc)
+            executor.flush()  # closes the plan
         except (WorkerCrash, RuntimeError) as exc:
-            for task, future in submitted:
-                if task.kind is TaskKind.QUERY:
-                    future.set_result(
-                        QueryResult.failed(task.query_id, str(exc))
-                    )
-                else:
-                    future.set_exception(exc)
-            return
-        for task, future in submitted:
-            if task.kind is TaskKind.QUERY:
-                result = results.get(task.query_id)
-                if result is None:
-                    result = QueryResult.timed_out(
-                        task.query_id,
-                        "query lost by the executor drain",
-                    )
-                future.set_result(result)
-            else:
-                future.set_result(None)
-
-    def _run_reconfigure(self, request: _ReconfigureRequest) -> None:
-        try:
-            request.future.set_result(
-                self._executor.reconfigure(
-                    request.new_config, **request.kwargs
-                )
-            )
-        except Exception as exc:  # rejected / timed out / crashed
-            request.future.set_exception(exc)
-
-    def _recover_timeout(
-        self, submitted: list[tuple[Task, Future]], exc: QuiesceTimeout
-    ) -> dict[int, QueryResult]:
-        """Fail the queries a drain timeout names; salvage the rest.
-
-        The :class:`QuiesceTimeout` carries the affected query ids so
-        we can fail exactly those in-flight RPCs and give everyone else
-        one more — short — chance to surface answers that were already
-        merged.  With nobody else in the cycle there is nothing to
-        salvage, and the pump goes straight back to its queue.
-        """
-        stuck = set(exc.query_ids)
-        for task, future in submitted:
-            if task.kind is TaskKind.QUERY and task.query_id in stuck:
-                future.set_result(
-                    QueryResult.timed_out(task.query_id, str(exc))
-                )
-        remaining = [
-            (task, future)
-            for task, future in submitted
-            if not (task.kind is TaskKind.QUERY and task.query_id in stuck)
-        ]
-        submitted[:] = remaining
-        if not remaining:
-            return {}
-        try:
-            return self._executor.drain(timeout=1.0)
-        except Exception:
-            return {}
-
-    def _loop(self) -> None:
-        while True:
-            cycle = self._next_cycle()
-            if cycle is None:
-                break
-            self._resolve(cycle)
-            if self._stopping.is_set() and self._queue.empty():
-                break
-        # Fail whatever raced in behind the sentinel — never hang a
-        # caller on a future nobody will resolve.
-        while True:
+            self._fail_cycle(exc)
+        now = self._now()
+        self._arm_wall(now)
+        request = self._request
+        if request is not None:
+            kwargs = request.kwargs
             try:
-                item = self._queue.get_nowait()
-            except queue_module.Empty:
-                break
-            if item is None:
-                continue
-            if isinstance(item, _ReconfigureRequest):
-                item.future.set_exception(RuntimeError("shutting down"))
-                continue
-            task, future = item
-            if task.kind is TaskKind.QUERY:
-                future.set_result(
-                    QueryResult.timed_out(task.query_id, "shutting down")
+                request.event = executor.begin_reconfigure(
+                    request.new_config, trigger=kwargs["trigger"],
+                    warm_timeout=kwargs["warm_timeout"],
+                    retire_timeout=kwargs["retire_timeout"],
                 )
+            except Exception as exc:  # rejected / spawn failed
+                request.future.set_exception(exc)
+                self._request = None
             else:
-                future.set_exception(RuntimeError("shutting down"))
+                request.due = now + kwargs["timeout"]
+                self._wall = None
+        if not queries and not updates and self._request is None:
+            self._end_cycle()  # nothing was submitted
+        elif collected and self.loop is not None and not self._kicked:
+            # The wait set may never turn readable for acks already
+            # read, so settle once more right away.
+            self._kicked = True
+            self.loop.call_soon(self.step)
+
+    def _end_cycle(self) -> None:
+        for future in self._updates:
+            future.set_result(None)
+        self._updates.clear()
+        self._busy = False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._stopping:
+            self.stopped.set()
+
+    def _time_out(self) -> None:
+        """The cycle's drain timeout: resolve what it still owes."""
+        detail = str(self._executor.timeout_error(self._drain_timeout))
+        for query_id, future in self._queries.items():
+            future.set_result(QueryResult.timed_out(query_id, detail))
+        self._queries.clear()
+        self._end_cycle()
+
+    def _fail_cycle(self, exc: Exception) -> None:
+        """The pool failed under the cycle: every future it still owes
+        learns why."""
+        for query_id, future in self._queries.items():
+            future.set_result(QueryResult.failed(query_id, str(exc)))
+        self._queries.clear()
+        for future in self._updates:
+            future.set_exception(exc)
+        self._updates.clear()
+        if self._request is not None:
+            self._request.future.set_exception(exc)
+            self._request = None
+
+    def _arm(self) -> None:
+        """Keep the one timer due by the next time the cycle in flight
+        needs a step with no message: health check, armed deadline,
+        drain timeout or reconfigure timeout."""
+        loop = self.loop
+        if loop is None or not self._busy:
+            return
+        now = self._now()
+        due = now + self._executor.step_within()
+        for bound in (self._wall, self._request and self._request.due):
+            if bound:
+                due = min(due, bound)
+        timer = self._timer
+        if timer is not None:
+            if timer.when() <= loop.time() + (due - now):
+                return
+            timer.cancel()
+        self._timer = loop.call_later(max(due - now, 0.0), self._on_timer)
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self.step()
+
+
+class _LoopThread:
+    """A private event loop on a daemon thread: what drives the pump for
+    callers that have no loop of their own."""
+
+    def __init__(self) -> None:
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name="mpr-pump-loop", daemon=True
+        )
+        self._thread.start()
+
+    def close(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join()
+        self.loop.close()
 
 
 class MPRSystem:
@@ -389,12 +556,18 @@ class MPRSystem:
     Every outcome is a :class:`~repro.mpr.results.QueryResult`
     envelope: :meth:`run_results` executes a whole task stream, and
     :meth:`submit_async` returns a :class:`concurrent.futures.Future`
-    per task (``None`` for updates).  First use of ``submit_async``
-    starts the :class:`_CompletionPump`, which then owns the executor
-    until :meth:`close` — the executor is not thread-safe, so from then
-    on ``run_results`` goes through the pump too.  The blocking
-    ``submit``/``flush``/``drain`` cycle lives on :attr:`executor`
-    (and answers in the same envelopes).
+    per task (``None`` for updates).  First use of ``submit_async`` (or
+    :meth:`attach_loop`) starts the :class:`_CompletionPump`, which then
+    owns the executor until :meth:`close` — the executor is not
+    thread-safe, so from then on ``run_results`` and
+    :meth:`reconfigure` go through the pump too.  The pump is driven
+    by one event loop at a time: the loop handed over with
+    :meth:`attach_loop` (the serving tier's), else a private daemon
+    loop thread named ``mpr-pump-loop``; only that loop's thread
+    touches the executor, and a blocking call that waits for the pump
+    (``run_results``, ``reconfigure``) refuses to run on it.  The
+    blocking ``submit``/``flush``/``drain`` cycle lives on
+    :attr:`executor` (and answers in the same envelopes).
     """
 
     def __init__(
@@ -414,6 +587,8 @@ class MPRSystem:
             mode=mode, telemetry=self.telemetry, **options,
         )
         self._pump: _CompletionPump | None = None
+        #: What drives the pump when no caller's loop does.
+        self._private: _LoopThread | None = None
         self._manager: ReconfigManager | None = None
 
     @property
@@ -434,10 +609,85 @@ class MPRSystem:
         if self._manager is not None:
             self._manager.stop()
             self._manager = None
-        if self._pump is not None:
-            self._pump.stop()
+        pump = self._pump
+        if pump is not None:
+            if pump.loop is not None and self._private is None:
+                self._on_pump_loop(self.detach_loop)
+            private = self._private
+            if private is not None:
+                self._on_pump_loop(pump.stop)
+                pump.stopped.wait()  # the in-flight cycle finishes first
+                self._on_pump_loop(pump.detach)
+                self._private = None
+                private.close()
+            else:
+                pump.stop()
             self._pump = None
         self.executor.close()
+
+    # ------------------------------------------------------------------
+    # Who drives the pump
+    # ------------------------------------------------------------------
+    def attach_loop(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Let ``loop`` drive the completion pump from now on; call on
+        the loop's own thread (``MPRServer.start()`` does).
+
+        The loop then watches the pool's wait set with one reader and
+        steps the pump in place, so the socket → cycle → pipe → ack →
+        response path runs on this one thread.  A private loop thread
+        that was driving it is wound down first.
+        """
+        pump = self._pump
+        if pump is None:
+            pump = self._pump = self._new_pump()
+        elif self._private is not None:
+            self._on_pump_loop(pump.detach)
+            self._private.close()
+            self._private = None
+        elif pump.loop is not None:
+            raise RuntimeError("another event loop drives the pump")
+        pump.attach(loop)
+
+    def detach_loop(self) -> None:
+        """Hand the pump back (``MPRServer.stop()`` does); call on the
+        attached loop's thread.  Work still in flight goes on, on a
+        private loop thread."""
+        pump = self._pump
+        if pump is None or pump.loop is None or self._private is not None:
+            return
+        pump.detach()
+        if not pump.idle:
+            self._drive_privately(pump)
+
+    def _new_pump(self) -> _CompletionPump:
+        self.executor.start()
+        return _CompletionPump(self.executor, self._pump_drain_timeout)
+
+    def _ensure_pump(self) -> _CompletionPump:
+        if self._pump is None:
+            self._pump = self._new_pump()
+        if self._pump.loop is None:
+            self._drive_privately(self._pump)
+        return self._pump
+
+    def _drive_privately(self, pump: _CompletionPump) -> None:
+        self._private = _LoopThread()
+        self._on_pump_loop(pump.attach, self._private.loop)
+
+    def _on_pump_loop(self, fn: Any, *args: Any) -> Any:
+        """``fn(*args)`` on the thread that drives the pump, and its
+        result: through the driving loop, unless this is its thread or
+        it is a caller's loop that no longer runs."""
+        private = self._private
+        loop = private.loop if private is not None else self._pump.loop
+        if (
+            loop is None or self._pump.on_loop_thread()
+            or (private is None and not loop.is_running())
+        ):
+            return fn(*args)
+        result: Future = Future()
+        loop.call_soon_threadsafe(_call_into, result, fn, args)
+        return result.result()
 
     # ------------------------------------------------------------------
     # Task execution (futures + QueryResult envelopes)
@@ -456,35 +706,38 @@ class MPRSystem:
         """
         return self._ensure_pump().submit(task)
 
-    def _ensure_pump(self) -> _CompletionPump:
-        if self._pump is None:
-            self.executor.start()
-            self._pump = _CompletionPump(
-                self.executor, self._pump_drain_timeout
-            )
-        return self._pump
-
     def run_results(
         self, tasks: Sequence[Task]
     ) -> dict[int, QueryResult]:
         """Execute a task stream; return enveloped per-query outcomes.
 
         One :class:`~repro.mpr.results.QueryResult` per query id.  Goes
-        through :meth:`submit_async` when the pump is already running,
-        else it *is* one blocking ``executor.run()``.  The envelopes are
+        through the pump when it is already running (and then waits, so
+        not on the pump's driving thread), else it *is* one blocking
+        ``executor.run()``.  The envelopes are
         the same either way; what differs is a pool that fails under
         the drain: the un-pumped path raises
         :class:`~repro.mpr.process_executor.WorkerCrash` where the
         pumped one answers ``ERROR``.
         """
         if self._pump is not None:
-            futures = [(task, self.submit_async(task)) for task in tasks]
+            pump = self._ensure_pump()
+            self._refuse_on_pump_loop(pump, "run_results")
+            futures = pump.submit_all(tasks)
             return {
                 task.query_id: future.result()
-                for task, future in futures
+                for task, future in zip(tasks, futures)
                 if task.kind is TaskKind.QUERY
             }
         return self.executor.run(tasks)
+
+    @staticmethod
+    def _refuse_on_pump_loop(pump: _CompletionPump, name: str) -> None:
+        if pump.on_loop_thread():
+            raise RuntimeError(
+                f"{name}() waits for the pump, and this thread drives it: "
+                "the wait would never end"
+            )
 
     def __enter__(self) -> "MPRSystem":
         return self.start()
@@ -510,10 +763,12 @@ class MPRSystem:
         Before the pump starts this delegates to
         :meth:`ProcessPoolService.reconfigure
         <repro.mpr.process_executor.ProcessPoolService.reconfigure>`
-        directly; once :meth:`submit_async` has started the completion
-        pump, the request is enqueued FCFS with the task stream and
-        executes between two drain cycles (queries already queued ride
-        through the cutover in flight).  Returns the terminal
+        directly; once the completion pump runs, the request is
+        enqueued FCFS with the task stream and is a cycle boundary: the
+        pump begins it after the tasks queued before it and steps it to
+        a terminal event before the next cycle starts (queries already
+        queued ride through the cutover in flight), while this call
+        waits — so not on the pump's driving thread.  Returns the terminal
         :class:`~repro.mpr.reconfig.ReconfigEvent`; raises
         :class:`~repro.mpr.reconfig.ReconfigRejected` when refused.
         """
@@ -525,7 +780,9 @@ class MPRSystem:
             timeout=timeout,
         )
         if self._pump is not None:
-            return self._pump.reconfigure(new_config, **kwargs).result()
+            pump = self._ensure_pump()
+            self._refuse_on_pump_loop(pump, "reconfigure")
+            return pump.reconfigure(new_config, **kwargs).result()
         return self.executor.reconfigure(new_config, **kwargs)
 
     def enable_auto_reconfigure(
@@ -548,7 +805,8 @@ class MPRSystem:
         harness drives synthetic time this way).  With an interval, a
         daemon thread polls continuously; that is only safe once the
         completion pump owns the executor, so the pump is started as a
-        side effect.  :meth:`close` stops the manager.
+        side effect (on a private loop thread unless a loop is
+        attached).  :meth:`close` stops the manager.
         """
         if self._manager is not None:
             return self._manager

@@ -57,6 +57,7 @@ one public construction path.
 from __future__ import annotations
 
 import heapq
+import math
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -243,22 +244,35 @@ class _QueryLedger:
                 query.missing.discard(column)
         return duplicates
 
-    def finish(self) -> dict[int, QueryResult]:
-        """Merge accepted columns; name every outcome.
+    def finish(self, answered_only: bool = False) -> dict[int, QueryResult]:
+        """Merge accepted columns; name every outcome; forget the query.
 
         A query whose columns all answered is ``OK`` with the merged
         canonical top-k.  A query with degraded columns is ``PARTIAL``:
         the survivors' top-k plus the missing ``(layer, column)``
         cells; a shed query is the ``OVERLOADED`` verdict
-        :meth:`refuse` recorded.
+        :meth:`refuse` recorded.  ``answered_only`` is the pass a
+        :meth:`ProcessPoolService.step` makes before the pool is
+        quiescent: only queries answered on every column (final — the
+        first answer per column wins) and shed ones; a degrade decision
+        stays provisional, since a late answer still beats it.
         """
         telemetry = self._telemetry
         stamping = telemetry.enabled
         queries = self.queries
-        events = len(queries) + len(self.shed)
+        if answered_only:
+            settled = [
+                (query_id, query) for query_id, query in queries.items()
+                if len(query.accepted) == len(query.columns)
+            ]
+            if not settled and not self.shed:
+                return {}
+        else:
+            settled = list(queries.items())
+        events = len(settled) + len(self.shed)
         with self._metrics.timed("aggregate", events=events):
             results: dict[int, QueryResult] = {}
-            for query_id, query in queries.items():
+            for query_id, query in settled:
                 accepted = query.accepted
                 missing: tuple[tuple[int, int], ...] = ()
                 if len(accepted) != len(query.columns):
@@ -293,13 +307,19 @@ class _QueryLedger:
                     )
             results.update(self.shed)
         if stamping:
-            for query_id in queries:
+            for query_id, _query in settled:
                 trace = telemetry.trace(query_id)
                 if trace is not None and trace.spans:
                     telemetry.record("response", trace.response_time)
-        queries.clear()
+        if answered_only:
+            # Their deadline entries stay in the heap: enforce_deadlines
+            # skips an id the ledger no longer holds.
+            for query_id, _query in settled:
+                del queries[query_id]
+        else:
+            queries.clear()
+            self.deadlines.clear()
         self.shed.clear()
-        self.deadlines.clear()
         return results
 
     # -- deadlines, hedges, and degraded answers -----------------------
@@ -317,9 +337,11 @@ class _QueryLedger:
         re-arms for another SLO window, so a hedge that itself lands on
         a dying worker gets hedged again until the rows are exhausted.
         An empty heap — no deadline was ever armed — is the whole cost
-        of a policy without deadlines.
+        of a policy without deadlines.  Re-armed entries join the heap
+        only after the sweep, so it ends whatever the SLO.
         """
         heap = self.deadlines
+        rearmed: list[tuple[float, int]] = []
         while heap and heap[0][0] <= now:
             _due, query_id = heapq.heappop(heap)
             query = self.queries.get(query_id)
@@ -330,7 +352,9 @@ class _QueryLedger:
             self._resolve_query(query, now, force=False)
             if not query.resolved:
                 slo = self._resilience.deadline_for(query.task.deadline)
-                heapq.heappush(heap, (now + slo, query_id))
+                rearmed.append((now + slo, query_id))
+        for entry in rearmed:
+            heapq.heappush(heap, entry)
 
     def force_resolve(self, now: float) -> None:
         """Nothing in flight: settle every still-unresolved query.
@@ -548,6 +572,8 @@ class ProcessPoolService:
         self._now = self._transport.now
         self._check_invariants = check_invariants
         self._health_check_interval = health_check_interval
+        #: When a step() next checks worker health.
+        self._health_due = 0.0
         self._max_respawns = max_respawns
         self.metrics = PoolMetrics()
         #: Submit-time object ledger: the authoritative ``object ->
@@ -663,10 +689,12 @@ class ProcessPoolService:
         the queue (no bound, the default, never sheds) — and an
         admitted query arms the deadline the policy resolves for it
         (none by default).  A query or insert whose location is not a
-        node of the served network raises :class:`ValueError` before it
-        is routed, so no worker ever sees it.
+        node of the served network, or a query whose deadline is not a
+        finite positive number of seconds, raises :class:`ValueError`
+        before it is routed, so no worker and no deadline heap ever
+        sees it.
         """
-        self._check_location(task)
+        self._check(task)
         self.start()
         now, shapes = self._now, self._shapes
         if shapes.warming is not None or shapes.retiring is not None:
@@ -694,12 +722,22 @@ class ProcessPoolService:
             self._telemetry.record(
                 "dispatch", now() - t0, start=t0, query_id=query_id
             )
-        # Opportunistically drain acks so the result channels stay short.
-        self._collect_ready()
+        if ready:
+            # Opportunistically drain acks so the result channels stay
+            # short (one that sent nothing has no ack of its own due).
+            self._collect_ready()
 
-    def _check_location(self, task: Task) -> None:
-        if task.kind is TaskKind.DELETE:
+    def _check(self, task: Task) -> None:
+        kind = task.kind
+        if kind is TaskKind.DELETE:
             return
+        if kind is TaskKind.QUERY and task.deadline is not None:
+            deadline = task.deadline
+            if not (math.isfinite(deadline) and deadline > 0):
+                raise ValueError(
+                    f"query deadline {deadline!r} is not a finite positive "
+                    "number of seconds"
+                )
         location, nodes = task.location, self._num_nodes
         if location < 0 or (nodes is not None and location >= nodes):
             raise ValueError(
@@ -757,18 +795,20 @@ class ProcessPoolService:
         """Flush, wait until the pool quiesces, return finished answers.
 
         Returns one :class:`~repro.mpr.results.QueryResult` for every
-        query submitted since the previous drain: ``OK`` with the
-        aggregated top-k, ``PARTIAL`` with the surviving columns' top-k
-        and the missing cells, or ``OVERLOADED`` for a shed one.
-        ``timeout`` bounds the total wait
-        (``None`` = wait as long as workers keep making progress); on
-        expiry the raised :class:`TimeoutError` lists every outstanding
-        ``(worker_id, seq)`` batch so the caller can see exactly which
-        cells never acknowledged.
+        query submitted since the previous drain (less those a
+        :meth:`step` already returned): ``OK`` with the aggregated
+        top-k, ``PARTIAL`` with the surviving columns' top-k and the
+        missing cells, or ``OVERLOADED`` for a shed one.  ``timeout``
+        bounds the total wait (``None`` = wait as long as workers keep
+        making progress); on expiry the raised :class:`TimeoutError`
+        lists every outstanding ``(worker_id, seq)`` batch so the caller
+        can see exactly which cells never acknowledged.
 
-        Loops until every batch is acknowledged (or quarantined) *and*
-        every admitted query is resolved — answered on all its columns,
-        or explicitly degraded.  Worker death during the wait goes to
+        Flush; then, until the pool is quiescent — every batch
+        acknowledged (or quarantined) *and* every admitted query
+        resolved, answered on all its columns or explicitly degraded —
+        wait on the transport, handle what came, and settle as
+        :meth:`step` does.  Worker death during the wait goes to
         the policy (respawn + replay, or breaker + quarantine); queries
         past an armed deadline are hedged to a sibling replica row.
         Once nothing is in flight, any still-unresolved query is
@@ -777,33 +817,96 @@ class ProcessPoolService:
         therefore never hang on a dead column.
         """
         self.flush()
-        shapes, ledger = self._shapes, self._ledger
         wall = None if timeout is None else self._now() + timeout
         while True:
-            now = self._now()
-            if shapes.warming is not None or shapes.retiring is not None:
-                shapes.advance(now)
-            ledger.enforce_deadlines(now)
-            outstanding = self._outstanding()
-            if not outstanding and not ledger.unresolved():
-                break
-            if wall is not None and now >= wall:
-                raise QuiesceTimeout.naming(
-                    timeout, shapes.owing(), ledger.unresolved()
-                )
-            if not outstanding:
-                ledger.force_resolve(now)
-                continue
-            wait_for = self._health_check_interval
-            if ledger.deadlines:
-                wait_for = min(
-                    wait_for, max(ledger.deadlines[0][0] - now, 0.001)
-                )
-            if not self._pump(wait_for):
+            self._supervise()
+            if self._quiesce():
+                return self._ledger.finish()
+            if wall is not None and self._now() >= wall:
+                raise self.timeout_error(timeout)
+            if not self._pump(self.step_within()):
                 self._check_health(self._now())
+
+    def step(self) -> dict[int, QueryResult]:
+        """One non-blocking step of :meth:`drain`, for a caller that
+        waits on :meth:`fileno` itself.
+
+        Advances an in-flight shape change, enforces armed deadlines,
+        handles every message already waiting, checks worker health
+        once per health-check interval (a caller's timer step, as a
+        drain's idle wait does) and force-resolves when nothing is in
+        flight.  Returns the queries resolved so far, removed from the
+        pool's ledger: each query answered on every column, and every
+        shed one; once the pool is :attr:`quiescent`, every query still
+        owed.  Never waits, and never raises a timeout — bounding the
+        wait is the caller's (:meth:`step_within`,
+        :meth:`timeout_error`).
+        """
+        self._supervise()
+        self._collect_ready()
+        now = self._now()
+        if now >= self._health_due:
+            self._health_due = now + self._health_check_interval
+            self._check_health(now)
+        if self._quiesce():
+            return self._ledger.finish()
+        return self._ledger.finish(answered_only=True)
+
+    def _supervise(self) -> None:
+        """Advance an in-flight shape change; enforce armed deadlines."""
+        shapes = self._shapes
+        now = self._now()
         if shapes.warming is not None or shapes.retiring is not None:
-            shapes.advance(self._now())
-        return ledger.finish()
+            shapes.advance(now)
+        self._ledger.enforce_deadlines(now)
+
+    def _quiesce(self) -> bool:
+        """Force-resolve while nothing is in flight; say whether the
+        pool is quiescent (the shape machine advanced once more then)."""
+        shapes, ledger = self._shapes, self._ledger
+        while not self._outstanding():
+            if not ledger.unresolved():
+                if shapes.warming is not None or shapes.retiring is not None:
+                    shapes.advance(self._now())
+                return True
+            ledger.force_resolve(self._now())
+        return False
+
+    @property
+    def quiescent(self) -> bool:
+        """Nothing in flight and no answer owed: where :meth:`drain`
+        returns (and a :meth:`step` returned every answer)."""
+        ledger = self._ledger
+        return (
+            not ledger.queries and not ledger.shed
+            and not self._outstanding()
+        )
+
+    def step_within(self) -> float:
+        """Seconds a caller may wait on :meth:`fileno` before the pool
+        needs a :meth:`step` anyway: the health-check interval, or the
+        nearest armed deadline when that comes first."""
+        wait_for = self._health_check_interval
+        deadlines = self._ledger.deadlines
+        if deadlines:
+            wait_for = min(
+                wait_for, max(deadlines[0][0] - self._now(), 0.001)
+            )
+        return wait_for
+
+    def timeout_error(self, timeout: float) -> QuiesceTimeout:
+        """The diagnostic of a wait that gave up after ``timeout``
+        seconds: every outstanding ``(worker_id, seq)`` batch and every
+        query they (or an unresolved deadline) strand."""
+        return QuiesceTimeout.naming(
+            timeout, self._shapes.owing(), self._ledger.unresolved()
+        )
+
+    def fileno(self) -> int:
+        """The wait set's descriptor (:meth:`repro.mpr.transport.
+        Transport.fileno`): readable whenever :meth:`step` has a message
+        to handle."""
+        return self._transport.fileno()
 
     def plan(self, tasks: Sequence[Task]) -> None:
         """Declare the cycle the next :meth:`flush` closes: ``tasks``.
@@ -824,9 +927,10 @@ class ProcessPoolService:
         """Execute a task stream as one planned cycle (:meth:`plan`);
         return ``query_id -> QueryResult`` (as :meth:`drain`).  Workers
         stay alive for the next one.  A bad location anywhere in
-        ``tasks`` raises before any of them is submitted."""
+        ``tasks`` — or a bad deadline — raises before any of them is
+        submitted."""
         for task in tasks:
-            self._check_location(task)
+            self._check(task)
         self.start()
         self.plan(tasks)
         for task in tasks:

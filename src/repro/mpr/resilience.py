@@ -37,6 +37,7 @@ to identical answers and message counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -95,8 +96,11 @@ class ResilienceConfig:
     stall_timeout: float | None = 1.0
 
     def __post_init__(self) -> None:
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ValueError("default_deadline must be positive")
+        deadline = self.default_deadline
+        if deadline is not None and not (
+            math.isfinite(deadline) and deadline > 0
+        ):
+            raise ValueError("default_deadline must be finite and positive")
         if self.max_outstanding is not None and self.max_outstanding < 1:
             raise ValueError("max_outstanding must be >= 1")
         if self.breaker_failures < 1:

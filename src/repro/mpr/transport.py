@@ -4,7 +4,8 @@ The paper's w-core is "a core plus its FCFS task queue" (Section IV-A)
 and never says what carries the queue.  :class:`Transport` is that
 carrier, sized to what the pool (:mod:`repro.mpr.process_executor`)
 calls: start a w-core and get a handle, ``send`` without ever
-blocking, ``poll`` what came back, read one handle's residue,
+blocking, ``poll`` what came back (or hand an event loop the wait
+set's ``fileno`` to watch), read one handle's residue,
 liveness/``kill``/``join``/``pid``, ``retire``, ``close``, ``now``.
 Sequence numbers, the unacked log, replay and first-answer-wins are
 the pool's.  Three carriers: an OS *process* (the literal
@@ -310,6 +311,15 @@ class Transport:
         that has room.  The wait happens in the call; messages are read
         one at a time as the result is iterated."""
         return self._deliver(self._selector.select(timeout))
+
+    def fileno(self) -> int:
+        """The wait set's own descriptor (an epoll or kqueue fd):
+        readable exactly while :meth:`poll` would find something — a
+        result pipe with a message or an EOF, or a clogged inbox with
+        room — so an event loop watches every w-core with one
+        ``add_reader``.  Thread workers write the same ``mp.Pipe``
+        result ends, so the one descriptor serves both kinds."""
+        return self._selector.fileno()
 
     def _deliver(self, ready):
         for key, events in ready:

@@ -21,6 +21,7 @@ within a tenant.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Iterator
 
 __all__ = ["WeightedFairQueue"]
@@ -48,8 +49,13 @@ class WeightedFairQueue:
         self._sequence = 0
 
     def set_weight(self, tenant: str, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError(f"tenant weight must be positive, got {weight}")
+        """A finite positive weight: ``inf`` would freeze the tenant's
+        finish tag (``cost / inf = 0``) and ``nan`` poison every tag
+        comparison and the virtual clock."""
+        if not (math.isfinite(weight) and weight > 0):
+            raise ValueError(
+                f"tenant weight must be finite and positive, got {weight}"
+            )
         self._weights[tenant] = float(weight)
 
     def weight(self, tenant: str) -> float:

@@ -88,10 +88,22 @@ class FrameError(Exception):
 
 
 def encode_payload(payload: Mapping[str, Any]) -> bytes:
-    """Canonical JSON bytes for one payload (no length prefix)."""
+    """Canonical JSON bytes for one payload (no length prefix).  Strict
+    JSON: a non-finite number raises ``ValueError`` instead of leaving
+    as a ``NaN``/``Infinity`` literal no peer may send."""
     return json.dumps(
-        payload, separators=(",", ":"), sort_keys=True
+        payload, separators=(",", ":"), sort_keys=True, allow_nan=False
     ).encode("utf-8")
+
+
+def _refuse_constant(literal: str) -> None:
+    """Decoder hook for ``NaN``/``Infinity``/``-Infinity``: literals
+    Python's ``json`` accepts and JSON does not."""
+    raise ValueError(f"non-finite number {literal} is not JSON")
+
+
+#: Built once: ``json.loads`` with a hook builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def encode_frame(payload: Mapping[str, Any]) -> bytes:
@@ -108,7 +120,8 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
     Raises :class:`FrameError` on oversized lengths, truncated bodies,
-    invalid JSON, or a body that is not a JSON object.
+    invalid JSON (a ``NaN`` or ``Infinity`` literal included), or a
+    body that is not a JSON object.
     """
     try:
         prefix = await reader.readexactly(_LENGTH.size)
@@ -126,7 +139,7 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
     try:
-        payload = json.loads(body)
+        payload = _DECODER.decode(body.decode("utf-8"))
     except ValueError as exc:
         raise FrameError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

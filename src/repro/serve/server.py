@@ -1,11 +1,16 @@
 """The asyncio TCP server multiplexing clients onto one MPRSystem.
 
-One event loop owns the sockets; one :class:`~repro.mpr.api.MPRSystem`
-completion pump owns the executor.  Between them sits a single global
-scheduler: every admitted op lands in a per-tenant
-:class:`~repro.serve.fairness.WeightedFairQueue`, and a dispatcher
-task releases work into :meth:`MPRSystem.submit_async` under a global
-in-flight bound.  The pieces:
+One event loop owns the sockets *and* drives the
+:class:`~repro.mpr.api.MPRSystem` completion pump that owns the
+executor: :meth:`MPRServer.start` hands the system its loop, which then
+watches the pool's wait set with one reader, so socket → fair queue →
+cycle → pipe → ack → response runs on one thread and no other Python
+thread touches the executor while the server serves.  Between the
+sockets and the pump sits a single global scheduler: every admitted op
+lands in a per-tenant :class:`~repro.serve.fairness.WeightedFairQueue`,
+and a dispatcher task releases work into
+:meth:`MPRSystem.submit_async` under a global in-flight bound.  The
+pieces:
 
 * **backpressure** — a connection with ``window`` unanswered ops stops
   being *read*; bytes accumulate in the kernel socket buffer until TCP
@@ -14,15 +19,16 @@ in-flight bound.  The pieces:
   *reader* only throttles itself: completions release the global
   in-flight token **before** writing the response, so a client that
   stops reading responses cannot pin executor capacity.  The pump
-  thread parks outcomes and wakes the loop once per burst; one flush
-  answers them all with one socket write per connection, and a
-  connection's ops leave its window at once — unless its transport is
-  above the high-water mark, in which case they leave after one
-  ``drain()``, so a reader that has stopped reading is not read further.
-* **deadline propagation** — a frame's ``deadline`` (seconds) becomes
-  ``QueryTask.deadline`` verbatim, arming the resilience layer's
-  hedged reads and deadline-miss accounting for exactly the SLO the
-  client asked for.
+  resolves a step's outcomes in place, on the loop; the first one
+  parked schedules the flush that answers them all with one socket
+  write per connection, and a connection's ops leave its window at
+  once — unless its transport is above the high-water mark, in which
+  case they leave after one ``drain()``, so a reader that has stopped
+  reading is not read further.
+* **deadline propagation** — a frame's ``deadline`` (seconds, a finite
+  positive JSON number) becomes ``QueryTask.deadline`` verbatim,
+  arming the resilience layer's hedged reads and deadline-miss
+  accounting for exactly the SLO the client asked for.
 * **admission verdicts as protocol errors** — a shed or timed-out
   query leaves the executor as a ``QueryResult`` with a retryable
   status and leaves the server as an ``error`` frame with
@@ -53,6 +59,7 @@ import asyncio
 import collections
 import functools
 import itertools
+import math
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -94,6 +101,22 @@ class ServeConfig:
     shutdown_grace: float = 10.0
     #: Default deadline stamped on queries that don't carry one.
     default_deadline: float | None = None
+
+    def __post_init__(self) -> None:
+        deadline = self.default_deadline
+        if deadline is not None and not _finite_positive(deadline):
+            raise ValueError(
+                f"default_deadline must be a finite positive number of "
+                f"seconds, got {deadline!r}"
+            )
+
+
+def _finite_positive(value: Any) -> bool:
+    """A JSON number (not a bool) that is finite and > 0."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value) and value > 0
+    )
 
 
 @dataclass
@@ -227,11 +250,10 @@ class MPRServer:
         self._dispatcher: asyncio.Task | None = None
         self._connections: set[_Connection] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
-        #: Outcomes parked by the pump thread for the next flush.
+        #: Outcomes the pump resolved, parked for the next flush.
         self._done: collections.deque[tuple[_Job, Future]] = (
             collections.deque()
         )
-        self._flush_scheduled = False
         #: Above-high-water window releases still waiting on a drain.
         self._drains: set[asyncio.Task] = set()
         self._query_ids = itertools.count(1)
@@ -247,6 +269,7 @@ class MPRServer:
         self._tokens = asyncio.Semaphore(self.config.max_inflight)
         self._loop = asyncio.get_running_loop()
         self.system.start()
+        self.system.attach_loop(self._loop)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -269,11 +292,12 @@ class MPRServer:
         """Change the pool's ``(x, y, z)`` live while serving.
 
         Awaitable wrapper over :meth:`MPRSystem.reconfigure
-        <repro.mpr.api.MPRSystem.reconfigure>`: the request is enqueued
-        FCFS with the RPC stream on the completion pump, and the
-        blocking wait for the terminal event runs in a worker thread so
-        the event loop keeps accepting connections throughout.  Returns
-        the :class:`~repro.mpr.reconfig.ReconfigEvent`.
+        <repro.mpr.api.MPRSystem.reconfigure>`: the request is handed
+        to this loop's completion pump FCFS with the RPC stream, and
+        the pump steps the shape change while the loop keeps serving;
+        only the wait for the terminal event runs in a worker thread
+        (which never touches the executor).  Returns the
+        :class:`~repro.mpr.reconfig.ReconfigEvent`.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
@@ -316,6 +340,10 @@ class MPRServer:
             await connection.send({"op": "bye"})
             await connection.close()
         self._connections.clear()
+        # Outcomes from here on have nobody to answer; work still in
+        # flight finishes on the system's own loop thread.
+        self._loop = None
+        self.system.detach_loop()
 
     # ------------------------------------------------------------------
     # Per-connection protocol loop
@@ -396,8 +424,12 @@ class MPRServer:
             connection.tenant = str(tenant)
         weight = frame.get("weight")
         if weight is not None:
+            if not _finite_positive(weight):
+                raise ValueError(
+                    f"weight must be a finite positive number, got {weight!r}"
+                )
+            self._wfq.set_weight(connection.tenant, weight)
             connection.weight = float(weight)
-            self._wfq.set_weight(connection.tenant, connection.weight)
         window = frame.get("window")
         if window is not None:
             connection.window = max(
@@ -426,25 +458,43 @@ class MPRServer:
         return location
 
     @staticmethod
-    def _k(frame: dict[str, Any]) -> int:
-        k = int(frame["k"])
+    def _integer(frame: dict[str, Any], name: str) -> int:
+        """A frame field that must be a JSON integer (not a bool, a
+        float or a string)."""
+        value = frame[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return value
+
+    @classmethod
+    def _k(cls, frame: dict[str, Any]) -> int:
+        k = cls._integer(frame, "k")
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         return k
 
+    @staticmethod
+    def _deadline(frame: dict[str, Any], default: float | None) -> float | None:
+        """A frame's ``deadline``: absent, or finite positive seconds."""
+        deadline = frame.get("deadline")
+        if deadline is None:
+            return default
+        if not _finite_positive(deadline):
+            raise ValueError(
+                f"deadline must be a finite positive number of seconds, "
+                f"got {deadline!r}"
+            )
+        return float(deadline)
+
     def _enqueue_query(
         self, connection: _Connection, frame: dict[str, Any]
     ) -> None:
-        deadline = frame.get("deadline")
         task = QueryTask(
             arrival_time=time.monotonic(),
             query_id=next(self._query_ids),
             location=self._location(frame),
             k=self._k(frame),
-            deadline=(
-                float(deadline) if deadline is not None
-                else self.config.default_deadline
-            ),
+            deadline=self._deadline(frame, self.config.default_deadline),
             tenant=connection.tenant,
         )
         self.counters["queries"] += 1
@@ -455,12 +505,13 @@ class MPRServer:
     def _enqueue_update(
         self, connection: _Connection, frame: dict[str, Any], op: str
     ) -> None:
+        object_id = self._integer(frame, "object")
         if op == "insert":
             task: Task = InsertTask(
-                time.monotonic(), int(frame["object"]), self._location(frame)
+                time.monotonic(), object_id, self._location(frame)
             )
         else:
-            task = DeleteTask(time.monotonic(), int(frame["object"]))
+            task = DeleteTask(time.monotonic(), object_id)
         self.counters["updates"] += 1
         self._admit(
             _Job(connection, frame["id"], task, connection.tenant)
@@ -469,12 +520,11 @@ class MPRServer:
     async def _on_subscribe(
         self, connection: _Connection, frame: dict[str, Any]
     ) -> None:
-        deadline = frame.get("deadline")
         sub = _Subscription(
             sub_id=next(connection._sub_ids),
             location=self._location(frame),
             k=self._k(frame),
-            deadline=float(deadline) if deadline is not None else None,
+            deadline=self._deadline(frame, None),
         )
         connection.subscriptions[sub.sub_id] = sub
         self.counters["subscriptions"] += 1
@@ -546,24 +596,17 @@ class MPRServer:
             self._idle.set()
 
     def _park_done(self, job: _Job, future: Future) -> None:
-        """Pump thread: park one outcome; wake the loop once per burst.
-
-        The flag is cleared at the top of the flush, before the deque
-        is emptied, so an outcome parked behind a scheduled flush is
-        either seen by it or schedules the next one.
-        """
+        """Park one outcome (the pump resolves it on this loop); the
+        first one parked schedules the flush that answers the burst."""
+        if self._loop is None:
+            return  # stopped: the connections are gone
+        if not self._done:
+            self._loop.call_soon(self._flush_done)
         self._done.append((job, future))
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            try:
-                self._loop.call_soon_threadsafe(self._flush_done)
-            except RuntimeError:  # loop closed: the server is gone
-                pass
 
     def _flush_done(self) -> None:
-        """Loop thread: answer every parked outcome, one socket write
-        per connection."""
-        self._flush_scheduled = False
+        """Answer every parked outcome, one socket write per
+        connection."""
         bursts: dict[_Connection, list] = {}
         while self._done:
             job, future = self._done.popleft()

@@ -31,7 +31,7 @@ if settings.get_current_profile_name() == "default":
 
 #: Threads the package starts; every one has an owner whose ``close()`` /
 #: ``stop()`` ends it.
-_OWNED_THREADS = ("w-core", "mpr-completion-pump", "reconfig-manager")
+_OWNED_THREADS = ("w-core", "mpr-pump-loop", "reconfig-manager")
 
 
 @pytest.fixture(autouse=True)

@@ -8,6 +8,8 @@ threads through whichever kind is chosen, and MPRSystem's task surface
 
 from __future__ import annotations
 
+import asyncio
+import threading
 import time
 
 import pytest
@@ -294,10 +296,11 @@ def test_run_results_envelopes_without_pump(small_grid) -> None:
 
 
 def test_thread_mode_pump_times_out_a_stuck_worker(small_grid) -> None:
-    """``drain(timeout=)`` is honoured, so a worker thread that never
-    finishes costs its queries a ``TIMEOUT`` envelope after the pump's
-    drain timeout — not a hung future — and, every item of the cycle
-    being stuck, the pump spends no follow-up drain on nobody."""
+    """A worker thread that never finishes costs its queries a
+    ``TIMEOUT`` envelope naming them after the pump's drain timeout —
+    not a hung future.  The timeout is the pump's own timer: it never
+    calls the blocking ``drain()``, so no drain (and no follow-up
+    salvage drain) is spent on the stuck cycle."""
     solution, gate = gated_solution(small_grid)
     system = MPRSystem(
         MPRConfig(1, 1, 1), solution, {1: 0},
@@ -317,13 +320,65 @@ def test_thread_mode_pump_times_out_a_stuck_worker(small_grid) -> None:
         assert result.status is ResultStatus.TIMEOUT
         assert "7" in result.detail
         assert time.monotonic() - started < 5.0
-        # The future resolves before the parent's 1 s salvage drain
-        # would have returned; give that drain time to be *called*.
+        # Give a stray drain time to be *called*.
         time.sleep(0.05)
-        assert drains == [0.2]
+        assert drains == []
     finally:
         gate.set()  # let the worker finish so close() can join it
         system.close()
+
+
+def test_the_pump_moves_between_the_loops_that_drive_it(small_grid) -> None:
+    """Without a loop of its own the system drives the pump from a
+    private loop thread; a loop handed over with ``attach_loop`` takes
+    it (the private thread ends, and a blocking wait on the driving
+    thread is refused); after ``detach_loop`` the private thread takes
+    it back.  Answers stay oracle-exact throughout."""
+    workload = make_workload(small_grid, seed=53)
+    tasks = workload.tasks
+    oracle = ok_results(run_serial_reference(
+        DijkstraKNN(small_grid), workload.initial_objects, tasks
+    ))
+    queries = [task for task in tasks if task.kind.value == "query"]
+    third = len(tasks) // 3
+
+    def loop_threads() -> list[str]:
+        return [
+            thread.name for thread in threading.enumerate()
+            if thread.name == "mpr-pump-loop"
+        ]
+
+    system = MPRSystem(
+        CONFIG, DijkstraKNN(small_grid), workload.initial_objects
+    )
+    try:
+        answers: dict = {}
+        futures = [system.submit_async(task) for task in tasks[:third]]
+        assert loop_threads() == ["mpr-pump-loop"]
+
+        async def served() -> None:
+            system.attach_loop(asyncio.get_running_loop())
+            assert loop_threads() == []
+            with pytest.raises(RuntimeError, match="drives it"):
+                system.run_results(tasks[third:])
+            futures.extend(
+                system.submit_async(task) for task in tasks[third:2 * third]
+            )
+            for future in futures:
+                await asyncio.wrap_future(future)
+            system.detach_loop()
+
+        asyncio.run(served())
+        answers.update(system.run_results(tasks[2 * third:]))
+        assert loop_threads() == ["mpr-pump-loop"]
+        for task, future in zip(tasks, futures):
+            if task.kind.value == "query":
+                answers[task.query_id] = future.result(timeout=30)
+        assert answers == {query.query_id: oracle[query.query_id]
+                           for query in queries}
+    finally:
+        system.close()
+    assert loop_threads() == []
 
 
 def test_submit_async_after_close_raises(small_grid) -> None:

@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py``'s arithmetic on synthetic result lines: wins
-per pair (ties count for neither side), the parent's spread, and the
-``unresolved`` / ``gain`` verdicts.  No process is started."""
+per pair (ties count for neither side), the parent's spread, the
+``unresolved`` / ``gain`` / ``failed`` verdicts, each side's correct and
+failed counts, and the per-pair table.  No process is started."""
 
 from __future__ import annotations
 
@@ -26,16 +27,20 @@ MANIFEST = {
 }
 
 
-def write_runs(path: Path, workload: str, values: dict[str, list]) -> None:
-    """One untraced result line per seed (``values[metric][seed]``), plus
-    a traced line that must be ignored."""
+def write_runs(
+    path: Path, workload: str, values: dict[str, list], **fields: list
+) -> None:
+    """One untraced result line per seed (``values[metric][seed]``; any
+    other result field as ``fields[name][seed]``), plus a traced line
+    that must be ignored."""
     seeds = range(len(next(iter(values.values()))))
     with path.open("a") as handle:
         for seed in seeds:
             for trace in (0, 1):
                 handle.write(json.dumps({
                     "workload": workload, "seed": 100 + seed, "trace": trace,
-                    "host_factor": 1.0,
+                    "host_factor": 1.0, "correct": True, "failed": 0,
+                    **{name: series[seed] for name, series in fields.items()},
                     "metrics": {
                         name: {"value": series[seed] * (1 + 9 * trace)}
                         for name, series in values.items()
@@ -116,3 +121,42 @@ def test_a_median_worse_by_more_than_the_bound_is_a_breach(files) -> None:
     write_runs(files[1], "serve_closed", {"cpu_ms_per_op": [1.2] * 4})
     row = rows_by_key(files)["serve_closed", "cpu_ms_per_op"]
     assert (row["losses"], row["verdict"]) == (4, "BREACH")
+
+
+def test_a_change_run_that_failed_is_never_a_gain(files) -> None:
+    """Nine wins in ten and a move past the spread, but one run of the
+    change answered wrong: the verdict says so instead of ``gain``, and
+    each side's correct runs and failed operations are counted."""
+    write_runs(files[0], "serve_closed", {"cpu_ms_per_op": [1.0] * 10})
+    write_runs(
+        files[1], "serve_closed", {"cpu_ms_per_op": [0.8] * 10},
+        correct=[True] * 9 + [False], failed=[0] * 9 + [3],
+    )
+    row = rows_by_key(files)["serve_closed", "cpu_ms_per_op"]
+    assert (row["wins"], row["verdict"]) == (10, "failed")
+    sides = {row["side"]: row for row in bench_pairs.side_rows(*files)}
+    assert (sides["base"]["runs"], sides["base"]["correct"]) == (10, 10)
+    assert sides["base"]["failed"] == 0
+    assert (sides["change"]["correct"], sides["change"]["failed"]) == (9, 3)
+    table = bench_pairs.format_sides(list(sides.values()), markdown=True)
+    assert "| serve_closed | change | 10 | 9 | 3 |" in table
+
+
+def test_the_pair_table_shows_order_host_factor_and_lateness(files) -> None:
+    """A pair taken during a host spike shows in its lateness column."""
+    write_runs(
+        files[0], "serve_open", {"cpu_ms_per_op": [1.0, 1.0]},
+        time=[10.0, 40.0], host_factor=[1.7, 1.8], late_p95_ms=[0.4, 0.5],
+    )
+    write_runs(
+        files[1], "serve_open", {"cpu_ms_per_op": [1.0, 1.0]},
+        time=[20.0, 30.0], host_factor=[1.75, 2.9], late_p95_ms=[0.45, 41.0],
+        failed=[0, 2],
+    )
+    rows = bench_pairs.pair_table(*files)
+    assert [(row["seed"], row["first"]) for row in rows] == [
+        (100, "base"), (101, "change"),
+    ]
+    assert rows[1]["host"] == (1.8, 2.9) and rows[1]["late"] == (0.5, 41.0)
+    table = bench_pairs.format_pairs(rows, markdown=True)
+    assert "| serve_open | 101 | change | 1.80 | 2.90 FAILED | 0.50 | 41.00 |" in table

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -300,3 +301,52 @@ def test_threaded_executor_disabled_resilience_has_no_verdicts(
         assert executor.metrics.shed == 0
     assert answers == _oracle(network, objects, tasks)
     assert all(type(answer) is QueryResult for answer in answers.values())
+
+
+@pytest.mark.parametrize("deadline", [0, -1.0, float("nan"), float("inf")])
+def test_a_bad_query_deadline_is_refused_at_submit(
+    network, objects, deadline
+) -> None:
+    """Zero or negative, the deadline re-armed at ``now + slo <= now``
+    forever; NaN at the top of the heap compared false with every time
+    and hid every other deadline.  Refused before routing instead."""
+    with build_executor(
+        MPRConfig(1, 1, 1), DijkstraKNN(network), objects,
+        resilience=ResilienceConfig(),
+    ) as pool:
+        with pytest.raises(ValueError, match="deadline"):
+            pool.submit(QueryTask(0.0, 1, 5, 3, deadline=deadline))
+        assert pool.metrics.tasks_submitted == 0
+        with pytest.raises(ValueError, match="deadline"):
+            pool.run([QueryTask(0.0, 2, 5, 3), QueryTask(0.0, 3, 5, 3,
+                                                         deadline=deadline)])
+        assert pool.metrics.tasks_submitted == 0
+        assert pool.run(_queries(network, 3)) == _oracle(
+            network, objects, _queries(network, 3)
+        )
+
+
+def test_a_deadline_below_the_clock_resolution_does_not_wedge_the_drain(
+    network, objects
+) -> None:
+    """``now + 1e-300 == now``: the miss re-armed at the time being
+    enforced.  Deadline enforcement must end whatever the SLO, so the
+    drain returns the answer (run in a daemon thread: on a wedged pool
+    the join times out instead of the test hanging)."""
+    tasks = _queries(network, 2, deadline=1e-300)
+    outcome: dict = {}
+
+    def drain() -> None:
+        with build_executor(
+            MPRConfig(1, 1, 1), DijkstraKNN(network), objects,
+            resilience=ResilienceConfig(),
+        ) as pool:
+            for task in tasks:
+                pool.submit(task)
+            outcome["answers"] = pool.drain(timeout=3.0)
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    thread.join(timeout=20.0)
+    assert not thread.is_alive(), "drain wedged in deadline enforcement"
+    assert outcome["answers"] == _oracle(network, objects, tasks)

@@ -44,6 +44,8 @@ def test_config_defaults_are_valid() -> None:
         {"backoff_max": -2.0},
         {"backoff_factor": 0.5},
         {"stall_timeout": 0.0},
+        {"default_deadline": float("nan")},
+        {"default_deadline": float("inf")},
     ],
 )
 def test_config_rejects_bad_knobs(kwargs) -> None:

@@ -11,6 +11,7 @@ import asyncio
 import os
 import signal
 import socket
+import threading
 import time
 from concurrent.futures import Future
 
@@ -36,7 +37,7 @@ from repro.serve import (
     read_frame,
 )
 from repro.serve.client import RetryableServeError, ServeError
-from tests.conftest import place_objects
+from tests.conftest import gated_solution, place_objects
 
 CONFIG = MPRConfig(2, 1, 1)
 
@@ -142,7 +143,18 @@ def test_frame_round_trip_and_errors() -> None:
         with pytest.raises(FrameError, match="mid-frame"):
             await read_frame(truncated)
 
+        # Python's json accepts these literals; JSON does not.
+        for literal in (b"NaN", b"Infinity", b"-Infinity"):
+            body = b'{"op":"query","deadline":' + literal + b"}"
+            non_finite = asyncio.StreamReader()
+            non_finite.feed_data(len(body).to_bytes(4, "big") + body)
+            with pytest.raises(FrameError, match="non-finite"):
+                await read_frame(non_finite)
+
     asyncio.run(scenario())
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            encode_frame({"op": "hello", "weight": value})
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +189,22 @@ def test_wfq_respects_weights_over_a_busy_interval() -> None:
 
 
 def test_wfq_rejects_bad_weight() -> None:
-    with pytest.raises(ValueError):
-        WeightedFairQueue().set_weight("t", 0.0)
+    """``inf`` would freeze a tenant's finish tag (``cost / inf = 0``)
+    and ``nan`` poison every tag comparison: either would put a hog's
+    backlog ahead of a light tenant for good."""
+    wfq = WeightedFairQueue()
+    for weight in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            wfq.set_weight("t", weight)
+        with pytest.raises(ValueError):
+            wfq.push("t", "item", weight=weight)
+    assert not wfq
+
+
+@pytest.mark.parametrize("deadline", [0, -1.0, float("nan"), float("inf")])
+def test_serve_config_refuses_a_bad_default_deadline(deadline) -> None:
+    with pytest.raises(ValueError, match="default_deadline"):
+        ServeConfig(default_deadline=deadline)
 
 
 # ----------------------------------------------------------------------
@@ -466,6 +492,12 @@ class _ManualSystem:
     def start(self) -> None:
         pass
 
+    def attach_loop(self, loop) -> None:
+        pass
+
+    def detach_loop(self) -> None:
+        pass
+
     def submit_async(self, task):
         future: Future = Future()
         self.submitted.append((task, future))
@@ -737,6 +769,17 @@ def test_serve_rejects_malformed_frames_without_dying(
             frame = await read_frame(reader)
             assert frame["code"] == "bad-frame"
             writer.close()
+            # A non-finite literal is not JSON either.
+            for body in (
+                b'{"op":"hello","weight":Infinity}',
+                b'{"op":"query","id":1,"location":5,"k":1,"deadline":NaN}',
+            ):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(len(body).to_bytes(4, "big") + body)
+                frame = await read_frame(reader)
+                assert frame["code"] == "bad-frame", body
+                assert await read_frame(reader) is None  # and closed
+                writer.close()
             # And the server still serves new connections.
             client = await ServeClient.connect(host, port)
             result = await client.query(5, 3)
@@ -789,11 +832,14 @@ def test_serve_refuses_updates_the_pool_rejected() -> None:
 def test_serve_refuses_a_location_outside_the_graph(
     small_grid, grid_objects
 ) -> None:
-    """A location that is not a node of the served graph (or a negative
-    ``k``) fails its one request as ``bad-frame``: it reaches no worker,
-    so no worker dies of an index past the end and no negative index
-    aliases a node from the end; both connections keep answering
-    oracle-exact."""
+    """A location that is not a node of the served graph — or a ``k``
+    or ``object`` that is not a non-negative JSON integer (``true``,
+    ``2.9`` and ``"7"`` are not coerced), or a ``deadline`` that is not
+    a finite positive number, which would wedge a resilient pool's
+    deadline heap — fails its one request as ``bad-frame``: it reaches
+    no worker, so no worker dies of an index past the end and no
+    negative index aliases a node from the end; both connections keep
+    answering oracle-exact."""
     bad_frames = [
         {"op": "query", "location": 10**6, "k": 2},
         {"op": "query", "location": -5, "k": 3},
@@ -803,6 +849,20 @@ def test_serve_refuses_a_location_outside_the_graph(
         {"op": "insert", "object": 500, "location": -1},
         {"op": "insert", "object": 501, "location": 10**6},
         {"op": "subscribe", "location": -1, "k": 1},
+        *(
+            {"op": "query", "location": 5, "k": k}
+            for k in (True, 2.9, "7")
+        ),
+        *(
+            {"op": op, "object": object_id, "location": 5}
+            for op in ("insert", "delete")
+            for object_id in (True, 2.9, "7")
+        ),
+        *(
+            {"op": "query", "location": 5, "k": 1, "deadline": deadline}
+            for deadline in (0, -1.0, True, "5")
+        ),
+        {"op": "subscribe", "location": 5, "k": 1, "deadline": 0},
     ]
     oracle = DijkstraKNN(small_grid, grid_objects)
     last = small_grid.num_nodes - 1
@@ -1012,3 +1072,89 @@ def test_serve_chaos_kill_column_degraded_results_reach_clients(
             system.close()
 
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# One thread owns the pool
+# ----------------------------------------------------------------------
+def test_the_serving_loop_is_the_only_thread_that_touches_the_pool(
+    small_grid, grid_objects
+) -> None:
+    """While ``MPRServer`` drives the system, its event loop steps the
+    completion pump in place: no pump thread exists, and every call
+    into the executor comes from the loop's own thread."""
+    touched: set[int] = set()
+
+    async def scenario():
+        system = make_system(small_grid, grid_objects)
+        for name in ("plan", "submit", "flush", "step"):
+            call = getattr(system.executor, name)
+
+            def spy(*args, _call=call, **kwargs):
+                touched.add(threading.get_ident())
+                return _call(*args, **kwargs)
+
+            setattr(system.executor, name, spy)
+        server = await start_server(system)
+        try:
+            client = await ServeClient.connect(*server.address)
+            oracle = DijkstraKNN(small_grid, grid_objects)
+            answers = await asyncio.gather(*(
+                client.query(location, 3) for location in range(0, 60, 3)
+            ))
+            for location, result in zip(range(0, 60, 3), answers):
+                assert result == QueryResult.from_answer(
+                    result.query_id, oracle.query(location, 3)
+                )
+            await client.insert(900, 7)
+            await client.aclose()
+            threads = {thread.name for thread in threading.enumerate()}
+            assert not any(
+                name.startswith(("mpr-completion-pump", "mpr-pump-loop"))
+                for name in threads
+            ), threads
+            assert touched == {threading.get_ident()}
+        finally:
+            await server.stop()
+            system.close()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+
+
+def test_serve_answers_stats_while_a_reconfigure_is_warming(
+    small_grid, grid_objects
+) -> None:
+    """A shape change is stepped by the serving loop, never waited for
+    on it: with the new shape's probes held, the server still answers a
+    ``stats`` frame, which shows the change pending."""
+    solution, gate = gated_solution(small_grid)
+
+    async def scenario():
+        system = MPRSystem(
+            MPRConfig(1, 1, 1), solution, grid_objects, mode="thread"
+        )
+        server = await start_server(system)
+        change = asyncio.ensure_future(
+            server.reconfigure(MPRConfig(1, 2, 1), trigger="test")
+        )
+        try:
+            client = await ServeClient.connect(*server.address)
+            for _ in range(500):
+                if system.reconfig_history:
+                    break
+                await asyncio.sleep(0.01)
+            stats = await asyncio.wait_for(client.stats(), timeout=5.0)
+            assert not change.done()
+            assert [entry["outcome"] for entry in stats["reconfigurations"]] == [
+                "pending"
+            ]
+            gate.set()
+            event = await asyncio.wait_for(change, timeout=30.0)
+            assert event.outcome == "completed"
+            await client.aclose()
+        finally:
+            gate.set()
+            await server.stop()
+            system.close()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))

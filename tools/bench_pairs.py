@@ -19,8 +19,14 @@ the same seed (a tie counts for neither side), the parent's spread
 verdict — ``unresolved`` where the parent's spread exceeds the metric's
 bound in ``BENCHMARK.json`` (the pair cannot tell a move from noise),
 ``gain`` where the change wins at least nine pairs in ten *and* its
-median is better by more than the parent's spread.  The tool reads
-``bench/`` and writes nothing there.
+median is better by more than the parent's spread — never while a run
+of the change on that workload answered wrong or failed operations
+(``failed`` instead).  Two more tables let a reader judge the runs
+themselves: each side's correct runs and failed operations per
+workload, and one line per pair — seed, which side ran first, each
+side's host factor and generator lateness (``late_p95_ms``), which
+give away a pair taken during a host spike.  The tool reads ``bench/``
+and writes nothing there.
 """
 
 from __future__ import annotations
@@ -61,20 +67,27 @@ def _bench_compare():
 compare = _bench_compare()
 
 
-def load_runs(path: Path) -> dict[tuple[str, int], dict[str, float]]:
-    """``(workload, seed) -> metric -> value`` over a file's untraced
-    runs (a seed run twice keeps its last line)."""
-    runs: dict[tuple[str, int], dict[str, float]] = {}
+def load_runs(path: Path) -> dict[tuple[str, int], dict]:
+    """``(workload, seed) -> run`` over a file's untraced runs (a seed
+    run twice keeps its last line): the result line with ``metrics``
+    flattened to ``name -> value``."""
+    runs: dict[tuple[str, int], dict] = {}
     for line in path.read_text().splitlines():
         run = json.loads(line)
         if run["trace"]:
             continue
-        runs[run["workload"], run["seed"]] = {
+        run["metrics"] = {
             name: metric["value"]
             for name, metric in run["metrics"].items()
             if metric["value"] is not None
         }
+        runs[run["workload"], run["seed"]] = run
     return runs
+
+
+def _failed(run: dict) -> bool:
+    """A run whose answers were wrong or whose operations failed."""
+    return not run.get("correct", True) or run.get("failed", 0) > 0
 
 
 def pair_rows(base_path: Path, change_path: Path, manifest: dict) -> list[dict]:
@@ -86,11 +99,14 @@ def pair_rows(base_path: Path, change_path: Path, manifest: dict) -> list[dict]:
         lambda: ([], [])
     )
     for key in sorted(set(base) & set(change)):
-        for name, value in base[key].items():
-            if name in change[key]:
+        theirs = change[key]["metrics"]
+        for name, value in base[key]["metrics"].items():
+            if name in theirs:
                 pair = values[key[0], name]
                 pair[0].append(value)
-                pair[1].append(change[key][name])
+                pair[1].append(theirs[name])
+    broken = {workload for (workload, _seed), run in change.items()
+              if _failed(run)}
     rows = []
     for workload in [entry["name"] for entry in manifest["workloads"]]:
         for metric in manifest["end_to_end"]:
@@ -107,7 +123,7 @@ def pair_rows(base_path: Path, change_path: Path, manifest: dict) -> list[dict]:
             if spread > bound:
                 verdict = "unresolved"
             elif 10 * wins >= 9 * len(moves) and -move > spread:
-                verdict = "gain"
+                verdict = "failed" if workload in broken else "gain"
             elif move > bound:
                 verdict = "BREACH"
             else:
@@ -122,14 +138,55 @@ def pair_rows(base_path: Path, change_path: Path, manifest: dict) -> list[dict]:
 
 
 def format_rows(rows: list[dict], markdown: bool) -> str:
-    header = ("workload", "metric", "change wins", "parent spread",
-              "median move", "bound", "verdict")
-    cells = [
-        (row["workload"], row["metric"], f"{row['wins']}/{row['pairs']}",
-         f"{row['spread']:.1%}", f"{row['move']:+.1%}",
-         f"{row['bound']:.0%}", row["verdict"])
-        for row in rows
-    ]
+    return _table(
+        ("workload", "metric", "change wins", "parent spread",
+         "median move", "bound", "verdict"),
+        [(row["workload"], row["metric"], f"{row['wins']}/{row['pairs']}",
+          f"{row['spread']:.1%}", f"{row['move']:+.1%}",
+          f"{row['bound']:.0%}", row["verdict"])
+         for row in rows],
+        markdown,
+    )
+
+
+def side_rows(base_path: Path, change_path: Path) -> list[dict]:
+    """Per workload and side: runs, runs that were correct, and the
+    operations that failed over all of them."""
+    rows = []
+    for side, path in (("base", base_path), ("change", change_path)):
+        tally: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
+        for (workload, _seed), run in load_runs(path).items():
+            counts = tally[workload]
+            counts[0] += 1
+            counts[1] += not _failed(run)
+            counts[2] += run.get("failed", 0)
+        rows += [
+            {"workload": workload, "side": side, "runs": runs,
+             "correct": correct, "failed": failed}
+            for workload, (runs, correct, failed) in sorted(tally.items())
+        ]
+    return rows
+
+
+def pair_table(base_path: Path, change_path: Path) -> list[dict]:
+    """One row per pair: seed, which side ran first, and each side's
+    host factor and generator lateness (``late_p95_ms``)."""
+    base, change = load_runs(base_path), load_runs(change_path)
+    rows = []
+    for key in sorted(set(base) & set(change)):
+        ours, theirs = base[key], change[key]
+        rows.append({
+            "workload": key[0], "seed": key[1],
+            "first": "base" if ours.get("time", 0) <= theirs.get("time", 0)
+            else "change",
+            "host": (ours.get("host_factor"), theirs.get("host_factor")),
+            "late": (ours.get("late_p95_ms"), theirs.get("late_p95_ms")),
+            "failed": (_failed(ours), _failed(theirs)),
+        })
+    return rows
+
+
+def _table(header: tuple, cells: list[tuple], markdown: bool) -> str:
     if markdown:
         lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
         lines += ["| " + " | ".join(row) + " |" for row in cells]
@@ -138,6 +195,34 @@ def format_rows(rows: list[dict], markdown: bool) -> str:
     return "\n".join(
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
         for row in (header, *cells)
+    )
+
+
+def format_sides(rows: list[dict], markdown: bool) -> str:
+    return _table(
+        ("workload", "side", "runs", "correct", "failed ops"),
+        [(row["workload"], row["side"], str(row["runs"]),
+          str(row["correct"]), str(row["failed"])) for row in rows],
+        markdown,
+    )
+
+
+def format_pairs(rows: list[dict], markdown: bool) -> str:
+    def number(value, spec):
+        return "-" if value is None else format(value, spec)
+
+    def mark(failed):
+        return " FAILED" if failed else ""
+
+    return _table(
+        ("workload", "seed", "first", "host base", "host change",
+         "late p95 base", "late p95 change"),
+        [(row["workload"], str(row["seed"]), row["first"],
+          number(row["host"][0], ".2f") + mark(row["failed"][0]),
+          number(row["host"][1], ".2f") + mark(row["failed"][1]),
+          number(row["late"][0], ".2f"), number(row["late"][1], ".2f"))
+         for row in rows],
+        markdown,
     )
 
 
@@ -214,8 +299,13 @@ def main(argv: list[str] | None = None) -> int:
         [sys.executable, "-B", *table, *(["--markdown"] if args.markdown else [])],
         check=False,
     )
-    print()
-    print(format_rows(pair_rows(base, change, manifest), args.markdown))
+    for table in (
+        format_sides(side_rows(base, change), args.markdown),
+        format_pairs(pair_table(base, change), args.markdown),
+        format_rows(pair_rows(base, change, manifest), args.markdown),
+    ):
+        print()
+        print(table)
     return 0
 
 

@@ -457,7 +457,7 @@ delegates to (private: a shape is one `_Fleet` — config, router,
 batcher, worker ledgers, role — and `_Reconfigurer` rotates fleets,
 retiring ← serving ← warming).  `ProcessPoolService.reconfigure(new_config)` (or
 `MPRSystem.reconfigure`, which serializes the transition through the
-completion pump so async futures keep resolving) runs a supervised
+completion pump as a cycle boundary so async futures keep resolving) runs a supervised
 state machine:
 
 1. **Warm** — the new shape's workers spawn and attach to the shared
@@ -551,7 +551,8 @@ executor failure).  `RETRYABLE_STATUSES` is `(overloaded, timeout)`.
 An outcome is named once, where it is decided: the pool's query ledger
 builds `ok` / `partial` / `overloaded`, so `executor.run()` and
 `drain()` already return `dict[int, QueryResult]`; the completion pump
-adds `timeout` / `error` for the drains that raised.
+adds `timeout` (its drain timeout) and `error` (the pool failed under
+the cycle).
 `QueryResult.to_wire()` / `from_wire()` round-trip byte-for-byte under
 the protocol's canonical JSON, so the library and the wire share one
 result type; `from_wire` is where outside input is checked (anything
@@ -561,15 +562,25 @@ malformed is a `ValueError`, which `ServeClient` turns into
 **The task surface.**  `MPRSystem.submit_async(task)` returns a
 `concurrent.futures.Future` resolving to a `QueryResult` (queries) or
 `None` (updates) — no `drain()` barrier.  First use starts a
-completion pump that owns the executor until `close()`;
+completion pump that owns the executor until `close()`: a steppable
+cycle machine (plan + submit + flush what is queued, `executor.step()`
+when the pool's wait set — `ProcessPoolService.fileno()` — is readable
+or its one timer is due, futures resolved in place, the next cycle
+once the pool is `quiescent`) with no thread of its own.  An event
+loop drives it: the server's own (`MPRSystem.attach_loop`, called by
+`MPRServer.start()`; `detach_loop` by `stop()`), else a private loop
+thread, `mpr-pump-loop`; only that loop's thread touches the executor,
+other threads' calls are handed over with `call_soon_threadsafe`.
 `run_results(tasks)` executes a whole stream and returns the envelopes
 — through the pump once it is running, else it *is* `executor.run()`.
 The blocking `submit`/`flush`/`drain`/`run` cycle is the executor's
-(`system.executor`), not the facade's.  On either substrate a
-`drain(timeout=)` expiry raises `QuiesceTimeout` whose `query_ids`
-lists every affected query, and a pool that fails irrecoverably raises
-`WorkerCrash`; the pump turns those into `timeout` and `error`
-envelopes, the blocking cycle lets them propagate.
+(`system.executor`), not the facade's, and `executor.step()` is its
+non-blocking step for a caller that waits on `fileno()` itself.  On
+either substrate a `drain(timeout=)` expiry raises `QuiesceTimeout`
+whose `query_ids` lists every affected query, and a pool that fails
+irrecoverably raises `WorkerCrash`; the pump answers a cycle past its
+drain timeout and a pool failure under a cycle as `timeout` (naming the
+query) and `error` envelopes, the blocking cycle lets them propagate.
 
 **Wire protocol.**  Frames are 4-byte big-endian length + canonical
 JSON (`sort_keys`, no spaces), capped at `MAX_FRAME_BYTES` (1 MiB).
@@ -582,8 +593,10 @@ queries — the embedded `result` envelope), `push`.  The non-retryable
 `error` codes fail one request and leave the connection usable:
 `bad-frame` (a malformed request, including a `location` that is not
 an integer node of the served graph — `0 <= location <
-MPRSystem.num_nodes` — or a negative `k`, refused at the front door so
-it never reaches a worker), `bad-op`, `rejected` (an `insert` of a live
+MPRSystem.num_nodes` — a `k` or `object` that is not a non-negative
+JSON integer, a `deadline` that is not a finite positive number, or a
+`NaN`/`Infinity` literal anywhere, refused at the front door so it
+never reaches a worker), `bad-op`, `rejected` (an `insert` of a live
 object or a `delete` of an unknown one: the router refused it, nothing
 was applied, the message names the cause) and `error` (the pool failed
 under an update).  Only an applied update re-evaluates the
@@ -592,10 +605,10 @@ two-layer: a per-connection window (the server stops *reading* a
 connection at its window, letting TCP push back on floods) and a
 global `max_inflight` semaphore whose tokens are released before
 response writes, so a slow reader can never pin executor capacity.
-Completions are coalesced: the pump thread parks outcomes and wakes
-the event loop once per burst, and one flush answers them all with one
-socket write per connection (no task, wrapped future or wake-up per
-op); a connection's ops leave its window at once unless its transport
+Completions are coalesced: the pump resolves a step's outcomes on the
+event loop, the first one parked schedules one flush, and it answers
+them all with one socket write per connection (no task, wrapped future
+or wake-up per op); a connection's ops leave its window at once unless its transport
 is above the high-water mark, in which case they leave after one
 `drain()`.  Scheduling between tenants is start-time fair queueing
 (`WeightedFairQueue`): service under contention is proportional to the
