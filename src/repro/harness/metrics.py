@@ -20,10 +20,8 @@ Stages (mirroring the paper's control cores):
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 
 @dataclass
@@ -36,10 +34,6 @@ class StageTimer:
     def add(self, elapsed: float, events: int = 1) -> None:
         self.seconds += elapsed
         self.events += events
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.seconds / self.events if self.events else 0.0
 
 
 @dataclass
@@ -78,16 +72,6 @@ class PoolMetrics:
     dispatch: StageTimer = field(default_factory=StageTimer)
     wait: StageTimer = field(default_factory=StageTimer)
     aggregate: StageTimer = field(default_factory=StageTimer)
-
-    @contextmanager
-    def timed(self, stage: str, events: int = 1) -> Iterator[None]:
-        """Time a block against one of the stage timers."""
-        timer: StageTimer = getattr(self, stage)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            timer.add(time.perf_counter() - start, events)
 
     # -- derived quantities ---------------------------------------------
     @property

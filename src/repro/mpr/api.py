@@ -219,9 +219,10 @@ class _CompletionPump:
     with ``call_soon_threadsafe``); :meth:`step` advances the machine
     and never blocks on the transport.  One cycle is in flight at a
     time: everything queued (up to ``_PUMP_MAX_BATCH``, or up to a
-    reconfigure request) is planned — a small cycle fills a kernel
-    sweep on one replica row before it spreads over rows
-    (:meth:`ProcessPoolService.plan`) — submitted and flushed; each
+    reconfigure request) is checked, then what passed is planned — a
+    small cycle fills a kernel sweep on one replica row before it
+    spreads over rows (:meth:`ProcessPoolService.plan`) — sent, and
+    booked (:meth:`ProcessPoolService._dispatch`); each
     step then resolves the futures of the queries
     :meth:`ProcessPoolService.step` returned, in place, and once the
     pool is quiescent the update futures resolve to ``None`` and the
@@ -266,6 +267,8 @@ class _CompletionPump:
         self._updates: list[Future] = []
         self._request: _ReconfigureRequest | None = None
         self._wall: float | None = None
+        #: The cycle's refused tasks by position (reused, left empty).
+        self._refused: dict[int, Exception] = {}
         self._stopping = False
         #: Set when the pump is stopped and its last cycle has ended.
         self.stopped = threading.Event()
@@ -422,25 +425,23 @@ class _CompletionPump:
                 break  # cycle boundary: later tasks ride the new shape
             cycle.append(queue.popleft())
         self._busy = True
+        tasks = [task for task, _future in cycle]
+        refused = self._refused
+        failure: Exception | None = None
+        try:  # a task failing its check or its route lands in refused
+            executor._dispatch(tasks, True, refused)
+        except Exception as exc:  # the pool failed under the cycle
+            failure = exc
         queries, updates = self._queries, self._updates
-        sent = executor.metrics.batches_sent
-        executor.plan([task for task, _future in cycle])
-        for task, future in cycle:
-            try:
-                executor.submit(task)
-            except Exception as exc:  # refused, or routing blew up
-                future.set_exception(exc)
-                continue
-            if task.kind is TaskKind.QUERY:
+        for index, (task, future) in enumerate(cycle):
+            if refused and index in refused:
+                future.set_exception(refused.pop(index))
+            elif task.kind is TaskKind.QUERY:
                 queries[task.query_id] = future
             else:
                 updates.append(future)
-        # A submit that sent a full sweep read the acks waiting then.
-        collected = executor.metrics.batches_sent != sent
-        try:
-            executor.flush()  # closes the plan
-        except (WorkerCrash, RuntimeError) as exc:
-            self._fail_cycle(exc)
+        if failure is not None:
+            self._fail_cycle(failure)
         now = self._now()
         self._arm_wall(now)
         request = self._request
@@ -460,11 +461,6 @@ class _CompletionPump:
                 self._wall = None
         if not queries and not updates and self._request is None:
             self._end_cycle()  # nothing was submitted
-        elif collected and self.loop is not None and not self._kicked:
-            # The wait set may never turn readable for acks already
-            # read, so settle once more right away.
-            self._kicked = True
-            self.loop.call_soon(self.step)
 
     def _end_cycle(self) -> None:
         for future in self._updates:

@@ -139,6 +139,9 @@ class MPRRouter:
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._schedulers = [LayerScheduler(config, layer) for layer in range(config.z)]
         self._next_layer = 0
+        #: Routed since the last :meth:`fold`, which counts them.
+        self._queries = [0] * config.z
+        self._updates = 0
 
     @property
     def config(self) -> MPRConfig:
@@ -198,9 +201,7 @@ class MPRRouter:
         if task.kind is TaskKind.QUERY:
             layer = self._next_layer
             self._next_layer = (self._next_layer + 1) % self._config.z
-            if self._telemetry.enabled:
-                self._telemetry.count("router.queries")
-                self._telemetry.count(f"router.queries.layer{layer}")
+            self._queries[layer] += 1
             return self._schedulers[layer].route_query(task)
         columns = []
         workers: list[WorkerId] = []
@@ -211,8 +212,7 @@ class MPRRouter:
                 column = scheduler.route_delete(task)
             columns.append(column)
             workers.extend(scheduler.column_workers(column))
-        if self._telemetry.enabled:
-            self._telemetry.count("router.updates")
+        self._updates += 1
         return UpdateRoute(tuple(columns), tuple(workers))
 
     def plan(self, queries: int, batch_size: int) -> None:
@@ -234,9 +234,23 @@ class MPRRouter:
             self._telemetry.count("router.narrowed_layers", narrowed)
 
     def end_cycle(self) -> None:
-        """Close the planned cycle on every layer (no-op unplanned)."""
+        """Close the planned cycle on every layer (no-op unplanned); fold."""
         for scheduler in self._schedulers:
             scheduler.end_cycle()
+        self.fold()
+
+    def fold(self) -> None:
+        """Add what was routed since the last fold to the ``router.*`` counts."""
+        telemetry, queries = self._telemetry, self._queries
+        if any(queries):
+            telemetry.count("router.queries", sum(queries))
+            for layer, count in enumerate(queries):
+                if count:
+                    telemetry.count(f"router.queries.layer{layer}", count)
+            self._queries = [0] * self._config.z
+        if self._updates:
+            telemetry.count("router.updates", self._updates)
+            self._updates = 0
 
     def all_workers(self) -> list[WorkerId]:
         return [

@@ -91,6 +91,9 @@ def record_batch_stamps(
     ``exec.batch_queries`` counters, and each of its queries gets an
     equal *share* of the run as its ``execute`` span — batched queries
     cannot be timed individually, but their traces stay complete.
+    Each per-batch value is one count-weighted
+    :meth:`~repro.obs.Telemetry.record_shared` call, so a batch costs
+    the handle's lock a fixed number of times, not once per query.
     ``kernel_delta`` folds a child process's ``KERNEL_CALLS``
     increments into this process's counters (thread workers share them
     and report none).  Replayed batches restamp the same ``(stage,
@@ -103,58 +106,47 @@ def record_batch_stamps(
     if kernel_delta:
         KERNEL_CALLS.update(kernel_delta)
     ack_wait = time.monotonic() - t_ack_send
-    queue_wait = max(t_recv - sent, 0.0) if sent is not None else None
     query_ids: list[int] = []
+    updates: list[float] = []
     for entry in op_timings:
-        if entry[0] == "q":
-            query_ids.append(entry[1])
-        elif entry[0] == "qb":
-            query_ids.extend(entry[1])
-    if skip:
-        query_ids = [qid for qid in query_ids if qid not in skip]
-    if queue_wait is not None:
-        if query_ids:
-            for query_id in query_ids:
-                telemetry.record(
-                    "queue_wait", queue_wait,
-                    start=sent, query_id=query_id, worker=worker_id,
-                )
-        else:  # pure-update batch: histogram only, once
-            telemetry.record("queue_wait", queue_wait, start=sent)
-    for entry in op_timings:
-        if entry[0] == "q":
+        kind = entry[0]
+        if kind == "q":
             _, query_id, t0, t1 = entry
-            if query_id in skip:
-                continue
-            telemetry.record(
-                "execute", t1 - t0,
-                start=t0, query_id=query_id, worker=worker_id,
-            )
-        elif entry[0] == "qb":
+            query_ids.append(query_id)
+            if query_id not in skip:
+                telemetry.record(
+                    "execute", t1 - t0,
+                    start=t0, query_id=query_id, worker=worker_id,
+                )
+        elif kind == "qb":
             _, run_ids, t0, t1 = entry
+            query_ids.extend(run_ids)
             telemetry.record("execute_batch", t1 - t0, start=t0)
             telemetry.count("exec.batches")
             telemetry.count("exec.batch_queries", len(run_ids))
             share = (t1 - t0) / len(run_ids)
-            for position, query_id in enumerate(run_ids):
-                if query_id in skip:
-                    continue
-                span_start = t0 + position * share
-                telemetry.record(
-                    "execute", share,
-                    start=span_start, query_id=query_id, worker=worker_id,
-                )
-        else:
-            _, t0, t1 = entry
-            telemetry.record("update", t1 - t0, start=t0)
-    if query_ids:
-        for query_id in query_ids:
-            telemetry.record(
-                "ack", ack_wait,
-                start=t_ack_send, query_id=query_id, worker=worker_id,
+            if skip:
+                run_ids = [qid for qid in run_ids if qid not in skip]
+            telemetry.record_shared(
+                "execute", share, run_ids,
+                start=t0, step=share, worker=worker_id,
             )
-    else:
-        telemetry.record("ack", ack_wait, start=t_ack_send)
+        else:
+            updates.append(entry[2] - entry[1])
+    telemetry.record_samples("update", updates)
+    if skip:
+        query_ids = [qid for qid in query_ids if qid not in skip]
+    # A pure-update batch still counts one queue_wait and one ack.
+    weight = len(query_ids) or 1
+    if sent is not None:
+        telemetry.record_shared(
+            "queue_wait", max(t_recv - sent, 0.0), query_ids,
+            start=sent, worker=worker_id, count=weight,
+        )
+    telemetry.record_shared(
+        "ack", ack_wait, query_ids,
+        start=t_ack_send, worker=worker_id, count=weight,
+    )
 
 
 def run_serial_reference(

@@ -36,8 +36,8 @@ interchangeable: answers are accepted per ``(query, layer, column)``,
 first one wins, a replay from the same worker overwrites idempotently
 — which is the whole dedup rule, for replays and hedged reads alike.
 
-There is one data plane: ``submit`` → :meth:`ProcessPoolService._send`
-→ pump → ack → settle (:class:`_QueryLedger`).  What a pool does when
+There is one data plane: route and send, then book
+(:meth:`ProcessPoolService._dispatch`) → pump → ack → settle.  What a pool does when
 something breaks is decided by its
 :class:`~repro.mpr.resilience.ResiliencePolicy` at the fault points (a
 worker died, a worker reported an error, a deadline is armed), not by
@@ -169,8 +169,8 @@ class _QueryLedger:
         #: ``(due, query_id)`` heap of armed deadlines.
         self.deadlines: list[tuple[float, int]] = []
 
-    def admit(self, task: Task, route: QueryRoute, stamping: bool) -> None:
-        """Open the ledger entry of a routed query; arm its deadline."""
+    def admit(self, task: Task, route: QueryRoute, now: float) -> None:
+        """Open a routed query's ledger entry; arm its deadline from ``now``."""
         fleet = self._shapes.current
         layer = route.workers[0][0]
         columns = fleet.layer_columns.get(layer)
@@ -186,9 +186,7 @@ class _QueryLedger:
         # every SLO to None).
         slo = self._resilience.deadline_for(task.deadline)
         if slo is not None:
-            heapq.heappush(self.deadlines, (self._now() + slo, query_id))
-        if stamping:
-            self._telemetry.begin_trace(query_id, route.workers)
+            heapq.heappush(self.deadlines, (now + slo, query_id))
 
     def refuse(self, query_id: int, backlog: int) -> None:
         """Shed a query routed at a backlog at the policy's bound:
@@ -269,48 +267,46 @@ class _QueryLedger:
                 return {}
         else:
             settled = list(queries.items())
-        events = len(settled) + len(self.shed)
-        with self._metrics.timed("aggregate", events=events):
-            results: dict[int, QueryResult] = {}
-            for query_id, query in settled:
-                accepted = query.accepted
-                missing: tuple[tuple[int, int], ...] = ()
-                if len(accepted) != len(query.columns):
-                    missing = tuple(sorted(
-                        column for column in query.columns
-                        if column not in accepted
-                    ))
-                t0 = self._now() if stamping else 0.0
-                if len(accepted) == 1 and not missing:
-                    # One column, answered (every x = 1 shape): its
-                    # partial already is the canonical top-k.
-                    ((_worker, neighbors),) = accepted.values()
-                else:
-                    neighbors = merge_partial_results(
-                        [partial for _worker, partial in accepted.values()],
-                        query.task.k,
-                    )
-                if stamping:
-                    telemetry.record(
-                        "merge", self._now() - t0,
-                        start=t0, query_id=query_id,
-                    )
-                if missing:
-                    self._metrics.degraded += 1
-                    telemetry.count("resilience.degraded")
-                    results[query_id] = QueryResult(
-                        query_id, _PARTIAL, tuple(neighbors), missing
-                    )
-                else:
-                    results[query_id] = QueryResult.from_answer(
-                        query_id, neighbors
-                    )
-            results.update(self.shed)
-        if stamping:
-            for query_id, _query in settled:
-                trace = telemetry.trace(query_id)
-                if trace is not None and trace.spans:
-                    telemetry.record("response", trace.response_time)
+        started = perf_counter()
+        t0 = self._now() if stamping else 0.0
+        results: dict[int, QueryResult] = {}
+        for query_id, query in settled:
+            accepted = query.accepted
+            missing: tuple[tuple[int, int], ...] = ()
+            if len(accepted) != len(query.columns):
+                missing = tuple(sorted(
+                    column for column in query.columns
+                    if column not in accepted
+                ))
+            if len(accepted) == 1 and not missing:
+                # One column, answered (every x = 1 shape): its partial
+                # already is the canonical top-k.
+                ((_worker, neighbors),) = accepted.values()
+            else:
+                neighbors = merge_partial_results(
+                    [partial for _worker, partial in accepted.values()],
+                    query.task.k,
+                )
+            if missing:
+                self._metrics.degraded += 1
+                telemetry.count("resilience.degraded")
+                results[query_id] = QueryResult(
+                    query_id, _PARTIAL, tuple(neighbors), missing
+                )
+            else:
+                results[query_id] = QueryResult.from_answer(
+                    query_id, neighbors
+                )
+        results.update(self.shed)
+        self._metrics.aggregate.add(
+            perf_counter() - started, len(settled) + len(self.shed)
+        )
+        if stamping and settled:
+            # Each query's merge span is its share of the pass.
+            share = (self._now() - t0) / len(settled)
+            ids = [query_id for query_id, _query in settled]
+            telemetry.record_shared("merge", share, ids, start=t0, step=share)
+            telemetry.record_responses(ids)
         if answered_only:
             # Their deadline entries stay in the heap: enforce_deadlines
             # skips an id the ledger no longer holds.
@@ -694,38 +690,117 @@ class ProcessPoolService:
         before it is routed, so no worker and no deadline heap ever
         sees it.
         """
-        self._check(task)
-        self.start()
-        now, shapes = self._now, self._shapes
-        if shapes.warming is not None or shapes.retiring is not None:
-            shapes.advance(now())
-        metrics = self.metrics
-        metrics.tasks_submitted += 1
-        stamping = self._telemetry.enabled
-        t0 = now() if stamping else 0.0
-        with metrics.timed("dispatch", events=0):
-            route, ready, backlog = shapes.current.batcher.offer(task)
-        query_id = None
-        if task.kind is TaskKind.QUERY:
-            assert isinstance(route, QueryRoute)
-            metrics.queries_submitted += 1
-            query_id = task.query_id
-            if backlog is not None:
-                self._ledger.refuse(query_id, backlog)
+        self._dispatch((task,), False)
+
+    def _dispatch(self, tasks, cycle, refused=None) -> None:
+        """The one submit path — :meth:`submit`, :meth:`run`, the pump's
+        ``cycle`` (planned, then flushed): check every task, route them
+        and put every batch on the wire, and only then, while the
+        workers compute, account for them (:meth:`_account`).  A routing
+        error accounts the prefix routed, then raises — or, given
+        ``refused`` (the pump's), a task failing its check or route is
+        entered there by position and skipped.  While a shape change is
+        in flight it may cut over between two tasks: each goes alone."""
+        queries = 0
+        for index, task in enumerate(tasks):
+            try:
+                self._check(task)
+            except ValueError as exc:
+                if refused is None:
+                    raise
+                refused[index] = exc
             else:
-                self._ledger.admit(task, route, stamping)
-        else:
-            metrics.updates_submitted += 1
-            self._record_update(task)
-        self._send_batches(ready)
-        if stamping:
-            self._telemetry.record(
-                "dispatch", now() - t0, start=t0, query_id=query_id
+                queries += task.kind is TaskKind.QUERY
+        self.start()
+        shapes = self._shapes
+        if cycle:
+            shapes.current.router.plan(queries, self.batch_size)
+        if shapes.warming is None and shapes.retiring is None:
+            self._send_then_account(tasks, cycle, refused)
+            return
+        for index, task in enumerate(tasks):
+            if refused and index in refused:
+                continue
+            shapes.advance(self._now())
+            try:
+                self._send_then_account((task,), False, None)
+            except Exception as exc:
+                if refused is None:
+                    raise
+                refused[index] = exc
+        if cycle:
+            self.flush()
+
+    def _send_then_account(self, tasks, cycle, refused) -> None:
+        """:meth:`_dispatch`'s two passes over the serving shape.  A
+        batch whose worker is found dead waits in ``held`` until the
+        second ends: handling the death may read the worker's acks."""
+        now, started = self._now(), perf_counter()
+        batcher = self._shapes.current.batcher
+        offer, send_batches = batcher.offer, self._send_batches
+        #: Per task: its route, its shed verdict (the backlog), or None.
+        routes: list = []
+        held: list[WorkerBatch] = []
+        ready = None
+        try:
+            for index, task in enumerate(tasks):
+                if refused and index in refused:
+                    route = ready = backlog = None
+                else:
+                    try:
+                        route, ready, backlog = offer(task)
+                    except KeyError as exc:  # a live insert, an unknown delete
+                        if refused is None:
+                            raise
+                        refused[index] = exc
+                        route = ready = backlog = None
+                routes.append(route if backlog is None else backlog)
+                if ready:
+                    send_batches(ready, held)
+            if cycle:
+                send_batches(batcher.flush(), held)
+        finally:
+            self.metrics.dispatch.add(perf_counter() - started, 0)
+            self._account(tasks, routes, now)
+        if held:
+            send_batches(held)
+        if not cycle:  # a lone submit is a cycle of its own
+            self._shapes.current.router.fold()
+            if ready:  # drain acks so the result channels stay short
+                self._collect_ready()
+
+    def _account(self, tasks: Sequence[Task], routes: list, now: float) -> None:
+        """Book the routed tasks (deadlines armed from ``now``, the
+        pass's start) — traced, with one ``dispatch`` record whose
+        samples are each op's share of the parent's time."""
+        ledger, metrics, telemetry = self._ledger, self.metrics, self._telemetry
+        traced: list | None = [] if telemetry.enabled else None
+        queries = updates = 0
+        for task, route in zip(tasks, routes):
+            if route is None:
+                continue
+            if task.kind is TaskKind.QUERY:
+                queries += 1
+                if route.__class__ is int:
+                    ledger.refuse(task.query_id, route)
+                    continue
+                ledger.admit(task, route, now)
+                if traced is not None:
+                    traced.append((task.query_id, route.workers))
+            else:
+                updates += 1
+                self._record_update(task)
+        routed = queries + updates
+        metrics.tasks_submitted += routed
+        metrics.queries_submitted += queries
+        metrics.updates_submitted += updates
+        if traced is not None and routed:
+            telemetry.begin_traces(traced)
+            share = (self._now() - now) / routed
+            telemetry.record_shared(
+                "dispatch", share, [query_id for query_id, _ in traced],
+                start=now, step=share, count=routed,
             )
-        if ready:
-            # Opportunistically drain acks so the result channels stay
-            # short (one that sent nothing has no ack of its own due).
-            self._collect_ready()
 
     def _check(self, task: Task) -> None:
         kind = task.kind
@@ -760,25 +835,35 @@ class ProcessPoolService:
         """Dispatch every partial batch (latency over amortization)."""
         if not self._started or self._closed:
             return
-        with self.metrics.timed("dispatch", events=0):
-            ready = self._shapes.current.batcher.flush()
-        self._send_batches(ready)
+        started = perf_counter()
+        self._send_batches(self._shapes.current.batcher.flush())
+        self.metrics.dispatch.add(perf_counter() - started, 0)
 
     @property
     def batch_size(self) -> int:
         return self._shapes.current.batcher.batch_size
 
-    def _send_batches(self, batches: Sequence[WorkerBatch]) -> None:
+    def _send_batches(self, batches, held=None) -> None:
+        """Log and send each batch, handling a dead target's death
+        first — or, given ``held``, holding its batch back there."""
         workers, transport = self._shapes.current.workers, self._transport
-        for worker_id, ops in batches:
+        send = self._send
+        messages = ops = 0
+        for worker_id, batch in batches:
             state = workers[worker_id]
             if not state.alive(transport):
+                if held is not None:
+                    held.append((worker_id, batch))
+                    continue
                 self._on_death(state, self._now())
-            with self.metrics.timed("dispatch"):
-                self._send(state, ops)
-            self.metrics.batches_sent += 1
-            self.metrics.messages_sent += 1
-            self.metrics.ops_dispatched += len(ops)
+            send(state, batch)
+            messages += 1
+            ops += len(batch)
+        metrics = self.metrics
+        metrics.dispatch.events += messages
+        metrics.batches_sent += messages
+        metrics.messages_sent += messages
+        metrics.ops_dispatched += ops
 
     def _send(self, state: _WorkerState, ops: tuple) -> None:
         """Log ``ops`` as ``state``'s next batch and put it on the wire."""
@@ -928,13 +1013,10 @@ class ProcessPoolService:
         return ``query_id -> QueryResult`` (as :meth:`drain`).  Workers
         stay alive for the next one.  A bad location anywhere in
         ``tasks`` — or a bad deadline — raises before any of them is
-        submitted."""
-        for task in tasks:
-            self._check(task)
-        self.start()
-        self.plan(tasks)
-        for task in tasks:
-            self.submit(task)
+        submitted; a routing error (an insert of a live object, a
+        delete of an unknown one) raises once the tasks before it are
+        sent and accounted, and the next :meth:`drain` answers those."""
+        self._dispatch(tasks, True)
         answers = self.drain()
         if self._check_invariants:
             check_matrix_invariants(self.worker_contents(), self.config)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .histogram import LogHistogram
 
@@ -184,8 +184,10 @@ class Telemetry:
     histograms (fixed log-scale buckets, p50/p95/p99 export), named
     counters, and up to ``max_traces`` per-query span trees (later
     queries still feed the histograms; only the trace store is
-    bounded).  Thread-safe — the threaded executor's workers and the
-    pool's parent-side supervisor record concurrently.
+    bounded).  Only the thread that owns the pool records; readers
+    such as ``stats()`` may be on other threads, so each call takes
+    the lock once — and the pool records a batch's or a cycle's samples
+    in one count-weighted call (:meth:`record_shared`).
 
     The disabled form (``Telemetry(enabled=False)``, or the shared
     :data:`NULL_TELEMETRY`) accepts every call as a no-op so call sites
@@ -230,20 +232,54 @@ class Telemetry:
         count: int = 1,
     ) -> None:
         """Record a finished stage; attach it to a trace if one exists."""
+        self.record_shared(
+            stage, duration, () if query_id is None else (query_id,),
+            start=start or 0.0, worker=worker, count=count,
+        )
+
+    def record_shared(
+        self, stage: str, duration: float, query_ids: Sequence[int], *,
+        start: float = 0.0, step: float = 0.0, worker=None, count=None,
+    ) -> None:
+        """One locked, count-weighted record: ``count`` samples of
+        ``duration`` (one per id by default), and a span in the open
+        trace of each id, the ``i``-th starting at ``start + i * step``
+        — what one :meth:`record` per id leaves, for one lock."""
+        weight = len(query_ids) if count is None else count
+        if not self.enabled or not weight:
+            return
+        with self._lock:
+            self._histogram(stage).record(duration, weight)
+            traces = self._traces
+            if traces:
+                for position, query_id in enumerate(query_ids):
+                    trace = traces.get(query_id)
+                    if trace is not None:
+                        trace.add(Span(
+                            stage, start + position * step, duration, worker
+                        ))
+
+    def record_samples(self, stage: str, durations: Sequence[float]) -> None:
+        """One sample per duration, under one lock (no spans)."""
+        if self.enabled and durations:
+            with self._lock:
+                self._histogram(stage).record_many(durations)
+
+    def record_responses(self, query_ids: Iterable[int]) -> None:
+        """Each traced query's end-to-end time, as a ``response`` sample."""
         if not self.enabled:
             return
         with self._lock:
-            histogram = self._stages.get(stage)
-            if histogram is None:
-                histogram = self._stages[stage] = LogHistogram()
-            histogram.record(duration, count)
-            if query_id is not None:
+            for query_id in query_ids:
                 trace = self._traces.get(query_id)
-                if trace is not None:
-                    trace.add(
-                        Span(stage, start if start is not None else 0.0,
-                             duration, worker)
-                    )
+                if trace is not None and trace.spans:
+                    self._histogram("response").record(trace.response_time)
+
+    def _histogram(self, stage: str) -> LogHistogram:
+        histogram = self._stages.get(stage)
+        if histogram is None:
+            histogram = self._stages[stage] = LogHistogram()
+        return histogram
 
     def count(self, name: str, value: int = 1) -> None:
         """Bump a named counter."""
@@ -258,17 +294,30 @@ class Telemetry:
         expected_workers: Sequence[tuple[int, int, int]] = (),
     ) -> None:
         """Open the span tree for a query (called at submit time)."""
+        self.begin_traces(((query_id, expected_workers),))
+
+    def begin_traces(self, entries: Sequence[tuple[int, Sequence]]) -> None:
+        """Open the span tree of each ``(query_id, expected_workers)``
+        not open yet (a submit cycle's queries); no lock once the store
+        is full — only the recording thread adds traces."""
         if not self.enabled:
             return
-        with self._lock:
-            if query_id in self._traces:
-                return
-            if len(self._traces) >= self._max_traces:
-                self._traces_dropped += 1
-                return
-            self._traces[query_id] = QueryTrace(
-                query_id, tuple(tuple(w) for w in expected_workers)
+        traces = self._traces
+        if len(traces) >= self._max_traces:
+            self._traces_dropped += sum(
+                query_id not in traces for query_id, _workers in entries
             )
+            return
+        with self._lock:
+            for query_id, workers in entries:
+                if query_id in traces:
+                    continue
+                if len(traces) >= self._max_traces:
+                    self._traces_dropped += 1
+                    continue
+                traces[query_id] = QueryTrace(
+                    query_id, tuple(tuple(w) for w in workers)
+                )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -135,8 +135,10 @@ def machine_spec_from_telemetry(
     :class:`repro.obs.Telemetry`:
 
     * ``queue_write_time`` (the paper's τ') ← mean of the ``dispatch``
-      stage — the parent-side routing + enqueue cost per task;
-    * ``merge_time`` ← mean of the ``merge`` stage;
+      stage, whose samples are each op's share of its submit cycle's
+      parent time (routing, sending, booking) — the cost per task;
+    * ``merge_time`` ← mean of the ``merge`` stage (each query's share
+      of its drain's merge pass);
     * ``dispatch_time`` ← mean of the ``ack`` stage (one cross-worker
       message transit, the closest observable to a d-core hand-off).
 

@@ -37,9 +37,11 @@ message in between, where a real ``recv()`` would block forever.
 from __future__ import annotations
 
 import random
+import threading
 from collections import deque
 
 from repro.mpr.transport import EOF, _worker_main
+from repro.obs import Telemetry
 
 
 class _Idle(BaseException):
@@ -255,3 +257,23 @@ class FakeTransport:
 
     def advance(self, seconds: float) -> None:
         self.clock += seconds
+
+
+class CountingTelemetry(Telemetry):
+    """An enabled :class:`~repro.obs.Telemetry` that counts how often
+    its lock is taken (``locked``): every record, count, trace open and
+    read is one acquisition, so this is the parent's bookkeeping cost in
+    calls."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.locked = 0
+        self._lock = self  # the context manager below, around a real lock
+        self._real_lock = threading.Lock()
+
+    def __enter__(self) -> None:
+        self._real_lock.acquire()
+        self.locked += 1
+
+    def __exit__(self, *exc_info) -> None:
+        self._real_lock.release()

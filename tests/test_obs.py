@@ -12,6 +12,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import (
     NULL_TELEMETRY,
@@ -234,6 +236,79 @@ def test_telemetry_clear_resets_but_stays_usable() -> None:
     assert telemetry.histogram("execute") is None
     telemetry.record("execute", 1e-4)
     assert telemetry.histogram("execute").count == 1
+
+
+_WORKERS = st.one_of(
+    st.none(), st.tuples(*[st.integers(0, 3)] * 3)
+)
+
+
+@given(
+    duration=st.floats(0.0, 1e3, allow_nan=False),
+    prior=st.lists(st.floats(0.0, 1e3, allow_nan=False), max_size=3),
+    query_ids=st.lists(st.integers(0, 12), max_size=24),
+    traced=st.lists(st.integers(0, 12), max_size=12),
+    max_traces=st.integers(0, 8),
+    start=st.floats(-1e3, 1e3, allow_nan=False),
+    step=st.floats(0.0, 10.0, allow_nan=False),
+    worker=_WORKERS,
+)
+def test_a_count_weighted_record_equals_one_record_per_id(
+    duration, prior, query_ids, traced, max_traces, start, step, worker
+) -> None:
+    """``record_shared`` is the per-id loop in one locked call: the same
+    histogram — count, min, max, every bucket exactly; total and sum of
+    squares up to float summation order — and the same spans, whether
+    an id is traced, untraced, repeated, or its trace was dropped by a
+    full store."""
+    shared, looped = (Telemetry(max_traces=max_traces) for _ in range(2))
+    for telemetry in (shared, looped):
+        for query_id in traced:
+            telemetry.begin_trace(query_id, [(0, 0, 0)])
+        for value in prior:
+            telemetry.record("execute", value)
+    shared.record_shared(
+        "execute", duration, query_ids, start=start, step=step, worker=worker
+    )
+    for position, query_id in enumerate(query_ids):
+        looped.record(
+            "execute", duration, start=start + position * step,
+            query_id=query_id, worker=worker,
+        )
+    got, want = shared.histogram("execute"), looped.histogram("execute")
+    if want is None:
+        assert got is None
+        return
+    assert got.count == want.count
+    assert (got.min_value, got.max_value) == (want.min_value, want.max_value)
+    assert got._counts == want._counts
+    assert got.total == pytest.approx(want.total, rel=1e-12, abs=1e-300)
+    assert got.sum_squares == pytest.approx(
+        want.sum_squares, rel=1e-12, abs=1e-300
+    )
+    assert [t.spans for t in shared.traces()] == [
+        t.spans for t in looped.traces()
+    ]
+    assert shared.traces_dropped == looped.traces_dropped
+
+
+def test_a_count_weighted_record_may_weigh_more_than_its_ids() -> None:
+    """``count`` weighs a cycle's untraced ops (updates) in too."""
+    telemetry = Telemetry()
+    telemetry.begin_trace(3)
+    telemetry.record_shared(
+        "dispatch", 2e-6, [3], start=1.0, step=2e-6, count=5
+    )
+    assert telemetry.histogram("dispatch").count == 5
+    assert telemetry.trace(3).spans == [Span("dispatch", 1.0, 2e-6)]
+
+
+def test_a_full_trace_store_opens_nothing_and_counts_the_drops() -> None:
+    telemetry = Telemetry(max_traces=2)
+    telemetry.begin_traces([(1, [(0, 0, 0)]), (2, [(0, 0, 0)])])
+    telemetry.begin_traces([(1, [(0, 0, 0)]), (3, ()), (4, ())])
+    assert [trace.query_id for trace in telemetry.traces()] == [1, 2]
+    assert telemetry.traces_dropped == 2  # 1 is already open
 
 
 def test_disabled_telemetry_is_inert() -> None:

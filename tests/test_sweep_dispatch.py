@@ -39,9 +39,11 @@ from repro.mpr import (
     build_executor,
     run_serial_reference,
 )
+from repro.mpr.api import _CompletionPump
 from repro.mpr.core_matrix import QueryRoute
 from repro.mpr.reconfig import _Role
 from repro.objects.tasks import InsertTask, QueryTask, TaskKind
+from repro.obs import Telemetry
 from tests.conftest import gated_solution, ok_results
 
 NODES = protocol.GRID.num_nodes
@@ -319,6 +321,44 @@ def test_a_pump_cycle_is_planned_like_run() -> None:
     assert [
         (worker, Counter(op[0] for op in ops)) for worker, ops in sent[1:]
     ] == [((0, 0, 0), Counter(insert=5)), ((0, 1, 0), Counter(query=10, insert=5))]
+
+
+def test_a_pump_cycle_plans_only_the_tasks_it_does_not_refuse() -> None:
+    """(1,2,1), one pump cycle of 16 valid queries and one off the
+    graph: the refused query is checked out before the plan, so the 16
+    fill one sweep on one row — one batch — and only the bad future
+    fails."""
+    solution = DijkstraKNN(protocol.GRID)
+    telemetry = Telemetry()
+    pool = build_executor(
+        MPRConfig(1, 2, 1), solution, protocol.OBJECTS, mode="thread",
+        telemetry=telemetry,
+    ).start()
+    try:
+        pump = _CompletionPump(pool, 30.0)
+        good = [QueryTask(0.0, i, i * 5 % NODES, 3) for i in range(16)]
+        bad = QueryTask(0.0, 99, NODES, 3)
+        sent = record_sends(pool)
+        futures = pump.submit_all(good[:8] + [bad] + good[8:])
+        deadline = time.monotonic() + 30
+        while not all(future.done() for future in futures):
+            assert time.monotonic() < deadline, "the cycle never settled"
+            pump.step()
+            time.sleep(0.005)
+        assert [
+            (worker, Counter(op[0] for op in ops)) for worker, ops in sent
+        ] == [((0, 0, 0), Counter(query=16))]
+        assert pool.metrics.batches_sent == 1
+        assert telemetry.counters["router.narrowed_layers"] == 1
+        with pytest.raises(ValueError, match="not a node"):
+            futures[8].result(0)
+        expected = run_serial_reference(solution, protocol.OBJECTS, good)
+        assert {
+            task.query_id: future.result(0)
+            for task, future in zip(good, futures[:8] + futures[9:])
+        } == answers_of(expected, good)
+    finally:
+        pool.close()
 
 
 def test_cutover_starts_the_new_shape_at_a_zero_count() -> None:

@@ -4,7 +4,7 @@
 #
 #   bash tools/ci.sh              # fast: tier-1 tests, figure-script imports, lint, API surface
 #   bash tools/ci.sh slow         # full suite (slow markers included), figure-script imports, lint, API surface,
-#                                 # the kernel-exactness properties at the thorough profile,
+#                                 # the kernel-exactness and telemetry properties at the thorough profile,
 #                                 # and two simulator figures regenerated byte-identical
 #   bash tools/ci.sh chaos        # chaos tests, the protocol machine x10 + sweep counts, the sweep twice
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
@@ -43,10 +43,11 @@ run_lane() {
         slow)
             python -m pytest -x -q -m "slow or not slow"
             static_checks
-            # Heap search = sweep = oracle, and run_ops = the per-op
-            # loop, over ten times the tier-1 examples.
+            # Heap search = sweep = oracle, run_ops = the per-op loop,
+            # and a count-weighted telemetry record = one record per id,
+            # over ten times the tier-1 examples.
             python -m pytest -x -q tests/test_kernels.py tests/test_run_ops.py \
-                --hypothesis-profile=thorough
+                tests/test_obs.py --hypothesis-profile=thorough
             # The simulator is deterministic given its seeds: two of its
             # figures (~20 s each) must regenerate byte-identical.
             python -m pytest -q --benchmark-only \

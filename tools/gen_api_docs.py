@@ -224,6 +224,23 @@ ride along.  Disabled telemetry (the default `NULL_TELEMETRY`) costs
 one branch per call site; mprbench's `bench.trace_overhead_ratio`
 measures what enabling it costs on the served path.
 
+Only the thread that owns the pool records, and the pool pays for its
+bookkeeping per message or per cycle, not per op.
+`Telemetry.record_shared(stage, duration, query_ids, start=, step=,
+count=)` is one locked, count-weighted record that leaves what one
+`record` per id would (the `i`-th id's span starts at `start + i *
+step`); a worker batch's `queue_wait`, `execute` share and `ack` are
+one such call each, its updates one `record_samples` call, a cycle's
+traces open in one `begin_traces` call (no lock once the store is
+full), and the router's `router.queries*` / `router.updates` counts
+fold in at the cycle's flush.  A `run()` or pump cycle routes its tasks
+and puts every batch on the wire first, then books them while the
+workers compute; its `dispatch` samples are each op's equal share of
+that whole parent pass (routing, sending, booking), and a drain's
+`merge` samples each query's share of its merge pass — so the
+`dispatch` mean is τ′, the parent's cost per task, which is what
+`machine_spec_from_telemetry` and the reconfiguration loop read.
+
 There is **one executor**, `ProcessPoolService`, built through **one
 entry point**, `repro.mpr.api.build_executor(config, solution, objects,
 ...)` — the arrangement first, the worker kind chosen by `mode`,
@@ -356,7 +373,9 @@ one `run_ops`, one sweep, one ack per worker per cycle — and
 
 A cycle fills a sweep before it spreads over replica rows.  A caller
 that holds a whole cycle declares it with `pool.plan(tasks)` before
-submitting it — `run()` and the completion pump do — and a layer whose
+submitting it — `run()` and the completion pump plan theirs inside
+their one submit pass, counting only the tasks that passed their
+checks — and a layer whose
 share is `q` queries then uses only `ceil(q / batch_size)` of its `y`
 rows, round-robin among them; the next flush advances the row by that
 many.  A 10-query cycle on (1,2,1) is one full sweep on one row instead
