@@ -221,7 +221,7 @@ class _CompletionPump:
     time: everything queued (up to ``_PUMP_MAX_BATCH``, or up to a
     reconfigure request) is checked, then what passed is planned — a
     small cycle fills a kernel sweep on one replica row before it
-    spreads over rows (:meth:`ProcessPoolService.plan`) — sent, and
+    spreads over rows (:meth:`repro.mpr.core_matrix.MPRRouter.plan`) — sent, and
     booked (:meth:`ProcessPoolService._dispatch`); each
     step then resolves the futures of the queries
     :meth:`ProcessPoolService.step` returned, in place, and once the

@@ -993,23 +993,10 @@ class ProcessPoolService:
         to handle."""
         return self._transport.fileno()
 
-    def plan(self, tasks: Sequence[Task]) -> None:
-        """Declare the cycle the next :meth:`flush` closes: ``tasks``.
-
-        Replica rows are interchangeable, so a cycle whose layer share
-        fits in fewer sweeps than there are rows is routed to that many
-        rows only — one full kernel sweep instead of several part-empty
-        ones (:meth:`repro.mpr.core_matrix.MPRRouter.plan`).  Without a
-        plan every query advances the row (Algorithm 1).
-        """
-        fleet = self._shapes.current
-        fleet.router.plan(
-            sum(task.kind is TaskKind.QUERY for task in tasks),
-            fleet.batcher.batch_size,
-        )
-
     def run(self, tasks: Sequence[Task]) -> dict[int, QueryResult]:
-        """Execute a task stream as one planned cycle (:meth:`plan`);
+        """Execute a task stream as one planned cycle: a layer whose
+        share fits in fewer sweeps than it has replica rows uses only
+        that many rows (:meth:`repro.mpr.core_matrix.MPRRouter.plan`);
         return ``query_id -> QueryResult`` (as :meth:`drain`).  Workers
         stay alive for the next one.  A bad location anywhere in
         ``tasks`` — or a bad deadline — raises before any of them is

@@ -1,41 +1,15 @@
 """Workload generation: arrivals, RU/TH streams, named scenarios.
 
-Beyond the paper's stationary Poisson streams, this package now covers
-non-stationary arrival processes (:mod:`.processes`), mobility-driven
-correlated update streams (:mod:`.mobility`), and continuous
-subscription kNN with incremental re-evaluation (:mod:`.continuous`).
+The paper's inputs (Sections IV-B and V-A): stationary Poisson query
+and update arrivals (:mod:`.arrivals`), the RU and TH update modes
+(:mod:`.generator`), the named X-Y scenarios of Section V
+(:mod:`.scenarios`), and paced replay of a stream against a live
+executor (:mod:`.replay`).
 """
 
-from .arrivals import (
-    deterministic_arrivals,
-    interarrival_stats,
-    merge_labelled,
-    poisson_arrivals,
-    thin,
-)
-from .continuous import (
-    ContinuousWorkload,
-    IncrementalKNNMonitor,
-    Subscription,
-    generate_continuous_workload,
-)
+from .arrivals import poisson_arrivals
 from .generator import GeneratedWorkload, UpdateMode, generate_workload
-from .mobility import MobilitySpec, mobility_workload, rush_hour_fleet
-from .processes import (
-    ArrivalProcess,
-    ConstantRate,
-    Hyperexponential,
-    PiecewiseRate,
-    RenewalProcess,
-    SinusoidRate,
-    Spike,
-    SpikeTrain,
-    fit_hyperexponential,
-    hyperexponential_from_moments,
-    profile_from_distributions,
-)
-from .replay import FleetSpec, fleet_update_rate, replay_fleet, replay_timed
-from .serialization import load_workload, save_workload
+from .replay import replay_timed
 from .scenarios import (
     BJ_RU_QUERY_HEAVY,
     CASE_STUDY,
@@ -49,37 +23,10 @@ from .scenarios import (
 )
 
 __all__ = [
-    "deterministic_arrivals",
-    "interarrival_stats",
-    "merge_labelled",
     "poisson_arrivals",
-    "thin",
-    "ArrivalProcess",
-    "ConstantRate",
-    "Hyperexponential",
-    "PiecewiseRate",
-    "RenewalProcess",
-    "SinusoidRate",
-    "Spike",
-    "SpikeTrain",
-    "fit_hyperexponential",
-    "hyperexponential_from_moments",
-    "profile_from_distributions",
-    "ContinuousWorkload",
-    "IncrementalKNNMonitor",
-    "Subscription",
-    "generate_continuous_workload",
-    "MobilitySpec",
-    "mobility_workload",
-    "rush_hour_fleet",
     "GeneratedWorkload",
     "UpdateMode",
     "generate_workload",
-    "FleetSpec",
-    "load_workload",
-    "save_workload",
-    "fleet_update_rate",
-    "replay_fleet",
     "replay_timed",
     "BJ_RU_QUERY_HEAVY",
     "CASE_STUDY",

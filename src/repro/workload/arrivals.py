@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator
 
 
 def poisson_arrivals(
@@ -18,11 +17,11 @@ def poisson_arrivals(
     """Arrival times of a Poisson process on ``[start, start+duration)``.
 
     ``rate`` is in events per second; a rate of 0 yields no events.
+    ``rate`` and ``duration`` must be finite and non-negative (a NaN
+    rate would never reach the window's end).
     """
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    _check_non_negative("rate", rate)
+    _check_non_negative("duration", duration)
     times: list[float] = []
     if rate == 0:
         return times
@@ -35,49 +34,7 @@ def poisson_arrivals(
         times.append(clock)
 
 
-def merge_labelled(*streams: tuple[str, list[float]]) -> list[tuple[float, str]]:
-    """Merge labelled timestamp lists into one time-ordered stream.
-
-    Ties are broken by label order of the arguments, deterministically.
-    """
-    merged: list[tuple[float, int, str]] = []
-    for priority, (label, times) in enumerate(streams):
-        merged.extend((t, priority, label) for t in times)
-    merged.sort()
-    return [(t, label) for t, _, label in merged]
-
-
-def thin(times: list[float], keep_probability: float, rng: random.Random) -> list[float]:
-    """Independent thinning of a Poisson stream (still Poisson)."""
-    if not 0.0 <= keep_probability <= 1.0:
-        raise ValueError("keep_probability must be in [0, 1]")
-    return [t for t in times if rng.random() < keep_probability]
-
-
-def interarrival_stats(times: list[float]) -> tuple[float, float]:
-    """(mean, variance) of inter-arrival gaps — workload diagnostics.
-
-    Streams with fewer than two events have no gaps; they return
-    ``(inf, 0.0)`` — an infinite mean gap is the defined limit of "no
-    observed rate" (``1/mean`` is then 0), never a NaN and never an
-    exception, so diagnostics over sparse windows stay total.
-    """
-    if len(times) < 2:
-        return (math.inf, 0.0)
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    mean = sum(gaps) / len(gaps)
-    variance = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-    return (mean, variance)
-
-
-def deterministic_arrivals(rate: float, duration: float, start: float = 0.0) -> Iterator[float]:
-    """Evenly spaced arrivals (used by ablation benches as a contrast
-    to Poisson arrivals)."""
-    if rate <= 0:
-        return
-    period = 1.0 / rate
-    clock = start + period
-    end = start + duration
-    while clock < end:
-        yield clock
-        clock += period
+def _check_non_negative(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and ``>= 0``."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")

@@ -24,7 +24,7 @@ from typing import Sequence
 from ..graph.road_network import RoadNetwork
 from ..objects.object_set import ObjectSet
 from ..objects.tasks import DeleteTask, InsertTask, QueryTask, Task
-from .processes import ArrivalProcess
+from .arrivals import _check_non_negative, poisson_arrivals
 
 
 class UpdateMode(Enum):
@@ -62,8 +62,6 @@ def generate_workload(
     seed: int = 0,
     insert_sites: Sequence[int] | None = None,
     query_sites: Sequence[int] | None = None,
-    query_process: ArrivalProcess | None = None,
-    update_process: ArrivalProcess | None = None,
 ) -> GeneratedWorkload:
     """Generate the single query/update stream of Section III.
 
@@ -73,16 +71,12 @@ def generate_workload(
     given, initial placements are also drawn from it.  ``query_sites``
     restricts query origins (hotspot workloads — airports, stadiums);
     the paper draws them uniformly, which remains the default.
-
-    ``query_process``/``update_process`` replace the stationary Poisson
-    streams with arbitrary :class:`~.processes.ArrivalProcess` timing
-    (rush-hour sinusoids, flash crowds, fitted renewal processes); the
-    corresponding ``lambda_q``/``lambda_u`` argument is then ignored
-    and the returned workload records the *realized* mean rate instead.
-    In TH mode an ``update_process`` schedules *movement events* (two
-    operations each), matching the paper's λu/2 convention — pass a
-    process at half the target operation rate.
+    Rates and ``duration`` must be finite and non-negative.
     """
+    for name, value in (
+        ("lambda_q", lambda_q), ("lambda_u", lambda_u), ("duration", duration)
+    ):
+        _check_non_negative(name, value)
     if num_objects < 1:
         raise ValueError("need at least one initial object")
     if network.num_nodes == 0:
@@ -105,46 +99,16 @@ def generate_workload(
             return rng.choice(sites)
         return rng.randrange(network.num_nodes)
 
-    # Event times: queries default to Poisson(λq) and update events to
-    # the mode's convention (RU: single ops at λu; TH: movements at
-    # λu/2, two ops each); a given process overrides the timing.  The
-    # default inline loops are kept verbatim so historical seeds keep
-    # producing byte-identical streams.
-    events: list[tuple[float, int, str]] = []  # (time, tiebreak, kind)
-    tiebreak = 0
-    num_queries = 0
-    if query_process is not None:
-        for time in query_process.sample(duration, rng):
-            events.append((time, tiebreak, "query"))
-            tiebreak += 1
-            num_queries += 1
-    elif lambda_q > 0:
-        clock = 0.0
-        while True:
-            clock += rng.expovariate(lambda_q)
-            if clock >= duration:
-                break
-            events.append((clock, tiebreak, "query"))
-            tiebreak += 1
-            num_queries += 1
-    num_update_events = 0
-    if update_process is not None:
-        for time in update_process.sample(duration, rng):
-            events.append((time, tiebreak, "update"))
-            tiebreak += 1
-            num_update_events += 1
-    else:
-        update_rate = lambda_u if mode is UpdateMode.RANDOM else lambda_u / 2.0
-        if update_rate > 0:
-            clock = 0.0
-            while True:
-                clock += rng.expovariate(update_rate)
-                if clock >= duration:
-                    break
-                events.append((clock, tiebreak, "update"))
-                tiebreak += 1
-                num_update_events += 1
-    events.sort()
+    # Event times: queries are Poisson(λq); update events follow the
+    # mode's convention (RU: single ops at λu; TH: movements at λu/2,
+    # two ops each).  The sort is stable, so a tie goes to the query
+    # and then to the earlier draw.
+    update_rate = lambda_u if mode is UpdateMode.RANDOM else lambda_u / 2.0
+    events = sorted(
+        [(time, "query") for time in poisson_arrivals(lambda_q, duration, rng)]
+        + [(time, "update") for time in poisson_arrivals(update_rate, duration, rng)],
+        key=lambda event: event[0],
+    )
 
     # Simulate object population to keep the stream consistent
     # (deletes target live objects; TH movements relocate live objects).
@@ -152,7 +116,7 @@ def generate_workload(
     tasks: list[Task] = []
     next_query_id = 0
     next_movement_id = 0
-    for time, _, kind in events:
+    for time, kind in events:
         if kind == "query":
             if origins is not None:
                 origin = rng.choice(origins)
@@ -184,19 +148,10 @@ def generate_workload(
             tasks.append(InsertTask(time, object_id, v, movement_id=next_movement_id))
             next_movement_id += 1
 
-    # Record realized mean rates whenever a process drove the timing —
-    # that is what the analytical model should be fed for such runs.
-    recorded_lambda_q = lambda_q
-    if query_process is not None:
-        recorded_lambda_q = num_queries / duration if duration > 0 else 0.0
-    recorded_lambda_u = lambda_u
-    if update_process is not None:
-        ops = num_update_events if mode is UpdateMode.RANDOM else 2 * num_update_events
-        recorded_lambda_u = ops / duration if duration > 0 else 0.0
     return GeneratedWorkload(
         initial_objects=initial,
         tasks=tasks,
-        lambda_q=recorded_lambda_q,
-        lambda_u=recorded_lambda_u,
+        lambda_q=lambda_q,
+        lambda_u=lambda_u,
         duration=duration,
     )

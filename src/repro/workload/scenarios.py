@@ -23,20 +23,11 @@ from dataclasses import dataclass, replace
 from ..graph.generators import generate_pois, scaled_replica
 from ..graph.road_network import RoadNetwork
 from .generator import GeneratedWorkload, UpdateMode, generate_workload
-from .processes import ArrivalProcess
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One X-Y experiment setting of Section V.
-
-    ``query_process``/``update_process`` optionally replace the
-    stationary Poisson arrivals with a non-stationary
-    :class:`~.processes.ArrivalProcess` (rush hour, flash crowds);
-    when set, the ``lambda_q``/``lambda_u`` fields are nominal labels
-    and the process's timing wins (see
-    :func:`~.generator.generate_workload`).
-    """
+    """One X-Y experiment setting of Section V."""
 
     name: str
     network_symbol: str
@@ -45,8 +36,6 @@ class Scenario:
     lambda_q: float
     lambda_u: float
     k: int = 10
-    query_process: ArrivalProcess | None = None
-    update_process: ArrivalProcess | None = None
 
     @property
     def label(self) -> str:
@@ -57,8 +46,7 @@ class Scenario:
 
         Used to produce executable versions of paper-sized scenarios;
         the query/update *mixture* (the ratio λq : λu) is preserved,
-        which is what the schemes adapt to.  Attached arrival processes
-        scale their intensities by the same factor.
+        which is what the schemes adapt to.
         """
         if factor <= 0:
             raise ValueError("factor must be positive")
@@ -68,12 +56,6 @@ class Scenario:
             num_objects=max(int(self.num_objects * factor), 1),
             lambda_q=self.lambda_q * factor,
             lambda_u=self.lambda_u * factor,
-            query_process=(
-                self.query_process.scaled(factor) if self.query_process else None
-            ),
-            update_process=(
-                self.update_process.scaled(factor) if self.update_process else None
-            ),
         )
 
 
@@ -162,7 +144,5 @@ def materialize(
         k=scenario.k,
         seed=seed,
         insert_sites=insert_sites,
-        query_process=scaled.query_process,
-        update_process=scaled.update_process,
     )
     return MaterializedScenario(scenario=scaled, network=network, workload=workload)

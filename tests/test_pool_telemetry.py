@@ -33,6 +33,15 @@ def network():
 
 
 @pytest.fixture(scope="module")
+def sparse_network():
+    """Few objects on a bigger grid: every worker message costs more
+    than the kernels' work model gives the heap search, so its queries
+    run as one shared ``knn_batch`` sweep (as
+    ``tests/test_sweep_dispatch.py``'s ``SPARSE_GRID``)."""
+    return grid_network(40, 40, seed=1)
+
+
+@pytest.fixture(scope="module")
 def workload(network):
     return generate_workload(
         network, num_objects=15, lambda_q=120.0, lambda_u=80.0,
@@ -99,7 +108,7 @@ def test_traces_survive_worker_respawn(network, workload) -> None:
     assert_traces_complete(telemetry, workload.num_queries)
 
 
-def test_interleaved_batch_is_one_stamped_sweep(network) -> None:
+def test_interleaved_batch_is_one_stamped_sweep(sparse_network) -> None:
     """A worker batch ``q u q u q`` runs as one kernel sweep and still
     reports everything the parent stitches: one ``execute_batch`` span
     covering the three queries, one ``update`` sample per update, and a
@@ -113,11 +122,11 @@ def test_interleaved_batch_is_one_stamped_sweep(network) -> None:
         QueryTask(0.4, 2, 60, 2),
     ]
     oracle = ok_results(
-        run_serial_reference(DijkstraKNN(network), objects, tasks)
+        run_serial_reference(DijkstraKNN(sparse_network), objects, tasks)
     )
     telemetry = Telemetry(max_traces=64)
     with build_executor(
-        MPRConfig(1, 1, 1), DijkstraKNN(network), objects,
+        MPRConfig(1, 1, 1), DijkstraKNN(sparse_network), objects,
         mode="process", batch_size=len(tasks), telemetry=telemetry,
     ) as pool:
         before = KERNEL_CALLS.copy()
@@ -130,27 +139,26 @@ def test_interleaved_batch_is_one_stamped_sweep(network) -> None:
     assert_traces_complete(telemetry, 3)
 
 
-def test_one_kernel_sweep_per_dispatched_batch(network) -> None:
+def test_one_kernel_sweep_per_dispatched_batch(sparse_network) -> None:
     """An object moves after every second query, so every worker batch
     interleaves queries with updates — and each is still exactly one
     ``knn_batch`` sweep, never a solo ``topk`` search.  (Batch acks
     carry the worker process's ``KERNEL_CALLS`` delta to the parent.)"""
-    objects = {i: (i * 7) % network.num_nodes for i in range(12)}
+    nodes = sparse_network.num_nodes
+    objects = {i: (i * 7) % nodes for i in range(12)}
     tasks: list = []
     for i in range(24):
-        tasks.append(QueryTask(float(i), i, (i * 11) % network.num_nodes, 3))
+        tasks.append(QueryTask(float(i), i, (i * 11) % nodes, 3))
         if i % 2:
             mover = i % len(objects)
             tasks.append(DeleteTask(i + 0.25, mover))
-            tasks.append(
-                InsertTask(i + 0.5, mover, (i * 13) % network.num_nodes)
-            )
+            tasks.append(InsertTask(i + 0.5, mover, (i * 13) % nodes))
     oracle = ok_results(
-        run_serial_reference(DijkstraKNN(network), objects, tasks)
+        run_serial_reference(DijkstraKNN(sparse_network), objects, tasks)
     )
     telemetry = Telemetry()
     with build_executor(
-        MPRConfig(1, 1, 1), DijkstraKNN(network), objects,
+        MPRConfig(1, 1, 1), DijkstraKNN(sparse_network), objects,
         mode="process", batch_size=16, telemetry=telemetry,
     ) as pool:
         before = KERNEL_CALLS.copy()

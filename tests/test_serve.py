@@ -327,6 +327,66 @@ def test_serve_overloaded_round_trip_is_retryable(
     asyncio.run(scenario())
 
 
+def test_serve_many_weighted_clients_all_settle(
+    small_grid, grid_objects
+) -> None:
+    """90 concurrent clients in three tenants weighted 4:2:1, each with
+    a burst of queries (every eighth under an unmeetable deadline)
+    against a 64-deep admission bound: every RPC settles within the
+    watchdog — answered or shed with a backoff hint, none hung — and
+    every query is counted against its tenant."""
+    tenants = {"gold": 4.0, "silver": 2.0, "bronze": 1.0}
+    per_tenant, burst, watchdog = 30, 4, 30.0
+
+    async def one_client(host, port, tenant, weight, index):
+        client = await ServeClient.connect(
+            host, port, tenant=tenant, weight=weight
+        )
+        try:
+            return await asyncio.gather(*(
+                client.query(
+                    (index + seq) % small_grid.num_nodes, 3,
+                    deadline=1e-9 if (index + seq) % 8 == 0 else None,
+                )
+                for seq in range(burst)
+            ))
+        finally:
+            await client.aclose()
+
+    async def scenario():
+        system = make_system(
+            small_grid, grid_objects,
+            resilience=ResilienceConfig(max_outstanding=64),
+        )
+        server = await start_server(system)
+        host, port = server.address
+        try:
+            replies = await asyncio.wait_for(asyncio.gather(*(
+                one_client(host, port, tenant, weight, index)
+                for tenant, weight in tenants.items()
+                for index in range(per_tenant)
+            )), timeout=watchdog)
+            completed = dict(server.tenant_completed)
+            misses = system.telemetry.counters.get(
+                "resilience.deadline_misses", 0
+            )
+        finally:
+            await server.stop()
+            system.close()
+        return [r for rs in replies for r in rs], completed, misses
+
+    results, completed, misses = asyncio.run(scenario())
+    assert len(results) == len(tenants) * per_tenant * burst
+    statuses = {result.status for result in results}
+    assert ResultStatus.OK in statuses
+    assert statuses <= {ResultStatus.OK, ResultStatus.OVERLOADED}
+    for result in results:
+        if result.status is ResultStatus.OVERLOADED:
+            assert result.retry_after is not None
+    assert completed == {tenant: per_tenant * burst for tenant in tenants}
+    assert misses > 0
+
+
 def test_serve_backpressure_slow_reader_does_not_starve_others(
     small_grid, grid_objects
 ) -> None:
@@ -1087,7 +1147,7 @@ def test_the_serving_loop_is_the_only_thread_that_touches_the_pool(
 
     async def scenario():
         system = make_system(small_grid, grid_objects)
-        for name in ("plan", "submit", "flush", "step"):
+        for name in ("_dispatch", "submit", "flush", "step"):
             call = getattr(system.executor, name)
 
             def spy(*args, _call=call, **kwargs):

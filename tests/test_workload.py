@@ -1,5 +1,8 @@
 """Tests for workload generation and the named scenarios."""
 
+import math
+import random
+
 import pytest
 
 from repro.objects import TaskKind, seed_stream_with_objects
@@ -10,11 +13,13 @@ from repro.workload import (
     NY_RU_UPDATE_HEAVY,
     UpdateMode,
     generate_workload,
-    interarrival_stats,
     materialize,
     poisson_arrivals,
 )
-import random
+
+#: Rates and durations no stream can have: each must be a ValueError
+#: (a NaN or infinite rate would otherwise never end the draw loop).
+BAD_VALUES = [-1.0, math.nan, math.inf]
 
 
 class TestPoissonArrivals:
@@ -40,8 +45,17 @@ class TestPoissonArrivals:
         """Poisson gaps: variance == mean^2 (cv^2 = 1)."""
         rng = random.Random(2)
         times = poisson_arrivals(500.0, 40.0, rng)
-        mean, variance = interarrival_stats(times)
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        mean = sum(gaps) / len(gaps)
+        variance = sum((gap - mean) ** 2 for gap in gaps) / len(gaps)
         assert variance == pytest.approx(mean * mean, rel=0.1)
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("argument", ["rate", "duration"])
+    def test_non_finite_or_negative_rejected(self, argument, value) -> None:
+        arguments = {"rate": 10.0, "duration": 1.0, argument: value}
+        with pytest.raises(ValueError, match=argument):
+            poisson_arrivals(rng=random.Random(0), **arguments)
 
 
 class TestGenerateWorkload:
@@ -131,6 +145,18 @@ class TestGenerateWorkload:
             generate_workload(
                 medium_grid, 5, 1.0, 1.0, 1.0, query_sites=[]
             )
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("argument", ["lambda_q", "lambda_u", "duration"])
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    def test_non_finite_or_negative_rate_rejected(
+        self, medium_grid, mode, argument, value
+    ) -> None:
+        """No empty stream and no bad λ recorded for the model to use."""
+        arguments = {"lambda_q": 10.0, "lambda_u": 10.0, "duration": 1.0}
+        arguments[argument] = value
+        with pytest.raises(ValueError, match=argument):
+            generate_workload(medium_grid, 5, mode=mode, **arguments)
 
     def test_invalid_parameters(self, medium_grid) -> None:
         with pytest.raises(ValueError):

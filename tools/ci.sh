@@ -9,7 +9,8 @@
 #   bash tools/ci.sh chaos        # chaos tests, the protocol machine x10 + sweep counts, the sweep twice
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
 #   bash tools/ci.sh scale        # ~1M-node cache/attach smoke (incl. CH at 262k/1M)
-#   bash tools/ci.sh serve        # serving tier: protocol e2e + load smoke
+#   bash tools/ci.sh serve        # serving tier: tests/test_serve.py, slow included (protocol e2e,
+#                                 # fairness, shedding, deadlines, ~90 concurrent clients settling)
 #   bash tools/ci.sh reconfig     # live-reconfiguration tests + soak
 #   bash tools/ci.sh bench        # mprbench's own tests + manifest validator
 #   bash tools/ci.sh slow chaos   # several lanes, in order
@@ -63,7 +64,7 @@ run_lane() {
             python -m repro.cli chaos --repeat 2
             ;;
         validate)
-            python -m pytest -x -q -m slow -k "validation or continuous"
+            python -m pytest -x -q -m slow -k validation
             python -m repro.cli validate --no-artifacts
             ;;
         scale)
@@ -71,7 +72,6 @@ run_lane() {
             ;;
         serve)
             python -m pytest -x -q tests/test_serve.py -m "slow or not slow"
-            python tools/serve_loadtest.py --smoke --no-artifacts
             ;;
         reconfig)
             python -m pytest -x -q -m slow -k reconfig

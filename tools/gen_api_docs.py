@@ -371,11 +371,9 @@ one `run_ops`, one sweep, one ack per worker per cycle — and
 `knn_batch` cuts more searches than that into balanced groups
 (17 → 9 + 8).  `PoolMetrics.queries_per_sweep` reports the fill.
 
-A cycle fills a sweep before it spreads over replica rows.  A caller
-that holds a whole cycle declares it with `pool.plan(tasks)` before
-submitting it — `run()` and the completion pump plan theirs inside
-their one submit pass, counting only the tasks that passed their
-checks — and a layer whose
+A cycle fills a sweep before it spreads over replica rows.  `run()`
+and the completion pump plan each cycle inside their one submit pass,
+counting only the tasks that passed their checks, and a layer whose
 share is `q` queries then uses only `ceil(q / batch_size)` of its `y`
 rows, round-robin among them; the next flush advances the row by that
 many.  A 10-query cycle on (1,2,1) is one full sweep on one row instead
@@ -639,50 +637,26 @@ holds a backlog and a tenant's share is its window.  Client deadlines propagate 
 executor's resilience machinery (`resilience.deadline_misses` moves).
 `ServeClient` is the asyncio client: `query(..., retries=n)` honors
 `retry_after` backoff hints and returns the final envelope either way.
-`repro.cli serve` starts a server; `tools/serve_loadtest.py` drives
-≥1000 concurrent clients with non-stationary arrivals and records
-qps/p50/p99, shed rate, and fairness spread into
-`benchmarks/results/serve.{json,txt}` (`bash tools/ci.sh serve` runs
-the smoke-sized version).
+`repro.cli serve` starts a server; mprbench's `serve_open` and
+`serve_closed` workloads (`bench/`) measure it end to end, and
+`bash tools/ci.sh serve` runs `tests/test_serve.py`, including ~90
+concurrent weighted-tenant clients that must all settle within a
+watchdog.
 """,
     ),
     (
         "Workloads & model validation",
         """\
-`repro.workload.processes` generates *non-stationary* arrival streams.
-An `ArrivalProcess` is an intensity function λ(t) sampled by
-Lewis–Shedler thinning against its `peak_rate` envelope; the catalog
-covers `ConstantRate`, the rush-hour `SinusoidRate` (closed-form
-integrated intensity), `SpikeTrain` (flash crowds as non-overlapping
-`Spike` windows), `PiecewiseRate` schedules, and `RenewalProcess`
-(i.i.d. gaps from any distribution — notably `Hyperexponential`).
-Every process is deterministic under a seed, supports `scaled(f)`
-intensity scaling, and reports `integrated_rate`/`mean_rate` so tests
-can check empirical counts against Λ = ∫λ.  The hyperexponential
-family also bridges measurements back into the analytical model:
-`hyperexponential_from_moments(mean, scv)` is an exact balanced-means
-H2 fit, `fit_hyperexponential(samples)` fits observed service times,
-and `profile_from_distributions` turns two fitted distributions into
-an `AlgorithmProfile` whose γ terms carry the overdispersion into
-Eq. 5.  Pass `query_process=`/`update_process=` to `generate_workload`
-(or set them on a `Scenario`) to drive the generator; the default
-homogeneous-Poisson path is byte-identical to previous releases.
-`mobility_workload` builds correlated update streams from a fleet of
-moving objects (delete+insert pairs from a geometric random walk),
-and `rush_hour_fleet` is the one-call sinusoidal variant.
-
-`repro.workload.continuous` adds standing (subscription) kNN queries:
-`generate_continuous_workload` produces a `ContinuousWorkload` whose
-`lower(every=n)` compiles subscriptions into an ordinary task stream —
-re-issuing every subscription after each `n` updates, never splitting
-a movement's delete+insert pair — so both executors answer it with no
-new machinery.  `IncrementalKNNMonitor` is the efficient path: one
-`sssp` field per subscription at construction, then O(#subscriptions)
-dictionary work per update, with `searches_performed`/`searches_saved`
-counters.  Its answers are **bit-identical** to fresh queries of the
-lowered stream (`tests/test_continuous_knn.py` pins this at every
-epoch).  `replay_timed` paces any task stream against the wall clock
-so a live executor experiences the stream's real λ(t).
+`repro.workload` generates the paper's inputs and nothing else:
+stationary Poisson arrivals (`poisson_arrivals`, Section IV-B), the RU
+and TH update modes of Section V-A (`generate_workload`; TH schedules
+movements at λu/2, a delete and an insert each), the named X-Y
+scenarios (`CASE_STUDY`, `FIGURE6_SCENARIOS`, … and `materialize` for
+an executable scaled-down instance) and `replay_timed`, which paces a
+stream against the wall clock so a live executor experiences its real
+λq/λu.  A seed fixes the stream byte for byte
+(`tests/test_workload_determinism.py` pins digests), and a rate or
+duration that is negative, NaN or infinite is a `ValueError`.
 
 `repro.validation` is the standing Fig. 4/5 contract: a
 `GridSpec` sweep of `(λq, λu, x, y, z)` cells run against *both* the
