@@ -3,7 +3,6 @@
 Gives the headline experiments and utilities a no-pytest entry point:
 
 * ``case-study``      — Tables II & III (paper-parity simulation)
-* ``chaos``           — fault-injection scenarios against the pool
 * ``configs``         — Figure 4's configuration sweep
 * ``networks``        — Table I replica sizes + realism metrics
 * ``profile``         — measure (tq, Vq, tu, Vu) of a solution on a replica
@@ -221,64 +220,6 @@ def _plan(args: argparse.Namespace) -> int:
         f"(workers={config.worker_cores}, total={config.total_cores} cores)"
     )
     print(f"predicted {choice.objective.value}: {value} {unit if objective is Objective.THROUGHPUT else ''}".rstrip())
-    return 0
-
-
-def _chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from .mpr.chaos import SCENARIOS, run_scenario
-
-    names = args.scenario if args.scenario else list(SCENARIOS)
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
-        known = ", ".join(SCENARIOS)
-        print(f"unknown scenario(s) {unknown}; known: {known}",
-              file=sys.stderr)
-        return 2
-    reports = []
-    for round_index in range(args.repeat):
-        for name in names:
-            report = run_scenario(
-                name, num_queries=args.queries, deadline=args.deadline,
-                drain_timeout=args.drain_timeout,
-            )
-            reports.append(report)
-            verdict = "ok" if report.ok else "FAIL"
-            print(f"[{round_index + 1}/{args.repeat}] {name:<12} {verdict}",
-                  flush=True)
-    print()
-    rows = [
-        [
-            report.scenario,
-            "ok" if report.ok else "FAIL",
-            str(report.plain), str(report.degraded), str(report.shed),
-            f"{report.miss_rate:.2f}",
-            f"{report.drain_seconds*1e3:,.0f} ms",
-            "; ".join(report.violations) or "-",
-        ]
-        for report in reports
-    ]
-    print(
-        format_table(
-            ["scenario", "verdict", "plain", "degraded", "shed",
-             "misses/query", "drain", "violations"],
-            rows,
-            title="Chaos scenarios against the resilient process pool",
-        )
-    )
-    if args.json:
-        payload = [report.to_dict() for report in reports]
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"reports written to {args.json}")
-    failed = sum(1 for report in reports if not report.ok)
-    if failed:
-        print(f"chaos FAILED: {failed}/{len(reports)} scenario runs "
-              "violated invariants")
-        return 1
-    print(f"chaos OK: {len(reports)} scenario runs clean")
     return 0
 
 
@@ -616,9 +557,12 @@ def _graph_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(kind: type, low: float, exclusive: bool = True):
+def _at_least(
+    kind: type, low: float, exclusive: bool = True, at_most: float = math.inf
+):
     """An argparse ``type``: ``kind(text)``, refused (one ``error:``
-    line, exit 2) unless above ``low`` (or at it, if not ``exclusive``)."""
+    line, exit 2) unless finite, above ``low`` (or at it, if not
+    ``exclusive``) and at most ``at_most``."""
 
     def parse(text: str):
         try:
@@ -631,6 +575,9 @@ def _at_least(kind: type, low: float, exclusive: bool = True):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if exclusive else '>='} {low}, got {text}"
             )
+        if value == math.inf or value > at_most:
+            bound = "finite" if at_most == math.inf else f"<= {at_most}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
     return parse
@@ -638,6 +585,10 @@ def _at_least(kind: type, low: float, exclusive: bool = True):
 
 _POSITIVE_INT = _at_least(int, 0)
 _POSITIVE_FLOAT = _at_least(float, 0.0)
+#: A rate: finite and >= 0.
+_RATE = _at_least(float, 0.0, exclusive=False)
+#: A core budget: the dispatcher plus at least one w-core.
+_CORES = _at_least(int, 2, exclusive=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -649,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     case = sub.add_parser("case-study", help="Tables II & III")
-    case.add_argument("--cores", type=int, default=19)
+    case.add_argument("--cores", type=_CORES, default=19)
     case.add_argument("--duration", type=float, default=1.0)
     case.add_argument("--json", help="also write records to this JSON file")
     case.set_defaults(func=_case_study)
@@ -659,44 +610,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     frontier.add_argument("--solution", default="TOAIN")
     frontier.add_argument("--network", default="BJ")
-    frontier.add_argument("--cores", type=int, default=19)
-    frontier.add_argument("--lambda-q", type=float, default=10_000.0)
-    frontier.add_argument("--lambda-u", type=float, default=10_000.0)
+    frontier.add_argument("--cores", type=_CORES, default=19)
+    frontier.add_argument("--lambda-q", type=_RATE, default=10_000.0)
+    frontier.add_argument("--lambda-u", type=_RATE, default=10_000.0)
     frontier.add_argument("--rq-bound", type=float, default=0.001)
-    frontier.add_argument("--points", type=int, default=7)
+    frontier.add_argument("--points", type=_at_least(int, 2, exclusive=False),
+                          default=7)
     frontier.set_defaults(func=_frontier)
 
-    chaos = sub.add_parser(
-        "chaos", help="fault-injection scenarios against the process pool"
-    )
-    chaos.add_argument(
-        "scenario", nargs="*",
-        help="scenario names (default: run every scenario)",
-    )
-    chaos.add_argument("--queries", type=int, default=24)
-    chaos.add_argument("--deadline", type=float, default=0.25,
-                       help="per-query SLO in seconds")
-    chaos.add_argument("--drain-timeout", type=float, default=60.0,
-                       help="hard wall bound on the drain (hang detector)")
-    chaos.add_argument("--repeat", type=int, default=1,
-                       help="run each scenario this many times (soak)")
-    chaos.add_argument("--json", help="also write reports to this JSON file")
-    chaos.set_defaults(func=_chaos)
-
     configs = sub.add_parser("configs", help="Figure 4 configuration space")
-    configs.add_argument("--cores", type=int, default=19)
-    configs.add_argument("--lambda-q", type=float, default=15_000.0)
-    configs.add_argument("--lambda-u", type=float, default=50_000.0)
+    configs.add_argument("--cores", type=_CORES, default=19)
+    configs.add_argument("--lambda-q", type=_RATE, default=15_000.0)
+    configs.add_argument("--lambda-u", type=_RATE, default=50_000.0)
     configs.set_defaults(func=_configs)
 
     networks = sub.add_parser("networks", help="Table I replicas + metrics")
-    networks.add_argument("--inverse-scale", type=int, default=400)
+    networks.add_argument("--inverse-scale", type=_POSITIVE_INT, default=400)
     networks.set_defaults(func=_networks)
 
     profile = sub.add_parser("profile", help="measure a solution's profile")
     profile.add_argument("solution", choices=sorted(SOLUTIONS))
     profile.add_argument("--network", default="NY")
-    profile.add_argument("--inverse-scale", type=int, default=400)
+    profile.add_argument("--inverse-scale", type=_POSITIVE_INT, default=400)
     profile.add_argument("--objects", type=int, default=100)
     profile.add_argument("--samples", type=int, default=20)
     profile.add_argument("--k", type=int, default=10)
@@ -706,9 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="pick an MPR configuration")
     plan.add_argument("--solution", default="TOAIN")
     plan.add_argument("--network", default="BJ")
-    plan.add_argument("--cores", type=int, default=19)
-    plan.add_argument("--lambda-q", type=float, required=True)
-    plan.add_argument("--lambda-u", type=float, required=True)
+    plan.add_argument("--cores", type=_CORES, default=19)
+    plan.add_argument("--lambda-q", type=_RATE, required=True)
+    plan.add_argument("--lambda-u", type=_RATE, required=True)
     plan.add_argument(
         "--objective", choices=("response-time", "throughput"),
         default="response-time",
@@ -729,8 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--batch-size", type=_POSITIVE_INT,
                        default=QUERIES_PER_SWEEP)
     stats.add_argument("--objects", type=_POSITIVE_INT, default=30)
-    stats.add_argument("--lambda-q", type=float, default=200.0)
-    stats.add_argument("--lambda-u", type=float, default=100.0)
+    stats.add_argument("--lambda-q", type=_RATE, default=200.0)
+    stats.add_argument("--lambda-u", type=_RATE, default=100.0)
     stats.add_argument("--duration", type=_POSITIVE_FLOAT, default=1.0)
     stats.add_argument("--k", type=_at_least(int, 0, exclusive=False),
                        default=5)
@@ -739,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconfigure the pool to this shape live, halfway through "
              "the stream; the history prints after",
     )
-    stats.add_argument("--cores", type=int, default=19,
+    stats.add_argument("--cores", type=_CORES, default=19,
                        help="core budget of the calibrated machine model")
     stats.add_argument("--seed", type=int, default=0)
     stats.add_argument(
@@ -771,7 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve an MPRSystem over TCP (repro.serve protocol)"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7474)
+    serve.add_argument(
+        "--port", type=_at_least(int, 0, exclusive=False, at_most=65535),
+        default=7474,
+    )
     serve.add_argument("--mode", choices=("thread", "process"),
                        default="thread")
     serve.add_argument("--solution", default="Dijkstra")

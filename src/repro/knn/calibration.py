@@ -24,12 +24,18 @@ such in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 import time
 from dataclasses import dataclass
 
 from .base import KNNSolution
+
+
+def _finite_non_negative(*values: float) -> bool:
+    """True when every value is finite and >= 0 (NaN is neither)."""
+    return all(math.isfinite(value) and value >= 0 for value in values)
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,10 @@ class AlgorithmProfile:
     vu: float
 
     def __post_init__(self) -> None:
-        if self.tq < 0 or self.tu < 0 or self.vq < 0 or self.vu < 0:
-            raise ValueError("profile times and variances must be non-negative")
+        if not _finite_non_negative(self.tq, self.vq, self.tu, self.vu):
+            raise ValueError(
+                "profile times and variances must be finite and non-negative"
+            )
 
     @property
     def gamma_q(self) -> float:

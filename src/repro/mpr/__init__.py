@@ -45,13 +45,6 @@ from .core_matrix import (
     encode_op,
 )
 from .autotune import JointChoice, joint_tune
-from .balancing import (
-    balance_by_update_rate,
-    column_loads,
-    hashed_columns,
-    imbalance,
-    round_robin_columns,
-)
 from .executor import QuiesceTimeout, run_serial_reference
 from .process_executor import ProcessPoolService, WorkerCrash
 from .reconfig import (
@@ -143,11 +136,6 @@ __all__ = [
     "ResiliencePolicy",
     "JointChoice",
     "joint_tune",
-    "balance_by_update_rate",
-    "column_loads",
-    "hashed_columns",
-    "imbalance",
-    "round_robin_columns",
     "GenericGrouping",
     "best_rectangular",
     "equal_shares",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..knn.calibration import AlgorithmProfile
+from ..knn.calibration import AlgorithmProfile, _finite_non_negative
 from .config import MPRConfig, enumerate_configs
 
 INFINITY = math.inf
@@ -53,10 +53,15 @@ class MachineSpec:
     dispatch_time: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.total_cores < 2:
-            raise ValueError("need at least 2 cores (1 worker + 1 scheduler)")
-        if min(self.queue_write_time, self.merge_time, self.dispatch_time) < 0:
-            raise ValueError("per-operation times must be non-negative")
+        if not isinstance(self.total_cores, int) or self.total_cores < 2:
+            raise ValueError(
+                "need an int of at least 2 cores (1 worker + 1 scheduler), "
+                f"got {self.total_cores!r}"
+            )
+        if not _finite_non_negative(
+            self.queue_write_time, self.merge_time, self.dispatch_time
+        ):
+            raise ValueError("per-operation times must be finite and non-negative")
 
     @property
     def tau(self) -> float:
@@ -72,8 +77,8 @@ class Workload:
     lambda_u: float
 
     def __post_init__(self) -> None:
-        if self.lambda_q < 0 or self.lambda_u < 0:
-            raise ValueError("arrival rates must be non-negative")
+        if not _finite_non_negative(self.lambda_q, self.lambda_u):
+            raise ValueError("arrival rates must be finite and non-negative")
 
 
 def single_queue_response_time(

@@ -158,33 +158,20 @@ class MPRRouter:
         self._telemetry = telemetry
 
     def preload_objects(
-        self,
-        objects: Mapping[int, int],
-        column_of: Mapping[int, int] | None = None,
+        self, objects: Mapping[int, int]
     ) -> dict[WorkerId, dict[int, int]]:
-        """Partition pre-placed objects over columns.
+        """Partition pre-placed objects over columns, round-robin in
+        object-id order.
 
         Returns the initial contents per worker: ``worker -> {object:
         node}``.  All layers use the same initial column assignment (a
         fresh system would reach the same state by replaying the inserts
         through each layer's scheduler).
-
-        ``column_of`` overrides the default round-robin placement with
-        a custom strategy (see :mod:`repro.mpr.balancing`); it must
-        cover every object.
         """
-        if column_of is None:
-            column_of = {
-                object_id: position % self._config.x
-                for position, object_id in enumerate(sorted(objects))
-            }
-        else:
-            missing = set(objects) - set(column_of)
-            if missing:
-                raise ValueError(
-                    f"column_of misses objects {sorted(missing)[:5]}"
-                )
-            column_of = dict(column_of)
+        column_of = {
+            object_id: position % self._config.x
+            for position, object_id in enumerate(sorted(objects))
+        }
         for scheduler in self._schedulers:
             scheduler.preload(column_of)
         contents: dict[WorkerId, dict[int, int]] = {

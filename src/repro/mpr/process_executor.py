@@ -1023,7 +1023,8 @@ class ProcessPoolService:
         return self._pids(self._shapes.current)
 
     def transition_pids(self) -> dict[WorkerId, int]:
-        """Warming-worker pids of the in-flight transition (chaos hooks)."""
+        """Warming-worker pids of the in-flight transition (fault-injection
+        hooks; thread workers have none)."""
         warming = self._shapes.warming
         return self._pids(warming) if warming is not None else {}
 

@@ -18,8 +18,9 @@ from repro.obs import Telemetry
 # Hypothesis budgets.  ``default`` is derandomized, so tier-1 is
 # reproducible and the stateful protocol suite (tests/test_pool_protocol.py,
 # which sizes itself from ``max_examples``) stays a few seconds;
-# ``tools/ci.sh chaos`` runs it ten times deeper, freshly seeded, with
-# ``--hypothesis-profile=thorough`` (the plugin loads that after this).
+# ``tools/ci.sh chaos`` runs it (beside the real-signal pool fault tests)
+# ten times deeper, freshly seeded, with ``--hypothesis-profile=thorough``
+# (the plugin loads that after this).
 settings.register_profile("default", max_examples=100, derandomize=True)
 settings.register_profile("thorough", max_examples=1000)
 # Test modules import this file a second time (``from tests.conftest

@@ -1,5 +1,7 @@
 """Tests for algorithm profiling and paper-parity profiles."""
 
+import math
+
 import pytest
 
 from repro.knn import DijkstraKNN, measure_profile, paper_profile
@@ -20,6 +22,11 @@ class TestAlgorithmProfile:
     def test_negative_values_rejected(self) -> None:
         with pytest.raises(ValueError):
             AlgorithmProfile("x", tq=-1.0, vq=0.0, tu=0.0, vu=0.0)
+        for field in ("tq", "vq", "tu", "vu"):
+            for bad in (math.nan, math.inf):
+                values = {"tq": 1.0, "vq": 1.0, "tu": 1.0, "vu": 1.0, field: bad}
+                with pytest.raises(ValueError):
+                    AlgorithmProfile("x", **values)
 
     def test_scaled(self) -> None:
         profile = AlgorithmProfile("x", tq=1.0, vq=1.0, tu=2.0, vu=4.0)

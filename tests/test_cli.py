@@ -37,6 +37,18 @@ class TestParser:
         ["serve", "--max-inflight", "-1"],
         ["serve", "--batch-size", "0"],
         ["serve", "--max-outstanding", "0"],
+        ["serve", "--port", "70000"],
+        ["serve", "--port", "-1"],
+        ["networks", "--inverse-scale", "0"],
+        ["profile", "Dijkstra", "--inverse-scale", "-2"],
+        ["configs", "--cores", "0"],
+        ["configs", "--lambda-u", "inf"],
+        ["case-study", "--cores", "1"],
+        ["frontier", "--points", "0"],
+        ["frontier", "--lambda-q", "-5"],
+        ["plan", "--lambda-u", "10", "--cores", "1"],
+        ["plan", "--lambda-u", "10", "--lambda-q", "nan"],
+        ["stats", "--lambda-q", "nan"],
     ])
     def test_non_positive_sizes_are_one_error_line(self, argv, capsys) -> None:
         """Refused by the parser — exit 2, one ``error:`` line — before a

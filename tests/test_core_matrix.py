@@ -102,6 +102,22 @@ class TestPreload:
         # Object 6 is the second in sorted order -> column 1.
         assert route.columns == (1,)
 
+    def test_balanced_counts(self) -> None:
+        """Round-robin placement: column sizes differ by at most one."""
+        config = MPRConfig(x=3, y=1, z=1)
+        contents = MPRRouter(config).preload_objects(
+            {i: i for i in range(10)}
+        )
+        sizes = [len(contents[(0, 0, column)]) for column in range(config.x)]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_placement_ignores_insertion_order(self) -> None:
+        """Placement follows sorted object ids, not the mapping's order."""
+        config = MPRConfig(x=2, y=1, z=1)
+        a = MPRRouter(config).preload_objects({3: 30, 1: 10, 2: 20})
+        b = MPRRouter(config).preload_objects({1: 10, 2: 20, 3: 30})
+        assert a == b
+
     def test_all_workers_enumerated(self) -> None:
         config = MPRConfig(x=2, y=3, z=2)
         router = MPRRouter(config)

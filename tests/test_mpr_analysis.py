@@ -252,11 +252,22 @@ class TestMachineSpec:
         assert machine.tau == pytest.approx(5e-6)
 
     def test_invalid_specs(self) -> None:
-        with pytest.raises(ValueError):
-            MachineSpec(total_cores=1)
-        with pytest.raises(ValueError):
-            MachineSpec(queue_write_time=-1.0)
+        for spec in (
+            {"total_cores": 1},
+            {"total_cores": 19.5},
+            {"total_cores": 19.0},
+            {"queue_write_time": -1.0},
+            {"queue_write_time": math.nan},
+            {"merge_time": math.inf},
+            {"dispatch_time": math.nan},
+        ):
+            with pytest.raises(ValueError):
+                MachineSpec(**spec)
 
     def test_workload_validation(self) -> None:
-        with pytest.raises(ValueError):
-            Workload(-1.0, 0.0)
+        for lambdas in (
+            (-1.0, 0.0), (math.nan, 10.0), (10.0, math.nan),
+            (math.inf, 0.0), (0.0, math.inf),
+        ):
+            with pytest.raises(ValueError):
+                Workload(*lambdas)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.graph import grid_network
 from repro.knn import DijkstraKNN
+from repro.knn.base import KNNSolution, Neighbor
 from repro.mpr import (
     MPRConfig,
     QueryResult,
@@ -27,10 +28,38 @@ from repro.mpr import (
     build_executor,
     run_serial_reference,
 )
-from repro.mpr.chaos import SlowKNN
 from repro.objects.tasks import QueryTask
 from repro.obs import Telemetry
 from tests.conftest import ok_results
+
+
+class SlowKNN(KNNSolution):
+    """Every query sleeps ``delay`` seconds first (an overloaded cell).
+
+    Module-level, so worker pickles resolve it under any start method.
+    """
+
+    name = "slow"
+
+    def __init__(self, inner: KNNSolution, delay: float) -> None:
+        self._inner = inner
+        self._delay = delay
+
+    def query(self, location: int, k: int) -> list[Neighbor]:
+        time.sleep(self._delay)
+        return self._inner.query(location, k)
+
+    def insert(self, object_id: int, location: int) -> None:
+        self._inner.insert(object_id, location)
+
+    def delete(self, object_id: int) -> None:
+        self._inner.delete(object_id)
+
+    def object_locations(self) -> dict[int, int]:
+        return self._inner.object_locations()
+
+    def spawn(self, objects) -> "SlowKNN":
+        return SlowKNN(self._inner.spawn(objects), self._delay)
 
 
 @pytest.fixture(scope="module")

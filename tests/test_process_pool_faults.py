@@ -4,9 +4,10 @@ The supervisor's guarantee: a worker death (SIGKILL here — no chance
 to clean up) is detected, the worker is respawned from its replica's
 object cell, the unacknowledged batches are replayed, and the final
 answers are indistinguishable from a fault-free oracle run.  Also
-covered: the shutdown-timeout path, double-``close()``, and the
+covered: the shutdown-timeout path, double-``close()``, the
 poison-task path (a crashing batch must surface as an error, not a
-respawn loop).
+respawn loop), and the dropped ack (a w-core that exits before acking
+crash-loops every replay until the breakers degrade its one query).
 """
 
 from __future__ import annotations
@@ -332,6 +333,79 @@ def test_poison_report_and_sibling_ack_in_one_pump_step(
         7, ResultStatus.PARTIAL, tuple(survivor.query(3, 4)), ((0, 0),)
     )
     assert pool.metrics.batches_quarantined == 1
+
+
+class ExitingKNN(DijkstraKNN):
+    """Exits its w-core *before* acking a batch that asks the sentinel
+    query (location ``POISON_LOCATION``), in the replicas whose cell
+    holds object 0 — one column.
+
+    ``os._exit`` skips every finally/atexit hook, so the batch is
+    neither acknowledged nor reported as an error: the parent sees only
+    EOF, replays, and the replay dies the same way — the dropped-ack
+    crash loop, which only the circuit breakers end.
+    """
+
+    def run_ops(self, ops, op_timings=None):
+        if 0 in self.object_locations() and any(
+            op[0] == "query" and op[2] == POISON_LOCATION for op in ops
+        ):
+            os._exit(0)
+        return super().run_ops(ops, op_timings)
+
+    def spawn(self, objects):
+        return ExitingKNN(self._network, objects)
+
+
+@pytest.mark.slow
+def test_dropped_ack_crash_loop_degrades_only_its_query(network) -> None:
+    """Both replica rows of column 0 die, unacknowledged, on the
+    sentinel query, and every replay dies again: the breakers open, the
+    drain still ends, the sentinel is ``PARTIAL`` naming column 0 with
+    column 1's exact top-k, and every other answer is oracle-exact.  The
+    sentinel is the last query and travels alone (``batch_size=1``), so
+    nothing queues behind it on the cell it kills."""
+    config = MPRConfig(2, 2, 1)
+    objects = {i: (i * 7 + 3) % network.num_nodes for i in range(50)}
+    locations = [
+        location for location in (
+            (position * 37 + 5) % network.num_nodes for position in range(24)
+        )
+        if location != POISON_LOCATION
+    ]
+    tasks = [
+        QueryTask(0.001 * query_id, query_id, location, 5)
+        for query_id, location in enumerate(locations)
+    ]
+    sentinel = QueryTask(1.0, len(tasks), POISON_LOCATION, 5)
+    with build_executor(
+        config, ExitingKNN(network), objects,
+        mode="process", batch_size=1,
+        resilience=ResilienceConfig(
+            default_deadline=0.25, breaker_failures=2, backoff_base=0.2,
+            backoff_factor=2.0, stall_timeout=0.5,
+        ),
+    ) as pool:
+        for task in [*tasks, sentinel]:
+            pool.submit(task)
+        started = time.monotonic()
+        answers = pool.drain(timeout=30.0)
+        elapsed = time.monotonic() - started
+        metrics = pool.metrics
+        assert 0 in pool.worker_contents()[(0, 0, 0)]
+        survivor = DijkstraKNN(network, pool.worker_contents()[(0, 0, 1)])
+    assert elapsed < 10.0
+    # Each row died twice (respawn + replay) before its breaker opened;
+    # the sentinel hedged from one to the other in between.
+    assert metrics.breaker_opens >= config.y and metrics.respawns >= config.y
+    assert metrics.hedges >= 1
+    assert answers.pop(sentinel.query_id) == QueryResult(
+        sentinel.query_id, ResultStatus.PARTIAL,
+        tuple(survivor.query(POISON_LOCATION, 5)), ((0, 0),),
+    )
+    assert answers == ok_results(
+        run_serial_reference(DijkstraKNN(network), objects, tasks)
+    )
 
 
 @pytest.mark.slow

@@ -11,6 +11,8 @@ serving gap, are ``slow``-marked.
 from __future__ import annotations
 
 import functools
+import os
+import signal
 import threading
 import time
 
@@ -33,7 +35,6 @@ from repro.mpr import (
     build_executor,
     run_serial_reference,
 )
-from repro.mpr.chaos import kill_warming_worker
 from repro.mpr.process_executor import ProcessPoolService
 from repro.objects.tasks import InsertTask, QueryTask
 from repro.obs import Telemetry
@@ -315,6 +316,20 @@ def test_updates_survive_the_cutover(worker_kind) -> None:
             pool.submit(task)
         answers = pool.drain()
     assert answers == ok_results(run_serial_reference(base, objects, tasks))
+
+
+def kill_warming_worker(pool: ProcessPoolService) -> None:
+    """SIGKILL one warming worker and wait until it is waitable.
+
+    A supervision step reads a killed, not yet waitable child as alive
+    and would cut over on already-acked probes (then respawn the victim
+    as a serving worker: safe, but not a rollback).  Once the child is
+    waitable, the next step must see the death.
+    """
+    pids = pool.transition_pids()
+    victim = pids[sorted(pids)[0]]
+    os.kill(victim, signal.SIGKILL)
+    os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
 
 
 @pytest.mark.slow

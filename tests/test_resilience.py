@@ -4,7 +4,7 @@
 ``now`` explicitly — so the breaker state machine, the admission
 ledger, the shed decision, and the deadline resolution are all testable
 with hand-driven time.  The executor wiring is covered by
-``tests/test_pool_resilience.py`` and ``tests/test_chaos.py``.
+``tests/test_pool_resilience.py`` and ``tests/test_process_pool_faults.py``.
 """
 
 from __future__ import annotations

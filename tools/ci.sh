@@ -6,7 +6,7 @@
 #   bash tools/ci.sh slow         # full suite (slow markers included), figure-script imports, lint, API surface,
 #                                 # the kernel-exactness and telemetry properties at the thorough profile,
 #                                 # and two simulator figures regenerated byte-identical
-#   bash tools/ci.sh chaos        # chaos tests, the protocol machine x10 + sweep counts, the sweep twice
+#   bash tools/ci.sh chaos        # the real-signal pool fault tests twice, the protocol machine x10 + sweep counts
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
 #   bash tools/ci.sh scale        # ~1M-node cache/attach smoke (incl. CH at 262k/1M)
 #   bash tools/ci.sh serve        # serving tier: tests/test_serve.py, slow included (protocol e2e,
@@ -58,10 +58,17 @@ run_lane() {
                 benchmarks/results/fig9_query_load.txt
             ;;
         chaos)
-            python -m pytest -x -q -m slow -k chaos
+            # Kill, stall, crash-loop and dropped-ack faults on real
+            # w-cores, twice over: a fault that races a pipe shows up
+            # as a flake here before it does in the slow lane.
+            for _ in 1 2; do
+                python -m pytest -x -q -m "slow or not slow" \
+                    tests/test_process_pool_faults.py \
+                    tests/test_pool_resilience.py \
+                    tests/test_transport_contract.py
+            done
             python -m pytest -x -q tests/test_pool_protocol.py \
                 tests/test_sweep_dispatch.py --hypothesis-profile=thorough
-            python -m repro.cli chaos --repeat 2
             ;;
         validate)
             python -m pytest -x -q -m slow -k validation

@@ -34,7 +34,6 @@ PACKAGES = [
     "repro.mpr.api",
     "repro.mpr.resilience",
     "repro.mpr.results",
-    "repro.mpr.chaos",
     "repro.mpr.reconfig",
     "repro.serve",
     "repro.sim",
@@ -314,9 +313,9 @@ sources, sorts them for locality, and runs each group of up to
 flattened `(row, node)` product space.  Per-query results are
 bit-identical to `topk_objects` (`tests/test_knn_batch.py` pins ≥200
 randomized cases); duplicate sources may share result arrays, so treat
-them as read-only.  `benchmarks/results/batch_knn.txt` records the
-speedup (≥2x at batch ≥32 on the 102k-node grid), and mprbench
-(`bench/`) tracks per-op latency as `knn.dijkstra_knn.query_batch_us`.
+them as read-only.  `benchmarks/results/knn_kernels.txt` records the
+batched kernel against the per-query engines, and mprbench (`bench/`)
+tracks per-op latency as `knn.dijkstra_knn.query_batch_us`.
 
 `KNNSolution.run_ops(ops, op_timings=None)` is the op-batch entry
 point a w-core executes each dispatched batch through.  `ops` is the
@@ -453,15 +452,18 @@ plus matching `pool.metrics` fields.  `drain(timeout=...)` raises a
 `close(timeout=...)` escalates join → SIGTERM → SIGKILL while always
 unlinking the shared-memory graph segment, if the pool published one.
 
-`repro.mpr.chaos` is the fault-injection harness that proves all of
-this: `run_scenario(name)` builds a pool, injects a scripted fault
-(SIGKILL one worker or a full column, a crash loop, SIGSTOP stalls,
-universal slowness, a poison batch, dropped acks — see `SCENARIOS`),
-drains, and returns a `ChaosReport` asserting the invariants: the drain
-terminated, `OK` answers equal the serial oracle, `PARTIAL` answers are
-internally consistent, traces are complete, and the deadline-miss rate
-is bounded.  `repro.cli chaos` runs the sweep from the command line
-(`--repeat N` for a soak); CI runs it as the `chaos` job.
+Real w-cores and real signals prove all of this in the tests:
+`tests/test_process_pool_faults.py` (SIGKILL mid-batch → respawn +
+replay, a poison batch, a w-core that exits before acking and
+crash-loops every replay until its breakers degrade the one query),
+`tests/test_pool_resilience.py` (a SIGKILLed column degrades instead
+of hanging, the SIGSTOP watchdog, hedges racing slow replicas) and
+`tests/test_transport_contract.py` (what each transport promises when a
+w-core dies).  Every interleaving of those faults is explored without
+processes by the protocol machine over the fake transport,
+`tests/test_pool_protocol.py`.  CI's `chaos` job runs the three
+real-signal modules twice and the protocol machine at the thorough
+hypothesis profile.
 """,
     ),
     (
@@ -511,10 +513,10 @@ killed, the old shape keeps serving uninterrupted (it never stopped),
 `outcome="rolled_back"` with the reason.  Every
 phase is timeout-bounded.  Repeated rollbacks trip a dedicated
 reconfiguration circuit breaker — further attempts raise
-`ReconfigRejected` until its backoff expires.  The chaos scenarios
-`reconfig-kill-new-worker` (SIGKILL a warming worker → oracle-exact
-rollback) and `reconfig-under-load` (transition inside a flash crowd)
-pin these invariants.
+`ReconfigRejected` until its backoff expires.  `tests/test_reconfig.py`
+pins these invariants on real w-cores: SIGKILL a warming worker →
+oracle-exact rollback without a serving gap, and a transition under
+load whose every answer is oracle-exact.
 
 **Automatic triggering.**  `ReconfigManager` closes the loop from
 telemetry to shape: `poll()` (or `start(interval)` for a daemon thread)
