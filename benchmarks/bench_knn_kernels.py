@@ -1,6 +1,6 @@
-"""The kNN engines measured: kernel vs heapq, and the heap/sweep crossover.
+"""The kNN engines measured: kernel vs heapq, and the two crossovers.
 
-Two tables, both in ``benchmarks/results/knn_kernels.{json,txt}``:
+Three tables, all in ``benchmarks/results/knn_kernels.{json,txt}``:
 
 1. **Kernel vs heapq.**  The acceptance bar for the vectorized CSR
    kernels (:mod:`repro.graph.kernels`): on a >=100k-node generated
@@ -19,9 +19,14 @@ Two tables, both in ``benchmarks/results/knn_kernels.{json,txt}``:
    density whose ``k * n / m`` is ~650.  The model sends a group to the
    heap when ``rows * k * n / m <= _HEAP_WORK``; the table's ``work``
    column is that product, so the crossover reads straight off it.
+3. **heapq vs kernel SSSP by graph size.**  The evidence for
+   ``repro.graph.shortest_path.KERNEL_MIN_NODES``: median time of a
+   full single-source search as :func:`~repro.graph.dijkstra` returns
+   it (a ``{node: distance}`` dict) from ``dijkstra_heapq`` and from
+   ``kernels.sssp``, on mprbench-style grids of 256 to 16,384 nodes.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_knn_kernels.py
---benchmark-only -s`` (~1 min).
+--benchmark-only -s`` (~1.5 min).
 """
 
 import json
@@ -34,7 +39,11 @@ from common import RESULTS_DIR, publish
 
 from repro.graph import grid_network
 from repro.graph.kernels import _HEAP_WORK, _view
-from repro.graph.shortest_path import dijkstra_expansion, dijkstra_heapq
+from repro.graph.shortest_path import (
+    KERNEL_MIN_NODES,
+    dijkstra_expansion,
+    dijkstra_heapq,
+)
 from repro.harness import format_table
 from repro.knn import DijkstraKNN
 
@@ -59,6 +68,12 @@ CELLS = [
 ROWS = [1, 2, 3, 4, 5, 6, 8, 16]
 #: Searches timed per (cell, rows, engine); fewer where each is slow.
 SEARCHES = {128: 96, 256: 16}
+
+#: Grid sides of the SSSP-by-size table (``grid_network(side, side,
+#: seed=7)``): 256 to 16,384 nodes, densest around the crossover.
+SSSP_SIDES = [16, 23, 32, 40, 45, 48, 51, 54, 57, 60, 64, 90, 128]
+#: Settled nodes timed per (size, engine): more searches on small grids.
+SSSP_SETTLED = 60_000
 
 
 def heapq_knn_query(obj_at, location, k):
@@ -173,6 +188,41 @@ def heap_vs_sweep() -> list[dict]:
     return table
 
 
+def sssp_by_size() -> list[dict]:
+    """Median ms of one full SSSP per engine, by grid size, as the
+    ``{node: distance}`` dict :func:`~repro.graph.dijkstra` returns."""
+    table = []
+    for side in SSSP_SIDES:
+        network = grid_network(side, side, seed=7)
+        n = network.num_nodes
+        kernels = network.kernels
+        rng = random.Random(side)
+        sources = [rng.randrange(n) for _ in range(max(SSSP_SETTLED // n, 8))]
+        dijkstra_heapq(network, 0)  # build the list view
+        kernels.sssp(0)  # size the distance buffer
+        heapq_s, kernel_s = [], []
+        for source in sources:
+            started = time.perf_counter()
+            reference = dijkstra_heapq(network, source)
+            heapq_s.append(time.perf_counter() - started)
+            started = time.perf_counter()
+            nodes, dists = kernels.sssp(source)
+            got = dict(zip(nodes.tolist(), dists.tolist()))
+            kernel_s.append(time.perf_counter() - started)
+            assert got == reference
+        heapq_ms = statistics.median(heapq_s) * 1e3
+        kernel_ms = statistics.median(kernel_s) * 1e3
+        table.append({
+            "nodes": n,
+            "searches": len(sources),
+            "heapq_ms": heapq_ms,
+            "kernel_ms": kernel_ms,
+            "faster": "heapq" if heapq_ms < kernel_ms else "kernel",
+            "dijkstra": "kernel" if n >= KERNEL_MIN_NODES else "heapq",
+        })
+    return table
+
+
 def crossover(table: list[dict]) -> dict[str, list[float]]:
     """Per cell: the largest work the heap won at and the smallest the
     sweep won at (``None`` where one engine won every row count)."""
@@ -186,10 +236,17 @@ def crossover(table: list[dict]) -> dict[str, list[float]]:
 
 
 def test_kernel_vs_heapq_sweep(benchmark) -> None:
-    rows, table = benchmark.pedantic(
-        lambda: (kernel_vs_heapq(), heap_vs_sweep()), rounds=1, iterations=1
+    rows, table, by_size = benchmark.pedantic(
+        lambda: (kernel_vs_heapq(), heap_vs_sweep(), sssp_by_size()),
+        rounds=1, iterations=1,
     )
     bounds = crossover(table)
+    size_bounds = [
+        max((row["nodes"] for row in by_size if row["faster"] == "heapq"),
+            default=None),
+        min((row["nodes"] for row in by_size if row["faster"] == "kernel"),
+            default=None),
+    ]
 
     kernel_table = format_table(
         ["Workload", "heapq (ms)", "kernel (ms)", "speedup"],
@@ -228,8 +285,28 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
         f"{cell}: heap won up to work {_fmt(heap)}, sweep from {_fmt(sweep)}"
         for cell, (heap, sweep) in bounds.items()
     )
+    size_table = format_table(
+        ["nodes", "searches", "heapq (ms)", "kernel (ms)", "faster",
+         "dijkstra"],
+        [
+            [
+                row["nodes"], row["searches"], f"{row['heapq_ms']:.2f}",
+                f"{row['kernel_ms']:.2f}", row["faster"], row["dijkstra"],
+            ]
+            for row in by_size
+        ],
+        title=(
+            "Full SSSP as dijkstra() returns it, heapq vs kernel, on "
+            "grid_network(side, side, seed=7); dijkstra() takes the kernel "
+            f"at >= {KERNEL_MIN_NODES} nodes"
+        ),
+    )
+    size_line = (
+        f"SSSP: heapq won up to {_fmt(size_bounds[0])} nodes, "
+        f"kernel from {_fmt(size_bounds[1])}"
+    )
     publish("knn_kernels", "\n\n".join([
-        kernel_table, crossover_table, bound_lines
+        kernel_table, crossover_table, bound_lines, size_table, size_line
     ]))
     (RESULTS_DIR / "knn_kernels.json").write_text(
         json.dumps(
@@ -245,6 +322,9 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
                 "heap_work_limit": _HEAP_WORK,
                 "crossover": table,
                 "crossover_bounds": bounds,
+                "kernel_min_nodes": KERNEL_MIN_NODES,
+                "sssp_by_size": by_size,
+                "sssp_crossover_nodes": size_bounds,
             },
             indent=2,
         )

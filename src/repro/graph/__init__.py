@@ -60,7 +60,6 @@ from .shortest_path import (
     dijkstra,
     dijkstra_expansion,
     dijkstra_with_paths,
-    multi_source_dijkstra,
     pairwise_distances,
     reconstruct_path,
     shortest_path_distance,
@@ -121,7 +120,6 @@ __all__ = [
     "dijkstra",
     "dijkstra_expansion",
     "dijkstra_with_paths",
-    "multi_source_dijkstra",
     "pairwise_distances",
     "reconstruct_path",
     "shortest_path_distance",

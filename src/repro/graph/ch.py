@@ -20,11 +20,9 @@ hierarchy serving every query family":
   processes that re-attach the base CSR from the graph-cache memmap
   token (or inherit it copy-on-write) and maintain replica edge arrays
   via per-round deltas.
-* :class:`CHKernels` runs queries on the output arrays.  The key reuse:
-  the delta-stepping :class:`~repro.graph.kernels.CSRKernels` never
-  assumes a symmetric CSR, so a private instance over the upward half
-  *is* the vectorized bounded upward sweep.  On top of it sit
-  :meth:`~CHKernels.point_to_point` (two upward sweeps + a hub join),
+* :class:`CHKernels` runs queries on the output arrays, as joins over
+  upward hub labels (memoized merges down the rank DAG):
+  :meth:`~CHKernels.point_to_point` (two labels + a hub join),
   hub-label object buckets, and CH-backed
   :meth:`~CHKernels.topk_objects` / :meth:`~CHKernels.knn_batch` with
   the same contract as the plain kernels — which is what lets
@@ -69,11 +67,11 @@ import threading
 import time
 from collections import OrderedDict
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .kernels import KERNEL_CALLS, QUERIES_PER_SWEEP, CSRKernels, dial_delta
+from .kernels import KERNEL_CALLS, QUERIES_PER_SWEEP, _check_node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .road_network import RoadNetwork
@@ -223,8 +221,8 @@ def _select_batch(
 def _sort_triples(
     n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical ``(lo, hi, w)`` order, so serial and pooled witness
-    phases emit byte-identical shortcut arrays."""
+    """Canonical ``(lo, hi, w)`` order, so a witness phase's shortcut
+    arrays do not depend on the order its pooled shares finish in."""
     if len(a) == 0:
         return a, b, w
     lo = np.minimum(a, b)
@@ -583,9 +581,12 @@ class ContractionHierarchy:
     docstring) down to ``endgame_nodes`` live nodes, then the scalar
     lazy-heap loop.  ``workers=N`` parallelizes the batched witness
     phase across N forked processes; platforms without fork fall back
-    to serial.  Both execution modes are deterministic, and serial vs.
-    pooled builds are byte-identical.  ``builder`` records provenance
-    (``"batched"`` for a fresh build, ``"cached"`` for adopted arrays).
+    to serial.  Each worker count builds deterministically, and every
+    build answers exactly (on integral weights, see ``exact``); the
+    shortcut sets of different worker counts may differ, because each
+    pooled share merges and dedups its own witness searches.
+    ``builder`` records provenance (``"batched"`` for a fresh build,
+    ``"cached"`` for adopted arrays).
 
     A hierarchy loaded from a graph cache
     (:func:`repro.graph.cache.load_cached_ch`) carries a
@@ -1026,9 +1027,7 @@ class CHKernels:
     instances from :attr:`ContractionHierarchy.kernels`.
 
     Everything is joins over upward hub *labels* (see :meth:`label` —
-    memoized DAG merges in rank order, LRU-bounded by bytes; the
-    bounded :meth:`upward_sweep` is still ``CSRKernels.sssp`` over the
-    upward CSR half):
+    memoized DAG merges in rank order, LRU-bounded by bytes):
 
     * ``point_to_point(s, t)`` — min over common hubs of the two
       labels (the classic CH up-up meeting, valid on undirected
@@ -1049,12 +1048,6 @@ class CHKernels:
         label_budget_bytes: int | None = None,
     ) -> None:
         self._ch = ch
-        self._up = CSRKernels(
-            ch.up_indptr,
-            ch.up_indices,
-            ch.up_weights,
-            delta=dial_delta(ch.up_weights),
-        )
         n = ch.num_nodes
         self._num_nodes = n
         #: node -> (hub nodes, hub distances) upward label cache, in
@@ -1108,14 +1101,8 @@ class CHKernels:
         return self._label_budget
 
     # ------------------------------------------------------------------
-    # Sweeps and labels
+    # Labels
     # ------------------------------------------------------------------
-    def upward_sweep(
-        self, source: int, max_distance: float = INFINITY
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bounded upward search: ``(hubs, dists)`` over the up-CSR."""
-        return self._up.sssp(source, max_distance)
-
     def _static_label(
         self, node: int
     ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -1174,32 +1161,18 @@ class CHKernels:
                 pending.add(u)
                 stack.append(u)
         rank = ch.rank
-        one_zero = np.zeros(1, dtype=np.float64)
+
+        def label_of(u: int) -> tuple[np.ndarray, np.ndarray]:
+            got = labels.get(u)
+            if got is None:
+                return self._static_label(u)
+            labels.move_to_end(u)
+            return got
+
         built_bytes = 0
         # Highest rank first, so every up-neighbor's label is ready.
         for v in sorted(pending, key=lambda x: -rank[x]):
-            start, end = int(indptr[v]), int(indptr[v + 1])
-            hub_parts = [np.array([v], dtype=np.int64)]
-            dist_parts = [one_zero]
-            for pos in range(start, end):
-                u = int(indices[pos])
-                got_u = labels.get(u)
-                if got_u is not None:
-                    labels.move_to_end(u)
-                else:
-                    got_u = self._static_label(u)
-                hubs_u, dists_u = got_u
-                hub_parts.append(hubs_u)
-                dist_parts.append(dists_u + weights[pos])
-            hubs = np.concatenate(hub_parts)
-            dists = np.concatenate(dist_parts)
-            order = np.lexsort((dists, hubs))
-            hubs = hubs[order]
-            dists = dists[order]
-            keep = np.empty(len(hubs), dtype=bool)
-            keep[0] = True
-            np.not_equal(hubs[1:], hubs[:-1], out=keep[1:])
-            entry = (hubs[keep], dists[keep])
+            entry = _merge_label(v, indptr, indices, weights, label_of)
             labels[v] = entry
             built_bytes += entry[0].nbytes + entry[1].nbytes
         self._label_bytes += built_bytes
@@ -1223,12 +1196,8 @@ class CHKernels:
     def point_to_point(self, source: int, target: int) -> float:
         """Exact network distance via the up-up hub meeting (inf when
         unreachable)."""
-        n = self._num_nodes
-        for node in (source, target):
-            if not 0 <= node < n:
-                raise IndexError(
-                    f"node {node} out of range for graph with {n} nodes"
-                )
+        _check_node(source, self._num_nodes)
+        _check_node(target, self._num_nodes)
         if source == target:
             return 0.0
         s_nodes, s_dists = self.label(source)
@@ -1320,15 +1289,8 @@ class CHKernels:
         ``objects`` is accepted for interface parity and unused: a
         search routed here is a large one by construction."""
         del objects
-        if k <= 0:
-            return _EMPTY_I8, _EMPTY_F8
-        if not self._ensure_buckets(object_counts):
-            # Still validate the source like the plain kernel would.
-            if not 0 <= source < self._num_nodes:
-                raise IndexError(
-                    f"node {source} out of range for graph with "
-                    f"{self._num_nodes} nodes"
-                )
+        _check_node(source, self._num_nodes)
+        if k <= 0 or not self._ensure_buckets(object_counts):
             return _EMPTY_I8, _EMPTY_F8
         nodes, dists = self._object_distances(source)
         if nodes.size == 0:
@@ -1380,6 +1342,33 @@ class CHKernels:
         return [per_unique[index] for index in inverse.tolist()]
 
 
+def _merge_label(
+    v: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    label_of: Callable[[int], tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hub-label recursion for one node: min-merge ``{v: 0}`` with
+    ``label_of(u) + w(v, u)`` over the up-edges ``(v, u)`` of the
+    up-CSR, as ``(hubs, dists)`` sorted by hub."""
+    hub_parts = [np.array([v], dtype=np.int64)]
+    dist_parts = [np.zeros(1, dtype=np.float64)]
+    for pos in range(int(indptr[v]), int(indptr[v + 1])):
+        hubs_u, dists_u = label_of(int(indices[pos]))
+        hub_parts.append(hubs_u)
+        dist_parts.append(dists_u + weights[pos])
+    hubs = np.concatenate(hub_parts)
+    dists = np.concatenate(dist_parts)
+    order = np.lexsort((dists, hubs))
+    hubs = hubs[order]
+    dists = dists[order]
+    keep = np.empty(len(hubs), dtype=bool)
+    keep[0] = True
+    np.not_equal(hubs[1:], hubs[:-1], out=keep[1:])
+    return hubs[keep], dists[keep]
+
+
 def build_core_labels(
     ch: ContractionHierarchy, core: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1403,25 +1392,8 @@ def build_core_labels(
     by_rank = np.argsort(ch.rank, kind="stable")
     nodes = by_rank[n - core:]
     labels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    one_zero = np.zeros(1, dtype=np.float64)
     for v in nodes[::-1].tolist():  # descending rank
-        start, end = int(indptr[v]), int(indptr[v + 1])
-        hub_parts = [np.array([v], dtype=np.int64)]
-        dist_parts = [one_zero]
-        for pos in range(start, end):
-            u = int(indices[pos])
-            hubs_u, dists_u = labels[u]
-            hub_parts.append(hubs_u)
-            dist_parts.append(dists_u + weights[pos])
-        hubs = np.concatenate(hub_parts)
-        dists = np.concatenate(dist_parts)
-        order = np.lexsort((dists, hubs))
-        hubs = hubs[order]
-        dists = dists[order]
-        keep = np.empty(len(hubs), dtype=bool)
-        keep[0] = True
-        np.not_equal(hubs[1:], hubs[:-1], out=keep[1:])
-        labels[v] = (hubs[keep], dists[keep])
+        labels[v] = _merge_label(v, indptr, indices, weights, labels.__getitem__)
     counts = np.zeros(n, dtype=np.int64)
     for v, (hubs, _) in labels.items():
         counts[v] = len(hubs)
@@ -1447,11 +1419,7 @@ class CHDistanceOracle:
     """
 
     def __init__(self, kernels: CHKernels, source: int) -> None:
-        n = kernels.num_nodes
-        if not 0 <= source < n:
-            raise IndexError(
-                f"node {source} out of range for graph with {n} nodes"
-            )
+        _check_node(source, kernels.num_nodes)
         self._kernels = kernels
         self._source = source
         hubs, dists = kernels.label(source)
@@ -1459,6 +1427,7 @@ class CHDistanceOracle:
 
     def distance_to(self, target: int) -> float:
         """Exact network distance to ``target`` (``inf`` if unreachable)."""
+        _check_node(target, self._kernels.num_nodes)
         if target == self._source:
             return 0.0
         hubs, dists = self._kernels.label(target)

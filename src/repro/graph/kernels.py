@@ -11,6 +11,14 @@ networks — bounded degree, weights in a narrow band — this turns the
 per-edge cost into a per-window cost and yields order-of-magnitude
 speedups on large graphs (see ``benchmarks/bench_knn_kernels.py``).
 
+One bucket loop, :meth:`CSRKernels._windows`, runs every search: it
+settles any number of searches at once over a flattened ``(row, node)``
+space (one row each) and yields each settled window, so ``sssp`` is one
+row with a distance bound, a top-k sweep is one row per query
+(:meth:`CSRKernels.knn_batch`; a solo :meth:`CSRKernels.topk_objects`
+is one row) stopped at its k-th distance, and
+:class:`IncrementalSSSP` keeps the loop open over a buffer of its own.
+
 Two top-k engines, one work model
 ---------------------------------
 A window costs ~40 numpy calls whether it holds ten nodes or ten
@@ -33,14 +41,13 @@ fixpoint before declaring the window settled, so results are
 *bit-for-bit identical* to the ``heapq`` engines — every settled
 distance is the same float minimum over the same candidate sums.  The
 property suite (``tests/test_kernels.py``) pins this, including
-tie-breaking, disconnected components, and the bounded/multi-source
-variants.
+tie-breaking, disconnected components, and the bounded variant.
 
 Buffer-reuse contract
 ---------------------
-A :class:`CSRKernels` instance preallocates its distance/owner/settled
-buffers once and reuses them across calls (resetting only the entries
-the previous search touched).  Consequently an instance is **not
+A :class:`CSRKernels` instance allocates its distance buffer once
+(growing it for wider batches) and reuses it across calls, resetting
+only the entries the previous search touched.  Consequently an instance is **not
 thread-safe**: use :attr:`repro.graph.RoadNetwork.kernels`, which hands
 each thread its own instance over the same shared arrays.  Results
 returned to callers are fresh arrays, never views into the buffers.
@@ -61,7 +68,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -88,10 +95,6 @@ _HEAP_WORK = 700
 #: message), so by default a message is exactly one sweep.
 QUERIES_PER_SWEEP = 16
 
-#: Sentinel owner for nodes whose distance just improved and whose
-#: owning source is about to be recomputed.
-_NO_OWNER = np.iinfo(np.int64).max
-
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 
@@ -111,6 +114,14 @@ def _dedup(ids: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
+
+
+def _check_node(node: int, num_nodes: int) -> None:
+    """Refuse a node id outside ``[0, num_nodes)``."""
+    if not 0 <= node < num_nodes:
+        raise IndexError(
+            f"node {node} out of range for graph with {num_nodes} nodes"
+        )
 
 
 def _view(array: np.ndarray) -> memoryview:
@@ -195,15 +206,13 @@ class CSRKernels:
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         self._delta = float(delta)
-        # Reusable buffers (the thread-unsafety documented above).
-        self._dist = np.full(self._num_nodes, np.inf, dtype=np.float64)
-        self._owner = None  # allocated on first multi-source call
-        self._touched: np.ndarray | None = _EMPTY_I8
-        # Batch-query buffer: one distance row per grouped source over
-        # the flattened (row, node) product space; grown on demand.
-        self._batch_dist: np.ndarray | None = None
-        self._batch_touched: np.ndarray | None = None
-        self._batch_used = 0  # prefix of the buffer the last sweep ran in
+        # The reusable distance buffer (the thread-unsafety documented
+        # above): one row per search of the flattened (row, node)
+        # space, grown on demand; `_touched` lists what the last search
+        # wrote in its `_used`-entry prefix.
+        self._dist: np.ndarray | None = None
+        self._touched: list[np.ndarray] | None = []
+        self._used = 0
         # The CSR arrays as memoryviews for the heap search; on first use.
         self._views: tuple[memoryview, memoryview, memoryview] | None = None
 
@@ -227,36 +236,23 @@ class CSRKernels:
         node whose network distance from ``source`` is at most
         ``max_distance``, with bit-identical distances.
         """
+        _check_node(source, self._num_nodes)
         KERNEL_CALLS["sssp"] += 1
-        return self._finish(
-            *self._search([source], max_distance=max_distance)[:2],
-            max_distance,
-        )
-
-    def sssp_multi(
-        self,
-        sources: Sequence[int],
-        max_distance: float = INFINITY,
-        with_owners: bool = False,
-    ):
-        """Distances from the nearest of several sources.
-
-        Returns ``(nodes, dists)`` or, with ``with_owners=True``,
-        ``(nodes, dists, owners)`` where ``owners[i]`` is the source
-        realizing ``dists[i]`` (smallest source id on ties — the same
-        tie-break the ``heapq`` engine's ordered tuples produce).
-        """
-        KERNEL_CALLS["sssp_multi"] += 1
-        if len(sources) == 0:
-            if with_owners:
-                return _EMPTY_I8, _EMPTY_F8, _EMPTY_I8
-            return _EMPTY_I8, _EMPTY_F8
-        nodes, dists, _ = self._search(
-            sources, max_distance=max_distance, track_owners=with_owners
-        )
-        nodes, dists = self._finish(nodes, dists, max_distance)
-        if with_owners:
-            return nodes, dists, self._owner[nodes].copy()
+        dist = self._reset(self._num_nodes)
+        touched: list[np.ndarray] = []
+        windows = [
+            window for window, _ in self._windows(
+                dist, np.array([source], dtype=np.int64),
+                np.array([max_distance], dtype=np.float64), touched,
+            )
+        ]
+        self._touched = touched
+        nodes = np.concatenate(windows or [_EMPTY_I8])
+        dists = dist[nodes]
+        # The last window may reach past the bound by less than delta.
+        if max_distance < INFINITY:
+            mask = dists <= max_distance
+            return nodes[mask], dists[mask]
         return nodes, dists
 
     def topk_objects(
@@ -283,21 +279,16 @@ class CSRKernels:
         then runs a search expected to settle few nodes as a heap
         expansion.  ``None`` always runs the bucketed sweep.
         """
-        if not 0 <= source < self._num_nodes:
-            raise IndexError(
-                f"node {source} out of range for graph with "
-                f"{self._num_nodes} nodes"
-            )
+        _check_node(source, self._num_nodes)
         if k <= 0:
             return _EMPTY_I8, _EMPTY_F8
         if self._heap_pays(k, objects):
             return self._heap_topk(source, k, _view(object_counts), None)
         KERNEL_CALLS["topk"] += 1
-        nodes, dists, _ = self._search(
-            [source], object_counts=object_counts, k=k
-        )
-        mask = object_counts[nodes] > 0
-        return nodes[mask], dists[mask]
+        return self._batch_topk(
+            np.array([source], dtype=np.int64), np.array([k], dtype=np.int64),
+            object_counts, np.zeros(1, dtype=np.int64), _EMPTY_I8, _EMPTY_I8,
+        )[0]
 
     def knn_batch(
         self,
@@ -310,7 +301,7 @@ class CSRKernels:
         group_size: int = QUERIES_PER_SWEEP,
         objects: int | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Answer many top-k queries via shared multi-source sweeps.
+        """Answer many top-k queries via shared sweeps.
 
         The batch counterpart of :meth:`topk_objects`: ``sources[i]``
         and ``ks[i]`` describe one query, and the return value is one
@@ -497,87 +488,110 @@ class CSRKernels:
         )
 
     # ------------------------------------------------------------------
-    # Core bucketed search
+    # The bucket loop
     # ------------------------------------------------------------------
-    def _reset(self) -> np.ndarray:
+    def _reset(self, size: int) -> np.ndarray:
+        """The shared distance buffer, clean over its first ``size``
+        entries (grown on demand).  The caller hands the search's
+        ``touched`` list to :attr:`_touched` once the search completes;
+        until then a full fill is the fallback."""
         dist = self._dist
-        touched = self._touched
-        if touched is None or len(touched) * 8 > self._num_nodes:
-            dist.fill(np.inf)
+        if dist is None or len(dist) < size:
+            dist = self._dist = np.full(size, np.inf, dtype=np.float64)
         else:
-            dist[touched] = np.inf
+            # Only the prefix the previous search ran in can be dirty: a
+            # buffer grown by one wide batch must not cost every later,
+            # narrower one a full-length fill.
+            used = self._used
+            touched = self._touched
+            if touched is None or sum(map(len, touched)) * 8 > used:
+                dist[:used].fill(np.inf)
+            else:
+                # Duplicates are harmless in the reset scatter.
+                dist[np.concatenate(touched)] = np.inf
         self._touched = None
+        self._used = size
         return dist
 
-    def _search(
+    def _windows(
         self,
-        sources: Sequence[int],
-        *,
-        max_distance: float = INFINITY,
-        object_counts: np.ndarray | None = None,
-        k: int = 0,
-        track_owners: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Run the bucket loop; returns ``(nodes, dists, settled_bound)``.
+        dist: np.ndarray,
+        sources: np.ndarray,
+        limit: np.ndarray,
+        touched: list[np.ndarray] | None,
+    ) -> Iterator[tuple[np.ndarray, float]]:
+        """The bucket loop: one delta-stepping search per row of the
+        flattened ``(row, node)`` space, settled one window at a time.
 
-        ``nodes``/``dists`` are every node settled before termination
-        (some may exceed ``max_distance`` by less than one bucket; the
-        public wrappers trim).  ``settled_bound`` is the pivot below
-        which all distances are final — used by the incremental search.
+        Row ``r`` owns the flat ids ``[r*n, (r+1)*n)`` of ``dist`` (a
+        clean buffer the caller owns) and searches from ``sources[r]``;
+        every window relaxes the concatenated frontiers of all rows in
+        one :meth:`_relax`.  Windows are aligned to the *global* minimum
+        tentative distance, so a row may settle a few more nodes than a
+        solo run would; settled distances are bit-identical regardless
+        (the window fixpoint argument is per-row).
+
+        Yields ``(window, high)`` once the flat ids in ``window`` are
+        settled: every distance below ``high`` is final.  A row stops
+        expanding once its minimum tentative distance exceeds
+        ``limit[r]`` — ``sssp``'s bound, or top-k's k-th candidate
+        distance, which the caller lowers in place between windows.
+        The loop ends when no row has work left, so a caller that keeps
+        the generator can resume it (:class:`IncrementalSSSP`).  Every
+        flat id written is appended to ``touched`` (``None``: a private
+        buffer nobody resets).
         """
-        dist = self._reset()
-        owner = None
-        if track_owners:
-            owner = self._owner
-            if owner is None:
-                owner = self._owner = np.full(
-                    self._num_nodes, _NO_OWNER, dtype=np.int64
-                )
-        src = np.unique(np.asarray(sources, dtype=np.int64))
-        if src.size == 0 or self._num_nodes == 0:
-            self._touched = _EMPTY_I8
-            return _EMPTY_I8, _EMPTY_F8, 0.0
-        dist[src] = 0.0
-        if owner is not None:
-            owner[src] = src
+        n = self._num_nodes
+        rows = len(sources)
+        flat_src = np.arange(rows, dtype=np.int64) * n + sources
+        dist[flat_src] = 0.0
+        if touched is not None:
+            touched.append(flat_src)
         delta = self._delta
-        active_parts = [src]
-        settled_parts: list[np.ndarray] = []
-        object_parts: list[np.ndarray] = []
-        touched_parts = [src]
-        kth_bound = np.inf
-        found = 0
+        active_parts = [flat_src]
         bound = 0.0
-        while active_parts:
+        while True:
             active = (
                 active_parts[0]
                 if len(active_parts) == 1
                 else _dedup(np.concatenate(active_parts))
             )
             active_dist = dist[active]
-            # Drop nodes settled by an earlier bucket (they re-enter the
+            # Drop nodes settled by an earlier window (they re-enter the
             # worklist only as stale duplicates, never with a better
             # distance, so a bound check filters them).
             live = active_dist >= bound
             active, active_dist = active[live], active_dist[live]
             if active.size == 0:
-                break
+                return
+            if rows > 1 and limit.min() < INFINITY:
+                # Per-row termination: drop the rows whose minimum
+                # tentative distance clears their limit.
+                row = active // n
+                row_min = np.full(rows, np.inf, dtype=np.float64)
+                np.minimum.at(row_min, row, active_dist)
+                keep = (row_min <= limit)[row]
+                if not keep.all():
+                    active, active_dist = active[keep], active_dist[keep]
+                    if active.size == 0:
+                        return
             pivot = float(active_dist.min())
-            if pivot > max_distance or (found >= k > 0 and pivot > kth_bound):
-                break
+            if rows == 1 and pivot > limit[0]:
+                return
             high = pivot + delta
             in_window = active_dist < high
             frontier = active[in_window]
             active_parts = [active[~in_window]]
             window_parts = [frontier]
-            # Inner fixpoint: relax window nodes until no distance (or
-            # owner) below `high` changes; positive weights guarantee no
-            # candidate from outside the window can undercut it later.
+            # Inner fixpoint: relax window nodes until no distance below
+            # `high` changes; positive weights guarantee no candidate
+            # from outside the window can undercut it later.
             while frontier.size:
-                changed = self._relax(frontier, dist, owner)
+                changed = self._relax(frontier, dist, rows)
                 if changed.size == 0:
                     break
-                touched_parts.append(changed)
+                if touched is not None:
+                    touched.append(changed)
                 inside = dist[changed] < high
                 frontier = changed[inside]
                 if frontier.size:
@@ -585,42 +599,28 @@ class CSRKernels:
                 spill = changed[~inside]
                 if spill.size:
                     active_parts.append(spill)
-            window = (
+            bound = high
+            yield (
                 window_parts[0]
                 if len(window_parts) == 1
                 else _dedup(np.concatenate(window_parts))
-            )
-            settled_parts.append(window)
-            bound = high
-            if k > 0 and window.size:
-                counts = object_counts[window]
-                bearing = window[counts > 0]
-                if bearing.size:
-                    object_parts.append(bearing)
-                    found += int(counts.sum())
-                if found >= k:
-                    kth_bound = self._kth_distance(
-                        object_parts, dist, object_counts, k
-                    )
-            if not active_parts[0].size and len(active_parts) == 1:
-                break
-        # Duplicates are harmless in the reset scatter; skip dedup.
-        self._touched = np.concatenate(touched_parts)
-        if settled_parts:
-            nodes = np.concatenate(settled_parts)
-            return nodes, dist[nodes].copy(), bound
-        return _EMPTY_I8, _EMPTY_F8, bound
+            ), high
+            if len(active_parts) == 1 and not active_parts[0].size:
+                return
 
     def _relax(
-        self,
-        frontier: np.ndarray,
-        dist: np.ndarray,
-        owner: np.ndarray | None,
+        self, frontier: np.ndarray, dist: np.ndarray, rows: int
     ) -> np.ndarray:
-        """Relax every out-edge of ``frontier``; return changed nodes."""
+        """Relax every out-edge of ``frontier``; return changed flat ids.
+
+        ``frontier`` holds flat ids ``row*n + node``; edges come from
+        the node part while candidates stay inside the row's slice, so
+        one scatter-min relaxes every row's frontier at once.
+        """
         indptr, indices, weights = self._indptr, self._indices, self._weights
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
+        nodes = frontier if rows == 1 else frontier % self._num_nodes
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
         total = int(counts.sum())
         if total == 0:
             return _EMPTY_I8
@@ -629,48 +629,16 @@ class CSRKernels:
             starts - (cum - counts), counts
         )
         targets = indices[edge_ids]
+        if rows > 1:
+            targets = targets + np.repeat(frontier - nodes, counts)
         cand = np.repeat(dist[frontier], counts) + weights[edge_ids]
         before = dist[targets]
         np.minimum.at(dist, targets, cand)
-        changed = _dedup(targets[dist[targets] < before])
-        if owner is None:
-            return changed
-        # Owner maintenance: a strictly-improved node forgets its owner;
-        # then every candidate that ties the (new) distance competes and
-        # the smallest source id wins — the heapq tuple-order tie-break.
-        owner[changed] = _NO_OWNER
-        owner_before = owner[targets]
-        ties = cand == dist[targets]
-        np.minimum.at(
-            owner, targets[ties], np.repeat(owner[frontier], counts)[ties]
-        )
-        owner_changed = targets[owner[targets] < owner_before]
-        if owner_changed.size == 0:
-            return changed
-        return _dedup(np.concatenate([changed, owner_changed]))
+        return _dedup(targets[dist[targets] < before])
 
     # ------------------------------------------------------------------
-    # Batched multi-query search (shared sweep over a source group)
+    # Top-k over the bucket loop (a solo sweep is one row)
     # ------------------------------------------------------------------
-    def _batch_reset(self, size: int) -> np.ndarray:
-        """A clean flat distance buffer of at least ``size`` entries."""
-        dist = self._batch_dist
-        if dist is None or len(dist) < size:
-            dist = self._batch_dist = np.full(size, np.inf, dtype=np.float64)
-        else:
-            # Only the prefix the previous sweep ran in can be dirty: a
-            # buffer grown by one wide batch must not cost every later,
-            # narrower one a full-length fill.
-            used = self._batch_used
-            touched = self._batch_touched
-            if touched is None or len(touched) * 8 > used:
-                dist[:used].fill(np.inf)
-            else:
-                dist[touched] = np.inf
-        self._batch_touched = None
-        self._batch_used = size
-        return dist
-
     def _batch_topk(
         self,
         sources: np.ndarray,
@@ -680,17 +648,12 @@ class CSRKernels:
         patch_nodes: np.ndarray,
         patch_deltas: np.ndarray,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One shared sweep answering ``len(sources)`` top-k queries.
+        """One shared sweep answering ``len(sources)`` top-k queries
+        (every ``ks[r] > 0``).
 
-        Runs the bucket loop of :meth:`_search` over the flattened
-        ``(row, node)`` product space — row ``r`` owns flat ids
-        ``[r*n, (r+1)*n)`` and evolves exactly like an independent
-        :meth:`topk_objects` search, except that all rows share each
-        window's vectorized relaxation.  Windows are aligned to the
-        *global* minimum tentative distance, so a row may settle a few
-        more nodes than its solo run would have; settled distances are
-        bit-identical regardless (the window fixpoint argument is
-        per-row), which is all the top-k contract needs.
+        Runs :meth:`_windows` with one row per query: row ``r`` evolves
+        like an independent :meth:`topk_objects` search and stops once
+        its next window starts past its k-th candidate distance.
 
         Row ``r`` reads ``object_counts`` with the first
         ``versions[r]`` of the ``(patch_nodes, patch_deltas)`` changes
@@ -722,111 +685,43 @@ class CSRKernels:
                     counts[hit] += applies @ patch_deltas
             return counts
 
-        dist = self._batch_reset(rows * n)
-        flat_src = np.arange(rows, dtype=np.int64) * n + sources
-        dist[flat_src] = 0.0
-        delta = self._delta
-        active_parts = [flat_src]
-        touched_parts = [flat_src]
+        dist = self._reset(rows * n)
+        touched: list[np.ndarray] = []
         found = np.zeros(rows, dtype=np.int64)
         kth_bound = np.full(rows, np.inf, dtype=np.float64)
-        done = ks <= 0
         #: Per row: settled object-bearing local node ids (duplicate-free
         #: — a node settles in exactly one window).
         row_objects: list[list[np.ndarray]] = [[] for _ in range(rows)]
         row_dirty = np.zeros(rows, dtype=bool)
-        bound = 0.0
-        while active_parts:
-            active = (
-                active_parts[0]
-                if len(active_parts) == 1
-                else _dedup(np.concatenate(active_parts))
-            )
-            active_dist = dist[active]
-            live = active_dist >= bound
-            active, active_dist = active[live], active_dist[live]
-            if active.size and done.any():
-                keep = ~done[active // n]
-                active, active_dist = active[keep], active_dist[keep]
-            if active.size == 0:
-                break
-            # Per-row early termination, the batched analogue of the
-            # solo kernel's `pivot > kth_bound` break: a row is finished
-            # once its own minimum tentative distance clears its k-th
-            # candidate distance.
-            ready = found >= ks
-            if ready.any():
-                row_min = np.full(rows, np.inf, dtype=np.float64)
-                np.minimum.at(row_min, active // n, active_dist)
-                finished = ready & ~done & (row_min > kth_bound)
-                if finished.any():
-                    done |= finished
-                    if done.all():
-                        break
-                    keep = ~done[active // n]
-                    active, active_dist = active[keep], active_dist[keep]
-                    if active.size == 0:
-                        break
-            pivot = float(active_dist.min())
-            high = pivot + delta
-            in_window = active_dist < high
-            frontier = active[in_window]
-            active_parts = [active[~in_window]]
-            window_parts = [frontier]
-            while frontier.size:
-                changed = self._relax_flat(frontier, dist)
-                if changed.size == 0:
-                    break
-                touched_parts.append(changed)
-                inside = dist[changed] < high
-                frontier = changed[inside]
-                if frontier.size:
-                    window_parts.append(frontier)
-                spill = changed[~inside]
-                if spill.size:
-                    active_parts.append(spill)
-            window = (
-                window_parts[0]
-                if len(window_parts) == 1
-                else _dedup(np.concatenate(window_parts))
-            )
-            bound = high
-            if window.size:
-                window_rows = window // n
-                window_nodes = window - window_rows * n
-                window_counts = counts_seen(
-                    window_nodes, versions[window_rows]
+        for window, _ in self._windows(dist, sources, kth_bound, touched):
+            window_rows = window // n
+            window_nodes = window - window_rows * n
+            window_counts = counts_seen(window_nodes, versions[window_rows])
+            bearing = window_counts > 0
+            if not bearing.any():
+                continue
+            bearing_rows = window_rows[bearing]
+            np.add.at(found, bearing_rows, window_counts[bearing])
+            bearing_nodes = window_nodes[bearing]
+            for row in _dedup(bearing_rows).tolist():
+                row_objects[row].append(bearing_nodes[bearing_rows == row])
+                row_dirty[row] = True
+            # A row holding k objects learns its k-th candidate distance,
+            # the limit its search stops at.
+            for row in np.nonzero(row_dirty & (found >= ks))[0].tolist():
+                parts = row_objects[row]
+                nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                row_objects[row] = [nodes]
+                dists = dist[row * n + nodes]
+                order = np.argsort(dists, kind="stable")
+                row_counts = counts_seen(
+                    nodes, np.full(nodes.shape, versions[row])
                 )
-                bearing = window_counts > 0
-                if bearing.any():
-                    bearing_rows = window_rows[bearing]
-                    np.add.at(found, bearing_rows, window_counts[bearing])
-                    bearing_nodes = window_nodes[bearing]
-                    for row in _dedup(bearing_rows).tolist():
-                        row_objects[row].append(
-                            bearing_nodes[bearing_rows == row]
-                        )
-                        row_dirty[row] = True
-                    refresh = np.nonzero(row_dirty & (found >= ks) & ~done)[0]
-                    for row in refresh.tolist():
-                        parts = row_objects[row]
-                        nodes = (
-                            parts[0] if len(parts) == 1
-                            else np.concatenate(parts)
-                        )
-                        row_objects[row] = [nodes]
-                        dists = dist[row * n + nodes]
-                        order = np.argsort(dists, kind="stable")
-                        row_counts = counts_seen(
-                            nodes, np.full(nodes.shape, versions[row])
-                        )
-                        cumulative = np.cumsum(row_counts[order])
-                        position = int(np.searchsorted(cumulative, ks[row]))
-                        kth_bound[row] = float(dists[order][position])
-                        row_dirty[row] = False
-            if not active_parts[0].size and len(active_parts) == 1:
-                break
-        self._batch_touched = np.concatenate(touched_parts)
+                cumulative = np.cumsum(row_counts[order])
+                position = int(np.searchsorted(cumulative, ks[row]))
+                kth_bound[row] = float(dists[order][position])
+                row_dirty[row] = False
+        self._touched = touched
         results: list[tuple[np.ndarray, np.ndarray]] = []
         for row in range(rows):
             parts = row_objects[row]
@@ -834,125 +729,46 @@ class CSRKernels:
                 results.append((_EMPTY_I8, _EMPTY_F8))
                 continue
             nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            results.append((nodes, dist[row * n + nodes].copy()))
+            results.append((nodes, dist[row * n + nodes]))
         return results
-
-    def _relax_flat(self, frontier: np.ndarray, dist: np.ndarray) -> np.ndarray:
-        """:meth:`_relax` over the flattened ``(row, node)`` space.
-
-        ``frontier`` holds flat ids ``row*n + node``; edges come from
-        the node part while candidates stay inside the row's slice, so
-        one scatter-min relaxes every group member's frontier at once.
-        """
-        indptr, indices, weights = self._indptr, self._indices, self._weights
-        n = self._num_nodes
-        nodes = frontier % n
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return _EMPTY_I8
-        cum = np.cumsum(counts)
-        edge_ids = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - (cum - counts), counts
-        )
-        targets = indices[edge_ids] + np.repeat(frontier - nodes, counts)
-        cand = np.repeat(dist[frontier], counts) + weights[edge_ids]
-        before = dist[targets]
-        np.minimum.at(dist, targets, cand)
-        return _dedup(targets[dist[targets] < before])
-
-    @staticmethod
-    def _kth_distance(
-        object_parts: list[np.ndarray],
-        dist: np.ndarray,
-        object_counts: np.ndarray,
-        k: int,
-    ) -> float:
-        """Distance of the k-th nearest object among settled nodes."""
-        nodes = np.concatenate(object_parts)
-        dists = dist[nodes]
-        order = np.argsort(dists, kind="stable")
-        cumulative = np.cumsum(object_counts[nodes][order])
-        position = int(np.searchsorted(cumulative, k))
-        return float(dists[order][position])
-
-    @staticmethod
-    def _finish(
-        nodes: np.ndarray, dists: np.ndarray, max_distance: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if math.isinf(max_distance):
-            return nodes, dists
-        mask = dists <= max_distance
-        return nodes[mask], dists[mask]
 
 
 class IncrementalSSSP:
-    """A resumable single-source search over private buffers.
+    """A resumable single-source search over a private distance buffer.
 
     IER refines Euclidean candidates with exact network distances, all
     from the *same* query location; instead of one A* per candidate,
-    this object expands the bucketed search just far enough to settle
-    each requested target and keeps the explored region for the next
-    one.  Not thread-safe (it owns its buffers); build via
-    :meth:`CSRKernels.expander`.
+    this object keeps the bucket loop (:meth:`CSRKernels._windows`)
+    open, expands it just far enough to settle each requested target,
+    and keeps the explored region for the next one.  Its buffer is its
+    own, so other searches on the same kernels may run in between.
+    Not thread-safe; build via :meth:`CSRKernels.expander`.
     """
 
     def __init__(self, kernels: CSRKernels, source: int) -> None:
-        self._k = kernels
         n = kernels.num_nodes
+        _check_node(source, n)
+        self._num_nodes = n
         self._dist = np.full(n, np.inf, dtype=np.float64)
-        if not 0 <= source < n:
-            raise IndexError(f"node {source} out of range for graph with {n} nodes")
-        self._dist[source] = 0.0
-        self._active_parts: list[np.ndarray] = [
-            np.asarray([source], dtype=np.int64)
-        ]
+        self._windows = kernels._windows(
+            self._dist, np.array([source], dtype=np.int64),
+            np.array([INFINITY]), None,
+        )
         self._bound = 0.0  # distances below this are final
         self._exhausted = False
 
     def distance_to(self, target: int) -> float:
         """Exact network distance to ``target`` (``inf`` if unreachable)."""
+        _check_node(target, self._num_nodes)
         dist = self._dist
         while not (dist[target] < self._bound) and not self._exhausted:
-            self._advance()
-        d = float(dist[target])
-        return d if d < math.inf else math.inf
+            step = next(self._windows, None)
+            if step is None:
+                self._exhausted = True
+            else:
+                self._bound = step[1]
+        return float(dist[target])
 
     def settled_bound(self) -> float:
         """All distances strictly below this value are final."""
         return self._bound
-
-    def _advance(self) -> None:
-        """Settle one more bucket (mirrors ``CSRKernels._search``)."""
-        kern = self._k
-        dist = self._dist
-        delta = kern.delta
-        active = (
-            self._active_parts[0]
-            if len(self._active_parts) == 1
-            else _dedup(np.concatenate(self._active_parts))
-        )
-        active_dist = dist[active]
-        live = active_dist >= self._bound
-        active, active_dist = active[live], active_dist[live]
-        if active.size == 0:
-            self._exhausted = True
-            return
-        pivot = float(active_dist.min())
-        high = pivot + delta
-        in_window = active_dist < high
-        frontier = active[in_window]
-        self._active_parts = [active[~in_window]]
-        while frontier.size:
-            changed = kern._relax(frontier, dist, None)
-            if changed.size == 0:
-                break
-            inside = dist[changed] < high
-            frontier = changed[inside]
-            spill = changed[~inside]
-            if spill.size:
-                self._active_parts.append(spill)
-        self._bound = high
-        if len(self._active_parts) == 1 and not self._active_parts[0].size:
-            self._exhausted = True

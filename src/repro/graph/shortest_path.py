@@ -4,19 +4,19 @@ Every kNN solution in the paper is built on graph search:
 
 * plain **Dijkstra** expansion (the index-free kNN baseline, and the tool
   used to build G-tree leaf distance matrices),
-* **bounded** and **multi-source** variants (used by the partition-tree
-  indexes to compute border-to-border distances),
+* a **bounded** variant and target-truncated searches (used by the
+  partition-tree indexes to compute border-to-border distances),
 * **bidirectional Dijkstra** and **A*** (used by IER and by tests as an
   independent oracle).
 
 The classic engines work directly on the CSR lists so that the inner
 loop is a tight ``heappush``/``heappop`` cycle with no generator
 overhead.  On graphs of at least :data:`KERNEL_MIN_NODES` nodes,
-:func:`dijkstra` and :func:`multi_source_dijkstra` delegate to the
-vectorized bucket kernels in :mod:`repro.graph.kernels`, which return
-bit-identical distances at a fraction of the cost; the ``heapq``
-bodies are kept as the reference implementation (``*_heapq``) that the
-property suite pins the kernels against.
+:func:`dijkstra` delegates to the vectorized bucket kernels in
+:mod:`repro.graph.kernels`, which return bit-identical distances at a
+fraction of the cost; the ``heapq`` body is kept as the reference
+implementation (:func:`dijkstra_heapq`) that the property suite pins
+the kernels against.
 """
 
 from __future__ import annotations
@@ -31,8 +31,14 @@ INFINITY = math.inf
 
 #: Below this node count the pure-Python ``heapq`` loop wins (kernel
 #: call overhead dominates on e.g. G-tree leaf subgraphs); at or above
-#: it the vectorized kernels take over.
-KERNEL_MIN_NODES = 2048
+#: it the vectorized kernels take over.  Measured, not chosen:
+#: ``benchmarks/bench_knn_kernels.py``'s SSSP-by-size table times a
+#: full search both ways on grids of 256 to 16,384 nodes.  Over repeated
+#: runs on a 2-core x86 host, heapq won at every size up to 2,304 nodes
+#: and the kernel at every size from 2,916; at 2,601 the two tie within
+#: noise, so the constant sits there (results in
+#: ``benchmarks/results/knn_kernels.txt``).
+KERNEL_MIN_NODES = 2600
 
 
 def dijkstra(
@@ -78,6 +84,7 @@ def dijkstra_heapq(
     compare against, and used directly for small graphs and
     target-truncated searches.
     """
+    network._check_endpoint(source)
     offsets, adj_targets, adj_weights = network.csr
     pending = set(targets) if targets is not None else None
     dist: dict[int, float] = {}
@@ -104,6 +111,7 @@ def dijkstra_with_paths(
     network: RoadNetwork, source: int, max_distance: float = INFINITY
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Like :func:`dijkstra` but also returns a predecessor map."""
+    network._check_endpoint(source)
     offsets, adj_targets, adj_weights = network.csr
     dist: dict[int, float] = {}
     parent: dict[int, int] = {}
@@ -144,6 +152,8 @@ def shortest_path_distance(network: RoadNetwork, source: int, target: int) -> fl
 
     Returns ``math.inf`` when ``target`` is unreachable.
     """
+    network._check_endpoint(source)
+    network._check_endpoint(target)
     if source == target:
         return 0.0
     offsets, adj_targets, adj_weights = network.csr
@@ -192,6 +202,8 @@ def astar_distance(
     between node coordinates is used (admissible whenever edge weights
     dominate Euclidean lengths, as produced by our generators).
     """
+    network._check_endpoint(source)
+    network._check_endpoint(target)
     if source == target:
         return 0.0
     if heuristic is None:
@@ -223,54 +235,6 @@ def astar_distance(
     return INFINITY
 
 
-def multi_source_dijkstra(
-    network: RoadNetwork,
-    sources: Sequence[int],
-    max_distance: float = INFINITY,
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Distances from the *nearest* of several sources.
-
-    Returns ``(dist, owner)`` where ``owner[node]`` is the source that
-    realizes ``dist[node]`` (smallest source id on ties): a
-    Voronoi-style partition of the network around ``sources``.
-    """
-    if network.num_nodes >= KERNEL_MIN_NODES:
-        nodes, dists, owners = network.kernels.sssp_multi(
-            sources, max_distance=max_distance, with_owners=True
-        )
-        node_list = nodes.tolist()
-        return (
-            dict(zip(node_list, dists.tolist())),
-            dict(zip(node_list, owners.tolist())),
-        )
-    return multi_source_dijkstra_heapq(network, sources, max_distance)
-
-
-def multi_source_dijkstra_heapq(
-    network: RoadNetwork,
-    sources: Sequence[int],
-    max_distance: float = INFINITY,
-) -> tuple[dict[int, float], dict[int, int]]:
-    """The ``heapq`` reference engine behind :func:`multi_source_dijkstra`."""
-    offsets, adj_targets, adj_weights = network.csr
-    dist: dict[int, float] = {}
-    owner: dict[int, int] = {}
-    heap: list[tuple[float, int, int]] = [(0.0, s, s) for s in sources]
-    while heap:
-        d, node, src = heappop(heap)
-        if node in dist:
-            continue
-        if d > max_distance:
-            break
-        dist[node] = d
-        owner[node] = src
-        for idx in range(offsets[node], offsets[node + 1]):
-            nxt = adj_targets[idx]
-            if nxt not in dist:
-                heappush(heap, (d + adj_weights[idx], nxt, src))
-    return dist, owner
-
-
 def dijkstra_expansion(
     network: RoadNetwork, source: int
 ) -> Iterator[tuple[int, float]]:
@@ -280,6 +244,7 @@ def dijkstra_expansion(
     pulls settled nodes one at a time and stops as soon as it has found
     ``k`` objects, so the graph is explored "just enough" (Section II).
     """
+    network._check_endpoint(source)
     offsets, adj_targets, adj_weights = network.csr
     settled: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, source)]

@@ -268,6 +268,14 @@ def test_pooled_build_is_exact_and_deterministic() -> None:
         )
 
 
+@pytest.mark.parametrize("target", [-1, 60])
+def test_expander_refuses_out_of_range_target(target) -> None:
+    network = int_network(60, 3)
+    expander = ContractionHierarchy(network, seed=3).kernels.expander(0)
+    with pytest.raises(IndexError, match="out of range"):
+        expander.distance_to(target)
+
+
 # ----------------------------------------------------------------------
 # Label-cache byte budget
 # ----------------------------------------------------------------------

@@ -2,12 +2,11 @@
 
 The delta-stepping kernels in :mod:`repro.graph.kernels` promise
 *bit-for-bit identical* results to the classic ``heapq`` reference
-engines — same distances, same settled sets, same multi-source owner
-tie-breaking, same top-k answers including ties.  This suite pins that
-promise on seeded random graphs (connected and disconnected, float and
-integer weights, heavy ties), plus the bounded and multi-source
-variants, buffer reuse across calls, Dial mode, and the incremental
-expander.
+engines — same distances, same settled sets, same top-k answers
+including ties.  This suite pins that promise on seeded random graphs
+(connected and disconnected, float and integer weights, heavy ties),
+plus the bounded variant, buffer reuse across calls, Dial mode, and the
+incremental expander.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ from repro.graph.shortest_path import (
     dijkstra,
     dijkstra_expansion,
     dijkstra_heapq,
-    multi_source_dijkstra_heapq,
 )
 from repro.knn import IERKNN, DijkstraKNN
 from tests.conftest import place_objects
-from tests.test_knn_batch import canonical
+from tests.test_knn_batch import canonical, oracle_topk
 
 
 def random_network(seed: int, tie_heavy: bool = False) -> RoadNetwork:
@@ -87,6 +85,12 @@ class TestSSSPEquivalence:
         nodes, dists = net.kernels.sssp(0)
         assert as_dict(nodes, dists) == {0: 0.0, 1: 1.0, 2: 3.0}
 
+    @pytest.mark.parametrize("source", [-1, 144])
+    def test_source_out_of_range(self, source) -> None:
+        net = grid_network(12, 12, seed=9)
+        with pytest.raises(IndexError, match="out of range"):
+            net.kernels.sssp(source)
+
     def test_buffer_reuse_is_clean_across_calls(self) -> None:
         net = random_network(421)
         kern = net.kernels
@@ -99,40 +103,6 @@ class TestSSSPEquivalence:
             assert as_dict(bounded_nodes, bounded_dists) == dijkstra_heapq(
                 net, source, max_distance=2.5
             )
-
-
-class TestMultiSourceEquivalence:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        network_and_source(),
-        st.integers(min_value=1, max_value=5),
-        st.integers(min_value=0, max_value=9999),
-    )
-    def test_dists_and_owner_tiebreak_match_heapq(
-        self, net_source, num_sources, pick_seed
-    ) -> None:
-        net, _ = net_source
-        rng = random.Random(pick_seed)
-        sources = [
-            rng.randrange(net.num_nodes)
-            for _ in range(min(num_sources, net.num_nodes))
-        ]
-        ref_dist, ref_owner = multi_source_dijkstra_heapq(net, sources)
-        nodes, dists, owners = net.kernels.sssp_multi(sources, with_owners=True)
-        assert as_dict(nodes, dists) == ref_dist
-        assert as_dict(nodes, owners) == ref_owner
-
-    def test_empty_sources(self) -> None:
-        net = random_network(5)
-        nodes, dists = net.kernels.sssp_multi([])
-        assert len(nodes) == 0 and len(dists) == 0
-
-    def test_bounded_multi_source(self) -> None:
-        net = random_network(77)
-        sources = [0, net.num_nodes - 1]
-        ref_dist, _ = multi_source_dijkstra_heapq(net, sources, max_distance=3.0)
-        nodes, dists = net.kernels.sssp_multi(sources, max_distance=3.0)
-        assert as_dict(nodes, dists) == ref_dist
 
 
 class TestTopKEquivalence:
@@ -196,15 +166,6 @@ class TestTopKEquivalence:
                     kth = found[4][0]
             found.sort()
             assert [(n.distance, n.object_id) for n in answer] == found[:5]
-
-
-def oracle_topk(net: RoadNetwork, source: int, counts, k: int) -> list:
-    """The k best ``(distance, node)`` with object multiplicity, from a
-    full ``dijkstra_heapq`` run — no early termination to get wrong."""
-    pairs = []
-    for node, distance in dijkstra_heapq(net, source).items():
-        pairs.extend([(distance, node)] * int(counts[node]))
-    return sorted(pairs)[:k]
 
 
 #: Objects enough that the work model takes the heap for any group of
@@ -405,6 +366,40 @@ class TestIncrementalExpander:
         net = random_network(3)
         with pytest.raises(IndexError):
             net.kernels.expander(net.num_nodes + 5)
+
+    @pytest.mark.parametrize("target", [-1, 144])
+    def test_target_out_of_range(self, target) -> None:
+        net = grid_network(12, 12, seed=9)
+        with pytest.raises(IndexError):
+            net.kernels.expander(0).distance_to(target)
+
+    def test_open_expander_survives_other_searches(self) -> None:
+        """The expander's buffer is its own: top-k sweeps, batch sweeps
+        and ``sssp`` on the same kernels between two ``distance_to``
+        calls leave its answers exact."""
+        net = grid_network(12, 12, seed=9)
+        kernels = net.kernels
+        reference = dijkstra_heapq(net, 5)
+        counts = np.zeros(net.num_nodes, dtype=np.int32)
+        counts[[3, 40, 77, 120]] = 1
+        expander = kernels.expander(5)
+        rng = random.Random(3)
+        before = KERNEL_CALLS.copy()
+        for _ in range(4):
+            target = rng.randrange(net.num_nodes)
+            assert expander.distance_to(target) == reference[target]
+            kernels.topk_objects(rng.randrange(net.num_nodes), counts, 2)
+            kernels.knn_batch([0, 70, 143], [1, 2, 3], counts)
+            source = rng.randrange(net.num_nodes)
+            assert as_dict(*kernels.sssp(source)) == dijkstra_heapq(
+                net, source
+            )
+        assert {
+            name: KERNEL_CALLS[name] - before[name]
+            for name in ("topk", "knn_batch", "sssp")
+        } == {"topk": 4, "knn_batch": 4, "sssp": 4}
+        for target in range(net.num_nodes):
+            assert expander.distance_to(target) == reference[target]
 
 
 class TestDelegation:

@@ -15,7 +15,6 @@ from repro.graph import (
     dijkstra_expansion,
     dijkstra_with_paths,
     grid_network,
-    multi_source_dijkstra,
     pairwise_distances,
     reconstruct_path,
     shortest_path_distance,
@@ -122,14 +121,32 @@ class TestPaths:
         assert total == pytest.approx(dist[target])
 
 
-class TestMultiSourceAndExpansion:
-    def test_multi_source_owner(self, path_network) -> None:
-        dist, owner = multi_source_dijkstra(path_network, [0, 4])
-        assert owner[0] == 0 and owner[4] == 4
-        assert dist[1] == 1.0 and owner[1] == 0
-        # node 3 is 4 away from 4 and 6 from 0
-        assert dist[3] == 4.0 and owner[3] == 4
+class TestOutOfRangeNodes:
+    """Every engine refuses a node outside ``[0, n)`` with IndexError,
+    on graphs below the kernel delegation size too."""
 
+    @pytest.mark.parametrize("node", [-1, 5])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda net, node: dijkstra(net, node),
+            lambda net, node: dijkstra_with_paths(net, node),
+            lambda net, node: list(dijkstra_expansion(net, node)),
+            lambda net, node: shortest_path_distance(net, node, 0),
+            lambda net, node: shortest_path_distance(net, 0, node),
+            lambda net, node: astar_distance(net, node, 0),
+            lambda net, node: astar_distance(net, 0, node),
+        ],
+        ids=["dijkstra", "with_paths", "expansion", "bidir_source",
+             "bidir_target", "astar_source", "astar_target"],
+    )
+    def test_rejected(self, path_network, search, node) -> None:
+        assert path_network.num_nodes == 5
+        with pytest.raises(IndexError, match="out of range"):
+            search(path_network, node)
+
+
+class TestMultiSourceAndExpansion:
     def test_expansion_order_nondecreasing(self, small_grid) -> None:
         last = -1.0
         count = 0

@@ -3,8 +3,10 @@
 ``tools/gen_api_docs.py`` snapshots every documented module's exported
 names into ``docs/api_surface.json`` alongside ``docs/API.md``.  This
 checker recomputes the live surface and diffs it against the snapshot,
-so adding, removing, or renaming a public symbol without regenerating
-the docs is a hard failure:
+then renders ``docs/API.md`` in memory and diffs it against the file,
+so adding, removing, or renaming a public symbol — or a method, a
+signature or a docstring summary — without regenerating the docs is a
+hard failure:
 
     python tools/check_api_surface.py     # exit 0 iff docs are current
 
@@ -22,9 +24,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT / "src"))
 
-from gen_api_docs import collect_surface  # noqa: E402
+import difflib  # noqa: E402
+
+from gen_api_docs import collect_surface, render_api  # noqa: E402
 
 SNAPSHOT = ROOT / "docs" / "api_surface.json"
+API_DOC = ROOT / "docs" / "API.md"
 
 
 def main() -> int:
@@ -49,8 +54,19 @@ def main() -> int:
         if removed:
             problems.append(f"{module}: documented symbols gone {removed}")
 
+    recorded_doc = API_DOC.read_text() if API_DOC.exists() else ""
+    stale = list(difflib.unified_diff(
+        recorded_doc.splitlines(), render_api().splitlines(),
+        "docs/API.md", "rendered", lineterm="", n=0,
+    ))
+    if stale:
+        problems.append(
+            "docs/API.md differs from the rendered reference:\n"
+            + "\n".join(f"      {line}" for line in stale[:40])
+        )
+
     if problems:
-        print("public API surface drifted from docs/api_surface.json:")
+        print("the generated docs drifted from the public API:")
         for problem in problems:
             print(f"  - {problem}")
         print("regenerate with: python tools/gen_api_docs.py")

@@ -57,26 +57,26 @@ kernels traverse, what shared memory publishes, and what
 `from_csr_arrays` adopts zero-copy.
 
 `repro.graph.kernels` holds the bucketed (delta-stepping) Dijkstra
-kernels over those arrays: single-source (`sssp`), bounded, multi-source
-with owner tie-breaking (`sssp_multi`), early-terminating top-k
-(`topk_objects`, batched as `knn_batch`), and the resumable
-`IncrementalSSSP` expander IER uses.  Top-k has a second engine, a
+kernels over those arrays, all run by one bucket loop: single-source
+and bounded (`sssp`), early-terminating top-k (`topk_objects`, batched
+as `knn_batch`), and the resumable `IncrementalSSSP` expander IER
+uses.  Top-k has a second engine, a
 heap expansion over zero-copy memoryviews of the same arrays: given the
 object count (`objects=`), an O(1) work model sends a group of searches
 expected to settle few nodes (`rows * k*n/m` at most a measured limit)
 to the heap and everything else to the shared sweep.
 Results are **bit-for-bit identical** to the `heapq` engines
 (`tests/test_kernels.py` pins this property); large-graph speedups are
-recorded in `benchmarks/results/knn_kernels.txt`.  The free functions
-`dijkstra`/`multi_source_dijkstra` delegate to the kernels automatically
-at `KERNEL_MIN_NODES` and above; `DijkstraKNN` and `IERKNN` always use
+recorded in `benchmarks/results/knn_kernels.txt`.  The free function
+`dijkstra` delegates to the kernels automatically at `KERNEL_MIN_NODES`
+(measured, same file) and above; `DijkstraKNN` and `IERKNN` always use
 them.  `KERNEL_CALLS` counts the engine runs (`"heap"`, `"topk"` for
 a solo sweep, `"knn_batch"` for a batch call that swept, and the other
 entry points) so tests can assert which path is taken.
 
-**Buffer-reuse contract**: a `CSRKernels` instance preallocates its
-distance/owner buffers once and reuses them across calls, so an
-instance is *not thread-safe*.  Use `RoadNetwork.kernels`, which caches
+**Buffer-reuse contract**: a `CSRKernels` instance allocates its
+distance buffer once and reuses it across calls, so an instance is
+*not thread-safe*.  Use `RoadNetwork.kernels`, which caches
 one instance per thread over the same shared arrays; returned arrays
 are always fresh copies, never views into the buffers.
 """,
@@ -779,7 +779,8 @@ def collect_surface() -> dict[str, list[str]]:
     return surface
 
 
-def main() -> None:
+def render_api() -> str:
+    """The text of docs/API.md: the guides, then the reference."""
     lines = [
         "# API reference",
         "",
@@ -790,10 +791,15 @@ def main() -> None:
         lines.extend([f"## {title}", "", text.rstrip(), ""])
     for package in PACKAGES:
         lines.extend(describe_module(package))
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
+    text = render_api()
     out = ROOT / "docs" / "API.md"
     out.parent.mkdir(exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(lines)} lines)")
+    out.write_text(text)
+    print(f"wrote {out} ({text.count(chr(10))} lines)")
 
     surface_out = ROOT / "docs" / "api_surface.json"
     surface_out.write_text(json.dumps(collect_surface(), indent=2) + "\n")
