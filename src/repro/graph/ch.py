@@ -12,10 +12,9 @@ hierarchy serving every query family":
   witness searches as one bounded multi-source sweep in flat key space
   (:func:`_witness_block`, the same gather/scatter idiom as
   :class:`~repro.graph.kernels.CSRKernels`), and applies the
-  contraction with array ops.  The dense endgame (last few thousand
-  nodes) falls back to the classic lazy-heap loop
-  (:meth:`~ContractionHierarchy._contract_endgame`; with
-  ``endgame_nodes >= num_nodes`` it contracts the whole graph).  With
+  contraction with array ops.  The rounds run down to the last node:
+  in a dense core the independent sets shrink to a node or two, and a
+  round is still a handful of array ops.  With
   ``workers=N`` the witness phase fans out across forked worker
   processes that re-attach the base CSR from the graph-cache memmap
   token (or inherit it copy-on-write) and maintain replica edge arrays
@@ -66,15 +65,12 @@ import multiprocessing
 import threading
 import time
 from collections import OrderedDict
-from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .kernels import KERNEL_CALLS, QUERIES_PER_SWEEP, _check_node
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .road_network import RoadNetwork
+from .road_network import RoadNetwork, _arcs_to_csr, _dedup_edges, _half_edges
 
 __all__ = [
     "CHKernels",
@@ -82,36 +78,21 @@ __all__ = [
     "ContractionHierarchy",
     "LABEL_CACHE_BYTES",
     "WITNESS_HOP_LIMIT",
-    "WITNESS_SETTLE_LIMIT",
     "build_core_labels",
     "calibrate_ch_cutoff",
 ]
 
 INFINITY = float("inf")
 
-#: Witness-search effort bound for the scalar endgame loop.
-#: Hitting the bound conservatively adds the shortcut, which preserves
-#: correctness.
-WITNESS_SETTLE_LIMIT = 60
-
 #: Relaxation-round bound for the batched witness sweeps: witnesses of
 #: more than this many hops are not found, which (conservatively and
 #: correctly) adds their shortcut.
 WITNESS_HOP_LIMIT = 12
 
-#: Per-search label budget for the batched witness sweep — the
-#: vectorized counterpart of WITNESS_SETTLE_LIMIT, with headroom
-#: because a label-correcting sweep touches more nodes than a Dijkstra
-#: settles.  Abandoning a search is conservative: its unresolved pairs
-#: just get redundant shortcuts.
+#: Per-search label budget for the batched witness sweep.  Abandoning
+#: a search is conservative: its unresolved pairs just get redundant
+#: shortcuts.
 WITNESS_LABEL_LIMIT = 256
-
-#: Below this many live nodes the batched builder hands the dense core
-#: to the lazy-heap loop.  Kept small: the shrinking-bound witness
-#: sweep stays profitable deep into the dense core, and the scalar
-#: loop's per-node witness Dijkstras dominate the whole build if the
-#: hand-off happens while thousands of high-degree nodes remain.
-ENDGAME_NODES = 64
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
@@ -136,32 +117,16 @@ def _seg_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
 
 
-def _half_edges(
-    n: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each undirected CSR edge once, as ``(lo, hi, w)`` arrays."""
-    counts = np.diff(indptr.astype(np.int64))
-    srcs = np.repeat(np.arange(n, dtype=np.int64), counts)
-    half = srcs < indices
-    return (
-        srcs[half],
-        indices[half].astype(np.int64),
-        weights[half].astype(np.float64),
-    )
-
-
 def _edges_to_csr(
     n: int, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric CSR of the live graph from its half-edge arrays."""
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    wts = np.concatenate([ew, ew])
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if len(src):
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order], wts[order]
+    return _arcs_to_csr(
+        n,
+        np.concatenate([eu, ev]),
+        np.concatenate([ev, eu]),
+        np.concatenate([ew, ew]),
+    )
 
 
 def _merge_edges(
@@ -174,21 +139,14 @@ def _merge_edges(
     sc_w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold new shortcuts into the half-edge arrays, keeping the min
-    weight per node pair (the array form of ``adjacency[u][w] =
-    min(...)``)."""
-    if len(sc_a):
-        eu = np.concatenate([eu, np.minimum(sc_a, sc_b)])
-        ev = np.concatenate([ev, np.maximum(sc_a, sc_b)])
-        ew = np.concatenate([ew, sc_w])
-    if len(eu) == 0:
-        return eu, ev, ew
-    key = eu * n + ev
-    order = np.lexsort((ew, key))
-    key = key[order]
-    keep = np.empty(len(key), dtype=bool)
-    keep[0] = True
-    np.not_equal(key[1:], key[:-1], out=keep[1:])
-    return eu[order][keep], ev[order][keep], ew[order][keep]
+    weight per node pair, sorted by ``(lo, hi)``."""
+    lo, hi, w, _ = _dedup_edges(
+        n,
+        np.concatenate([eu, sc_a]),
+        np.concatenate([ev, sc_b]),
+        np.concatenate([ew, sc_w]),
+    )
+    return lo, hi, w
 
 
 def _select_batch(
@@ -258,7 +216,7 @@ def _witness_block(
     per (search, node), and merge improvements into the sorted known
     set — the multi-source analogue of ``CSRKernels._relax``, with the
     per-search bound (the largest ``through`` value) capping the
-    explored region exactly like the scalar witness Dijkstra.
+    explored region.
 
     Two dedups make this much cheaper than one search per (center,
     neighbor): searches avoid the *whole batch*, so searches from the
@@ -335,15 +293,11 @@ def _witness_block(
 
         # Per-search bound: the largest *unresolved* target's through
         # value.  Re-shrunk every hop as witnesses land, so a search
-        # dies the moment its last pair is witnessed — the batched
-        # analogue of the scalar loop's ``remaining == 0`` early exit.
-        # ``live`` indexes the still-unresolved pairs so the per-hop
-        # re-check touches only them, not the whole chunk.  A search
-        # that accumulates more than WITNESS_LABEL_LIMIT distance
-        # labels is abandoned (its remaining pairs get conservative
-        # shortcuts) — the batched analogue of the scalar witness
-        # Dijkstra's settle cap, with headroom because label-correcting
-        # sweeps touch more nodes than Dijkstra settles.
+        # dies the moment its last pair is witnessed.  ``live`` indexes
+        # the still-unresolved pairs so the per-hop re-check touches
+        # only them, not the whole chunk.  A search that accumulates
+        # more than WITNESS_LABEL_LIMIT distance labels is abandoned
+        # (its remaining pairs get conservative shortcuts).
         tmask = through.copy()
         live = np.arange(len(pk), dtype=np.int64)
         bound = np.maximum.reduceat(tmask, group_starts)
@@ -440,8 +394,7 @@ def _witness_block(
 # ----------------------------------------------------------------------
 # Witness worker pool
 # ----------------------------------------------------------------------
-def _witness_worker(conn, payload, index: int, num_workers: int,
-                    hop_limit: int) -> None:
+def _witness_worker(conn, payload, index: int, num_workers: int) -> None:
     """Worker loop: hold a replica of the evolving half-edge arrays and
     answer a strided share of each round's witness searches."""
     if isinstance(payload, tuple) and payload and payload[0] == "cache":
@@ -452,7 +405,7 @@ def _witness_worker(conn, payload, index: int, num_workers: int,
         network = payload
     indptr, indices, weights = network.csr_arrays
     n = network.num_nodes
-    eu, ev, ew = _half_edges(n, indptr, indices, weights)
+    eu, ev, ew = _half_edges(indptr, indices, weights)
     try:
         while True:
             msg = conn.recv()
@@ -466,7 +419,7 @@ def _witness_worker(conn, payload, index: int, num_workers: int,
                 conn.send(
                     _witness_block(
                         n, *csr, share,
-                        hop_limit=hop_limit, forbidden=selmask,
+                        hop_limit=WITNESS_HOP_LIMIT, forbidden=selmask,
                     )
                 )
             elif tag == "apply":
@@ -494,8 +447,7 @@ class _WitnessPool:
     (the contracted batch + its shortcut triples) cross the pipes.
     """
 
-    def __init__(self, network: "RoadNetwork", workers: int,
-                 hop_limit: int) -> None:
+    def __init__(self, network: "RoadNetwork", workers: int) -> None:
         ctx = multiprocessing.get_context("fork")
         cache_meta = getattr(network, "_cache_meta", None)
         payload = ("cache", cache_meta) if cache_meta is not None else network
@@ -505,7 +457,7 @@ class _WitnessPool:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_witness_worker,
-                args=(child, payload, index, workers, hop_limit),
+                args=(child, payload, index, workers),
                 daemon=True,
             )
             proc.start()
@@ -578,10 +530,9 @@ class ContractionHierarchy:
         bit-identical to Dijkstra distances (see module docstring).
 
     Construction is vectorized independent-set rounds (see the module
-    docstring) down to ``endgame_nodes`` live nodes, then the scalar
-    lazy-heap loop.  ``workers=N`` parallelizes the batched witness
-    phase across N forked processes; platforms without fork fall back
-    to serial.  Each worker count builds deterministically, and every
+    docstring) down to the last node.  ``workers=N`` parallelizes the
+    witness phase across N forked processes; platforms without fork
+    fall back to serial.  Each worker count builds deterministically, and every
     build answers exactly (on integral weights, see ``exact``); the
     shortcut sets of different worker counts may differ, because each
     pooled share merges and dedups its own witness searches.
@@ -605,8 +556,6 @@ class ContractionHierarchy:
         seed: int = 0,
         *,
         workers: int | None = None,
-        witness_hops: int = WITNESS_HOP_LIMIT,
-        endgame_nodes: int = ENDGAME_NODES,
     ) -> None:
         self.network = network
         indptr, indices, weights = network.csr_arrays
@@ -618,13 +567,7 @@ class ContractionHierarchy:
         KERNEL_CALLS["ch.build"] += 1
         self._static_labels: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._contract_batched(
-            indptr,
-            indices,
-            weights,
-            seed=seed,
-            workers=workers,
-            witness_hops=witness_hops,
-            endgame_nodes=endgame_nodes,
+            indptr, indices, weights, seed=seed, workers=workers
         )
         self._build_halves(indptr, indices, weights)
         self._init_runtime_state()
@@ -680,30 +623,26 @@ class ContractionHierarchy:
         *,
         seed: int,
         workers: int | None,
-        witness_hops: int,
-        endgame_nodes: int,
     ) -> None:
         n = self.network.num_nodes
         rank = np.zeros(n, dtype=np.int64)
         tie = np.random.default_rng(seed).permutation(n)
-        eu, ev, ew = _half_edges(n, indptr, indices, weights)
+        eu, ev, ew = _half_edges(indptr, indices, weights)
         remaining = np.ones(n, dtype=bool)
         deleted = np.zeros(n, dtype=np.int64)
         parts_a: list[np.ndarray] = []
         parts_b: list[np.ndarray] = []
         parts_w: list[np.ndarray] = []
         next_rank = 0
-        floor = max(int(endgame_nodes), 0)
         pool = None
         try:
             if (
                 workers is not None
                 and int(workers) > 1
-                and n > floor
                 and "fork" in multiprocessing.get_all_start_methods()
             ):
-                pool = _WitnessPool(self.network, int(workers), witness_hops)
-            while int(remaining.sum()) > floor:
+                pool = _WitnessPool(self.network, int(workers))
+            while remaining.any():
                 deg = (
                     np.bincount(eu, minlength=n)
                     + np.bincount(ev, minlength=n)
@@ -720,11 +659,10 @@ class ContractionHierarchy:
                     csr = _edges_to_csr(n, eu, ev, ew)
                     sc_a, sc_b, sc_w = _witness_block(
                         n, *csr, sel,
-                        hop_limit=witness_hops, forbidden=selmask,
+                        hop_limit=WITNESS_HOP_LIMIT, forbidden=selmask,
                     )
                 sc_a, sc_b, sc_w = _sort_triples(n, sc_a, sc_b, sc_w)
-                # Ranks within the batch follow (priority, id) — the
-                # order the heap would have popped them in.
+                # Ranks within the batch follow (priority, id).
                 order = np.lexsort((sel, priority[sel]))
                 rank[sel[order]] = next_rank + np.arange(
                     sel.size, dtype=np.int64
@@ -748,190 +686,33 @@ class ContractionHierarchy:
         finally:
             if pool is not None:
                 pool.close()
-        tail_u: list[int] = []
-        tail_v: list[int] = []
-        tail_w: list[float] = []
-        self._contract_endgame(
-            n, eu, ev, ew, remaining, deleted, rank, next_rank,
-            tail_u, tail_v, tail_w,
-        )
-        parts_a.append(np.asarray(tail_u, dtype=np.int64))
-        parts_b.append(np.asarray(tail_v, dtype=np.int64))
-        parts_w.append(np.asarray(tail_w, dtype=np.float64))
         self.rank = rank
         self.shortcut_u = np.concatenate(parts_a) if parts_a else _EMPTY_I8
         self.shortcut_v = np.concatenate(parts_b) if parts_b else _EMPTY_I8
         self.shortcut_w = np.concatenate(parts_w) if parts_w else _EMPTY_F8
-
-    def _contract_endgame(
-        self,
-        n: int,
-        eu: np.ndarray,
-        ev: np.ndarray,
-        ew: np.ndarray,
-        remaining: np.ndarray,
-        deleted: np.ndarray,
-        rank: np.ndarray,
-        next_rank: int,
-        sc_u: list[int],
-        sc_v: list[int],
-        sc_w: list[float],
-    ) -> int:
-        """Contract the dense core with the scalar lazy-heap loop,
-        continuing the rank sequence of the batched rounds."""
-        adjacency: list[dict[int, float]] = [dict() for _ in range(n)]
-        for u, v, w in zip(eu.tolist(), ev.tolist(), ew.tolist()):
-            adjacency[u][v] = w
-            adjacency[v][u] = w
-        deleted_neighbors = deleted.tolist()
-        live = np.flatnonzero(remaining).tolist()
-        contracted = [True] * n
-        for v in live:
-            contracted[v] = False
-
-        def priority(v: int) -> float:
-            degree = len(adjacency[v])
-            needed = degree * (degree - 1) // 2
-            return needed - degree + 0.7 * deleted_neighbors[v]
-
-        heap: list[tuple[float, int]] = [(priority(v), v) for v in live]
-        heap.sort()
-        while heap:
-            _, v = heappop(heap)
-            if contracted[v]:
-                continue
-            fresh = priority(v)
-            if heap and fresh > heap[0][0]:
-                heappush(heap, (fresh, v))
-                continue
-            rank[v] = next_rank
-            next_rank += 1
-            contracted[v] = True
-            for u, w, weight in self._shortcuts_for(adjacency, v):
-                prior = adjacency[u].get(w)
-                if prior is None or weight < prior:
-                    adjacency[u][w] = weight
-                    adjacency[w][u] = weight
-                sc_u.append(u)
-                sc_v.append(w)
-                sc_w.append(weight)
-            for u in adjacency[v]:
-                deleted_neighbors[u] += 1
-                adjacency[u].pop(v, None)
-            adjacency[v].clear()
-        return next_rank
-
-    # ------------------------------------------------------------------
-    # Scalar construction helpers (endgame)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _shortcuts_for(
-        adjacency: list[dict[int, float]], v: int
-    ) -> list[tuple[int, int, float]]:
-        """Shortcuts required when removing ``v``.
-
-        One *multi-target* bounded witness search per neighbor ``u``
-        replaces the classic per-pair search: a single Dijkstra from
-        ``u`` (avoiding ``v``) tries to settle every other neighbor
-        ``w`` within its ``u→v→w`` bound.  Hitting the settle limit
-        leaves the remaining targets shortcut-ed, which is conservative
-        and correct.
-        """
-        neighbors = list(adjacency[v])
-        shortcuts: list[tuple[int, int, float]] = []
-        for i, u in enumerate(neighbors):
-            du = adjacency[v][u]
-            through = {w: du + adjacency[v][w] for w in neighbors[i + 1:]}
-            if not through:
-                continue
-            reached = ContractionHierarchy._witness_multi(
-                adjacency, u, through, v
-            )
-            for w, bound in through.items():
-                if reached.get(w, INFINITY) > bound:
-                    shortcuts.append((u, w, bound))
-        return shortcuts
-
-    @staticmethod
-    def _witness_multi(
-        adjacency: list[dict[int, float]],
-        source: int,
-        through: dict[int, float],
-        skip: int,
-    ) -> dict[int, float]:
-        """Bounded Dijkstra from ``source`` avoiding ``skip``.
-
-        Returns settled distances for the nodes in ``through`` (others
-        may appear; missing means "no witness found within budget").
-        """
-        bound = max(through.values())
-        dist: dict[int, float] = {source: 0.0}
-        heap = [(0.0, source)]
-        remaining = len(through)
-        settled = 0
-        done: set[int] = set()
-        while heap and settled < WITNESS_SETTLE_LIMIT and remaining > 0:
-            d, node = heappop(heap)
-            if d > dist.get(node, INFINITY):
-                continue
-            if d > bound:
-                break
-            settled += 1
-            if node in through and node not in done:
-                done.add(node)
-                remaining -= 1
-            for nxt, weight in adjacency[node].items():
-                if nxt == skip:
-                    continue
-                nd = d + weight
-                if nd <= bound and nd < dist.get(nxt, INFINITY):
-                    dist[nxt] = nd
-                    heappush(heap, (nd, nxt))
-        return dist
 
     def _build_halves(
         self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
     ) -> None:
         """Dedup originals + shortcuts, split into up/down CSR halves."""
         n = len(self.rank)
-        base_u, base_v, base_w = _half_edges(n, indptr, indices, weights)
-        all_u = np.concatenate([base_u, self.shortcut_u])
-        all_v = np.concatenate([base_v, self.shortcut_v])
-        all_w = np.concatenate([base_w, self.shortcut_w])
-        lo = np.minimum(all_u, all_v)
-        hi = np.maximum(all_u, all_v)
-        key = lo * max(n, 1) + hi
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        first = np.empty(len(key_sorted), dtype=bool)
-        if len(key_sorted):
-            first[0] = True
-            np.not_equal(key_sorted[1:], key_sorted[:-1], out=first[1:])
-        group_starts = np.flatnonzero(first)
-        if len(group_starts):
-            edge_w = np.minimum.reduceat(all_w[order], group_starts)
-        else:
-            edge_w = _EMPTY_F8
-        edge_lo = lo[order][group_starts]
-        edge_hi = hi[order][group_starts]
+        base_u, base_v, base_w = _half_edges(indptr, indices, weights)
+        edge_lo, edge_hi, edge_w, _ = _dedup_edges(
+            n,
+            np.concatenate([base_u, self.shortcut_u]),
+            np.concatenate([base_v, self.shortcut_v]),
+            np.concatenate([base_w, self.shortcut_w]),
+        )
 
         rank = self.rank
         lower_first = rank[edge_lo] < rank[edge_hi]
         up_src = np.where(lower_first, edge_lo, edge_hi)
         up_dst = np.where(lower_first, edge_hi, edge_lo)
-
-        def _csr(src: np.ndarray, dst: np.ndarray, wts: np.ndarray):
-            order_ = np.argsort(src, kind="stable")
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            if len(src):
-                np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-            return ptr, dst[order_], wts[order_]
-
-        self.up_indptr, self.up_indices, self.up_weights = _csr(
-            up_src, up_dst, edge_w
+        self.up_indptr, self.up_indices, self.up_weights = _arcs_to_csr(
+            n, up_src, up_dst, edge_w
         )
-        self.down_indptr, self.down_indices, self.down_weights = _csr(
-            up_dst, up_src, edge_w
+        self.down_indptr, self.down_indices, self.down_weights = (
+            _arcs_to_csr(n, up_dst, up_src, edge_w)
         )
 
     def _init_runtime_state(self) -> None:

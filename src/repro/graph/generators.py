@@ -78,8 +78,7 @@ def grid_network(
         (raises the edge/node ratio towards highway-dense networks).
     deletion_fraction:
         Fraction of grid edges randomly removed (connectivity is then
-        restored by keeping the largest component, see
-        :func:`_prune_to_connected`).
+        restored by keeping the largest component).
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
@@ -134,7 +133,7 @@ def grid_network(
 
     network = RoadNetwork(rows * cols, edges, coordinates=coordinates, name=name)
     if deletion_fraction > 0.0:
-        network = _prune_to_connected(network, name)
+        network = network.largest_component_subgraph()
     return network
 
 
@@ -315,16 +314,6 @@ def generate_pois(
             break
         pois.add(node)
     return sorted(pois)[:num_pois]
-
-
-def _prune_to_connected(network: RoadNetwork, name: str) -> RoadNetwork:
-    largest = network.largest_component_subgraph()
-    return RoadNetwork(
-        largest.num_nodes,
-        [(e.u, e.v, e.weight) for e in largest.edges()],
-        coordinates=largest.coordinates,
-        name=name,
-    )
 
 
 def _stable_symbol_seed(symbol: str) -> int:

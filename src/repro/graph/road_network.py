@@ -8,19 +8,22 @@ network index is *shared* by all cores while only the object set is
 partitioned, so a single immutable :class:`RoadNetwork` instance backs
 every worker in the MPR machinery.
 
-The adjacency is stored in CSR (compressed sparse row) form twice over:
+A network's state is its contiguous **numpy arrays**: the adjacency in
+CSR (compressed sparse row) form — ``int32`` indptr/indices, ``float64``
+weights — and ``float64`` coordinates.  They are the substrate for the
+vectorized kernels in :mod:`repro.graph.kernels` and the exact buffers
+published zero-copy by :mod:`repro.graph.shared` and
+:mod:`repro.graph.cache`.  Every edge list becomes those arrays one way:
+``RoadNetwork(...)`` and :meth:`RoadNetwork.from_edge_arrays` run the
+same numpy routine (validate, collapse parallel edges, lay out the
+CSR), and :meth:`RoadNetwork.from_csr_arrays` adopts arrays that are
+already laid out.
 
-* contiguous **numpy arrays** (``int32`` indptr/indices, ``float64``
-  weights and coordinates) built once at construction — the substrate
-  for the vectorized kernels in :mod:`repro.graph.kernels` and for the
-  zero-copy shared-memory publication in :mod:`repro.graph.shared`;
-* plain **Python lists** mirroring the arrays, kept for the classic
-  ``heapq`` engines whose inner loops index lists faster than arrays.
-
-Networks built the normal way carry both representations; networks
-attached from shared memory (:meth:`RoadNetwork.from_csr_arrays`) carry
-only the arrays and materialize the list mirror lazily on first use, so
-a worker that sticks to the kernel path never copies the graph at all.
+The list and dict views (``csr``, ``neighbors``, ``edges``,
+``coordinates``) are *mirrors*: Python copies of the arrays, kept for
+the classic ``heapq`` engines whose inner loops index lists faster than
+arrays.  A mirror is built on first use and never pickled, so a network
+that sticks to the kernel path never copies the graph at all.
 
 Networks attached from a disk cache (:meth:`RoadNetwork.open_cache`) or
 from shared memory go one step further: their list/dict mirrors are
@@ -69,6 +72,147 @@ class Edge:
         return (self.u, self.v)
 
 
+def _half_edges(
+    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each undirected edge of a symmetric CSR once, from its lower
+    endpoint, as ``(lo, hi, w)`` arrays in CSR order."""
+    counts = np.diff(indptr.astype(np.int64))
+    srcs = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    half = srcs < indices
+    return (
+        srcs[half],
+        indices[half].astype(np.int64),
+        weights[half].astype(np.float64),
+    )
+
+
+def _dedup_edges(
+    num_nodes: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Collapse parallel edges to their minimum weight.
+
+    Returns ``(lo, hi, w, first)`` sorted by ``(lo, hi)``, where
+    ``first`` is the position of each edge's first occurrence in the
+    input.
+    """
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    key = lo * max(num_nodes, 1) + hi
+    order = np.argsort(key, kind="stable")
+    key_sorted = key[order]
+    group = np.empty(len(key_sorted), dtype=bool)
+    if len(key_sorted):
+        group[0] = True
+        np.not_equal(key_sorted[1:], key_sorted[:-1], out=group[1:])
+    starts = np.flatnonzero(group)
+    if len(starts):
+        w_min = np.minimum.reduceat(w[order], starts)
+    else:
+        w_min = np.empty(0, dtype=np.float64)
+    first = order[starts]
+    return lo[first], hi[first], w_min, first
+
+
+def _arcs_to_csr(
+    num_nodes: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices, weights)`` of directed arcs, each node's
+    arcs in input order."""
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    return indptr, dst[order], w[order]
+
+
+def _build_csr(
+    num_nodes: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    coordinates: np.ndarray | Sequence[tuple[float, float]] | None,
+) -> tuple[np.ndarray, ...]:
+    """Validate an edge list and lay it out as CSR arrays.
+
+    Parallel edges collapse to their minimum weight; the surviving
+    edges keep the order in which each ``(min(u,v), max(u,v))`` key was
+    first seen, and every node lists its neighbors in that order.
+    Returns ``(indptr, indices, weights, coordinates, first_seen)``,
+    where ``first_seen`` is the deduplicated ``(lo, hi, w)`` edge
+    arrays in that order.
+    """
+    if num_nodes < 0:
+        raise ValueError(f"num_nodes must be non-negative, got {num_nodes}")
+    u = np.asarray(u)
+    v = np.asarray(v)
+    w = np.asarray(w, dtype=np.float64)
+    if not (len(u) == len(v) == len(w)):
+        raise ValueError("u, v, w arrays must have equal length")
+
+    # Vectorized validation, reporting the first offender.
+    for ids in (u, v):
+        if ids.dtype.kind not in "iu":
+            as_float = ids.astype(np.float64)
+            bad = ~np.isfinite(as_float) | (np.floor(as_float) != as_float)
+            if bad.any():
+                at = int(np.argmax(bad))
+                raise ValueError(
+                    f"edge ({u[at]}, {v[at]}) has a non-integral node id"
+                )
+    u = u.astype(np.int64)
+    v = v.astype(np.int64)
+    for ids in (u, v):
+        bad = (ids < 0) | (ids >= num_nodes)
+        if bad.any():
+            node = int(ids[int(np.argmax(bad))])
+            raise IndexError(
+                f"node {node} out of range for graph with {num_nodes} nodes"
+            )
+    loops = u == v
+    if loops.any():
+        node = int(u[int(np.argmax(loops))])
+        raise ValueError(f"self loop on node {node} is not allowed")
+    bad = ~(w > 0) | np.isinf(w)  # NaN fails ``w > 0``
+    if bad.any():
+        at = int(np.argmax(bad))
+        raise ValueError(
+            f"edge ({int(u[at])}, {int(v[at])}) has non-positive or "
+            f"non-finite weight {w[at]}"
+        )
+
+    lo, hi, w_min, first = _dedup_edges(num_nodes, u, v, w)
+    seen_order = np.argsort(first, kind="stable")
+    edge_u, edge_v, edge_w = lo[seen_order], hi[seen_order], w_min[seen_order]
+
+    # Interleave the two directed arcs of each edge so that every node
+    # lists its neighbors in first-seen order.
+    src = np.empty(2 * len(edge_u), dtype=np.int64)
+    dst = np.empty(2 * len(edge_u), dtype=np.int64)
+    wt = np.empty(2 * len(edge_u), dtype=np.float64)
+    src[0::2], src[1::2] = edge_u, edge_v
+    dst[0::2], dst[1::2] = edge_v, edge_u
+    wt[0::2] = wt[1::2] = edge_w
+    indptr, indices, weights = _arcs_to_csr(num_nodes, src, dst, wt)
+
+    if coordinates is None:
+        coord_arr = np.zeros((num_nodes, 2), dtype=np.float64)
+    else:
+        coord_arr = np.asarray(coordinates, dtype=np.float64)
+        if coord_arr.size == 0:
+            coord_arr = coord_arr.reshape(0, 2)
+        if coord_arr.shape != (num_nodes, 2):
+            raise ValueError(
+                f"expected {num_nodes} coordinate pairs, got {len(coord_arr)}"
+            )
+    return (
+        indptr.astype(np.int32),
+        indices.astype(np.int32),
+        weights,
+        coord_arr,
+        (edge_u, edge_v, edge_w),
+    )
+
+
 class RoadNetwork:
     """An immutable undirected weighted graph in CSR form.
 
@@ -78,7 +222,8 @@ class RoadNetwork:
         Number of junctions; nodes are the integers ``0 .. num_nodes-1``.
     edges:
         Iterable of ``(u, v, weight)`` triples.  Parallel edges are
-        collapsed to the minimum weight; self loops are rejected.
+        collapsed to the minimum weight; self loops, non-integral node
+        ids and weights that are not positive and finite are rejected.
     coordinates:
         Optional ``(x, y)`` pair per node (used by IER's Euclidean lower
         bounds and by the generators).  When omitted, all coordinates
@@ -94,72 +239,49 @@ class RoadNetwork:
         coordinates: Sequence[tuple[float, float]] | None = None,
         name: str = "road-network",
     ) -> None:
-        if num_nodes < 0:
-            raise ValueError(f"num_nodes must be non-negative, got {num_nodes}")
-        self._num_nodes = num_nodes
+        rows = list(edges)
+        triples = np.array(rows, dtype=np.float64) if rows else np.empty((0, 3))
+        if triples.ndim != 2 or triples.shape[1] != 3:
+            raise ValueError("edges must be (u, v, weight) triples")
+        *arrays, first_seen = _build_csr(
+            num_nodes, triples[:, 0], triples[:, 1], triples[:, 2], coordinates
+        )
+        self._adopt(*arrays, name, first_seen=first_seen)
+
+    def _adopt(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        coordinates: np.ndarray | None,
+        name: str,
+        *,
+        first_seen: tuple[np.ndarray, ...] | None = None,
+        allow_mirrors: bool = True,
+    ) -> None:
+        """Take the arrays as this network's state, mirrors unbuilt."""
+        self._num_nodes = int(len(indptr) - 1)
         self._name = name
-
-        best: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            self._check_endpoint(u)
-            self._check_endpoint(v)
-            if u == v:
-                raise ValueError(f"self loop on node {u} is not allowed")
-            if w <= 0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-            key = (u, v) if u < v else (v, u)
-            prior = best.get(key)
-            if prior is None or w < prior:
-                best[key] = float(w)
-
-        degree = [0] * num_nodes
-        for (u, v) in best:
-            degree[u] += 1
-            degree[v] += 1
-
-        offsets = [0] * (num_nodes + 1)
-        for node in range(num_nodes):
-            offsets[node + 1] = offsets[node] + degree[node]
-        targets = [0] * (2 * len(best))
-        weights = [0.0] * (2 * len(best))
-        cursor = offsets[:-1].copy()
-        for (u, v), w in best.items():
-            targets[cursor[u]] = v
-            weights[cursor[u]] = w
-            cursor[u] += 1
-            targets[cursor[v]] = u
-            weights[cursor[v]] = w
-            cursor[v] += 1
-
-        self._offsets: list[int] | None = offsets
-        self._targets: list[int] | None = targets
-        self._weights: list[float] | None = weights
-        self._edge_set: dict[tuple[int, int], float] | None = best
-        self._first_seen: tuple[np.ndarray, ...] | None = None
-
-        if coordinates is None:
-            self._coordinates: list[tuple[float, float]] | None = (
-                [(0.0, 0.0)] * num_nodes
-            )
-        else:
-            coords = [(float(x), float(y)) for x, y in coordinates]
-            if len(coords) != num_nodes:
-                raise ValueError(
-                    f"expected {num_nodes} coordinate pairs, got {len(coords)}"
-                )
-            self._coordinates = coords
-
-        self._indptr = np.asarray(offsets, dtype=np.int32)
-        self._indices = np.asarray(targets, dtype=np.int32)
+        self._indptr = np.asarray(indptr, dtype=np.int32)
+        self._indices = np.asarray(indices, dtype=np.int32)
         self._weight_arr = np.asarray(weights, dtype=np.float64)
-        self._coord_arr = np.asarray(
-            self._coordinates, dtype=np.float64
-        ).reshape(num_nodes, 2)
-        self._mirrors_allowed = True
+        if coordinates is None:
+            self._coord_arr = np.zeros((self._num_nodes, 2), dtype=np.float64)
+        else:
+            self._coord_arr = np.asarray(coordinates, dtype=np.float64).reshape(
+                self._num_nodes, 2
+            )
+        #: The deduplicated ``(lo, hi, w)`` edges in first-seen order
+        #: (see :func:`_build_csr`): ``edges()`` iterates in this order,
+        #: which save_dimacs round trips depend on.  ``None`` for
+        #: adopted CSR arrays, whose edges iterate in CSR order.
+        self._first_seen = first_seen
+        self._mirrors_allowed = bool(allow_mirrors)
         self._init_runtime_state()
 
     def _init_runtime_state(self) -> None:
-        """Per-instance, non-picklable bits (thread-local kernels, shm)."""
+        """Per-instance bits that are never pickled: thread-local
+        kernels, shared-memory and cache tokens, and the mirrors."""
         self._tls = threading.local()
         #: Shared-memory publication token (see :mod:`repro.graph.shared`);
         #: when set, pickling this network ships the token, not the arrays.
@@ -169,6 +291,11 @@ class RoadNetwork:
         #: Disk-cache attach token (see :mod:`repro.graph.cache`); when
         #: set, pickling ships the token and receivers re-memmap files.
         self._cache_meta = None
+        self._offsets: list[int] | None = None
+        self._targets: list[int] | None = None
+        self._weights: list[float] | None = None
+        self._edge_set: dict[tuple[int, int], float] | None = None
+        self._coordinates: list[tuple[float, float]] | None = None
 
     # ------------------------------------------------------------------
     # Alternative constructors (vectorized / zero-copy)
@@ -183,106 +310,16 @@ class RoadNetwork:
         coordinates: np.ndarray | Sequence[tuple[float, float]] | None = None,
         name: str = "road-network",
     ) -> "RoadNetwork":
-        """Vectorized constructor from parallel edge arrays.
+        """Constructor from parallel edge arrays.
 
-        Produces a network *identical* to ``RoadNetwork(num_nodes,
-        zip(u, v, w), ...)`` — same dedup (first-seen key order, minimum
-        weight), same CSR neighbor order, same error behavior — but with
-        all per-edge work done in numpy.  This is the batch path used by
+        Runs the same routine as ``RoadNetwork(num_nodes, zip(u, v, w),
+        ...)`` without building the triples, so the two produce
+        identical networks.  This is the batch path used by
         :func:`repro.graph.io.load_dimacs`.
         """
-        if num_nodes < 0:
-            raise ValueError(f"num_nodes must be non-negative, got {num_nodes}")
-        u = np.ascontiguousarray(u, dtype=np.int64)
-        v = np.ascontiguousarray(v, dtype=np.int64)
-        w = np.ascontiguousarray(w, dtype=np.float64)
-        if not (len(u) == len(v) == len(w)):
-            raise ValueError("u, v, w arrays must have equal length")
-
-        # Vectorized validation, reporting the first offender with the
-        # same messages as the scalar constructor.
-        bad = (u < 0) | (u >= num_nodes)
-        if bad.any():
-            node = int(u[int(np.argmax(bad))])
-            raise IndexError(
-                f"node {node} out of range for graph with {num_nodes} nodes"
-            )
-        bad = (v < 0) | (v >= num_nodes)
-        if bad.any():
-            node = int(v[int(np.argmax(bad))])
-            raise IndexError(
-                f"node {node} out of range for graph with {num_nodes} nodes"
-            )
-        loops = u == v
-        if loops.any():
-            node = int(u[int(np.argmax(loops))])
-            raise ValueError(f"self loop on node {node} is not allowed")
-        nonpos = w <= 0
-        if nonpos.any():
-            at = int(np.argmax(nonpos))
-            raise ValueError(
-                f"edge ({int(u[at])}, {int(v[at])}) has non-positive "
-                f"weight {w[at]}"
-            )
-
-        # Dedup to first-seen (min(u,v), max(u,v)) keys with min weight.
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        key = lo * max(num_nodes, 1) + hi
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        first = np.empty(len(key_sorted), dtype=bool)
-        if len(key_sorted):
-            first[0] = True
-            np.not_equal(key_sorted[1:], key_sorted[:-1], out=first[1:])
-        group_starts = np.flatnonzero(first)
-        if len(group_starts):
-            w_min = np.minimum.reduceat(w[order], group_starts)
-        else:
-            w_min = np.empty(0, dtype=np.float64)
-        first_pos = order[group_starts]  # first occurrence of each key
-        seen_order = np.argsort(first_pos, kind="stable")
-        edge_u = lo[first_pos][seen_order]
-        edge_v = hi[first_pos][seen_order]
-        edge_w = w_min[seen_order]
-
-        # Interleave the two directed arcs of each edge so that a stable
-        # sort by source reproduces the scalar constructor's per-node
-        # neighbor order exactly.
-        num_undirected = len(edge_u)
-        src = np.empty(2 * num_undirected, dtype=np.int64)
-        dst = np.empty(2 * num_undirected, dtype=np.int64)
-        wt = np.empty(2 * num_undirected, dtype=np.float64)
-        src[0::2], src[1::2] = edge_u, edge_v
-        dst[0::2], dst[1::2] = edge_v, edge_u
-        wt[0::2] = wt[1::2] = edge_w
-        arc_order = np.argsort(src, kind="stable")
-
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        if num_undirected:
-            counts = np.bincount(src, minlength=num_nodes)
-            np.cumsum(counts, out=indptr[1:])
-
-        if coordinates is None:
-            coord_arr = np.zeros((num_nodes, 2), dtype=np.float64)
-        else:
-            coord_arr = np.asarray(coordinates, dtype=np.float64)
-            if coord_arr.shape != (num_nodes, 2):
-                raise ValueError(
-                    f"expected {num_nodes} coordinate pairs, "
-                    f"got {len(coord_arr)}"
-                )
-        net = cls.from_csr_arrays(
-            indptr.astype(np.int32),
-            dst[arc_order].astype(np.int32),
-            wt[arc_order],
-            coordinates=coord_arr,
-            name=name,
-        )
-        # Remember the first-seen dedup order so the edge dict (built
-        # lazily on first use) iterates edges exactly as the scalar
-        # constructor's would — save_dimacs round trips depend on it.
-        net._first_seen = (edge_u, edge_v, edge_w)
+        *arrays, first_seen = _build_csr(num_nodes, u, v, w, coordinates)
+        net = cls.__new__(cls)
+        net._adopt(*arrays, name, first_seen=first_seen)
         return net
 
     @classmethod
@@ -298,34 +335,18 @@ class RoadNetwork:
         """Wrap existing CSR arrays without copying them.
 
         The arrays are adopted as-is (e.g. views into a shared-memory
-        segment or a memmapped cache); the Python-list mirror and the
-        edge dict are derived lazily on first use.  The caller is
-        responsible for the arrays being a valid symmetric CSR
-        adjacency.  With ``allow_mirrors=False`` the lazy mirrors are
-        guarded: any accessor that would materialize O(n) Python
-        containers raises :class:`MirrorMaterializationError` until
-        :meth:`allow_mirrors` is called.
+        segment or a memmapped cache); the mirrors are derived lazily
+        on first use.  The caller is responsible for the arrays being a
+        valid symmetric CSR adjacency.  With ``allow_mirrors=False`` the
+        lazy mirrors are guarded: any accessor that would materialize
+        O(n) Python containers raises :class:`MirrorMaterializationError`
+        until :meth:`allow_mirrors` is called.
         """
         net = cls.__new__(cls)
-        net._num_nodes = int(len(indptr) - 1)
-        net._name = name
-        net._indptr = np.asarray(indptr, dtype=np.int32)
-        net._indices = np.asarray(indices, dtype=np.int32)
-        net._weight_arr = np.asarray(weights, dtype=np.float64)
-        if coordinates is None:
-            net._coord_arr = np.zeros((net._num_nodes, 2), dtype=np.float64)
-        else:
-            net._coord_arr = np.asarray(coordinates, dtype=np.float64).reshape(
-                net._num_nodes, 2
-            )
-        net._offsets = None
-        net._targets = None
-        net._weights = None
-        net._edge_set = None
-        net._first_seen = None
-        net._coordinates = None
-        net._mirrors_allowed = bool(allow_mirrors)
-        net._init_runtime_state()
+        net._adopt(
+            indptr, indices, weights, coordinates, name,
+            allow_mirrors=allow_mirrors,
+        )
         return net
 
     # ------------------------------------------------------------------
@@ -365,32 +386,21 @@ class RoadNetwork:
             self._weights = self._weight_arr.tolist()
         return self._offsets, self._targets, self._weights  # type: ignore[return-value]
 
+    def _edge_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each undirected edge once, as ``(lo, hi, w)`` arrays in
+        ``edges()`` order: first-seen for a built network, CSR order
+        (each edge from its lower endpoint) for adopted arrays."""
+        if self._first_seen is not None:
+            return self._first_seen
+        return _half_edges(self._indptr, self._indices, self._weight_arr)
+
     def _edge_dict(self) -> dict[tuple[int, int], float]:
         if self._edge_set is None:
             self._check_mirrors("the edge dict")
-            if self._first_seen is not None:
-                edge_u, edge_v, edge_w = self._first_seen
-                self._edge_set = dict(
-                    zip(
-                        zip(edge_u.tolist(), edge_v.tolist()),
-                        edge_w.tolist(),
-                    )
-                )
-            else:
-                # Derive the undirected edge dict from CSR (each edge
-                # appears twice); without a recorded first-seen order the
-                # iteration order is CSR order.
-                counts = np.diff(self._indptr.astype(np.int64))
-                srcs = np.repeat(
-                    np.arange(self._num_nodes, dtype=np.int64), counts
-                )
-                mask = srcs < self._indices
-                self._edge_set = dict(
-                    zip(
-                        zip(srcs[mask].tolist(), self._indices[mask].tolist()),
-                        self._weight_arr[mask].tolist(),
-                    )
-                )
+            edge_u, edge_v, edge_w = self._edge_triples()
+            self._edge_set = dict(
+                zip(zip(edge_u.tolist(), edge_v.tolist()), edge_w.tolist())
+            )
         return self._edge_set
 
     # ------------------------------------------------------------------
@@ -547,16 +557,21 @@ class RoadNetwork:
 
     def induced_subgraph(self, nodes: Sequence[int]) -> "RoadNetwork":
         """Subgraph induced by ``nodes`` with ids compacted in given order."""
-        remap = {node: idx for idx, node in enumerate(nodes)}
-        if len(remap) != len(nodes):
+        nodes = np.asarray(nodes, dtype=np.int64)
+        bad = (nodes < 0) | (nodes >= self._num_nodes)
+        if bad.any():
+            self._check_endpoint(int(nodes[np.argmax(bad)]))
+        if len(np.unique(nodes)) != len(nodes):
             raise ValueError("duplicate nodes in induced_subgraph")
-        sub_edges = []
-        for (u, v), w in self._edge_dict().items():
-            iu, iv = remap.get(u), remap.get(v)
-            if iu is not None and iv is not None:
-                sub_edges.append((iu, iv, w))
-        coords = [self.coordinate(node) for node in nodes]
-        return RoadNetwork(len(nodes), sub_edges, coordinates=coords, name=self._name)
+        remap = np.full(self._num_nodes, -1, dtype=np.int64)
+        remap[nodes] = np.arange(len(nodes))
+        edge_u, edge_v, edge_w = self._edge_triples()
+        sub_u, sub_v = remap[edge_u], remap[edge_v]
+        keep = (sub_u >= 0) & (sub_v >= 0)
+        return RoadNetwork.from_edge_arrays(
+            len(nodes), sub_u[keep], sub_v[keep], edge_w[keep],
+            coordinates=self._coord_arr[nodes], name=self._name,
+        )
 
     def average_degree(self) -> float:
         if self._num_nodes == 0:
@@ -564,7 +579,7 @@ class RoadNetwork:
         return 2.0 * self.num_edges / self._num_nodes
 
     def total_weight(self) -> float:
-        return sum(self._edge_dict().values())
+        return sum(self._edge_triples()[2].tolist())
 
     # ------------------------------------------------------------------
     # Disk cache (memmap tier; see :mod:`repro.graph.cache`)
@@ -611,10 +626,13 @@ class RoadNetwork:
             from .cache import attach_cached_graph
 
             return (attach_cached_graph, (self._cache_meta,))
-        state = self.__dict__.copy()
-        for transient in ("_tls", "_shared_meta", "_shm", "_cache_meta"):
-            state.pop(transient, None)
-        return (_rebuild_network, (state,))
+        # By value: the arrays travel; the receiver builds its own
+        # mirrors if it asks for them.
+        return (
+            _rebuild_network,
+            (self._indptr, self._indices, self._weight_arr, self._coord_arr,
+             self._name, self._first_seen, self._mirrors_allowed),
+        )
 
     # ------------------------------------------------------------------
     # Dunder / misc
@@ -628,7 +646,9 @@ class RoadNetwork:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoadNetwork):
             return NotImplemented
-        if self._num_nodes != other._num_nodes:
+        if self._num_nodes != other._num_nodes or not np.array_equal(
+            self._coord_arr, other._coord_arr
+        ):
             return False
         if not (self._mirrors_allowed and other._mirrors_allowed):
             # Guarded side(s): compare the canonical CSR arrays instead
@@ -639,12 +659,8 @@ class RoadNetwork:
                 np.array_equal(self._indptr, other._indptr)
                 and np.array_equal(self._indices, other._indices)
                 and np.array_equal(self._weight_arr, other._weight_arr)
-                and np.array_equal(self._coord_arr, other._coord_arr)
             )
-        return (
-            self._edge_dict() == other._edge_dict()
-            and self.coordinates == other.coordinates
-        )
+        return self._edge_dict() == other._edge_dict()
 
     def __hash__(self) -> int:  # frozen enough for dict keys by identity
         return id(self)
@@ -656,9 +672,19 @@ class RoadNetwork:
             )
 
 
-def _rebuild_network(state: dict) -> RoadNetwork:
-    """Unpickle helper: restore state and recreate the transient bits."""
+def _rebuild_network(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    coordinates: np.ndarray,
+    name: str,
+    first_seen: tuple[np.ndarray, ...] | None,
+    allow_mirrors: bool,
+) -> RoadNetwork:
+    """Unpickle helper: adopt the pickled arrays."""
     net = RoadNetwork.__new__(RoadNetwork)
-    net.__dict__.update(state)
-    net._init_runtime_state()
+    net._adopt(
+        indptr, indices, weights, coordinates, name,
+        first_seen=first_seen, allow_mirrors=allow_mirrors,
+    )
     return net

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
-from ..graph.ch import WITNESS_SETTLE_LIMIT, ContractionHierarchy
+from ..graph.ch import ContractionHierarchy
 from ..graph.road_network import RoadNetwork
 from ..graph.shortest_path import INFINITY
 from .base import KNNSolution, Neighbor, canonical_knn
@@ -50,7 +50,6 @@ from .base import KNNSolution, Neighbor, canonical_knn
 __all__ = [
     "DEFAULT_CORE_FRACTION",
     "DEFAULT_FAMILY",
-    "WITNESS_SETTLE_LIMIT",  # re-export: lives in repro.graph.ch now
     "ContractionHierarchy",  # re-export: lives in repro.graph.ch now
     "ToainIndex",
     "ToainKNN",

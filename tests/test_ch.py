@@ -219,25 +219,57 @@ def test_calibrate_ch_cutoff_runs() -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batched_and_lazy_builders_both_exact(seed: int) -> None:
-    """Contraction order is a degree of freedom: the batched rounds and
-    the scalar lazy-heap loop (the endgame, here given the whole graph)
-    pick different orders (and shortcut sets) but both must answer
-    exactly."""
-    network = int_network(90, seed)
-    batched = ContractionHierarchy(network, seed=seed)
-    lazy = ContractionHierarchy(
-        network, seed=seed, endgame_nodes=network.num_nodes
-    )
-    assert batched.exact and lazy.exact
-    kb, kl = batched.kernels, lazy.kernels
-    rng = random.Random(seed + 50)
-    for _ in range(40):
-        s, t = rng.randrange(90), rng.randrange(90)
-        expected = shortest_path_distance(network, s, t)
-        assert kb.point_to_point(s, t) == expected
-        assert kl.point_to_point(s, t) == expected
+def complete_graph(num_nodes: int, seed: int) -> RoadNetwork:
+    rng = random.Random(seed)
+    edges = [
+        (u, v, float(rng.randint(1, 9)))
+        for u in range(num_nodes)
+        for v in range(u + 1, num_nodes)
+    ]
+    return RoadNetwork(num_nodes, edges, name=f"K{num_nodes}")
+
+
+def wheel_graph(rim: int, seed: int) -> RoadNetwork:
+    """Hub 0 joined to every node of the cycle ``1 .. rim``."""
+    rng = random.Random(seed)
+    edges = [(0, v, float(rng.randint(1, 9))) for v in range(1, rim + 1)]
+    edges += [
+        (v, v % rim + 1, float(rng.randint(1, 9))) for v in range(1, rim + 1)
+    ]
+    return RoadNetwork(rim + 1, edges, name=f"wheel-{rim}")
+
+
+DENSE_AND_DEGENERATE = {
+    "complete-12": lambda: complete_graph(12, 4),
+    "wheel-11": lambda: wheel_graph(11, 5),
+    "two-nodes": lambda: RoadNetwork(2, [(0, 1, 3.0)]),
+    # Node 0 is isolated; {1, 2, 3} and {4, 5, 6, 7} are two components.
+    "isolated-and-two-components": lambda: RoadNetwork(
+        8,
+        [(1, 2, 2.0), (2, 3, 2.0), (1, 3, 5.0),
+         (4, 5, 1.0), (5, 6, 4.0), (6, 7, 1.0), (4, 7, 7.0)],
+    ),
+    **{f"int-90-seed-{seed}": (lambda s=seed: int_network(90, s))
+       for seed in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("graph", sorted(DENSE_AND_DEGENERATE))
+def test_builder_exact_on_dense_and_degenerate_graphs(graph: str) -> None:
+    """The batched rounds contract every graph down to its last node —
+    dense cores where each round's independent set is one node,
+    isolated nodes and disconnected parts included — and answer every
+    pair exactly."""
+    network = DENSE_AND_DEGENERATE[graph]()
+    ch = ContractionHierarchy(network, seed=1)
+    assert ch.exact
+    assert sorted(ch.rank.tolist()) == list(range(network.num_nodes))
+    kern = ch.kernels
+    for s in range(network.num_nodes):
+        for t in range(network.num_nodes):
+            assert kern.point_to_point(s, t) == shortest_path_distance(
+                network, s, t
+            ), (s, t)
 
 
 @pytest.mark.slow

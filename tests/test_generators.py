@@ -1,5 +1,8 @@
 """Tests for the synthetic road-network generators."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.graph import (
@@ -132,3 +135,57 @@ class TestPois:
     def test_negative_count_rejected(self, small_grid) -> None:
         with pytest.raises(ValueError):
             generate_pois(small_grid, -1)
+
+
+def graph_digest(net) -> str:
+    """SHA-256 over the CSR arrays, the coordinates and the ``edges()``
+    order, so a moved draw, neighbor, edge or float bit fails."""
+    h = hashlib.sha256()
+    for array in (*net.csr_arrays, net.coord_arrays):
+        h.update(np.ascontiguousarray(array).tobytes())
+    edges = list(net.edges())
+    h.update(np.array([e.u for e in edges], dtype=np.int64).tobytes())
+    h.update(np.array([e.v for e in edges], dtype=np.int64).tobytes())
+    h.update(np.array([e.weight for e in edges], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# The benchmark's graphs are ``grid_network(side, side, seed=7)``.
+RECORDED_GRAPHS = {
+    "grid-plain": (
+        lambda: grid_network(12, 15, seed=3),
+        "d89d15ac16bafefa1072820635ec6d244f123b3ffa343825977e8c30fcd5ad80",
+    ),
+    "grid-deletions-diagonals": (
+        lambda: grid_network(
+            14, 11, seed=5, deletion_fraction=0.2, diagonal_fraction=0.3
+        ),
+        "0ea2d1412e8c0d78414d86e331c054fe39a43e98bb5fc42c6c987d030e54d952",
+    ),
+    "ring-radial": (
+        lambda: ring_radial_network(6, 10, seed=2),
+        "af62292ab61848a19862c09853df8a4eb19aa8995edcc1e3b9c96bf57e53f024",
+    ),
+    "random-geometric": (
+        lambda: random_geometric_network(150, radius=0.1, seed=4),
+        "66a36ea977c8baa2ac641dc5237e934ed149b0e74e10e606e47e6efb97d688a0",
+    ),
+    "scaled-replica-NW": (
+        lambda: scaled_replica("NW", scale=0.001, seed=7),
+        "2c0ce591a22677de12b23c8a380057d09cf1f7a5dde3e62467b376b36fb163c4",
+    ),
+    "bench-grid-128": (
+        lambda: grid_network(128, 128, seed=7),
+        "f75f7a51d549c0c2dec55a1ccffa89f243630e3a0f4ba109a1fa3acf524e9ad7",
+    ),
+    "bench-grid-256": (
+        lambda: grid_network(256, 256, seed=7),
+        "4e871cdded49c72234a203fa26597190ddb619522306215c77fb97fcdeea2259",
+    ),
+}
+
+
+@pytest.mark.parametrize("graph", list(RECORDED_GRAPHS))
+def test_generated_graphs_match_recorded_digests(graph: str) -> None:
+    make, digest = RECORDED_GRAPHS[graph]
+    assert graph_digest(make()) == digest

@@ -96,6 +96,12 @@ class TestDimacsParsing:
         with pytest.raises(FormatError, match="out of range"):
             load_dimacs(gr, co)
 
+    def test_non_finite_arc_weight_refused(self, tmp_path) -> None:
+        gr = tmp_path / "inf.gr"
+        gr.write_text("p sp 3 4\na 1 2 inf\na 2 1 inf\na 2 3 1\na 3 2 1\n")
+        with pytest.raises(ValueError, match=r"edge \(0, 1\).*non-finite"):
+            load_dimacs(gr)
+
 
 class TestEdgeList:
     def test_load_edge_list(self, tmp_path) -> None:
@@ -109,6 +115,12 @@ class TestEdgeList:
         path = tmp_path / "bad.txt"
         path.write_text("0 1\n")
         with pytest.raises(FormatError):
+            load_edge_list(path)
+
+    def test_nan_weight_refused(self, tmp_path) -> None:
+        path = tmp_path / "nan.txt"
+        path.write_text("1 2 1.0\n0 1 nan\n")
+        with pytest.raises(ValueError, match=r"edge \(0, 1\).*non-finite"):
             load_edge_list(path)
 
 

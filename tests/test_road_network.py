@@ -1,8 +1,22 @@
 """Unit tests for the RoadNetwork graph store."""
 
+import math
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import RoadNetwork
+
+
+def mirrors(net: RoadNetwork) -> list[str]:
+    """The Python list/dict copies of its arrays that ``net`` holds."""
+    return sorted(
+        key for key, value in vars(net).items()
+        if isinstance(value, (list, dict))
+    )
 
 
 class TestConstruction:
@@ -43,6 +57,45 @@ class TestConstruction:
     def test_coordinate_length_mismatch_rejected(self) -> None:
         with pytest.raises(ValueError, match="coordinate"):
             RoadNetwork(2, [(0, 1, 1.0)], coordinates=[(0.0, 0.0)])
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, weight: float) -> None:
+        with pytest.raises(ValueError, match=r"edge \(0, 1\).*non-finite"):
+            RoadNetwork(3, [(0, 1, weight), (1, 2, 1.0)])
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weight_rejected_from_arrays(
+        self, weight: float
+    ) -> None:
+        with pytest.raises(ValueError, match=r"edge \(0, 1\).*non-finite"):
+            RoadNetwork.from_edge_arrays(3, [0, 1], [1, 2], [weight, 1.0])
+
+    def test_non_integral_node_id_rejected(self) -> None:
+        with pytest.raises(ValueError, match="non-integral node id"):
+            RoadNetwork(3, [(0, 1.5, 1.0)])
+
+    def test_non_integral_node_id_rejected_from_arrays(self) -> None:
+        with pytest.raises(ValueError, match="non-integral node id"):
+            RoadNetwork.from_edge_arrays(3, [0], [1.5], [1.0])
+
+    def test_fresh_network_holds_no_mirror(self) -> None:
+        """The arrays are a network's only eager state: each mirror is
+        built on first use, and a by-value pickle leaves them behind."""
+        net = RoadNetwork(
+            3, [(0, 1, 1.0), (1, 2, 2.0)],
+            coordinates=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+        )
+        assert mirrors(net) == []
+        net.csr
+        list(net.edges())
+        net.coordinates
+        assert mirrors(net) == [
+            "_coordinates", "_edge_set", "_offsets", "_targets", "_weights",
+        ]
+        clone = pickle.loads(pickle.dumps(net))
+        assert mirrors(clone) == []
+        assert clone == net
+        assert list(clone.edges()) == list(net.edges())
 
 
 class TestAccessors:
@@ -124,3 +177,63 @@ class TestStructure:
         c = RoadNetwork(2, [(0, 1, 2.0)])
         assert a == b
         assert a != c
+
+
+edge_lists = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.one_of(
+                    st.integers(1, 5).map(float),
+                    st.floats(0.01, 100.0, allow_nan=False),
+                ),
+            ).filter(lambda e: e[0] != e[1]),
+            max_size=40,
+        ),
+    )
+)
+
+
+@settings(deadline=None)
+@given(case=edge_lists)
+def test_triples_and_arrays_build_the_same_network(case) -> None:
+    """``RoadNetwork(n, edges)`` and ``from_edge_arrays`` agree, and
+    both keep the first-seen order and minimum weight of every edge."""
+    n, edges = case
+    net = RoadNetwork(n, edges)
+    u, v, w = (np.array(col) for col in zip(*edges)) if edges else ([],) * 3
+    other = RoadNetwork.from_edge_arrays(n, u, v, w)
+    for got, want in zip(
+        (*net.csr_arrays, net.coord_arrays),
+        (*other.csr_arrays, other.coord_arrays),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert net.csr == other.csr
+    assert list(net.edges()) == list(other.edges())
+    assert net.total_weight() == other.total_weight()
+
+    best: dict[tuple[int, int], float] = {}
+    for a, b, weight in edges:
+        key = (min(a, b), max(a, b))
+        best[key] = min(best.get(key, math.inf), weight)
+    assert [(e.u, e.v, e.weight) for e in net.edges()] == [
+        (*key, weight) for key, weight in best.items()
+    ]
+    expected: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (a, b), weight in best.items():
+        expected[a].append((b, weight))
+        expected[b].append((a, weight))
+    assert [list(net.neighbors(node)) for node in range(n)] == expected
+
+    # Every other node, in reverse: ids compact in the given order.
+    remap = {node: idx for idx, node in enumerate(range(n - 1, -1, -2))}
+    sub = net.induced_subgraph(list(remap))
+    assert [(e.u, e.v, e.weight) for e in sub.edges()] == [
+        (min(remap[a], remap[b]), max(remap[a], remap[b]), weight)
+        for (a, b), weight in best.items()
+        if a in remap and b in remap
+    ]

@@ -8,10 +8,11 @@ records, per size:
 * ``attach_ms`` — ``open_cache`` memmap attach (median of 5).  The
   headline claim is that this column is *flat*: attach cost is
   independent of graph size because only the manifest is read eagerly;
-* ``ch_build_s`` — the batched contraction pipeline (the checked-in
-  artifact's ``ch_build`` row, 24x over the seed lazy-heap builder at
-  262k nodes, is historical: that builder is gone), plus ``ch_save_s``
-  and ``ch_attach_ms`` for the persisted hierarchy (``save_ch_cache`` /
+* ``ch_build_s`` — ``ContractionHierarchy``: batched independent-set
+  rounds down to the last node, serial (the checked-in artifact's
+  ``ch_build`` row, 24x over the seed lazy-heap builder at 262k nodes,
+  is historical: that builder is gone), plus ``ch_save_s`` and
+  ``ch_attach_ms`` for the persisted hierarchy (``save_ch_cache`` /
   ``load_cached_ch`` — attach is an O(1) memmap like the graph's);
 * long-range kNN latency (few objects, so a plain expansion settles a
   large region) for three engines — the vectorized ``CSRKernels`` top-k,

@@ -4,8 +4,8 @@
 #
 #   bash tools/ci.sh              # fast: tier-1 tests, figure-script imports, lint, API surface
 #   bash tools/ci.sh slow         # full suite (slow markers included), figure-script imports, lint, API surface,
-#                                 # the kernel-exactness and telemetry properties at the thorough profile,
-#                                 # and two simulator figures regenerated byte-identical
+#                                 # the kernel-exactness, telemetry and graph-builder properties at the
+#                                 # thorough profile, and two simulator figures regenerated byte-identical
 #   bash tools/ci.sh chaos        # the real-signal pool fault tests twice, the protocol machine x10 + sweep counts
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
 #   bash tools/ci.sh scale        # ~1M-node cache/attach smoke (incl. CH at 262k/1M)
@@ -45,10 +45,12 @@ run_lane() {
             python -m pytest -x -q -m "slow or not slow"
             static_checks
             # Heap search = sweep = oracle, run_ops = the per-op loop,
-            # and a count-weighted telemetry record = one record per id,
-            # over ten times the tier-1 examples.
+            # a count-weighted telemetry record = one record per id, and
+            # triples = arrays = the first-seen min-weight edge list, over
+            # ten times the tier-1 examples.
             python -m pytest -x -q tests/test_kernels.py tests/test_run_ops.py \
-                tests/test_obs.py --hypothesis-profile=thorough
+                tests/test_obs.py tests/test_road_network.py \
+                --hypothesis-profile=thorough
             # The simulator is deterministic given its seeds: two of its
             # figures (~20 s each) must regenerate byte-identical.
             python -m pytest -q --benchmark-only \

@@ -154,15 +154,14 @@ routing decision and caches it; pass an explicit number to skip the
 probe.  On float-weight networks `ch.exact` is False and auto-routing
 stays off (last-ulp sums differ).
 
-**Construction** is one batched vectorized pipeline: independent-set
-batches scored by edge difference, witness searches run as bounded
-multi-source array sweeps (merged per source, shrinking per-search
-bounds), and a tiny scalar lazy-heap endgame for the last dense core
-(`endgame_nodes`).  It measured 24x faster at 262k nodes than the
-whole-graph lazy-heap builder it replaced (the historical `ch_build`
-row in `benchmarks/results/graph_scale.json`; that builder is gone)
-with the same bit-exactness story — contraction *order* is a free
-variable, so shortcut sets may differ while every answer stays
+**Construction** is one batched vectorized pipeline, run down to the
+last node: independent-set batches scored by edge difference, witness
+searches run as bounded multi-source array sweeps (merged per source,
+shrinking per-search bounds).  It measured 24x faster at 262k nodes
+than the whole-graph lazy-heap builder it replaced (the historical
+`ch_build` row in `benchmarks/results/graph_scale.json`; that builder
+is gone) with the same bit-exactness story — contraction *order* is a
+free variable, so shortcut sets may differ while every answer stays
 identical.  Pass
 `workers=N` to fan witness sweeps out across forked processes sharing
 the CSR via the cache/shm tokens (useful on multi-core hosts;
@@ -200,7 +199,7 @@ default 128 MiB) with `ch.label_bytes` / `ch.label_evictions`
 counters, so adversarial never-repeating query locations cannot grow
 memory without bound.  `tools/bench_graph_scale.py` records the
 scaling curve — build/save/attach times for graph and hierarchy,
-batched-vs-lazy build, and kNN latency, CH vs plain kernels vs the
+and kNN latency, CH vs plain kernels vs the
 `heapq` baseline — into `benchmarks/results/graph_scale.{json,txt}`.
 """,
     ),
