@@ -1,6 +1,6 @@
-"""The kNN engines measured: kernel vs heapq, and the two crossovers.
+"""The kNN engines measured: kernel vs heapq, and the three crossovers.
 
-Three tables, all in ``benchmarks/results/knn_kernels.{json,txt}``:
+Four tables, all in ``benchmarks/results/knn_kernels.{json,txt}``:
 
 1. **Kernel vs heapq.**  The acceptance bar for the vectorized CSR
    kernels (:mod:`repro.graph.kernels`): on a >=100k-node generated
@@ -10,23 +10,32 @@ Three tables, all in ``benchmarks/results/knn_kernels.{json,txt}``:
    force deep expansions, where batching pays; dense objects terminate
    after a handful of buckets) and includes the full single-source
    search as the no-early-termination extreme.
-2. **Heap vs sweep by rows.**  The evidence for the work model's
+2. **Heap vs sweep by rows.**  The evidence for the work model's heap
    constant (``repro.graph.kernels._HEAP_WORK``): per-query time of the
-   heap expansion against the shared numpy sweep at 1-16 searches per
-   group, in three cells — mprbench's ``serve_open`` w-core (also
-   ``pool_update_heavy``'s: 1,000 objects on the 128² grid),
+   heap expansion against the shared sweep the model runs otherwise
+   (one capped window or delta-wide windows, by density) at 1-16
+   searches per group, in three cells — mprbench's ``serve_open`` and
+   ``pool_update_heavy`` w-core (1,000 objects on the 128² grid),
    ``pool_longrange``'s (64 objects on the 256² grid), and a middle
    density whose ``k * n / m`` is ~650.  The model sends a group to the
    heap when ``rows * k * n / m <= _HEAP_WORK``; the table's ``work``
    column is that product, so the crossover reads straight off it.
-3. **heapq vs kernel SSSP by graph size.**  The evidence for
+3. **Windowed vs capped sweep by rows.**  The evidence for the work
+   model's window constant (``repro.graph.kernels._ONE_WINDOW_WORK``):
+   per-query time of the same shared sweep run as delta-wide windows
+   and as one capped window relaxed to a fixpoint, at 1-16 rows, on the
+   dense cell, the middle density and ``pool_longrange``'s cell, and on
+   the 128² grid with log-uniform weights in [1, 100] (a wide weight
+   band, where a fixpoint re-relaxes more).  The model runs one window
+   when a search's ``k * n / m`` is at most ``_ONE_WINDOW_WORK``.
+4. **heapq vs kernel SSSP by graph size.**  The evidence for
    ``repro.graph.shortest_path.KERNEL_MIN_NODES``: median time of a
    full single-source search as :func:`~repro.graph.dijkstra` returns
    it (a ``{node: distance}`` dict) from ``dijkstra_heapq`` and from
    ``kernels.sssp``, on mprbench-style grids of 256 to 16,384 nodes.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_knn_kernels.py
---benchmark-only -s`` (~1.5 min).
+--benchmark-only -s`` (~3 min).
 """
 
 import json
@@ -37,8 +46,8 @@ import time
 import numpy as np
 from common import RESULTS_DIR, publish
 
-from repro.graph import grid_network
-from repro.graph.kernels import _HEAP_WORK, _view
+from repro.graph import RoadNetwork, grid_network
+from repro.graph.kernels import _HEAP_WORK, _ONE_WINDOW_WORK, _view
 from repro.graph.shortest_path import (
     KERNEL_MIN_NODES,
     dijkstra_expansion,
@@ -58,12 +67,21 @@ K = 10
 #: below n, where expansions settle a large fraction of the network.
 OBJECT_COUNTS = [50, 200, 1000]
 
-#: ``(cell, grid side, objects)`` of the crossover table.  The grids
-#: are mprbench's (``grid_network(side, side, seed=7)``).
+#: ``(cell, grid side, objects)`` of the heap table.  The grids are
+#: mprbench's (``grid_network(side, side, seed=7)``).
 CELLS = [
     ("serve_open w-core", 128, 1000),
     ("middle density", 128, 250),
     ("pool_longrange w-core", 256, 64),
+]
+#: ``(cell, grid side, objects, wide weights)`` of the window table.
+WINDOW_CELLS = [
+    ("pool_update_heavy w-core", 128, 1000, False),
+    ("middle density", 128, 250, False),
+    ("pool_longrange w-core", 256, 64, False),
+    ("wide weights, dense", 128, 1000, True),
+    ("wide weights, 500 objects", 128, 500, True),
+    ("wide weights, middle", 128, 250, True),
 ]
 ROWS = [1, 2, 3, 4, 5, 6, 8, 16]
 #: Searches timed per (cell, rows, engine); fewer where each is slow.
@@ -147,18 +165,48 @@ def canonical(nodes, dists, counts):
     return sorted(pairs)[:K]
 
 
+def wide_grid(side: int) -> RoadNetwork:
+    """``grid_network(side, side, seed=7)``'s edges with log-uniform
+    weights in [1, 100]: a road-like spread of travel times."""
+    base = grid_network(side, side, seed=7)
+    indptr, indices, _ = base.csr_arrays
+    sources = np.repeat(np.arange(base.num_nodes), np.diff(indptr))
+    forward = sources < indices
+    u, v = sources[forward], indices[forward]
+    weights = np.exp(np.random.default_rng(side).uniform(0, np.log(100), len(u)))
+    return RoadNetwork.from_edge_arrays(base.num_nodes, u, v, weights)
+
+
+def cell_counts(network, side: int, num_objects: int) -> np.ndarray:
+    """The cell's per-node object counts (seeded by the cell)."""
+    rng = random.Random(side * 1000 + num_objects)
+    counts = np.zeros(network.num_nodes, dtype=np.int32)
+    for _ in range(num_objects):
+        counts[rng.randrange(network.num_nodes)] += 1
+    return counts
+
+
+def sweep(kernels, sources, counts, width):
+    """One shared sweep of ``K``-searches at window ``width``."""
+    rows = len(sources)
+    return kernels._batch_topk(
+        np.asarray(sources, dtype=np.int64), np.full(rows, K, dtype=np.int64),
+        counts, np.zeros(rows, dtype=np.int64), np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64), width,
+    )
+
+
 def heap_vs_sweep() -> list[dict]:
     """Per-query µs of each engine, by cell and searches per group."""
     table = []
     for cell, side, num_objects in CELLS:
         network = grid_network(side, side, seed=7)
+        counts = cell_counts(network, side, num_objects)
         rng = random.Random(side * 1000 + num_objects)
-        counts = np.zeros(network.num_nodes, dtype=np.int32)
-        for _ in range(num_objects):
-            counts[rng.randrange(network.num_nodes)] += 1
         kernels, view = network.kernels, _view(counts)
         settled = K * network.num_nodes / num_objects
-        kernels.knn_batch([0, 1], [K, K], counts)  # size the sweep buffer
+        width = kernels._window_width(K, num_objects)
+        sweep(kernels, [0, 1], counts, width)  # size the sweep buffer
         for rows in ROWS:
             groups = max(SEARCHES[side] // rows, 2)
             heap_s, sweep_s = [], []
@@ -168,9 +216,9 @@ def heap_vs_sweep() -> list[dict]:
                 heap = [kernels._heap_topk(s, K, view, None) for s in sources]
                 heap_s.append(time.perf_counter() - started)
                 started = time.perf_counter()
-                sweep = kernels.knn_batch(sources, [K] * rows, counts)
+                swept = sweep(kernels, sources, counts, width)
                 sweep_s.append(time.perf_counter() - started)
-                for one, other in zip(heap, sweep):
+                for one, other in zip(heap, swept):
                     assert canonical(*one, counts) == canonical(*other, counts)
             heap_us = statistics.median(heap_s) / rows * 1e6
             sweep_us = statistics.median(sweep_s) / rows * 1e6
@@ -184,6 +232,51 @@ def heap_vs_sweep() -> list[dict]:
                 "sweep_us": sweep_us,
                 "faster": "heap" if heap_us < sweep_us else "sweep",
                 "model": "heap" if rows * settled <= _HEAP_WORK else "sweep",
+            })
+    return table
+
+
+def windowed_vs_capped() -> list[dict]:
+    """Per-query µs of one shared sweep as delta-wide windows and as one
+    capped window, by cell and rows; the two alternate per group."""
+    table = []
+    for cell, side, num_objects, wide in WINDOW_CELLS:
+        network = wide_grid(side) if wide else grid_network(side, side, seed=7)
+        counts = cell_counts(network, side, num_objects)
+        rng = random.Random(side * 1000 + num_objects + wide)
+        kernels = network.kernels
+        per_search = K * network.num_nodes / num_objects
+        sweep(kernels, [0, 1], counts, None)  # size the sweep buffer
+        for rows in ROWS:
+            groups = max(SEARCHES[side] // rows, 2)
+            timings: dict[str, list[float]] = {"windowed": [], "capped": []}
+            for group in range(groups):
+                sources = rng.sample(range(network.num_nodes), rows)
+                answers = {}
+                order = ("windowed", "capped")
+                for engine in order if group % 2 else order[::-1]:
+                    started = time.perf_counter()
+                    answers[engine] = sweep(
+                        kernels, sources, counts,
+                        None if engine == "windowed" else float("inf"),
+                    )
+                    timings[engine].append(time.perf_counter() - started)
+                for one, other in zip(answers["windowed"], answers["capped"]):
+                    assert canonical(*one, counts) == canonical(*other, counts)
+            windowed_us = statistics.median(timings["windowed"]) / rows * 1e6
+            capped_us = statistics.median(timings["capped"]) / rows * 1e6
+            table.append({
+                "cell": cell,
+                "nodes": network.num_nodes,
+                "objects": num_objects,
+                "rows": rows,
+                "per_search": per_search,
+                "windowed_us": windowed_us,
+                "capped_us": capped_us,
+                "faster": "capped" if capped_us < windowed_us else "windowed",
+                "model": (
+                    "capped" if per_search <= _ONE_WINDOW_WORK else "windowed"
+                ),
             })
     return table
 
@@ -235,12 +328,35 @@ def crossover(table: list[dict]) -> dict[str, list[float]]:
     return bounds
 
 
+def window_crossover(table: list[dict]) -> dict[str, str]:
+    """Per window-table cell: which engine won at every row count, or
+    the row counts each won at."""
+    verdicts = {}
+    for cell, *_ in WINDOW_CELLS:
+        entries = [row for row in table if row["cell"] == cell]
+        winners = {row["faster"] for row in entries}
+        if len(winners) == 1:
+            verdicts[cell] = f"{winners.pop()} at every row count"
+        else:
+            verdicts[cell] = "; ".join(
+                f"{engine} at rows "
+                + ",".join(str(r["rows"]) for r in entries
+                           if r["faster"] == engine)
+                for engine in ("capped", "windowed")
+            )
+    return verdicts
+
+
 def test_kernel_vs_heapq_sweep(benchmark) -> None:
-    rows, table, by_size = benchmark.pedantic(
-        lambda: (kernel_vs_heapq(), heap_vs_sweep(), sssp_by_size()),
+    rows, table, windows, by_size = benchmark.pedantic(
+        lambda: (
+            kernel_vs_heapq(), heap_vs_sweep(), windowed_vs_capped(),
+            sssp_by_size(),
+        ),
         rounds=1, iterations=1,
     )
     bounds = crossover(table)
+    window_verdicts = window_crossover(windows)
     size_bounds = [
         max((row["nodes"] for row in by_size if row["faster"] == "heapq"),
             default=None),
@@ -277,9 +393,28 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
             for row in table
         ],
         title=(
-            f"Heap expansion vs shared sweep, k={K}; work = rows * k*n/m; "
-            f"the model takes the heap at work <= {_HEAP_WORK}"
+            f"Heap expansion vs the model's shared sweep, k={K}; work = "
+            f"rows * k*n/m; the model takes the heap at work <= {_HEAP_WORK}"
         ),
+    )
+    window_table = format_table(
+        ["Cell", "rows", "k*n/m", "windowed (us/q)", "capped (us/q)",
+         "faster", "model"],
+        [
+            [
+                row["cell"], row["rows"], f"{row['per_search']:.0f}",
+                f"{row['windowed_us']:.0f}", f"{row['capped_us']:.0f}",
+                row["faster"], row["model"],
+            ]
+            for row in windows
+        ],
+        title=(
+            f"Delta-wide windows vs one capped window, k={K}; the model "
+            f"runs one window at k*n/m <= {_ONE_WINDOW_WORK}"
+        ),
+    )
+    window_lines = "\n".join(
+        f"{cell}: {verdict}" for cell, verdict in window_verdicts.items()
     )
     bound_lines = "\n".join(
         f"{cell}: heap won up to work {_fmt(heap)}, sweep from {_fmt(sweep)}"
@@ -306,7 +441,8 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
         f"kernel from {_fmt(size_bounds[1])}"
     )
     publish("knn_kernels", "\n\n".join([
-        kernel_table, crossover_table, bound_lines, size_table, size_line
+        kernel_table, crossover_table, bound_lines, window_table,
+        window_lines, size_table, size_line,
     ]))
     (RESULTS_DIR / "knn_kernels.json").write_text(
         json.dumps(
@@ -322,6 +458,9 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
                 "heap_work_limit": _HEAP_WORK,
                 "crossover": table,
                 "crossover_bounds": bounds,
+                "one_window_work_limit": _ONE_WINDOW_WORK,
+                "window_crossover": windows,
+                "window_verdicts": window_verdicts,
                 "kernel_min_nodes": KERNEL_MIN_NODES,
                 "sssp_by_size": by_size,
                 "sssp_crossover_nodes": size_bounds,
@@ -343,6 +482,11 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
     assert {model[("pool_longrange w-core", rows)] for rows in ROWS} == {
         "sweep"
     }
+    # ... and of the window width: the update-heavy cell runs one capped
+    # window, pool_longrange's rows stay on delta-wide windows.
+    widths = {row["cell"]: row["model"] for row in windows}
+    assert widths["pool_update_heavy w-core"] == "capped"
+    assert widths["pool_longrange w-core"] == "windowed"
 
 
 def _fmt(work) -> str:

@@ -19,29 +19,65 @@ row with a distance bound, a top-k sweep is one row per query
 is one row) stopped at its k-th distance, and
 :class:`IncrementalSSSP` keeps the loop open over a buffer of its own.
 
-Two top-k engines, one work model
----------------------------------
-A window costs ~40 numpy calls whether it holds ten nodes or ten
-thousand, so a *small* search — dense objects, a few hundred nodes
-inside the k-th distance — is cheaper as a plain heap expansion that
-pays per settled node.  :meth:`CSRKernels.topk_objects` and each group
-of :meth:`CSRKernels.knn_batch` therefore pick their engine with one
-O(1) rule (:meth:`CSRKernels._heap_pays`): a group of ``rows``
-searches is expected to settle ``rows * k * n / objects`` nodes, and
-runs as heap expansions when that is at most :data:`_HEAP_WORK`, else
-as the shared sweep.  The constant is measured, not chosen:
-``benchmarks/bench_knn_kernels.py`` times both engines by rows per
-group on mprbench's w-core cells, and the heap won up to ~650 expected
-settled nodes per group and lost from ~820 on (results in
-``benchmarks/results/knn_kernels.txt``).  Callers that do not pass the
-object count (``objects=None``) always get the sweep.
+Every row carries a cap, and :meth:`CSRKernels._relax` drops any
+candidate distance past its row's cap before the scatter.  ``sssp``'s
+cap is its bound.  A top-k row's cap is its *tentative* k-th distance:
+the k-th smallest tentative distance, objects counted, among the
+object-bearing nodes the row has reached, lowered after every relax
+pass.  A row's answer is every bearing node at or inside its final
+cap.
 
-Exactness: within a window the kernel iterates relaxation to a
-fixpoint before declaring the window settled, so results are
-*bit-for-bit identical* to the ``heapq`` engines — every settled
-distance is the same float minimum over the same candidate sums.  The
-property suite (``tests/test_kernels.py``) pins this, including
-tie-breaking, disconnected components, and the bounded variant.
+Three top-k engines, one work model
+-----------------------------------
+Delta-wide windows cost ~40 numpy calls each whether they hold ten
+nodes or ten thousand.  A *small* search (dense objects, a few hundred
+nodes inside the k-th distance) pays for that in two ways, and the
+work model (O(1), no count is read) picks the engine per group of
+searches that would share a sweep:
+
+* **Heap** (:meth:`CSRKernels._heap_pays`): a group of ``rows``
+  searches is expected to settle ``rows * k * n / objects`` nodes; at
+  most :data:`_HEAP_WORK` of them run as plain heap expansions that
+  pay per settled node (a lone query on dense objects).
+* **One capped window** (:meth:`CSRKernels._window_width`): a group
+  whose largest search is expected to settle at most
+  :data:`_ONE_WINDOW_WORK` nodes (``k * n / objects``) sweeps as one
+  infinitely wide window relaxed to a fixpoint.  Its tentative caps
+  stop it, so it pays a few numpy calls per hop instead of ~40 per
+  window.
+* **Delta-wide windows**: every other group (sparse objects), and
+  every search whose caller does not pass the object count
+  (``objects=None``).  Past a few hundred nodes per search on a wide
+  weight band, a fixpoint re-relaxes nodes that a window would have
+  settled once.
+
+Both constants are measured, not chosen:
+``benchmarks/bench_knn_kernels.py`` times heap against sweep and
+windowed against capped sweeps by rows per group, on mprbench's w-core
+cells and on a wide-weight grid (results in
+``benchmarks/results/knn_kernels.txt``).
+
+Exactness
+---------
+Within a window the kernel iterates relaxation to a fixpoint before
+declaring the window settled, so results are *bit-for-bit identical*
+to the ``heapq`` engines: every settled distance is the same float
+minimum over the same candidate sums.  The property suite
+(``tests/test_kernels.py``) pins this, including tie-breaking,
+disconnected components, and the bounded variant.
+
+Caps keep that argument.  A tentative distance is never below the true
+one, so a row's tentative k-th distance is never below its true k-th
+distance.  Every node within the true k-th distance therefore has its
+whole shortest path inside the cap: with positive weights each node on
+the path is closer still, and the candidate sums along the path are
+never dropped.  Those nodes reach the same float minimum as without a
+cap.  A candidate the cap drops only reaches nodes past the true k-th
+distance, and no answer needs those.  The row stops when no tentative
+distance inside its cap is left to relax (one window's fixpoint), or
+when its next window starts past the cap.  At that point the
+bearing nodes inside the cap are exactly those within the true k-th
+distance, and the cap equals it.
 
 Buffer-reuse contract
 ---------------------
@@ -68,7 +104,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,15 +114,22 @@ __all__ = ["KERNEL_CALLS", "QUERIES_PER_SWEEP", "CSRKernels",
 INFINITY = math.inf
 
 #: Diagnostic call counters, keyed by the engine that ran: ``"topk"``
-#: one solo top-k sweep, ``"knn_batch"`` one batch call that ran shared
-#: sweeps, ``"heap"`` one heap expansion, and one per call of the other
-#: entry points.  Tests assert against these to prove which path ran.
+#: one solo top-k sweep in delta-wide windows, ``"knn_batch"`` one
+#: batch call that ran such sweeps, ``"one_window"`` one call (solo or
+#: batch) that ran one-capped-window sweeps, ``"heap"`` one heap
+#: expansion, and one per call of the other entry points.  Tests assert
+#: against these to prove which path ran.
 KERNEL_CALLS: Counter = Counter()
 
 #: The heap/sweep crossover, in expected settled nodes per group (see
 #: :meth:`CSRKernels._heap_pays`), measured by
 #: ``benchmarks/bench_knn_kernels.py`` (module docstring).
-_HEAP_WORK = 700
+_HEAP_WORK = 400
+
+#: The one-window crossover, in expected settled nodes per search (see
+#: :meth:`CSRKernels._window_width`), measured by
+#: ``benchmarks/bench_knn_kernels.py`` (module docstring).
+_ONE_WINDOW_WORK = 500
 
 #: How many searches share one batched sweep: per-query cost falls
 #: steeply up to about this width (EXPERIMENTS.md, "Rows per sweep").
@@ -97,6 +140,15 @@ QUERIES_PER_SWEEP = 16
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
+
+# The hot loops' numpy calls, bound once: a ufunc method skips the
+# Python-level dispatch of its ``np.*`` wrapper, which costs more than
+# the work itself on the few-hundred-element arrays a pass handles.
+_accumulate = np.add.accumulate
+_add = np.add.reduce
+_minimum_at = np.minimum.at
+_min = np.minimum.reduce
+_arange = np.arange
 
 
 def _dedup(ids: np.ndarray) -> np.ndarray:
@@ -109,7 +161,8 @@ def _dedup(ids: np.ndarray) -> np.ndarray:
     """
     if ids.size <= 1:
         return ids
-    ids = np.sort(ids)
+    ids = ids.copy()
+    ids.sort()
     keep = np.empty(ids.shape, dtype=bool)
     keep[0] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
@@ -240,14 +293,15 @@ class CSRKernels:
         KERNEL_CALLS["sssp"] += 1
         dist = self._reset(self._num_nodes)
         touched: list[np.ndarray] = []
-        windows = [
-            window for window, _ in self._windows(
+        settled = [
+            part for parts, _ in self._windows(
                 dist, np.array([source], dtype=np.int64),
                 np.array([max_distance], dtype=np.float64), touched,
             )
+            for part in parts
         ]
         self._touched = touched
-        nodes = np.concatenate(windows or [_EMPTY_I8])
+        nodes = _dedup(np.concatenate(settled or [_EMPTY_I8]))
         dists = dist[nodes]
         # The last window may reach past the bound by less than delta.
         if max_distance < INFINITY:
@@ -266,28 +320,33 @@ class CSRKernels:
         """Early-terminating top-k expansion over per-node object counts.
 
         Expands from ``source`` until the ``k`` nearest objects are
-        guaranteed settled, i.e. until the next bucket's minimum
-        tentative distance exceeds the k-th best candidate distance.
-        Returns the settled object-bearing nodes and their distances —
-        a superset of the true top-k containing *every* object at
-        distance <= the k-th distance, so downstream canonical
-        ``(distance, object_id)`` sorting reproduces the ``heapq``
-        expansion's answers exactly, ties included.
+        guaranteed settled: nothing is left to relax inside the
+        tentative k-th distance (the module docstring's cap).  Returns
+        the object-bearing nodes within the k-th distance and their
+        distances — a superset of the true top-k containing *every*
+        object at distance <= the k-th distance, so downstream
+        canonical ``(distance, object_id)`` sorting reproduces the
+        ``heapq`` expansion's answers exactly, ties included.
 
         ``objects`` is the number of objects ``object_counts`` holds,
-        when the caller knows it: the work model (:meth:`_heap_pays`)
-        then runs a search expected to settle few nodes as a heap
-        expansion.  ``None`` always runs the bucketed sweep.
+        when the caller knows it: the work model then runs a search
+        expected to settle few nodes as a heap expansion
+        (:meth:`_heap_pays`), and a dense one as one capped window
+        (:meth:`_window_width`).  ``None`` always runs delta-wide
+        windows.  ``KERNEL_CALLS`` counts ``"heap"``, ``"one_window"``
+        or ``"topk"`` (delta-wide windows).
         """
         _check_node(source, self._num_nodes)
         if k <= 0:
             return _EMPTY_I8, _EMPTY_F8
         if self._heap_pays(k, objects):
             return self._heap_topk(source, k, _view(object_counts), None)
-        KERNEL_CALLS["topk"] += 1
+        width = self._window_width(k, objects)
+        KERNEL_CALLS["topk" if width < INFINITY else "one_window"] += 1
         return self._batch_topk(
             np.array([source], dtype=np.int64), np.array([k], dtype=np.int64),
             object_counts, np.zeros(1, dtype=np.int64), _EMPTY_I8, _EMPTY_I8,
+            width,
         )[0]
 
     def knn_batch(
@@ -329,17 +388,18 @@ class CSRKernels:
         locality proxy on our generated networks) and cut into
         ``ceil(n / group_size)`` *balanced* groups (17 → 9 + 8, never
         16 + a solo search).
-        One group runs as a *single* delta-stepping sweep over the
-        flattened ``(row, node)`` product space — every bucket relaxes
-        the concatenated frontiers of all group members in the same
-        handful of numpy operations, amortizing the per-window
-        interpreter cost that dominates small per-query searches.
-        Each row keeps its own early-termination bound, so a finished
-        member stops contributing frontier work while its neighbours
-        keep expanding.  With ``objects`` (as in :meth:`topk_objects`),
-        a group the work model prices below the sweep runs its members
-        as heap expansions instead; ``KERNEL_CALLS["knn_batch"]`` counts
-        the calls that swept.
+        One group runs as a *single* sweep over the flattened ``(row,
+        node)`` product space — every relax pass relaxes the
+        concatenated frontiers of all group members in the same handful
+        of numpy operations, amortizing the interpreter cost that
+        dominates small per-query searches.  Each row keeps its own
+        tentative k-th cap, so a finished member stops contributing
+        frontier work while its neighbours keep expanding.  With
+        ``objects`` (as in :meth:`topk_objects`), a group the work
+        model prices below the sweep runs its members as heap
+        expansions instead, and a dense group sweeps as one capped
+        window.  ``KERNEL_CALLS`` counts one ``"one_window"`` and/or
+        one ``"knn_batch"`` (delta-wide windows) per call that swept.
 
         Queries sharing a source may receive the *same* array objects;
         treat results as read-only.
@@ -378,7 +438,7 @@ class CSRKernels:
         ] * len(unique)
         wanted = np.nonzero(kmax > 0)[0]
         groups = -(-len(wanted) // group_size)
-        swept = False
+        engines: set[str] = set()
         for chunk in np.array_split(wanted, groups) if groups else ():
             if self._heap_pays(int(kmax[chunk].sum()), objects):
                 counts = _view(object_counts)
@@ -393,15 +453,15 @@ class CSRKernels:
                                       kmax[chunk].tolist())
                 ]
             else:
-                swept = True
+                width = self._window_width(int(kmax[chunk].max()), objects)
+                engines.add("knn_batch" if width < INFINITY else "one_window")
                 answers = self._batch_topk(
                     unique[chunk] // span, kmax[chunk], object_counts,
-                    unique[chunk] % span, patch_nodes, patch_deltas,
+                    unique[chunk] % span, patch_nodes, patch_deltas, width,
                 )
             for position, unique_index in enumerate(chunk.tolist()):
                 per_unique[unique_index] = answers[position]
-        if swept:
-            KERNEL_CALLS["knn_batch"] += 1
+        KERNEL_CALLS.update(engines)
         return [per_unique[index] for index in inverse.tolist()]
 
     def expander(self, source: int) -> "IncrementalSSSP":
@@ -426,6 +486,20 @@ class CSRKernels:
         if not objects:
             return False
         return total_k * self._num_nodes <= _HEAP_WORK * objects
+
+    def _window_width(self, k: int, objects: int | None) -> float:
+        """The work model's second rule: the window width of a sweep
+        whose largest search asks for ``k`` neighbours over ``objects``
+        objects.
+
+        A search expected to settle at most :data:`_ONE_WINDOW_WORK`
+        nodes (``k * n / objects``) runs as one capped window, ``inf``
+        wide, relaxed to a fixpoint; any other, or one with unknown or
+        zero ``objects``, as :attr:`delta`-wide windows.
+        """
+        if objects and k * self._num_nodes <= _ONE_WINDOW_WORK * objects:
+            return INFINITY
+        return self._delta
 
     def _heap_topk(
         self,
@@ -519,27 +593,35 @@ class CSRKernels:
         sources: np.ndarray,
         limit: np.ndarray,
         touched: list[np.ndarray] | None,
-    ) -> Iterator[tuple[np.ndarray, float]]:
+        width: float | None = None,
+        lower: Callable[[np.ndarray], None] | None = None,
+    ) -> Iterator[tuple[list[np.ndarray], float]]:
         """The bucket loop: one delta-stepping search per row of the
         flattened ``(row, node)`` space, settled one window at a time.
 
         Row ``r`` owns the flat ids ``[r*n, (r+1)*n)`` of ``dist`` (a
         clean buffer the caller owns) and searches from ``sources[r]``;
         every window relaxes the concatenated frontiers of all rows in
-        one :meth:`_relax`.  Windows are aligned to the *global* minimum
-        tentative distance, so a row may settle a few more nodes than a
-        solo run would; settled distances are bit-identical regardless
-        (the window fixpoint argument is per-row).
+        one :meth:`_relax`.  Windows are ``width`` wide (default
+        :attr:`delta`; ``inf`` makes the whole search one window) and
+        aligned to the *global* minimum tentative distance, so a row may
+        settle a few more nodes than a solo run would; settled distances
+        are bit-identical regardless (the window fixpoint argument is
+        per-row).
 
-        Yields ``(window, high)`` once the flat ids in ``window`` are
-        settled: every distance below ``high`` is final.  A row stops
-        expanding once its minimum tentative distance exceeds
-        ``limit[r]`` — ``sssp``'s bound, or top-k's k-th candidate
-        distance, which the caller lowers in place between windows.
-        The loop ends when no row has work left, so a caller that keeps
-        the generator can resume it (:class:`IncrementalSSSP`).  Every
-        flat id written is appended to ``touched`` (``None``: a private
-        buffer nobody resets).
+        ``limit[r]`` is row ``r``'s cap: :meth:`_relax` drops every
+        candidate past it, and the row stops expanding once its minimum
+        tentative distance exceeds it.  ``sssp`` passes its bound; a
+        top-k sweep passes its tentative k-th distances, which ``lower``
+        — called with the flat ids of the sources and then of every
+        relax pass's changed nodes — lowers in place.
+
+        Yields ``(parts, high)`` once the flat ids in ``parts`` (a list
+        of arrays, possibly overlapping) are settled: every distance
+        below ``high`` is final.  The loop ends when no row has work
+        left, so a caller that keeps the generator can resume it
+        (:class:`IncrementalSSSP`).  Every flat id written is appended
+        to ``touched`` (``None``: a private buffer nobody resets).
         """
         n = self._num_nodes
         rows = len(sources)
@@ -547,7 +629,10 @@ class CSRKernels:
         dist[flat_src] = 0.0
         if touched is not None:
             touched.append(flat_src)
-        delta = self._delta
+        if lower is not None:
+            lower(flat_src)
+        if width is None:
+            width = self._delta
         active_parts = [flat_src]
         bound = 0.0
         while True:
@@ -578,7 +663,7 @@ class CSRKernels:
             pivot = float(active_dist.min())
             if rows == 1 and pivot > limit[0]:
                 return
-            high = pivot + delta
+            high = pivot + width
             in_window = active_dist < high
             frontier = active[in_window]
             active_parts = [active[~in_window]]
@@ -587,54 +672,75 @@ class CSRKernels:
             # `high` changes; positive weights guarantee no candidate
             # from outside the window can undercut it later.
             while frontier.size:
-                changed = self._relax(frontier, dist, rows)
+                changed = self._relax(frontier, dist, rows, limit)
                 if changed.size == 0:
                     break
                 if touched is not None:
                     touched.append(changed)
-                inside = dist[changed] < high
-                frontier = changed[inside]
+                if lower is not None:
+                    lower(changed)
+                if high == INFINITY:
+                    frontier = changed
+                else:
+                    inside = dist[changed] < high
+                    frontier = changed[inside]
+                    spill = changed[~inside]
+                    if spill.size:
+                        active_parts.append(spill)
                 if frontier.size:
                     window_parts.append(frontier)
-                spill = changed[~inside]
-                if spill.size:
-                    active_parts.append(spill)
             bound = high
-            yield (
-                window_parts[0]
-                if len(window_parts) == 1
-                else _dedup(np.concatenate(window_parts))
-            ), high
+            yield window_parts, high
             if len(active_parts) == 1 and not active_parts[0].size:
                 return
 
     def _relax(
-        self, frontier: np.ndarray, dist: np.ndarray, rows: int
+        self,
+        frontier: np.ndarray,
+        dist: np.ndarray,
+        rows: int,
+        limit: np.ndarray,
     ) -> np.ndarray:
         """Relax every out-edge of ``frontier``; return changed flat ids.
 
         ``frontier`` holds flat ids ``row*n + node``; edges come from
         the node part while candidates stay inside the row's slice, so
-        one scatter-min relaxes every row's frontier at once.
+        one scatter-min relaxes every row's frontier at once.  A
+        candidate past its row's ``limit``, or no better than its
+        target's distance, is dropped before the scatter.
         """
         indptr, indices, weights = self._indptr, self._indices, self._weights
-        nodes = frontier if rows == 1 else frontier % self._num_nodes
+        if rows == 1:
+            nodes = frontier
+        else:
+            row = frontier // self._num_nodes
+            offset = row * self._num_nodes
+            nodes = frontier - offset
         starts = indptr[nodes]
         counts = indptr[nodes + 1] - starts
-        total = int(counts.sum())
+        cum = _accumulate(counts)
+        total = int(cum[-1])
         if total == 0:
             return _EMPTY_I8
-        cum = np.cumsum(counts)
-        edge_ids = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - (cum - counts), counts
-        )
+        # Edge ids of every frontier node, back to back.
+        edge_ids = _arange(total)
+        edge_ids += (starts - cum + counts).repeat(counts)
         targets = indices[edge_ids]
         if rows > 1:
-            targets = targets + np.repeat(frontier - nodes, counts)
-        cand = np.repeat(dist[frontier], counts) + weights[edge_ids]
-        before = dist[targets]
-        np.minimum.at(dist, targets, cand)
-        return _dedup(targets[dist[targets] < before])
+            targets = targets + offset.repeat(counts)
+        cand = dist[frontier].repeat(counts)
+        cand += weights[edge_ids]
+        keep = cand < dist[targets]
+        if rows == 1:
+            if limit[0] < INFINITY:
+                keep &= cand <= limit[0]
+        elif _min(limit) < INFINITY:
+            keep &= cand <= limit[row].repeat(counts)
+        targets = targets[keep]
+        if not targets.size:
+            return _EMPTY_I8
+        _minimum_at(dist, targets, cand[keep])
+        return _dedup(targets)
 
     # ------------------------------------------------------------------
     # Top-k over the bucket loop (a solo sweep is one row)
@@ -647,13 +753,17 @@ class CSRKernels:
         versions: np.ndarray,
         patch_nodes: np.ndarray,
         patch_deltas: np.ndarray,
+        width: float | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """One shared sweep answering ``len(sources)`` top-k queries
         (every ``ks[r] > 0``).
 
-        Runs :meth:`_windows` with one row per query: row ``r`` evolves
-        like an independent :meth:`topk_objects` search and stops once
-        its next window starts past its k-th candidate distance.
+        Runs :meth:`_windows` with one row per query and ``width`` wide
+        windows (``inf``: one capped window).  Row ``r``'s cap is the
+        ``ks[r]``-th smallest *tentative* distance, objects counted,
+        among the object-bearing nodes it has reached, lowered after
+        every relax pass; the row's answer is every bearing node at or
+        inside its final cap, which is then its exact k-th distance.
 
         Row ``r`` reads ``object_counts`` with the first
         ``versions[r]`` of the ``(patch_nodes, patch_deltas)`` changes
@@ -663,74 +773,97 @@ class CSRKernels:
         n = self._num_nodes
         rows = len(sources)
         patch_order = np.arange(len(patch_nodes), dtype=np.int64)
-        patched = _dedup(patch_nodes)
-        last = len(patched) - 1
+        patched: np.ndarray | None = None
+        if patch_nodes.size:
+            patched = np.zeros(n, dtype=bool)
+            patched[patch_nodes] = True
 
-        def counts_seen(nodes: np.ndarray, seen: np.ndarray) -> np.ndarray:
-            """Object count of ``nodes[i]`` as of patch version ``seen[i]``.
+        def bearing(changed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The object-bearing flat ids among ``changed`` and their
+            counts, each node read at its row's patch version.
 
             The one place the sweep reads counts.  Few nodes are ever
-            patched, so the common case is the plain gather plus one
-            sorted-membership probe (``np.isin`` without its set-up
-            cost, which dominated at these sizes).
+            patched, so the common case is one gather plus one probe
+            of the patched-node mask.
             """
-            counts = object_counts[nodes]
-            if last >= 0:
-                slot = np.minimum(np.searchsorted(patched, nodes), last)
-                hit = np.nonzero(patched[slot] == nodes)[0]
+            # A flat id wraps onto its node: ``take(..., mode="wrap")``
+            # reads ``array[flat % n]`` without the temporary.
+            counts = object_counts.take(changed, mode="wrap")
+            if patched is not None:
+                hit = patched.take(changed, mode="wrap").nonzero()[0]
                 if hit.size:
-                    applies = (patch_nodes == nodes[hit, None]) & (
-                        patch_order < seen[hit, None]
+                    flat = changed[hit]
+                    applies = (patch_nodes == (flat % n)[:, None]) & (
+                        patch_order < versions[flat // n][:, None]
                     )
                     counts[hit] += applies @ patch_deltas
-            return counts
+            found = (counts > 0).nonzero()[0]
+            return changed[found], counts[found]
 
         dist = self._reset(rows * n)
         touched: list[np.ndarray] = []
-        found = np.zeros(rows, dtype=np.int64)
-        kth_bound = np.full(rows, np.inf, dtype=np.float64)
-        #: Per row: settled object-bearing local node ids (duplicate-free
-        #: — a node settles in exactly one window).
-        row_objects: list[list[np.ndarray]] = [[] for _ in range(rows)]
-        row_dirty = np.zeros(rows, dtype=bool)
-        for window, _ in self._windows(dist, sources, kth_bound, touched):
-            window_rows = window // n
-            window_nodes = window - window_rows * n
-            window_counts = counts_seen(window_nodes, versions[window_rows])
-            bearing = window_counts > 0
-            if not bearing.any():
-                continue
-            bearing_rows = window_rows[bearing]
-            np.add.at(found, bearing_rows, window_counts[bearing])
-            bearing_nodes = window_nodes[bearing]
-            for row in _dedup(bearing_rows).tolist():
-                row_objects[row].append(bearing_nodes[bearing_rows == row])
-                row_dirty[row] = True
-            # A row holding k objects learns its k-th candidate distance,
-            # the limit its search stops at.
-            for row in np.nonzero(row_dirty & (found >= ks))[0].tolist():
-                parts = row_objects[row]
-                nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                row_objects[row] = [nodes]
-                dists = dist[row * n + nodes]
-                order = np.argsort(dists, kind="stable")
-                row_counts = counts_seen(
-                    nodes, np.full(nodes.shape, versions[row])
-                )
-                cumulative = np.cumsum(row_counts[order])
-                position = int(np.searchsorted(cumulative, ks[row]))
-                kth_bound[row] = float(dists[order][position])
-                row_dirty[row] = False
+        cap = np.full(rows, np.inf, dtype=np.float64)
+        # Every reached bearing node: flat ids (duplicate-free) and
+        # object counts.
+        held = _EMPTY_I8
+        held_counts = _EMPTY_I8
+
+        def lower(changed: np.ndarray) -> None:
+            """Take in the changed flat ids; lower every full row's cap
+            to the k-th smallest tentative distance it has reached."""
+            nonlocal held, held_counts
+            fresh, fresh_counts = bearing(changed)
+            if not fresh.size:
+                return
+            if held.size:
+                # `fresh` is sorted: keep the entries it does not repeat.
+                slot = fresh.searchsorted(held)
+                np.minimum(slot, fresh.size - 1, out=slot)
+                kept = (fresh[slot] != held).nonzero()[0]
+                held = np.concatenate((held[kept], fresh))
+                held_counts = np.concatenate((held_counts[kept], fresh_counts))
+            else:
+                held, held_counts = fresh, fresh_counts
+            tentative = dist[held]
+            if rows == 1:
+                if _add(held_counts) < ks[0]:
+                    return
+                order = tentative.argsort(kind="stable")
+                cumulative = _accumulate(held_counts[order])
+                cap[0] = tentative[order[cumulative.searchsorted(ks[0])]]
+                return
+            held_rows = held // n
+            per_row = np.bincount(held_rows, held_counts, rows)
+            full = per_row >= ks
+            if not np.count_nonzero(full):
+                return
+            order = np.lexsort((tentative, held_rows))
+            cumulative = _accumulate(held_counts[order])
+            # The k-th object of row r sits ks[r] past the rows before it.
+            position = cumulative.searchsorted(
+                _accumulate(per_row) - per_row + ks
+            )
+            np.minimum(position, held.size - 1, out=position)
+            np.copyto(cap, tentative[order[position]], where=full)
+
+        for _ in self._windows(dist, sources, cap, touched, width, lower):
+            pass
         self._touched = touched
-        results: list[tuple[np.ndarray, np.ndarray]] = []
-        for row in range(rows):
-            parts = row_objects[row]
-            if not parts:
-                results.append((_EMPTY_I8, _EMPTY_F8))
-                continue
-            nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            results.append((nodes, dist[row * n + nodes]))
-        return results
+        # Each row's answer: its reached bearing nodes inside its cap.
+        held.sort()
+        held_rows = held // n
+        tentative = dist[held]
+        inside = tentative <= cap[held_rows]
+        held, held_rows, tentative = (
+            held[inside], held_rows[inside], tentative[inside]
+        )
+        bounds = held_rows.searchsorted(np.arange(rows + 1))
+        nodes = held - held_rows * n
+        return [
+            (nodes[bounds[r]:bounds[r + 1]],
+             tentative[bounds[r]:bounds[r + 1]])
+            for r in range(rows)
+        ]
 
 
 class IncrementalSSSP:

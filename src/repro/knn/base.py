@@ -18,8 +18,9 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import starmap
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -40,6 +41,16 @@ class Neighbor:
 _rank = attrgetter("distance", "object_id")
 
 
+def _pairs(neighbors: Sequence[Neighbor]) -> list[tuple[float, int]]:
+    """``neighbors`` as the ``(distance, object_id)`` pairs acks carry."""
+    return [(neighbor.distance, neighbor.object_id) for neighbor in neighbors]
+
+
+def _neighbors(pairs: Iterable[tuple[float, int]]) -> list[Neighbor]:
+    """The :class:`Neighbor` list of ``(distance, object_id)`` pairs."""
+    return list(starmap(Neighbor, pairs))
+
+
 def canonical_knn(candidates: Mapping[int, float] | Sequence[Neighbor], k: int) -> list[Neighbor]:
     """Best ``k`` of a candidate pool in canonical order.
 
@@ -58,23 +69,28 @@ def canonical_knn(candidates: Mapping[int, float] | Sequence[Neighbor], k: int) 
 
 
 def merge_partial_results(
-    partials: Sequence[Sequence[Neighbor]], k: int
+    partials: Sequence[Sequence[tuple[float, int]]], k: int
 ) -> list[Neighbor]:
     """Aggregate per-partition kNN answers into the global top-k.
 
     This is the a-core's merge (Algorithm 3): each worker of a row
-    returns at most ``k`` neighbors over its partition; their union
-    contains the true top-k because partitions cover ``M`` disjointly.
-
-    The kept entries are the partials' own :class:`Neighbor` objects.
+    returns at most ``k`` ``(distance, object_id)`` pairs over its
+    partition — the shape :meth:`KNNSolution.run_ops` acks carry —
+    and their union contains the true top-k because partitions cover
+    ``M`` disjointly.  Pairs rank as plain tuples, in the order
+    :class:`Neighbor` defines; only the ``k`` kept become
+    :class:`Neighbor` objects.
     """
-    best: dict[int, Neighbor] = {}
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    best: dict[int, float] = {}
     for partial in partials:
-        for neighbor in partial:
-            prior = best.get(neighbor.object_id)
-            if prior is None or neighbor.distance < prior.distance:
-                best[neighbor.object_id] = neighbor
-    return canonical_knn(best.values(), k)
+        for distance, object_id in partial:
+            prior = best.get(object_id)
+            if prior is None or distance < prior:
+                best[object_id] = distance
+    ranked = sorted(zip(best.values(), best.keys()))
+    return _neighbors(ranked[:k])
 
 
 class KNNSolution(ABC):
@@ -137,18 +153,21 @@ class KNNSolution(ABC):
     # -- op batches -------------------------------------------------------
     def run_ops(
         self, ops: Sequence[tuple], op_timings: list[tuple] | None = None
-    ) -> list[tuple[int, list[Neighbor]]]:
+    ) -> list[tuple[int, list[tuple[float, int]]]]:
         """Execute one FCFS batch of worker ops; return the query partials.
 
         ``ops`` is a w-core's slice of the task stream in arrival
         order, in the executors' wire encoding: ``("query", query_id,
         location, k)``, ``("insert", object_id, location)`` or
         ``("delete", object_id)``.  The result is one ``(query_id,
-        answer)`` pair per query, in op order, and the contract is
-        serial equivalence: answers and final state are exactly those
-        of calling :meth:`query`/:meth:`insert`/:meth:`delete` once per
-        op, in order.  An op that raises leaves every earlier op
-        applied and no later one.
+        answer)`` pair per query, in op order, where ``answer`` is the
+        canonical top-k as plain ``(distance, object_id)`` tuples — the
+        partial a w-core's ack carries, cheap to pickle, and what
+        :func:`merge_partial_results` ranks.  The contract is serial
+        equivalence: answers and final state are exactly those of
+        calling :meth:`query`/:meth:`insert`/:meth:`delete` once per
+        op, in order (each :class:`Neighbor` as its pair).  An op that
+        raises leaves every earlier op applied and no later one.
 
         This default groups maximal runs of back-to-back queries into
         one :meth:`query_batch` call — queries never mutate state, so a
@@ -165,7 +184,7 @@ class KNNSolution(ABC):
         update.  ``None`` skips every clock read.
         """
         monotonic = time.monotonic
-        partials: list[tuple[int, list[Neighbor]]] = []
+        partials: list[tuple[int, list[tuple[float, int]]]] = []
         index = 0
         total = len(ops)
         while index < total:
@@ -181,7 +200,7 @@ class KNNSolution(ABC):
             started = monotonic() if op_timings is not None else 0.0
             if len(run) == 1:
                 _, query_id, location, k = run[0]
-                partials.append((query_id, self.query(location, k)))
+                partials.append((query_id, _pairs(self.query(location, k))))
                 if op_timings is not None:
                     op_timings.append(("q", query_id, started, monotonic()))
             else:
@@ -189,7 +208,7 @@ class KNNSolution(ABC):
                     [op[2] for op in run], [op[3] for op in run]
                 )
                 for op, answer in zip(run, answers):
-                    partials.append((op[1], answer))
+                    partials.append((op[1], _pairs(answer)))
                 if op_timings is not None:
                     op_timings.append(
                         ("qb", tuple(op[1] for op in run), started, monotonic())

@@ -20,9 +20,10 @@ past the CH cutoff takes the hub-label path first.  Otherwise the
 solution hands the kernels its object count and their work model
 decides per group of searches that would share a sweep: ``rows * k *
 n / m`` at most the measured heap limit runs each search as a heap
-expansion paying per settled node (a lone query on dense objects),
-anything larger runs the shared numpy sweep paying per distance window
-(full worker messages, sparse objects).  Answers are bit-identical on
+expansion paying per settled node (a lone query on dense objects);
+anything larger runs the shared numpy sweep, as one capped window
+paying per hop when each search is small (dense objects), else paying
+per distance window (sparse objects).  Answers are bit-identical on
 every route.
 
 Being index-free also makes the search *update-transparent*: distances
@@ -48,7 +49,7 @@ import numpy as np
 
 from ..graph.road_network import RoadNetwork
 from ..objects.object_set import ObjectSet
-from .base import KNNSolution, Neighbor
+from .base import KNNSolution, Neighbor, _neighbors
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.ch import ContractionHierarchy
@@ -78,7 +79,13 @@ def _calibrated_cutoff(network: RoadNetwork, ch) -> float:
 
 
 class DijkstraKNN(KNNSolution):
-    """Plain Dijkstra-expansion kNN over per-node object buckets."""
+    """Plain Dijkstra-expansion kNN over per-node object buckets.
+
+    :meth:`query` and :meth:`query_batch` return :class:`Neighbor`
+    lists; :meth:`run_ops` — the w-core's entry point — returns each
+    answer as ``(distance, object_id)`` pairs, ranked without building
+    a :class:`Neighbor`, so a worker's ack pickles plain tuples.
+    """
 
     name = "Dijkstra"
 
@@ -146,17 +153,17 @@ class DijkstraKNN(KNNSolution):
         nodes, dists = self._route_kernels(k).topk_objects(
             location, self._object_counts(), k, objects=len(self._objects)
         )
-        return self._nearest(nodes, dists, k)
+        return _neighbors(self._nearest(nodes, dists, k))
 
     def _nearest(
         self, nodes: np.ndarray, dists: np.ndarray, k: int
-    ) -> list[Neighbor]:
-        """The canonical top ``k`` over a kernel's settled bearing nodes.
+    ) -> list[tuple[float, int]]:
+        """The canonical top ``k`` over a kernel's bearing nodes, as
+        ``(distance, object_id)`` pairs.
 
-        Candidates are ranked as plain ``(distance, object_id)`` tuples
-        — the order :class:`Neighbor` defines, without a Python-level
-        ``__lt__`` call per comparison — and only the ``k`` kept become
-        :class:`Neighbor` objects.  Reads the *current* object buckets.
+        Candidates are ranked as plain tuples — the order
+        :class:`Neighbor` defines, without a Python-level ``__lt__``
+        call per comparison.  Reads the *current* object buckets.
         """
         if k <= 0:  # a k=0 query may share a row with a k>0 one
             return []
@@ -167,9 +174,8 @@ class DijkstraKNN(KNNSolution):
             for object_id in objects_at(node)
         ]
         found.sort()
-        return [
-            Neighbor(distance, object_id) for distance, object_id in found[:k]
-        ]
+        del found[k:]
+        return found
 
     def query_batch(self, locations, ks) -> list[list[Neighbor]]:
         """Batch queries via the shared top-k kernel sweep."""
@@ -182,11 +188,13 @@ class DijkstraKNN(KNNSolution):
             for position, (location, k) in enumerate(zip(locations, ks))
         ]
         plan = (locations, ks, [0] * len(ops), [])
-        return [answer for _, answer in self._sweep_ops(ops, plan, None)]
+        return [
+            _neighbors(answer) for _, answer in self._sweep_ops(ops, plan, None)
+        ]
 
     def run_ops(
         self, ops: Sequence[tuple], op_timings: list[tuple] | None = None
-    ) -> list[tuple[int, list[Neighbor]]]:
+    ) -> list[tuple[int, list[tuple[float, int]]]]:
         """One kernel sweep for the whole batch, whatever updates interleave.
 
         Distances do not depend on the object set, so the batch's
@@ -195,7 +203,10 @@ class DijkstraKNN(KNNSolution):
         query sees the count patches of the updates ahead of it; the
         ops are then walked in order, updates applied for real and
         each query's answer read off the object buckets at its own
-        FCFS position — bit-identical to the per-op loop.
+        FCFS position — bit-identical to the per-op loop.  Answers are
+        ranked and returned as ``(distance, object_id)`` pairs, the
+        shape of every ``run_ops`` partial: no :class:`Neighbor` is
+        built on the w-core, and the ack pickles plain tuples.
 
         Batches the sweep cannot serve take the inherited loop: fewer
         than two queries (nothing to share), an op that will raise
@@ -260,7 +271,7 @@ class DijkstraKNN(KNNSolution):
         """Sweep once on the pre-batch counts, then walk ``ops`` in order."""
         locations, ks, versions, patches = plan
         started = time.monotonic() if op_timings is not None else 0.0
-        partials: list[tuple[int, list[Neighbor]]] = []
+        partials: list[tuple[int, list[tuple[float, int]]]] = []
         batched: list[tuple[np.ndarray, np.ndarray]] = []
         if locations:
             kernels = self._route_kernels(max(ks))

@@ -63,7 +63,7 @@ from typing import Mapping, Sequence
 
 from ..graph.kernels import QUERIES_PER_SWEEP
 from ..harness.metrics import PoolMetrics
-from ..knn.base import KNNSolution, Neighbor, merge_partial_results
+from ..knn.base import KNNSolution, _neighbors, merge_partial_results
 from ..objects.tasks import Task, TaskKind
 from ..obs import NULL_TELEMETRY, Telemetry
 from .config import MPRConfig
@@ -130,7 +130,7 @@ class _PendingQuery:
         #: a cutover.
         self.generation = generation
         self.accepted: dict[
-            tuple[int, int], tuple[WorkerId, list[Neighbor]]
+            tuple[int, int], tuple[WorkerId, list[tuple[float, int]]]
         ] = {}
         #: Rows tried per column; built on the first hedge decision.
         self.attempted: dict[tuple[int, int], set[int]] | None = None
@@ -280,8 +280,9 @@ class _QueryLedger:
                 ))
             if len(accepted) == 1 and not missing:
                 # One column, answered (every x = 1 shape): its partial
-                # already is the canonical top-k.
-                ((_worker, neighbors),) = accepted.values()
+                # already is the canonical top-k, as pairs.
+                ((_worker, partial),) = accepted.values()
+                neighbors = _neighbors(partial)
             else:
                 neighbors = merge_partial_results(
                     [partial for _worker, partial in accepted.values()],

@@ -49,6 +49,21 @@ class ResultStatus(Enum):
     ERROR = "error"
 
 
+def _integer(value: Any) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``), else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
+def _number(value: Any) -> int | float:
+    """``value`` if it is an ``int`` or ``float`` (not a ``bool``), else
+    ``ValueError``."""
+    if type(value) not in (int, float):
+        raise ValueError(f"not a number: {value!r}")
+    return value
+
+
 #: Statuses a client may retry verbatim (queries never mutate state).
 RETRYABLE_STATUSES = (ResultStatus.OVERLOADED, ResultStatus.TIMEOUT)
 
@@ -149,11 +164,13 @@ class QueryResult:
 
         The payload is outside input: anything malformed — not a
         mapping, a missing key, an unknown status, a neighbour or
-        column that is not a pair, a non-numeric ``outstanding`` /
-        ``bound`` / ``retry_after``, a non-string ``detail`` — raises
+        column that is not a pair, a ``query_id``, object id, column,
+        ``outstanding`` or ``bound`` that is not an ``int``, a distance
+        or ``retry_after`` that is not an ``int`` or ``float`` (a
+        ``bool`` is neither), a non-string ``detail`` — raises
         ``ValueError``, which both ends map to a protocol error.
-        Optional fields are checked, not coerced, so the round trip
-        stays byte-identical.
+        Fields are checked, not coerced, so the round trip stays
+        byte-identical.
         """
         try:
             outstanding = payload.get("outstanding")
@@ -161,21 +178,21 @@ class QueryResult:
             retry_after = payload.get("retry_after")
             detail = payload.get("detail")
             for count in (outstanding, bound):
-                if count is not None and type(count) is not int:
-                    raise ValueError(f"not an integer: {count!r}")
-            if retry_after is not None and type(retry_after) not in (int, float):
-                raise ValueError(f"retry_after is not a number: {retry_after!r}")
+                if count is not None:
+                    _integer(count)
+            if retry_after is not None:
+                _number(retry_after)
             if detail is not None and not isinstance(detail, str):
                 raise ValueError(f"detail is not a string: {detail!r}")
             return cls(
-                query_id=int(payload["query_id"]),
+                query_id=_integer(payload["query_id"]),
                 status=ResultStatus(payload["status"]),
                 neighbors=tuple(
-                    Neighbor(float(distance), int(object_id))
+                    Neighbor(float(_number(distance)), _integer(object_id))
                     for distance, object_id in payload.get("neighbors", ())
                 ),
                 missing_columns=tuple(
-                    (int(layer), int(column))
+                    (_integer(layer), _integer(column))
                     for layer, column in payload.get("missing_columns", ())
                 ),
                 outstanding=outstanding,

@@ -73,12 +73,17 @@ def simulate_with_execution(
         task: Task, workers: Sequence[WorkerId], _time: float
     ) -> list[float]:
         services: list[float] = []
-        partials: list[list[Neighbor]] = []
+        partials: list[list[tuple[float, int]]] = []
         for worker_id in workers:
             instance = instances[worker_id]
             start = time.perf_counter()
             if task.kind is TaskKind.QUERY:
-                partials.append(instance.query(task.location, task.k))
+                # The w-core's own path: one query op, answered as the
+                # (distance, object_id) pairs a live ack carries.
+                ((_, partial),) = instance.run_ops(
+                    (("query", task.query_id, task.location, task.k),)
+                )
+                partials.append(partial)
             elif task.kind is TaskKind.INSERT:
                 instance.insert(task.object_id, task.location)
             else:

@@ -17,10 +17,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import RoadNetwork, grid_network
+from repro.graph import kernels as kernels_module
 from repro.graph.kernels import KERNEL_CALLS, CSRKernels, dial_delta
 from repro.graph.shortest_path import (
     KERNEL_MIN_NODES,
@@ -271,10 +272,167 @@ class TestHeapEngine:
         assert as_dict(nodes, dists) == {1: 1.0, 2: 1.0}
 
 
+def sized_network(seed: int, tie_heavy: bool) -> RoadNetwork:
+    """A random graph of 1-400 nodes with ``n/2 .. 2n`` edges, so the
+    sparse draws fall apart into components; integer weights breed
+    ties."""
+    rng = random.Random(seed)
+    n = rng.choice([rng.randint(1, 40), rng.randint(40, 400)])
+    edges = []
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            weight = (
+                float(rng.randint(1, 4)) if tie_heavy
+                else rng.uniform(0.1, 8.0)
+            )
+            edges.append((u, v, weight))
+    return RoadNetwork(n, edges, name=f"sized-{seed}")
+
+
+@st.composite
+def capped_case(draw):
+    """One group of searches and the object density that lands it in
+    ``engine`` — ``"one_window"`` (one capped window) or ``"knn_batch"``
+    (delta-wide windows).
+
+    The density is the ``objects`` hint the work model reads; the real
+    counts are drawn on their own (0 to 2n objects, so ``k`` often
+    exceeds what a search can reach), and exactness may not lean on
+    the hint.  Searches sit at any patch version, duplicates and
+    ``k = 0`` included.
+    """
+    engine = draw(st.sampled_from(["one_window", "knn_batch"]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    net = sized_network(seed, draw(st.booleans()))
+    n = net.num_nodes
+    rng = random.Random(seed + 1)
+    counts = np.zeros(n, dtype=np.int32)
+    for _ in range(rng.randint(0, 2 * n)):
+        counts[rng.randrange(n)] += 1
+    current = counts.copy()
+    seen_by_version = [current.copy()]
+    patches = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        node = rng.randrange(n)
+        delta = -1 if current[node] > 0 and rng.random() < 0.5 else 1
+        current[node] += delta
+        patches.append((node, delta))
+        seen_by_version.append(current.copy())
+    searches = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=len(patches)),
+            st.integers(min_value=0, max_value=12),
+        ),
+        min_size=1, max_size=10,
+    ))
+    # The work model prices a group by its distinct searches' largest k.
+    wanted: dict[tuple[int, int], int] = {}
+    for source, version, k in searches:
+        wanted[source, version] = max(wanted.get((source, version), 0), k)
+    total_k = sum(wanted.values())
+    kmax = max(wanted.values())
+    assume(kmax > 0)
+    one_window = kernels_module._ONE_WINDOW_WORK
+    if engine == "one_window":
+        # Dense enough for one window, too sparse for the heap.
+        low = max(1, -(-kmax * n // one_window))
+        high = -(-total_k * n // kernels_module._HEAP_WORK) - 1
+        assume(low <= high)
+        objects = draw(st.integers(min_value=low, max_value=high))
+    elif kmax * n > one_window:
+        objects = draw(st.integers(
+            min_value=1, max_value=(kmax * n - 1) // one_window
+        ))
+    else:
+        objects = None  # no density: the windowed sweep
+    return engine, net, counts, patches, seen_by_version, searches, objects
+
+
+class TestCappedSweep:
+    """Every row of a sweep carries its tentative k-th cap, in both
+    regimes: one capped window relaxed to a fixpoint (dense objects)
+    and delta-wide windows (sparse ones).  Answers equal a full
+    ``dijkstra_heapq`` oracle bit for bit, and every distance a row
+    returns is the oracle's own float."""
+
+    @settings(deadline=None)  # max_examples from the profile
+    @given(capped_case())
+    def test_capped_sweep_equals_oracle(self, case) -> None:
+        engine, net, counts, patches, seen_by_version, searches, objects = (
+            case
+        )
+        sources, versions, ks = (list(column) for column in zip(*searches))
+        before = KERNEL_CALLS.copy()
+        got = net.kernels.knn_batch(
+            sources, ks, counts, versions=versions, patches=patches,
+            objects=objects,
+        )
+        ran = Counter({
+            name: KERNEL_CALLS[name] - before[name]
+            for name in ("heap", "one_window", "knn_batch")
+            if KERNEL_CALLS[name] != before[name]
+        })
+        assert ran == {engine: 1}
+        exact: dict[int, dict] = {}
+        for source, version, k, (nodes, dists) in zip(
+            sources, versions, ks, got
+        ):
+            seen = seen_by_version[version]
+            assert canonical(nodes, dists, seen, k) == oracle_topk(
+                net, source, seen, k
+            )
+            if source not in exact:
+                exact[source] = dijkstra_heapq(net, source)
+            assert as_dict(nodes, dists) == {
+                node: exact[source][node] for node in nodes.tolist()
+            }
+        # The solo entry point on the first search's materialised counts:
+        # the same model, one row.
+        source, version, k = searches[0]
+        seen = seen_by_version[version]
+        n = net.num_nodes
+        if k == 0:
+            solo_engine = None
+        elif objects and k * n <= kernels_module._HEAP_WORK * objects:
+            solo_engine = "heap"
+        elif objects and k * n <= kernels_module._ONE_WINDOW_WORK * objects:
+            solo_engine = "one_window"
+        else:
+            solo_engine = "topk"
+        before = KERNEL_CALLS.copy()
+        solo = net.kernels.topk_objects(source, seen, k, objects=objects)
+        assert KERNEL_CALLS - before == (
+            Counter({solo_engine: 1}) if solo_engine else Counter()
+        )
+        assert canonical(*solo, seen, k) == oracle_topk(net, source, seen, k)
+
+    def test_one_window_cap_stops_the_search(self) -> None:
+        """Dense objects on a long path: the cap (the k-th tentative
+        distance) stops the single window after the k-th object, so the
+        search writes a few nodes, not the whole path."""
+        n = 2_000
+        net = RoadNetwork(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        counts = np.ones(n, dtype=np.int32)
+        kernels = net.kernels
+        # The densest hint that still keeps a lone search off the heap.
+        objects = -(-3 * n // kernels_module._ONE_WINDOW_WORK)
+        before = KERNEL_CALLS["one_window"]
+        ((nodes, dists),) = kernels.knn_batch(
+            [0], [3], counts, objects=objects
+        )
+        assert KERNEL_CALLS["one_window"] == before + 1
+        assert as_dict(nodes, dists) == {0: 0.0, 1: 1.0, 2: 2.0}
+        assert sum(map(len, kernels._touched)) < 10
+
+
 class TestWorkModel:
     """The engine each search runs on is the work model's pick: a group
     expected to settle at most ``_HEAP_WORK`` nodes (``rows * k * n /
-    objects``) runs on the heap, any other on the shared sweep."""
+    objects``) runs on the heap; any other sweeps, as one capped window
+    when a search expects at most ``_ONE_WINDOW_WORK`` nodes (``k * n /
+    objects``), else in delta-wide windows."""
 
     @staticmethod
     def engines(run) -> Counter:
@@ -282,24 +440,23 @@ class TestWorkModel:
         run()
         return Counter({
             name: KERNEL_CALLS[name] - before[name]
-            for name in ("heap", "topk", "knn_batch")
+            for name in ("heap", "topk", "knn_batch", "one_window")
             if KERNEL_CALLS[name] != before[name]
         })
 
-    def test_dense_objects_take_the_heap_up_to_four_rows(self) -> None:
+    def test_dense_objects_take_the_heap_up_to_two_rows(self) -> None:
         # serve_open's w-core: 1,000 objects on the 128² grid, k = 10.
         net = grid_network(128, 128, seed=7)
         solution = DijkstraKNN(net, place_objects(net, 1000, seed=3))
         assert self.engines(lambda: solution.query(5, 10)) == {"heap": 1}
-        for rows in (2, 3, 4):
+        assert self.engines(
+            lambda: solution.query_batch([0, 97], [10, 10])
+        ) == {"heap": 2}
+        for rows in (3, 4, 16):
             sources = list(range(0, 97 * rows, 97))
             assert self.engines(
                 lambda: solution.query_batch(sources, [10] * rows)
-            ) == {"heap": rows}
-        sources = list(range(0, 97 * 16, 97))
-        assert self.engines(
-            lambda: solution.query_batch(sources, [10] * 16)
-        ) == {"knn_batch": 1}
+            ) == {"one_window": 1}
 
     def test_longrange_density_never_takes_the_heap(self) -> None:
         # pool_longrange's w-core: 64 objects on the 256² grid, k = 10.

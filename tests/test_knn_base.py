@@ -25,15 +25,18 @@ class TestNeighborOrdering:
 
 
 class TestMergePartials:
+    """Partials are the ``(distance, object_id)`` pairs ``run_ops``
+    returns; the merge ranks them and builds the kept ``Neighbor``s."""
+
     def test_merges_disjoint_partitions(self) -> None:
-        a = [Neighbor(1.0, 1), Neighbor(4.0, 4)]
-        b = [Neighbor(2.0, 2), Neighbor(3.0, 3)]
+        a = [(1.0, 1), (4.0, 4)]
+        b = [(2.0, 2), (3.0, 3)]
         merged = merge_partial_results([a, b], 3)
         assert [n.object_id for n in merged] == [1, 2, 3]
 
     def test_duplicate_object_keeps_min_distance(self) -> None:
-        a = [Neighbor(5.0, 1)]
-        b = [Neighbor(2.0, 1)]
+        a = [(5.0, 1)]
+        b = [(2.0, 1)]
         merged = merge_partial_results([a, b], 1)
         assert merged == [Neighbor(2.0, 1)]
 
@@ -44,64 +47,65 @@ class TestMergePartials:
     def test_some_partials_empty(self) -> None:
         """A worker whose partition holds < k objects returns a short
         (possibly empty) partial; the merge must not be disturbed."""
-        a = [Neighbor(3.0, 7)]
+        a = [(3.0, 7)]
         merged = merge_partial_results([[], a, []], 2)
         assert merged == [Neighbor(3.0, 7)]
 
     def test_k_larger_than_merged_pool(self) -> None:
-        a = [Neighbor(1.0, 1)]
-        b = [Neighbor(2.0, 2)]
+        a = [(1.0, 1)]
+        b = [(2.0, 2)]
         merged = merge_partial_results([a, b], 100)
         assert merged == [Neighbor(1.0, 1), Neighbor(2.0, 2)]
 
     def test_exact_distance_ties_break_by_object_id(self) -> None:
         """Equidistant objects across different partitions must rank by
         object id so every executor produces the identical answer."""
-        a = [Neighbor(5.0, 9), Neighbor(5.0, 3)]
-        b = [Neighbor(5.0, 1), Neighbor(5.0, 6)]
+        a = [(5.0, 9), (5.0, 3)]
+        b = [(5.0, 1), (5.0, 6)]
         merged = merge_partial_results([a, b], 3)
         assert merged == [Neighbor(5.0, 1), Neighbor(5.0, 3), Neighbor(5.0, 6)]
 
     def test_tie_at_the_k_boundary_is_deterministic(self) -> None:
-        a = [Neighbor(1.0, 2), Neighbor(2.0, 5)]
-        b = [Neighbor(2.0, 4)]
+        a = [(1.0, 2), (2.0, 5)]
+        b = [(2.0, 4)]
         assert merge_partial_results([a, b], 2) == [
             Neighbor(1.0, 2), Neighbor(2.0, 4),
         ]
 
     def test_k_zero(self) -> None:
-        assert merge_partial_results([[Neighbor(1.0, 1)]], 0) == []
+        assert merge_partial_results([[(1.0, 1)]], 0) == []
 
     def test_negative_k_rejected(self) -> None:
         """A negative k used to slice from the end of the sorted pool,
         returning the *worst* candidates; it must raise instead."""
         with pytest.raises(ValueError):
-            merge_partial_results([[Neighbor(1.0, 1)]], -1)
+            merge_partial_results([[(1.0, 1)]], -1)
         with pytest.raises(ValueError):
             canonical_knn({1: 1.0}, -2)
 
-    def test_keeps_the_partials_own_neighbors(self) -> None:
-        """Ranking is by ``(distance, object_id)`` keys: the merge sorts
-        without ``Neighbor.__lt__`` and builds no ``Neighbor``."""
-        a = [Neighbor(1.0, 1), Neighbor(4.0, 4)]
-        b = [Neighbor(2.0, 2), Neighbor(3.0, 3)]
+    def test_builds_a_neighbor_per_kept_pair(self) -> None:
+        """Ranking is by plain ``(distance, object_id)`` tuples: the
+        merge builds exactly the ``k`` ``Neighbor``s it returns."""
+        a = [(1.0, 1), (4.0, 4)]
+        b = [(2.0, 2), (3.0, 3)]
         merged = merge_partial_results([a, b], 3)
         assert type(merged) is list
-        assert [id(n) for n in merged] == [id(a[0]), id(b[0]), id(b[1])]
+        assert all(type(n) is Neighbor for n in merged)
+        assert merged == [Neighbor(1.0, 1), Neighbor(2.0, 2), Neighbor(3.0, 3)]
 
     def test_single_partial_is_still_canonicalized(self) -> None:
         """One partial gets no shortcut here: unsorted, over-long or
         with a repeated object, it is ranked like any other pool.  (The
         pool's ledger skips the merge for a *worker's* single complete
-        partial, which is canonical by the ``query`` contract.)"""
-        messy = [Neighbor(3.0, 7), Neighbor(1.0, 2), Neighbor(2.0, 7)]
+        partial, which is canonical by the ``run_ops`` contract.)"""
+        messy = [(3.0, 7), (1.0, 2), (2.0, 7)]
         assert merge_partial_results([messy], 5) == [
             Neighbor(1.0, 2), Neighbor(2.0, 7),
         ]
         assert merge_partial_results([messy], 1) == [Neighbor(1.0, 2)]
-        canonical = [Neighbor(1.0, 2), Neighbor(2.0, 7)]
+        canonical = [(1.0, 2), (2.0, 7)]
         merged = merge_partial_results([canonical], 2)
-        assert merged == canonical and merged is not canonical
+        assert merged == [Neighbor(1.0, 2), Neighbor(2.0, 7)]
 
     @given(
         partials=st.lists(
@@ -119,10 +123,7 @@ class TestMergePartials:
     def test_merge_equals_global_topk(self, partials, k) -> None:
         """Merging per-partition top lists == top-k of the union, when
         every partial reports all its objects."""
-        neighbor_partials = [
-            [Neighbor(d, o) for d, o in part] for part in partials
-        ]
-        merged = merge_partial_results(neighbor_partials, k)
+        merged = merge_partial_results(partials, k)
         best: dict[int, float] = {}
         for part in partials:
             for d, o in part:

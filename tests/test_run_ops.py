@@ -13,6 +13,7 @@ op that raises leaves exactly the per-op state behind.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.graph import ContractionHierarchy, RoadNetwork, grid_network
 from repro.graph.kernels import KERNEL_CALLS
-from repro.knn import SOLUTIONS, DijkstraKNN, KNNSolution
-from repro.mpr.transport import _worker_main
+from repro.knn import SOLUTIONS, DijkstraKNN, KNNSolution, Neighbor
+from repro.mpr import MPRConfig, MPRSystem
+from repro.mpr.transport import _worker_main, make_transport
+from repro.objects.tasks import QueryTask
 from tests.test_ch import int_network
 from tests.test_knn_batch import canonical, random_network
 
@@ -59,11 +62,17 @@ def twins(solution: str, network: str, objects: dict[int, int]):
 
 
 def per_op(solution: KNNSolution, ops) -> list[tuple[int, list]]:
-    """The reference: one interface call per op, in order."""
+    """The reference: one interface call per op, in order, each answer
+    as the exact ``(distance, object_id)`` pairs ``run_ops`` returns."""
     partials = []
     for op in ops:
         if op[0] == "query":
-            partials.append((op[1], solution.query(op[2], op[3])))
+            answer = solution.query(op[2], op[3])
+            assert all(type(neighbor) is Neighbor for neighbor in answer)
+            partials.append((
+                op[1],
+                [(neighbor.distance, neighbor.object_id) for neighbor in answer],
+            ))
         elif op[0] == "insert":
             solution.insert(op[1], op[2])
         else:
@@ -304,6 +313,71 @@ class TestDefaultRunOps:
         candidate, reference = twins(solution, network, objects)
         assert KNNSolution.run_ops(candidate, ops) == per_op(reference, ops)
         assert candidate.object_locations() == reference.object_locations()
+
+
+class TestAckContract:
+    """A w-core answers in plain data: every ``run_ops`` partial is a
+    list of ``(distance, object_id)`` tuples, so the ack pickled onto
+    the result pipe names no ``Neighbor``; callers still get
+    ``Neighbor``s, built once by the merge."""
+
+    OBJECTS = {1: 3, 2: 9, 3: 14, 4: 20}
+    OPS = (
+        ("query", 0, 0, 2), ("delete", 2), ("query", 1, 5, 3),
+        ("insert", 7, 11), ("query", 2, 7, 1),
+    )
+
+    @pytest.mark.parametrize("solution", ["Dijkstra", "V-tree"])
+    @pytest.mark.parametrize(
+        "kind", ["thread", pytest.param("fork", marks=pytest.mark.slow)]
+    )
+    def test_pickled_ack_names_no_neighbor(self, kind, solution) -> None:
+        worker, reference = twins(solution, "float", self.OBJECTS)
+        transport = make_transport(kind)
+        handle = transport.start(worker, (0, 0, 0), False)
+        try:
+            transport.send(handle, ("batch", 0, self.OPS))
+            raw = handle.reader.recv_bytes()
+            transport.send(handle, ("stop",))
+        finally:
+            transport.close(timeout=10.0)
+        assert b"Neighbor" not in raw
+        assert pickle.loads(raw) == (
+            "done", (0, 0, 0), 0, per_op(reference, self.OPS)
+        )
+
+    @pytest.mark.parametrize("solution", sorted(SOLUTIONS))
+    def test_run_ops_partials_are_pairs(self, solution) -> None:
+        """The sweep path (Dijkstra) and the inherited loop (every other
+        solution) return the one partial shape."""
+        worker, reference = twins(solution, "float", self.OBJECTS)
+        partials = worker.run_ops(self.OPS)
+        assert partials == per_op(reference, self.OPS)
+        for _query_id, answer in partials:
+            assert type(answer) is list
+            for pair in answer:
+                assert type(pair) is tuple
+                assert (type(pair[0]), type(pair[1])) == (float, int)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1)])
+    def test_run_results_returns_neighbors(self, shape) -> None:
+        """One column (the ledger's no-merge path) and two (the merge)."""
+        network = grid_network(8, 8, seed=3)
+        objects = {i: (i * 11 + 5) % network.num_nodes for i in range(12)}
+        reference = DijkstraKNN(network, objects)
+        tasks = [
+            QueryTask(arrival_time=0.01 * i, query_id=i, location=i * 7 % 64,
+                      k=3)
+            for i in range(6)
+        ]
+        with MPRSystem(
+            MPRConfig(*shape), DijkstraKNN(network), objects
+        ) as system:
+            results = system.run_results(tasks)
+        for task in tasks:
+            neighbors = results[task.query_id].neighbors
+            assert all(type(neighbor) is Neighbor for neighbor in neighbors)
+            assert list(neighbors) == reference.query(task.location, task.k)
 
 
 def failing_batches():

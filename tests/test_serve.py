@@ -114,6 +114,52 @@ def test_from_wire_rejects_every_malformed_field(payload) -> None:
         QueryResult.from_wire(payload)
 
 
+@pytest.mark.parametrize("payload", [
+    pytest.param({"query_id": 1.9, "status": "ok"}, id="float-query-id"),
+    pytest.param({"query_id": True, "status": "ok"}, id="bool-query-id"),
+    pytest.param(
+        {"query_id": 1, "status": "ok", "neighbors": [["1.5", 2]]},
+        id="string-distance",
+    ),
+    pytest.param(
+        {"query_id": 1, "status": "ok", "neighbors": [[True, 0]]},
+        id="bool-distance",
+    ),
+    pytest.param(
+        {"query_id": 1, "status": "ok", "neighbors": [[1.5, 2.9]]},
+        id="float-object-id",
+    ),
+    pytest.param(
+        {"query_id": 1, "status": "ok", "neighbors": [[1.0, False]]},
+        id="bool-object-id",
+    ),
+    pytest.param(
+        {"query_id": 1, "status": "partial", "missing_columns": [[0, 1.0]]},
+        id="float-column",
+    ),
+    pytest.param(
+        {"query_id": 1, "status": "partial", "missing_columns": [[True, 1]]},
+        id="bool-layer",
+    ),
+])
+def test_from_wire_refuses_what_it_could_coerce(payload) -> None:
+    """A number of the wrong kind is malformed too: ``int()`` would
+    truncate 1.9 to 1 and ``float()`` would parse "1.5", but the decoder
+    checks types instead of converting them."""
+    with pytest.raises(ValueError, match="malformed result payload"):
+        QueryResult.from_wire(payload)
+
+
+def test_from_wire_takes_an_integral_distance() -> None:
+    """A distance may arrive as an ``int`` (JSON has one number type);
+    it decodes to the float the neighbour holds."""
+    result = QueryResult.from_wire(
+        {"query_id": 1, "status": "ok", "neighbors": [[3, 2]]}
+    )
+    assert result.neighbors == (Neighbor(3.0, 2),)
+    assert type(result.neighbors[0].distance) is float
+
+
 # ----------------------------------------------------------------------
 # Frame codec
 # ----------------------------------------------------------------------

@@ -15,7 +15,9 @@ uses ``ceil(q / batch_size)`` rows, at most ``y`` — the last section.
 The tests that count sweeps run in a sparse-object regime
 (:data:`SPARSE_GRID`): there every group costs more than the kernels'
 work model gives the heap search, so a message's queries are one
-shared sweep.  With dense objects the same message runs heap searches
+shared sweep — delta-wide windows or one capped window, whichever the
+model picks by density (:func:`sweeps` counts both).  With dense
+objects the same message runs heap searches
 (``tests/test_kernels.py::TestWorkModel``).
 """
 
@@ -59,6 +61,14 @@ SPARSE_GRID = grid_network(40, 40, seed=1)
 SPARSE_OBJECTS = {i: (i * 397 + 3) % SPARSE_GRID.num_nodes for i in range(6)}
 
 
+def sweeps(calls: Counter) -> int:
+    """Batch calls that swept since ``calls`` was taken: delta-wide
+    windows (``knn_batch``) or one capped window (``one_window``)."""
+    return sum(
+        KERNEL_CALLS[name] - calls[name] for name in ("knn_batch", "one_window")
+    )
+
+
 def burst(
     queries: int, updates: int, first: int = 0, nodes: int = NODES
 ) -> list:
@@ -98,7 +108,7 @@ def test_one_cycle_is_one_message_and_one_sweep_per_worker(
     calls = Counter(KERNEL_CALLS)
     for worker in workers:
         fake.run(worker)  # its one message
-    assert KERNEL_CALLS["knn_batch"] - calls["knn_batch"] == len(workers)
+    assert sweeps(calls) == len(workers)
     assert KERNEL_CALLS["topk"] == calls["topk"]  # nobody searched alone
     assert pool.drain(timeout=60.0) == ok_results(expected)
     assert metrics.messages_sent == metrics.sweeps_acked == len(workers)
@@ -119,7 +129,7 @@ def test_one_cycle_on_thread_workers(shape, queries, updates) -> None:
         calls = Counter(KERNEL_CALLS)
         assert pool.run(tasks) == ok_results(expected)
         assert pool.metrics.messages_sent == workers
-        assert KERNEL_CALLS["knn_batch"] - calls["knn_batch"] == workers
+        assert sweeps(calls) == workers
         assert KERNEL_CALLS["topk"] == calls["topk"]
 
 
@@ -228,7 +238,7 @@ def test_a_small_cycle_is_one_sweep_on_one_row(kind) -> None:
             sent = record_sends(pool)
             calls = Counter(KERNEL_CALLS)
             assert pool.run(tasks) == answers_of(expected, tasks)
-            assert KERNEL_CALLS["knn_batch"] - calls["knn_batch"] == 1
+            assert sweeps(calls) == 1
             assert KERNEL_CALLS["topk"] == calls["topk"]
             assert set(query_rows(sent).values()) == {(0, row)}
             kinds = {

@@ -44,7 +44,8 @@ run_lane() {
         slow)
             python -m pytest -x -q -m "slow or not slow"
             static_checks
-            # Heap search = sweep = oracle, run_ops = the per-op loop,
+            # Heap search = sweep = oracle, a capped sweep (one window or
+            # delta-wide ones) = oracle, run_ops = the per-op loop,
             # a count-weighted telemetry record = one record per id, and
             # triples = arrays = the first-seen min-weight edge list, over
             # ten times the tier-1 examples.

@@ -60,19 +60,25 @@ kernels traverse, what shared memory publishes, and what
 kernels over those arrays, all run by one bucket loop: single-source
 and bounded (`sssp`), early-terminating top-k (`topk_objects`, batched
 as `knn_batch`), and the resumable `IncrementalSSSP` expander IER
-uses.  Top-k has a second engine, a
+uses.  Every top-k row carries a cap, its tentative k-th distance,
+lowered after every relax pass; a candidate past it is dropped.  Top-k
+has a second engine, a
 heap expansion over zero-copy memoryviews of the same arrays: given the
 object count (`objects=`), an O(1) work model sends a group of searches
 expected to settle few nodes (`rows * k*n/m` at most a measured limit)
-to the heap and everything else to the shared sweep.
+to the heap, sweeps a group of small searches (`k*n/m` at most a
+second measured limit) as one capped window relaxed to a fixpoint, and
+everything else as delta-wide windows.
 Results are **bit-for-bit identical** to the `heapq` engines
 (`tests/test_kernels.py` pins this property); large-graph speedups are
 recorded in `benchmarks/results/knn_kernels.txt`.  The free function
 `dijkstra` delegates to the kernels automatically at `KERNEL_MIN_NODES`
 (measured, same file) and above; `DijkstraKNN` and `IERKNN` always use
 them.  `KERNEL_CALLS` counts the engine runs (`"heap"`, `"topk"` for
-a solo sweep, `"knn_batch"` for a batch call that swept, and the other
-entry points) so tests can assert which path is taken.
+a solo sweep in delta-wide windows, `"knn_batch"` for a batch call that
+swept in them, `"one_window"` for a call that swept as one capped
+window, and the other entry points) so tests can assert which path is
+taken.
 
 **Buffer-reuse contract**: a `CSRKernels` instance allocates its
 distance buffer once and reuses it across calls, so an instance is
@@ -308,8 +314,8 @@ internally.  The base class provides that loop as the default, so every
 solution is batchable; `DijkstraKNN` and `IERKNN` override it to answer
 the whole batch through `CSRKernels.knn_batch`, which deduplicates
 sources, sorts them for locality, and runs each group of up to
-`group_size` sources as a *single* delta-stepping sweep over the
-flattened `(row, node)` product space.  Per-query results are
+`group_size` sources as a *single* sweep over the flattened `(row,
+node)` product space.  Per-query results are
 bit-identical to `topk_objects` (`tests/test_knn_batch.py` pins ≥200
 randomized cases); duplicate sources may share result arrays, so treat
 them as read-only.  `benchmarks/results/knn_kernels.txt` records the
@@ -321,9 +327,12 @@ point a w-core executes each dispatched batch through.  `ops` is the
 worker's FCFS slice of the stream in the wire encoding (`("query",
 query_id, location, k)` / `("insert", object_id, location)` /
 `("delete", object_id)`), the result is one `(query_id, answer)` pair
-per query, and the contract is serial equivalence with one
-`query`/`insert`/`delete` call per op — an op that raises leaves every
-earlier op applied and no later one.  The base-class default groups
+per query, `answer` being the canonical top-k as plain `(distance,
+object_id)` tuples — what a w-core's ack pickles, and what
+`merge_partial_results` ranks into the final `Neighbor`s — and the
+contract is serial equivalence with one `query`/`insert`/`delete`
+call per op — an op that raises leaves every earlier op applied and no
+later one.  The base-class default groups
 maximal runs of consecutive queries into one `query_batch` call and
 takes the per-op path for updates and singleton queries.
 `DijkstraKNN` overrides it with a **whole-batch sweep**: distances do
@@ -332,9 +341,9 @@ not depend on the object set, so all of a batch's queries share *one*
 `knn_batch` takes, besides the base `object_counts`, an ordered list
 of `patches` (`(node, ±count)`, one per update) and a per-query
 `versions` (how many patches the query has seen); row `r` of the sweep
-reads counts — the object-bearing test, the `found` tally and the
-k-th-distance refresh, all through one helper — as if the first
-`versions[r]` patches were applied, sources de-duplicate on `(source,
+reads counts — the object-bearing test behind its tentative k-th cap,
+through one helper — as if the first `versions[r]` patches were
+applied, sources de-duplicate on `(source,
 version)`, and `object_counts` is never copied or written.  The
 solution scans the batch once to derive versions and patches (tracking
 in-batch moves of the same object), sweeps on the pre-batch counts,
