@@ -10,6 +10,8 @@ The example shows the whole MPR workflow for this update-heavy setting:
 
 * generate the TH workload the paper describes (Section V-A);
 * run it through the real threaded core matrix and dispatch taxis;
+* snap a rider's GPS fix to the nearest junction and ask for the
+  closest taxis;
 * compare the four schemes on the simulated 19-core machine at the
   paper's true arrival rates (Didi-scale), where F-Rep collapses under
   the update storm and MPR holds its response time.
@@ -17,9 +19,10 @@ The example shows the whole MPR workflow for this update-heavy setting:
 Run:  python examples/taxi_dispatch.py
 """
 
+import math
 import random
 
-from repro.graph import NodeLocator, routes_to_neighbors, scaled_replica
+from repro.graph import scaled_replica
 from repro.harness import format_table
 from repro.knn import ToainKNN, paper_profile
 from repro.mpr import (
@@ -66,35 +69,27 @@ def dispatch_demo() -> None:
     )
 
 
-def gps_to_route_demo() -> None:
-    """The full dispatch path: GPS fix -> snap -> kNN -> route."""
+def gps_pickup_demo() -> None:
+    """The rider-facing path: GPS fix -> snap -> kNN."""
     network = scaled_replica("BJ", scale=1.0 / 2000.0, seed=7)
     rng = random.Random(3)
     fleet = ToainKNN(
         network, {taxi: rng.randrange(network.num_nodes) for taxi in range(40)}
     )
-    locator = NodeLocator(network)
 
-    # A rider's GPS fix lands between junctions; snap it first.
+    # A rider's GPS fix lands between junctions; snap it to the nearest.
     anchor_x, anchor_y = network.coordinate(network.num_nodes // 2)
     fix = (anchor_x + 87.0, anchor_y - 55.0)
-    pickup_node, snap_distance = locator.nearest_node(*fix)
+    snap_distance, pickup_node = min(
+        (math.dist(fix, network.coordinate(node)), node)
+        for node in network.nodes()
+    )
     print(
         f"GPS fix {fix[0]:,.0f},{fix[1]:,.0f} snapped to junction "
         f"{pickup_node} ({snap_distance:,.0f} m away)"
     )
-
-    nearest = fleet.query(pickup_node, 3)
-    taxi_nodes = {
-        fleet.object_locations()[n.object_id]: n.object_id for n in nearest
-    }
-    routes = routes_to_neighbors(network, pickup_node, list(taxi_nodes))
-    for node, taxi in taxi_nodes.items():
-        route = routes[node]
-        print(
-            f"  taxi #{taxi}: {route.distance:,.0f} m away via "
-            f"{route.num_segments} road segments"
-        )
+    for taxi in fleet.query(pickup_node, 3):
+        print(f"  taxi #{taxi.object_id}: {taxi.distance:,.0f} m away")
     print()
 
 
@@ -135,5 +130,5 @@ def capacity_comparison() -> None:
 
 if __name__ == "__main__":
     dispatch_demo()
-    gps_to_route_demo()
+    gps_pickup_demo()
     capacity_comparison()

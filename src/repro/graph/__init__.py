@@ -52,16 +52,10 @@ from .metrics import (
     estimate_diameter,
 )
 from .partition import border_nodes, cut_edges, part_sizes, partition_graph
-from .routing import Route, detour_factor, route_length, routes_to_neighbors, shortest_route
-from .spatial import NodeLocator
 from .shortest_path import (
     INFINITY,
-    astar_distance,
     dijkstra,
     dijkstra_expansion,
-    dijkstra_with_paths,
-    pairwise_distances,
-    reconstruct_path,
     shortest_path_distance,
 )
 
@@ -105,22 +99,12 @@ __all__ = [
     "cut_fraction",
     "degree_histogram",
     "estimate_diameter",
-    "Route",
-    "detour_factor",
-    "route_length",
-    "routes_to_neighbors",
-    "shortest_route",
-    "NodeLocator",
     "border_nodes",
     "cut_edges",
     "part_sizes",
     "partition_graph",
     "INFINITY",
-    "astar_distance",
     "dijkstra",
     "dijkstra_expansion",
-    "dijkstra_with_paths",
-    "pairwise_distances",
-    "reconstruct_path",
     "shortest_path_distance",
 ]

@@ -6,8 +6,7 @@ Every kNN solution in the paper is built on graph search:
   used to build G-tree leaf distance matrices),
 * a **bounded** variant and target-truncated searches (used by the
   partition-tree indexes to compute border-to-border distances),
-* **bidirectional Dijkstra** and **A*** (used by IER and by tests as an
-  independent oracle).
+* **bidirectional Dijkstra** (a point-to-point oracle for the tests).
 
 The classic engines work directly on the CSR lists so that the inner
 loop is a tight ``heappush``/``heappop`` cycle with no generator
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .road_network import RoadNetwork
 
@@ -107,46 +106,6 @@ def dijkstra_heapq(
     return dist
 
 
-def dijkstra_with_paths(
-    network: RoadNetwork, source: int, max_distance: float = INFINITY
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Like :func:`dijkstra` but also returns a predecessor map."""
-    network._check_endpoint(source)
-    offsets, adj_targets, adj_weights = network.csr
-    dist: dict[int, float] = {}
-    parent: dict[int, int] = {}
-    heap: list[tuple[float, int, int]] = [(0.0, source, source)]
-    while heap:
-        d, node, via = heappop(heap)
-        if node in dist:
-            continue
-        if d > max_distance:
-            break
-        dist[node] = d
-        parent[node] = via
-        for idx in range(offsets[node], offsets[node + 1]):
-            nxt = adj_targets[idx]
-            if nxt not in dist:
-                heappush(heap, (d + adj_weights[idx], nxt, node))
-    return dist, parent
-
-
-def reconstruct_path(parent: dict[int, int], source: int, target: int) -> list[int]:
-    """Rebuild the node sequence from ``source`` to ``target``.
-
-    Raises ``KeyError`` if ``target`` was not reached.
-    """
-    if target not in parent:
-        raise KeyError(f"target {target} unreachable from {source}")
-    path = [target]
-    node = target
-    while node != source:
-        node = parent[node]
-        path.append(node)
-    path.reverse()
-    return path
-
-
 def shortest_path_distance(network: RoadNetwork, source: int, target: int) -> float:
     """Point-to-point distance via bidirectional Dijkstra.
 
@@ -189,52 +148,6 @@ def shortest_path_distance(network: RoadNetwork, source: int, target: int) -> fl
     return best
 
 
-def astar_distance(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    heuristic: Callable[[int], float] | None = None,
-) -> float:
-    """A* point-to-point distance.
-
-    ``heuristic(node)`` must be an admissible lower bound on the distance
-    from ``node`` to ``target``.  When omitted, the Euclidean distance
-    between node coordinates is used (admissible whenever edge weights
-    dominate Euclidean lengths, as produced by our generators).
-    """
-    network._check_endpoint(source)
-    network._check_endpoint(target)
-    if source == target:
-        return 0.0
-    if heuristic is None:
-        tx, ty = network.coordinate(target)
-
-        def heuristic(node: int, _tx: float = tx, _ty: float = ty) -> float:
-            x, y = network.coordinate(node)
-            return math.hypot(x - _tx, y - _ty)
-
-    offsets, adj_targets, adj_weights = network.csr
-    g_score: dict[int, float] = {source: 0.0}
-    closed: set[int] = set()
-    heap: list[tuple[float, float, int]] = [(heuristic(source), 0.0, source)]
-    while heap:
-        _, g, node = heappop(heap)
-        if node == target:
-            return g
-        if node in closed:
-            continue
-        closed.add(node)
-        for idx in range(offsets[node], offsets[node + 1]):
-            nxt = adj_targets[idx]
-            if nxt in closed:
-                continue
-            ng = g + adj_weights[idx]
-            if ng < g_score.get(nxt, INFINITY):
-                g_score[nxt] = ng
-                heappush(heap, (ng + heuristic(nxt), ng, nxt))
-    return INFINITY
-
-
 def dijkstra_expansion(
     network: RoadNetwork, source: int
 ) -> Iterator[tuple[int, float]]:
@@ -258,26 +171,3 @@ def dijkstra_expansion(
             nxt = adj_targets[idx]
             if nxt not in settled:
                 heappush(heap, (d + adj_weights[idx], nxt))
-
-
-def pairwise_distances(
-    network: RoadNetwork, sources: Sequence[int], targets: Sequence[int]
-) -> list[list[float]]:
-    """Dense ``len(sources) x len(targets)`` network-distance matrix.
-
-    Runs one truncated Dijkstra per source, each stopping after all
-    targets are settled.  This is the workhorse for building border
-    distance matrices in G-tree / V-tree.
-    """
-    target_list = list(targets)
-    matrix: list[list[float]] = []
-    for source in sources:
-        dist = dijkstra(network, source, targets=target_list)
-        matrix.append([dist.get(t, INFINITY) for t in target_list])
-    return matrix
-
-
-def eccentricity(network: RoadNetwork, node: int) -> float:
-    """Greatest finite distance from ``node`` (diagnostic helper)."""
-    dist = dijkstra(network, node)
-    return max(dist.values(), default=0.0)

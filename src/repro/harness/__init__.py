@@ -8,11 +8,9 @@ from .records import (
     save_records,
 )
 from .report import (
-    ascii_bar_chart,
     format_duration,
     format_microseconds,
     format_rate,
-    format_series,
     format_table,
     telemetry_report,
 )
@@ -24,11 +22,9 @@ __all__ = [
     "filter_records",
     "load_records",
     "save_records",
-    "ascii_bar_chart",
     "format_duration",
     "format_microseconds",
     "format_rate",
-    "format_series",
     "format_table",
     "telemetry_report",
 ]

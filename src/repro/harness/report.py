@@ -57,42 +57,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    x_label: str,
-    x_values: Sequence[object],
-    series: dict[str, Sequence[object]],
-    title: str = "",
-) -> str:
-    """A figure rendered as a table: one x column, one column per line."""
-    headers = [x_label] + list(series)
-    rows = []
-    for index, x in enumerate(x_values):
-        row: list[object] = [x]
-        for name in series:
-            row.append(series[name][index])
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def ascii_bar_chart(
-    labels: Sequence[str], values: Sequence[float], width: int = 40, title: str = ""
-) -> str:
-    """A horizontal bar chart (log-safe: inf renders as 'Overload')."""
-    finite = [v for v in values if math.isfinite(v) and v > 0]
-    peak = max(finite, default=1.0)
-    lines = [title] if title else []
-    label_width = max((len(label) for label in labels), default=0)
-    for label, value in zip(labels, values):
-        if not math.isfinite(value):
-            bar = "#" * width
-            rendered = "Overload"
-        else:
-            bar = "#" * max(int(width * value / peak), 1 if value > 0 else 0)
-            rendered = f"{value:,.6g}"
-        lines.append(f"{label.ljust(label_width)} |{bar} {rendered}")
-    return "\n".join(lines)
-
-
 def telemetry_report(telemetry) -> str:
     """Render a telemetry handle as per-stage latency + counter tables.
 

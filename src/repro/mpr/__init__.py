@@ -44,7 +44,6 @@ from .core_matrix import (
     check_matrix_invariants,
     encode_op,
 )
-from .autotune import JointChoice, joint_tune
 from .executor import QuiesceTimeout, run_serial_reference
 from .process_executor import ProcessPoolService, WorkerCrash
 from .reconfig import (
@@ -66,14 +65,6 @@ from .resilience import (
     CircuitBreaker,
     ResilienceConfig,
     ResiliencePolicy,
-)
-from .generic_grouping import (
-    GenericGrouping,
-    best_rectangular,
-    equal_shares,
-    grouping_response_time,
-    proportional_shares,
-    random_grouping,
 )
 from .schemes import (
     DEFAULT_MAX_LAYERS,
@@ -134,14 +125,6 @@ __all__ = [
     "CircuitBreaker",
     "ResilienceConfig",
     "ResiliencePolicy",
-    "JointChoice",
-    "joint_tune",
-    "GenericGrouping",
-    "best_rectangular",
-    "equal_shares",
-    "grouping_response_time",
-    "proportional_shares",
-    "random_grouping",
     "DEFAULT_MAX_LAYERS",
     "Objective",
     "Scheme",

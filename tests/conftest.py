@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import settings
 
 from repro.graph import RoadNetwork, grid_network, ring_radial_network
+from repro.graph.kernels import KERNEL_CALLS
 from repro.knn import DijkstraKNN
 from repro.mpr import MPRConfig, QueryResult, ReconfigEvent, ReconfigRejected
 from repro.obs import Telemetry
@@ -88,6 +90,23 @@ def worker_kind(request) -> str:
     """``build_executor``'s ``mode`` for the signal-free protocol tests:
     thread workers run in tier-1, the process variant in the slow lane."""
     return request.param
+
+
+#: The ``KERNEL_CALLS`` names of a batch call that swept: delta-wide
+#: windows, or one capped window, whichever the kernels' work model picks.
+SWEEP_ENGINES = ("knn_batch", "one_window")
+
+
+def sweeps(before: Counter) -> int:
+    """Batch sweeps since ``before = Counter(KERNEL_CALLS)`` was taken.
+
+    Asserts that nothing else searched meanwhile (no heap search, no
+    solo ``topk``), so renaming a sweep engine breaks no count and a
+    search that left its message's sweep still does."""
+    ran = KERNEL_CALLS - before
+    others = {name: n for name, n in ran.items() if name not in SWEEP_ENGINES}
+    assert not others, f"engines other than a batch sweep ran: {others}"
+    return sum(ran[name] for name in SWEEP_ENGINES)
 
 
 @pytest.fixture()

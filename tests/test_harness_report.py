@@ -3,10 +3,8 @@
 import math
 
 from repro.harness import (
-    ascii_bar_chart,
     format_microseconds,
     format_rate,
-    format_series,
     format_table,
 )
 
@@ -34,23 +32,5 @@ class TestFormatting:
         assert "Overload" in table
         assert "385" in table
 
-    def test_series(self) -> None:
-        out = format_series(
-            "cores", [4, 8], {"MPR": [1.0, 0.5], "F-Rep": [2.0, 1.5]}
-        )
-        assert "cores" in out
-        assert "MPR" in out and "F-Rep" in out
-
-    def test_bar_chart(self) -> None:
-        chart = ascii_bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-        lines = chart.splitlines()
-        assert lines[0].startswith("a ")
-        assert lines[1].count("#") == 10
-
-    def test_bar_chart_overload(self) -> None:
-        chart = ascii_bar_chart(["x"], [math.inf], width=5)
-        assert "Overload" in chart
-
     def test_empty_inputs(self) -> None:
         assert format_table(["a"], []) != ""
-        assert ascii_bar_chart([], []) == ""

@@ -5,7 +5,8 @@ stitches them into per-query span trees.  These tests pin the two
 strong claims: every query's trace is *complete* (dispatch + merge +
 queue_wait/execute/ack from every serving worker), and completeness
 survives a SIGKILL mid-flight — replayed batches overwrite their
-``(stage, worker)`` slots instead of duplicating spans.
+``(stage, worker)`` slots instead of duplicating spans.  The two
+sweep-count tests run on thread workers in tier-1 too (``worker_kind``).
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from repro.mpr import MPRConfig, build_executor, run_serial_reference
 from repro.objects.tasks import DeleteTask, InsertTask, QueryTask
 from repro.obs import Telemetry
 from repro.workload import generate_workload
-from tests.conftest import ok_results
-
-pytestmark = pytest.mark.slow
+from tests.conftest import ok_results, sweeps
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +62,7 @@ def assert_traces_complete(telemetry: Telemetry, num_queries: int) -> None:
         assert trace.response_time > 0.0
 
 
+@pytest.mark.slow
 def test_pool_traces_are_complete(network, workload) -> None:
     telemetry = Telemetry(max_traces=4096)
     oracle = ok_results(run_serial_reference(
@@ -81,6 +81,7 @@ def test_pool_traces_are_complete(network, workload) -> None:
     assert telemetry.counters.get("pool.respawns", 0) == 0
 
 
+@pytest.mark.slow
 def test_traces_survive_worker_respawn(network, workload) -> None:
     """SIGKILL a worker with batches in flight: the replayed batches
     re-report spans into the same slots, so every trace is still
@@ -108,7 +109,9 @@ def test_traces_survive_worker_respawn(network, workload) -> None:
     assert_traces_complete(telemetry, workload.num_queries)
 
 
-def test_interleaved_batch_is_one_stamped_sweep(sparse_network) -> None:
+def test_interleaved_batch_is_one_stamped_sweep(
+    sparse_network, worker_kind
+) -> None:
     """A worker batch ``q u q u q`` runs as one kernel sweep and still
     reports everything the parent stitches: one ``execute_batch`` span
     covering the three queries, one ``update`` sample per update, and a
@@ -127,11 +130,11 @@ def test_interleaved_batch_is_one_stamped_sweep(sparse_network) -> None:
     telemetry = Telemetry(max_traces=64)
     with build_executor(
         MPRConfig(1, 1, 1), DijkstraKNN(sparse_network), objects,
-        mode="process", batch_size=len(tasks), telemetry=telemetry,
+        mode=worker_kind, batch_size=len(tasks), telemetry=telemetry,
     ) as pool:
         before = KERNEL_CALLS.copy()
         assert pool.run(tasks) == oracle
-    assert KERNEL_CALLS - before == {"knn_batch": 1}  # no solo ``topk``
+    assert sweeps(before) == 1  # no solo ``topk``
     assert telemetry.histogram("execute_batch").count == 1
     assert telemetry.counters["exec.batches"] == 1
     assert telemetry.counters["exec.batch_queries"] == 3
@@ -139,11 +142,13 @@ def test_interleaved_batch_is_one_stamped_sweep(sparse_network) -> None:
     assert_traces_complete(telemetry, 3)
 
 
-def test_one_kernel_sweep_per_dispatched_batch(sparse_network) -> None:
+def test_one_kernel_sweep_per_dispatched_batch(
+    sparse_network, worker_kind
+) -> None:
     """An object moves after every second query, so every worker batch
     interleaves queries with updates — and each is still exactly one
-    ``knn_batch`` sweep, never a solo ``topk`` search.  (Batch acks
-    carry the worker process's ``KERNEL_CALLS`` delta to the parent.)"""
+    batch sweep, never a solo ``topk`` search.  (A process worker's
+    batch ack carries its ``KERNEL_CALLS`` delta to the parent.)"""
     nodes = sparse_network.num_nodes
     objects = {i: (i * 7) % nodes for i in range(12)}
     tasks: list = []
@@ -159,11 +164,11 @@ def test_one_kernel_sweep_per_dispatched_batch(sparse_network) -> None:
     telemetry = Telemetry()
     with build_executor(
         MPRConfig(1, 1, 1), DijkstraKNN(sparse_network), objects,
-        mode="process", batch_size=16, telemetry=telemetry,
+        mode=worker_kind, batch_size=16, telemetry=telemetry,
     ) as pool:
         before = KERNEL_CALLS.copy()
         assert pool.run(tasks) == oracle
         batches = pool.metrics.batches_sent
     assert batches == 2  # 24 queries: a full sweep of 16, and the flush
-    assert KERNEL_CALLS - before == {"knn_batch": batches}
+    assert sweeps(before) == batches
     assert telemetry.counters["exec.batches"] == batches

