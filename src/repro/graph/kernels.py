@@ -13,7 +13,7 @@ speedups on large graphs (see ``benchmarks/bench_knn_kernels.py``).
 
 One bucket loop, :meth:`CSRKernels._windows`, runs every search: it
 settles any number of searches at once over a flattened ``(row, node)``
-space (one row each) and yields each settled window, so ``sssp`` is one
+space (one row each) and yields as each window settles, so ``sssp`` is one
 row with a distance bound, a top-k sweep is one row per query
 (:meth:`CSRKernels.knn_batch`; a solo :meth:`CSRKernels.topk_objects`
 is one row) stopped at its k-th distance, and
@@ -30,31 +30,35 @@ cap.
 Three top-k engines, one work model
 -----------------------------------
 Delta-wide windows cost ~40 numpy calls each whether they hold ten
-nodes or ten thousand.  A *small* search (dense objects, a few hundred
-nodes inside the k-th distance) pays for that in two ways, and the
-work model (O(1), no count is read) picks the engine per group of
-searches that would share a sweep:
+nodes or ten thousand.  One capped window instead pays a few numpy calls
+per hop, but relaxes a node again each time a longer-hop path to it
+turns out shorter.  The work model (O(1) per group once its probe has
+run; no count is read) picks the engine per group of searches that
+would share a sweep:
 
 * **Heap** (:meth:`CSRKernels._heap_pays`): a group of ``rows``
   searches is expected to settle ``rows * k * n / objects`` nodes; at
   most :data:`_HEAP_WORK` of them run as plain heap expansions that
   pay per settled node (a lone query on dense objects).
-* **One capped window** (:meth:`CSRKernels._window_width`): a group
-  whose largest search is expected to settle at most
-  :data:`_ONE_WINDOW_WORK` nodes (``k * n / objects``) sweeps as one
-  infinitely wide window relaxed to a fixpoint.  Its tentative caps
-  stop it, so it pays a few numpy calls per hop instead of ~40 per
-  window.
-* **Delta-wide windows**: every other group (sparse objects), and
-  every search whose caller does not pass the object count
-  (``objects=None``).  Past a few hundred nodes per search on a wide
-  weight band, a fixpoint re-relaxes nodes that a window would have
-  settled once.
+* **One capped window** (:meth:`CSRKernels._window_width`): a group on
+  a *narrow weight band* at any density, or a group whose largest
+  search is expected to settle at most :data:`_ONE_WINDOW_WORK` nodes
+  (``k * n / objects``), sweeps as one infinitely wide window relaxed
+  to a fixpoint.  Its tentative caps stop it.  The band is narrow when
+  one capped probe search, run once per instance
+  (:meth:`CSRKernels._relaxations_per_node`), relaxes each node it
+  reaches at most :data:`_NARROW_BAND` times on average: hop order
+  then nearly follows distance order, as on a jittered grid.
+* **Delta-wide windows**: every other group (sparse objects on a wide
+  band), and every search whose caller does not pass the object count
+  (``objects=None``).  There, a fixpoint re-relaxes nodes that a window
+  would have settled once.
 
-Both constants are measured, not chosen:
-``benchmarks/bench_knn_kernels.py`` times heap against sweep and
+The constants are measured, not chosen:
+``benchmarks/bench_knn_kernels.py`` times heap against sweep, and
 windowed against capped sweeps by rows per group, on mprbench's w-core
-cells and on a wide-weight grid (results in
+cells and by weight band on log-uniform grids, ring-radial and
+scaled-replica networks (results in
 ``benchmarks/results/knn_kernels.txt``).
 
 Exactness
@@ -114,11 +118,11 @@ __all__ = ["KERNEL_CALLS", "QUERIES_PER_SWEEP", "CSRKernels",
 INFINITY = math.inf
 
 #: Diagnostic call counters, keyed by the engine that ran: ``"topk"``
-#: one solo top-k sweep in delta-wide windows, ``"knn_batch"`` one
-#: batch call that ran such sweeps, ``"one_window"`` one call (solo or
-#: batch) that ran one-capped-window sweeps, ``"heap"`` one heap
-#: expansion, and one per call of the other entry points.  Tests assert
-#: against these to prove which path ran.
+#: one solo top-k sweep in delta-wide windows, ``"topk_one_window"`` one
+#: solo sweep as one capped window, ``"knn_batch"`` and ``"one_window"``
+#: one batch call that ran such sweeps (a batch name never counts a solo
+#: search), ``"heap"`` one heap expansion, and one per call of the other
+#: entry points.  Tests assert against these to prove which path ran.
 KERNEL_CALLS: Counter = Counter()
 
 #: The heap/sweep crossover, in expected settled nodes per group (see
@@ -126,10 +130,21 @@ KERNEL_CALLS: Counter = Counter()
 #: ``benchmarks/bench_knn_kernels.py`` (module docstring).
 _HEAP_WORK = 400
 
-#: The one-window crossover, in expected settled nodes per search (see
-#: :meth:`CSRKernels._window_width`), measured by
+#: The one-window crossover on a wide weight band, in expected settled
+#: nodes per search (see :meth:`CSRKernels._window_width`), measured by
 #: ``benchmarks/bench_knn_kernels.py`` (module docstring).
-_ONE_WINDOW_WORK = 500
+_ONE_WINDOW_WORK = 2000
+
+#: The narrow-band limit, in relaxations per reached node of the probe
+#: search (see :meth:`CSRKernels._relaxations_per_node`), measured by
+#: ``benchmarks/bench_knn_kernels.py``: 1.00 on mprbench's grids and
+#: 1.11 on log-uniform weights of max/min 3, where one window wins at
+#: every density; 1.29 at max/min 4 and 1.37 on the NY replica, where
+#: it loses at pool_longrange's density.
+_NARROW_BAND = 1.2
+
+#: The probe search's radius, in median edge weights.
+_PROBE_HOPS = 32
 
 #: How many searches share one batched sweep: per-query cost falls
 #: steeply up to about this width (EXPERIMENTS.md, "Rows per sweep").
@@ -157,11 +172,11 @@ def _dedup(ids: np.ndarray) -> np.ndarray:
     Same result as ``np.unique`` but via a plain sort + neighbour
     comparison: on the small frontier arrays the bucket loop emits,
     ``np.unique``'s hash-table path costs ~10x more per call and
-    dominated the whole search in profiles.
+    dominated the whole search in profiles.  Sorts ``ids`` in place:
+    every caller passes a fresh array.
     """
     if ids.size <= 1:
         return ids
-    ids = ids.copy()
     ids.sort()
     keep = np.empty(ids.shape, dtype=bool)
     keep[0] = True
@@ -259,6 +274,8 @@ class CSRKernels:
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         self._delta = float(delta)
+        self._degree = np.diff(self._indptr)
+        self._relaxations: float | None = None  # the probe's, on first use
         # The reusable distance buffer (the thread-unsafety documented
         # above): one row per search of the flattened (row, node)
         # space, grown on demand; `_touched` lists what the last search
@@ -293,21 +310,16 @@ class CSRKernels:
         KERNEL_CALLS["sssp"] += 1
         dist = self._reset(self._num_nodes)
         touched: list[np.ndarray] = []
-        settled = [
-            part for parts, _ in self._windows(
-                dist, np.array([source], dtype=np.int64),
-                np.array([max_distance], dtype=np.float64), touched,
-            )
-            for part in parts
-        ]
+        for _ in self._windows(
+            dist, np.array([source], dtype=np.int64),
+            np.array([max_distance], dtype=np.float64), touched,
+        ):
+            pass
         self._touched = touched
-        nodes = _dedup(np.concatenate(settled or [_EMPTY_I8]))
-        dists = dist[nodes]
-        # The last window may reach past the bound by less than delta.
-        if max_distance < INFINITY:
-            mask = dists <= max_distance
-            return nodes[mask], dists[mask]
-        return nodes, dists
+        # The cap drops every candidate past the bound, so the search
+        # settles exactly what it wrote.
+        nodes = _dedup(np.concatenate(touched))
+        return nodes, dist[nodes]
 
     def topk_objects(
         self,
@@ -331,10 +343,11 @@ class CSRKernels:
         ``objects`` is the number of objects ``object_counts`` holds,
         when the caller knows it: the work model then runs a search
         expected to settle few nodes as a heap expansion
-        (:meth:`_heap_pays`), and a dense one as one capped window
-        (:meth:`_window_width`).  ``None`` always runs delta-wide
-        windows.  ``KERNEL_CALLS`` counts ``"heap"``, ``"one_window"``
-        or ``"topk"`` (delta-wide windows).
+        (:meth:`_heap_pays`), and one on a narrow band or on dense
+        objects as one capped window (:meth:`_window_width`).  ``None``
+        always runs delta-wide windows.  ``KERNEL_CALLS`` counts
+        ``"heap"``, ``"topk_one_window"`` or ``"topk"`` (delta-wide
+        windows).
         """
         _check_node(source, self._num_nodes)
         if k <= 0:
@@ -342,7 +355,7 @@ class CSRKernels:
         if self._heap_pays(k, objects):
             return self._heap_topk(source, k, _view(object_counts), None)
         width = self._window_width(k, objects)
-        KERNEL_CALLS["topk" if width < INFINITY else "one_window"] += 1
+        KERNEL_CALLS["topk" if width < INFINITY else "topk_one_window"] += 1
         return self._batch_topk(
             np.array([source], dtype=np.int64), np.array([k], dtype=np.int64),
             object_counts, np.zeros(1, dtype=np.int64), _EMPTY_I8, _EMPTY_I8,
@@ -397,9 +410,10 @@ class CSRKernels:
         frontier work while its neighbours keep expanding.  With
         ``objects`` (as in :meth:`topk_objects`), a group the work
         model prices below the sweep runs its members as heap
-        expansions instead, and a dense group sweeps as one capped
-        window.  ``KERNEL_CALLS`` counts one ``"one_window"`` and/or
-        one ``"knn_batch"`` (delta-wide windows) per call that swept.
+        expansions instead, and a group on a narrow band or on dense
+        objects sweeps as one capped window.  ``KERNEL_CALLS`` counts
+        one ``"one_window"`` and/or one ``"knn_batch"`` (delta-wide
+        windows) per call that swept.
 
         Queries sharing a source may receive the *same* array objects;
         treat results as read-only.
@@ -492,14 +506,61 @@ class CSRKernels:
         whose largest search asks for ``k`` neighbours over ``objects``
         objects.
 
-        A search expected to settle at most :data:`_ONE_WINDOW_WORK`
-        nodes (``k * n / objects``) runs as one capped window, ``inf``
-        wide, relaxed to a fixpoint; any other, or one with unknown or
-        zero ``objects``, as :attr:`delta`-wide windows.
+        With ``objects`` known, a sweep runs as one capped window,
+        ``inf`` wide, relaxed to a fixpoint, when the network's band is
+        narrow (:meth:`_relaxations_per_node` at most
+        :data:`_NARROW_BAND`) whatever the density, or when its largest
+        search is expected to settle at most :data:`_ONE_WINDOW_WORK`
+        nodes (``k * n / objects``).  Any other sweep, or one with
+        unknown or zero ``objects``, runs :attr:`delta`-wide windows.
+        O(1) once the probe has run: it reads a cached number.
         """
-        if objects and k * self._num_nodes <= _ONE_WINDOW_WORK * objects:
+        if objects and (
+            k * self._num_nodes <= _ONE_WINDOW_WORK * objects
+            or self._relaxations_per_node() <= _NARROW_BAND
+        ):
             return INFINITY
         return self._delta
+
+    def _relaxations_per_node(self) -> float:
+        """How often one capped window relaxes each node it reaches: the
+        probe search's changed entries per reached node, measured once
+        per instance on first use.
+
+        A capped window relaxes a node once more each time a path of
+        more hops turns out shorter than the one that reached it first,
+        so the ratio reads how far hop order strays from distance
+        order: 1.0 on a jittered grid, more with a wider weight spread
+        or diagonal shortcuts.  The probe is one capped window (``inf``
+        wide) from the middle node id, capped at :data:`_PROBE_HOPS`
+        median edge weights (the median of a fixed-stride sample of at
+        most 1,024 weights), so on a grid it reaches about a thousand
+        nodes whatever the network's size.  It runs in the instance's
+        own distance buffer, so it costs no memory the sweeps do not
+        hold anyway.  A probe that reaches nothing (an isolated middle
+        node) reads 1.0.
+        """
+        if self._relaxations is None:
+            n, weights = self._num_nodes, self._weights
+            if not n or not weights.size:
+                self._relaxations = 1.0
+                return 1.0
+            # The middle of a sorted fixed-stride sample: ``np.median``'s
+            # first call cost each forked worker ~3 MB of PSS.
+            sample = np.sort(weights[::-(-weights.size // 1024)])
+            limit = np.array([_PROBE_HOPS * float(sample[sample.size // 2])])
+            dist = self._reset(n)
+            touched: list[np.ndarray] = []
+            for _ in self._windows(
+                dist, np.array([n // 2], dtype=np.int64), limit, touched,
+                INFINITY,
+            ):
+                pass
+            self._touched = touched
+            changed = sum(map(len, touched)) - 1
+            reached = _dedup(np.concatenate(touched)).size - 1
+            self._relaxations = changed / reached if reached else 1.0
+        return self._relaxations
 
     def _heap_topk(
         self,
@@ -616,12 +677,12 @@ class CSRKernels:
         — called with the flat ids of the sources and then of every
         relax pass's changed nodes — lowers in place.
 
-        Yields ``(parts, high)`` once the flat ids in ``parts`` (a list
-        of arrays, possibly overlapping) are settled: every distance
-        below ``high`` is final.  The loop ends when no row has work
-        left, so a caller that keeps the generator can resume it
+        Yields each window's end ``high`` once it is settled: every
+        distance below ``high`` is final.  The loop ends when no row has
+        work left, so a caller that keeps the generator can resume it
         (:class:`IncrementalSSSP`).  Every flat id written is appended
-        to ``touched`` (``None``: a private buffer nobody resets).
+        to ``touched`` (``None``: a private buffer nobody resets); once
+        the loop ends, that is every node it settled.
         """
         n = self._num_nodes
         rows = len(sources)
@@ -667,7 +728,6 @@ class CSRKernels:
             in_window = active_dist < high
             frontier = active[in_window]
             active_parts = [active[~in_window]]
-            window_parts = [frontier]
             # Inner fixpoint: relax window nodes until no distance below
             # `high` changes; positive weights guarantee no candidate
             # from outside the window can undercut it later.
@@ -682,15 +742,14 @@ class CSRKernels:
                 if high == INFINITY:
                     frontier = changed
                 else:
-                    inside = dist[changed] < high
-                    frontier = changed[inside]
-                    spill = changed[~inside]
-                    if spill.size:
-                        active_parts.append(spill)
-                if frontier.size:
-                    window_parts.append(frontier)
+                    reached = dist.take(changed)
+                    frontier = changed.take((reached < high).nonzero()[0])
+                    if frontier.size < changed.size:
+                        active_parts.append(
+                            changed.take((reached >= high).nonzero()[0])
+                        )
             bound = high
-            yield window_parts, high
+            yield high
             if len(active_parts) == 1 and not active_parts[0].size:
                 return
 
@@ -704,10 +763,20 @@ class CSRKernels:
         """Relax every out-edge of ``frontier``; return changed flat ids.
 
         ``frontier`` holds flat ids ``row*n + node``; edges come from
-        the node part while candidates stay inside the row's slice, so
-        one scatter-min relaxes every row's frontier at once.  A
-        candidate past its row's ``limit``, or no better than its
-        target's distance, is dropped before the scatter.
+        the node part (its degree read from a per-node array) while
+        candidates stay inside the row's slice, so one scatter-min
+        relaxes every row's frontier at once.  A candidate past its
+        row's ``limit``, or no better than its target's distance, is
+        dropped before the scatter.
+
+        Returns the scatter's winners, sorted and duplicate-free: the
+        targets whose distance after the scatter equals their
+        candidate.  Every kept candidate beat its target's old
+        distance, so these are exactly the targets whose distance fell;
+        only exact ties repeat one, and only the winners are
+        deduplicated.  Masks are compressed through ``nonzero`` and
+        ``take``, which run several times faster than boolean indexing
+        on the half-kept masks a pass produces.
         """
         indptr, indices, weights = self._indptr, self._indices, self._weights
         if rows == 1:
@@ -717,7 +786,7 @@ class CSRKernels:
             offset = row * self._num_nodes
             nodes = frontier - offset
         starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
+        counts = self._degree[nodes]
         cum = _accumulate(counts)
         total = int(cum[-1])
         if total == 0:
@@ -736,11 +805,13 @@ class CSRKernels:
                 keep &= cand <= limit[0]
         elif _min(limit) < INFINITY:
             keep &= cand <= limit[row].repeat(counts)
-        targets = targets[keep]
-        if not targets.size:
+        kept = keep.nonzero()[0]
+        if not kept.size:
             return _EMPTY_I8
-        _minimum_at(dist, targets, cand[keep])
-        return _dedup(targets)
+        targets = targets.take(kept)
+        cand = cand.take(kept)
+        _minimum_at(dist, targets, cand)
+        return _dedup(targets.take((dist.take(targets) == cand).nonzero()[0]))
 
     # ------------------------------------------------------------------
     # Top-k over the bucket loop (a solo sweep is one row)
@@ -899,7 +970,7 @@ class IncrementalSSSP:
             if step is None:
                 self._exhausted = True
             else:
-                self._bound = step[1]
+                self._bound = step
         return float(dist[target])
 
     def settled_bound(self) -> float:

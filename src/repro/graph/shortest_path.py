@@ -32,12 +32,13 @@ INFINITY = math.inf
 #: call overhead dominates on e.g. G-tree leaf subgraphs); at or above
 #: it the vectorized kernels take over.  Measured, not chosen:
 #: ``benchmarks/bench_knn_kernels.py``'s SSSP-by-size table times a
-#: full search both ways on grids of 256 to 16,384 nodes.  Over repeated
-#: runs on a 2-core x86 host, heapq won at every size up to 2,304 nodes
-#: and the kernel at every size from 2,916; at 2,601 the two tie within
-#: noise, so the constant sits there (results in
-#: ``benchmarks/results/knn_kernels.txt``).
-KERNEL_MIN_NODES = 2600
+#: full search both ways on grids of 256 to 16,384 nodes, with their
+#: own weights and with log-uniform [1, 100] ones.  Over three runs on a
+#: 2-core x86 host, heapq won at every size up to 1,024 nodes on both
+#: bands, and at 1,600 on the wide one; the kernel won from 1,600 on the
+#: narrow band and from 2,025 on the wide one, so the constant sits
+#: just below 2,025 (results in ``benchmarks/results/knn_kernels.txt``).
+KERNEL_MIN_NODES = 2000
 
 
 def dijkstra(

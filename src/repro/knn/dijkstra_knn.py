@@ -22,9 +22,9 @@ decides per group of searches that would share a sweep: ``rows * k *
 n / m`` at most the measured heap limit runs each search as a heap
 expansion paying per settled node (a lone query on dense objects);
 anything larger runs the shared numpy sweep, as one capped window
-paying per hop when each search is small (dense objects), else paying
-per distance window (sparse objects).  Answers are bit-identical on
-every route.
+paying per hop on a narrow weight band or when each search is small
+(dense objects), else in distance windows (sparse objects on a wide
+band).  Answers are bit-identical on every route.
 
 Being index-free also makes the search *update-transparent*: distances
 never depend on the object set, only termination and which nodes bear

@@ -101,8 +101,9 @@ def sweeps(before: Counter) -> int:
     """Batch sweeps since ``before = Counter(KERNEL_CALLS)`` was taken.
 
     Asserts that nothing else searched meanwhile (no heap search, no
-    solo ``topk``), so renaming a sweep engine breaks no count and a
-    search that left its message's sweep still does."""
+    solo ``topk`` or ``topk_one_window``), so renaming a sweep engine
+    breaks no count and a search that left its message's sweep still
+    does."""
     ran = KERNEL_CALLS - before
     others = {name: n for name, n in ran.items() if name not in SWEEP_ENGINES}
     assert not others, f"engines other than a batch sweep ran: {others}"

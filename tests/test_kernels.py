@@ -11,6 +11,7 @@ incremental expander.
 
 from __future__ import annotations
 
+import math
 import random
 import tempfile
 from collections import Counter
@@ -30,7 +31,7 @@ from repro.graph.shortest_path import (
     dijkstra_heapq,
 )
 from repro.knn import IERKNN, DijkstraKNN
-from tests.conftest import place_objects
+from tests.conftest import place_objects, sweeps
 from tests.test_knn_batch import canonical, oracle_topk
 
 
@@ -272,39 +273,69 @@ class TestHeapEngine:
         assert as_dict(nodes, dists) == {1: 1.0, 2: 1.0}
 
 
-def sized_network(seed: int, tie_heavy: bool) -> RoadNetwork:
+def sized_network(seed: int, tie_heavy: bool, wide: bool) -> RoadNetwork:
     """A random graph of 1-400 nodes with ``n/2 .. 2n`` edges, so the
     sparse draws fall apart into components; integer weights breed
-    ties."""
+    ties.  A narrow band keeps every weight within 25 % of the
+    smallest; a wide one spreads them over three decades."""
     rng = random.Random(seed)
     n = rng.choice([rng.randint(1, 40), rng.randint(40, 400)])
     edges = []
     for _ in range(rng.randint(n // 2, 2 * n)):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
-            weight = (
-                float(rng.randint(1, 4)) if tie_heavy
-                else rng.uniform(0.1, 8.0)
-            )
+            if tie_heavy:
+                weight = float(2 ** rng.randint(0, 10) if wide
+                               else rng.randint(4, 5))
+            else:
+                weight = (math.exp(rng.uniform(0.0, math.log(1000.0)))
+                          if wide else rng.uniform(1.0, 1.25))
             edges.append((u, v, weight))
     return RoadNetwork(n, edges, name=f"sized-{seed}")
+
+
+def wide_grid(side: int, ratio: float) -> RoadNetwork:
+    """``grid_network(side, side, seed=7)``'s edges with log-uniform
+    weights in ``[1, ratio]``: a wide weight band on a narrow grid's
+    topology."""
+    base = grid_network(side, side, seed=7)
+    indptr, indices, _ = base.csr_arrays
+    sources = np.repeat(np.arange(base.num_nodes), np.diff(indptr))
+    forward = sources < indices
+    weights = np.exp(np.random.default_rng(side).uniform(
+        0.0, math.log(ratio), int(forward.sum())
+    ))
+    return RoadNetwork.from_edge_arrays(
+        base.num_nodes, sources[forward], indices[forward], weights
+    )
+
+
+def narrow_band(net: RoadNetwork) -> bool:
+    """The work model's band verdict on ``net``: one capped window at
+    any density."""
+    return (
+        net.kernels._relaxations_per_node() <= kernels_module._NARROW_BAND
+    )
 
 
 @st.composite
 def capped_case(draw):
     """One group of searches and the object density that lands it in
     ``engine`` — ``"one_window"`` (one capped window) or ``"knn_batch"``
-    (delta-wide windows).
+    (delta-wide windows) — on a narrow or a wide weight band.
 
     The density is the ``objects`` hint the work model reads; the real
     counts are drawn on their own (0 to 2n objects, so ``k`` often
     exceeds what a search can reach), and exactness may not lean on
-    the hint.  Searches sit at any patch version, duplicates and
-    ``k = 0`` included.
+    the hint.  A narrow band sweeps as one capped window at any density
+    the hint gives, sparse included; a wide one only at a dense hint.
+    Searches sit at any patch version, duplicates and ``k = 0``
+    included.
     """
     engine = draw(st.sampled_from(["one_window", "knn_batch"]))
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    net = sized_network(seed, draw(st.booleans()))
+    net = sized_network(seed, draw(st.booleans()), draw(st.booleans()))
+    narrow = narrow_band(net)
     n = net.num_nodes
     rng = random.Random(seed + 1)
     counts = np.zeros(n, dtype=np.int32)
@@ -336,33 +367,34 @@ def capped_case(draw):
     assume(kmax > 0)
     one_window = kernels_module._ONE_WINDOW_WORK
     if engine == "one_window":
-        # Dense enough for one window, too sparse for the heap.
-        low = max(1, -(-kmax * n // one_window))
+        # Too sparse for the heap, and on a wide band dense enough for
+        # one window.
+        low = 1 if narrow else max(1, -(-kmax * n // one_window))
         high = -(-total_k * n // kernels_module._HEAP_WORK) - 1
         assume(low <= high)
         objects = draw(st.integers(min_value=low, max_value=high))
-    elif kmax * n > one_window:
+    elif not narrow and kmax * n > one_window:
         objects = draw(st.integers(
             min_value=1, max_value=(kmax * n - 1) // one_window
         ))
     else:
         objects = None  # no density: the windowed sweep
-    return engine, net, counts, patches, seen_by_version, searches, objects
+    return (engine, narrow, net, counts, patches, seen_by_version, searches,
+            objects)
 
 
 class TestCappedSweep:
     """Every row of a sweep carries its tentative k-th cap, in both
-    regimes: one capped window relaxed to a fixpoint (dense objects)
-    and delta-wide windows (sparse ones).  Answers equal a full
-    ``dijkstra_heapq`` oracle bit for bit, and every distance a row
-    returns is the oracle's own float."""
+    regimes: one capped window relaxed to a fixpoint (a narrow weight
+    band, or dense objects) and delta-wide windows (sparse objects on a
+    wide band).  Answers equal a full ``dijkstra_heapq`` oracle bit for
+    bit, and every distance a row returns is the oracle's own float."""
 
     @settings(deadline=None)  # max_examples from the profile
     @given(capped_case())
     def test_capped_sweep_equals_oracle(self, case) -> None:
-        engine, net, counts, patches, seen_by_version, searches, objects = (
-            case
-        )
+        (engine, narrow, net, counts, patches, seen_by_version, searches,
+         objects) = case
         sources, versions, ks = (list(column) for column in zip(*searches))
         before = KERNEL_CALLS.copy()
         got = net.kernels.knn_batch(
@@ -397,8 +429,10 @@ class TestCappedSweep:
             solo_engine = None
         elif objects and k * n <= kernels_module._HEAP_WORK * objects:
             solo_engine = "heap"
-        elif objects and k * n <= kernels_module._ONE_WINDOW_WORK * objects:
-            solo_engine = "one_window"
+        elif objects and (
+            narrow or k * n <= kernels_module._ONE_WINDOW_WORK * objects
+        ):
+            solo_engine = "topk_one_window"
         else:
             solo_engine = "topk"
         before = KERNEL_CALLS.copy()
@@ -427,12 +461,59 @@ class TestCappedSweep:
         assert sum(map(len, kernels._touched)) < 10
 
 
+class TestRelax:
+    """One relax pass returns exactly the targets whose distance fell,
+    sorted and duplicate-free, however many candidates tie on one."""
+
+    def test_exact_tie_duplicates_return_once(self) -> None:
+        net = RoadNetwork(6, [
+            (1, 3, 1.0), (2, 3, 1.0),  # two candidates of 2.0 for node 3
+            (1, 4, 3.0), (2, 4, 1.0),  # node 4: 4.0 loses, 2.0 wins
+            (2, 5, 2.0),               # node 5: 3.0, no better than 3.0
+            (0, 1, 1.0), (1, 2, 0.5),  # back edges: never better
+        ])
+        dist = np.array([0.0, 1.0, 1.0, np.inf, np.inf, 3.0])
+        changed = net.kernels._relax(
+            np.array([1, 2], dtype=np.int64), dist, 1, np.array([np.inf])
+        )
+        assert changed.tolist() == [3, 4]
+        assert dist.tolist() == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_returns_exactly_the_fallen_targets(self, seed, wide) -> None:
+        net = sized_network(seed, True, wide)  # integer weights: ties
+        n = net.num_nodes
+        rng = random.Random(seed)
+        dist = np.array([
+            float(rng.randint(0, 12)) if rng.random() < 0.6 else np.inf
+            for _ in range(n)
+        ])
+        reached = np.flatnonzero(dist < np.inf)
+        frontier = np.array(sorted(
+            rng.sample(reached.tolist(), min(len(reached), 8))
+        ), dtype=np.int64)
+        assume(frontier.size)
+        expected = dist.copy()
+        indptr, indices, weights = net.csr_arrays
+        for node in frontier.tolist():
+            for edge in range(indptr[node], indptr[node + 1]):
+                target = indices[edge]
+                expected[target] = min(expected[target],
+                                       dist[node] + weights[edge])
+        before = dist.copy()
+        changed = net.kernels._relax(frontier, dist, 1, np.array([np.inf]))
+        assert changed.tolist() == np.flatnonzero(expected < before).tolist()
+        assert dist.tolist() == expected.tolist()
+
+
 class TestWorkModel:
     """The engine each search runs on is the work model's pick: a group
     expected to settle at most ``_HEAP_WORK`` nodes (``rows * k * n /
     objects``) runs on the heap; any other sweeps, as one capped window
-    when a search expects at most ``_ONE_WINDOW_WORK`` nodes (``k * n /
-    objects``), else in delta-wide windows."""
+    on a narrow weight band or when a search expects at most
+    ``_ONE_WINDOW_WORK`` nodes (``k * n / objects``), else in
+    delta-wide windows."""
 
     @staticmethod
     def engines(run) -> Counter:
@@ -440,7 +521,8 @@ class TestWorkModel:
         run()
         return Counter({
             name: KERNEL_CALLS[name] - before[name]
-            for name in ("heap", "topk", "knn_batch", "one_window")
+            for name in ("heap", "topk", "topk_one_window", "knn_batch",
+                         "one_window")
             if KERNEL_CALLS[name] != before[name]
         })
 
@@ -460,14 +542,42 @@ class TestWorkModel:
 
     def test_longrange_density_never_takes_the_heap(self) -> None:
         # pool_longrange's w-core: 64 objects on the 256² grid, k = 10.
+        # The grid's band is narrow: one capped window, however sparse.
         net = grid_network(256, 256, seed=7)
+        assert narrow_band(net)
         solution = DijkstraKNN(net, place_objects(net, 64, seed=3))
+        assert self.engines(lambda: solution.query(5, 10)) == {
+            "topk_one_window": 1
+        }
+        for rows in (2, 4):
+            sources = list(range(0, 997 * rows, 997))
+            assert self.engines(
+                lambda: solution.query_batch(sources, [10] * rows)
+            ) == {"one_window": 1}
+
+    def test_longrange_density_on_a_wide_band_keeps_windows(self) -> None:
+        # The same k*n/m (10,240) on log-uniform weights in [1, 100].
+        net = wide_grid(128, 100.0)
+        assert not narrow_band(net)
+        solution = DijkstraKNN(net, place_objects(net, 16, seed=3))
         assert self.engines(lambda: solution.query(5, 10)) == {"topk": 1}
         for rows in (2, 4):
             sources = list(range(0, 997 * rows, 997))
             assert self.engines(
                 lambda: solution.query_batch(sources, [10] * rows)
             ) == {"knn_batch": 1}
+
+    def test_a_solo_search_is_not_a_sweep(self) -> None:
+        """A solo search's engine name is one no batch sweep uses, so
+        ``sweeps()`` refuses a message whose queries searched alone."""
+        net = grid_network(128, 128, seed=7)
+        counts = np.zeros(net.num_nodes, dtype=np.int32)
+        counts[::64] = 1
+        before = KERNEL_CALLS.copy()
+        net.kernels.topk_objects(5, counts, 10, objects=int(counts.sum()))
+        assert KERNEL_CALLS - before == {"topk_one_window": 1}
+        with pytest.raises(AssertionError, match="topk_one_window"):
+            sweeps(before)
 
     def test_unknown_or_zero_objects_keep_the_sweep(self) -> None:
         net = random_network(11)

@@ -46,11 +46,14 @@ run_lane() {
             python -m pytest -x -q -m "slow or not slow"
             static_checks
             # Heap search = sweep = oracle, a capped sweep (one window or
-            # delta-wide ones) = oracle, run_ops = the per-op loop,
-            # a count-weighted telemetry record = one record per id, and
-            # triples = arrays = the first-seen min-weight edge list, over
-            # ten times the tier-1 examples.
+            # delta-wide ones, on a narrow or a wide weight band) =
+            # oracle, a batched sweep = per-query searches, every kNN
+            # solution = the brute-force oracle, run_ops = the per-op
+            # loop, a count-weighted telemetry record = one record per
+            # id, and triples = arrays = the first-seen min-weight edge
+            # list, over ten times the tier-1 examples.
             python -m pytest -x -q tests/test_kernels.py tests/test_run_ops.py \
+                tests/test_knn_batch.py tests/test_property_oracle.py \
                 tests/test_obs.py tests/test_road_network.py \
                 --hypothesis-profile=thorough
             # The simulator is deterministic given its seeds: two of its

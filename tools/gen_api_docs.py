@@ -66,19 +66,21 @@ has a second engine, a
 heap expansion over zero-copy memoryviews of the same arrays: given the
 object count (`objects=`), an O(1) work model sends a group of searches
 expected to settle few nodes (`rows * k*n/m` at most a measured limit)
-to the heap, sweeps a group of small searches (`k*n/m` at most a
-second measured limit) as one capped window relaxed to a fixpoint, and
-everything else as delta-wide windows.
+to the heap, sweeps a group as one capped window relaxed to a fixpoint
+when the network's weight band is narrow (one probe search per
+instance, cached, relaxes each node it reaches at most a measured
+number of times) or its searches are small (`k*n/m` at most a second
+measured limit), and everything else as delta-wide windows.
 Results are **bit-for-bit identical** to the `heapq` engines
 (`tests/test_kernels.py` pins this property); large-graph speedups are
 recorded in `benchmarks/results/knn_kernels.txt`.  The free function
 `dijkstra` delegates to the kernels automatically at `KERNEL_MIN_NODES`
 (measured, same file) and above; `DijkstraKNN` and `IERKNN` always use
-them.  `KERNEL_CALLS` counts the engine runs (`"heap"`, `"topk"` for
-a solo sweep in delta-wide windows, `"knn_batch"` for a batch call that
-swept in them, `"one_window"` for a call that swept as one capped
-window, and the other entry points) so tests can assert which path is
-taken.
+them.  `KERNEL_CALLS` counts the engine runs (`"heap"`, `"topk"` and
+`"topk_one_window"` for a solo sweep in delta-wide windows or as one
+capped window, `"knn_batch"` and `"one_window"` for a batch call that
+swept so, and the other entry points) so tests can assert which path
+is taken.
 
 **Buffer-reuse contract**: a `CSRKernels` instance allocates its
 distance buffer once and reuses it across calls, so an instance is
