@@ -1,6 +1,6 @@
 """The kNN engines measured: kernel vs heapq, and the crossovers.
 
-Six tables, all in ``benchmarks/results/knn_kernels.{json,txt}``:
+Five tables, all in ``benchmarks/results/knn_kernels.{json,txt}``:
 
 1. **Kernel vs heapq.**  The acceptance bar for the vectorized CSR
    kernels (:mod:`repro.graph.kernels`): on a >=100k-node generated
@@ -47,10 +47,6 @@ Six tables, all in ``benchmarks/results/knn_kernels.{json,txt}``:
    it (a ``{node: distance}`` dict) from ``dijkstra_heapq`` and from
    ``kernels.sssp``, on mprbench-style grids of 256 to 16,384 nodes
    and on their log-uniform [1, 100] twins.
-6. **Targeted searches by graph size.**  ``dijkstra(..., targets=)``
-   always runs ``dijkstra_heapq``; the table times it against the
-   kernels' resumable expander reading the same targets' distances,
-   on both bands.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_knn_kernels.py
 --benchmark-only -s`` (~1 min).
@@ -143,9 +139,6 @@ SSSP_SETTLED = 60_000
 #: The size tables' weight bands: mprbench's grid and its log-uniform
 #: [1, 100] twin (:func:`wide_grid`).
 SIZE_BANDS = ["narrow", "wide"]
-#: Grid sides of the targeted-search table, and targets per search.
-TARGETED_SIDES = [16, 32, 45, 64, 128]
-TARGETS = 4
 
 
 def heapq_knn_query(obj_at, location, k):
@@ -436,45 +429,6 @@ def sssp_by_size() -> list[dict]:
     return table
 
 
-def targeted_by_size() -> list[dict]:
-    """Median ms of one targeted search, by grid size and band: the
-    ``heapq`` engine :func:`~repro.graph.dijkstra` runs for ``targets=``
-    (it stops once every target is settled) against the kernels'
-    resumable expander reading the same targets' distances."""
-    table = []
-    for band in SIZE_BANDS:
-        for side in TARGETED_SIDES:
-            network = size_network(side, band)
-            n = network.num_nodes
-            kernels = network.kernels
-            rng = random.Random(side)
-            searches = [
-                (rng.randrange(n), rng.sample(range(n), TARGETS))
-                for _ in range(max(SSSP_SETTLED // n, 8))
-            ]
-            heapq_s, kernel_s = [], []
-            for source, targets in searches:
-                started = time.perf_counter()
-                settled = dijkstra_heapq(network, source, targets=targets)
-                heapq_s.append(time.perf_counter() - started)
-                started = time.perf_counter()
-                expander = kernels.expander(source)
-                got = [expander.distance_to(t) for t in targets]
-                kernel_s.append(time.perf_counter() - started)
-                assert got == [settled[t] for t in targets]
-            heapq_ms = statistics.median(heapq_s) * 1e3
-            kernel_ms = statistics.median(kernel_s) * 1e3
-            table.append({
-                "band": band,
-                "nodes": n,
-                "searches": len(searches),
-                "heapq_ms": heapq_ms,
-                "kernel_ms": kernel_ms,
-                "faster": "heapq" if heapq_ms < kernel_ms else "kernel",
-            })
-    return table
-
-
 def size_crossover(table: list[dict]) -> dict[str, list]:
     """Per band: the largest size heapq won at and the smallest the
     kernel won at (``None`` where one engine won every size)."""
@@ -523,17 +477,16 @@ def window_crossover(table: list[dict]) -> dict[str, str]:
 
 
 def test_kernel_vs_heapq_sweep(benchmark) -> None:
-    rows, table, windows, bands, by_size, targeted = benchmark.pedantic(
+    rows, table, windows, bands, by_size = benchmark.pedantic(
         lambda: (
             kernel_vs_heapq(), heap_vs_sweep(), windowed_vs_capped(),
-            by_band(), sssp_by_size(), targeted_by_size(),
+            by_band(), sssp_by_size(),
         ),
         rounds=1, iterations=1,
     )
     bounds = crossover(table)
     window_verdicts = window_crossover(windows)
     size_bounds = size_crossover(by_size)
-    targeted_bounds = size_crossover(targeted)
 
     kernel_table = format_table(
         ["Workload", "heapq (ms)", "kernel (ms)", "speedup"],
@@ -643,32 +596,9 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
         f"kernel from {_fmt(kernel_won)}"
         for band, (heapq_won, kernel_won) in size_bounds.items()
     )
-    targeted_table = format_table(
-        ["band", "nodes", "searches", "heapq (ms)", "expander (ms)",
-         "faster"],
-        [
-            [
-                row["band"], row["nodes"], row["searches"],
-                f"{row['heapq_ms']:.2f}", f"{row['kernel_ms']:.2f}",
-                row["faster"],
-            ]
-            for row in targeted
-        ],
-        title=(
-            f"Targeted search ({TARGETS} random targets): dijkstra(..., "
-            "targets=) on heapq, which it always takes, vs the kernels' "
-            "expander"
-        ),
-    )
-    targeted_line = "\n".join(
-        f"targeted, {band} band: heapq won up to {_fmt(heapq_won)} nodes, "
-        f"expander from {_fmt(kernel_won)}"
-        for band, (heapq_won, kernel_won) in targeted_bounds.items()
-    )
     publish("knn_kernels", "\n\n".join([
         kernel_table, crossover_table, bound_lines, window_table,
         window_lines, band_table, band_line, size_table, size_line,
-        targeted_table, targeted_line,
     ]))
     (RESULTS_DIR / "knn_kernels.json").write_text(
         json.dumps(
@@ -692,8 +622,6 @@ def test_kernel_vs_heapq_sweep(benchmark) -> None:
                 "kernel_min_nodes": KERNEL_MIN_NODES,
                 "sssp_by_size": by_size,
                 "sssp_crossover_nodes": size_bounds,
-                "targeted_by_size": targeted,
-                "targeted_crossover_nodes": targeted_bounds,
             },
             indent=2,
         )

@@ -4,8 +4,7 @@ Every kNN solution in the paper is built on graph search:
 
 * plain **Dijkstra** expansion (the index-free kNN baseline, and the tool
   used to build G-tree leaf distance matrices),
-* a **bounded** variant and target-truncated searches (used by the
-  partition-tree indexes to compute border-to-border distances),
+* a **bounded** variant (``max_distance``),
 * **bidirectional Dijkstra** (a point-to-point oracle for the tests).
 
 The classic engines work directly on the CSR lists so that the inner
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .road_network import RoadNetwork
 
@@ -45,7 +44,6 @@ def dijkstra(
     network: RoadNetwork,
     source: int,
     max_distance: float = INFINITY,
-    targets: Iterable[int] | None = None,
 ) -> dict[int, float]:
     """Single-source shortest-path distances.
 
@@ -58,35 +56,29 @@ def dijkstra(
     max_distance:
         Stop expanding once the closest unsettled node is farther than
         this bound; nodes beyond the bound are absent from the result.
-    targets:
-        Optional set of target nodes; the search stops early once all of
-        them are settled.
 
     Returns
     -------
     dict mapping each settled node to its network distance from ``source``.
     """
-    if targets is None and network.num_nodes >= KERNEL_MIN_NODES:
+    if network.num_nodes >= KERNEL_MIN_NODES:
         nodes, dists = network.kernels.sssp(source, max_distance=max_distance)
         return dict(zip(nodes.tolist(), dists.tolist()))
-    return dijkstra_heapq(network, source, max_distance, targets)
+    return dijkstra_heapq(network, source, max_distance)
 
 
 def dijkstra_heapq(
     network: RoadNetwork,
     source: int,
     max_distance: float = INFINITY,
-    targets: Iterable[int] | None = None,
 ) -> dict[int, float]:
     """The classic ``heapq`` engine behind :func:`dijkstra`.
 
     Exposed as the reference implementation the kernel property tests
-    compare against, and used directly for small graphs and
-    target-truncated searches.
+    compare against, and used directly for small graphs.
     """
     network._check_endpoint(source)
     offsets, adj_targets, adj_weights = network.csr
-    pending = set(targets) if targets is not None else None
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
@@ -96,10 +88,6 @@ def dijkstra_heapq(
         if d > max_distance:
             break
         dist[node] = d
-        if pending is not None:
-            pending.discard(node)
-            if not pending:
-                break
         for idx in range(offsets[node], offsets[node + 1]):
             nxt = adj_targets[idx]
             if nxt not in dist:

@@ -17,38 +17,40 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from itertools import starmap
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True, order=True)
-class Neighbor:
-    """One kNN answer entry.
+class Neighbor(NamedTuple):
+    """One kNN answer entry: the pair ``(distance, object_id)``, equal to
+    that plain pair.
 
     Ordering is ``(distance, object_id)`` so result lists are canonical
     and ties are broken deterministically, which lets tests compare
-    answers across solutions and schemes bit-for-bit.
+    answers across solutions and schemes bit-for-bit.  Being a tuple,
+    a list of them sorts by C tuple comparison, it pickles and hashes
+    as its fields do, and JSON encodes it as ``[distance, object_id]``.
+    It also *equals* its plain pair: ``Neighbor(1.0, 7) == (1.0, 7)``.
     """
 
     distance: float
     object_id: int
 
 
-#: Sort key equal to :class:`Neighbor`'s own order, evaluated in C:
-#: no Python-level ``__lt__`` per comparison.
-_rank = attrgetter("distance", "object_id")
+#: ``Neighbor`` of one ``(distance, object_id)`` pair, built in C
+#: (``Neighbor._make`` checks the length in Python first).
+_neighbor = partial(tuple.__new__, Neighbor)
 
 
 def _pairs(neighbors: Sequence[Neighbor]) -> list[tuple[float, int]]:
-    """``neighbors`` as the ``(distance, object_id)`` pairs acks carry."""
-    return [(neighbor.distance, neighbor.object_id) for neighbor in neighbors]
+    """``neighbors`` as the plain ``(distance, object_id)`` tuples acks
+    carry (a pickled ``Neighbor`` would name its class)."""
+    return list(map(tuple, neighbors))
 
 
 def _neighbors(pairs: Iterable[tuple[float, int]]) -> list[Neighbor]:
     """The :class:`Neighbor` list of ``(distance, object_id)`` pairs."""
-    return list(starmap(Neighbor, pairs))
+    return list(map(_neighbor, pairs))
 
 
 def canonical_knn(candidates: Mapping[int, float] | Sequence[Neighbor], k: int) -> list[Neighbor]:
@@ -64,7 +66,7 @@ def canonical_knn(candidates: Mapping[int, float] | Sequence[Neighbor], k: int) 
         pool = [Neighbor(distance, object_id) for object_id, distance in candidates.items()]
     else:
         pool = list(candidates)
-    pool.sort(key=_rank)
+    pool.sort()
     return pool[:k]
 
 
@@ -79,7 +81,7 @@ def merge_partial_results(
     and their union contains the true top-k because partitions cover
     ``M`` disjointly.  Pairs rank as plain tuples, in the order
     :class:`Neighbor` defines; only the ``k`` kept become
-    :class:`Neighbor` objects.
+    :class:`Neighbor` tuples.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")

@@ -161,9 +161,8 @@ class DijkstraKNN(KNNSolution):
         """The canonical top ``k`` over a kernel's bearing nodes, as
         ``(distance, object_id)`` pairs.
 
-        Candidates are ranked as plain tuples — the order
-        :class:`Neighbor` defines, without a Python-level ``__lt__``
-        call per comparison.  Reads the *current* object buckets.
+        Candidates are ranked as plain tuples, in the order
+        :class:`Neighbor` defines.  Reads the *current* object buckets.
         """
         if k <= 0:  # a k=0 query may share a row with a k>0 one
             return []

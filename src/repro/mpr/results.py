@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
-from ..knn.base import Neighbor
+from ..knn.base import Neighbor, _neighbor
 
 __all__ = ["QueryResult", "ResultStatus"]
 
@@ -187,10 +187,10 @@ class QueryResult:
             return cls(
                 query_id=_integer(payload["query_id"]),
                 status=ResultStatus(payload["status"]),
-                neighbors=tuple(
-                    Neighbor(float(_number(distance)), _integer(object_id))
+                neighbors=tuple([
+                    _neighbor((float(_number(distance)), _integer(object_id)))
                     for distance, object_id in payload.get("neighbors", ())
-                ),
+                ]),
                 missing_columns=tuple(
                     (_integer(layer), _integer(column))
                     for layer, column in payload.get("missing_columns", ())

@@ -15,6 +15,7 @@ from .fairness import WeightedFairQueue
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    FrameBuffer,
     FrameError,
     encode_frame,
     read_frame,
@@ -24,6 +25,7 @@ from .server import MPRServer, ServeConfig
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
+    "FrameBuffer",
     "FrameError",
     "MPRServer",
     "RetryableServeError",

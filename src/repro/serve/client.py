@@ -12,6 +12,13 @@ failures — malformed frames, unknown ops, a dead connection — raise
 :class:`ServeError`; an envelope ``QueryResult.from_wire`` rejects
 fails its one request with ``code="protocol"`` (a push is dropped and
 counted in ``ServeClient.malformed_pushes``), never the connection.
+
+The client pays per burst, not per request: the frames its coroutines
+issue in one event-loop iteration leave in one ``transport.write``
+(a request still awaits ``drain()`` while the transport is above its
+high-water mark), and its reader parses every complete frame of one
+``read()`` before it awaits the next (a
+:class:`~repro.serve.protocol.FrameBuffer`).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Any, AsyncIterator
 from ..mpr.results import QueryResult
 from .protocol import (
     PROTOCOL_VERSION,
+    FrameBuffer,
     FrameError,
     encode_frame,
     read_frame,
@@ -111,6 +119,8 @@ class ServeClient:
         self._closed = False
         self.welcome: dict[str, Any] = {}
         self._reader_task: asyncio.Task | None = None
+        #: Frames issued since the last write; the first schedules it.
+        self._outbox: list[bytes] = []
         #: Push frames dropped because their envelope did not parse.
         self.malformed_pushes = 0
 
@@ -149,25 +159,12 @@ class ServeClient:
     # ------------------------------------------------------------------
     async def _read_loop(self) -> None:
         error: Exception = ServeError("connection closed", code="closed")
+        frames = FrameBuffer()
         try:
-            while True:
-                frame = await read_frame(self._reader)
-                if frame is None:
-                    break
-                op = frame.get("op")
-                if op == "result":
-                    self._settle(frame.get("id"), frame.get("result"))
-                elif op == "error":
-                    self._settle_error(frame)
-                elif op == "push":
-                    sub = self._subscriptions.get(frame.get("sub"))
-                    if sub is not None:
-                        try:
-                            sub.pushes.put_nowait(_envelope(frame.get("result")))
-                        except ServeError:
-                            self.malformed_pushes += 1
-                elif op == "bye":
-                    break
+            while await frames.fill(self._reader):
+                while (frame := frames.pop()) is not None:
+                    if not self._on_frame(frame):
+                        return
         except (FrameError, ConnectionError, asyncio.CancelledError) as exc:
             if not isinstance(exc, asyncio.CancelledError):
                 error = ServeError(str(exc), code="closed")
@@ -177,6 +174,24 @@ class ServeClient:
                 if not future.done():
                     future.set_exception(error)
             self._pending.clear()
+
+    def _on_frame(self, frame: dict[str, Any]) -> bool:
+        """Route one server frame; ``False`` on ``bye``."""
+        op = frame.get("op")
+        if op == "result":
+            self._settle(frame.get("id"), frame.get("result"))
+        elif op == "error":
+            self._settle_error(frame)
+        elif op == "push":
+            sub = self._subscriptions.get(frame.get("sub"))
+            if sub is not None:
+                try:
+                    sub.pushes.put_nowait(_envelope(frame.get("result")))
+                except ServeError:
+                    self.malformed_pushes += 1
+        elif op == "bye":
+            return False
+        return True
 
     def _settle(self, request_id: Any, result: Any) -> None:
         future = self._pending.pop(request_id, None)
@@ -208,11 +223,29 @@ class ServeClient:
             raise ServeError("client is closed", code="closed")
         request_id = next(self._ids)
         payload = dict(payload, id=request_id)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         self._pending[request_id] = future
-        self._writer.write(encode_frame(payload))
-        await self._writer.drain()
+        if not self._outbox:
+            loop.call_soon(self._flush)
+        self._outbox.append(encode_frame(payload))
+        transport = self._writer.transport
+        if (
+            transport.get_write_buffer_size()
+            > transport.get_write_buffer_limits()[1]
+        ):
+            await self._writer.drain()
         return await future
+
+    def _flush(self) -> None:
+        """Write every frame issued since the last flush, in one write."""
+        frames, self._outbox = self._outbox, []
+        if not frames or self._writer.transport.is_closing():
+            return  # closing: the reader fails the pending requests
+        try:
+            self._writer.write(b"".join(frames))
+        except (ConnectionError, RuntimeError):
+            pass  # likewise
 
     # ------------------------------------------------------------------
     # Operations
@@ -283,8 +316,9 @@ class ServeClient:
         """Best-effort ``bye``, then tear the connection down."""
         if not self._closed:
             self._closed = True
+            self._outbox.append(encode_frame({"op": "bye"}))
             try:
-                self._writer.write(encode_frame({"op": "bye"}))
+                self._flush()
                 await self._writer.drain()
             except (ConnectionError, RuntimeError):
                 pass

@@ -9,6 +9,11 @@ protocol inspectable (``nc`` + a hex dump reads it); the length prefix
 keeps parsing O(frame) with no delimiter scanning, and bounds memory
 via :data:`MAX_FRAME_BYTES` before a byte of payload is read.
 
+Both ends pay per read, not per frame: :class:`FrameBuffer` holds what
+one ``read()`` returned and yields every complete frame in it, and
+:func:`encode_payload` reuses one module-level encoder.  A sender
+joins the frames of one burst into one ``write``.
+
 Frame schemas (``op`` selects; unknown keys are ignored for forward
 compatibility; unknown *ops* are protocol errors):
 
@@ -63,6 +68,7 @@ import struct
 from typing import Any, Mapping
 
 __all__ = [
+    "FrameBuffer",
     "FrameError",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
@@ -82,18 +88,28 @@ MAX_FRAME_BYTES = 1 << 20
 
 _LENGTH = struct.Struct(">I")
 
+#: Bytes one :meth:`FrameBuffer.fill` asks the stream for.
+_READ_BYTES = 1 << 16
+
 
 class FrameError(Exception):
     """A malformed frame (bad length, bad JSON, non-object payload)."""
+
+
+#: Built once: ``json.dumps`` with arguments builds an encoder per call.
+#: These are ``json.dumps``'s own defaults plus the canonical three, so
+#: the bytes are those of ``json.dumps(payload, separators=(",", ":"),
+#: sort_keys=True, allow_nan=False)``.
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True, allow_nan=False
+)
 
 
 def encode_payload(payload: Mapping[str, Any]) -> bytes:
     """Canonical JSON bytes for one payload (no length prefix).  Strict
     JSON: a non-finite number raises ``ValueError`` instead of leaving
     as a ``NaN``/``Infinity`` literal no peer may send."""
-    return json.dumps(
-        payload, separators=(",", ":"), sort_keys=True, allow_nan=False
-    ).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def _refuse_constant(literal: str) -> None:
@@ -116,12 +132,31 @@ def encode_frame(payload: Mapping[str, Any]) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"declared frame length {length} exceeds MAX_FRAME_BYTES"
+        )
+
+
+def _decode_body(body: bytes | bytearray) -> dict[str, Any]:
+    """One frame's payload: a JSON object, else :class:`FrameError`."""
+    try:
+        payload = _DECODER.decode(body.decode("utf-8"))
+    except ValueError as exc:
+        raise FrameError(f"frame body is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FrameError("frame body must be a JSON object")
+    return payload
+
+
 async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
     Raises :class:`FrameError` on oversized lengths, truncated bodies,
     invalid JSON (a ``NaN`` or ``Infinity`` literal included), or a
-    body that is not a JSON object.
+    body that is not a JSON object.  Reads exactly one frame's bytes,
+    so a :class:`FrameBuffer` can take the stream over afterwards.
     """
     try:
         prefix = await reader.readexactly(_LENGTH.size)
@@ -130,21 +165,66 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
             return None  # clean EOF between frames
         raise FrameError("connection closed mid-length-prefix") from exc
     (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"declared frame length {length} exceeds MAX_FRAME_BYTES"
-        )
+    _check_length(length)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
-    try:
-        payload = _DECODER.decode(body.decode("utf-8"))
-    except ValueError as exc:
-        raise FrameError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FrameError("frame body must be a JSON object")
-    return payload
+    return _decode_body(body)
+
+
+class FrameBuffer:
+    """The frames of a byte stream, parsed from whole reads.
+
+    :meth:`fill` awaits one ``read()`` of up to 64 KiB;
+    :meth:`pop` then returns the complete frames it holds one at a
+    time, so a caller may stop between any two (a server connection at
+    its window parses nothing further), and ``None`` once it needs
+    more bytes.  Refusals are :func:`read_frame`'s, with its
+    :class:`FrameError` texts: an oversized declared length as soon as
+    its prefix is in, bad JSON or a non-object body when the frame
+    completes, and an end of stream inside a prefix or a body.
+    """
+
+    __slots__ = ("_data", "_offset")
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+        self._offset = 0  # start of the first unparsed frame
+
+    def feed(self, data: bytes) -> None:
+        """Append bytes read off the stream."""
+        if self._offset:
+            del self._data[:self._offset]
+            self._offset = 0
+        self._data += data
+
+    async def fill(self, reader: asyncio.StreamReader) -> bool:
+        """Feed one read; ``False`` on a clean end of stream at a frame
+        boundary, :class:`FrameError` on one inside a frame."""
+        data = await reader.read(_READ_BYTES)
+        if data:
+            self.feed(data)
+            return True
+        left = len(self._data) - self._offset
+        if not left:
+            return False
+        if left < _LENGTH.size:
+            raise FrameError("connection closed mid-length-prefix")
+        raise FrameError("connection closed mid-frame")
+
+    def pop(self) -> dict[str, Any] | None:
+        """The next complete frame's payload, or ``None``."""
+        data, start = self._data, self._offset + _LENGTH.size
+        if len(data) < start:
+            return None
+        (length,) = _LENGTH.unpack_from(data, self._offset)
+        _check_length(length)
+        end = start + length
+        if len(data) < end:
+            return None
+        self._offset = end
+        return _decode_body(data[start:end])
 
 
 def write_frame(

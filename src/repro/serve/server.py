@@ -13,8 +13,12 @@ and a dispatcher task releases work into
 pieces:
 
 * **backpressure** — a connection with ``window`` unanswered ops stops
-  being *read*; bytes accumulate in the kernel socket buffer until TCP
-  flow control pushes back on the client.  The server never buffers an
+  being *read*: it parses no further frame of what its last read
+  returned (a :class:`~repro.serve.protocol.FrameBuffer`, one read of
+  at most 64 KiB), and reads nothing more, so bytes accumulate in the
+  kernel socket buffer until TCP flow control pushes back on the
+  client.  Below its window it handles every complete frame of a read
+  before it awaits the next.  The server never buffers an
   unbounded frame backlog for a slow or flooding client, and a slow
   *reader* only throttles itself: completions release the global
   in-flight token **before** writing the response, so a client that
@@ -71,9 +75,9 @@ from ..objects.tasks import DeleteTask, InsertTask, QueryTask, Task, TaskKind
 from .fairness import WeightedFairQueue
 from .protocol import (
     PROTOCOL_VERSION,
+    FrameBuffer,
     FrameError,
     encode_frame,
-    read_frame,
 )
 
 __all__ = ["MPRServer", "ServeConfig"]
@@ -354,20 +358,26 @@ class MPRServer:
         connection = _Connection(reader, writer, self.config)
         self._connections.add(connection)
         self.counters["connections"] += 1
+        frames = FrameBuffer()
         try:
             while not self._closing and not connection.closed:
-                # Backpressure: a connection at its window is not read.
-                await connection.below_window.wait()
+                # Backpressure: a connection at its window parses no
+                # further frame, and reads nothing until it does.
+                if not connection.below_window.is_set():
+                    await connection.below_window.wait()
+                    continue  # the server may have begun closing
                 try:
-                    frame = await read_frame(reader)
+                    frame = frames.pop()
+                    if frame is None:
+                        if not await frames.fill(reader):
+                            break
+                        continue
                 except FrameError as exc:
                     self.counters["protocol_errors"] += 1
                     await connection.send({
                         "op": "error", "code": "bad-frame",
                         "message": str(exc), "retryable": False,
                     })
-                    break
-                if frame is None:
                     break
                 if not await self._handle_frame(connection, frame):
                     break

@@ -49,11 +49,6 @@ class TestDijkstra:
         dist = dijkstra(path_network, 0, max_distance=3.0)
         assert set(dist) == {0, 1, 2}
 
-    def test_targets_early_stop(self, path_network) -> None:
-        dist = dijkstra(path_network, 0, targets=[2])
-        assert dist[2] == 3.0
-        assert 4 not in dist
-
     def test_unreachable_nodes_absent(self) -> None:
         net = RoadNetwork(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert set(dijkstra(net, 0)) == {0, 1}

@@ -11,7 +11,9 @@
 #   bash tools/ci.sh validate     # model-validation grid (simulator + live pool)
 #   bash tools/ci.sh scale        # ~1M-node cache/attach smoke (incl. CH at 262k/1M)
 #   bash tools/ci.sh serve        # serving tier: tests/test_serve.py, slow included (protocol e2e,
-#                                 # fairness, shedding, deadlines, ~90 concurrent clients settling)
+#                                 # fairness, shedding, deadlines, ~90 concurrent clients settling),
+#                                 # then tests/test_protocol.py at the thorough profile (canonical
+#                                 # encoder = json.dumps, frame buffer = read_frame at every split)
 #   bash tools/ci.sh reconfig     # live-reconfiguration tests + soak
 #   bash tools/ci.sh bench        # mprbench's own tests + manifest validator
 #   bash tools/ci.sh slow chaos   # several lanes, in order
@@ -93,6 +95,8 @@ run_lane() {
             ;;
         serve)
             python -m pytest -x -q tests/test_serve.py -m "slow or not slow"
+            python -m pytest -x -q tests/test_protocol.py \
+                --hypothesis-profile=thorough
             ;;
         reconfig)
             python -m pytest -x -q -m slow -k reconfig

@@ -584,7 +584,10 @@ adds `timeout` (its drain timeout) and `error` (the pool failed under
 the cycle).
 `QueryResult.to_wire()` / `from_wire()` round-trip byte-for-byte under
 the protocol's canonical JSON, so the library and the wire share one
-result type; `from_wire` is where outside input is checked (anything
+result type.  Its `neighbors` are `Neighbor`s, a `typing.NamedTuple`
+`(distance, object_id)`: they order, hash and pickle as that pair, and
+a `Neighbor` *equals* its plain pair (`Neighbor(1.0, 7) == (1.0, 7)`).
+`from_wire` is where outside input is checked (anything
 malformed is a `ValueError`, which `ServeClient` turns into
 `ServeError(code="protocol")` for that one request).
 
@@ -612,7 +615,14 @@ drain timeout and a pool failure under a cycle as `timeout` (naming the
 query) and `error` envelopes, the blocking cycle lets them propagate.
 
 **Wire protocol.**  Frames are 4-byte big-endian length + canonical
-JSON (`sort_keys`, no spaces), capped at `MAX_FRAME_BYTES` (1 MiB).
+JSON (`sort_keys`, no spaces), capped at `MAX_FRAME_BYTES` (1 MiB),
+encoded by one module-level `json.JSONEncoder` built with
+`json.dumps`'s canonical arguments (so the bytes are `json.dumps`'s).
+Both ends parse per read, not per frame: a `FrameBuffer` holds what
+one `read()` returned (at most 64 KiB) and yields each complete frame
+in it, with `read_frame`'s refusals and texts (oversized length,
+`NaN`/`Infinity`, a non-object body, end of stream inside a prefix or
+a frame); `read_frame` itself reads exactly one frame.
 Client ops: `hello` (tenant, SFQ weight, window), `query`, `insert`,
 `delete`, `subscribe`/`unsubscribe` (standing kNN: the server pushes a
 fresh `result` whenever updates change the answer), `stats`, `bye`.
@@ -631,7 +641,8 @@ was applied, the message names the cause) and `error` (the pool failed
 under an update).  Only an applied update re-evaluates the
 subscriptions.  Backpressure is
 two-layer: a per-connection window (the server stops *reading* a
-connection at its window, letting TCP push back on floods) and a
+connection at its window — it parses no further frame of its buffer
+and reads nothing more — letting TCP push back on floods) and a
 global `max_inflight` semaphore whose tokens are released before
 response writes, so a slow reader can never pin executor capacity.
 Completions are coalesced: the pump resolves a step's outcomes on the
@@ -649,11 +660,16 @@ holds a backlog and a tenant's share is its window.  Client deadlines propagate 
 executor's resilience machinery (`resilience.deadline_misses` moves).
 `ServeClient` is the asyncio client: `query(..., retries=n)` honors
 `retry_after` backoff hints and returns the final envelope either way.
+The frames its coroutines issue in one event-loop iteration leave in
+one `transport.write`; a request awaits `drain()` only while the
+transport is above its high-water mark.
 `repro.cli serve` starts a server; mprbench's `serve_open` and
 `serve_closed` workloads (`bench/`) measure it end to end, and
 `bash tools/ci.sh serve` runs `tests/test_serve.py`, including ~90
 concurrent weighted-tenant clients that must all settle within a
-watchdog.
+watchdog, then `tests/test_protocol.py` (the encoder against
+`json.dumps`, the frame buffer against `read_frame` at every split of a
+stream) at the thorough hypothesis profile.
 """,
     ),
     (
