@@ -1,11 +1,14 @@
 """Extension bench: MPR across the *full* solution zoo.
 
-The paper evaluates three solutions (Dijkstra, V-tree, TOAIN); this
-repository also implements G-tree, ROAD, and IER.  The bench runs the
-case-study workload under MPR for all six, showing the framework's
-system adaptability claim at full width: the same wrapper self-
-configures around any Q/I/D implementation, and the chosen (x, y, z)
-tracks each solution's query/update cost profile.
+The paper evaluates three solutions (Dijkstra, V-tree, TOAIN), and
+those three are the live classes of :data:`repro.knn.SOLUTIONS`.
+G-tree, ROAD and IER are paper profiles only: rows of
+:func:`repro.knn.paper_profile`, with no class behind them (the
+per-regime table in EXPERIMENTS.md found no regime where one beat the
+others).  The bench runs the case-study workload under MPR for all six
+profiles, showing the framework's system adaptability claim at full
+width: the same wrapper self-configures around any Q/I/D cost profile,
+and the chosen (x, y, z) tracks each solution's query/update costs.
 """
 
 import math

@@ -128,7 +128,8 @@ BAND_SEARCHES = 48
 #: the faster one.
 WITHIN = 1.05
 ROWS = [1, 2, 3, 4, 5, 6, 8, 16]
-#: Searches timed per (cell, rows, engine); fewer where each is slow.
+#: Searches timed per (cell, rows, engine); fewer where each is slow,
+#: but never fewer than 8 groups (the band table's floor).
 SEARCHES = {128: 96, 256: 16}
 
 #: Grid sides of the SSSP-by-size table (``grid_network(side, side,
@@ -257,7 +258,7 @@ def heap_vs_sweep() -> list[dict]:
         width = kernels._window_width(K, num_objects)
         sweep(kernels, [0, 1], counts, width)  # size the sweep buffer
         for rows in ROWS:
-            groups = max(SEARCHES[side] // rows, 2)
+            groups = max(SEARCHES[side] // rows, 8)
             heap_s, sweep_s = [], []
             for _ in range(groups):
                 sources = rng.sample(range(network.num_nodes), rows)
@@ -328,7 +329,7 @@ def windowed_vs_capped() -> list[dict]:
         sweep(kernels, [0, 1], counts, None)  # size the sweep buffer
         for rows in ROWS:
             windowed_us, capped_us = engine_times(
-                network, counts, rows, max(SEARCHES[side] // rows, 2), rng
+                network, counts, rows, max(SEARCHES[side] // rows, 8), rng
             )
             table.append({
                 "cell": cell,

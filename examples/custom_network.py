@@ -24,7 +24,7 @@ from repro.graph import (
     scaled_replica,
 )
 from repro.harness import format_table
-from repro.knn import GTreeKNN, measure_profile
+from repro.knn import DijkstraKNN, measure_profile
 from repro.mpr import MachineSpec, Scheme, Workload, configure_scheme
 from repro.sim import simulate_with_execution
 from repro.workload import generate_workload
@@ -51,7 +51,7 @@ def main() -> None:
     # 3. Profile and plan.
     rng = random.Random(2)
     objects = {i: rng.randrange(network.num_nodes) for i in range(60)}
-    solution = GTreeKNN(network, objects)
+    solution = DijkstraKNN(network, objects)
     profile = measure_profile(
         solution, k=5, num_queries=20, num_updates=20,
         num_nodes=network.num_nodes,

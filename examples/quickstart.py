@@ -3,7 +3,7 @@
 Walks the full public API surface:
 
 1. build a road network and place moving objects on it;
-2. answer kNN queries with four interchangeable solutions;
+2. answer kNN queries with three interchangeable solutions;
 3. profile a solution's (tq, Vq, tu, Vu) characteristics;
 4. let MPR self-configure a core matrix for a workload;
 5. run a real query/update stream through the threaded core matrix and
@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.graph import grid_network
-from repro.knn import DijkstraKNN, GTreeKNN, ToainKNN, VTreeKNN, measure_profile
+from repro.knn import DijkstraKNN, ToainKNN, VTreeKNN, measure_profile
 from repro.mpr import (
     MachineSpec,
     Scheme,
@@ -36,7 +36,7 @@ def main() -> None:
 
     rng = random.Random(1)
     taxis = {taxi: rng.randrange(network.num_nodes) for taxi in range(80)}
-    for solution_cls in (DijkstraKNN, GTreeKNN, VTreeKNN, ToainKNN):
+    for solution_cls in (DijkstraKNN, VTreeKNN, ToainKNN):
         solution = solution_cls(network, taxis)
         nearest = solution.query(443, 5)
         print(
@@ -45,8 +45,8 @@ def main() -> None:
             f"(k=5 ids: {[n.object_id for n in nearest]})"
         )
 
-    # 3. Profile G-tree the way the paper prescribes (isolated ops).
-    solution = GTreeKNN(network, taxis)
+    # 3. Profile TOAIN the way the paper prescribes (isolated ops).
+    solution = ToainKNN(network, taxis)
     profile = measure_profile(
         solution, k=5, num_queries=30, num_updates=30,
         num_nodes=network.num_nodes,

@@ -5,8 +5,8 @@ Public API tour
 ---------------
 * :mod:`repro.graph` — road networks, generators, shortest paths.
 * :mod:`repro.objects` — moving objects and the query/update task stream.
-* :mod:`repro.knn` — single-threaded kNN solutions (Dijkstra, G-tree,
-  V-tree, TOAIN, IER) behind the paper's ``Q/I/D`` interface.
+* :mod:`repro.knn` — single-threaded kNN solutions (Dijkstra, V-tree,
+  TOAIN) behind the paper's ``Q/I/D`` interface.
 * :mod:`repro.mpr` — the MPR core-matrix machinery, analytical models
   (Eq. 2/5/7), scheme factory (F-Rep, F-Part, 1MPR, MPR) and a real
   threaded executor.
@@ -23,8 +23,6 @@ from .graph import RoadNetwork, grid_network, scaled_replica
 from .knn import (
     AlgorithmProfile,
     DijkstraKNN,
-    GTreeKNN,
-    IERKNN,
     KNNSolution,
     Neighbor,
     ToainKNN,
@@ -41,8 +39,6 @@ __all__ = [
     "scaled_replica",
     "AlgorithmProfile",
     "DijkstraKNN",
-    "GTreeKNN",
-    "IERKNN",
     "KNNSolution",
     "Neighbor",
     "ToainKNN",

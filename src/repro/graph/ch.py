@@ -25,7 +25,7 @@ hierarchy serving every query family":
   hub-label object buckets, and CH-backed
   :meth:`~CHKernels.topk_objects` / :meth:`~CHKernels.knn_batch` with
   the same contract as the plain kernels — which is what lets
-  ``DijkstraKNN``/``IERKNN`` route long-range queries here untouched.
+  ``DijkstraKNN`` route long-range queries here untouched.
   The hub-label cache is LRU-bounded by *bytes* (``LABEL_CACHE_BYTES``)
   and reported through the ``ch.label_bytes`` / ``ch.label_evictions``
   kernel counters; labels persisted in a graph cache (see
@@ -74,7 +74,6 @@ from .road_network import RoadNetwork, _arcs_to_csr, _dedup_edges, _half_edges
 
 __all__ = [
     "CHKernels",
-    "CHDistanceOracle",
     "ContractionHierarchy",
     "LABEL_CACHE_BYTES",
     "WITNESS_HOP_LIMIT",
@@ -990,10 +989,6 @@ class CHKernels:
             return INFINITY
         return float((s_dists[s_idx] + t_dists[t_idx]).min())
 
-    def expander(self, source: int) -> "CHDistanceOracle":
-        """A many-targets distance oracle from one source (IER's tool)."""
-        return CHDistanceOracle(self, source)
-
     # ------------------------------------------------------------------
     # Object buckets (hub-label join)
     # ------------------------------------------------------------------
@@ -1189,38 +1184,6 @@ def build_core_labels(
     return label_indptr, hubs_out, dists_out
 
 
-class CHDistanceOracle:
-    """Exact distances from one source to many targets via hub labels.
-
-    The CH analogue of :class:`~repro.graph.kernels.IncrementalSSSP`
-    (IER's verification tool): the source's upward label is computed
-    once, and each ``distance_to`` joins it against the target's cached
-    label — no expansion radius involved, so far-away candidates cost
-    the same as near ones.
-    """
-
-    def __init__(self, kernels: CHKernels, source: int) -> None:
-        _check_node(source, kernels.num_nodes)
-        self._kernels = kernels
-        self._source = source
-        hubs, dists = kernels.label(source)
-        self._map = dict(zip(hubs.tolist(), dists.tolist()))
-
-    def distance_to(self, target: int) -> float:
-        """Exact network distance to ``target`` (``inf`` if unreachable)."""
-        _check_node(target, self._kernels.num_nodes)
-        if target == self._source:
-            return 0.0
-        hubs, dists = self._kernels.label(target)
-        src_map = self._map
-        best = INFINITY
-        for hub, d in zip(hubs.tolist(), dists.tolist()):
-            ds = src_map.get(hub)
-            if ds is not None and ds + d < best:
-                best = ds + d
-        return best
-
-
 def calibrate_ch_cutoff(
     network: "RoadNetwork",
     ch: ContractionHierarchy | None = None,
@@ -1237,8 +1200,8 @@ def calibrate_ch_cutoff(
     CH query costs roughly a constant (one upward sweep + bucket join).
     This times both on the actual graph and returns their crossover as
     an *expected settled node count* — pass it as ``ch_cutoff`` to
-    ``DijkstraKNN``/``IERKNN`` (which now run it themselves on first
-    use when no explicit cutoff is given).  Deliberately rough: it
+    ``DijkstraKNN`` (which runs it itself on first use when no
+    explicit cutoff is given).  Deliberately rough: it
     steers routing, not correctness (both sides are exact).
     """
     ch = ch or ContractionHierarchy(network)

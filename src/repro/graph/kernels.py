@@ -13,11 +13,10 @@ speedups on large graphs (see ``benchmarks/bench_knn_kernels.py``).
 
 One bucket loop, :meth:`CSRKernels._windows`, runs every search: it
 settles any number of searches at once over a flattened ``(row, node)``
-space (one row each) and yields as each window settles, so ``sssp`` is one
-row with a distance bound, a top-k sweep is one row per query
+space (one row each), one window at a time, so ``sssp`` is one row with
+a distance bound and a top-k sweep is one row per query
 (:meth:`CSRKernels.knn_batch`; a solo :meth:`CSRKernels.topk_objects`
-is one row) stopped at its k-th distance, and
-:class:`IncrementalSSSP` keeps the loop open over a buffer of its own.
+is one row) stopped at its k-th distance.
 
 Every row carries a cap, and :meth:`CSRKernels._relax` drops any
 candidate distance past its row's cap before the scatter.  ``sssp``'s
@@ -108,12 +107,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["KERNEL_CALLS", "QUERIES_PER_SWEEP", "CSRKernels",
-           "IncrementalSSSP", "dial_delta"]
+__all__ = ["KERNEL_CALLS", "QUERIES_PER_SWEEP", "CSRKernels", "dial_delta"]
 
 INFINITY = math.inf
 
@@ -310,11 +308,10 @@ class CSRKernels:
         KERNEL_CALLS["sssp"] += 1
         dist = self._reset(self._num_nodes)
         touched: list[np.ndarray] = []
-        for _ in self._windows(
+        self._windows(
             dist, np.array([source], dtype=np.int64),
             np.array([max_distance], dtype=np.float64), touched,
-        ):
-            pass
+        )
         self._touched = touched
         # The cap drops every candidate past the bound, so the search
         # settles exactly what it wrote.
@@ -478,11 +475,6 @@ class CSRKernels:
         KERNEL_CALLS.update(engines)
         return [per_unique[index] for index in inverse.tolist()]
 
-    def expander(self, source: int) -> "IncrementalSSSP":
-        """An incremental single-source search (IER's verification tool)."""
-        KERNEL_CALLS["expander"] += 1
-        return IncrementalSSSP(self, source)
-
     # ------------------------------------------------------------------
     # Heap expansion (small searches) and the work model that picks it
     # ------------------------------------------------------------------
@@ -551,11 +543,10 @@ class CSRKernels:
             limit = np.array([_PROBE_HOPS * float(sample[sample.size // 2])])
             dist = self._reset(n)
             touched: list[np.ndarray] = []
-            for _ in self._windows(
+            self._windows(
                 dist, np.array([n // 2], dtype=np.int64), limit, touched,
                 INFINITY,
-            ):
-                pass
+            )
             self._touched = touched
             changed = sum(map(len, touched)) - 1
             reached = _dedup(np.concatenate(touched)).size - 1
@@ -653,10 +644,10 @@ class CSRKernels:
         dist: np.ndarray,
         sources: np.ndarray,
         limit: np.ndarray,
-        touched: list[np.ndarray] | None,
+        touched: list[np.ndarray],
         width: float | None = None,
         lower: Callable[[np.ndarray], None] | None = None,
-    ) -> Iterator[tuple[list[np.ndarray], float]]:
+    ) -> None:
         """The bucket loop: one delta-stepping search per row of the
         flattened ``(row, node)`` space, settled one window at a time.
 
@@ -677,19 +668,15 @@ class CSRKernels:
         — called with the flat ids of the sources and then of every
         relax pass's changed nodes — lowers in place.
 
-        Yields each window's end ``high`` once it is settled: every
-        distance below ``high`` is final.  The loop ends when no row has
-        work left, so a caller that keeps the generator can resume it
-        (:class:`IncrementalSSSP`).  Every flat id written is appended
-        to ``touched`` (``None``: a private buffer nobody resets); once
-        the loop ends, that is every node it settled.
+        The loop runs until no row has work left.  Every flat id written
+        is appended to ``touched``; once the loop ends, that is every
+        node it settled.
         """
         n = self._num_nodes
         rows = len(sources)
         flat_src = np.arange(rows, dtype=np.int64) * n + sources
         dist[flat_src] = 0.0
-        if touched is not None:
-            touched.append(flat_src)
+        touched.append(flat_src)
         if lower is not None:
             lower(flat_src)
         if width is None:
@@ -735,8 +722,7 @@ class CSRKernels:
                 changed = self._relax(frontier, dist, rows, limit)
                 if changed.size == 0:
                     break
-                if touched is not None:
-                    touched.append(changed)
+                touched.append(changed)
                 if lower is not None:
                     lower(changed)
                 if high == INFINITY:
@@ -749,7 +735,6 @@ class CSRKernels:
                             changed.take((reached >= high).nonzero()[0])
                         )
             bound = high
-            yield high
             if len(active_parts) == 1 and not active_parts[0].size:
                 return
 
@@ -917,8 +902,7 @@ class CSRKernels:
             np.minimum(position, held.size - 1, out=position)
             np.copyto(cap, tentative[order[position]], where=full)
 
-        for _ in self._windows(dist, sources, cap, touched, width, lower):
-            pass
+        self._windows(dist, sources, cap, touched, width, lower)
         self._touched = touched
         # Each row's answer: its reached bearing nodes inside its cap.
         held.sort()
@@ -936,43 +920,3 @@ class CSRKernels:
             for r in range(rows)
         ]
 
-
-class IncrementalSSSP:
-    """A resumable single-source search over a private distance buffer.
-
-    IER refines Euclidean candidates with exact network distances, all
-    from the *same* query location; instead of one A* per candidate,
-    this object keeps the bucket loop (:meth:`CSRKernels._windows`)
-    open, expands it just far enough to settle each requested target,
-    and keeps the explored region for the next one.  Its buffer is its
-    own, so other searches on the same kernels may run in between.
-    Not thread-safe; build via :meth:`CSRKernels.expander`.
-    """
-
-    def __init__(self, kernels: CSRKernels, source: int) -> None:
-        n = kernels.num_nodes
-        _check_node(source, n)
-        self._num_nodes = n
-        self._dist = np.full(n, np.inf, dtype=np.float64)
-        self._windows = kernels._windows(
-            self._dist, np.array([source], dtype=np.int64),
-            np.array([INFINITY]), None,
-        )
-        self._bound = 0.0  # distances below this are final
-        self._exhausted = False
-
-    def distance_to(self, target: int) -> float:
-        """Exact network distance to ``target`` (``inf`` if unreachable)."""
-        _check_node(target, self._num_nodes)
-        dist = self._dist
-        while not (dist[target] < self._bound) and not self._exhausted:
-            step = next(self._windows, None)
-            if step is None:
-                self._exhausted = True
-            else:
-                self._bound = step
-        return float(dist[target])
-
-    def settled_bound(self) -> float:
-        """All distances strictly below this value are final."""
-        return self._bound

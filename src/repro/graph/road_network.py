@@ -434,12 +434,6 @@ class RoadNetwork:
         for idx in range(start, end):
             yield targets[idx], weights[idx]
 
-    def neighbor_slices(self, node: int) -> tuple[list[int], list[float]]:
-        """Return the raw CSR slices for ``node`` (hot-loop friendly)."""
-        offsets, targets, weights = self._ensure_lists()
-        start, end = offsets[node], offsets[node + 1]
-        return targets[start:end], weights[start:end]
-
     @property
     def csr(self) -> tuple[list[int], list[int], list[float]]:
         """The raw ``(offsets, targets, weights)`` lists, shared not copied.

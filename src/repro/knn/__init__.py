@@ -13,9 +13,7 @@ from .calibration import (
     profile_from_telemetry,
 )
 from .dijkstra_knn import DijkstraKNN
-from .gtree import GTreeIndex, GTreeKNN
-from .ier import IERKNN
-from .road import RoadKNN
+from .gtree import GTreeIndex
 from .toain import (
     ContractionHierarchy,
     ToainIndex,
@@ -29,11 +27,8 @@ from .vtree import VTreeKNN
 #: the paper's figures do).
 SOLUTIONS = {
     "Dijkstra": DijkstraKNN,
-    "G-tree": GTreeKNN,
     "V-tree": VTreeKNN,
-    "ROAD": RoadKNN,
     "TOAIN": ToainKNN,
-    "IER": IERKNN,
 }
 
 __all__ = [
@@ -47,9 +42,6 @@ __all__ = [
     "profile_from_telemetry",
     "DijkstraKNN",
     "GTreeIndex",
-    "GTreeKNN",
-    "IERKNN",
-    "RoadKNN",
     "ContractionHierarchy",
     "ToainIndex",
     "ToainKNN",

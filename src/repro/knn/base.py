@@ -3,9 +3,14 @@
 Section IV-A: "We assume that a kNN solution A provides three
 interfaces, namely, A.Q(l, k) (query the k closest objects from location
 l), A.I(o, l) (insert object o at location l), and A.D(o) (delete object
-o)."  Every solution in this package implements exactly that interface
+o)."  Every solution in this package — the paper's three, Dijkstra,
+V-tree and TOAIN — implements exactly that interface
 (:class:`KNNSolution`), which is all the MPR machinery ever calls — the
-"extremely lightweight wrapper" the paper advertises.
+"extremely lightweight wrapper" the paper advertises.  Only
+:class:`~repro.knn.dijkstra_knn.DijkstraKNN` overrides the batched
+entry points (:meth:`KNNSolution.query_batch`,
+:meth:`KNNSolution.run_ops`); V-tree and TOAIN inherit the defaults,
+which answer one query at a time.
 
 Additionally, MPR partitions the *object set* across worker cores while
 sharing the road-network index (end of Section III).  :meth:`spawn`
@@ -140,12 +145,10 @@ class KNNSolution(ABC):
         mutate state, so batching any run of consecutive queries is
         equivalence-preserving), answers are canonical, and result
         ``i`` belongs to ``locations[i]`` regardless of any internal
-        reordering.  This default *is* that loop; solutions with a
-        vectorized substrate override it to answer the whole batch in
-        shared kernel sweeps (see :class:`~repro.knn.dijkstra_knn.
-        DijkstraKNN` and :class:`~repro.knn.ier.IERKNN`), which
-        :meth:`run_ops` and the threaded executor exploit by handing
-        them whole query runs.
+        reordering.  This default *is* that loop; a solution with a
+        vectorized substrate overrides it to answer the whole batch in
+        shared kernel sweeps (:class:`~repro.knn.dijkstra_knn.
+        DijkstraKNN`), and :meth:`run_ops` hands it whole query runs.
         """
         return [
             self.query(location, k)

@@ -3,7 +3,10 @@
 "To answer a kNN query from a query point q, we run Dijkstra from q and
 explore the graph just enough to locate the k closest objects to q.
 Dijkstra does not use an elaborate index and therefore has very low
-object update costs." (Section II)
+object update costs." (Section II)  At the sizes this repository
+builds, no other solution beat it by more than the noise in any cell
+of the per-regime cost table (EXPERIMENTS.md, "Per-regime cost of the
+real Python solutions").
 
 The only bookkeeping is the per-node object bucket, so inserts and
 deletes are O(1); queries pay an incremental Dijkstra expansion —
@@ -56,8 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Fallback expected-settled-node crossover for routing to the CH path,
 #: used when the measured calibration cannot run (no hierarchy, inexact
-#: weights, empty graph).  With ``ch_cutoff=None`` (the default) routed
-#: solutions measure the real crossover on their own graph via
+#: weights, empty graph).  With ``ch_cutoff=None`` (the default) a routed
+#: solution measures the real crossover on its own graph via
 #: :func:`repro.graph.ch.calibrate_ch_cutoff` at the first routing
 #: decision and cache it; pass an explicit value to skip the probe.
 DEFAULT_CH_CUTOFF = 4096.0

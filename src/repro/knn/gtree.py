@@ -1,24 +1,20 @@
-"""G-tree: hierarchical-partition kNN index (Zhong et al., TKDE 2015).
+"""The G-tree partition hierarchy (Zhong et al., TKDE 2015) under V-tree.
 
 G-tree recursively partitions the road network into balanced subgraphs,
-keeps the *border* nodes of every subgraph, precomputes distances
-between borders (and from every vertex to the borders of its leaf), and
-maintains per-subtree **occurrence lists** of the objects inside.
+keeps the *border* nodes of every subgraph, and precomputes distances
+between borders (and from every vertex to the borders of its leaf).
+:class:`GTreeIndex` is that immutable network-side structure, shared
+across MPR workers: a multilevel partition tree whose leaves carry
+border sets, within-leaf vertex-to-border distance tables, and the
+border *overlay graph* (within-leaf border cliques + original cut
+edges).  :class:`~repro.knn.vtree.VTreeKNN` holds the objects and caches
+on top of it.
 
-Our implementation follows the same blueprint:
-
-* a multilevel partition tree (:class:`GTreeIndex`, immutable, shared
-  across MPR workers) whose leaves carry border sets, within-leaf
-  vertex-to-border distance tables, and the border *overlay graph*
-  (within-leaf border cliques + original cut edges);
-* per-instance object state (:class:`GTreeKNN`): per-leaf object
-  buckets plus occurrence counters along the leaf-to-root path, so
-  updates cost O(height) exactly as in the original system.
-
-Queries run a best-first search on the overlay graph.  Exactness is the
-classic overlay argument: any shortest path decomposes into maximal
-within-leaf segments whose endpoints are borders, each no shorter than
-the precomputed within-leaf border distance — so overlay distances equal
+Queries run a best-first search on the overlay graph
+(:meth:`GTreeIndex.knn_search`).  Exactness is the classic overlay
+argument: any shortest path decomposes into maximal within-leaf
+segments whose endpoints are borders, each no shorter than the
+precomputed within-leaf border distance — so overlay distances equal
 full-graph distances, and object nodes attached to the overlay via their
 vertex-to-border tables are settled at their true network distance.
 """
@@ -32,7 +28,7 @@ from typing import Mapping, Sequence
 from ..graph.partition import partition_graph
 from ..graph.road_network import RoadNetwork
 from ..graph.shortest_path import INFINITY, dijkstra
-from .base import KNNSolution, Neighbor, canonical_knn
+from .base import Neighbor, canonical_knn
 
 #: Default maximum leaf size (the G-tree paper's tau).
 DEFAULT_LEAF_SIZE = 64
@@ -56,13 +52,9 @@ class TreeNode:
     vertices: list[int] = field(default_factory=list)
     children: list[int] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 class GTreeIndex:
-    """Immutable network-side structure shared by all GTreeKNN instances."""
+    """Immutable network-side structure shared by all VTreeKNN instances."""
 
     def __init__(
         self,
@@ -203,14 +195,6 @@ class GTreeIndex:
     def height(self) -> int:
         return max(node.level for node in self.tree) + 1
 
-    def path_to_root(self, leaf_id: int) -> list[int]:
-        path = [leaf_id]
-        node = self.tree[leaf_id]
-        while node.parent is not None:
-            path.append(node.parent)
-            node = self.tree[node.parent]
-        return path
-
     def point_to_point(self, source: int, target: int) -> float:
         """Exact network distance via the border overlay.
 
@@ -296,7 +280,7 @@ class GTreeIndex:
         return settled
 
     # ------------------------------------------------------------------
-    # The overlay kNN search (shared by GTreeKNN and VTreeKNN)
+    # The overlay kNN search (V-tree's queries and cache builds)
     # ------------------------------------------------------------------
     def knn_search(
         self,
@@ -371,86 +355,6 @@ class GTreeIndex:
                 bound = kth_bound()
             for neighbor, weight in self.overlay_adj.get(border, ()):
                 if neighbor not in settled:
-                    heappush(heap, (d + neighbor_weight_guard(weight), neighbor))
+                    heappush(heap, (d + weight, neighbor))
         return canonical_knn(candidates, k)
 
-
-def neighbor_weight_guard(weight: float) -> float:
-    """Defensive identity hook (kept for instrumentation in benches)."""
-    return weight
-
-
-class GTreeKNN(KNNSolution):
-    """G-tree kNN solution: overlay queries, O(height) updates."""
-
-    name = "G-tree"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        objects: Mapping[int, int] | None = None,
-        index: GTreeIndex | None = None,
-        leaf_size: int = DEFAULT_LEAF_SIZE,
-        fanout: int = DEFAULT_FANOUT,
-    ) -> None:
-        self._index = index or GTreeIndex(network, leaf_size=leaf_size, fanout=fanout)
-        if self._index.network is not network:
-            raise ValueError("index was built over a different network")
-        self._location: dict[int, int] = {}
-        # leaf -> node -> set of object ids (the occurrence buckets).
-        self._leaf_occupancy: dict[int, dict[int, set[int]]] = {}
-        # tree node -> object count (the G-tree occurrence lists).
-        self._occurrence: dict[int, int] = {}
-        if objects:
-            for object_id, node in objects.items():
-                self.insert(object_id, node)
-
-    # ------------------------------------------------------------------
-    # KNNSolution interface
-    # ------------------------------------------------------------------
-    def query(self, location: int, k: int) -> list[Neighbor]:
-        return self._index.knn_search(location, k, self._leaf_occupancy)
-
-    def insert(self, object_id: int, location: int) -> None:
-        if object_id in self._location:
-            raise KeyError(f"object {object_id} already present")
-        self._location[object_id] = location
-        leaf_id = self._index.leaf_of[location]
-        bucket = self._leaf_occupancy.setdefault(leaf_id, {})
-        bucket.setdefault(location, set()).add(object_id)
-        for tree_id in self._index.path_to_root(leaf_id):
-            self._occurrence[tree_id] = self._occurrence.get(tree_id, 0) + 1
-
-    def delete(self, object_id: int) -> None:
-        try:
-            location = self._location.pop(object_id)
-        except KeyError:
-            raise KeyError(f"object {object_id} not present") from None
-        leaf_id = self._index.leaf_of[location]
-        bucket = self._leaf_occupancy[leaf_id]
-        bucket[location].discard(object_id)
-        if not bucket[location]:
-            del bucket[location]
-        if not bucket:
-            del self._leaf_occupancy[leaf_id]
-        for tree_id in self._index.path_to_root(leaf_id):
-            self._occurrence[tree_id] -= 1
-            if self._occurrence[tree_id] == 0:
-                del self._occurrence[tree_id]
-
-    def spawn(self, objects: Mapping[int, int]) -> "GTreeKNN":
-        return GTreeKNN(self._index.network, objects, index=self._index)
-
-    def object_locations(self) -> dict[int, int]:
-        return dict(self._location)
-
-    # ------------------------------------------------------------------
-    # Extras
-    # ------------------------------------------------------------------
-    @property
-    def index(self) -> GTreeIndex:
-        return self._index
-
-    def subtree_object_count(self, tree_id: int) -> int:
-        """Occurrence-list lookup: objects inside tree node ``tree_id``."""
-        return self._occurrence.get(tree_id, 0)

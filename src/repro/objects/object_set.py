@@ -113,9 +113,6 @@ class ObjectSet:
     def objects_at(self, node: int) -> frozenset[int]:
         return frozenset(self._bucket.get(node, ()))
 
-    def occupied_nodes(self) -> Iterator[int]:
-        return iter(self._bucket)
-
     def __contains__(self, object_id: int) -> bool:
         return object_id in self._location
 

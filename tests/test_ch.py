@@ -2,9 +2,9 @@
 
 The CH engine's correctness story is *bit-identity on integral-weight
 networks*: every path sum is exact in float64, so hub-label joins and
-plain Dijkstra produce the same floats, and routed solutions
-(:class:`DijkstraKNN`/:class:`IERKNN` with a ``ch=``) must return
-answers indistinguishable from the un-routed ones.  On float-weight
+plain Dijkstra produce the same floats, and a routed solution
+(:class:`DijkstraKNN` with a ``ch=``) must return answers
+indistinguishable from the un-routed one.  On float-weight
 networks addition order differs in the last ulp, so ``ch.exact`` is
 False and auto-routing must stay disengaged.
 """
@@ -21,12 +21,12 @@ from repro.graph import ContractionHierarchy, calibrate_ch_cutoff, grid_network
 from repro.graph.ch import CHKernels
 from repro.graph.road_network import RoadNetwork
 from repro.graph.shortest_path import shortest_path_distance
-from repro.knn import DijkstraKNN, IERKNN
+from repro.knn import DijkstraKNN
 
 
 def int_network(num_nodes: int, seed: int, extra: float = 1.6) -> RoadNetwork:
     """A connected random network with *integral* weights that still
-    upper-bound Euclidean node distance (so IER's bound stays valid)."""
+    upper-bound Euclidean node distance."""
     rng = random.Random(seed)
     coords = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(num_nodes)]
 
@@ -78,7 +78,7 @@ def test_routed_dijkstra_knn_is_bit_identical(seed: int) -> None:
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_routed_batch_and_ier_are_bit_identical(seed: int) -> None:
+def test_routed_batch_is_bit_identical(seed: int) -> None:
     network = int_network(110, seed)
     ch = ContractionHierarchy(network, seed=seed)
     objects = sample_objects(network, 10, seed + 3)
@@ -89,14 +89,6 @@ def test_routed_batch_and_ier_are_bit_identical(seed: int) -> None:
     plain = DijkstraKNN(network, dict(objects))
     routed = DijkstraKNN(network, dict(objects), ch=ch, ch_cutoff=0.0)
     assert routed.query_batch(locations, ks) == plain.query_batch(locations, ks)
-
-    ier_plain = IERKNN(network, dict(objects))
-    ier_routed = IERKNN(network, dict(objects), ch=ch, ch_cutoff=0.0)
-    for location, k in zip(locations, ks):
-        assert ier_routed.query(location, k) == ier_plain.query(location, k)
-    assert ier_routed.query_batch(locations, ks) == ier_plain.query_batch(
-        locations, ks
-    )
 
 
 def test_mutations_rebuild_object_buckets() -> None:
@@ -126,8 +118,6 @@ def test_float_weights_disable_auto_routing() -> None:
     assert not ch.exact
     routed = DijkstraKNN(network, {1: 5, 2: 40}, ch=ch, ch_cutoff=0.0)
     assert routed._route_kernels(2) is network.kernels
-    ier = IERKNN(network, {1: 5, 2: 40}, ch=ch, ch_cutoff=0.0)
-    assert not ier._use_ch(2)
 
 
 def test_cutoff_gates_routing() -> None:
@@ -150,8 +140,6 @@ def test_mismatched_network_rejected() -> None:
     ch = ContractionHierarchy(other)
     with pytest.raises(ValueError, match="different network"):
         DijkstraKNN(network, {1: 0}, ch=ch)
-    with pytest.raises(ValueError, match="different network"):
-        IERKNN(network, {1: 0}, ch=ch)
 
 
 def test_disconnected_components() -> None:
@@ -181,18 +169,6 @@ def test_hierarchy_structure() -> None:
     counts = np.diff(ch.up_indptr)
     srcs = np.repeat(np.arange(70), counts)
     assert np.all(ch.rank[srcs] < ch.rank[ch.up_indices])
-
-
-def test_expander_oracle_matches_reference() -> None:
-    network = int_network(80, 10)
-    ch = ContractionHierarchy(network, seed=10)
-    oracle = ch.kernels.expander(17)
-    rng = random.Random(10)
-    for _ in range(20):
-        target = rng.randrange(80)
-        assert oracle.distance_to(target) == shortest_path_distance(
-            network, 17, target
-        )
 
 
 def test_pickle_round_trip_preserves_answers() -> None:
@@ -300,14 +276,6 @@ def test_pooled_build_is_exact_and_deterministic() -> None:
         )
 
 
-@pytest.mark.parametrize("target", [-1, 60])
-def test_expander_refuses_out_of_range_target(target) -> None:
-    network = int_network(60, 3)
-    expander = ContractionHierarchy(network, seed=3).kernels.expander(0)
-    with pytest.raises(IndexError, match="out of range"):
-        expander.distance_to(target)
-
-
 # ----------------------------------------------------------------------
 # Label-cache byte budget
 # ----------------------------------------------------------------------
@@ -359,9 +327,6 @@ def test_auto_cutoff_resolves_lazily() -> None:
     measured = solution.ch_cutoff  # first use triggers the probe
     assert math.isfinite(measured) and measured > 0
     assert solution._ch_cutoff == measured  # cached, not re-measured
-    ier = IERKNN(network, sample_objects(network, 8, 14), ch=ch)
-    assert ier._ch_cutoff is None
-    assert math.isfinite(ier.ch_cutoff) and ier.ch_cutoff > 0
 
 
 def test_auto_cutoff_fallback_and_override() -> None:

@@ -3,7 +3,7 @@ invariants."""
 
 import pytest
 
-from repro.knn import DijkstraKNN, GTreeKNN, ToainKNN, VTreeKNN
+from repro.knn import DijkstraKNN, ToainKNN, VTreeKNN
 from repro.mpr import (
     MPRConfig,
     QuiesceTimeout,
@@ -55,7 +55,7 @@ def th_workload(medium_grid):
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.x}x{c.y}x{c.z}")
-@pytest.mark.parametrize("solution_cls", [DijkstraKNN, GTreeKNN])
+@pytest.mark.parametrize("solution_cls", [DijkstraKNN, ToainKNN])
 def test_equivalent_to_serial_ru(medium_grid, workload, config, solution_cls):
     prototype = solution_cls(medium_grid)
     reference = run_serial_reference(

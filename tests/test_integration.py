@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.knn import DijkstraKNN, GTreeKNN, measure_profile, paper_profile
+from repro.knn import DijkstraKNN, ToainKNN, measure_profile, paper_profile
 from repro.mpr import (
     MachineSpec,
     Objective,
@@ -36,7 +36,7 @@ def instance():
 
 def test_full_pipeline_functional_equivalence(instance):
     """Materialized scenario -> MPR executor == serial execution."""
-    prototype = GTreeKNN(instance.network)
+    prototype = ToainKNN(instance.network)
     machine = MachineSpec(total_cores=11)
     profile = paper_profile("TOAIN", "BJ")
     choice = configure_scheme(

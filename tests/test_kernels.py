@@ -5,8 +5,7 @@ The delta-stepping kernels in :mod:`repro.graph.kernels` promise
 engines — same distances, same settled sets, same top-k answers
 including ties.  This suite pins that promise on seeded random graphs
 (connected and disconnected, float and integer weights, heavy ties),
-plus the bounded variant, buffer reuse across calls, Dial mode, and the
-incremental expander.
+plus the bounded variant, buffer reuse across calls, and Dial mode.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.graph.shortest_path import (
     dijkstra_expansion,
     dijkstra_heapq,
 )
-from repro.knn import IERKNN, DijkstraKNN
+from repro.knn import DijkstraKNN
 from tests.conftest import place_objects, sweeps
 from tests.test_knn_batch import canonical, oracle_topk
 
@@ -96,6 +95,8 @@ class TestSSSPEquivalence:
     def test_buffer_reuse_is_clean_across_calls(self) -> None:
         net = random_network(421)
         kern = net.kernels
+        counts = np.zeros(net.num_nodes, dtype=np.int32)
+        counts[::7] = 1
         for source in range(min(net.num_nodes, 12)):
             reference = dijkstra_heapq(net, source)
             nodes, dists = kern.sssp(source)
@@ -105,6 +106,9 @@ class TestSSSPEquivalence:
             assert as_dict(bounded_nodes, bounded_dists) == dijkstra_heapq(
                 net, source, max_distance=2.5
             )
+            # Top-k and batch sweeps share the buffer too.
+            kern.topk_objects(source, counts, 2)
+            kern.knn_batch([0, source], [1, 3], counts)
 
 
 class TestTopKEquivalence:
@@ -612,63 +616,6 @@ class TestDialMode:
         assert as_dict(*kern.sssp(source)) == dijkstra_heapq(net, source)
 
 
-class TestIncrementalExpander:
-    @settings(max_examples=80, deadline=None)
-    @given(network_and_source(), st.integers(min_value=0, max_value=9999))
-    def test_distance_to_matches_heapq(self, net_source, pick_seed) -> None:
-        net, source = net_source
-        reference = dijkstra_heapq(net, source)
-        expander = net.kernels.expander(source)
-        rng = random.Random(pick_seed)
-        targets = [rng.randrange(net.num_nodes) for _ in range(8)]
-        for target in targets:
-            expected = reference.get(target, float("inf"))
-            assert expander.distance_to(target) == expected
-        # Re-query settled targets: answers must be stable.
-        for target in targets:
-            expected = reference.get(target, float("inf"))
-            assert expander.distance_to(target) == expected
-
-    def test_source_out_of_range(self) -> None:
-        net = random_network(3)
-        with pytest.raises(IndexError):
-            net.kernels.expander(net.num_nodes + 5)
-
-    @pytest.mark.parametrize("target", [-1, 144])
-    def test_target_out_of_range(self, target) -> None:
-        net = grid_network(12, 12, seed=9)
-        with pytest.raises(IndexError):
-            net.kernels.expander(0).distance_to(target)
-
-    def test_open_expander_survives_other_searches(self) -> None:
-        """The expander's buffer is its own: top-k sweeps, batch sweeps
-        and ``sssp`` on the same kernels between two ``distance_to``
-        calls leave its answers exact."""
-        net = grid_network(12, 12, seed=9)
-        kernels = net.kernels
-        reference = dijkstra_heapq(net, 5)
-        counts = np.zeros(net.num_nodes, dtype=np.int32)
-        counts[[3, 40, 77, 120]] = 1
-        expander = kernels.expander(5)
-        rng = random.Random(3)
-        before = KERNEL_CALLS.copy()
-        for _ in range(4):
-            target = rng.randrange(net.num_nodes)
-            assert expander.distance_to(target) == reference[target]
-            kernels.topk_objects(rng.randrange(net.num_nodes), counts, 2)
-            kernels.knn_batch([0, 70, 143], [1, 2, 3], counts)
-            source = rng.randrange(net.num_nodes)
-            assert as_dict(*kernels.sssp(source)) == dijkstra_heapq(
-                net, source
-            )
-        assert {
-            name: KERNEL_CALLS[name] - before[name]
-            for name in ("topk", "knn_batch", "sssp")
-        } == {"topk": 4, "knn_batch": 4, "sssp": 4}
-        for target in range(net.num_nodes):
-            assert expander.distance_to(target) == reference[target]
-
-
 class TestDelegation:
     def test_dijkstra_delegates_on_large_graphs(self) -> None:
         rng = random.Random(1)
@@ -690,11 +637,7 @@ class TestDelegation:
         before = KERNEL_CALLS.copy()
         answer = DijkstraKNN(small_grid, objects).query(7, 5)
         assert KERNEL_CALLS["heap"] == before["heap"] + 1  # 27 nodes: small
-        ier_answer = IERKNN(small_grid, objects).query(7, 5)
-        assert KERNEL_CALLS["expander"] > before["expander"]
-        assert [n.object_id for n in ier_answer] == [
-            n.object_id for n in answer
-        ]
+        assert len(answer) == 5
 
     def test_kernels_are_per_thread(self, small_grid) -> None:
         import threading

@@ -4,9 +4,9 @@
 ``topk_objects`` once per query and to a full ``dijkstra_heapq`` run —
 same distances, same tie handling — for any mix of duplicate sources,
 ``k = 0``, ``k`` beyond the object count, disconnected graphs, and any
-``group_size``.  The solution-level
-``query_batch`` overrides (Dijkstra, IER) and the executors' batched
-dispatch inherit that guarantee; this suite pins every layer of it.
+``group_size``.  ``DijkstraKNN``'s ``query_batch`` override and the
+executors' batched dispatch inherit that guarantee; this suite pins
+every layer of it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.graph import RoadNetwork, grid_network
 from repro.graph.kernels import KERNEL_CALLS, QUERIES_PER_SWEEP
 from repro.graph.shortest_path import dijkstra_heapq
-from repro.knn import DijkstraKNN, IERKNN
+from repro.knn import DijkstraKNN
 from repro.mpr import MPRConfig, build_executor, run_serial_reference
 from repro.objects.tasks import DeleteTask, InsertTask, QueryTask
 from tests.conftest import ok_results, place_objects
@@ -209,7 +209,7 @@ class TestBalancedGroups:
         assert sizes == [9, 8]
 
 
-SOLUTIONS = [DijkstraKNN, IERKNN]
+SOLUTIONS = [DijkstraKNN]
 
 
 @pytest.mark.parametrize("solution_cls", SOLUTIONS)

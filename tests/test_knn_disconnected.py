@@ -8,16 +8,9 @@ are simply not answers, never reported with infinite distances.
 import pytest
 
 from repro.graph import RoadNetwork, grid_network
-from repro.knn import (
-    DijkstraKNN,
-    GTreeKNN,
-    IERKNN,
-    RoadKNN,
-    ToainKNN,
-    VTreeKNN,
-)
+from repro.knn import DijkstraKNN, ToainKNN, VTreeKNN
 
-ALL_SOLUTIONS = [DijkstraKNN, GTreeKNN, VTreeKNN, ToainKNN, IERKNN, RoadKNN]
+ALL_SOLUTIONS = [DijkstraKNN, VTreeKNN, ToainKNN]
 
 
 @pytest.fixture(scope="module")

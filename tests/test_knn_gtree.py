@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph import dijkstra, grid_network
-from repro.knn import GTreeIndex, GTreeKNN
+from repro.knn import GTreeIndex, VTreeKNN
 from repro.knn.gtree import TreeNode
 
 
@@ -36,13 +36,6 @@ class TestTreeStructure:
             for child_id in node.children:
                 assert index.tree[child_id].parent == node.node_id
                 assert index.tree[child_id].level == node.level + 1
-
-    def test_path_to_root(self, index) -> None:
-        leaf = index.leaves()[0]
-        path = index.path_to_root(leaf)
-        assert path[0] == leaf
-        assert path[-1] == 0
-        assert index.tree[path[-1]].parent is None
 
     def test_height_positive(self, index) -> None:
         assert index.height() >= 2  # 144 nodes with leaf_size 24 must split
@@ -97,23 +90,9 @@ class TestBorders:
 
 
 class TestOccurrence:
-    def test_occurrence_counts_roll_up(self, index) -> None:
-        net = index.network
-        solution = GTreeKNN(net, {1: 0, 2: 1, 3: net.num_nodes - 1}, index=index)
-        assert solution.subtree_object_count(0) == 3  # root
-        solution.delete(2)
-        assert solution.subtree_object_count(0) == 2
-        leaf = index.leaf_of[0]
-        assert solution.subtree_object_count(leaf) >= 1
-
-    def test_occurrence_zero_after_all_deleted(self, index) -> None:
-        solution = GTreeKNN(index.network, {1: 5}, index=index)
-        solution.delete(1)
-        assert solution.subtree_object_count(0) == 0
-
     def test_mismatched_index_network_rejected(self, index, small_grid) -> None:
         with pytest.raises(ValueError, match="different network"):
-            GTreeKNN(small_grid, {}, index=index)
+            VTreeKNN(small_grid, {}, index=index)
 
 
 class TestConstructionParameters:

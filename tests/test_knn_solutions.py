@@ -1,8 +1,8 @@
 """Cross-solution agreement: every index answers exactly like Dijkstra.
 
-This is the load-bearing correctness suite for the kNN layer: G-tree,
-V-tree, TOAIN and IER must return bit-identical canonical answers to
-the index-free Dijkstra reference, across networks, ks, and update
+This is the load-bearing correctness suite for the kNN layer: V-tree
+and TOAIN must return bit-identical canonical answers to the
+index-free Dijkstra reference, across networks, ks, and update
 churn (the update paths are where index bugs hide).
 """
 
@@ -11,17 +11,9 @@ import random
 import pytest
 
 from repro.graph import grid_network, random_geometric_network, ring_radial_network
-from repro.knn import (
-    DijkstraKNN,
-    GTreeKNN,
-    IERKNN,
-    Neighbor,
-    RoadKNN,
-    ToainKNN,
-    VTreeKNN,
-)
+from repro.knn import DijkstraKNN, Neighbor, ToainKNN, VTreeKNN
 
-INDEXED = [GTreeKNN, VTreeKNN, ToainKNN, IERKNN, RoadKNN]
+INDEXED = [VTreeKNN, ToainKNN]
 
 
 def canonical(result):
@@ -81,7 +73,7 @@ def test_agreement_under_churn(agreement_net, solution_cls) -> None:
     ],
     ids=["ring-radial", "geometric", "skinny-grid"],
 )
-@pytest.mark.parametrize("solution_cls", [GTreeKNN, VTreeKNN, ToainKNN, RoadKNN])
+@pytest.mark.parametrize("solution_cls", INDEXED)
 def test_agreement_across_topologies(make_network, solution_cls) -> None:
     net = make_network()
     rng = random.Random(3)
@@ -152,7 +144,7 @@ class TestSpawn:
         assert child.object_locations() == {3: 7}
         assert parent.object_locations() == {1: 0, 2: 5}
 
-    @pytest.mark.parametrize("solution_cls", [GTreeKNN, VTreeKNN, ToainKNN, RoadKNN])
+    @pytest.mark.parametrize("solution_cls", INDEXED)
     def test_spawn_shares_network_index(self, small_grid, solution_cls) -> None:
         parent = solution_cls(small_grid, {1: 0})
         child = parent.spawn({2: 3})

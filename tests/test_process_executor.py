@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.knn import DijkstraKNN, GTreeKNN
+from repro.knn import DijkstraKNN, ToainKNN
 from repro.mpr import (
     MPRConfig,
     MPRSystem,
@@ -49,7 +49,7 @@ def test_process_executor_matches_serial(small_grid, workload, config) -> None:
 
 
 def test_process_executor_with_indexed_solution(small_grid, workload) -> None:
-    prototype = GTreeKNN(small_grid)
+    prototype = ToainKNN(small_grid)
     reference = run_serial_reference(
         prototype, workload.initial_objects, workload.tasks
     )

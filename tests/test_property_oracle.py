@@ -15,14 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import RoadNetwork
-from repro.knn import (
-    GTreeKNN,
-    Neighbor,
-    RoadKNN,
-    ToainKNN,
-    VTreeKNN,
-    canonical_knn,
-)
+from repro.knn import GTreeIndex, Neighbor, ToainKNN, VTreeKNN, canonical_knn
 
 
 @st.composite
@@ -65,9 +58,14 @@ def as_tuples(result: list[Neighbor]):
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph_objects_query())
 def test_gtree_matches_oracle(case) -> None:
+    """The overlay search V-tree runs, with no cached bound."""
     network, objects, query, k = case
-    solution = GTreeKNN(network, objects, leaf_size=8, fanout=3)
-    assert as_tuples(solution.query(query, k)) == as_tuples(
+    index = GTreeIndex(network, leaf_size=8, fanout=3)
+    occupancy: dict[int, dict[int, set[int]]] = {}
+    for object_id, node in objects.items():
+        leaf = occupancy.setdefault(index.leaf_of[node], {})
+        leaf.setdefault(node, set()).add(object_id)
+    assert as_tuples(index.knn_search(query, k, occupancy)) == as_tuples(
         oracle_knn(network, objects, query, k)
     )
 
@@ -94,17 +92,6 @@ def test_toain_matches_oracle(case, core_fraction) -> None:
     )
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(graph_objects_query())
-def test_road_matches_oracle(case) -> None:
-    network, objects, query, k = case
-    solution = RoadKNN(network, objects, leaf_size=8, fanout=3)
-    assert as_tuples(solution.query(query, k)) == as_tuples(
-        oracle_knn(network, objects, query, k)
-    )
-
-
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph_objects_query(), st.integers(min_value=0, max_value=1000))
@@ -119,31 +106,6 @@ def test_vtree_matches_oracle_after_churn(case, churn_seed) -> None:
     for step in range(12):
         if step % 4 == 0:
             solution.query(rng.randrange(network.num_nodes), 2)
-        if live and rng.random() < 0.5:
-            victim = rng.choice(sorted(live))
-            solution.delete(victim)
-            del live[victim]
-        else:
-            node = rng.randrange(network.num_nodes)
-            solution.insert(next_id, node)
-            live[next_id] = node
-            next_id += 1
-    assert as_tuples(solution.query(query, k)) == as_tuples(
-        oracle_knn(network, live, query, k)
-    )
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(graph_objects_query(), st.integers(min_value=0, max_value=1000))
-def test_gtree_matches_oracle_after_churn(case, churn_seed) -> None:
-    """Apply a random update burst, then compare against the oracle."""
-    network, objects, query, k = case
-    solution = GTreeKNN(network, objects, leaf_size=8, fanout=3)
-    rng = random.Random(churn_seed)
-    live = dict(objects)
-    next_id = max(objects) + 1
-    for _ in range(10):
         if live and rng.random() < 0.5:
             victim = rng.choice(sorted(live))
             solution.delete(victim)

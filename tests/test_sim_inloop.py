@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.knn import DijkstraKNN, GTreeKNN
+from repro.knn import DijkstraKNN, ToainKNN
 from repro.mpr import MachineSpec, MPRConfig, run_serial_reference
 from repro.sim import find_max_throughput, simulate_with_execution
 from repro.workload import generate_workload
@@ -36,7 +36,7 @@ class TestCorrectness:
         assert result.answers == reference
 
     def test_works_with_indexed_solution(self, medium_grid, workload) -> None:
-        prototype = GTreeKNN(medium_grid)
+        prototype = ToainKNN(medium_grid)
         reference = run_serial_reference(
             prototype, workload.initial_objects, workload.tasks
         )

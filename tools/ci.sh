@@ -2,8 +2,8 @@
 # The CI gate, one lane per argument — runnable locally or from
 # .github/workflows/ci.yml, whose matrix is exactly these lane names:
 #
-#   bash tools/ci.sh              # fast: tier-1 tests, figure-script imports, lint, API surface
-#   bash tools/ci.sh slow         # full suite (slow markers included), figure-script imports, lint, API surface,
+#   bash tools/ci.sh              # fast: tier-1 tests, figure-script and benchmark imports, lint, API surface
+#   bash tools/ci.sh slow         # full suite (slow markers included), figure-script and benchmark imports, lint, API surface,
 #                                 # the kernel-exactness, telemetry and graph-builder properties at the
 #                                 # thorough profile, and two simulator figures and two ablations regenerated
 #                                 # byte-identical
@@ -30,6 +30,11 @@ static_checks() {
     # a public name deleted from under one.  Here, not in `fast`: the
     # hosted matrix runs `slow`, never `fast`.
     python -m pytest benchmarks --collect-only -q
+    # Nor does any lane import the benchmark's launcher, driver, probes
+    # or oracle: importing them (without running them) catches a name
+    # deleted from under the benchmark before its run fails on it.
+    PYTHONPATH=src:bench python -c \
+        "import launcher, mprbench.drive, mprbench.layers, mprbench.oracle"
     if command -v ruff >/dev/null 2>&1; then
         ruff check src tests tools benchmarks
     else

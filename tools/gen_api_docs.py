@@ -57,10 +57,10 @@ kernels traverse, what shared memory publishes, and what
 `from_csr_arrays` adopts zero-copy.
 
 `repro.graph.kernels` holds the bucketed (delta-stepping) Dijkstra
-kernels over those arrays, all run by one bucket loop: single-source
-and bounded (`sssp`), early-terminating top-k (`topk_objects`, batched
-as `knn_batch`), and the resumable `IncrementalSSSP` expander IER
-uses.  Every top-k row carries a cap, its tentative k-th distance,
+kernels over those arrays, all run by one bucket loop that runs each
+search to its end: single-source and bounded (`sssp`) and
+early-terminating top-k (`topk_objects`, batched as `knn_batch`).
+Every top-k row carries a cap, its tentative k-th distance,
 lowered after every relax pass; a candidate past it is dropped.  Top-k
 has a second engine, a
 heap expansion over zero-copy memoryviews of the same arrays: given the
@@ -75,8 +75,7 @@ Results are **bit-for-bit identical** to the `heapq` engines
 (`tests/test_kernels.py` pins this property); large-graph speedups are
 recorded in `benchmarks/results/knn_kernels.txt`.  The free function
 `dijkstra` delegates to the kernels automatically at `KERNEL_MIN_NODES`
-(measured, same file) and above; `DijkstraKNN` and `IERKNN` always use
-them.  `KERNEL_CALLS` counts the engine runs (`"heap"`, `"topk"` and
+(measured, same file) and above; `DijkstraKNN` always uses them.  `KERNEL_CALLS` counts the engine runs (`"heap"`, `"topk"` and
 `"topk_one_window"` for a solo sweep in delta-wide windows or as one
 capped window, `"knn_batch"` and `"one_window"` for a batch call that
 swept so, and the other entry points) so tests can assert which path
@@ -153,7 +152,7 @@ answered by a vectorized label/object-bucket join (`CHKernels.
 topk_objects` / `knn_batch` / `point_to_point`).  On integral-weight
 networks (`ch.exact`) every path sum is exact in float64 and CH answers
 are **bit-identical** to the plain kernels (`tests/test_ch.py` pins
-this); pass `ch=` to `DijkstraKNN`/`IERKNN` and queries whose plain
+this); pass `ch=` to `DijkstraKNN` and queries whose plain
 expansion would settle ≳ `ch_cutoff` nodes (expected `k·n/|objects|`)
 are routed to the CH path automatically.  With the default
 `ch_cutoff=None` the solution measures the real crossover on its own
@@ -313,8 +312,8 @@ Its semantics are exactly `[query(l, k) for l, k in zip(locations, ks)]`
 `(distance, object_id)` answers, and result `i` always belonging to
 `locations[i]` no matter how the implementation reorders work
 internally.  The base class provides that loop as the default, so every
-solution is batchable; `DijkstraKNN` and `IERKNN` override it to answer
-the whole batch through `CSRKernels.knn_batch`, which deduplicates
+solution is batchable; `DijkstraKNN` overrides it to answer the whole
+batch through `CSRKernels.knn_batch`, which deduplicates
 sources, sorts them for locality, and runs each group of up to
 `group_size` sources as a *single* sweep over the flattened `(row,
 node)` product space.  Per-query results are
